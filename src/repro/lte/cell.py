@@ -68,7 +68,7 @@ class Cell:
         self.transmitting: bool = False
         self.last_tx_tti: int = -1
         #: Called with the RNTI whenever a CQI refresh changed the
-        #: eNodeB's knowledge for that UE (columnar dirty marking).
+        #: eNodeB's knowledge for that UE (the eNodeB's dirty marking).
         self.cqi_listener: Optional[Callable[[int], None]] = None
         # SRS due-heap of (due_tti, rnti): refresh_cqi pops only the
         # UEs whose report is due this TTI instead of scanning every

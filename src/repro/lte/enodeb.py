@@ -31,14 +31,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs as _obs
-from repro.lte import columns as _columns
 from repro.lte.cell import Cell, CellConfig
-from repro.lte.columns import CellColumns
 from repro.lte.mac.amc import DEFAULT_ERROR_MODEL, ErrorModel
 from repro.lte.mac.dci import (
     DlAssignment,
     SchedulingContext,
-    UeView,
     UlGrant,
     validate_allocation,
 )
@@ -49,9 +46,10 @@ from repro.lte.mac.schedulers import RoundRobinScheduler
 from repro.lte.pdcp import PdcpEntity
 from repro.lte.phy.tbs import transport_block_bits
 from repro.lte.rlc import RlcEntity
-from repro.lte.rrc import ATTACH_SIGNALLING_BYTES, RrcEntity, RrcEvent, RrcState
+from repro.lte.rrc import ATTACH_SIGNALLING_BYTES, RrcEntity, RrcEvent
 from repro.lte.constants import SUBFRAMES_PER_FRAME
 from repro.lte.ue import Ue
+from repro.lte.view_cache import UeViewCache
 
 logger = logging.getLogger(__name__)
 
@@ -121,8 +119,7 @@ class EnodeB:
                  cell_configs: Optional[Sequence[CellConfig]] = None, *,
                  seed: int = 0,
                  error_model: ErrorModel = DEFAULT_ERROR_MODEL,
-                 rlc_buffer_bytes: Optional[int] = None,
-                 columnar: Optional[bool] = None) -> None:
+                 rlc_buffer_bytes: Optional[int] = None) -> None:
         self.enb_id = enb_id
         if cell_configs is None:
             cell_configs = [CellConfig(cell_id=enb_id * 10)]
@@ -163,16 +160,11 @@ class EnodeB:
         self.counters = MacCounters()
         self.processing_time_s = 0.0
 
-        #: Whether :meth:`build_context` uses the columnar fast path.
-        #: Columns are maintained regardless, so this may be toggled
-        #: at runtime (the differential suite relies on that).
-        self.columnar = (_columns.COLUMNAR_DEFAULT if columnar is None
-                         else bool(columnar))
-        self._cell_columns: Dict[int, CellColumns] = {
-            c: CellColumns(cell, self) for c, cell in self.cells.items()}
+        self._view_cache: Dict[int, UeViewCache] = {
+            c: UeViewCache(cell, self) for c, cell in self.cells.items()}
         # Per-UE change sequence: bumped whenever scheduler- or
-        # report-visible UE state changes.  Feeds both the columnar
-        # dirty bitmap and the agent's delta stats reporting.
+        # report-visible UE state changes.  Feeds both the view caches'
+        # dirty sets and the agent's delta stats reporting.
         self._change_seq = 0
         self._ue_seq: Dict[int, int] = {}
         for cell in self.cells.values():
@@ -202,7 +194,7 @@ class EnodeB:
         self.rlc[rnti] = RlcEntity(rnti, buffer_limit_bytes=self._rlc_buffer_bytes)
         self.pdcp[rnti] = PdcpEntity(rnti)
         self.rrc.start_attach(rnti, tti)
-        self._cell_columns[cell.cell_id].add(rnti)
+        self._view_cache[cell.cell_id].add(rnti)
         cell.refresh_cqi(tti, force=True)
         self.mark_ue_dirty(rnti)
         logger.info("enb %d: UE %s attached as RNTI %d on cell %d",
@@ -214,7 +206,7 @@ class EnodeB:
         for scell_id in sorted(self._scells.pop(rnti, set())):
             self.deactivate_scell(rnti, scell_id)
         cell = self.cells[self._ue_cell.pop(rnti)]
-        self._cell_columns[cell.cell_id].remove(rnti)
+        self._view_cache[cell.cell_id].remove(rnti)
         # Membership changed: bump the change sequence so delta stats
         # consumers notice even though the RNTI itself is gone.
         self._change_seq += 1
@@ -269,7 +261,7 @@ class EnodeB:
             return
         ue = self.ue(rnti)
         self.cells[scell_id].add_ue(rnti, ue, primary=False)
-        self._cell_columns[scell_id].add(rnti)
+        self._view_cache[scell_id].add(rnti)
         self.cells[scell_id].refresh_cqi(tti, force=True)
         scells.add(scell_id)
         self.mark_ue_dirty(rnti)
@@ -281,11 +273,8 @@ class EnodeB:
             scells.discard(scell_id)
         cell = self.cells.get(scell_id)
         if cell is not None and rnti in cell.ues:
-            self._cell_columns[scell_id].remove(rnti)
-            cell.ues.pop(rnti)
-            for mapping in (cell.known_cqi, cell.known_cqi_clear,
-                            cell.cqi_updated_tti):
-                mapping.pop(rnti, None)
+            self._view_cache[scell_id].remove(rnti)
+            cell.remove_ue(rnti)
             self.harq[scell_id].remove(rnti)
             self._pending_feedback = [
                 f for f in self._pending_feedback
@@ -313,10 +302,8 @@ class EnodeB:
         if rnti not in self._ue_cell:
             raise KeyError(f"unknown RNTI {rnti}")
         self.drx.configure(rnti, config)
-        tracked = config is not None
-        self._cell_columns[self._ue_cell[rnti]].set_drx_tracked(rnti, tracked)
-        for scell_id in self._scells.get(rnti, ()):
-            self._cell_columns[scell_id].set_drx_tracked(rnti, tracked)
+        for cell_id in (self._ue_cell[rnti], *self._scells.get(rnti, ())):
+            self._view_cache[cell_id].track_drx(rnti, config is not None)
         self.mark_ue_dirty(rnti)
 
     # -- change tracking -------------------------------------------------
@@ -325,19 +312,17 @@ class EnodeB:
         """Record that *rnti*'s scheduler/report-visible state changed.
 
         Bumps the eNodeB-wide change sequence (consumed by delta stats
-        reporting) and dirties the UE's slot in the PCell's -- and any
-        active SCell's -- column store so the next :meth:`build_context`
+        reporting) and dirties the UE's view in the PCell's -- and any
+        active SCell's -- view cache so the next :meth:`build_context`
         refreshes exactly this UE.
         """
         self._change_seq += 1
         self._ue_seq[rnti] = self._change_seq
         cell_id = self._ue_cell.get(rnti)
         if cell_id is not None:
-            self._cell_columns[cell_id].mark_dirty(rnti)
-            scells = self._scells.get(rnti)
-            if scells:
-                for scell_id in scells:
-                    self._cell_columns[scell_id].mark_dirty(rnti)
+            self._view_cache[cell_id].mark_dirty(rnti)
+            for scell_id in self._scells.get(rnti, ()):
+                self._view_cache[scell_id].mark_dirty(rnti)
 
     @property
     def change_seq(self) -> int:
@@ -405,65 +390,12 @@ class EnodeB:
     def build_context(self, cell_id: int, tti: int) -> SchedulingContext:
         """Scheduler-facing snapshot for one cell and TTI.
 
-        Two equivalent implementations: the columnar fast path reuses
-        per-slot cached views refreshed only for dirty UEs, while the
-        object path rebuilds every view from the protocol entities.
-        The differential fingerprint suite asserts both produce
-        decision-for-decision identical schedules.
+        The views and the backlogged / schedulable lists come from the
+        cell's :class:`UeViewCache`, which refreshes only the UEs marked
+        dirty since the previous TTI.
         """
-        if self.columnar:
-            return self._build_context_columnar(cell_id, tti)
-        return self._build_context_object(cell_id, tti)
-
-    def _build_context_columnar(self, cell_id: int, tti: int
-                                ) -> SchedulingContext:
         cell = self.cells[cell_id]
-        views, backlogged, schedulable = \
-            self._cell_columns[cell_id].build(tti)
-        if self.bearer_qos:
-            view_rntis = {v.rnti for v in views}
-            bearer_qos = {key: profile
-                          for key, profile in self.bearer_qos.items()
-                          if key[0] in view_rntis}
-        else:
-            bearer_qos = {}
-        ctx = SchedulingContext(
-            tti=tti, n_prb=cell.n_prb, ues=views,
-            pending_retx=self.harq[cell_id].all_pending_retx(tti),
-            cell_id=cell_id, subframe=tti % SUBFRAMES_PER_FRAME,
-            abs_subframe=cell.is_muted(tti),
-            bearer_qos=bearer_qos)
-        # Seed the context's per-TTI memos from the column caches (the
-        # lists are already RNTI-ordered and filtered identically).
-        ctx._backlogged = backlogged
-        ctx._schedulable = schedulable
-        return ctx
-
-    def _build_context_object(self, cell_id: int, tti: int
-                              ) -> SchedulingContext:
-        cell = self.cells[cell_id]
-        views: List[UeView] = []
-        rlc_map = self.rlc
-        schedulable = (RrcState.CONNECTING, RrcState.CONNECTED)
-        for rnti in cell.rntis():
-            ctx = self.rrc.context(rnti)
-            if ctx.state not in schedulable:
-                continue
-            if not self.drx.is_awake(rnti, tti):
-                continue  # sleeping UEs cannot be scheduled
-            ue = cell.ues[rnti]
-            queues = rlc_map[rnti].queues.sizes()
-            views.append(UeView(
-                rnti=rnti,
-                queue_bytes=sum(queues.values()),
-                cqi=cell.scheduling_cqi(rnti, tti),
-                avg_rate_bps=ue.meter.rate_mbps(tti) * 1e6,
-                # The snapshot borrows the UE's label dict: schedulers
-                # only read it, and labels never change inside a TTI.
-                labels=ue.labels,
-                ul_buffer_bytes=ue.ul_backlog_bytes,
-                queues=queues,
-            ))
+        views, backlogged, schedulable = self._view_cache[cell_id].build(tti)
         if self.bearer_qos:
             view_rntis = {v.rnti for v in views}
             bearer_qos = {key: profile
@@ -476,7 +408,8 @@ class EnodeB:
             pending_retx=self.harq[cell_id].all_pending_retx(tti),
             cell_id=cell_id, subframe=tti % SUBFRAMES_PER_FRAME,
             abs_subframe=cell.is_muted(tti),
-            bearer_qos=bearer_qos)
+            bearer_qos=bearer_qos,
+            backlogged_ues=backlogged, schedulable_ues=schedulable)
 
     # -- per-TTI engine ---------------------------------------------------
 
@@ -653,24 +586,3 @@ class EnodeB:
         else:
             # Lost UL TB: data returns to the UE's buffer (HARQ abstracted).
             ue.ul_backlog_bytes += sent
-
-    # -- statistics snapshot (the Statistics API payload) ----------------
-
-    def mac_stats(self, cell_id: Optional[int] = None) -> Dict[int, Dict[str, object]]:
-        """Per-UE MAC statistics: queue sizes, CQI, HARQ occupancy."""
-        cell = self.cell(cell_id)
-        out: Dict[int, Dict[str, object]] = {}
-        for rnti in cell.rntis():
-            rlc = self.rlc[rnti]
-            ue = cell.ues[rnti]
-            out[rnti] = {
-                "queue_bytes": rlc.buffer_bytes(),
-                "queues": rlc.queues.sizes(),
-                "cqi": cell.known_cqi.get(rnti, 0),
-                "cqi_clear": cell.known_cqi_clear.get(rnti, 0),
-                "harq_busy": self.harq[cell.cell_id].entity(rnti).busy_count(),
-                "ul_buffer_bytes": ue.ul_backlog_bytes,
-                "rx_bytes_total": ue.rx_bytes_total,
-                "rrc_state": self.rrc.context(rnti).state.value,
-            }
-        return out

@@ -57,15 +57,13 @@ class UeView:
 
     This is the scheduler-facing summary of the data-plane state: queue
     backlog, the CQI known to the eNodeB (which may lag the true
-    channel), the UE's average served rate (for PF), and arbitrary
-    labels (operator slice, premium/secondary group) used by the RAN
-    sharing use case.
+    channel), and arbitrary labels (operator slice, premium/secondary
+    group) used by the RAN sharing use case.
     """
 
     rnti: int
     queue_bytes: int
     cqi: int
-    avg_rate_bps: float = 0.0
     labels: Dict[str, str] = field(default_factory=dict)
     ul_buffer_bytes: int = 0
     #: Per-bearer backlog (lcid -> bytes) for QoS-aware schedulers.
@@ -98,15 +96,16 @@ class SchedulingContext:
     #: (rnti, lcid) -> QoS profile of configured bearers (see
     #: :mod:`repro.lte.mac.qos`); empty when no QoS is provisioned.
     bearer_qos: Dict = field(default_factory=dict)
-    # Memoized views, computed on first use.  A context describes one
+    # Memos behind backlogged() / candidates().  A context describes one
     # (cell, TTI) snapshot -- UE state does not change while schedulers
-    # consult it -- so backlog and candidate sets are computed once per
-    # TTI even when several algorithm passes (slices, inner policies)
-    # run over the same context.
-    _backlogged: Optional[List[UeView]] = field(
-        default=None, init=False, repr=False, compare=False)
-    _schedulable: Optional[List[UeView]] = field(
-        default=None, init=False, repr=False, compare=False)
+    # consult it -- so each is computed at most once per TTI even when
+    # several algorithm passes (slices, inner policies) run over the
+    # same context; a builder that already keeps the lists (the
+    # eNodeB's view cache) passes them in.
+    backlogged_ues: Optional[List[UeView]] = field(
+        default=None, repr=False, compare=False)
+    schedulable_ues: Optional[List[UeView]] = field(
+        default=None, repr=False, compare=False)
 
     def ue(self, rnti: int) -> Optional[UeView]:
         """Find the view for *rnti*, or ``None``."""
@@ -121,11 +120,11 @@ class SchedulingContext:
         The list is memoized; callers must treat it as read-only (take
         a copy before reordering or mutating).
         """
-        if self._backlogged is None:
-            self._backlogged = sorted(
+        if self.backlogged_ues is None:
+            self.backlogged_ues = sorted(
                 (u for u in self.ues if u.queue_bytes > 0),
                 key=lambda u: u.rnti)
-        return self._backlogged
+        return self.backlogged_ues
 
     def candidates(self, exclude_rntis: Collection[int] = ()) -> List[UeView]:
         """Schedulable new-data UEs: backlogged with a usable CQI.
@@ -134,10 +133,10 @@ class SchedulingContext:
         UEs already holding a HARQ retransmission this TTI) is applied
         per call.  Always returns a fresh list the caller may reorder.
         """
-        base = self._schedulable
+        base = self.schedulable_ues
         if base is None:
             base = [u for u in self.backlogged() if u.cqi > 0]
-            self._schedulable = base
+            self.schedulable_ues = base
         if exclude_rntis:
             return [u for u in base if u.rnti not in exclude_rntis]
         return list(base)

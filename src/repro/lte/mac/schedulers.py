@@ -17,30 +17,13 @@ manipulate at runtime (Fig. 3): e.g. the RAN-sharing experiment changes
 from __future__ import annotations
 
 import abc
-from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro import obs as _obs
 from repro.lte.mac import amc
 from repro.lte.mac.dci import DlAssignment, SchedulingContext, UeView
-from repro.lte.phy import tbs as _tbs
 from repro.lte.phy.tbs import prbs_needed, transport_block_bits
 from repro.lte.rlc import RLC_HEADER_BYTES
-
-# Per-CQI sorted threshold tables for queue->PRB sizing:
-# _queue_thresholds[cqi][n-1] is the largest queue_bytes that resolves
-# to n PRBs (transport_block_bits(cqi, n) // 8 minus RLC/MAC header
-# room), so a bisect gives the PRB count directly.  Unlike the previous
-# lru_cache keyed on raw (cqi, queue_bytes) -- which VBR/mixed traffic
-# thrashed with never-repeating byte counts -- the table quantizes the
-# key to the PRB granularity the answer actually has: memory is bounded
-# by the largest PRB count ever requested per CQI, not by the number of
-# distinct byte values seen.
-_queue_thresholds: Dict[int, List[int]] = {}
-
-_MAX_TABLE_PRBS = 1 << 16
-"""Cap on threshold-table growth; absurdly large requests fall through
-to the uncached exact computation instead of ballooning the table."""
 
 
 def prbs_for_queue(cqi: int, queue_bytes: int) -> int:
@@ -51,37 +34,7 @@ def prbs_for_queue(cqi: int, queue_bytes: int) -> int:
     """
     if queue_bytes <= 0:
         return 0
-    table = _queue_thresholds.get(cqi)
-    if table is not None and queue_bytes <= table[-1]:
-        ob = _obs.get()
-        if ob.enabled:
-            ob.registry.counter("mac.sched.prb_cache.hits").inc()
-        return bisect_left(table, queue_bytes) + 1
-    # Miss: compute exactly (this also validates the CQI), then extend
-    # the table so every smaller queue level is a future hit.
-    n = prbs_needed(cqi, (queue_bytes + RLC_HEADER_BYTES + 1) * 8)
-    if n <= _MAX_TABLE_PRBS:
-        if table is None:
-            table = _queue_thresholds.setdefault(cqi, [])
-        header_room = RLC_HEADER_BYTES + 1
-        while len(table) < n:
-            table.append(
-                transport_block_bits(cqi, len(table) + 1) // 8 - header_room)
-    ob = _obs.get()
-    if ob.enabled:
-        ob.registry.counter("mac.sched.prb_cache.misses").inc()
-    return n
-
-
-def clear_caches() -> None:
-    """Reset process-global scheduling caches (new-simulation hook).
-
-    Clears the queue->PRB threshold tables and the TBS sizing caches in
-    :mod:`repro.lte.phy.tbs`, so cache state never leaks between
-    simulations sharing one Python process.
-    """
-    _queue_thresholds.clear()
-    _tbs.clear_caches()
+    return prbs_needed(cqi, (queue_bytes + RLC_HEADER_BYTES + 1) * 8)
 
 
 class Scheduler(abc.ABC):

@@ -8,27 +8,49 @@ the paper's testbed (about 25 Mb/s downlink at 10 MHz / TM1 / CQI 15;
 see DESIGN.md Section 5).  The *shape* of every reproduced experiment
 depends only on the relative capacity across CQIs, which this model
 takes directly from the standard CQI table.
+
+The map is pure and its useful domain is tiny (16 CQIs x the PRB counts
+of the widest standard carrier), and it sits on the per-TTI hot path of
+every scheduler, so it is tabulated once at import.  The forward map
+indexes the table, the inverse bisects a row of it, and anything beyond
+the table is computed from the same arithmetic the table was built with.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from bisect import bisect_left
 
 from repro.lte.constants import (
+    CQI_MAX,
+    CQI_TABLE,
     DATA_RES_PER_PRB,
     IMPLEMENTATION_EFFICIENCY,
+    PRBS_BY_BANDWIDTH_MHZ,
     UPLINK_EFFICIENCY,
 )
-from repro.lte.phy.cqi import cqi_efficiency, validate_cqi
+from repro.lte.phy.cqi import validate_cqi
 
-# Both sizing functions are pure maps over a small input space (15
-# CQIs x the PRB counts / byte needs a deployment actually exhibits)
-# and sit on the per-TTI hot path of every scheduler, so they are
-# memoized.  lru_cache does not cache raised exceptions, so the
-# validation behaviour for bad inputs is unchanged.
+TABLE_PRBS = max(PRBS_BY_BANDWIDTH_MHZ.values())
+"""Largest PRB count the table covers (the 20 MHz carrier)."""
 
 
-@lru_cache(maxsize=1 << 14)
+def _exact_bits(cqi: int, n_prb: int, uplink: bool) -> int:
+    """The arithmetic definition of the transport block size."""
+    bits = (CQI_TABLE[cqi].efficiency * DATA_RES_PER_PRB * n_prb
+            * IMPLEMENTATION_EFFICIENCY)
+    if uplink:
+        bits *= UPLINK_EFFICIENCY
+    return int(bits)
+
+
+# _BITS[uplink][cqi][n_prb]; rows are strictly increasing for CQI >= 1.
+_BITS = tuple(
+    tuple(tuple(_exact_bits(cqi, n_prb, uplink)
+                for n_prb in range(TABLE_PRBS + 1))
+          for cqi in range(CQI_MAX + 1))
+    for uplink in (False, True))
+
+
 def transport_block_bits(cqi: int, n_prb: int, *, uplink: bool = False) -> int:
     """Bits deliverable in one TTI over *n_prb* PRBs at *cqi*.
 
@@ -36,16 +58,12 @@ def transport_block_bits(cqi: int, n_prb: int, *, uplink: bool = False) -> int:
     MAC-level transport block size after the calibrated derating, i.e.
     what a saturating UDP flow would observe.
     """
+    if 0 <= n_prb <= TABLE_PRBS and 0 <= cqi <= CQI_MAX:
+        return _BITS[uplink][cqi][n_prb]
     validate_cqi(cqi)
     if n_prb < 0:
         raise ValueError(f"PRB count must be >= 0, got {n_prb}")
-    if cqi == 0 or n_prb == 0:
-        return 0
-    raw = cqi_efficiency(cqi) * DATA_RES_PER_PRB * n_prb
-    bits = raw * IMPLEMENTATION_EFFICIENCY
-    if uplink:
-        bits *= UPLINK_EFFICIENCY
-    return int(bits)
+    return _exact_bits(cqi, n_prb, uplink)
 
 
 def capacity_mbps(cqi: int, n_prb: int, *, uplink: bool = False) -> float:
@@ -56,7 +74,6 @@ def capacity_mbps(cqi: int, n_prb: int, *, uplink: bool = False) -> float:
     return transport_block_bits(cqi, n_prb, uplink=uplink) / 1000.0
 
 
-@lru_cache(maxsize=1 << 15)
 def prbs_needed(cqi: int, bits: int, *, uplink: bool = False) -> int:
     """Minimum PRBs required to carry *bits* in one TTI at *cqi*.
 
@@ -64,46 +81,27 @@ def prbs_needed(cqi: int, bits: int, *, uplink: bool = False) -> int:
     it against the cell's PRB budget.  Raises for CQI 0 because no MCS
     can be selected for an out-of-range UE.
     """
-    validate_cqi(cqi)
-    if bits < 0:
-        raise ValueError(f"bits must be >= 0, got {bits}")
-    if bits == 0:
-        return 0
-    if cqi == 0:
+    if not (0 < cqi <= CQI_MAX and bits > 0):
+        validate_cqi(cqi)
+        if bits < 0:
+            raise ValueError(f"bits must be >= 0, got {bits}")
+        if bits == 0:
+            return 0
         raise ValueError("cannot size a transport block at CQI 0")
-    # Use the exact per-PRB rate (before integer truncation of the TB)
-    # so the result is both sufficient and tight.
-    per_prb = cqi_efficiency(cqi) * DATA_RES_PER_PRB * IMPLEMENTATION_EFFICIENCY
+    row = _BITS[uplink][cqi]
+    if bits <= row[-1]:
+        return bisect_left(row, bits)
+    # Beyond the table: seed from the float per-PRB rate (off by at most
+    # the integer-truncation slack, a PRB or two either way), step down
+    # to an insufficient count, then up to the first sufficient one.
+    per_prb = (CQI_TABLE[cqi].efficiency * DATA_RES_PER_PRB
+               * IMPLEMENTATION_EFFICIENCY)
     if uplink:
         per_prb *= UPLINK_EFFICIENCY
-    if per_prb <= 0:
-        raise ValueError(f"CQI {cqi} yields a zero-bit PRB")
     n = int(bits / per_prb)
-    # The float seed undershoots the exact answer by at most the
-    # integer-truncation slack (one PRB, plus one more for the TB's
-    # own int() derating), so a handful of increments always suffices;
-    # the explicit limit turns a hypothetical float pathology into a
-    # loud error instead of an unbounded loop.
-    limit = n + 8
-    while transport_block_bits(cqi, n, uplink=uplink) < bits:
-        n += 1
-        if n > limit:
-            raise RuntimeError(
-                f"prbs_needed(cqi={cqi}, bits={bits}, uplink={uplink}) "
-                f"failed to converge from seed {limit - 8}")
-    # Guard minimality as well: if the seed ever landed high, step back
-    # down to the smallest sufficient PRB count.
-    while n > 1 and transport_block_bits(cqi, n - 1, uplink=uplink) >= bits:
+    while _exact_bits(cqi, n, uplink) >= bits:
         n -= 1
+    n += 1
+    while _exact_bits(cqi, n, uplink) < bits:
+        n += 1
     return n
-
-
-def clear_caches() -> None:
-    """Reset the process-global sizing caches.
-
-    One Python process can run many simulations (test suites, the perf
-    harness); clearing between runs keeps cache occupancy -- and any
-    hit-rate measurement -- attributable to the current run.
-    """
-    transport_block_bits.cache_clear()
-    prbs_needed.cache_clear()

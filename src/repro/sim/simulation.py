@@ -26,7 +26,6 @@ from repro.core.controller import MasterController
 from repro.core.delegation import VsfFactoryRegistry
 from repro.lte.cell import CellConfig
 from repro.lte.enodeb import EnodeB
-from repro.lte.mac import schedulers
 from repro.lte.mac.amc import DEFAULT_ERROR_MODEL, ErrorModel
 from repro.lte.mac.queues import DEFAULT_LCID
 from repro.lte.ue import Ue
@@ -49,10 +48,6 @@ class Simulation:
         if transport not in ("emulated", "tcp"):
             raise ValueError(
                 f"transport must be 'emulated' or 'tcp', got {transport!r}")
-        # A fresh deployment must not inherit another simulation's
-        # process-global sizing caches (hit-rate accounting, and the
-        # pathological case of a leaked, thrashed cache).
-        schedulers.clear_caches()
         self.clock = SimClock()
         self.epc = EpcStub()
         self.transport = transport
@@ -102,8 +97,7 @@ class Simulation:
                 cell_configs: Optional[Sequence[CellConfig]] = None, *,
                 seed: int = 0,
                 error_model: ErrorModel = DEFAULT_ERROR_MODEL,
-                rlc_buffer_bytes: Optional[int] = None,
-                columnar: Optional[bool] = None) -> EnodeB:
+                rlc_buffer_bytes: Optional[int] = None) -> EnodeB:
         """Create and register an eNodeB."""
         if enb_id is None:
             enb_id = self._next_enb_id
@@ -112,8 +106,7 @@ class Simulation:
         self._next_enb_id = max(self._next_enb_id, enb_id + 1)
         enb = EnodeB(enb_id, cell_configs, seed=seed,
                      error_model=error_model,
-                     rlc_buffer_bytes=rlc_buffer_bytes,
-                     columnar=columnar)
+                     rlc_buffer_bytes=rlc_buffer_bytes)
         self.enbs[enb_id] = enb
         for cell_id in enb.cells:
             self._cell_owner[cell_id] = enb_id

@@ -19,6 +19,7 @@ from repro.core.protocol.messages import (
 )
 from repro.lte.enodeb import EnodeB
 from repro.lte.phy.channel import FixedCqi
+from repro.lte.rrc import RrcState
 from repro.lte.ue import Ue
 from repro.sim.scenarios import large_scale
 
@@ -52,6 +53,11 @@ class TestDeltaReplies:
         first = agent.reports.due_replies(30)[0]
         assert first.full == 1
         assert {r.rnti for r in first.ue_reports} == set(rntis)
+        # The snapshot carries each UE's CQI and live RRC state.
+        for report in first.ue_reports:
+            assert report.wb_cqi == 11
+            assert list(RrcState)[report.rrc_state] \
+                == enb.rrc.context(report.rnti).state
         # Nothing changed: the next due reply is an empty delta.
         quiet = agent.reports.due_replies(35)[0]
         assert quiet.full == 0

@@ -177,19 +177,6 @@ class TestSchedulerHookContract:
         assert ue_view.cqi == 9
         assert ue_view.queue_bytes > 1000  # payload + headers + SRB
 
-    def test_mac_stats_snapshot(self):
-        enb = EnodeB(1)
-        ue = Ue("001", FixedCqi(11), labels={"operator": "mno"})
-        rnti = enb.attach_ue(ue, tti=0)
-        enb.enqueue_dl(rnti, 2000, 0)
-        drive(enb, 5)
-        stats = enb.mac_stats()
-        assert rnti in stats
-        assert stats[rnti]["cqi"] == 11
-        assert "queue_bytes" in stats[rnti]
-        assert stats[rnti]["rrc_state"] in ("connecting", "random_access",
-                                            "connected")
-
 
 class TestMultiCell:
     def test_two_cells_independent(self):

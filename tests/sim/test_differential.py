@@ -1,16 +1,23 @@
-"""Differential fingerprints: columnar vs object context building.
+"""Per-call differential suite: the view cache against the reference.
 
-``EnodeB.build_context`` has two implementations -- the columnar fast
-path over :class:`repro.lte.columns.CellColumns` and the object path
-that rebuilds every ``UeView`` from the protocol entities.  This suite
-runs the same deployment twice, once per mode, records every cell's
-downlink assignments and uplink grants on every TTI, and asserts the
-two runs are *decision-for-decision identical* (plus identical
-delivered-byte, HARQ and DRX end state).  Any divergence means the
-column store's invalidation missed a scheduler-visible input.
+Each scenario runs once with ``EnodeB.build_context`` wrapped by the
+oracle of :mod:`tests.sim.context_oracle` (installed for every test in
+this directory): at every call, the context the scheduler is handed is
+compared with the reference builder's -- every ``UeView`` field,
+``pending_retx``, ``bearer_qos``, ``abs_subframe`` and the order of
+``backlogged()`` / ``candidates()``.  A divergence means an
+invalidation missed a scheduler-visible input; it fails at the TTI it
+happens, naming the UE and the field.
 """
 
+import pytest
+
+from repro.lte.cell import CellConfig
+from repro.lte.enodeb import EnodeB
 from repro.lte.mac.drx import DrxConfig
+from repro.lte.mac.qos import QosProfile
+from repro.lte.phy.channel import FixedCqi, GaussMarkovSinr
+from repro.lte.ue import Ue
 from repro.net.clock import Phase
 from repro.sim.scenarios import (
     FaultSpec,
@@ -19,111 +26,148 @@ from repro.sim.scenarios import (
     large_scale,
     partitioned_centralized,
     saturated_cell,
+    sinr_for_cqi,
 )
+from repro.sim.simulation import Simulation
+from repro.traffic.generators import CbrSource, PoissonSource
 
 
-def _attach_recorder(sim, enbs):
-    """Log (tti, enb, cell, DL assignments, UL grants) every TTI."""
-    log = []
-
-    def record(tti: int) -> None:
-        for enb in enbs:
-            if enb.last_plan_tti != tti:
-                continue
-            for cell_id in sorted(enb._plan_dl):
-                dl = tuple(
-                    (a.rnti, a.n_prb, a.cqi_used, a.lcid, a.harq_pid,
-                     a.is_retx)
-                    for a in enb._plan_dl[cell_id])
-                ul = tuple((g.rnti, g.n_prb, g.cqi_used)
-                           for g in enb._plan_ul.get(cell_id, ()))
-                if dl or ul:
-                    log.append((tti, enb.enb_id, cell_id, dl, ul))
-
-    sim.clock.register(Phase.POST, record)
-    return log
+def saturated_cell_with_drx():
+    sc = saturated_cell(n_ues=4, cqi=12, with_master=True)
+    # DRX on two UEs exercises the per-build wake tracking.
+    for ue in sc.ues[:2]:
+        sc.enb.set_drx(ue.rnti, DrxConfig(
+            cycle_ttis=20, on_duration_ttis=4, inactivity_ttis=2))
+    return sc.sim, [sc.enb], 200
 
 
-def _end_state(enbs):
-    """Data-plane end state the two modes must agree on exactly."""
-    state = []
-    for enb in enbs:
-        per_ue = {}
-        for cell in enb.cells.values():
-            for rnti, ue in cell.ues.items():
-                harq = enb.harq[cell.cell_id].entity(rnti)
-                per_ue[(cell.cell_id, rnti)] = (
-                    ue.rx_bytes_total,
-                    tuple((p.busy, p.needs_retx) for p in harq.processes),
-                )
-        drx = {rnti: (s.awake_ttis, s.asleep_ttis)
-               for rnti, s in enb.drx._states.items()}
-        state.append((enb.enb_id, enb.counters.tb_ok, enb.counters.tb_err,
-                      enb.counters.dl_delivered_bytes, per_ue, drx,
-                      enb.drx.retired_awake_ttis,
-                      enb.drx.retired_asleep_ttis))
-    return state
+def hetnet_eicic_abs_flips():
+    sc = hetnet_eicic("eicic", n_macro_ues=3)
+    return sc.sim, [sc.macro_enb, sc.small_enb], 300
 
 
-def _run(build, ttis, columnar):
-    sim, enbs = build()
-    for enb in enbs:
-        enb.columnar = columnar
-    log = _attach_recorder(sim, enbs)
+def centralized_with_link_fault():
+    sc = partitioned_centralized(
+        ues_per_enb=4, rtt_ms=2.0, schedule_ahead=8,
+        fault=FaultSpec(partitions=((120, 180),)),
+        echo_period_ttis=20, liveness_timeout_ttis=60)
+    return sc.sim, sc.enbs, 300
+
+
+def chaos():
+    sc = chaos_survivability(
+        ues_per_enb=3, crash_window=(60, 90), poison_at=120,
+        restart_at=180, checkpoint_period_ttis=50, clearance_ttis=100)
+    return sc.sim, sc.enbs, 320
+
+
+def scale_slice_over_tcp_transport():
+    sc = large_scale(n_enbs=2, ues_per_enb=8, transport="tcp",
+                     stats_period_ttis=5)
+    return sc.sim, sc.enbs, 120
+
+
+def fading_poisson_pf():
+    """``scale_churn`` in miniature: per-UE state moves every period."""
+    sim = Simulation(with_master=True, realtime_master=False)
+    enbs = []
+    for e in range(2):
+        enb = sim.add_enb(seed=e)
+        agent = sim.add_agent(enb, rtt_ms=2.0)
+        for i in range(8):
+            seed = 100 * e + i
+            ue = Ue(f"{e:02d}{i:04d}", GaussMarkovSinr(
+                sinr_for_cqi(3 + 2 * (i % 6)), sigma_db=3.0, seed=seed))
+            sim.add_ue(enb, ue)
+            sim.add_downlink_traffic(
+                enb, ue, PoissonSource(1.5, seed=seed, start_tti=20))
+        agent.mac.activate("dl_scheduling", "local_pf")
+        enbs.append(enb)
+    return sim, enbs, 400
+
+
+def mutation_sites():
+    """Every command that changes scheduler-visible state mid-run."""
+    sim = Simulation()
+    enb = sim.add_enb(1, [CellConfig(cell_id=10), CellConfig(cell_id=11)])
+    other = sim.add_enb(2)
+    agent = sim.add_agent(enb)
+    sim.add_agent(other)
+    ues = [Ue(f"{i:03d}", FixedCqi(9 + i)) for i in range(4)]
+    for ue in ues:
+        ue.neighbor_channels = {other.cell().cell_id: FixedCqi(13)}
+        sim.add_ue(enb, ue, cell_id=10)
+        sim.add_downlink_traffic(enb, ue, CbrSource(3.0, start_tti=20))
+    a, b, c, d = (ue.rnti for ue in ues)
+    drx = DrxConfig(cycle_ttis=20, on_duration_ttis=4, inactivity_ttis=2)
+
+    def reuse_rnti(tti):
+        # The C-RNTI space wraps on a long-lived cell: a newcomer gets
+        # the RNTI of a UE that left (forced here by rewinding the
+        # allocator), and must not inherit anything cached for it.
+        enb.detach_ue(d)
+        enb._next_rnti = d
+        newcomer = Ue("reused", FixedCqi(5))
+        assert enb.attach_ue(newcomer, cell_id=10, tti=tti) == d
+
+    script = {
+        60: lambda tti: enb.activate_scell(a, 11, tti=tti),
+        80: lambda tti: enb.set_drx(a, drx),  # PCell and SCell views
+        100: lambda tti: enb.configure_bearer(
+            b, 4, QosProfile(qci=1, gbr_mbps=0.5)),
+        110: lambda tti: enb.enqueue_dl(b, 4000, tti, lcid=4),
+        140: lambda tti: enb.set_drx(a, None),
+        150: lambda tti: enb.set_drx(b, drx),
+        160: lambda tti: enb.activate_scell(b, 11, tti=tti),  # DRX first
+        200: lambda tti: enb.deactivate_scell(a, 11),
+        220: reuse_rnti,
+        260: lambda tti: agent.rrc.execute_handover(
+            c, 10, other.cell().cell_id, tti),
+        300: lambda tti: enb.set_drx(b, None),
+    }
+    sim.clock.register(
+        Phase.TRAFFIC, lambda tti: script.get(tti, lambda _: None)(tti))
+    return sim, [enb, other], 400
+
+
+SCENARIOS = [
+    saturated_cell_with_drx, hetnet_eicic_abs_flips,
+    centralized_with_link_fault, chaos, scale_slice_over_tcp_transport,
+    fading_poisson_pf, mutation_sites,
+]
+
+
+@pytest.mark.parametrize("build", SCENARIOS, ids=lambda f: f.__name__)
+def test_every_context_matches_the_reference(build, build_context_oracle):
+    sim, enbs, ttis = build()
     try:
         sim.run(ttis)
-        return log, _end_state(enbs)
     finally:
-        if hasattr(sim, "close"):
-            sim.close()
+        sim.close()
+    assert not build_context_oracle.mismatches
+    assert build_context_oracle.calls == ttis * sum(
+        len(enb.cells) for enb in enbs)
+    assert all(enb.counters.dl_assignments > 0 for enb in enbs), \
+        "scenario produced no scheduling decisions"
 
 
-def assert_differential(build, ttis):
-    col_log, col_state = _run(build, ttis, columnar=True)
-    obj_log, obj_state = _run(build, ttis, columnar=False)
-    assert col_log, "scenario produced no scheduling decisions"
-    assert col_log == obj_log
-    assert col_state == obj_state
-
-
-class TestDifferentialFingerprints:
-    def test_saturated_cell_with_drx(self):
-        def build():
-            sc = saturated_cell(n_ues=4, cqi=12, with_master=True)
-            # DRX on two UEs exercises the per-build wake tracking.
-            for ue in sc.ues[:2]:
-                sc.enb.set_drx(ue.rnti, DrxConfig(
-                    cycle_ttis=20, on_duration_ttis=4, inactivity_ttis=2))
-            return sc.sim, [sc.enb]
-        assert_differential(build, 200)
-
-    def test_hetnet_eicic_abs_flips(self):
-        def build():
-            sc = hetnet_eicic("eicic", n_macro_ues=3)
-            return sc.sim, [sc.macro_enb, sc.small_enb]
-        assert_differential(build, 300)
-
-    def test_centralized_with_link_fault(self):
-        def build():
-            sc = partitioned_centralized(
-                ues_per_enb=4, rtt_ms=2.0, schedule_ahead=8,
-                fault=FaultSpec(partitions=((120, 180),)),
-                echo_period_ttis=20, liveness_timeout_ttis=60)
-            return sc.sim, sc.enbs
-        assert_differential(build, 300)
-
-    def test_chaos_survivability(self):
-        def build():
-            sc = chaos_survivability(
-                ues_per_enb=3, crash_window=(60, 90), poison_at=120,
-                restart_at=180, checkpoint_period_ttis=50,
-                clearance_ttis=100)
-            return sc.sim, sc.enbs
-        assert_differential(build, 320)
-
-    def test_scale_slice_over_tcp_transport(self):
-        def build():
-            sc = large_scale(n_enbs=2, ues_per_enb=8, transport="tcp",
-                             stats_period_ttis=5)
-            return sc.sim, sc.enbs
-        assert_differential(build, 120)
+@pytest.mark.parametrize("build", SCENARIOS, ids=lambda f: f.__name__)
+def test_oracle_catches_a_missed_invalidation(build, build_context_oracle,
+                                              monkeypatch):
+    """Self-test: lose one UE's dirty marks and the suite must fail,
+    naming that UE and a field."""
+    sim, enbs, ttis = build()
+    victim = enbs[0].rntis()[-1]
+    mark_ue_dirty = EnodeB.mark_ue_dirty
+    try:
+        sim.run(50)  # attached and connected: only data changes remain
+        monkeypatch.setattr(
+            EnodeB, "mark_ue_dirty",
+            lambda enb, rnti: (None if enb is enbs[0] and rnti == victim
+                               else mark_ue_dirty(enb, rnti)))
+        with pytest.raises(AssertionError,
+                           match=rf"UE {victim} (queue_bytes|queues|cqi) "):
+            sim.run(ttis - 50)
+    finally:
+        sim.close()
+    build_context_oracle.mismatches.clear()  # expected; keep teardown quiet
