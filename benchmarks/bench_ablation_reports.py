@@ -73,10 +73,10 @@ def test_aggregation_vs_per_ue_messages(benchmark):
     def experiment():
         rows = []
         for n in (1, 10, 25, 50):
-            aggregated = codec.encoded_size(StatsReply(
-                ue_reports=[_ue_report(70 + i) for i in range(n)]))
+            aggregated = len(codec.encode(StatsReply(
+                ue_reports=[_ue_report(70 + i) for i in range(n)])))
             separate = sum(
-                codec.encoded_size(StatsReply(ue_reports=[_ue_report(70 + i)]))
+                len(codec.encode(StatsReply(ue_reports=[_ue_report(70 + i)])))
                 for i in range(n))
             rows.append([n, aggregated, separate,
                          separate / aggregated])

@@ -23,9 +23,9 @@ from repro.lte.enodeb import DlSchedulerHook, EnbEvent, EnodeB, UlSchedulerHook
 from repro.lte.rrc import RrcState
 
 SUBBANDS = 9
+"""Subband count for 10 MHz CQI reporting (36.213 k=6 RB subbands)."""
 
 _RRC_STATE_INDEX = {state: i for i, state in enumerate(RrcState)}
-"""Subband count for 10 MHz CQI reporting (36.213 k=6 RB subbands)."""
 
 HandoverExecutor = Callable[[int, int, int, int], bool]
 """Callback ``(rnti, source_cell, target_cell, tti) -> success`` that the

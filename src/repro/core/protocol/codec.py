@@ -11,7 +11,9 @@ Frame layout::
 Every message the platform exchanges goes through ``encode``/``decode``
 -- also in simulation, so the signaling-overhead measurements of Fig. 7
 count real serialized bytes and the decode path is exercised end-to-end
-on every TTI.
+on every TTI.  Header and payload are laid out by each message class's
+generated ``encode`` / ``decode`` (:mod:`repro.core.protocol.schema`);
+the wire size of a message is ``len(encode(message))``.
 """
 
 from __future__ import annotations
@@ -25,25 +27,22 @@ from repro.core.protocol.messages import (
     MESSAGE_TYPES,
     RETIRED_MESSAGE_TYPES,
     FlexRanMessage,
-    Header,
 )
-from repro.core.protocol.wire import CountingWriter, Reader, Writer
+from repro.core.protocol.wire import Reader, Writer
 
-# Scratch buffers reused across calls: encode runs on every message of
+# Scratch buffer reused across calls: encode runs on every message of
 # every TTI, and a fresh bytearray per frame dominated the profile.
 # The simulator is single-threaded and message encoders never nest a
-# codec call, so one scratch of each kind suffices; reset() at entry
-# also clears any residue from an encoder that raised mid-frame.
+# codec call, so one scratch suffices; reset() at entry also clears
+# any residue from an encoder that raised mid-frame.
 _SCRATCH = Writer()
-_SIZER = CountingWriter()
 
 
 def encode(message: FlexRanMessage) -> bytes:
     """Serialize *message* into a wire frame."""
     w = _SCRATCH.reset()
     w.byte(message.MSG_TYPE)
-    message.header.encode(w)
-    message.encode_payload(w)
+    message.encode(w)
     return w.getvalue()
 
 
@@ -63,20 +62,6 @@ def decode(frame: bytes) -> FlexRanMessage:
                 f"this protocol; the sender speaks a deprecated dialect "
                 f"and must be upgraded") from None
         raise UnknownMessageType(f"unknown message type {msg_type}") from None
-    header = Header.decode(r)
-    message = cls.decode_payload(r, header)
+    message = cls.decode(r)
     r.expect_end()
     return message
-
-
-def encoded_size(message: FlexRanMessage) -> int:
-    """Wire size of *message* in bytes (the Fig. 7 accounting unit).
-
-    Computed arithmetically through a :class:`CountingWriter` -- same
-    field walk and validation as :func:`encode`, no byte buffer.
-    """
-    w = _SIZER.reset()
-    w.byte(message.MSG_TYPE)
-    message.header.encode(w)
-    message.encode_payload(w)
-    return w.size

@@ -11,10 +11,15 @@ Each message class declares:
 * ``CATEGORY`` -- the accounting category used for the signaling
   breakdowns of Fig. 7 (agent management / sync / stats reporting /
   master commands);
-* ``encode_payload`` / ``decode_payload`` -- its body serialization.
+* ``FIELDS`` -- its payload's wire layout, one ``(name, kind)`` pair
+  per dataclass field in wire order, from which
+  :func:`~repro.core.protocol.schema.compile_codec` emits the class's
+  ``encode`` / ``decode`` at import.  Nested records declare ``FIELDS``
+  the same way.
 
 All messages share a :class:`Header` (agent id, transaction id, TTI
-stamp).  See :mod:`repro.core.protocol.codec` for framing.
+stamp), the one field :class:`FlexRanMessage` declares.  See
+:mod:`repro.core.protocol.codec` for framing.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List
 
-from repro.core.protocol.wire import Reader, Writer
+from repro.core.protocol.schema import compile_codec
 
 
 class Category:
@@ -68,6 +73,7 @@ class EventType(enum.IntEnum):
     VSF_FAULT = 6
 
 
+@compile_codec
 @dataclass
 class Header:
     """Common message header."""
@@ -76,12 +82,7 @@ class Header:
     xid: int = 0
     tti: int = 0
 
-    def encode(self, w: Writer) -> None:
-        w.varint(self.agent_id).varint(self.xid).varint(self.tti)
-
-    @classmethod
-    def decode(cls, r: Reader) -> "Header":
-        return cls(agent_id=r.varint(), xid=r.varint(), tti=r.varint())
+    FIELDS = (("agent_id", "varint"), ("xid", "varint"), ("tti", "varint"))
 
 
 @dataclass
@@ -93,17 +94,13 @@ class FlexRanMessage:
 
     header: Header = field(default_factory=Header)
 
-    def encode_payload(self, w: Writer) -> None:  # pragma: no cover - default
-        """Serialize the body; default is an empty payload."""
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "FlexRanMessage":
-        return cls(header=header)
+    FIELDS = (("header", "Header"),)
 
 
 # -- agent management ---------------------------------------------------
 
 
+@compile_codec
 @dataclass
 class Hello(FlexRanMessage):
     """Agent registration announcing its capabilities."""
@@ -113,18 +110,10 @@ class Hello(FlexRanMessage):
     capabilities: List[str] = field(default_factory=list)
     n_cells: int = 1
 
-    def encode_payload(self, w: Writer) -> None:
-        w.varint(len(self.capabilities))
-        for cap in self.capabilities:
-            w.string(cap)
-        w.varint(self.n_cells)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "Hello":
-        caps = [r.string() for _ in range(r.varint())]
-        return cls(header=header, capabilities=caps, n_cells=r.varint())
+    FIELDS = (("capabilities", "list<string>"), ("n_cells", "varint"))
 
 
+@compile_codec
 @dataclass
 class EchoRequest(FlexRanMessage):
     """Keepalive probe from the master."""
@@ -132,6 +121,7 @@ class EchoRequest(FlexRanMessage):
     MSG_TYPE: ClassVar[int] = 2
 
 
+@compile_codec
 @dataclass
 class EchoReply(FlexRanMessage):
     """Keepalive answer from the agent."""
@@ -139,6 +129,7 @@ class EchoReply(FlexRanMessage):
     MSG_TYPE: ClassVar[int] = 3
 
 
+@compile_codec
 @dataclass
 class ConfigRequest(FlexRanMessage):
     """Synchronous configuration read (Table 1, Configuration)."""
@@ -147,14 +138,10 @@ class ConfigRequest(FlexRanMessage):
 
     scope: str = "enb"  # "enb" | "cells" | "ues"
 
-    def encode_payload(self, w: Writer) -> None:
-        w.string(self.scope)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "ConfigRequest":
-        return cls(header=header, scope=r.string())
+    FIELDS = (("scope", "string"),)
 
 
+@compile_codec
 @dataclass
 class CellConfigRep:
     """Cell configuration record inside a ConfigReply."""
@@ -166,18 +153,12 @@ class CellConfigRep:
     antenna_ports: int = 1
     transmission_mode: int = 1
 
-    def encode(self, w: Writer) -> None:
-        (w.varint(self.cell_id).varint(self.n_prb_dl).varint(self.n_prb_ul)
-         .varint(self.band).varint(self.antenna_ports)
-         .varint(self.transmission_mode))
-
-    @classmethod
-    def decode(cls, r: Reader) -> "CellConfigRep":
-        return cls(cell_id=r.varint(), n_prb_dl=r.varint(),
-                   n_prb_ul=r.varint(), band=r.varint(),
-                   antenna_ports=r.varint(), transmission_mode=r.varint())
+    FIELDS = (("cell_id", "varint"), ("n_prb_dl", "varint"),
+              ("n_prb_ul", "varint"), ("band", "varint"),
+              ("antenna_ports", "varint"), ("transmission_mode", "varint"))
 
 
+@compile_codec
 @dataclass
 class UeConfigRep:
     """UE configuration record inside a ConfigReply."""
@@ -187,16 +168,11 @@ class UeConfigRep:
     cell_id: int = 0
     labels: Dict[str, str] = field(default_factory=dict)
 
-    def encode(self, w: Writer) -> None:
-        w.varint(self.rnti).string(self.imsi).varint(self.cell_id)
-        w.str_map(self.labels)
-
-    @classmethod
-    def decode(cls, r: Reader) -> "UeConfigRep":
-        return cls(rnti=r.varint(), imsi=r.string(), cell_id=r.varint(),
-                   labels=r.str_map())
+    FIELDS = (("rnti", "varint"), ("imsi", "string"), ("cell_id", "varint"),
+              ("labels", "map<string,string>"))
 
 
+@compile_codec
 @dataclass
 class ConfigReply(FlexRanMessage):
     """Full eNodeB configuration snapshot."""
@@ -207,23 +183,11 @@ class ConfigReply(FlexRanMessage):
     cells: List[CellConfigRep] = field(default_factory=list)
     ues: List[UeConfigRep] = field(default_factory=list)
 
-    def encode_payload(self, w: Writer) -> None:
-        w.varint(self.enb_id)
-        w.varint(len(self.cells))
-        for cell in self.cells:
-            cell.encode(w)
-        w.varint(len(self.ues))
-        for ue in self.ues:
-            ue.encode(w)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "ConfigReply":
-        enb_id = r.varint()
-        cells = [CellConfigRep.decode(r) for _ in range(r.varint())]
-        ues = [UeConfigRep.decode(r) for _ in range(r.varint())]
-        return cls(header=header, enb_id=enb_id, cells=cells, ues=ues)
+    FIELDS = (("enb_id", "varint"), ("cells", "list<CellConfigRep>"),
+              ("ues", "list<UeConfigRep>"))
 
 
+@compile_codec
 @dataclass
 class StatsRequest(FlexRanMessage):
     """Asynchronous statistics subscription (one-off/periodic/triggered)."""
@@ -234,18 +198,14 @@ class StatsRequest(FlexRanMessage):
     period_ttis: int = 1
     flags: int = int(StatsFlags.FULL)
 
-    def encode_payload(self, w: Writer) -> None:
-        w.varint(self.report_type).varint(self.period_ttis).varint(self.flags)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "StatsRequest":
-        return cls(header=header, report_type=r.varint(),
-                   period_ttis=r.varint(), flags=r.varint())
+    FIELDS = (("report_type", "varint"), ("period_ttis", "varint"),
+              ("flags", "varint"))
 
 
 # -- statistics reporting -----------------------------------------------
 
 
+@compile_codec
 @dataclass
 class UeStatsReport:
     """Per-UE statistics record (the bulk of agent-to-master traffic).
@@ -272,40 +232,18 @@ class UeStatsReport:
     rrc_state: int = 0
     neighbor_cqi: Dict[int, int] = field(default_factory=dict)
 
-    def encode(self, w: Writer) -> None:
-        w.varint(self.rnti)
-        w.int_map(self.queues)
-        w.byte(self.wb_cqi).byte(self.wb_cqi_clear)
-        w.varint_list(self.subband_cqi)
-        w.svarint_list(self.subband_sinr_db_x10)
-        w.varint_list(self.harq_states)
-        w.varint(self.ul_buffer_bytes)
-        w.varint(self.power_headroom_db)
-        w.varint(self.rlc_bytes_in).varint(self.rlc_bytes_out)
-        w.varint(self.pdcp_tx_bytes).varint(self.pdcp_rx_bytes)
-        w.varint(self.rx_bytes_total)
-        w.byte(self.rrc_state)
-        w.int_map(self.neighbor_cqi)
-
-    @classmethod
-    def decode(cls, r: Reader) -> "UeStatsReport":
-        # Hottest decode in the system (one per UE per report): bypass
-        # the generated dataclass __init__ (16 keyword bindings) and
-        # assign the instance dict directly.  Dict-literal values are
-        # evaluated in order, preserving the wire field sequence.
-        rep = cls.__new__(cls)
-        rep.__dict__ = {
-            "rnti": r.varint(), "queues": r.int_map(), "wb_cqi": r.byte(),
-            "wb_cqi_clear": r.byte(), "subband_cqi": r.varint_list(),
-            "subband_sinr_db_x10": r.svarint_list(),
-            "harq_states": r.varint_list(), "ul_buffer_bytes": r.varint(),
-            "power_headroom_db": r.varint(), "rlc_bytes_in": r.varint(),
-            "rlc_bytes_out": r.varint(), "pdcp_tx_bytes": r.varint(),
-            "pdcp_rx_bytes": r.varint(), "rx_bytes_total": r.varint(),
-            "rrc_state": r.byte(), "neighbor_cqi": r.int_map()}
-        return rep
+    FIELDS = (("rnti", "varint"), ("queues", "map<varint,varint>"),
+              ("wb_cqi", "byte"), ("wb_cqi_clear", "byte"),
+              ("subband_cqi", "list<varint>"),
+              ("subband_sinr_db_x10", "list<svarint>"),
+              ("harq_states", "list<varint>"), ("ul_buffer_bytes", "varint"),
+              ("power_headroom_db", "varint"), ("rlc_bytes_in", "varint"),
+              ("rlc_bytes_out", "varint"), ("pdcp_tx_bytes", "varint"),
+              ("pdcp_rx_bytes", "varint"), ("rx_bytes_total", "varint"),
+              ("rrc_state", "byte"), ("neighbor_cqi", "map<varint,varint>"))
 
 
+@compile_codec
 @dataclass
 class CellStatsReport:
     """Per-cell aggregate statistics record."""
@@ -323,23 +261,15 @@ class CellStatsReport:
     dl_prb_occupancy: List[int] = field(default_factory=list)
     ul_prb_occupancy: List[int] = field(default_factory=list)
 
-    def encode(self, w: Writer) -> None:
-        (w.varint(self.cell_id).varint(self.n_prb).varint(self.connected_ues)
-         .varint(self.tb_ok).varint(self.tb_err).varint(self.dl_bytes))
-        w.svarint_list(self.noise_interference_per_prb_x10)
-        w.varint_list(self.dl_prb_occupancy)
-        w.varint_list(self.ul_prb_occupancy)
-
-    @classmethod
-    def decode(cls, r: Reader) -> "CellStatsReport":
-        return cls(cell_id=r.varint(), n_prb=r.varint(),
-                   connected_ues=r.varint(), tb_ok=r.varint(),
-                   tb_err=r.varint(), dl_bytes=r.varint(),
-                   noise_interference_per_prb_x10=r.svarint_list(),
-                   dl_prb_occupancy=r.varint_list(),
-                   ul_prb_occupancy=r.varint_list())
+    FIELDS = (("cell_id", "varint"), ("n_prb", "varint"),
+              ("connected_ues", "varint"), ("tb_ok", "varint"),
+              ("tb_err", "varint"), ("dl_bytes", "varint"),
+              ("noise_interference_per_prb_x10", "list<svarint>"),
+              ("dl_prb_occupancy", "list<varint>"),
+              ("ul_prb_occupancy", "list<varint>"))
 
 
+@compile_codec
 @dataclass
 class StatsReply(FlexRanMessage):
     """Aggregated statistics report from an agent.
@@ -362,29 +292,15 @@ class StatsReply(FlexRanMessage):
     ue_reports: List[UeStatsReport] = field(default_factory=list)
     cell_reports: List[CellStatsReport] = field(default_factory=list)
 
-    def encode_payload(self, w: Writer) -> None:
-        w.byte(self.report_type)
-        w.byte(self.full)
-        w.varint(len(self.ue_reports))
-        for rep in self.ue_reports:
-            rep.encode(w)
-        w.varint(len(self.cell_reports))
-        for rep in self.cell_reports:
-            rep.encode(w)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "StatsReply":
-        report_type = r.byte()
-        full = r.byte()
-        ues = [UeStatsReport.decode(r) for _ in range(r.varint())]
-        cells = [CellStatsReport.decode(r) for _ in range(r.varint())]
-        return cls(header=header, report_type=report_type, full=full,
-                   ue_reports=ues, cell_reports=cells)
+    FIELDS = (("report_type", "byte"), ("full", "byte"),
+              ("ue_reports", "list<UeStatsReport>"),
+              ("cell_reports", "list<CellStatsReport>"))
 
 
 # -- synchronization ----------------------------------------------------
 
 
+@compile_codec
 @dataclass
 class SubframeTrigger(FlexRanMessage):
     """Per-TTI subframe indication keeping the master in sync.
@@ -400,17 +316,13 @@ class SubframeTrigger(FlexRanMessage):
     sfn: int = 0
     sf: int = 0
 
-    def encode_payload(self, w: Writer) -> None:
-        w.varint(self.sfn).byte(self.sf)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "SubframeTrigger":
-        return cls(header=header, sfn=r.varint(), sf=r.byte())
+    FIELDS = (("sfn", "varint"), ("sf", "byte"))
 
 
 # -- event triggers -----------------------------------------------------
 
 
+@compile_codec
 @dataclass
 class EventNotification(FlexRanMessage):
     """Asynchronous data-plane event pushed to the master (Table 1)."""
@@ -422,19 +334,14 @@ class EventNotification(FlexRanMessage):
     cell_id: int = 0
     details: Dict[str, str] = field(default_factory=dict)
 
-    def encode_payload(self, w: Writer) -> None:
-        w.byte(self.event_type).varint(self.rnti).varint(self.cell_id)
-        w.str_map(self.details)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "EventNotification":
-        return cls(header=header, event_type=r.byte(), rnti=r.varint(),
-                   cell_id=r.varint(), details=r.str_map())
+    FIELDS = (("event_type", "byte"), ("rnti", "varint"),
+              ("cell_id", "varint"), ("details", "map<string,string>"))
 
 
 # -- commands -----------------------------------------------------------
 
 
+@compile_codec
 @dataclass
 class DciSpec:
     """Wire form of one downlink scheduling decision."""
@@ -443,14 +350,10 @@ class DciSpec:
     n_prb: int = 0
     cqi_used: int = 0
 
-    def encode(self, w: Writer) -> None:
-        w.varint(self.rnti).varint(self.n_prb).byte(self.cqi_used)
-
-    @classmethod
-    def decode(cls, r: Reader) -> "DciSpec":
-        return cls(rnti=r.varint(), n_prb=r.varint(), cqi_used=r.byte())
+    FIELDS = (("rnti", "varint"), ("n_prb", "varint"), ("cqi_used", "byte"))
 
 
+@compile_codec
 @dataclass
 class DlMacCommand(FlexRanMessage):
     """Centralized scheduling decision for one cell and target TTI."""
@@ -462,21 +365,11 @@ class DlMacCommand(FlexRanMessage):
     target_tti: int = 0
     assignments: List[DciSpec] = field(default_factory=list)
 
-    def encode_payload(self, w: Writer) -> None:
-        w.varint(self.cell_id).varint(self.target_tti)
-        w.varint(len(self.assignments))
-        for dci in self.assignments:
-            dci.encode(w)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "DlMacCommand":
-        cell_id = r.varint()
-        target = r.varint()
-        dcis = [DciSpec.decode(r) for _ in range(r.varint())]
-        return cls(header=header, cell_id=cell_id, target_tti=target,
-                   assignments=dcis)
+    FIELDS = (("cell_id", "varint"), ("target_tti", "varint"),
+              ("assignments", "list<DciSpec>"))
 
 
+@compile_codec
 @dataclass
 class UlMacCommand(FlexRanMessage):
     """Centralized uplink-grant decision for one cell and target TTI."""
@@ -488,21 +381,11 @@ class UlMacCommand(FlexRanMessage):
     target_tti: int = 0
     grants: List[DciSpec] = field(default_factory=list)
 
-    def encode_payload(self, w: Writer) -> None:
-        w.varint(self.cell_id).varint(self.target_tti)
-        w.varint(len(self.grants))
-        for grant in self.grants:
-            grant.encode(w)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "UlMacCommand":
-        cell_id = r.varint()
-        target = r.varint()
-        grants = [DciSpec.decode(r) for _ in range(r.varint())]
-        return cls(header=header, cell_id=cell_id, target_tti=target,
-                   grants=grants)
+    FIELDS = (("cell_id", "varint"), ("target_tti", "varint"),
+              ("grants", "list<DciSpec>"))
 
 
+@compile_codec
 @dataclass
 class HandoverCommand(FlexRanMessage):
     """Mobility control decision: move a UE to another cell."""
@@ -514,18 +397,14 @@ class HandoverCommand(FlexRanMessage):
     source_cell: int = 0
     target_cell: int = 0
 
-    def encode_payload(self, w: Writer) -> None:
-        w.varint(self.rnti).varint(self.source_cell).varint(self.target_cell)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "HandoverCommand":
-        return cls(header=header, rnti=r.varint(), source_cell=r.varint(),
-                   target_cell=r.varint())
+    FIELDS = (("rnti", "varint"), ("source_cell", "varint"),
+              ("target_cell", "varint"))
 
 
 # -- control delegation -------------------------------------------------
 
 
+@compile_codec
 @dataclass
 class VsfUpdate(FlexRanMessage):
     """Push new VSF code to the agent cache (Section 4.3.1).
@@ -543,16 +422,11 @@ class VsfUpdate(FlexRanMessage):
     name: str = ""
     blob: bytes = b""
 
-    def encode_payload(self, w: Writer) -> None:
-        w.string(self.module).string(self.operation).string(self.name)
-        w.blob(self.blob)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "VsfUpdate":
-        return cls(header=header, module=r.string(), operation=r.string(),
-                   name=r.string(), blob=r.blob())
+    FIELDS = (("module", "string"), ("operation", "string"),
+              ("name", "string"), ("blob", "blob"))
 
 
+@compile_codec
 @dataclass
 class PolicyReconfiguration(FlexRanMessage):
     """Swap VSFs / retune their parameters, in YAML (Fig. 3)."""
@@ -561,14 +435,10 @@ class PolicyReconfiguration(FlexRanMessage):
 
     text: str = ""
 
-    def encode_payload(self, w: Writer) -> None:
-        w.string(self.text)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "PolicyReconfiguration":
-        return cls(header=header, text=r.string())
+    FIELDS = (("text", "string"),)
 
 
+@compile_codec
 @dataclass
 class DrxCommand(FlexRanMessage):
     """DRX control decision for one UE (Table 1, Commands).
@@ -584,16 +454,11 @@ class DrxCommand(FlexRanMessage):
     on_duration_ttis: int = 0
     inactivity_ttis: int = 0
 
-    def encode_payload(self, w: Writer) -> None:
-        (w.varint(self.rnti).varint(self.cycle_ttis)
-         .varint(self.on_duration_ttis).varint(self.inactivity_ttis))
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "DrxCommand":
-        return cls(header=header, rnti=r.varint(), cycle_ttis=r.varint(),
-                   on_duration_ttis=r.varint(), inactivity_ttis=r.varint())
+    FIELDS = (("rnti", "varint"), ("cycle_ttis", "varint"),
+              ("on_duration_ttis", "varint"), ("inactivity_ttis", "varint"))
 
 
+@compile_codec
 @dataclass
 class CaCommand(FlexRanMessage):
     """(De)activate a secondary component carrier for one UE."""
@@ -605,14 +470,7 @@ class CaCommand(FlexRanMessage):
     scell_id: int = 0
     activate: bool = True
 
-    def encode_payload(self, w: Writer) -> None:
-        w.varint(self.rnti).varint(self.scell_id)
-        w.byte(1 if self.activate else 0)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "CaCommand":
-        return cls(header=header, rnti=r.varint(), scell_id=r.varint(),
-                   activate=bool(r.byte()))
+    FIELDS = (("rnti", "varint"), ("scell_id", "varint"), ("activate", "bool"))
 
 
 # -- typed configuration commands ---------------------------------------
@@ -625,6 +483,7 @@ class CaCommand(FlexRanMessage):
 # RETIRED_MESSAGE_TYPES below so stale frames fail loudly.
 
 
+@compile_codec
 @dataclass
 class AbsPatternConfig(FlexRanMessage):
     """Install an eICIC Almost-Blank Subframe pattern on one cell."""
@@ -635,16 +494,10 @@ class AbsPatternConfig(FlexRanMessage):
     cell_id: int = 0
     subframes: List[int] = field(default_factory=list)
 
-    def encode_payload(self, w: Writer) -> None:
-        w.varint(self.cell_id)
-        w.varint_list(self.subframes)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "AbsPatternConfig":
-        return cls(header=header, cell_id=r.varint(),
-                   subframes=r.varint_list())
+    FIELDS = (("cell_id", "varint"), ("subframes", "list<varint>"))
 
 
+@compile_codec
 @dataclass
 class BearerQosConfig(FlexRanMessage):
     """Provision a QoS profile on one radio bearer.
@@ -661,16 +514,11 @@ class BearerQosConfig(FlexRanMessage):
     qci: int = 9
     gbr_kbps: int = 0
 
-    def encode_payload(self, w: Writer) -> None:
-        (w.varint(self.rnti).varint(self.lcid).varint(self.qci)
-         .varint(self.gbr_kbps))
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "BearerQosConfig":
-        return cls(header=header, rnti=r.varint(), lcid=r.varint(),
-                   qci=r.varint(), gbr_kbps=r.varint())
+    FIELDS = (("rnti", "varint"), ("lcid", "varint"), ("qci", "varint"),
+              ("gbr_kbps", "varint"))
 
 
+@compile_codec
 @dataclass
 class SyncConfig(FlexRanMessage):
     """Turn per-TTI subframe synchronization on or off at an agent."""
@@ -680,14 +528,10 @@ class SyncConfig(FlexRanMessage):
 
     enabled: bool = True
 
-    def encode_payload(self, w: Writer) -> None:
-        w.byte(1 if self.enabled else 0)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "SyncConfig":
-        return cls(header=header, enabled=bool(r.byte()))
+    FIELDS = (("enabled", "bool"),)
 
 
+@compile_codec
 @dataclass
 class PrbCapConfig(FlexRanMessage):
     """Cap (or restore) a cell's usable downlink carrier width.
@@ -705,14 +549,7 @@ class PrbCapConfig(FlexRanMessage):
     capped: bool = False
     n_prb: int = 0
 
-    def encode_payload(self, w: Writer) -> None:
-        w.varint(self.cell_id).byte(1 if self.capped else 0)
-        w.varint(self.n_prb)
-
-    @classmethod
-    def decode_payload(cls, r: Reader, header: Header) -> "PrbCapConfig":
-        return cls(header=header, cell_id=r.varint(),
-                   capped=bool(r.byte()), n_prb=r.varint())
+    FIELDS = (("cell_id", "varint"), ("capped", "bool"), ("n_prb", "varint"))
 
 
 MESSAGE_TYPES = {

@@ -1,12 +1,19 @@
-"""Low-level wire primitives: varints, strings, maps.
+"""Low-level wire primitives: varints, strings and byte blobs.
 
 The paper serializes FlexRAN protocol messages with Google Protocol
 Buffers and credits "their optimized serialization" for the sublinear
 signaling growth of Fig. 7a.  Protobuf is not available offline, so the
 reproduction implements the same family of primitives from scratch:
-LEB128 varints, length-prefixed UTF-8 strings and byte blobs, and
-homogeneous collections.  Wire sizes are therefore directly comparable
-to a protobuf encoding of the same data.
+LEB128 varints and length-prefixed UTF-8 strings and byte blobs.  Wire
+sizes are therefore directly comparable to a protobuf encoding of the
+same data.
+
+These are the scalar primitives only.  Messages, lists and maps are
+laid out by the codec :mod:`repro.core.protocol.schema` compiles from
+each message's field table; its generated code inlines the common
+cases and calls back into :class:`Writer` / :class:`Reader` for the
+rest (5+ byte varints, strings, blobs and every range error), so each
+check and error message lives here once.
 
 Encode and decode enforce the same 10-byte varint bound, so every
 frame a :class:`Writer` can produce is one a :class:`Reader` will
@@ -15,8 +22,6 @@ instead of a :class:`DecodeError` at the receiver.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Iterable, List
 
 from repro.core.protocol.errors import DecodeError, EncodeError
 
@@ -101,161 +106,11 @@ class Writer:
         self._parts.extend(data)
         return self
 
-    def varint_list(self, values: Iterable[int]) -> "Writer":
-        items = list(values)
-        self.varint(len(items))
-        # Bulk fast path: when every element is a single-byte varint
-        # (CQI/HARQ/occupancy vectors on the stats hot path), the whole
-        # list is its own encoding.  min/max run at C speed, so this
-        # costs three native passes instead of one Python call per item.
-        if items and min(items) >= 0 and max(items) < 0x80:
-            self._parts += bytes(items)
-            return self
-        varint = self.varint
-        for v in items:
-            varint(v)
-        return self
-
-    def svarint_list(self, values: Iterable[int]) -> "Writer":
-        items = list(values)
-        self.varint(len(items))
-        # Bulk fast path: zigzag of [-64, 63] is a single byte each.
-        if items and min(items) >= -64 and max(items) < 64:
-            self._parts += bytes(
-                (v << 1) if v >= 0 else ~(v << 1) for v in items)
-            return self
-        varint = self.varint
-        for v in items:
-            if v < _SVARINT_MIN or v > _SVARINT_MAX:
-                raise EncodeError(
-                    f"svarint out of range: {v} not in "
-                    f"[{_SVARINT_MIN}, {_SVARINT_MAX}]")
-            varint((v << 1) if v >= 0 else ~(v << 1))
-        return self
-
-    def int_map(self, mapping: Dict[int, int]) -> "Writer":
-        n = len(mapping)
-        self.varint(n)
-        if n == 0:
-            return self
-        varint = self.varint
-        if n == 1:
-            # Dominant shape on the stats hot path (one logical channel
-            # per UE): skip the sorted() allocation.
-            for key, value in mapping.items():
-                varint(key)
-                varint(value)
-            return self
-        for key in sorted(mapping):
-            varint(key)
-            varint(mapping[key])
-        return self
-
-    def str_map(self, mapping: Dict[str, str]) -> "Writer":
-        self.varint(len(mapping))
-        for key in sorted(mapping):
-            self.string(key)
-            self.string(mapping[key])
-        return self
-
     def getvalue(self) -> bytes:
         return bytes(self._parts)
 
     def __len__(self) -> int:
         return len(self._parts)
-
-
-class CountingWriter:
-    """Writer-shaped sink that accumulates only the encoded size.
-
-    Drives the same ``encode``/``encode_payload`` methods as
-    :class:`Writer` but never materializes bytes, so
-    :func:`repro.core.protocol.codec.encoded_size` costs arithmetic
-    instead of a full serialization.  Validation matches
-    :class:`Writer` exactly: anything this accepts, a real encode
-    accepts too (and vice versa).
-    """
-
-    __slots__ = ("size",)
-
-    def __init__(self) -> None:
-        self.size = 0
-
-    def reset(self) -> "CountingWriter":
-        self.size = 0
-        return self
-
-    def varint(self, value: int) -> "CountingWriter":
-        if value < 0x80:
-            if value < 0:
-                raise EncodeError(
-                    f"varint cannot encode negative value {value}")
-            self.size += 1
-            return self
-        if value >= _VARINT_LIMIT:
-            raise EncodeError(
-                f"varint out of range: {value} needs more than "
-                f"{_MAX_VARINT_BYTES} bytes")
-        self.size += (value.bit_length() + 6) // 7
-        return self
-
-    def svarint(self, value: int) -> "CountingWriter":
-        if value < _SVARINT_MIN or value > _SVARINT_MAX:
-            raise EncodeError(
-                f"svarint out of range: {value} not in "
-                f"[{_SVARINT_MIN}, {_SVARINT_MAX}]")
-        return self.varint((value << 1) if value >= 0 else ~(value << 1))
-
-    def byte(self, value: int) -> "CountingWriter":
-        if not 0 <= value <= 0xFF:
-            raise EncodeError(f"byte out of range: {value}")
-        self.size += 1
-        return self
-
-    def string(self, text: str) -> "CountingWriter":
-        data = text.encode("utf-8")
-        self.varint(len(data))
-        self.size += len(data)
-        return self
-
-    def blob(self, data: bytes) -> "CountingWriter":
-        self.varint(len(data))
-        self.size += len(data)
-        return self
-
-    def varint_list(self, values: Iterable[int]) -> "CountingWriter":
-        items = list(values)
-        self.varint(len(items))
-        varint = self.varint
-        for v in items:
-            varint(v)
-        return self
-
-    def svarint_list(self, values: Iterable[int]) -> "CountingWriter":
-        items = list(values)
-        self.varint(len(items))
-        svarint = self.svarint
-        for v in items:
-            svarint(v)
-        return self
-
-    def int_map(self, mapping: Dict[int, int]) -> "CountingWriter":
-        self.varint(len(mapping))
-        varint = self.varint
-        for key in mapping:  # size is order-independent
-            varint(key)
-            varint(mapping[key])
-        return self
-
-    def str_map(self, mapping: Dict[str, str]) -> "CountingWriter":
-        self.varint(len(mapping))
-        for key in mapping:
-            self.string(key)
-            self.string(mapping[key])
-        return self
-
-    def __len__(self) -> int:
-        return self.size
 
 
 class Reader:
@@ -322,67 +177,6 @@ class Reader:
     def blob(self) -> bytes:
         return self._take(self.varint())
 
-    def varint_list(self) -> List[int]:
-        n = self.varint()
-        raw = self._read_raw_varints(n)
-        return raw if type(raw) is list else list(raw)
-
-    def svarint_list(self) -> List[int]:
-        n = self.varint()
-        raw = self._read_raw_varints(n)
-        return [(v >> 1) ^ -(v & 1) for v in raw]
-
-    def _read_raw_varints(self, n: int):
-        """Decode *n* consecutive unsigned varints with one inlined loop.
-
-        Returns a ``bytes`` slice when every element was a single byte
-        (the bulk fast path -- one C-speed scan instead of one Python
-        call per element) and a ``list`` otherwise.
-        """
-        data = self._data
-        length = len(data)
-        pos = self._pos
-        end = pos + n
-        if n and end <= length:
-            chunk = data[pos:end]
-            if max(chunk) < 0x80:
-                self._pos = end
-                return chunk
-        out: List[int] = []
-        append = out.append
-        for _ in range(n):
-            if pos >= length:
-                raise DecodeError("truncated varint")
-            byte = data[pos]
-            pos += 1
-            if not byte & 0x80:
-                append(byte)
-                continue
-            result = byte & 0x7F
-            shift = 7
-            for _step in range(_MAX_VARINT_BYTES - 1):
-                if pos >= length:
-                    raise DecodeError("truncated varint")
-                byte = data[pos]
-                pos += 1
-                result |= (byte & 0x7F) << shift
-                if not byte & 0x80:
-                    append(result)
-                    break
-                shift += 7
-            else:
-                raise DecodeError("varint longer than 10 bytes")
-        self._pos = pos
-        return out
-
-    def int_map(self) -> Dict[int, int]:
-        varint = self.varint
-        return {varint(): varint() for _ in range(varint())}
-
-    def str_map(self) -> Dict[str, str]:
-        string = self.string
-        return {string(): string() for _ in range(self.varint())}
-
     def expect_end(self) -> None:
         if self.remaining:
             raise DecodeError(f"{self.remaining} trailing bytes after message")
@@ -394,16 +188,3 @@ class Reader:
         out = self._data[self._pos:self._pos + n]
         self._pos += n
         return out
-
-
-def varint_size(value: int) -> int:
-    """Encoded size of an unsigned varint, in bytes."""
-    if value < 0:
-        raise EncodeError(f"varint cannot encode negative value {value}")
-    if value >= _VARINT_LIMIT:
-        raise EncodeError(
-            f"varint out of range: {value} needs more than "
-            f"{_MAX_VARINT_BYTES} bytes")
-    if value < 0x80:
-        return 1
-    return (value.bit_length() + 6) // 7

@@ -14,6 +14,27 @@ from repro.core.policy import PolicyDocument, PolicyParseError, parse
 from repro.core.protocol import codec
 from repro.core.protocol.errors import DecodeError
 from repro.core.protocol.messages import MESSAGE_TYPES
+from repro.core.protocol.schema import LIST_KIND, MAP_KIND, wire_fields
+from repro.core.protocol.wire import Reader, Writer
+
+from tests.core import schema_reference as reference
+from tests.core.test_golden_frames import MESSAGES as GOLDEN_MESSAGES
+
+WITH_COLLECTIONS = [
+    cls for cls in (*reference.RECORDS, *MESSAGE_TYPES.values())
+    if any(LIST_KIND.match(kind) or MAP_KIND.match(kind)
+           for _, kind in wire_fields(cls))]
+
+
+def assert_every_strict_prefix_fails(frame: bytes) -> None:
+    for cut in range(1, len(frame)):
+        try:
+            codec.decode(frame[:cut])
+        except DecodeError:
+            continue
+        # A strict prefix that still decodes must never happen: the
+        # frame has no trailing-garbage ambiguity by construction.
+        pytest.fail(f"prefix of length {cut} decoded successfully")
 
 
 class TestCodecFuzz:
@@ -37,17 +58,36 @@ class TestCodecFuzz:
     @settings(max_examples=200)
     def test_truncation_of_valid_frames_fails_cleanly(self, payload):
         from repro.core.protocol.messages import Header, VsfUpdate
-        frame = codec.encode(VsfUpdate(header=Header(agent_id=1),
-                                       module="mac", operation="dl",
-                                       name="x", blob=payload))
-        for cut in range(1, len(frame)):
-            try:
-                codec.decode(frame[:cut])
-            except DecodeError:
+        assert_every_strict_prefix_fails(codec.encode(VsfUpdate(
+            header=Header(agent_id=1), module="mac", operation="dl",
+            name="x", blob=payload)))
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_MESSAGES))
+    def test_truncation_of_every_message_fails_cleanly(self, name):
+        """The generated decoders bound-check by catching ``IndexError``
+        once per decode: it must never escape as such, whichever field,
+        list, map or nested record the frame ends in."""
+        assert_every_strict_prefix_fails(
+            codec.encode(GOLDEN_MESSAGES[name]))
+
+    @pytest.mark.parametrize("cls", WITH_COLLECTIONS,
+                             ids=lambda c: c.__name__)
+    def test_absurd_element_count_fails_promptly(self, cls):
+        """A count of 2^40 in front of a few bytes is a truncated frame,
+        not a request for a terabyte: nothing is sized by the declared
+        count, so decode fails as soon as the bytes run out."""
+        for name, kind in wire_fields(cls):
+            if not (LIST_KIND.match(kind) or MAP_KIND.match(kind)):
                 continue
-            # A strict prefix that still decodes must never happen: the
-            # frame has no trailing-garbage ambiguity by construction.
-            pytest.fail(f"prefix of length {cut} decoded successfully")
+            w = Writer()
+            for before, before_kind in wire_fields(cls):
+                if before == name:
+                    break
+                reference.put(w, cls, before_kind, getattr(cls(), before))
+            w.varint(2 ** 40)
+            for tail in (b"", b"\x01" * 64, b"\xff" * 64):
+                with pytest.raises(DecodeError):
+                    cls.decode(Reader(w.getvalue() + tail))
 
 
 class TestPolicyFuzz:

@@ -81,8 +81,8 @@ class TestStatsFlagFiltering:
 
     def test_smaller_flags_mean_smaller_wire_size(self):
         from repro.core.protocol import codec
-        small = codec.encoded_size(self.reply_for(StatsFlags.QUEUES))
-        full = codec.encoded_size(self.reply_for(StatsFlags.FULL))
+        small = len(codec.encode(self.reply_for(StatsFlags.QUEUES)))
+        full = len(codec.encode(self.reply_for(StatsFlags.FULL)))
         assert small < full / 2
 
     def test_invalid_periodic_request_rejected(self):

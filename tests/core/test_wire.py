@@ -1,10 +1,39 @@
-"""Tests for the wire primitives (varints, strings, collections)."""
+"""Tests for the wire primitives (varints, strings) and for the
+collections the schema compiler lays out on top of them."""
+
+from dataclasses import dataclass, field
+from typing import Dict, List
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.protocol.errors import DecodeError, EncodeError
-from repro.core.protocol.wire import Reader, Writer, varint_size
+from repro.core.protocol.schema import compile_codec
+from repro.core.protocol.wire import Reader, Writer
+
+
+@compile_codec
+@dataclass
+class Collections:
+    """One field per collection kind the protocol uses."""
+
+    varints: List[int] = field(default_factory=list)
+    svarints: List[int] = field(default_factory=list)
+    int_map: Dict[int, int] = field(default_factory=dict)
+    str_map: Dict[str, str] = field(default_factory=dict)
+
+    FIELDS = (("varints", "list<varint>"), ("svarints", "list<svarint>"),
+              ("int_map", "map<varint,varint>"),
+              ("str_map", "map<string,string>"))
+
+
+def roundtrip(record):
+    w = Writer()
+    record.encode(w)
+    r = Reader(w.getvalue())
+    decoded = type(record).decode(r)
+    r.expect_end()
+    return decoded
 
 
 class TestVarint:
@@ -14,13 +43,10 @@ class TestVarint:
         w = Writer()
         w.varint(value)
         assert len(w) == size
-        assert varint_size(value) == size
 
     def test_negative_rejected(self):
         with pytest.raises(EncodeError):
             Writer().varint(-1)
-        with pytest.raises(EncodeError):
-            varint_size(-1)
 
     @given(st.integers(min_value=0, max_value=2 ** 63))
     def test_roundtrip(self, value):
@@ -67,31 +93,23 @@ class TestCompound:
 
     @given(st.lists(st.integers(min_value=0, max_value=2 ** 40), max_size=50))
     def test_varint_list_roundtrip(self, values):
-        w = Writer()
-        w.varint_list(values)
-        assert Reader(w.getvalue()).varint_list() == values
+        assert roundtrip(Collections(varints=values)).varints == values
 
     @given(st.lists(st.integers(min_value=-10 ** 9, max_value=10 ** 9),
                     max_size=50))
     def test_svarint_list_roundtrip(self, values):
-        w = Writer()
-        w.svarint_list(values)
-        assert Reader(w.getvalue()).svarint_list() == values
+        assert roundtrip(Collections(svarints=values)).svarints == values
 
     @given(st.dictionaries(st.integers(min_value=0, max_value=2 ** 30),
                            st.integers(min_value=0, max_value=2 ** 30),
                            max_size=30))
     def test_int_map_roundtrip(self, mapping):
-        w = Writer()
-        w.int_map(mapping)
-        assert Reader(w.getvalue()).int_map() == mapping
+        assert roundtrip(Collections(int_map=mapping)).int_map == mapping
 
     @given(st.dictionaries(st.text(max_size=20), st.text(max_size=20),
                            max_size=20))
     def test_str_map_roundtrip(self, mapping):
-        w = Writer()
-        w.str_map(mapping)
-        assert Reader(w.getvalue()).str_map() == mapping
+        assert roundtrip(Collections(str_map=mapping)).str_map == mapping
 
     def test_sequential_fields(self):
         w = Writer()
@@ -118,3 +136,10 @@ class TestCompound:
     def test_byte_out_of_range(self):
         with pytest.raises(EncodeError):
             Writer().byte(256)
+
+    def test_reset_reuses_cleanly(self):
+        w = Writer()
+        w.varint(300).string("abc")
+        first = w.getvalue()
+        w.reset().varint(300).string("abc")
+        assert w.getvalue() == first
