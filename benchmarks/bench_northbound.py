@@ -8,8 +8,8 @@ Two promises of the service plane (docs/NORTHBOUND.md), measured:
   reported per stream kind.
 * **The TTI loop doesn't pay for it.**  The scale scenario's per-TTI
   median with the server attached (and live subscribers draining)
-  stays within the regression threshold of the recorded
-  ``BENCH_perf.json`` baseline measured without any server.
+  stays within 10 % of a same-run control measured with the service
+  plane's controller hooks detached.
 
 The subscriber swarm is plain asyncio on raw sockets -- the bench
 process is its own load generator, so ``RLIMIT_NOFILE`` is raised to
@@ -20,23 +20,16 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import threading
 import time
 
-from conftest import print_table, run_once
+from conftest import print_table, run_once, sample_tti_walltime
 
 from repro import obs
 from repro.lte.phy.channel import FixedCqi
 from repro.lte.ue import Ue
 from repro.nb.server import NorthboundServer
 from repro.nb.service import NorthboundService
-from repro.perf import (
-    DEFAULT_THRESHOLD,
-    _percentile,
-    load_report,
-    sample_tti_walltime,
-)
 from repro.sim.scenarios import large_scale
 from repro.sim.simulation import Simulation
 
@@ -44,8 +37,6 @@ N_SUBSCRIBERS = 1000
 ITEMS_PER_SUBSCRIBER = 2
 STREAM_PERIOD_TTIS = 20
 OPEN_CONCURRENCY = 64  # stay under the listener backlog
-BENCH_PERF_PATH = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "BENCH_perf.json")
 
 
 def _raise_fd_limit(minimum: int = 4096) -> int:
@@ -207,6 +198,7 @@ SCALE_BLOCK_TTIS = 15
 SCALE_ROUNDS = 16  # rounds of two blocks each; order alternates
 SCALE_RUN_TTIS = SCALE_BLOCK_TTIS * SCALE_ROUNDS  # per condition
 SCALE_SUBSCRIBERS = 32
+ATTACHED_MEDIAN_ALLOWANCE = 0.10  # over the same-run detached control
 
 
 def run_scale_case():
@@ -214,8 +206,8 @@ def run_scale_case():
 
     Benchmark hosts drift over a run (load, frequency scaling, cgroup
     throttling) on a timescale of seconds, and the drift dwarfs the
-    effect under test -- so neither the recorded ``BENCH_perf.json``
-    absolute median nor a naive before/after split is a sound control
+    effect under test -- so neither a recorded absolute median nor a
+    naive before/after split is a sound control
     (an A/A experiment with before/after halves disagrees by 20%+;
     the same experiment interleaved lands within 2%).  Instead the
     server and its live subscribers stay up for the whole run, and the
@@ -277,25 +269,19 @@ def run_scale_case():
                 pass
         server.stop()
         service.detach()
-    return sorted(plain), sorted(attached)
+    return plain, attached
 
 
 def test_scale_median_with_server_attached(benchmark):
     plain, attached = run_once(benchmark, run_scale_case)
-    plain_median = _percentile(plain, 50)
-    median = _percentile(attached, 50)
-    p95 = _percentile(attached, 95)
-    recorded = "none"
-    if os.path.exists(BENCH_PERF_PATH):
-        entry = load_report(BENCH_PERF_PATH).get("benches", {}).get("scale")
-        if entry:
-            recorded = f"{entry['median_us']:.0f} us"
-    allowed = plain_median * (1.0 + DEFAULT_THRESHOLD)
+    plain_median = obs.percentile(plain, 50)
+    median = obs.percentile(attached, 50)
+    p95 = obs.percentile(attached, 95)
+    allowed = plain_median * (1.0 + ATTACHED_MEDIAN_ALLOWANCE)
     print_table(
         "Scale scenario TTI budget with northbound server attached, "
         f"{SCALE_SUBSCRIBERS} live stream subscribers "
-        f"(same-run control median {plain_median:.0f} us, recorded "
-        f"BENCH_perf.json median {recorded})",
+        f"(same-run control median {plain_median:.0f} us)",
         ["agents", "UEs", "subscribers", "TTIs", "median us", "p95 us",
          "allowed us"],
         [[32, 3200, SCALE_SUBSCRIBERS, SCALE_RUN_TTIS,
@@ -303,4 +289,4 @@ def test_scale_median_with_server_attached(benchmark):
     assert median <= allowed, (
         f"scale median {median:.0f} us with server attached exceeds the "
         f"same-run control {plain_median:.0f} us "
-        f"+{DEFAULT_THRESHOLD:.0%}")
+        f"+{ATTACHED_MEDIAN_ALLOWANCE:.0%}")

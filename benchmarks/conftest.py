@@ -8,6 +8,7 @@ output can be compared against the paper side by side.
 
 from __future__ import annotations
 
+import time
 from typing import Iterable, List, Sequence
 
 collect_ignore_glob: List[str] = []
@@ -39,3 +40,16 @@ def print_table(title: str, headers: Sequence[str],
 def run_once(benchmark, fn):
     """Run an experiment exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
+
+
+def sample_tti_walltime(sim, *, warmup_ttis: int, run_ttis: int) -> List[float]:
+    """Per-TTI wall-clock samples (microseconds) over *run_ttis* TTIs."""
+    if warmup_ttis > 0:
+        sim.run(warmup_ttis)
+    perf_counter = time.perf_counter
+    samples: List[float] = []
+    for _ in range(run_ttis):
+        t0 = perf_counter()
+        sim.run(1)
+        samples.append((perf_counter() - t0) * 1e6)
+    return samples

@@ -20,11 +20,6 @@ Survivability (the ``repro.core.survive`` subsystem):
 
     python -m repro chaos                # scripted faults + invariants
 
-Performance (the ``repro.perf`` regression harness):
-
-    python -m repro perf --quick         # curated suite -> BENCH_perf.json
-    python -m repro perf --baseline benchmarks/baselines/pre_optimization.json
-
 Northbound service plane (the ``repro.nb`` subsystem):
 
     python -m repro serve                          # HTTP server, Ctrl-C to stop
@@ -41,8 +36,9 @@ Sharded runtime (the ``repro.cluster`` subsystem):
 Chrome trace-event file (open in chrome://tracing or
 https://ui.perfetto.dev) that also embeds the xid-correlated
 control-latency CDF; ``stats`` prints a Prometheus-style metrics
-snapshot.  Heavier, figure-accurate runs live in the benchmark harness
-(``pytest benchmarks/ --benchmark-only``).
+snapshot.  Heavier, figure-accurate runs live in the benchmark suite
+(``pytest benchmarks/ --benchmark-only``); per-TTI cost is measured by
+``benchmarks/ttibudget/run.py`` (docs/BENCHMARKS.md).
 """
 
 from __future__ import annotations
@@ -332,13 +328,6 @@ def _cmd_chaos(args) -> int:
     return 0
 
 
-def _cmd_perf(args) -> int:
-    """Run the benchmark regression harness (see docs/BENCHMARKS.md)."""
-    from repro.perf import run_from_args
-
-    return run_from_args(args)
-
-
 def _smoke_client(host: str, port: int, *,
                   min_items: int, token: str = "") -> dict:
     """The scripted northbound smoke: two streams + one policy push.
@@ -486,7 +475,7 @@ def _cmd_cluster_chaos(args) -> int:
 
     from repro import obs
     from repro.cluster import ClusterRuntime
-    from repro.perf import environment_stamp
+    from repro.obs.export import environment_stamp
     from repro.sim.chaos import (
         ClusterChaosHarness,
         WorkerKillAt,
@@ -565,7 +554,7 @@ def _cmd_cluster(args) -> int:
     import os
 
     from repro.cluster import run_cluster
-    from repro.perf import environment_stamp
+    from repro.obs.export import environment_stamp
 
     if args.chaos:
         return _cmd_cluster_chaos(args)
@@ -678,11 +667,6 @@ def main(argv=None) -> int:
     chaos.add_argument("--restart-at", type=int, default=2500,
                        help="TTI of the controller restart (0 disables)")
 
-    from repro.perf import add_arguments as _add_perf_arguments
-    perf = sub.add_parser(
-        "perf", help="run the benchmark regression harness")
-    _add_perf_arguments(perf)
-
     serve = sub.add_parser(
         "serve", help="run a scenario with the northbound HTTP server")
     serve.add_argument("--scenario", choices=sorted(OBS_SCENARIOS),
@@ -750,8 +734,6 @@ def main(argv=None) -> int:
         return _cmd_stats(args)
     elif args.command == "chaos":
         return _cmd_chaos(args)
-    elif args.command == "perf":
-        return _cmd_perf(args)
     elif args.command == "serve":
         return _cmd_serve(args)
     elif args.command == "cluster":

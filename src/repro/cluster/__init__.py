@@ -18,8 +18,8 @@ from repro.cluster.supervise import (
     FAILURE_CAUSES,
     ClusterDeadlineError,
     ShardFailure,
+    ShardSupervisionPolicy,
     ShardSupervisor,
-    SupervisionPolicy,
     backoff_delay,
 )
 from repro.cluster.worker import WorkerSpec, build_shard_sim, worker_main
@@ -34,8 +34,8 @@ __all__ = [
     "ShardFailure",
     "ShardMap",
     "ShardSpec",
+    "ShardSupervisionPolicy",
     "ShardSupervisor",
-    "SupervisionPolicy",
     "WorkerSpec",
     "backoff_delay",
     "build_shard_sim",

@@ -40,8 +40,8 @@ from repro.cluster.partition import ShardMap, ShardSpec, plan_shards
 from repro.cluster.supervise import (
     FAIL_PIPE_EOF,
     FAIL_WORKER_ERROR,
+    ShardSupervisionPolicy,
     ShardSupervisor,
-    SupervisionPolicy,
 )
 from repro.cluster.worker import (
     PROGRESS_CHUNK_TTIS,
@@ -164,7 +164,7 @@ class ClusterRuntime:
         self._low_water_mark = 0
         self._low_water_stamp: Optional[float] = None
         self._scheduled_respawns: List[Tuple[int, int]] = []
-        self.supervisor = ShardSupervisor(self, SupervisionPolicy(
+        self.supervisor = ShardSupervisor(self, ShardSupervisionPolicy(
             stall_timeout_s=config.stall_timeout_s,
             respawn_budget=config.respawn_budget,
             backoff_base_s=config.respawn_backoff_s,

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Set
 
 from repro import obs as _obs
@@ -63,7 +63,7 @@ class ClusterDeadlineError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SupervisionPolicy:
+class ShardSupervisionPolicy:
     """Knobs governing detection and healing.
 
     ``respawn_budget`` is per shard; ``run_deadline_s`` of 0 disables
@@ -96,7 +96,7 @@ class ShardFailure:
         return asdict(self)
 
 
-def backoff_delay(policy: SupervisionPolicy, attempt: int) -> float:
+def backoff_delay(policy: ShardSupervisionPolicy, attempt: int) -> float:
     """Respawn delay before attempt *attempt* (0-based), capped."""
     if attempt < 0:
         raise ValueError(f"attempt must be >= 0: {attempt}")
@@ -116,7 +116,7 @@ class ShardSupervisor:
     ``quarantine_shard(shard_id)``.
     """
 
-    def __init__(self, runtime, policy: SupervisionPolicy) -> None:
+    def __init__(self, runtime, policy: ShardSupervisionPolicy) -> None:
         self.runtime = runtime
         self.policy = policy
         self.failures: List[ShardFailure] = []

@@ -15,6 +15,7 @@ the paper's deployment does.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 from typing import Tuple
@@ -23,6 +24,13 @@ from repro.cluster.partition import ShardSpec
 
 PROGRESS_CHUNK_TTIS = 8
 """How many TTIs a worker runs between progress reports."""
+
+SWITCH_INTERVAL_S = 0.0005
+"""Interpreter thread switch interval inside a worker process.  The
+sim thread is CPU-bound and the hub thread moves every frame; at the
+default 5 ms each asyncio loop iteration queues a full interval behind
+the sim thread, so an 80-TTI shard (about 30 ms) could finish before
+the master's answer to its agents' ``Hello`` had been read."""
 
 
 @dataclass(frozen=True)
@@ -40,28 +48,22 @@ class WorkerSpec:
 def build_shard_sim(spec: WorkerSpec, hub=None):
     """Assemble the shard's slice of the scale deployment.
 
-    Per eNodeB this is the :func:`~repro.sim.scenarios.large_scale`
-    workload -- mixed-CQI UEs under CBR downlink load with the local
-    scheduler -- so a sharded run is the same work as the
-    single-process scale bench, split across processes.  Returns
-    ``(sim, hub, endpoints)``.
+    Each eNodeB is populated by the same
+    :func:`~repro.sim.scenarios.populate_scale_cell` as
+    :func:`~repro.sim.scenarios.large_scale` -- mixed-CQI UEs under
+    phase-spread CBR downlink load with the local scheduler -- so a
+    sharded run is the single-process scale deployment's work, split
+    across processes.  Returns ``(sim, hub, endpoints)``.
     """
-    from repro.lte.phy.tbs import capacity_mbps
-    from repro.lte.phy.channel import FixedCqi
-    from repro.lte.ue import Ue
     from repro.net.link import EmulatedLink
     from repro.net.tcp import TcpEndpoint, TcpHub, connect_endpoint
-    from repro.sim.scenarios import SCALE_CQI_CYCLE
+    from repro.sim.scenarios import populate_scale_cell
     from repro.sim.simulation import Simulation
-    from repro.traffic.generators import CbrSource
 
     shard = spec.shard
     if hub is None:
         hub = TcpHub(name=f"worker{shard.shard_id}-hub").start()
     sim = Simulation(with_master=False)
-    per_ue_mbps = (shard.load_factor
-                   * capacity_mbps(SCALE_CQI_CYCLE[1], 50)
-                   / max(1, shard.ues_per_enb))
     endpoints = []
     for agent_id in shard.agent_ids:
         enb = sim.add_enb(agent_id, seed=shard.seed + agent_id)
@@ -75,18 +77,19 @@ def build_shard_sim(spec: WorkerSpec, hub=None):
                          queue_frames=spec.queue_frames)
         sim.add_agent(enb, agent_id=agent_id, endpoint=endpoint)
         endpoints.append(endpoint)
-        for i in range(shard.ues_per_enb):
-            cqi = SCALE_CQI_CYCLE[i % len(SCALE_CQI_CYCLE)]
-            ue = Ue(f"{agent_id:02d}{i:04d}", FixedCqi(cqi))
-            sim.add_ue(enb, ue)
-            sim.add_downlink_traffic(
-                enb, ue, CbrSource(per_ue_mbps, start_tti=20))
+        # Fleet agent ids run 1..n_enbs (plan_shards), so the
+        # deployment-wide ordinal is the id less one.
+        populate_scale_cell(
+            sim, enb, label=agent_id, ordinal=agent_id - 1,
+            ues_per_enb=shard.ues_per_enb,
+            load_factor=shard.load_factor)
     return sim, hub, endpoints
 
 
 def worker_main(spec: WorkerSpec, pipe) -> None:
     """Spawn target: build the shard, then run the credit loop."""
     hub = None
+    sys.setswitchinterval(SWITCH_INTERVAL_S)
     try:
         sim, hub, endpoints = build_shard_sim(spec)
         pipe.send(("ready", spec.shard.shard_id))

@@ -106,7 +106,6 @@ class FlexRanAgent:
         self._hello_sent = False
         self._last_hello_tti = -(10 ** 9)
         self._xid = 0
-        self.processing_time_s = 0.0
         self.messages_handled = 0
         #: Messages dropped because no handler is registered for them.
         self.dispatch_unknown = 0
@@ -183,24 +182,22 @@ class FlexRanAgent:
         """AGENT_TX phase: hello, sync, due reports, queued events."""
         ob = _obs.get()
         if ob.enabled:
-            before = self.processing_time_s
             with ob.tracer.span("agent", "tick_tx", tti=now,
                                 agent=self.agent_id):
+                start = time.perf_counter()
                 self._tick_tx(now)
-            ob.registry.histogram("agent.tick_us").observe(
-                (self.processing_time_s - before) * 1e6)
+                elapsed = time.perf_counter() - start
+            ob.registry.histogram("agent.tick_us").observe(elapsed * 1e6)
         else:
             self._tick_tx(now)
 
     def _tick_tx(self, now: int) -> None:
-        start = time.perf_counter()
         if self.connection is not None and not self.connection.before_tx(now):
             # Disconnected: the supervisor owns the channel (probes on
             # its backoff schedule); suppress normal control traffic and
             # bound the event queue until the master is reachable again.
             if len(self._event_queue) > EVENT_QUEUE_LIMIT:
                 self._event_queue = self._event_queue[-EVENT_QUEUE_LIMIT:]
-            self.processing_time_s += time.perf_counter() - start
             return
         if self.endpoint is not None and self._hello_due(now):
             self._send(Hello(header=Header(xid=self._next_xid()),
@@ -218,7 +215,6 @@ class FlexRanAgent:
         events, self._event_queue = self._event_queue, []
         for event in events:
             self._send(event, now)
-        self.processing_time_s += time.perf_counter() - start
 
     # -- inbound ----------------------------------------------------------
 
@@ -228,22 +224,20 @@ class FlexRanAgent:
             return
         ob = _obs.get()
         if ob.enabled:
-            before = self.processing_time_s
             with ob.tracer.span("agent", "tick_rx", tti=now,
                                 agent=self.agent_id):
+                start = time.perf_counter()
                 self._tick_rx(now)
-            ob.registry.histogram("agent.tick_us").observe(
-                (self.processing_time_s - before) * 1e6)
+                elapsed = time.perf_counter() - start
+            ob.registry.histogram("agent.tick_us").observe(elapsed * 1e6)
         else:
             self._tick_rx(now)
 
     def _tick_rx(self, now: int) -> None:
-        start = time.perf_counter()
         for message in self.endpoint.receive(now=now):
             if self.connection is not None:
                 self.connection.heard(now)
             self.dispatch(message, now)
-        self.processing_time_s += time.perf_counter() - start
 
     # -- connection resilience --------------------------------------------
 

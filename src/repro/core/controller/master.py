@@ -16,7 +16,6 @@ statistics and event messages applied by the RIB updater.
 from __future__ import annotations
 
 import logging
-import time
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro import obs as _obs
@@ -112,7 +111,6 @@ class MasterController:
         self._endpoints: Dict[int, ProtocolEndpoint] = {}
         self._xid = 0
         self.now = 0
-        self.processing_time_s = 0.0
         if echo_period_ttis <= 0 or liveness_timeout_ttis <= echo_period_ttis:
             raise ValueError(
                 "liveness timeout must exceed the echo period "
@@ -198,7 +196,6 @@ class MasterController:
     def tick(self, now: int) -> None:
         """MASTER phase: run one Task Manager cycle."""
         ob = _obs.get()
-        start = time.perf_counter()
         self.now = now
         if ob.enabled:
             with ob.tracer.span("master", "tick", tti=now):
@@ -216,7 +213,6 @@ class MasterController:
                 except Exception:  # noqa: BLE001 - hook containment
                     logger.exception("cycle hook failed; removing it")
                     self.remove_cycle_hook(hook)
-        self.processing_time_s += time.perf_counter() - start
 
     def _drain_agents(self) -> None:
         """The RIB-updater slot: apply every received agent message."""

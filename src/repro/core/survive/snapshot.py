@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from repro import obs as _obs
 from repro.core.controller.rib import (
     AgentLiveness,
-    AgentNode,
     CellNode,
     Rib,
     UeNode,

@@ -158,7 +158,6 @@ class EnodeB:
         self._rng = np.random.default_rng(seed)
         self._observers: List[Callable[[EnbEvent], None]] = []
         self.counters = MacCounters()
-        self.processing_time_s = 0.0
 
         self._view_cache: Dict[int, UeViewCache] = {
             c: UeViewCache(cell, self) for c, cell in self.cells.items()}
@@ -417,16 +416,15 @@ class EnodeB:
         """Pass 1: feedback, RRC, CQI refresh, run schedulers."""
         ob = _obs.get()
         if ob.enabled:
-            before = self.processing_time_s
             with ob.tracer.span("enb", "plan", tti=tti, enb=self.enb_id):
+                start = time.perf_counter()
                 self._plan(tti)
-            ob.registry.histogram("enb.plan_us").observe(
-                (self.processing_time_s - before) * 1e6)
+                elapsed = time.perf_counter() - start
+            ob.registry.histogram("enb.plan_us").observe(elapsed * 1e6)
         else:
             self._plan(tti)
 
     def _plan(self, tti: int) -> None:
-        start = time.perf_counter()
         self._process_feedback(tti)
         self._advance_rrc(tti)
         self.drx.account_all(tti)
@@ -444,7 +442,6 @@ class EnodeB:
             self.last_prbs_ul[cell_id] = sum(g.n_prb for g in grants)
             cell.mark_transmission(tti, bool(assignments))
         self.last_plan_tti = tti
-        self.processing_time_s += time.perf_counter() - start
 
     def planned_cell_ids(self, tti: int) -> List[int]:
         """Cells that received a scheduler decision at *tti*.
@@ -460,23 +457,21 @@ class EnodeB:
         """Pass 2: apply the plan against the actual channel."""
         ob = _obs.get()
         if ob.enabled:
-            before = self.processing_time_s
             with ob.tracer.span("enb", "transmit", tti=tti,
                                 enb=self.enb_id):
+                start = time.perf_counter()
                 self._transmit_pass(tti)
-            ob.registry.histogram("enb.transmit_us").observe(
-                (self.processing_time_s - before) * 1e6)
+                elapsed = time.perf_counter() - start
+            ob.registry.histogram("enb.transmit_us").observe(elapsed * 1e6)
         else:
             self._transmit_pass(tti)
 
     def _transmit_pass(self, tti: int) -> None:
-        start = time.perf_counter()
         for cell_id in self.cells:
             for assignment in self._plan_dl.get(cell_id, []):
                 self._transmit_dl(cell_id, assignment, tti)
             for grant in self._plan_ul.get(cell_id, []):
                 self._transmit_ul(cell_id, grant, tti)
-        self.processing_time_s += time.perf_counter() - start
 
     def tick(self, tti: int) -> None:
         """Single-eNodeB convenience: plan then transmit."""

@@ -47,8 +47,8 @@ import threading
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.net.link import DuplexChannel, EmulatedLink
-from repro.net.transport import ProtocolEndpoint
+from repro.net.link import EmulatedLink
+from repro.net.transport import ControlConnection, ProtocolEndpoint
 
 logger = logging.getLogger(__name__)
 
@@ -594,34 +594,30 @@ def connect_endpoint(hub: TcpHub, host: str, port: int, *, agent_id: int,
 
 
 # ---------------------------------------------------------------------------
-# Lockstep connection (drop-in ControlConnection replacement)
+# Lockstep connection (ControlConnection over real sockets)
 # ---------------------------------------------------------------------------
 
 
-class TcpControlConnection:
+class TcpControlConnection(ControlConnection):
     """A full agent<->master connection over real TCP, lockstep flavor.
 
-    Drop-in for :class:`~repro.net.transport.ControlConnection`: the
-    same ``agent_side`` / ``master_side`` endpoints, the same
-    ``channel`` (the schedule shadow -- all netem fault knobs and the
-    Fig. 7 accounting read from it exactly as before), plus the
-    per-TTI ``flush_uplink`` / ``flush_downlink`` hooks the simulation
-    clock drives in its LINK phases.  Each flush ships the frames that
-    became deliverable this TTI through the kernel and blocks until
-    the peer endpoint has parsed them, which preserves the emulated
-    transport's causal ordering TTI for TTI.
+    A :class:`~repro.net.transport.ControlConnection` with
+    :class:`TcpEndpoint` sides: the same ``channel`` (the schedule
+    shadow -- all netem fault knobs and the Fig. 7 accounting read
+    from it exactly as before), plus the per-TTI ``flush_uplink`` /
+    ``flush_downlink`` hooks the simulation clock drives in its LINK
+    phases.  Each flush ships the frames that became deliverable this
+    TTI through the kernel and blocks until the peer endpoint has
+    parsed them, which preserves the emulated transport's causal
+    ordering TTI for TTI.
     """
+
+    ENDPOINT = TcpEndpoint
 
     def __init__(self, server: "TcpConnectionFabric", agent_id: int, *,
                  rtt_ms: float = 0.0, name: str = "conn",
                  seed: int = 0) -> None:
-        self.channel = DuplexChannel(rtt_ms=rtt_ms, name=name, seed=seed)
-        self.agent_side = TcpEndpoint(
-            self.channel.uplink, self.channel.downlink,
-            peer=name, tx_direction="ul", rx_direction="dl")
-        self.master_side = TcpEndpoint(
-            self.channel.downlink, self.channel.uplink,
-            peer=name, tx_direction="dl", rx_direction="ul")
+        super().__init__(rtt_ms=rtt_ms, name=name, seed=seed)
         server.establish(agent_id, self)
 
     # -- per-TTI delivery --------------------------------------------------
@@ -636,41 +632,9 @@ class TcpControlConnection:
         self.master_side.transmit_due(now)
         self.agent_side.wait_parsed(self.master_side.frames_dispatched)
 
-    def sync(self, now: int) -> None:
-        """Flush both directions (unit-test convenience)."""
-        self.flush_uplink(now)
-        self.flush_downlink(now)
-
     def close(self) -> None:
         self.agent_side.close()
         self.master_side.close()
-
-    # -- ControlConnection surface ----------------------------------------
-
-    @property
-    def rtt_ttis(self) -> int:
-        return self.channel.rtt_ttis
-
-    def set_rtt_ms(self, rtt_ms: float) -> None:
-        self.channel.set_rtt_ms(rtt_ms)
-
-    def set_loss(self, probability: float) -> None:
-        self.channel.set_loss(probability)
-
-    def set_jitter_ms(self, jitter_ms: float) -> None:
-        self.channel.set_jitter_ms(jitter_ms)
-
-    def fail_at(self, tti: int) -> None:
-        self.channel.fail_at(tti)
-
-    def heal_at(self, tti: int) -> None:
-        self.channel.heal_at(tti)
-
-    def partition(self, start_tti: int, end_tti: int) -> None:
-        self.channel.partition(start_tti, end_tti)
-
-    def dropped_messages(self) -> int:
-        return self.channel.dropped_messages()
 
 
 class TcpConnectionFabric:
@@ -713,9 +677,6 @@ class TcpConnectionFabric:
         if not self._accepted[agent_id].wait(10.0):
             raise RuntimeError(
                 f"TCP fabric: agent {agent_id} handshake timed out")
-
-    def connections(self) -> List[TcpControlConnection]:
-        return list(self._expected.values())
 
     def close(self) -> None:
         for connection in self._expected.values():

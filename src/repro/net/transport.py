@@ -105,13 +105,16 @@ class ControlConnection:
     ``downlink`` carries master-to-agent traffic (commands, delegation).
     """
 
+    #: Endpoint class for both sides; a transport subclass swaps it.
+    ENDPOINT = ProtocolEndpoint
+
     def __init__(self, *, rtt_ms: float = 0.0, name: str = "conn",
                  seed: int = 0) -> None:
         self.channel = DuplexChannel(rtt_ms=rtt_ms, name=name, seed=seed)
-        self.agent_side = ProtocolEndpoint(
+        self.agent_side = self.ENDPOINT(
             self.channel.uplink, self.channel.downlink,
             peer=name, tx_direction="ul", rx_direction="dl")
-        self.master_side = ProtocolEndpoint(
+        self.master_side = self.ENDPOINT(
             self.channel.downlink, self.channel.uplink,
             peer=name, tx_direction="dl", rx_direction="ul")
 

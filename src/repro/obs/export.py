@@ -13,17 +13,33 @@ Three read-side views over one observability session:
   cumulative ``_bucket{le=...}`` series).
 
 :func:`validate_chrome_trace` is the schema check shared by the test
-suite and the CI trace-smoke job.
+suite and the CI trace-smoke job; :func:`environment_stamp` is the
+host description ``repro cluster`` stamps into its reports.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import platform
+import time
 from typing import Dict, List, Optional
 
 from repro.obs import Observability
 from repro.obs.registry import Counter, Gauge, Histogram
+
+
+def environment_stamp() -> Dict[str, object]:
+    """Where and when a report was recorded (its ``env`` field)."""
+    return {
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count() or 0,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }
 
 
 def metrics_jsonl(registry) -> str:

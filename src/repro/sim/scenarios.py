@@ -147,7 +147,7 @@ def centralized_scheduling(*, n_enbs: int = 1, ues_per_enb: int = 10,
 
 
 # ---------------------------------------------------------------------------
-# Large-scale hot-path scenario (the bench_scale substrate)
+# Large-scale hot-path scenario (ttibudget's scale_steady substrate)
 # ---------------------------------------------------------------------------
 
 
@@ -166,6 +166,34 @@ SCALE_CQI_CYCLE = (15, 12, 9, 7)
 scheduler and TBS paths see a realistic mix instead of one cache row."""
 
 
+def populate_scale_cell(sim: Simulation, enb: EnodeB, *, label: int,
+                        ordinal: int, ues_per_enb: int,
+                        load_factor: float) -> List[Ue]:
+    """Attach one scale eNodeB's UEs and their CBR downlink flows.
+
+    *label* prefixes the IMSIs; *ordinal* is the eNodeB's zero-based
+    position in the whole deployment (not in a shard of it), which
+    places its flows in the deployment-wide phase spread.
+    """
+    per_ue_mbps = (load_factor * capacity_mbps(SCALE_CQI_CYCLE[1], 50)
+                   / max(1, ues_per_enb))
+    ues: List[Ue] = []
+    for i in range(ues_per_enb):
+        cqi = SCALE_CQI_CYCLE[i % len(SCALE_CQI_CYCLE)]
+        ue = Ue(f"{label:02d}{i:04d}", FixedCqi(cqi))
+        sim.add_ue(enb, ue)
+        # Low-discrepancy phase spread: equal-rate CBR flows would
+        # otherwise emit in lockstep, turning the fleet's offered
+        # load into one synchronized packet burst per interval.
+        phase = (0.618033988749895
+                 * (ordinal * ues_per_enb + i + 1)) % 1.0
+        sim.add_downlink_traffic(enb, ue, CbrSource(per_ue_mbps,
+                                                    start_tti=20,
+                                                    phase=phase))
+        ues.append(ue)
+    return ues
+
+
 def large_scale(*, n_enbs: int = 32, ues_per_enb: int = 100,
                 stats_period_ttis: int = 5, load_factor: float = 0.8,
                 rtt_ms: float = 2.0, transport: str = "emulated",
@@ -176,34 +204,21 @@ def large_scale(*, n_enbs: int = 32, ues_per_enb: int = 100,
     mixed CQIs and CBR downlink load, while its agent streams periodic
     full statistics reports to the master -- so one TTI exercises every
     hot path at once: context building, scheduling, TBS sizing, report
-    encoding/decoding and RIB application.  This is the scenario the
-    ``repro perf`` harness uses for its headline per-TTI wall-time
-    metric.
+    encoding/decoding and RIB application.  This is the deployment
+    behind ``ttibudget``'s ``scale_steady`` workload, the headline
+    per-TTI cost number (docs/BENCHMARKS.md).
     """
     sim = Simulation(with_master=True, transport=transport)
     enbs: List[EnodeB] = []
     agents: List[FlexRanAgent] = []
     ues: List[Ue] = []
-    per_ue_mbps = (load_factor * capacity_mbps(SCALE_CQI_CYCLE[1], 50)
-                   / max(1, ues_per_enb))
     for e in range(n_enbs):
         enb = sim.add_enb(seed=seed + e)
-        agent = sim.add_agent(enb, rtt_ms=rtt_ms)
-        for i in range(ues_per_enb):
-            cqi = SCALE_CQI_CYCLE[i % len(SCALE_CQI_CYCLE)]
-            ue = Ue(f"{e:02d}{i:04d}", FixedCqi(cqi))
-            sim.add_ue(enb, ue)
-            # Low-discrepancy phase spread: equal-rate CBR flows would
-            # otherwise emit in lockstep, turning the fleet's offered
-            # load into one synchronized packet burst per interval.
-            phase = (0.618033988749895
-                     * (e * ues_per_enb + i + 1)) % 1.0
-            sim.add_downlink_traffic(enb, ue, CbrSource(per_ue_mbps,
-                                                        start_tti=20,
-                                                        phase=phase))
-            ues.append(ue)
+        agents.append(sim.add_agent(enb, rtt_ms=rtt_ms))
+        ues.extend(populate_scale_cell(
+            sim, enb, label=e, ordinal=e, ues_per_enb=ues_per_enb,
+            load_factor=load_factor))
         enbs.append(enb)
-        agents.append(agent)
 
     def subscribe(tti: int) -> None:
         # Stagger subscriptions across one reporting period so the

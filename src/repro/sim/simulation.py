@@ -228,9 +228,7 @@ class Simulation:
 
     def _link_up_phase(self, tti: int) -> None:
         for agent_id in sorted(self.connections):
-            conn = self.connections[agent_id]
-            if isinstance(conn, TcpControlConnection):
-                conn.flush_uplink(tti)
+            self.connections[agent_id].flush_uplink(tti)
 
     def _master_phase(self, tti: int) -> None:
         assert self.master is not None
@@ -238,9 +236,7 @@ class Simulation:
 
     def _link_down_phase(self, tti: int) -> None:
         for agent_id in sorted(self.connections):
-            conn = self.connections[agent_id]
-            if isinstance(conn, TcpControlConnection):
-                conn.flush_downlink(tti)
+            self.connections[agent_id].flush_downlink(tti)
 
     def _agent_rx_phase(self, tti: int) -> None:
         for agent_id in sorted(self.agents):

@@ -3,6 +3,10 @@
 import pytest
 
 from repro.cluster.partition import ShardMap, ShardSpec, plan_shards
+from repro.cluster.worker import WorkerSpec, build_shard_sim
+from repro.net.link import EmulatedLink
+from repro.net.tcp import TcpEndpoint, TcpHub, TcpTransportServer
+from repro.sim.scenarios import large_scale
 
 
 class TestPlanShards:
@@ -58,3 +62,32 @@ class TestShardMap:
     def test_all_agent_ids(self):
         shard_map = ShardMap(plan_shards(5, 2))
         assert shard_map.all_agent_ids() == [1, 2, 3, 4, 5]
+
+
+def cell_population(sim, enb_ids):
+    """Per flow: everything the scale populator decides."""
+    return [(f.enb.enb_id, f.enb.ue(f.rnti).channel.cqi(0),
+             f.source.rate_mbps, f.source._credit_bytes)
+            for f in sim.epc._downlink if f.enb.enb_id in enb_ids]
+
+
+def test_shard_cells_match_the_single_process_deployment():
+    """The second shard of a 4-eNodeB fleet carries eNodeBs 3 and 4 as
+    ``large_scale`` populates them, CBR phase spread included (a
+    shard's flows used to start in lockstep)."""
+    whole = large_scale(n_enbs=4, ues_per_enb=6)
+    shard = plan_shards(4, 2, ues_per_enb=6)[1]
+    hub = TcpHub(name="test-hub").start()
+    server = TcpTransportServer(
+        hub, endpoint_factory=lambda agent_id: TcpEndpoint(
+            EmulatedLink(), EmulatedLink(), streaming=True))
+    host, port = server.start()
+    try:
+        sim, _, _ = build_shard_sim(WorkerSpec(
+            shard=shard, host=host, port=port, total_ttis=0), hub=hub)
+    finally:
+        server.stop()
+        hub.stop()
+    sliced = cell_population(sim, shard.agent_ids)
+    assert sliced == cell_population(whole.sim, shard.agent_ids)
+    assert len({credit for *_, credit in sliced}) == 12

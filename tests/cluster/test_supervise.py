@@ -19,8 +19,8 @@ from repro.cluster.supervise import (
     FAIL_WORKER_ERROR,
     FAILURE_CAUSES,
     ClusterDeadlineError,
+    ShardSupervisionPolicy,
     ShardSupervisor,
-    SupervisionPolicy,
     backoff_delay,
 )
 
@@ -76,19 +76,20 @@ class StubRuntime:
 def make(shard_ids=(0, 1), **policy_kwargs):
     policy_kwargs.setdefault("backoff_base_s", 0.0)
     runtime = StubRuntime(list(shard_ids))
-    supervisor = ShardSupervisor(runtime, SupervisionPolicy(**policy_kwargs))
+    supervisor = ShardSupervisor(
+        runtime, ShardSupervisionPolicy(**policy_kwargs))
     return runtime, supervisor
 
 
 class TestBackoffDelay:
     def test_doubles_until_the_cap(self):
-        policy = SupervisionPolicy(backoff_base_s=0.1, backoff_cap_s=0.5)
+        policy = ShardSupervisionPolicy(backoff_base_s=0.1, backoff_cap_s=0.5)
         delays = [backoff_delay(policy, a) for a in range(5)]
         assert delays == pytest.approx([0.1, 0.2, 0.4, 0.5, 0.5])
 
     def test_negative_attempt_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
-            backoff_delay(SupervisionPolicy(), -1)
+            backoff_delay(ShardSupervisionPolicy(), -1)
 
     def test_causes_vocabulary_is_closed(self):
         assert set(FAILURE_CAUSES) == {
