@@ -11,7 +11,7 @@ hooks.  Neither the agent's control modules nor the master ever touch
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.protocol.messages import (
     CellConfigRep,
@@ -21,15 +21,31 @@ from repro.core.protocol.messages import (
 )
 from repro.lte.enodeb import DlSchedulerHook, EnbEvent, EnodeB, UlSchedulerHook
 from repro.lte.rrc import RrcState
+from repro.lte.ue import Ue
 
 SUBBANDS = 9
 """Subband count for 10 MHz CQI reporting (36.213 k=6 RB subbands)."""
 
 _RRC_STATE_INDEX = {state: i for i, state in enumerate(RrcState)}
 
+_new = object.__new__
+
+_NO_NEIGHBORS: Dict[int, int] = {}
+"""What a row without neighbor channels remembers as observed (shared:
+one empty dict per UE would be kept alive for nothing)."""
+
 HandoverExecutor = Callable[[int, int, int, int], bool]
 """Callback ``(rnti, source_cell, target_cell, tti) -> success`` that the
 deployment wires to actually move a UE between eNodeBs."""
+
+
+def _observe_channel(ue: Ue, tti: int) -> Tuple[int, Dict[int, int]]:
+    """The channel-driven report fields of *ue* at *tti*: serving SINR
+    (dB x10, fixed point) and the CQI toward each neighbor cell."""
+    neighbors = ue.neighbor_channels
+    return (int(round(ue.measured_sinr_db(tti) * 10)),
+            {cid: ch.cqi(tti) for cid, ch in neighbors.items()}
+            if neighbors else {})
 
 
 class AgentDataPlaneApi:
@@ -38,11 +54,15 @@ class AgentDataPlaneApi:
     def __init__(self, enb: EnodeB) -> None:
         self._enb = enb
         self._handover_executor: Optional[HandoverExecutor] = None
-        # Last reported channel observations per RNTI, used by
-        # :meth:`probe_channel_changes` to fold purely channel-driven
-        # report changes (SINR drift, neighbor CQI) into the eNodeB's
-        # change-sequence machinery.
-        self._channel_probe: dict = {}
+        # :meth:`collect_ue_stats`'s memory, per RNTI:
+        # ``(static_channel, sinr_x10, neighbor_cqi, record, seq)``.
+        # The first three are the last channel observation, with
+        # ``static_channel`` the channel object it stays valid for
+        # (time-invariant, no neighbor channels) or None; such a row
+        # keeps no record.  Otherwise ``record`` is the last record
+        # built (None until one was needed) and ``seq`` the UE's change
+        # sequence it stands for.
+        self._rows: Dict[int, tuple] = {}
 
     @property
     def enb_id(self) -> int:
@@ -91,112 +111,125 @@ class AgentDataPlaneApi:
         """The eNodeB's monotonic per-UE state change sequence."""
         return self._enb.change_seq
 
-    def ue_change_seqs(self) -> dict:
-        """Snapshot of ``rnti -> last change sequence`` for delta
-        reporting (see :meth:`repro.lte.enodeb.EnodeB.ue_change_seq`)."""
-        return dict(self._enb._ue_seq)
+    def collect_ue_stats(
+            self, tti: int,
+            since_seq: int) -> List[Tuple[int, UeStatsReport]]:
+        """One pass over the attached UEs for a report TTI.
 
-    def probe_channel_changes(self, tti: int) -> None:
-        """Fold channel-driven report changes into the change sequence.
+        Visits each UE once in RNTI order: observes its channel, folds
+        a channel-only change (SINR drift, neighbor CQI) into the
+        eNodeB's change sequence, and returns ``(seq, record)`` for
+        every UE whose sequence is now above *since_seq* (``-1``: all
+        of them).  A UE on a time-invariant channel object with no
+        neighbor channels is observed once and then skipped until the
+        channel is swapped out or the data plane changes it.
 
-        The eNodeB's dirty tracking covers every *data-plane* mutation,
-        but the reported SINR and neighbor-cell CQI move with the
-        channel alone.  Called once per report TTI, this compares each
-        UE's current channel observations against the last reported
-        values and marks the UE changed when they differ -- so delta
-        replies stay exact under fading channels at the same per-UE
-        probe cost the full snapshot already paid.
+        Where the channel can move without the data plane, the last
+        record is retained with the sequence it stands for: a
+        channel-only change copies it with the fresh channel fields,
+        a data-plane change (the sequence moved on) rebuilds it.  A
+        record handed out is never mutated afterwards, only replaced.
         """
         enb = self._enb
-        cache = self._channel_probe
-        rntis = enb.rntis()
-        if len(cache) > 2 * len(rntis) + 8:
-            live = set(rntis)
-            for rnti in [r for r in cache if r not in live]:
-                del cache[rnti]
-        cache_get = cache.get
-        for rnti in rntis:
-            ue = enb.ue(rnti)
-            entry = cache_get(rnti)
-            neighbor_channels = getattr(ue, "neighbor_channels", None)
-            if (entry is not None and entry[2] is ue.channel
-                    and not neighbor_channels):
-                # A time-invariant channel object cannot produce new
-                # observations; skip the probe until it is swapped out
-                # (entry[2] is only ever set for a time-invariant
-                # channel) or the UE gains neighbor measurements.
+        rows = self._rows
+        rows_get = rows.get
+        seqs = enb.change_seq_of
+        build = self._build_record
+        out: List[Tuple[int, UeStatsReport]] = []
+        ues = enb.attached_ues()
+        for rnti, ue in ues:
+            row = rows_get(rnti)
+            channel = ue.channel
+            neighbors = ue.neighbor_channels
+            if row is not None and row[0] is channel and not neighbors:
+                # Static channel, observed before (row[1] is its SINR).
+                seq = seqs[rnti]
+                if seq > since_seq:
+                    out.append((seq, build(rnti, ue, row[1], {})))
                 continue
-            sinr_x10 = int(round(ue.measured_sinr_db(tti) * 10))
-            if neighbor_channels:
-                neighbor = tuple(sorted(
-                    (cid, ch.cqi(tti))
-                    for cid, ch in neighbor_channels.items()))
+            sinr_x10, neighbor_cqi = _observe_channel(ue, tti)
+            seq = seqs[rnti]
+            record = None
+            moved = True
+            if row is not None:
+                _, last_sinr_x10, last_neighbor_cqi, kept, kept_seq = row
+                moved = (sinr_x10 != last_sinr_x10
+                         or neighbor_cqi != last_neighbor_cqi)
+                if kept_seq == seq:
+                    # The data plane has not touched the UE since.
+                    if not moved:
+                        record = kept
+                    elif kept is not None:
+                        record = _new(UeStatsReport)
+                        record.__dict__ = {
+                            **kept.__dict__,
+                            "subband_sinr_db_x10": [sinr_x10] * SUBBANDS,
+                            "neighbor_cqi": neighbor_cqi}
+            if moved:
+                seq = enb.mark_ue_report_dirty(rnti)
+            if seq > since_seq:
+                if record is None:
+                    record = build(rnti, ue, sinr_x10, neighbor_cqi)
+                out.append((seq, record))
+            if channel.time_invariant and not neighbors:
+                rows[rnti] = (channel, sinr_x10, _NO_NEIGHBORS, None, 0)
             else:
-                neighbor = ()
-            static = ue.channel if (not neighbor_channels and getattr(
-                ue.channel, "time_invariant", False)) else None
-            observed = (sinr_x10, neighbor)
-            if entry is None or entry[:2] != observed:
-                cache[rnti] = (sinr_x10, neighbor, static)
-                enb.mark_ue_dirty(rnti)
-            elif entry[2] is not static:
-                cache[rnti] = (sinr_x10, neighbor, static)
+                rows[rnti] = (None, sinr_x10, neighbor_cqi, record, seq)
+        if len(rows) > len(ues):
+            # Every attached UE has a row by now, so the surplus is
+            # departed RNTIs.
+            live = {rnti for rnti, _ in ues}
+            for rnti in [r for r in rows if r not in live]:
+                del rows[rnti]
+        return out
 
-    def get_ue_stats(self, tti: int,
-                     rntis: Optional[List[int]] = None) -> List[UeStatsReport]:
+    def get_ue_stats(self, tti: int) -> List[UeStatsReport]:
         """Per-UE statistics snapshot (the StatsReply payload).
 
-        One report per UE, attributed to its primary cell (a UE with
-        active secondary carriers still reports once).  With *rntis*
-        the snapshot covers only those UEs (a delta reply's payload);
-        by default it covers every attached UE.
+        One report per attached UE, attributed to its primary cell (a
+        UE with active secondary carriers still reports once).  Reads
+        and changes no reporting state.
         """
-        reports = []
-        probe_cache = self._channel_probe
-        for rnti in (self._enb.rntis() if rntis is None else rntis):
-            cell = self._enb.primary_cell(rnti)
-            cell_id = cell.cell_id
-            rlc = self._enb.rlc[rnti]
-            pdcp = self._enb.pdcp[rnti]
-            ue = cell.ues[rnti]
-            wb = cell.known_cqi.get(rnti, 0)
-            harq = self._enb.harq[cell_id].entity(rnti)
-            pdcp_tx = sum(s.tx_bytes for s in pdcp.stats.values())
-            pdcp_rx = sum(s.rx_bytes for s in pdcp.stats.values())
-            # The channel probe caches the fixed-point SINR for UEs on
-            # a time-invariant channel; reuse it instead of re-deriving.
-            probed = probe_cache.get(rnti)
-            if probed is not None and probed[2] is ue.channel:
-                sinr_x10 = probed[0]
-            else:
-                sinr_x10 = int(round(ue.measured_sinr_db(tti) * 10))
-            # Neighbor-cell measurements exist only when the
-            # deployment attached neighbor channels to the UE.
-            neighbor_channels = getattr(ue, "neighbor_channels", {})
-            neighbor = {cid: ch.cqi(tti)
-                        for cid, ch in neighbor_channels.items()}
-            reports.append(UeStatsReport(
-                rnti=rnti,
-                queues=rlc.queues.sizes(),
-                wb_cqi=wb,
-                wb_cqi_clear=cell.known_cqi_clear.get(rnti, 0),
-                subband_cqi=[wb] * SUBBANDS,
-                subband_sinr_db_x10=[sinr_x10] * SUBBANDS,
-                harq_states=[
-                    (2 if p.needs_retx else 1) if p.busy else 0
-                    for p in harq.processes],
-                ul_buffer_bytes=ue.ul_backlog_bytes,
-                power_headroom_db=20,
-                rlc_bytes_in=rlc.stats.bytes_in,
-                rlc_bytes_out=rlc.stats.bytes_out,
-                pdcp_tx_bytes=pdcp_tx,
-                pdcp_rx_bytes=pdcp_rx,
-                rx_bytes_total=ue.rx_bytes_total,
-                rrc_state=_RRC_STATE_INDEX[
-                    self._enb.rrc.context(rnti).state],
-                neighbor_cqi=neighbor,
-            ))
-        return reports
+        return [self._build_record(rnti, ue, *_observe_channel(ue, tti))
+                for rnti, ue in self._enb.attached_ues()]
+
+    def _build_record(self, rnti: int, ue: Ue, sinr_x10: int,
+                      neighbor_cqi: Dict[int, int]) -> UeStatsReport:
+        """The one place a :class:`UeStatsReport` is assembled.
+
+        Fills ``__dict__`` directly, as the generated ``decode`` does:
+        the dataclass ``__init__`` costs more than the walks below.
+        """
+        enb = self._enb
+        cell = enb.primary_cell(rnti)
+        rlc = enb.rlc[rnti]
+        pdcp_tx = pdcp_rx = 0
+        for bearer in enb.pdcp[rnti].stats.values():
+            pdcp_tx += bearer.tx_bytes
+            pdcp_rx += bearer.rx_bytes
+        wb = cell.known_cqi.get(rnti, 0)
+        record = _new(UeStatsReport)
+        record.__dict__ = {
+            "rnti": rnti,
+            "queues": rlc.queues.sizes(),
+            "wb_cqi": wb,
+            "wb_cqi_clear": cell.known_cqi_clear.get(rnti, 0),
+            "subband_cqi": [wb] * SUBBANDS,
+            "subband_sinr_db_x10": [sinr_x10] * SUBBANDS,
+            "harq_states": [
+                (2 if p.needs_retx else 1) if p.busy else 0
+                for p in enb.harq[cell.cell_id].entity(rnti).processes],
+            "ul_buffer_bytes": ue.ul_backlog_bytes,
+            "power_headroom_db": 20,
+            "rlc_bytes_in": rlc.stats.bytes_in,
+            "rlc_bytes_out": rlc.stats.bytes_out,
+            "pdcp_tx_bytes": pdcp_tx,
+            "pdcp_rx_bytes": pdcp_rx,
+            "rx_bytes_total": ue.rx_bytes_total,
+            "rrc_state": _RRC_STATE_INDEX[enb.rrc.context(rnti).state],
+            "neighbor_cqi": neighbor_cqi,
+        }
+        return record
 
     def get_cell_stats(self, tti: int) -> List[CellStatsReport]:
         out = []

@@ -56,7 +56,8 @@ class ReportsManager:
     full snapshot, each reply carries only the UEs whose reportable
     state changed since the previous reply (tracked through the
     eNodeB's change-sequence machinery, with channel-driven changes
-    folded in by :meth:`AgentDataPlaneApi.probe_channel_changes`).
+    folded in by :meth:`AgentDataPlaneApi.collect_ue_stats`, the one
+    pass over the UEs a report TTI makes).
     Cell reports are always complete, every reply self-identifies via
     ``StatsReply.full``, and a full snapshot is re-sent every
     :data:`FULL_REFRESH_REPLIES` replies and after a reconnect
@@ -72,10 +73,7 @@ class ReportsManager:
         # Minimal duck-typed APIs (e.g. the Wi-Fi AP facade) expose
         # only the snapshot calls; without the change-sequence surface
         # every reply degrades to a full snapshot.
-        self._delta_capable = (
-            hasattr(api, "probe_channel_changes")
-            and hasattr(api, "ue_change_seqs")
-            and hasattr(api, "change_seq"))
+        self._delta_capable = hasattr(api, "collect_ue_stats")
 
     def force_full(self) -> None:
         """Make every subscription's next reply a full snapshot."""
@@ -108,47 +106,47 @@ class ReportsManager:
                if self._is_due(sub, now)]
         if not due:
             return replies
-        # One channel probe per report TTI folds channel-driven field
-        # changes into the change sequence before any delta decision.
-        if self._delta_capable:
-            self._api.probe_channel_changes(now)
-            seq_now: Optional[int] = self._api.change_seq
-        else:
-            seq_now = None
-        ue_seqs: Optional[Dict[int, int]] = None
+        # One pass over the UEs per report TTI: it folds channel-driven
+        # field changes into the change sequence and returns the record
+        # of every UE changed since the oldest watermark among the due
+        # subscriptions; each of them then takes its own share.
+        seq_now: Optional[int] = None
         full_ues: Optional[List[UeStatsReport]] = None
+        if self._delta_capable:
+            marks = [self._watermark(sub) for sub in due]
+            since = min(marks)
+            rows = self._api.collect_ue_stats(now, since)
+            seq_now = self._api.change_seq
+        else:
+            marks = [-1] * len(due)
+            full_ues = self._api.get_ue_stats(now)
         base_cells: Optional[List[CellStatsReport]] = None
-        for sub in due:
-            if (seq_now is not None
-                    and sub.report_type == ReportType.TRIGGERED
-                    and sub.last_digest is not None
-                    and sub.last_seq == seq_now):
+        for sub, mark in zip(due, marks):
+            triggered = sub.report_type == ReportType.TRIGGERED
+            if triggered and mark == seq_now:
                 # Every digest input is covered by the change sequence,
                 # so an unchanged sequence means an unchanged digest:
-                # skip without rebuilding and hashing the snapshot.
+                # skip (the pass built no record for this watermark).
                 continue
             if base_cells is None:
                 base_cells = self._api.get_cell_stats(now)
-            delta = (seq_now is not None
-                     and sub.report_type == ReportType.PERIODIC
-                     and sub.last_seq >= 0
-                     and (sub.replies % FULL_REFRESH_REPLIES
-                          != self._agent_id % FULL_REFRESH_REPLIES))
+            delta = mark >= 0 and not triggered
             if delta:
-                if ue_seqs is None:
-                    ue_seqs = self._api.ue_change_seqs()
-                changed = sorted(rnti for rnti, seq in ue_seqs.items()
-                                 if seq > sub.last_seq)
-                base_ues = self._api.get_ue_stats(now, rntis=changed)
+                base_ues = [rec for seq, rec in rows if seq > mark]
             else:
                 if full_ues is None:
-                    full_ues = self._api.get_ue_stats(now)
+                    if since >= 0:
+                        # A TRIGGERED subscription's sequence did move:
+                        # it needs the whole snapshot after all.
+                        since = -1
+                        rows = self._api.collect_ue_stats(now, since)
+                    full_ues = [rec for _, rec in rows]
                 base_ues = full_ues
             ue_reports, cell_reports = self._filter(
                 (base_ues, base_cells), sub.flags)
             if seq_now is not None:
                 sub.last_seq = seq_now
-            if sub.report_type == ReportType.TRIGGERED:
+            if triggered:
                 digest = self._digest(ue_reports)
                 if digest == sub.last_digest:
                     continue
@@ -167,6 +165,24 @@ class ReportsManager:
         self.reports_sent += len(replies)
         return replies
 
+    def _watermark(self, sub: Subscription) -> int:
+        """The change sequence above which *sub* needs UE records.
+
+        Its own watermark when the reply can be a delta (PERIODIC, not
+        its turn for the staggered refresh) or may be skipped outright
+        (TRIGGERED with a digest to compare against); -1 when it needs
+        every UE.
+        """
+        if sub.report_type == ReportType.PERIODIC:
+            if (sub.replies % FULL_REFRESH_REPLIES
+                    == self._agent_id % FULL_REFRESH_REPLIES):
+                return -1
+            return sub.last_seq
+        if (sub.report_type == ReportType.TRIGGERED
+                and sub.last_digest is not None):
+            return sub.last_seq
+        return -1
+
     def _is_due(self, sub: Subscription, now: int) -> bool:
         if sub.report_type == ReportType.ONE_OFF:
             return not sub.served
@@ -183,10 +199,10 @@ class ReportsManager:
         ue_full, cell_full = snapshot
         if flags & StatsFlags.FULL == StatsFlags.FULL:
             # Fast path for the dominant subscription shape: with every
-            # group subscribed nothing gets trimmed, and the snapshot
-            # is already a fresh per-call structure, so per-report
-            # copies buy no isolation the caller doesn't have.
-            return list(ue_full), list(cell_full)
+            # group subscribed nothing gets trimmed.  Published records
+            # and lists are replaced, never mutated, so replies may
+            # share them.
+            return ue_full, cell_full
         cells = list(cell_full) if flags & StatsFlags.CELL else []
         ues: List[UeStatsReport] = []
         for rep in ue_full:
@@ -215,10 +231,18 @@ class ReportsManager:
 
     @staticmethod
     def _digest(reports: List[UeStatsReport]) -> int:
-        """Change-detection digest over the reportable content."""
-        keys = []
-        for rep in reports:
-            keys.append((rep.rnti, tuple(sorted(rep.queues.items())),
-                         rep.wb_cqi, rep.ul_buffer_bytes,
-                         tuple(rep.harq_states), rep.rx_bytes_total))
-        return hash(tuple(keys))
+        """Change-detection digest over every wire field of *reports*."""
+        return hash(tuple(
+            _hashable(getattr(rep, name))
+            for rep in reports for name in _UE_FIELD_NAMES))
+
+
+_UE_FIELD_NAMES = tuple(name for name, _ in UeStatsReport.FIELDS)
+
+
+def _hashable(value):
+    if isinstance(value, dict):
+        return tuple(sorted(value.items()))
+    if isinstance(value, list):
+        return tuple(value)
+    return value

@@ -26,7 +26,8 @@ import enum
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -162,10 +163,14 @@ class EnodeB:
         self._view_cache: Dict[int, UeViewCache] = {
             c: UeViewCache(cell, self) for c, cell in self.cells.items()}
         # Per-UE change sequence: bumped whenever scheduler- or
-        # report-visible UE state changes.  Feeds both the view caches'
-        # dirty sets and the agent's delta stats reporting.
+        # report-visible UE state changes.  Feeds the agent's delta
+        # stats reporting; scheduler-visible changes also dirty the
+        # view caches (see mark_ue_dirty / mark_ue_report_dirty).
         self._change_seq = 0
         self._ue_seq: Dict[int, int] = {}
+        #: Read-only ``rnti -> change_seq value of its last change``.
+        self.change_seq_of: Mapping[int, int] = MappingProxyType(
+            self._ue_seq)
         for cell in self.cells.values():
             cell.cqi_listener = self.mark_ue_dirty
 
@@ -241,6 +246,12 @@ class EnodeB:
     def rntis(self) -> List[int]:
         return sorted(self._ue_cell)
 
+    def attached_ues(self) -> List[Tuple[int, Ue]]:
+        """Every attached ``(rnti, ue)`` pair, in RNTI order."""
+        cells = self.cells
+        return [(rnti, cells[cell_id].ues[rnti])
+                for rnti, cell_id in sorted(self._ue_cell.items())]
+
     def has_ue(self, rnti: int) -> bool:
         """O(1) attachment test (use instead of ``rnti in rntis()``)."""
         return rnti in self._ue_cell
@@ -315,6 +326,8 @@ class EnodeB:
         active SCell's -- view cache so the next :meth:`build_context`
         refreshes exactly this UE.
         """
+        # The bump is mark_ue_report_dirty's, inlined: this is the
+        # data plane's hottest call.
         self._change_seq += 1
         self._ue_seq[rnti] = self._change_seq
         cell_id = self._ue_cell.get(rnti)
@@ -323,14 +336,21 @@ class EnodeB:
             for scell_id in self._scells.get(rnti, ()):
                 self._view_cache[scell_id].mark_dirty(rnti)
 
+    def mark_ue_report_dirty(self, rnti: int) -> int:
+        """Record a change only stats reports can see; return its sequence.
+
+        The reported SINR and neighbor-cell CQIs move with the channel
+        alone and no :class:`UeView` field reads them, so this bumps
+        the change sequence without dirtying any view cache.
+        """
+        self._change_seq += 1
+        self._ue_seq[rnti] = self._change_seq
+        return self._change_seq
+
     @property
     def change_seq(self) -> int:
         """Monotone counter of UE-state changes (0 = nothing ever)."""
         return self._change_seq
-
-    def ue_change_seq(self, rnti: int) -> int:
-        """The change-sequence value of *rnti*'s last state change."""
-        return self._ue_seq.get(rnti, 0)
 
     # -- events ---------------------------------------------------------
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import abc
 import math
+from array import array
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -31,12 +32,17 @@ from repro.lte.phy.cqi import cqi_to_sinr_floor, sinr_to_cqi, validate_cqi
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 UE_NOISE_FIGURE_DB = 7.0
 
+_NOISE_BLOCK = 16
+"""Draws :class:`GaussMarkovSinr` takes from its generator at a time:
+packed doubles, small enough that 800 channels' blocks do not show in
+the resident set."""
+
 
 class ChannelModel(abc.ABC):
     """Downlink channel between one cell and one UE."""
 
     #: True when :meth:`sinr_db`/:meth:`cqi` never vary with the TTI.
-    #: Consumers (e.g. the agent's channel-change probe) may then cache
+    #: Consumers (e.g. the agent's stats pass) may then cache
     #: one observation for the lifetime of the channel *object*; a
     #: swapped-in channel instance must be re-observed.
     time_invariant = False
@@ -166,12 +172,31 @@ class GaussMarkovSinr(ChannelModel):
         self._rng = np.random.default_rng(seed)
         self._last_tti = -1
         self._value = float(mean_sinr_db)
+        # Standard-normal draws, taken from the generator a block at a
+        # time (the stream is the scalar draws', element for element)
+        # and scaled at use; ``_noise_next`` indexes the first unused.
+        self._noise = array("d")
+        self._noise_next = _NOISE_BLOCK
 
     def sinr_db(self, tti: int, *, interference_active: bool = True) -> float:
-        while self._last_tti < tti:
-            noise = self._rng.normal(0.0, self.sigma_db * math.sqrt(self.reversion))
-            self._value += self.reversion * (self.mean_sinr_db - self._value) + noise
-            self._last_tti += 1
+        steps = tti - self._last_tti
+        if steps > 0:
+            scale = self.sigma_db * math.sqrt(self.reversion)
+            reversion = self.reversion
+            mean = self.mean_sinr_db
+            value = self._value
+            noise = self._noise
+            i = self._noise_next
+            for _ in range(steps):
+                if i == _NOISE_BLOCK:
+                    noise = self._noise = array(
+                        "d", self._rng.standard_normal(_NOISE_BLOCK))
+                    i = 0
+                value += reversion * (mean - value) + noise[i] * scale
+                i += 1
+            self._value = value
+            self._noise_next = i
+            self._last_tti = tti
         return self._value
 
 

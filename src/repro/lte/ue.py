@@ -70,6 +70,10 @@ class Ue:
         #: channel on that carrier.  The primary carrier falls back to
         #: :attr:`channel`.
         self.carrier_channels: Dict[int, ChannelModel] = {}
+        #: Channels toward neighbor cells (cell id -> channel), the
+        #: source of the reported neighbor-cell CQIs; a handover swaps
+        #: the target's entry with :attr:`channel`.
+        self.neighbor_channels: Dict[int, ChannelModel] = {}
 
         self.meter = RateMeter(meter_window_ttis)
         self.ul_meter = RateMeter(meter_window_ttis)

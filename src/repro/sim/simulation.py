@@ -203,8 +203,8 @@ class Simulation:
         ue = src_enb.detach_ue(rnti)
         # After the move, the target cell's channel applies: swap in the
         # neighbor channel if the deployment attached one.
-        neighbor_channels = getattr(ue, "neighbor_channels", None)
-        if neighbor_channels and target_cell in neighbor_channels:
+        neighbor_channels = ue.neighbor_channels
+        if target_cell in neighbor_channels:
             old_channel = ue.channel
             ue.channel = neighbor_channels.pop(target_cell)
             neighbor_channels[source_cell] = old_channel

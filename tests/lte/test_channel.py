@@ -1,5 +1,8 @@
 """Tests for the radio channel models."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -92,6 +95,28 @@ class TestGaussMarkov:
     def test_zero_sigma_converges_to_mean(self):
         ch = GaussMarkovSinr(10.0, sigma_db=0.0, reversion=0.5, seed=0)
         assert ch.sinr_db(200) == pytest.approx(10.0, abs=1e-6)
+
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    def test_block_drawn_noise_is_the_scalar_stream(self, seed):
+        # The channel draws its noise in blocks; the walk must be, value
+        # for value, the one a scalar draw per TTI produces -- across
+        # skipped TTIs, repeated queries and a change of sigma_db.
+        ch = GaussMarkovSinr(12.0, sigma_db=3.0, reversion=0.05, seed=seed)
+        rng = np.random.default_rng(seed)
+        mean, sigma, reversion = 12.0, 3.0, 0.05
+        value, last = mean, -1
+        gaps = np.random.default_rng(99).integers(0, 7, size=1000)
+        tti = 0
+        for k, gap in enumerate(gaps):
+            tti += int(gap)
+            if k == 500:
+                ch.sigma_db = sigma = 1.25
+            while last < tti:
+                value += reversion * (mean - value) + rng.normal(
+                    0.0, sigma * math.sqrt(reversion))
+                last += 1
+            got = ch.sinr_db(tti)
+            assert got == value and type(got) is float, (k, tti)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
