@@ -14,7 +14,7 @@ from conftest import print_table, run_once
 
 from repro.cluster import ClusterConfig, ClusterRuntime, run_cluster
 from repro.obs import percentile
-from repro.sim.chaos import ClusterChaosHarness, WorkerKillAt
+from repro.sim.chaos import WorkerKillAt, cluster_chaos
 
 CLUSTER_ENBS = 8
 CLUSTER_UES_PER_ENB = 25
@@ -56,11 +56,10 @@ def run_respawn_case():
         workers=2, n_enbs=CLUSTER_ENBS, ues_per_enb=CLUSTER_UES_PER_ENB,
         total_ttis=CLUSTER_TTIS, window=32, respawn_backoff_s=0.01)
     with ClusterRuntime(config).start() as runtime:
-        harness = ClusterChaosHarness(
-            [WorkerKillAt(CLUSTER_TTIS // 3, 1)], max_respawns=1)
-        runtime.attach_chaos(harness)
+        harness = cluster_chaos(
+            runtime, [WorkerKillAt(CLUSTER_TTIS // 3, 1)], max_respawns=1)
         report = runtime.run()
-        chaos = harness.check(runtime, report)
+        chaos = harness.report()
     return report, chaos
 
 

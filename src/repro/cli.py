@@ -129,8 +129,7 @@ def _demo_dash() -> None:
 
 
 def _demo_wifi() -> None:
-    from repro.core.policy import build_policy
-    from repro.core.protocol.messages import PolicyReconfiguration
+    from repro.core.controller import MasterController
     from repro.net.transport import ControlConnection
     from repro.wifi.agent import WifiAgent
     from repro.wifi.ap import Station, WifiAp
@@ -141,6 +140,8 @@ def _demo_wifi() -> None:
     for s in (fast, slow):
         ap.associate(s)
     conn = ControlConnection()
+    master = MasterController(realtime=False)
+    master.connect_agent(1, conn.master_side)
     agent = WifiAgent(1, ap, endpoint=conn.agent_side)
 
     def run(slots, offset):
@@ -148,6 +149,7 @@ def _demo_wifi() -> None:
             for s in (fast, slow):
                 ap.enqueue(s.aid, 6000, t)
             agent.tick_tx(t)
+            master.tick(t)
             agent.tick_rx(t)
             ap.tick(t)
 
@@ -155,8 +157,8 @@ def _demo_wifi() -> None:
     print("Wi-Fi AP under the same FlexRAN machinery (Sec 7.2):")
     print(f"  fair airtime: fast {fast.meter.total_bytes * 8 / 2e6:.1f}, "
           f"slow {slow.meter.total_bytes * 8 / 2e6:.1f} Mb/s")
-    conn.master_side.send(PolicyReconfiguration(text=build_policy(
-        "wifi_mac", "station_scheduling", behavior="max_rate")), now=2000)
+    master.northbound.reconfigure_vsf(
+        1, "wifi_mac", "station_scheduling", behavior="max_rate")
     f0, s0 = fast.meter.total_bytes, slow.meter.total_bytes
     run(2000, 2000)
     print(f"  max-rate VSF (swapped by policy message): "
@@ -305,7 +307,7 @@ def _cmd_chaos(args) -> int:
         restart_at=args.restart_at or None)
     sc.sim.run(args.ttis)
     report = sc.harness.report()
-    print(f"chaos run: {report.ttis} TTIs, {report.checks} invariant "
+    print(f"chaos run: {args.ttis} TTIs, {report.checks} invariant "
           f"checks, {len(report.fired)} fault actions fired")
     for tti, desc in report.fired:
         print(f"  tti {tti:>5}: {desc}")
@@ -477,9 +479,9 @@ def _cmd_cluster_chaos(args) -> int:
     from repro.cluster import ClusterRuntime
     from repro.obs.export import environment_stamp
     from repro.sim.chaos import (
-        ClusterChaosHarness,
         WorkerKillAt,
         WorkerStallWindow,
+        cluster_chaos,
     )
 
     if args.workers < 2:
@@ -494,16 +496,15 @@ def _cmd_cluster_chaos(args) -> int:
         WorkerStallWindow(stall_at, 0,
                           stall_s=config.stall_timeout_s * 3),
     ]
-    harness = ClusterChaosHarness(actions)
     ob = obs.enable(trace=False)
     try:
         with ClusterRuntime(config).start() as runtime:
-            runtime.attach_chaos(harness)
+            harness = cluster_chaos(runtime, actions)
             report = runtime.run()
-            chaos = harness.check(runtime, report)
+            chaos = harness.report()
         metrics = {name: values for name, values
                    in sorted(ob.registry.snapshot().items())
-                   if name.startswith("cluster.")}
+                   if name.startswith(("cluster.", "survive.chaos."))}
     finally:
         obs.disable()
 

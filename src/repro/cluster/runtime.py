@@ -159,11 +159,9 @@ class ClusterRuntime:
         self._handles: Dict[int, _ShardHandle] = {}
         self._pending_lock = threading.Lock()
         self._pending_agents: List[Tuple[int, TcpEndpoint]] = []
-        self._subscribed: set = set()
         self._fleet_samples_us: List[float] = []
         self._low_water_mark = 0
         self._low_water_stamp: Optional[float] = None
-        self._scheduled_respawns: List[Tuple[int, int]] = []
         self.supervisor = ShardSupervisor(self, ShardSupervisionPolicy(
             stall_timeout_s=config.stall_timeout_s,
             respawn_budget=config.respawn_budget,
@@ -173,9 +171,10 @@ class ClusterRuntime:
         self._chaos = None
 
     def attach_chaos(self, harness) -> None:
-        """Ride a :class:`~repro.sim.chaos.ClusterChaosHarness` on the
-        pump: its due actions fire once per pump iteration, keyed on
-        the fleet low-water mark (same basis as scheduled respawns)."""
+        """Ride a :class:`~repro.sim.chaos.ChaosHarness` on the pump:
+        it is stepped once per pump iteration with the fleet low-water
+        mark, on the pump thread, so its actions are safe against the
+        master's single-writer discipline."""
         self._chaos = harness
 
     # -- transport-side callbacks (hub loop thread) ------------------------
@@ -256,9 +255,8 @@ class ClusterRuntime:
             worked = self._adopt_pending()
             worked |= self._poll_workers()
             worked |= self.supervisor.poll()
-            self._fire_scheduled_respawns()
             if self._chaos is not None:
-                self._chaos.on_pump(self)
+                self._chaos.step(self.credits.low_water())
             for shard_id, grant in self.credits.grants():
                 self._send_grant(shard_id, grant)
             target = self.credits.low_water()
@@ -359,7 +357,6 @@ class ClusterRuntime:
             self.master.northbound.request_stats(
                 agent_id, report_type=ReportType.PERIODIC,
                 period_ttis=self.config.stats_period_ttis)
-            self._subscribed.add(agent_id)
         return bool(pending)
 
     def _poll_workers(self) -> bool:
@@ -416,23 +413,6 @@ class ClusterRuntime:
             self._fleet_samples_us.append(delta_s * 1e6 / delta_ttis)
         self._low_water_mark = low
         self._low_water_stamp = now
-
-    def schedule_respawn(self, at_low_water_tti: int,
-                         shard_id: int) -> None:
-        """Chaos hook: respawn *shard_id* once the fleet low-water mark
-        reaches *at_low_water_tti*.  Fires on the pump thread, so it is
-        safe against the master's single-writer discipline."""
-        self._scheduled_respawns.append((at_low_water_tti, shard_id))
-
-    def _fire_scheduled_respawns(self) -> None:
-        if not self._scheduled_respawns:
-            return
-        low = self.credits.low_water()
-        due = [(t, s) for t, s in self._scheduled_respawns if low >= t]
-        self._scheduled_respawns = [
-            (t, s) for t, s in self._scheduled_respawns if low < t]
-        for _, shard_id in due:
-            self.respawn_shard(shard_id)
 
     # -- shard handoff -----------------------------------------------------
 

@@ -96,18 +96,23 @@ def worker_main(spec: WorkerSpec, pipe) -> None:
         granted = 0
         done = 0
         stop = False
+
+        def take(message) -> None:
+            """Apply one scheduler tuple from the master."""
+            nonlocal granted, stop
+            if message[0] == "grant":
+                granted = max(granted, int(message[1]))
+            elif message[0] == "stall":
+                # Chaos hook: go silent (no progress reports) for
+                # the scripted window -- exercises the master-side
+                # stall watchdog against a live-but-wedged worker.
+                time.sleep(float(message[1]))
+            elif message[0] == "stop":
+                stop = True
+
         while done < spec.total_ttis and not stop:
             while granted <= done and not stop:
-                message = pipe.recv()  # blocks: out of credit
-                if message[0] == "grant":
-                    granted = max(granted, int(message[1]))
-                elif message[0] == "stall":
-                    # Chaos hook: go silent (no progress reports) for
-                    # the scripted window -- exercises the master-side
-                    # stall watchdog against a live-but-wedged worker.
-                    time.sleep(float(message[1]))
-                elif message[0] == "stop":
-                    stop = True
+                take(pipe.recv())  # blocks: out of credit
             if stop:
                 break
             step = min(granted, spec.total_ttis) - done
@@ -117,22 +122,14 @@ def worker_main(spec: WorkerSpec, pipe) -> None:
             elapsed = time.perf_counter() - started
             done += step
             while pipe.poll():  # drain grants that arrived meanwhile
-                message = pipe.recv()
-                if message[0] == "grant":
-                    granted = max(granted, int(message[1]))
-                elif message[0] == "stall":
-                    time.sleep(float(message[1]))
-                elif message[0] == "stop":
-                    stop = True
+                take(pipe.recv())
             pipe.send(("progress", done, elapsed))
         if not stop:
             pipe.send(("done", done))
             # Keep the TCP connections open until the master has
             # drained everything in flight and says stop.
-            while True:
-                message = pipe.recv()
-                if message[0] == "stop":
-                    break
+            while not stop:
+                take(pipe.recv())
     except EOFError:
         pass  # master went away; nothing left to coordinate with
     except Exception as exc:  # noqa: BLE001 - report, then exit nonzero

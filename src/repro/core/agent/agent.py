@@ -1,4 +1,4 @@
-"""The FlexRAN Agent: local controller attached to one eNodeB.
+"""The FlexRAN Agent: local controller attached to one base station.
 
 Mirrors the architecture of the paper's Fig. 2: control modules with
 their VSFs, the Reports & Events Manager, the message handler and
@@ -7,6 +7,17 @@ The agent can operate standalone (local control via its built-in VSFs,
 no master connected) or under a master with any mix of delegated and
 centralized control -- the "flexible placement of RAN control
 functions" the paper emphasizes.
+
+The loop is radio-agnostic (Section 7.2): an agent is *bound*
+(:meth:`FlexRanAgent._attach`) to a data-plane API object and a list of
+control modules.  It owns the channel, liveness and fallback, the
+dispatcher, the event queue and the handlers of the messages every
+technology shares; the rest of its handler table is what each module
+declares it consumes (:meth:`ControlModule.message_handlers`).
+:class:`FlexRanAgent` binds an eNodeB's API and modules;
+:class:`repro.wifi.agent.WifiAgent` overrides the binding with an
+access point's and adds nothing else (DESIGN.md, "One agent core,
+technology bindings").
 """
 
 from __future__ import annotations
@@ -29,51 +40,34 @@ from repro.core.agent.reports import ReportsManager
 from repro.core.delegation import VsfFactoryRegistry, load_vsf
 from repro.core.policy import PolicyDocument
 from repro.core.protocol.messages import (
-    AbsPatternConfig,
-    BearerQosConfig,
-    CaCommand,
     ConfigReply,
     ConfigRequest,
-    DlMacCommand,
-    DrxCommand,
     EchoReply,
     EchoRequest,
     EventNotification,
     EventType,
     FlexRanMessage,
-    HandoverCommand,
     Header,
     Hello,
     PolicyReconfiguration,
-    PrbCapConfig,
     StatsRequest,
     SubframeTrigger,
     SyncConfig,
-    UlMacCommand,
     VsfUpdate,
 )
 from repro.lte.constants import SUBFRAMES_PER_FRAME
-from repro.lte.enodeb import EnbEvent, EnbEventType, EnodeB
-from repro.lte.mac.dci import DlAssignment, UlGrant
+from repro.lte.enodeb import EnodeB
 
 logger = logging.getLogger(__name__)
 
 EVENT_QUEUE_LIMIT = 256
 """Events retained while the master is unreachable (oldest dropped)."""
 
-_ENB_EVENT_MAP = {
-    EnbEventType.UE_ATTACHED: EventType.UE_ATTACH,
-    EnbEventType.ATTACH_FAILED: EventType.ATTACH_FAILED,
-    EnbEventType.RANDOM_ACCESS: EventType.RANDOM_ACCESS,
-    EnbEventType.SCHEDULING_REQUEST: EventType.SCHEDULING_REQUEST,
-    EnbEventType.HANDOVER_COMPLETE: EventType.HANDOVER_COMPLETE,
-}
-
 
 class FlexRanAgent:
-    """Agent instance: one per eNodeB (Section 3)."""
+    """Agent instance: one per base station (Section 3)."""
 
-    def __init__(self, agent_id: int, enb: EnodeB, *,
+    def __init__(self, agent_id: int, enb, *,
                  endpoint=None,
                  sync_enabled: bool = False,
                  vsf_registry: Optional[VsfFactoryRegistry] = None,
@@ -81,22 +75,16 @@ class FlexRanAgent:
                  connection_config: Optional[ConnectionConfig] = None
                  ) -> None:
         self.agent_id = agent_id
-        self.enb = enb
-        self.api = AgentDataPlaneApi(enb)
         self.endpoint = endpoint
         self.sync_enabled = sync_enabled
         self.vsf_registry = vsf_registry or VsfFactoryRegistry()
-        self.capabilities = capabilities or ["mac", "rrc", "pdcp"]
-
-        self.mac = MacControlModule(self.api)
-        self.rrc = RrcControlModule(self.api)
-        self.pdcp = PdcpControlModule(self.api)
-        self.modules: Dict[str, ControlModule] = {
-            m.name: m for m in (self.mac, self.rrc, self.pdcp)}
+        self._attach(enb)
+        #: Announced in ``Hello``: by default the control module names.
+        self.capabilities = capabilities or list(self.modules)
 
         self.reports = ReportsManager(agent_id, self.api)
         self._event_queue: List[EventNotification] = []
-        self.api.subscribe_events(self._on_enb_event)
+        self.api.subscribe_events(self._queue_event)
         # Sandbox faults (quarantined pushed code) are reported to the
         # master as events so the operator "could quickly identify VSFs
         # that present an unexpected behavior" (Section 4.3.1).
@@ -122,27 +110,37 @@ class FlexRanAgent:
             self.connection = ConnectionSupervisor(
                 connection_config,
                 send_keepalive=self._send_keepalive,
-                send_reconnect_probe=self._send_reconnect_probe,
+                send_reconnect_probe=self._send_hello,
                 on_disconnect=self._enter_local_control,
                 on_reconnect=self._on_reconnected)
 
+        # The messages every technology shares, then what each control
+        # module declares it consumes.
         self._handlers: Dict[type, Callable[[FlexRanMessage, int], None]] = {
             EchoRequest: self._handle_echo,
             EchoReply: self._handle_echo_reply,
             ConfigRequest: self._handle_config_request,
-            AbsPatternConfig: self._handle_abs_pattern,
-            BearerQosConfig: self._handle_bearer_qos,
             SyncConfig: self._handle_sync_config,
-            PrbCapConfig: self._handle_prb_cap,
-            StatsRequest: self._handle_stats_request,
-            DlMacCommand: self._handle_dl_command,
-            UlMacCommand: self._handle_ul_command,
-            DrxCommand: self._handle_drx,
-            CaCommand: self._handle_ca,
-            HandoverCommand: self._handle_handover,
+            StatsRequest: self.reports.register,
             VsfUpdate: self._handle_vsf_update,
             PolicyReconfiguration: self._handle_policy,
         }
+        for module in self.modules.values():
+            self._handlers.update(module.message_handlers())
+
+    def _attach(self, enb: EnodeB) -> None:
+        """The technology binding, here an eNodeB's: set ``self.api``
+        (the southbound facade; the core uses ``enb_id``, ``cell_ids``,
+        ``get_cell_configs``, ``get_ue_configs``, ``collect_ue_stats``
+        + ``change_seq``, ``get_cell_stats`` and ``subscribe_events``
+        of it) and ``self.modules`` (its control modules by name)."""
+        self.enb = enb
+        self.api = AgentDataPlaneApi(enb)
+        self.mac = MacControlModule(self.api)
+        self.rrc = RrcControlModule(self.api)
+        self.pdcp = PdcpControlModule(self.api)
+        self.modules: Dict[str, ControlModule] = {
+            m.name: m for m in (self.mac, self.rrc, self.pdcp)}
 
     # -- outbound ---------------------------------------------------------
 
@@ -171,9 +169,10 @@ class FlexRanAgent:
     def _send_keepalive(self, now: int) -> None:
         self._send(EchoRequest(header=Header(xid=self._next_xid())), now)
 
-    def _send_reconnect_probe(self, now: int) -> None:
-        # Probing with Hello doubles as re-announcement: the master's
-        # Hello handling triggers a full config resync on reattach.
+    def _send_hello(self, now: int) -> None:
+        # Also the reconnect probe: probing with Hello doubles as
+        # re-announcement, the master's Hello handling triggers a full
+        # config resync on reattach.
         self._send(Hello(header=Header(xid=self._next_xid()),
                          capabilities=list(self.capabilities),
                          n_cells=len(self.api.cell_ids)), now)
@@ -200,9 +199,7 @@ class FlexRanAgent:
                 self._event_queue = self._event_queue[-EVENT_QUEUE_LIMIT:]
             return
         if self.endpoint is not None and self._hello_due(now):
-            self._send(Hello(header=Header(xid=self._next_xid()),
-                             capabilities=list(self.capabilities),
-                             n_cells=len(self.api.cell_ids)), now)
+            self._send_hello(now)
             self._hello_sent = True
             self._last_hello_tti = now
         if self.sync_enabled:
@@ -341,58 +338,18 @@ class FlexRanAgent:
             reply.cells = []
         self._send(reply, now)
 
-    def _handle_abs_pattern(self, message: AbsPatternConfig,
-                            now: int) -> None:
-        self.api.set_abs_pattern(message.cell_id, list(message.subframes))
-
-    def _handle_bearer_qos(self, message: BearerQosConfig, now: int) -> None:
-        from repro.lte.mac.qos import QosProfile
-        gbr = message.gbr_kbps / 1000.0 if message.gbr_kbps else None
-        profile = QosProfile(qci=message.qci, gbr_mbps=gbr)
-        self.api.configure_bearer(message.rnti, message.lcid, profile)
-
     def _handle_sync_config(self, message: SyncConfig, now: int) -> None:
         self.sync_enabled = message.enabled
 
-    def _handle_prb_cap(self, message: PrbCapConfig, now: int) -> None:
-        cap = message.n_prb if message.capped else None
-        self.api.set_prb_cap(message.cell_id, cap)
-
-    def _handle_stats_request(self, message: StatsRequest, now: int) -> None:
-        self.reports.register(message, now)
-
-    def _handle_dl_command(self, message: DlMacCommand, now: int) -> None:
-        assignments = [
-            DlAssignment(rnti=d.rnti, n_prb=d.n_prb, cqi_used=d.cqi_used)
-            for d in message.assignments]
-        self.mac.apply_remote_decision(
-            message.cell_id, message.target_tti, assignments, now)
-
-    def _handle_ul_command(self, message: UlMacCommand, now: int) -> None:
-        grants = [UlGrant(rnti=g.rnti, n_prb=g.n_prb, cqi_used=g.cqi_used)
-                  for g in message.grants]
-        self.mac.apply_remote_ul_decision(
-            message.cell_id, message.target_tti, grants, now)
-
-    def _handle_drx(self, message: DrxCommand, now: int) -> None:
-        self.api.set_drx(message.rnti, cycle_ttis=message.cycle_ttis,
-                         on_duration_ttis=message.on_duration_ttis,
-                         inactivity_ttis=message.inactivity_ttis)
-
-    def _handle_ca(self, message: CaCommand, now: int) -> None:
-        self.api.set_scell(message.rnti, message.scell_id,
-                           message.activate, tti=now)
-
-    def _handle_handover(self, message: HandoverCommand, now: int) -> None:
-        self.rrc.execute_handover(
-            message.rnti, message.source_cell, message.target_cell, now)
-
-    def _handle_vsf_update(self, message: VsfUpdate, now: int) -> None:
-        module = self.modules.get(message.module)
+    def _module(self, name: str) -> ControlModule:
+        module = self.modules.get(name)
         if module is None:
             raise KeyError(
-                f"agent {self.agent_id} has no control module "
-                f"{message.module!r}")
+                f"agent {self.agent_id} has no control module {name!r}")
+        return module
+
+    def _handle_vsf_update(self, message: VsfUpdate, now: int) -> None:
+        module = self._module(message.module)
         logger.info("agent %d: VSF update %s.%s <- %s (%d bytes)",
                     self.agent_id, message.module, message.operation,
                     message.name, len(message.blob))
@@ -409,11 +366,7 @@ class FlexRanAgent:
                     self.agent_id)
         document = PolicyDocument.from_text(message.text)
         for module_name, policies in document.modules.items():
-            module = self.modules.get(module_name)
-            if module is None:
-                raise KeyError(
-                    f"agent {self.agent_id} has no control module "
-                    f"{module_name!r}")
+            module = self._module(module_name)
             for policy in policies:
                 module.apply_policy(policy)
 
@@ -421,18 +374,11 @@ class FlexRanAgent:
 
     def _on_vsf_fault(self, operation: str, vsf_name: str,
                       reason: str) -> None:
-        self._event_queue.append(EventNotification(
-            header=Header(xid=self._next_xid()),
-            event_type=int(EventType.VSF_FAULT),
-            details={"operation": operation, "vsf": vsf_name,
-                     "reason": reason[:120]}))
+        self._queue_event(EventType.VSF_FAULT, 0, 0, {
+            "operation": operation, "vsf": vsf_name, "reason": reason[:120]})
 
-    def _on_enb_event(self, event: EnbEvent) -> None:
-        kind = _ENB_EVENT_MAP.get(event.type)
-        if kind is None:
-            return
+    def _queue_event(self, kind: EventType, rnti: int, cell_id: int,
+                     details: Dict[str, str]) -> None:
         self._event_queue.append(EventNotification(
-            header=Header(xid=self._next_xid()),
-            event_type=int(kind), rnti=event.rnti or 0,
-            cell_id=event.cell_id or 0,
-            details={str(k): str(v) for k, v in event.payload.items()}))
+            header=Header(xid=self._next_xid()), event_type=int(kind),
+            rnti=rnti, cell_id=cell_id, details=details))

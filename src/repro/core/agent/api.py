@@ -16,10 +16,17 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.core.protocol.messages import (
     CellConfigRep,
     CellStatsReport,
+    EventType,
     UeConfigRep,
     UeStatsReport,
 )
-from repro.lte.enodeb import DlSchedulerHook, EnbEvent, EnodeB, UlSchedulerHook
+from repro.lte.enodeb import (
+    DlSchedulerHook,
+    EnbEvent,
+    EnbEventType,
+    EnodeB,
+    UlSchedulerHook,
+)
 from repro.lte.rrc import RrcState
 from repro.lte.ue import Ue
 
@@ -27,6 +34,14 @@ SUBBANDS = 9
 """Subband count for 10 MHz CQI reporting (36.213 k=6 RB subbands)."""
 
 _RRC_STATE_INDEX = {state: i for i, state in enumerate(RrcState)}
+
+_ENB_EVENT_TYPES = {
+    EnbEventType.UE_ATTACHED: EventType.UE_ATTACH,
+    EnbEventType.ATTACH_FAILED: EventType.ATTACH_FAILED,
+    EnbEventType.RANDOM_ACCESS: EventType.RANDOM_ACCESS,
+    EnbEventType.SCHEDULING_REQUEST: EventType.SCHEDULING_REQUEST,
+    EnbEventType.HANDOVER_COMPLETE: EventType.HANDOVER_COMPLETE,
+}
 
 _new = object.__new__
 
@@ -305,5 +320,15 @@ class AgentDataPlaneApi:
 
     # -- event subscription (Table 1 row 4) -------------------------------
 
-    def subscribe_events(self, fn: Callable[[EnbEvent], None]) -> None:
-        self._enb.subscribe(fn)
+    def subscribe_events(
+            self,
+            fn: Callable[[EventType, int, int, Dict[str, str]], None]) -> None:
+        """Deliver data-plane events as ``fn(event_type, rnti, cell_id,
+        details)``, in protocol terms; eNodeB events the protocol has
+        no type for (``TTI_START``) are not forwarded."""
+        def forward(event: EnbEvent) -> None:
+            kind = _ENB_EVENT_TYPES.get(event.type)
+            if kind is not None:
+                fn(kind, event.rnti or 0, event.cell_id or 0,
+                   {str(k): str(v) for k, v in event.payload.items()})
+        self._enb.subscribe(forward)

@@ -100,6 +100,14 @@ class ControlModule(abc.ABC):
         self.sandbox = sandbox
         self._fault_observers: List[Callable[[str, str, str], None]] = []
 
+    def message_handlers(self) -> Dict[type, Callable[[Any, int], None]]:
+        """The protocol messages this module consumes, each with its
+        ``handler(message, now)``; the agent's dispatcher routes them
+        here directly.  A module that takes no command of its own (it
+        is driven through VSF updates and policy reconfiguration only)
+        declares none."""
+        return {}
+
     def on_vsf_fault(self, fn: Callable[[str, str, str], None]) -> None:
         """Register ``fn(operation, vsf_name, reason)`` fault callback."""
         self._fault_observers.append(fn)

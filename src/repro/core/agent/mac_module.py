@@ -18,9 +18,17 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.agent.api import AgentDataPlaneApi
 from repro.core.agent.cmi import ControlModule, SandboxPolicy
+from repro.core.protocol.messages import (
+    AbsPatternConfig,
+    BearerQosConfig,
+    DlMacCommand,
+    DrxCommand,
+    PrbCapConfig,
+    UlMacCommand,
+)
 from repro.lte.enodeb import default_ul_scheduler
 from repro.lte.mac.dci import DlAssignment, SchedulingContext, UlGrant
-from repro.lte.mac.qos import QosScheduler
+from repro.lte.mac.qos import QosProfile, QosScheduler
 from repro.lte.mac.schedulers import (
     FairShareScheduler,
     ProportionalFairScheduler,
@@ -42,41 +50,60 @@ class RemoteStubStats:
     missed_ttis: int = 0
 
 
-class RemoteSchedulingStub:
-    """Agent-side stub of a centralized scheduler.
+class RemoteDecisionStore:
+    """Master-pushed decisions awaiting their target TTI, with the
+    deadline bookkeeping both remote stubs share.
 
-    The master pushes :class:`DlMacCommand` decisions tagged with a
-    target TTI; the stub applies a decision exactly at its target TTI.
-    A decision whose target has already passed when it arrives is
-    expired ("scheduling decisions always miss their deadline"); a TTI
-    with no valid decision transmits nothing.
+    A decision is applied exactly at its target TTI.  One whose target
+    has already passed when it arrives is expired ("scheduling
+    decisions always miss their deadline"); a TTI with no valid
+    decision is a miss.
     """
 
     def __init__(self) -> None:
-        self._store: Dict[Tuple[int, int], List[DlAssignment]] = {}
+        self._store: Dict[Tuple[int, int], list] = {}
         self.stats = RemoteStubStats()
 
-    def store(self, cell_id: int, target_tti: int,
-              assignments: List[DlAssignment], now: int) -> bool:
+    def store(self, cell_id: int, target_tti: int, decision: list,
+              now: int) -> bool:
         """Record a pushed decision; returns False if already expired."""
         if target_tti < now:
             self.stats.expired_on_arrival += 1
             return False
-        self._store[(cell_id, target_tti)] = assignments
+        self._store[(cell_id, target_tti)] = decision
         return True
 
+    def take(self, ctx: SchedulingContext) -> Optional[list]:
+        """The decision for *ctx*'s cell and TTI, or None (a miss);
+        stale entries are dropped on the way."""
+        stale = [key for key in self._store if key[1] < ctx.tti - 1]
+        for key in stale:
+            del self._store[key]
+        decision = self._store.pop((ctx.cell_id, ctx.tti), None)
+        if decision is None:
+            self.stats.missed_ttis += 1
+        else:
+            self.stats.applied += 1
+        return decision
+
+    def pending(self) -> int:
+        return len(self._store)
+
+
+class RemoteSchedulingStub(RemoteDecisionStore):
+    """Agent-side stub of a centralized downlink scheduler: applies the
+    :class:`DlMacCommand` decision pushed for this TTI; a TTI without
+    one transmits nothing new."""
+
     def __call__(self, ctx: SchedulingContext) -> List[DlAssignment]:
-        self._gc(ctx.tti)
+        decision = self.take(ctx)
         # HARQ retransmissions are inherently local and time-critical:
         # the agent serves them autonomously before applying the pushed
         # decision, as a real eNodeB MAC does.
         out = schedule_retransmissions(ctx, ctx.n_prb)
-        remaining = ctx.n_prb - sum(a.n_prb for a in out)
-        decision = self._store.pop((ctx.cell_id, ctx.tti), None)
         if decision is None:
-            self.stats.missed_ttis += 1
             return out
-        self.stats.applied += 1
+        remaining = ctx.n_prb - sum(a.n_prb for a in out)
         # Drop decisions for UEs that have since detached, and clip the
         # pushed allocation to the PRBs left after retransmissions.
         live = {u.rnti for u in ctx.ues}
@@ -93,43 +120,15 @@ class RemoteSchedulingStub:
             remaining -= a.n_prb
         return out
 
-    def _gc(self, now: int) -> None:
-        stale = [key for key in self._store if key[1] < now - 1]
-        for key in stale:
-            del self._store[key]
 
-    def pending(self) -> int:
-        return len(self._store)
-
-
-class RemoteUlStub:
-    """Agent-side stub of a centralized *uplink* scheduler.
-
-    Same deadline semantics as the downlink stub, but the payload is a
-    list of uplink grants.
-    """
-
-    def __init__(self) -> None:
-        self._store: Dict[Tuple[int, int], List[UlGrant]] = {}
-        self.stats = RemoteStubStats()
-
-    def store(self, cell_id: int, target_tti: int,
-              grants: List[UlGrant], now: int) -> bool:
-        if target_tti < now:
-            self.stats.expired_on_arrival += 1
-            return False
-        self._store[(cell_id, target_tti)] = grants
-        return True
+class RemoteUlStub(RemoteDecisionStore):
+    """Agent-side stub of a centralized *uplink* scheduler: same
+    deadline semantics, the payload is a list of uplink grants."""
 
     def __call__(self, ctx: SchedulingContext) -> List[UlGrant]:
-        stale = [key for key in self._store if key[1] < ctx.tti - 1]
-        for key in stale:
-            del self._store[key]
-        decision = self._store.pop((ctx.cell_id, ctx.tti), None)
+        decision = self.take(ctx)
         if decision is None:
-            self.stats.missed_ttis += 1
             return []
-        self.stats.applied += 1
         live = {u.rnti for u in ctx.ues}
         return [g for g in decision if g.rnti in live]
 
@@ -178,13 +177,43 @@ class MacControlModule(ControlModule):
     def _ul_trampoline(self, ctx: SchedulingContext) -> List[UlGrant]:
         return self.invoke("ul_scheduling", ctx)
 
-    def apply_remote_decision(self, cell_id: int, target_tti: int,
-                              assignments: List[DlAssignment],
-                              now: int) -> bool:
-        """Store a master-pushed scheduling decision for its target TTI."""
-        return self.remote_stub.store(cell_id, target_tti, assignments, now)
+    # -- the messages this module consumes ---------------------------------
 
-    def apply_remote_ul_decision(self, cell_id: int, target_tti: int,
-                                 grants: List[UlGrant], now: int) -> bool:
+    def message_handlers(self):
+        return {
+            DlMacCommand: self._on_dl_command,
+            UlMacCommand: self._on_ul_command,
+            DrxCommand: self._on_drx,
+            BearerQosConfig: self._on_bearer_qos,
+            PrbCapConfig: self._on_prb_cap,
+            AbsPatternConfig: self._on_abs_pattern,
+        }
+
+    def _on_dl_command(self, message: DlMacCommand, now: int) -> None:
+        """Store a master-pushed scheduling decision for its target TTI."""
+        self.remote_stub.store(message.cell_id, message.target_tti, [
+            DlAssignment(rnti=d.rnti, n_prb=d.n_prb, cqi_used=d.cqi_used)
+            for d in message.assignments], now)
+
+    def _on_ul_command(self, message: UlMacCommand, now: int) -> None:
         """Store a master-pushed uplink-grant decision."""
-        return self.remote_ul_stub.store(cell_id, target_tti, grants, now)
+        self.remote_ul_stub.store(message.cell_id, message.target_tti, [
+            UlGrant(rnti=g.rnti, n_prb=g.n_prb, cqi_used=g.cqi_used)
+            for g in message.grants], now)
+
+    def _on_drx(self, message: DrxCommand, now: int) -> None:
+        self._api.set_drx(message.rnti, cycle_ttis=message.cycle_ttis,
+                          on_duration_ttis=message.on_duration_ttis,
+                          inactivity_ttis=message.inactivity_ttis)
+
+    def _on_bearer_qos(self, message: BearerQosConfig, now: int) -> None:
+        gbr = message.gbr_kbps / 1000.0 if message.gbr_kbps else None
+        self._api.configure_bearer(message.rnti, message.lcid,
+                                   QosProfile(qci=message.qci, gbr_mbps=gbr))
+
+    def _on_prb_cap(self, message: PrbCapConfig, now: int) -> None:
+        cap = message.n_prb if message.capped else None
+        self._api.set_prb_cap(message.cell_id, cap)
+
+    def _on_abs_pattern(self, message: AbsPatternConfig, now: int) -> None:
+        self._api.set_abs_pattern(message.cell_id, list(message.subframes))

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.agent.api import AgentDataPlaneApi
 from repro.core.protocol.messages import (
     CellStatsReport,
     Header,
@@ -65,15 +64,13 @@ class ReportsManager:
     disruptions.
     """
 
-    def __init__(self, agent_id: int, api: AgentDataPlaneApi) -> None:
+    def __init__(self, agent_id: int, api) -> None:
         self._agent_id = agent_id
+        #: Any technology's data-plane facade: ``collect_ue_stats`` +
+        #: ``change_seq`` and ``get_cell_stats`` are what this uses.
         self._api = api
         self._subscriptions: Dict[int, Subscription] = {}
         self.reports_sent = 0
-        # Minimal duck-typed APIs (e.g. the Wi-Fi AP facade) expose
-        # only the snapshot calls; without the change-sequence surface
-        # every reply degrades to a full snapshot.
-        self._delta_capable = hasattr(api, "collect_ue_stats")
 
     def force_full(self) -> None:
         """Make every subscription's next reply a full snapshot."""
@@ -110,16 +107,11 @@ class ReportsManager:
         # field changes into the change sequence and returns the record
         # of every UE changed since the oldest watermark among the due
         # subscriptions; each of them then takes its own share.
-        seq_now: Optional[int] = None
         full_ues: Optional[List[UeStatsReport]] = None
-        if self._delta_capable:
-            marks = [self._watermark(sub) for sub in due]
-            since = min(marks)
-            rows = self._api.collect_ue_stats(now, since)
-            seq_now = self._api.change_seq
-        else:
-            marks = [-1] * len(due)
-            full_ues = self._api.get_ue_stats(now)
+        marks = [self._watermark(sub) for sub in due]
+        since = min(marks)
+        rows = self._api.collect_ue_stats(now, since)
+        seq_now = self._api.change_seq
         base_cells: Optional[List[CellStatsReport]] = None
         for sub, mark in zip(due, marks):
             triggered = sub.report_type == ReportType.TRIGGERED
@@ -144,8 +136,7 @@ class ReportsManager:
                 base_ues = full_ues
             ue_reports, cell_reports = self._filter(
                 (base_ues, base_cells), sub.flags)
-            if seq_now is not None:
-                sub.last_seq = seq_now
+            sub.last_seq = seq_now
             if triggered:
                 digest = self._digest(ue_reports)
                 if digest == sub.last_digest:

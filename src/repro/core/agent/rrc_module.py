@@ -15,6 +15,7 @@ from typing import Any, Dict
 
 from repro.core.agent.api import AgentDataPlaneApi
 from repro.core.agent.cmi import ControlModule
+from repro.core.protocol.messages import CaCommand, HandoverCommand
 
 
 @dataclass
@@ -86,6 +87,18 @@ class RrcControlModule(ControlModule):
                           MeasurementConfig())
         self.activate("handover", "immediate")
         self.activate("measurement_config", "default")
+
+    def message_handlers(self):
+        return {HandoverCommand: self._on_handover,
+                CaCommand: self._on_ca}
+
+    def _on_handover(self, message: HandoverCommand, now: int) -> None:
+        self.execute_handover(
+            message.rnti, message.source_cell, message.target_cell, now)
+
+    def _on_ca(self, message: CaCommand, now: int) -> None:
+        self._api.set_scell(message.rnti, message.scell_id,
+                            message.activate, tti=now)
 
     def execute_handover(self, rnti: int, source_cell: int,
                          target_cell: int, tti: int) -> bool:

@@ -30,7 +30,8 @@ from repro.core.apps.base import App
 from repro.core.controller.northbound import NorthboundApi, StatsSubscription
 from repro.core.controller.rib import AgentLiveness, AgentNode, CellNode
 from repro.core.protocol.messages import ReportType, StatsFlags
-from repro.lte.mac.dci import SchedulingContext, UeView, UlGrant
+from repro.lte.enodeb import default_ul_scheduler
+from repro.lte.mac.dci import SchedulingContext, UeView
 from repro.lte.mac.schedulers import FairShareScheduler, Scheduler
 from repro.lte.mac import amc
 from repro.lte.phy.tbs import transport_block_bits
@@ -133,7 +134,8 @@ class RemoteSchedulerApp(App):
                     continue
                 ctx = self._build_context(cell, target, tti, sync_lag)
                 if self.schedule_uplink:
-                    grants = self._uplink_grants(ctx)
+                    # The agent's own fair split, run on the RIB's view.
+                    grants = default_ul_scheduler(ctx)
                     if grants:
                         nb.send_ul_command(agent.agent_id, cell_id,
                                            target, grants)
@@ -165,25 +167,6 @@ class RemoteSchedulerApp(App):
         return SchedulingContext(
             tti=target, n_prb=cell.n_prb, ues=views, pending_retx=[],
             cell_id=cell.cell_id, subframe=target % 10)
-
-    @staticmethod
-    def _uplink_grants(ctx: SchedulingContext) -> List[UlGrant]:
-        """Fair-split uplink grants over UEs with buffered UL data."""
-        pending = [u for u in ctx.ues
-                   if u.ul_buffer_bytes > 0 and u.cqi > 0]
-        if not pending:
-            return []
-        share = max(1, ctx.n_prb // len(pending))
-        grants = []
-        remaining = ctx.n_prb
-        for ue in pending:
-            n_prb = min(share, remaining)
-            if n_prb <= 0:
-                break
-            grants.append(UlGrant(rnti=ue.rnti, n_prb=n_prb,
-                                  cqi_used=ue.cqi))
-            remaining -= n_prb
-        return grants
 
     def _inflight_bytes(self, rnti: int, now: int) -> int:
         pending = self._inflight.get(rnti)

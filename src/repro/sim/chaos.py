@@ -1,11 +1,18 @@
-"""Chaos harness: scripted fault schedules plus per-TTI invariants.
+"""Chaos harness: scripted fault schedules plus platform invariants.
 
 The survivability layer (:mod:`repro.core.survive`) claims that a
 crashing application, a poisoned VSF push or a controller restart
-never takes the platform down.  This module makes those claims
-testable: a :class:`ChaosHarness` rides the simulation's POST phase,
-fires a scripted schedule of fault actions, and asserts a set of
-platform invariants every single TTI:
+never takes the platform down, and the cluster runtime claims the same
+of a killed or wedged worker process.  This module makes those claims
+testable with one :class:`ChaosHarness`: it is handed a target, a
+schedule of :class:`ChaosAction` faults and its invariant sets
+(:data:`InvariantSet`), is stepped by the target, fires the due actions
+at every step and reports every breach as a :class:`Violation` in one
+:class:`ChaosReport`.
+
+Two bindings exist.  :func:`simulation_chaos` rides a
+:class:`~repro.sim.simulation.Simulation`'s POST phase and checks its
+invariants every single TTI:
 
 * ``cycle_ran`` -- the master's Task Manager completed a cycle this
   TTI (a fault never stalls the control loop).
@@ -16,27 +23,33 @@ platform invariants every single TTI:
 * ``rib_convergence`` -- once every scripted fault has cleared (plus a
   grace period), the master's RIB matches eNodeB ground truth.
 
+:func:`cluster_chaos` rides a
+:class:`~repro.cluster.runtime.ClusterRuntime`'s pump, stepped with the
+fleet low-water TTI.  It scripts process-level faults
+(:class:`ShardFaultAt`: a SIGKILL, a live-but-silent worker, a dropped
+TCP data plane, a deliberate respawn) and checks
+:class:`FleetInvariants` once, when the run has ended.
+
 Fault actions compose freely with the link faults of
 :class:`~repro.sim.scenarios.FaultSpec` (losses, jitter, partitions
 installed on the control connections before the run).
-
-The harness also scales out: the **cluster chaos** section at the
-bottom scripts process-level faults against a sharded
-:class:`~repro.cluster.runtime.ClusterRuntime` fleet --
-:class:`WorkerKillAt` (SIGKILL, no error message on any pipe),
-:class:`WorkerStallWindow` (a live-but-silent worker) and
-:class:`TcpDisconnectAt` (the data plane drops under a healthy
-process) -- and checks fleet-level invariants after the run: the fleet
-completes, the respawn count stays within budget, and the post-run RIB
-census matches the shard map minus quarantined shards.
 """
 
 from __future__ import annotations
 
 import abc
-import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro import obs as _obs
 from repro.core.apps.base import App
@@ -72,10 +85,10 @@ def register_chaos_factories(registry: VsfFactoryRegistry) -> None:
 class ProbeApp(App):
     """A controllable high-priority application for fault injection.
 
-    Healthy by default; the window actions flip ``chaos_crash`` /
-    ``chaos_overrun_ms`` to script misbehavior.  Runs above the
-    centralized scheduler so a crash-looping probe exercises the
-    no-starvation property of the supervised app slot.
+    Healthy by default; :class:`AppCrashWindow` flips ``chaos_crash``
+    to script misbehavior.  Runs above the centralized scheduler so a
+    crash-looping probe exercises the no-starvation property of the
+    supervised app slot.
     """
 
     name = "chaos_probe"
@@ -87,14 +100,11 @@ class ProbeApp(App):
         self.name = name
         self.priority = priority
         self.chaos_crash = False
-        self.chaos_overrun_ms = 0.0
         self.runs_completed = 0
 
     def run(self, tti: int, nb) -> None:
         if self.chaos_crash:
             raise ChaosError(f"scripted crash at tti {tti}")
-        if self.chaos_overrun_ms > 0:
-            time.sleep(self.chaos_overrun_ms / 1000.0)
         self.runs_completed += 1
 
 
@@ -105,8 +115,9 @@ class ChaosAction(abc.ABC):
     """One entry of a scripted fault schedule."""
 
     @abc.abstractmethod
-    def fire(self, sim: "Simulation", tti: int) -> Optional[str]:
-        """Run the action's step for *tti*; a description when it fired."""
+    def fire(self, target, tti: int) -> Optional[str]:
+        """Run the action's step for *tti* against the harness's
+        target; a description when it fired."""
 
     @abc.abstractmethod
     def end_tti(self) -> int:
@@ -140,29 +151,29 @@ class AppCrashWindow(ChaosAction):
 
 
 @dataclass
-class AppOverrunWindow(ChaosAction):
-    """Make *app* burn ``busy_ms`` per run during ``[start, end)``."""
+class FaultAt(ChaosAction):
+    """A one-shot fault: fires at the first step whose TTI has reached
+    ``tti``, then never again."""
 
-    app: str
-    start: int
-    end: int
-    busy_ms: float = 2.0
+    tti: int
+    fired: bool = field(default=False, init=False, repr=False)
 
-    def fire(self, sim: "Simulation", tti: int) -> Optional[str]:
-        if tti == self.start:
-            _find_app(sim, self.app).chaos_overrun_ms = self.busy_ms
-            return f"app {self.app} starts overrunning ({self.busy_ms} ms)"
-        if tti == self.end:
-            _find_app(sim, self.app).chaos_overrun_ms = 0.0
-            return f"app {self.app} stops overrunning"
-        return None
+    def fire(self, target, tti: int) -> Optional[str]:
+        if self.fired or tti < self.tti:
+            return None
+        self.fired = True
+        return self.inject(target)
 
     def end_tti(self) -> int:
-        return self.end
+        return self.tti
+
+    @abc.abstractmethod
+    def inject(self, target) -> str:
+        """Inject the fault; returns what was done."""
 
 
 @dataclass
-class VsfPoisonAt(ChaosAction):
+class VsfPoisonAt(FaultAt):
     """Push and activate a poisoned VSF on one agent at *tti*.
 
     The agent must trust the ``chaos:poisoned`` factory (see
@@ -171,15 +182,12 @@ class VsfPoisonAt(ChaosAction):
     good implementation.
     """
 
-    tti: int
     agent_id: int
     module: str = "mac"
     operation: str = "dl_scheduling"
     name: str = "poisoned"
 
-    def fire(self, sim: "Simulation", tti: int) -> Optional[str]:
-        if tti != self.tti:
-            return None
+    def inject(self, sim: "Simulation") -> str:
         nb = sim.master.northbound
         nb.push_vsf(self.agent_id, self.module, self.operation,
                     self.name, "chaos:poisoned")
@@ -188,26 +196,97 @@ class VsfPoisonAt(ChaosAction):
         return (f"poisoned VSF {self.name!r} pushed to agent "
                 f"{self.agent_id} ({self.module}.{self.operation})")
 
-    def end_tti(self) -> int:
-        return self.tti
-
 
 @dataclass
-class ControllerRestartAt(ChaosAction):
+class ControllerRestartAt(FaultAt):
     """Crash and cold-restart the master controller at *tti*."""
 
-    tti: int
     restore: bool = True
 
-    def fire(self, sim: "Simulation", tti: int) -> Optional[str]:
-        if tti != self.tti:
-            return None
+    def inject(self, sim: "Simulation") -> str:
         sim.restart_master(restore=self.restore)
         return ("controller restarted "
                 + ("from checkpoint" if self.restore else "cold"))
 
-    def end_tti(self) -> int:
-        return self.tti
+
+# -- process-level fault actions (cluster fleets) ------------------------------
+
+
+@dataclass
+class ShardFaultAt(FaultAt):
+    """A one-shot fault against one shard of a
+    :class:`~repro.cluster.runtime.ClusterRuntime` fleet, timed on the
+    fleet low-water TTI.  It fires on the master's pump thread, so it
+    is safe against the master's single-writer discipline."""
+
+    shard_id: int
+
+
+class WorkerKillAt(ShardFaultAt):
+    """SIGKILL one shard's worker.
+
+    SIGKILL is the silent death: the worker gets no chance to send an
+    ``error`` tuple, so the master sees only a dead process and a pipe
+    EOF -- exactly the failure mode that used to deadlock the pump.
+    """
+
+    def inject(self, runtime) -> str:
+        runtime._handles[self.shard_id].process.kill()
+        return f"SIGKILLed shard {self.shard_id} worker"
+
+
+@dataclass
+class WorkerStallWindow(ShardFaultAt):
+    """Wedge one worker -- alive but silent -- for ``stall_s`` seconds.
+
+    Sent over the control pipe; the worker sleeps without reporting
+    progress, which is indistinguishable (from the master's side) from
+    a worker stuck in an infinite loop.  The supervisor's low-water
+    stall watchdog must detect it and respawn the shard.
+    """
+
+    stall_s: float = 5.0
+
+    def inject(self, runtime) -> str:
+        try:
+            runtime._handles[self.shard_id].pipe.send(
+                ("stall", self.stall_s))
+        except (OSError, BrokenPipeError):
+            return (f"stall for shard {self.shard_id} undeliverable "
+                    f"(pipe already gone)")
+        return (f"stalled shard {self.shard_id} worker for "
+                f"{self.stall_s:.1f}s")
+
+
+class TcpDisconnectAt(ShardFaultAt):
+    """Drop one shard's TCP data plane while its process stays alive.
+
+    Closes the master-side sockets of every agent in the shard; the
+    worker's next frame dispatch raises ``TransportClosed``, which
+    surfaces as a worker-reported ``error`` on the control pipe.
+    """
+
+    def inject(self, runtime) -> str:
+        spec = runtime._handles[self.shard_id].spec
+        endpoints = runtime.master.agent_endpoints()
+        closed = []
+        for agent_id in spec.agent_ids:
+            endpoint = endpoints.get(agent_id)
+            if endpoint is not None:
+                endpoint.close()
+                closed.append(agent_id)
+        return (f"dropped TCP sessions of shard {self.shard_id} "
+                f"agents {closed}")
+
+
+class ShardRespawnAt(ShardFaultAt):
+    """Deliberately hand one shard over to a replacement worker
+    (:meth:`ClusterRuntime.respawn_shard`: snapshot, kill, merge,
+    respawn) -- the rebalancing path, without a failure to detect."""
+
+    def inject(self, runtime) -> str:
+        agents = runtime.respawn_shard(self.shard_id)
+        return f"respawned shard {self.shard_id} (agents {agents})"
 
 
 # -- invariants -------------------------------------------------------------
@@ -222,11 +301,146 @@ class Violation:
     detail: str
 
 
+InvariantSet = Callable[[object, int], Iterable[Tuple[str, str]]]
+"""``check(target, tti)``: one ``(invariant, detail)`` pair per breach
+of the set's invariants seen at *tti* (none: they all hold)."""
+
+
+def _no_invariants(target, tti: int) -> Iterable[Tuple[str, str]]:
+    return ()
+
+
+class SurvivabilityInvariants:
+    """The per-TTI invariants of a simulation under chaos (module
+    docstring); RIB convergence applies from *quiesce_at* on."""
+
+    def __init__(self, quiesce_at: int) -> None:
+        self.quiesce_at = quiesce_at
+        self._master_seen = None
+        self._prev_quarantined: Set[str] = set()
+        self._prev_runs: Dict[str, int] = {}
+
+    def __call__(self, sim: "Simulation",
+                 tti: int) -> Iterable[Tuple[str, str]]:
+        master = sim.master
+        if master is not self._master_seen:
+            # A restart happened last TTI: registry and supervisor are
+            # fresh objects, so the run-count baselines reset.
+            self._master_seen = master
+            self._prev_quarantined = set()
+            self._prev_runs = {}
+
+        # 1. The control loop never stalls.
+        record = master.task_manager.last_record
+        if record is None or record.tti != tti:
+            yield ("cycle_ran",
+                   f"task manager did not complete a cycle "
+                   f"(last: {record.tti if record else None})")
+
+        # 2. Every cell got a scheduling decision this TTI.
+        for enb_id in sorted(sim.enbs):
+            enb = sim.enbs[enb_id]
+            planned = set(enb.planned_cell_ids(tti))
+            missing = set(enb.cells) - planned
+            if missing:
+                yield ("cell_decision",
+                       f"enb {enb_id} cells {sorted(missing)} got "
+                       f"no allocation decision")
+
+        # 3. A quarantined app never runs (run counts are compared
+        # with the previous step's).
+        sup = master.supervisor
+        quarantined = (set(sup.quarantined_names())
+                       if sup is not None else set())
+        for name in sorted(quarantined & self._prev_quarantined):
+            try:
+                runs = master.registry.registration(name).runs
+            except KeyError:
+                continue
+            if runs > self._prev_runs.get(name, runs):
+                yield ("no_quarantined_run",
+                       f"quarantined app {name} executed")
+        self._prev_quarantined = quarantined
+        self._prev_runs = {
+            reg.app.name: reg.runs
+            for reg in master.registry.registrations()}
+
+        # 4. RIB converges to ground truth after faults clear.
+        if tti >= self.quiesce_at:
+            truth = {agent_id: sim.agents[agent_id].enb
+                     for agent_id in sim.agents}
+            diffs = rib_ground_truth_diff(master.rib, truth)
+            if diffs:
+                yield ("rib_convergence", "; ".join(diffs))
+
+
+class FleetInvariants:
+    """The end-of-run invariants of a sharded fleet under chaos:
+
+    * ``fleet_completes`` -- every non-quarantined shard finished all
+      its TTIs and the master ticked through the whole run (no hang,
+      no fleet-wide abort);
+    * ``respawns_bounded`` -- the total respawn count never exceeds
+      the fleet-wide budget (*max_respawns* overrides the default
+      ``shards x per-shard budget`` bound);
+    * ``census`` -- the post-run RIB holds exactly the agents and UEs
+      of the shard map minus quarantined shards.
+    """
+
+    def __init__(self, max_respawns: Optional[int] = None) -> None:
+        self.max_respawns = max_respawns
+
+    def __call__(self, runtime, tti: int) -> Iterable[Tuple[str, str]]:
+        total_ttis = runtime.config.total_ttis
+        quarantined = runtime.supervisor.quarantined
+        live = [s for s in runtime.shard_map.shards
+                if s.shard_id not in quarantined]
+
+        # 1. The surviving fleet completed -- no hang, no abort.
+        for spec in live:
+            done = runtime.credits.progress(spec.shard_id)
+            if done < total_ttis:
+                yield ("fleet_completes",
+                       f"shard {spec.shard_id} finished only "
+                       f"{done}/{total_ttis} TTIs")
+        if runtime.master_tti < total_ttis:
+            yield ("fleet_completes",
+                   f"master ticked only {runtime.master_tti}/"
+                   f"{total_ttis} TTIs")
+
+        # 2. Self-healing stayed within its budget.
+        bound = (self.max_respawns if self.max_respawns is not None
+                 else len(runtime.shard_map.shards)
+                 * runtime.config.respawn_budget)
+        if runtime.respawns > bound:
+            yield ("respawns_bounded",
+                   f"{runtime.respawns} respawns exceed the bound of "
+                   f"{bound}")
+
+        # 3. The RIB census is the shard map minus quarantined shards.
+        expected_agents = sorted(
+            a for s in live for a in s.agent_ids)
+        rib_agents = runtime.master.rib.agent_ids()
+        if rib_agents != expected_agents:
+            yield ("census",
+                   f"RIB agents {rib_agents} != expected "
+                   f"{expected_agents} (quarantined shards "
+                   f"{sorted(quarantined)})")
+        expected_ues = sum(
+            s.ues_per_enb * len(s.agent_ids) for s in live)
+        rib_ues = runtime.master.rib.ue_count()
+        if rib_ues != expected_ues:
+            yield ("census",
+                   f"RIB UEs {rib_ues} != expected {expected_ues}")
+
+
+# -- the harness --------------------------------------------------------------
+
+
 @dataclass
 class ChaosReport:
-    """Outcome of a chaos run."""
+    """Outcome of a chaos run (JSON-able via ``to_dict``)."""
 
-    ttis: int
     violations: List[Violation]
     fired: List[Tuple[int, str]]
     checks: int = 0
@@ -235,340 +449,94 @@ class ChaosReport:
     def ok(self) -> bool:
         return not self.violations
 
+    def to_dict(self) -> dict:
+        return {
+            "ok": self.ok,
+            "checks": self.checks,
+            "violations": [{"tti": v.tti, "invariant": v.invariant,
+                            "detail": v.detail}
+                           for v in self.violations],
+            "fired": [{"tti": tti, "action": desc}
+                      for tti, desc in self.fired],
+        }
+
 
 class ChaosHarness:
-    """Fires a fault schedule and checks invariants every TTI.
+    """Fires a fault schedule at *target* and checks its invariants.
 
-    Registers on the clock's POST phase: invariants are checked first
-    (against the TTI that just executed), then due actions fire (their
-    faults take effect from the next TTI's phases on).
+    The target steps the harness (:meth:`step`) on whatever it counts
+    time in.  Each step checks the *each_step* invariants first
+    (against the TTI that just executed), then fires the due actions
+    (their faults take effect from the next step on); the *at_end*
+    invariants are checked by :meth:`report`, once the run is over.
     """
 
-    def __init__(self, sim: "Simulation",
-                 actions: Sequence[ChaosAction] = (), *,
-                 clearance_ttis: int = 1000) -> None:
-        if sim.master is None:
-            raise ValueError("chaos harness requires a master controller")
-        self.sim = sim
+    def __init__(self, target, actions: Sequence[ChaosAction] = (), *,
+                 each_step: InvariantSet = _no_invariants,
+                 at_end: InvariantSet = _no_invariants) -> None:
+        self.target = target
         self.actions = list(actions)
-        self.clearance_ttis = clearance_ttis
+        self.each_step = each_step
+        self.at_end = at_end
         self.violations: List[Violation] = []
         self.fired: List[Tuple[int, str]] = []
         self.checks = 0
-        #: First TTI at which the RIB-convergence invariant applies.
-        self.quiesce_at = (max((a.end_tti() for a in self.actions),
-                               default=0) + clearance_ttis)
-        self._master_seen = sim.master
-        self._prev_quarantined: Set[str] = set()
-        self._prev_runs: Dict[str, int] = {}
-        sim.clock.register(Phase.POST, self._on_post)
+        #: TTI of the latest step (stamps the end-of-run violations).
+        self.tti = 0
 
-    # -- lifecycle --------------------------------------------------------
-
-    def detach(self) -> None:
-        self.sim.clock.unregister(Phase.POST, self._on_post)
-
-    def report(self) -> ChaosReport:
-        return ChaosReport(ttis=self.sim.clock.now,
-                           violations=list(self.violations),
-                           fired=list(self.fired), checks=self.checks)
-
-    def _on_post(self, tti: int) -> None:
-        self._check_invariants(tti)
+    def step(self, tti: int) -> None:
+        self.checks += 1
+        self.tti = tti
+        self.violations.extend(self._check(self.each_step, tti))
         for action in self.actions:
-            desc = action.fire(self.sim, tti)
+            desc = action.fire(self.target, tti)
             if desc:
                 self.fired.append((tti, desc))
                 ob = _obs.get()
                 if ob.enabled:
                     ob.registry.counter("survive.chaos.actions").inc()
-        self._refresh_baselines()
 
-    # -- the checkers -----------------------------------------------------
+    def report(self) -> ChaosReport:
+        """The run's outcome; call when it has ended (the *at_end*
+        invariants are evaluated here, on the target as it stands)."""
+        return ChaosReport(
+            violations=self.violations + self._check(self.at_end, self.tti),
+            fired=list(self.fired), checks=self.checks)
 
-    def _violate(self, tti: int, invariant: str, detail: str) -> None:
-        self.violations.append(Violation(tti, invariant, detail))
+    def _check(self, invariants: InvariantSet, tti: int) -> List[Violation]:
+        found = [Violation(tti, invariant, detail)
+                 for invariant, detail in invariants(self.target, tti)]
         ob = _obs.get()
-        if ob.enabled:
-            ob.registry.counter("survive.chaos.violations").inc()
-            ob.registry.counter(
-                "survive.chaos.violations." + invariant).inc()
-
-    def _check_invariants(self, tti: int) -> None:
-        self.checks += 1
-        master = self.sim.master
-        if master is not self._master_seen:
-            # A restart happened last TTI: registry and supervisor are
-            # fresh objects, so the run-count baselines reset below.
-            self._master_seen = master
-            self._prev_quarantined = set()
-            self._prev_runs = {}
-
-        # 1. The control loop never stalls.
-        record = master.task_manager.last_record
-        if record is None or record.tti != tti:
-            self._violate(tti, "cycle_ran",
-                          f"task manager did not complete a cycle "
-                          f"(last: {record.tti if record else None})")
-
-        # 2. Every cell got a scheduling decision this TTI.
-        for enb_id in sorted(self.sim.enbs):
-            enb = self.sim.enbs[enb_id]
-            planned = set(enb.planned_cell_ids(tti))
-            missing = set(enb.cells) - planned
-            if missing:
-                self._violate(tti, "cell_decision",
-                              f"enb {enb_id} cells {sorted(missing)} got "
-                              f"no allocation decision")
-
-        # 3. A quarantined app never runs.
-        sup = master.supervisor
-        if sup is not None:
-            quarantined = set(sup.quarantined_names())
-            for name in quarantined & self._prev_quarantined:
-                try:
-                    runs = master.registry.registration(name).runs
-                except KeyError:
-                    continue
-                if runs > self._prev_runs.get(name, runs):
-                    self._violate(tti, "no_quarantined_run",
-                                  f"quarantined app {name} executed")
-
-        # 4. RIB converges to ground truth after faults clear.
-        if tti >= self.quiesce_at:
-            truth = {agent_id: self.sim.agents[agent_id].enb
-                     for agent_id in self.sim.agents}
-            diffs = rib_ground_truth_diff(master.rib, truth)
-            if diffs:
-                self._violate(tti, "rib_convergence", "; ".join(diffs))
-
-    def _refresh_baselines(self) -> None:
-        master = self.sim.master
-        sup = master.supervisor
-        self._prev_quarantined = (set(sup.quarantined_names())
-                                  if sup is not None else set())
-        self._prev_runs = {
-            reg.app.name: reg.runs
-            for reg in master.registry.registrations()}
-
-
-# ---------------------------------------------------------------------------
-# Cluster chaos: process-level faults against a sharded worker fleet
-# ---------------------------------------------------------------------------
-
-
-class ClusterChaosAction(abc.ABC):
-    """One scripted fault against a :class:`ClusterRuntime` fleet.
-
-    ``fire`` runs on the master's pump thread once per pump iteration
-    with the current fleet low-water TTI (the same scheduling basis as
-    ``ClusterRuntime.schedule_respawn``); it returns a description the
-    first time it actually fires, then never again.
-    """
-
-    @abc.abstractmethod
-    def fire(self, runtime, low_water: int) -> Optional[str]:
-        """Fire if due; a description when the fault was injected."""
-
-
-@dataclass
-class WorkerKillAt(ClusterChaosAction):
-    """SIGKILL one shard's worker at a fleet low-water TTI.
-
-    SIGKILL is the silent death: the worker gets no chance to send an
-    ``error`` tuple, so the master sees only a dead process and a pipe
-    EOF -- exactly the failure mode that used to deadlock the pump.
-    """
-
-    at_low_water_tti: int
-    shard_id: int
-    fired: bool = field(default=False, repr=False)
-
-    def fire(self, runtime, low_water: int) -> Optional[str]:
-        if self.fired or low_water < self.at_low_water_tti:
-            return None
-        self.fired = True
-        runtime._handles[self.shard_id].process.kill()
-        return (f"SIGKILLed shard {self.shard_id} worker at "
-                f"low-water {low_water}")
-
-
-@dataclass
-class WorkerStallWindow(ClusterChaosAction):
-    """Wedge one worker -- alive but silent -- for ``stall_s`` seconds.
-
-    Sent over the control pipe; the worker sleeps without reporting
-    progress, which is indistinguishable (from the master's side) from
-    a worker stuck in an infinite loop.  The supervisor's low-water
-    stall watchdog must detect it and respawn the shard.
-    """
-
-    at_low_water_tti: int
-    shard_id: int
-    stall_s: float = 5.0
-    fired: bool = field(default=False, repr=False)
-
-    def fire(self, runtime, low_water: int) -> Optional[str]:
-        if self.fired or low_water < self.at_low_water_tti:
-            return None
-        self.fired = True
-        handle = runtime._handles[self.shard_id]
-        try:
-            handle.pipe.send(("stall", self.stall_s))
-        except (OSError, BrokenPipeError):
-            return (f"stall for shard {self.shard_id} undeliverable "
-                    f"(pipe already gone)")
-        return (f"stalled shard {self.shard_id} worker for "
-                f"{self.stall_s:.1f}s at low-water {low_water}")
-
-
-@dataclass
-class TcpDisconnectAt(ClusterChaosAction):
-    """Drop one shard's TCP data plane while its process stays alive.
-
-    Closes the master-side sockets of every agent in the shard; the
-    worker's next frame dispatch raises ``TransportClosed``, which
-    surfaces as a worker-reported ``error`` on the control pipe.
-    """
-
-    at_low_water_tti: int
-    shard_id: int
-    fired: bool = field(default=False, repr=False)
-
-    def fire(self, runtime, low_water: int) -> Optional[str]:
-        if self.fired or low_water < self.at_low_water_tti:
-            return None
-        self.fired = True
-        spec = runtime._handles[self.shard_id].spec
-        endpoints = runtime.master.agent_endpoints()
-        closed = []
-        for agent_id in spec.agent_ids:
-            endpoint = endpoints.get(agent_id)
-            if endpoint is not None:
-                endpoint.close()
-                closed.append(agent_id)
-        return (f"dropped TCP sessions of shard {self.shard_id} "
-                f"agents {closed} at low-water {low_water}")
-
-
-@dataclass
-class ClusterChaosReport:
-    """Outcome of a cluster chaos run (JSON-able via ``to_dict``)."""
-
-    violations: List[Violation]
-    fired: List[Tuple[int, str]]
-    respawns: int
-    degraded_shards: List[int]
-    failures: List[dict]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": [{"tti": v.tti, "invariant": v.invariant,
-                            "detail": v.detail}
-                           for v in self.violations],
-            "fired": [{"low_water_tti": tti, "action": desc}
-                      for tti, desc in self.fired],
-            "respawns": self.respawns,
-            "degraded_shards": list(self.degraded_shards),
-            "failures": list(self.failures),
-        }
-
-
-class ClusterChaosHarness:
-    """Scripted process-level faults + fleet invariants for a
-    :class:`~repro.cluster.runtime.ClusterRuntime`.
-
-    Attach with ``runtime.attach_chaos(harness)`` before ``run()``;
-    call :meth:`check` with the finished run's report.  Invariants:
-
-    * ``fleet_completes`` -- every non-quarantined shard finished all
-      its TTIs and the master ticked through the whole run (no hang,
-      no fleet-wide abort);
-    * ``respawns_bounded`` -- the total respawn count never exceeds
-      the fleet-wide budget (``max_respawns`` overrides the default
-      ``shards x per-shard budget`` bound);
-    * ``census`` -- the post-run RIB holds exactly the agents and UEs
-      of the shard map minus quarantined shards.
-    """
-
-    def __init__(self, actions: Sequence[ClusterChaosAction] = (), *,
-                 max_respawns: Optional[int] = None) -> None:
-        self.actions = list(actions)
-        self.max_respawns = max_respawns
-        self.fired: List[Tuple[int, str]] = []
-
-    def on_pump(self, runtime) -> None:
-        """Pump-thread hook: fire every due action once."""
-        low = runtime.credits.low_water()
-        for action in self.actions:
-            desc = action.fire(runtime, low)
-            if desc:
-                self.fired.append((low, desc))
-                ob = _obs.get()
-                if ob.enabled:
-                    ob.registry.counter("cluster.chaos.actions").inc()
-
-    def check(self, runtime, report) -> ClusterChaosReport:
-        """Post-run invariant sweep; violations use the run-end TTI."""
-        violations: List[Violation] = []
-        end_tti = report.total_ttis
-
-        def violate(invariant: str, detail: str) -> None:
-            violations.append(Violation(end_tti, invariant, detail))
-            ob = _obs.get()
-            if ob.enabled:
-                ob.registry.counter("cluster.chaos.violations").inc()
+        if found and ob.enabled:
+            for violation in found:
+                ob.registry.counter("survive.chaos.violations").inc()
                 ob.registry.counter(
-                    "cluster.chaos.violations." + invariant).inc()
+                    "survive.chaos.violations." + violation.invariant).inc()
+        return found
 
-        quarantined = set(report.degraded_shards)
-        live = [s for s in runtime.shard_map.shards
-                if s.shard_id not in quarantined]
 
-        # 1. The surviving fleet completed -- no hang, no abort.
-        for spec in live:
-            done = runtime.credits.progress(spec.shard_id)
-            if done < report.total_ttis:
-                violate("fleet_completes",
-                        f"shard {spec.shard_id} finished only "
-                        f"{done}/{report.total_ttis} TTIs")
-        if report.master_ttis < report.total_ttis:
-            violate("fleet_completes",
-                    f"master ticked only {report.master_ttis}/"
-                    f"{report.total_ttis} TTIs")
+def simulation_chaos(sim: "Simulation",
+                     actions: Sequence[ChaosAction] = (), *,
+                     clearance_ttis: int = 1000) -> ChaosHarness:
+    """The harness over a simulation, stepped from the clock's POST
+    phase; the RIB must have converged *clearance_ttis* after the last
+    scripted fault."""
+    if sim.master is None:
+        raise ValueError("chaos harness requires a master controller")
+    quiesce_at = (max((a.end_tti() for a in actions), default=0)
+                  + clearance_ttis)
+    harness = ChaosHarness(
+        sim, actions, each_step=SurvivabilityInvariants(quiesce_at))
+    sim.clock.register(Phase.POST, harness.step)
+    return harness
 
-        # 2. Self-healing stayed within its budget.
-        bound = (self.max_respawns if self.max_respawns is not None
-                 else len(runtime.shard_map.shards)
-                 * runtime.config.respawn_budget)
-        if report.respawns > bound:
-            violate("respawns_bounded",
-                    f"{report.respawns} respawns exceed the bound of "
-                    f"{bound}")
 
-        # 3. The RIB census is the shard map minus quarantined shards.
-        expected_agents = sorted(
-            a for s in live for a in s.agent_ids)
-        rib_agents = runtime.master.rib.agent_ids()
-        if rib_agents != expected_agents:
-            violate("census",
-                    f"RIB agents {rib_agents} != expected "
-                    f"{expected_agents} (quarantined shards "
-                    f"{sorted(quarantined)})")
-        expected_ues = sum(
-            s.ues_per_enb * len(s.agent_ids) for s in live)
-        rib_ues = runtime.master.rib.ue_count()
-        if rib_ues != expected_ues:
-            violate("census",
-                    f"RIB UEs {rib_ues} != expected {expected_ues}")
-
-        return ClusterChaosReport(
-            violations=violations, fired=list(self.fired),
-            respawns=report.respawns,
-            degraded_shards=sorted(quarantined),
-            failures=list(report.failures))
+def cluster_chaos(runtime, actions: Sequence[ChaosAction] = (), *,
+                  max_respawns: Optional[int] = None) -> ChaosHarness:
+    """The harness over a sharded fleet, stepped from *runtime*'s pump
+    with the fleet low-water TTI; attach before ``run()``, read
+    ``report()`` after it."""
+    harness = ChaosHarness(
+        runtime, actions, at_end=FleetInvariants(max_respawns))
+    runtime.attach_chaos(harness)
+    return harness

@@ -102,6 +102,45 @@ class CentralizedScenario:
     app: RemoteSchedulerApp
 
 
+def populate_centralized_cells(sim: Simulation, app: RemoteSchedulerApp, *,
+                               n_enbs: int, ues_per_enb: int, cqi: int,
+                               load_factor: float, seed: int,
+                               channel_factory=None,
+                               **agent_options) -> CentralizedScenario:
+    """Add the cells of a centrally scheduled deployment to *sim*.
+
+    Every agent (built with *agent_options*) is on the remote stub from
+    the very first TTI -- the app also sends the activating policy
+    message; this avoids a window where the default local scheduler
+    would mask the control-channel study.  A cell's UEs (fixed *cqi*,
+    or ``channel_factory(enb_index, ue_index)``) share a CBR downlink
+    load of *load_factor* times its capacity from TTI 50 on.
+    """
+    scenario = CentralizedScenario(sim=sim, enbs=[], agents=[],
+                                   ues_per_enb=[], app=app)
+    per_ue_mbps = load_factor * capacity_mbps(cqi, 50) / max(1, ues_per_enb)
+    for e in range(n_enbs):
+        enb = sim.add_enb(seed=seed + e)
+        agent = sim.add_agent(enb, **agent_options)
+        agent.mac.activate("dl_scheduling", "remote_stub")
+        ues: List[Ue] = []
+        for i in range(ues_per_enb):
+            channel: ChannelModel
+            if channel_factory is not None:
+                channel = channel_factory(e, i)
+            else:
+                channel = FixedCqi(cqi)
+            ue = Ue(f"{e:02d}{i:04d}", channel)
+            sim.add_ue(enb, ue)
+            sim.add_downlink_traffic(enb, ue, CbrSource(per_ue_mbps,
+                                                        start_tti=50))
+            ues.append(ue)
+        scenario.enbs.append(enb)
+        scenario.agents.append(agent)
+        scenario.ues_per_enb.append(ues)
+    return scenario
+
+
 def centralized_scheduling(*, n_enbs: int = 1, ues_per_enb: int = 10,
                            cqi: int = 12, rtt_ms: float = 0.0,
                            schedule_ahead: int = 0,
@@ -116,34 +155,10 @@ def centralized_scheduling(*, n_enbs: int = 1, ues_per_enb: int = 10,
     sim = Simulation(with_master=True, transport=transport)
     app = RemoteSchedulerApp(algorithm, schedule_ahead=schedule_ahead)
     sim.master.add_app(app)
-    enbs: List[EnodeB] = []
-    agents: List[FlexRanAgent] = []
-    all_ues: List[List[Ue]] = []
-    per_ue_mbps = load_factor * capacity_mbps(cqi, 50) / max(1, ues_per_enb)
-    for e in range(n_enbs):
-        enb = sim.add_enb(seed=seed + e)
-        agent = sim.add_agent(enb, rtt_ms=rtt_ms)
-        # Central control from the very first TTI (the app also sends
-        # the activating policy message; this avoids a window where the
-        # default local scheduler would mask the control-channel study).
-        agent.mac.activate("dl_scheduling", "remote_stub")
-        ues: List[Ue] = []
-        for i in range(ues_per_enb):
-            channel: ChannelModel
-            if channel_factory is not None:
-                channel = channel_factory(e, i)
-            else:
-                channel = FixedCqi(cqi)
-            ue = Ue(f"{e:02d}{i:04d}", channel)
-            sim.add_ue(enb, ue)
-            sim.add_downlink_traffic(enb, ue, CbrSource(per_ue_mbps,
-                                                        start_tti=50))
-            ues.append(ue)
-        enbs.append(enb)
-        agents.append(agent)
-        all_ues.append(ues)
-    return CentralizedScenario(sim=sim, enbs=enbs, agents=agents,
-                               ues_per_enb=all_ues, app=app)
+    return populate_centralized_cells(
+        sim, app, n_enbs=n_enbs, ues_per_enb=ues_per_enb, cqi=cqi,
+        load_factor=load_factor, seed=seed,
+        channel_factory=channel_factory, rtt_ms=rtt_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -293,31 +308,14 @@ def partitioned_centralized(*, n_enbs: int = 1, ues_per_enb: int = 10,
     sim = Simulation(master=master, transport=transport)
     app = RemoteSchedulerApp(schedule_ahead=schedule_ahead)
     master.add_app(app)
-    conn_cfg = connection_config or ConnectionConfig()
-    enbs: List[EnodeB] = []
-    agents: List[FlexRanAgent] = []
-    all_ues: List[List[Ue]] = []
-    per_ue_mbps = load_factor * capacity_mbps(cqi, 50) / max(1, ues_per_enb)
-    for e in range(n_enbs):
-        enb = sim.add_enb(seed=seed + e)
-        agent = sim.add_agent(enb, rtt_ms=rtt_ms,
-                              connection_config=conn_cfg)
-        agent.mac.activate("dl_scheduling", "remote_stub")
-        ues: List[Ue] = []
-        for i in range(ues_per_enb):
-            ue = Ue(f"{e:02d}{i:04d}", FixedCqi(cqi))
-            sim.add_ue(enb, ue)
-            sim.add_downlink_traffic(enb, ue, CbrSource(per_ue_mbps,
-                                                        start_tti=50))
-            ues.append(ue)
-        enbs.append(enb)
-        agents.append(agent)
-        all_ues.append(ues)
+    scenario = populate_centralized_cells(
+        sim, app, n_enbs=n_enbs, ues_per_enb=ues_per_enb, cqi=cqi,
+        load_factor=load_factor, seed=seed, rtt_ms=rtt_ms,
+        connection_config=connection_config or ConnectionConfig())
     if fault is not None:
-        agent_id = agents[faulted_agent_index].agent_id
+        agent_id = scenario.agents[faulted_agent_index].agent_id
         fault.apply(sim.connections[agent_id])
-    return CentralizedScenario(sim=sim, enbs=enbs, agents=agents,
-                               ues_per_enb=all_ues, app=app)
+    return scenario
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +358,11 @@ def chaos_survivability(*, n_enbs: int = 1, ues_per_enb: int = 5,
     """
     from repro.sim.chaos import (
         AppCrashWindow,
-        ChaosHarness,
         ControllerRestartAt,
         ProbeApp,
         VsfPoisonAt,
         register_chaos_factories,
+        simulation_chaos,
     )
 
     master = MasterController(
@@ -375,23 +373,13 @@ def chaos_survivability(*, n_enbs: int = 1, ues_per_enb: int = 5,
     probe = ProbeApp()
     master.add_app(probe)
 
-    enbs: List[EnodeB] = []
-    agents: List[FlexRanAgent] = []
-    per_ue_mbps = 1.2 * capacity_mbps(cqi, 50) / max(1, ues_per_enb)
-    for e in range(n_enbs):
-        enb = sim.add_enb(seed=seed + e)
-        registry = VsfFactoryRegistry()
-        register_chaos_factories(registry)
-        agent = sim.add_agent(enb, rtt_ms=rtt_ms, vsf_registry=registry,
-                              connection_config=ConnectionConfig())
-        agent.mac.activate("dl_scheduling", "remote_stub")
-        for i in range(ues_per_enb):
-            ue = Ue(f"{e:02d}{i:04d}", FixedCqi(cqi))
-            sim.add_ue(enb, ue)
-            sim.add_downlink_traffic(enb, ue, CbrSource(per_ue_mbps,
-                                                        start_tti=50))
-        enbs.append(enb)
-        agents.append(agent)
+    registry = VsfFactoryRegistry()
+    register_chaos_factories(registry)
+    cells = populate_centralized_cells(
+        sim, app, n_enbs=n_enbs, ues_per_enb=ues_per_enb, cqi=cqi,
+        load_factor=1.2, seed=seed, rtt_ms=rtt_ms, vsf_registry=registry,
+        connection_config=ConnectionConfig())
+    agents = cells.agents
 
     actions: List = []
     if crash_window is not None:
@@ -402,8 +390,8 @@ def chaos_survivability(*, n_enbs: int = 1, ues_per_enb: int = 5,
         actions.append(ControllerRestartAt(restart_at))
     if fault is not None:
         fault.apply(sim.connections[agents[0].agent_id])
-    harness = ChaosHarness(sim, actions, clearance_ttis=clearance_ttis)
-    return ChaosScenario(sim=sim, enbs=enbs, agents=agents, app=app,
+    harness = simulation_chaos(sim, actions, clearance_ttis=clearance_ttis)
+    return ChaosScenario(sim=sim, enbs=cells.enbs, agents=agents, app=app,
                          probe=probe, harness=harness, actions=actions)
 
 

@@ -1,4 +1,4 @@
-"""A FlexRAN agent for Wi-Fi access points.
+"""The Wi-Fi binding of the FlexRAN agent.
 
 The Section 7.2 demonstration: the platform's control machinery —
 control modules with CMIs and swappable VSFs, the reports manager, the
@@ -10,29 +10,22 @@ paper predicts:
   agent has a single airtime-MAC module;
 * the technology-specific API calls — station scheduling instead of
   PRB allocation;
-* nothing else: VSF caching/swapping, statistics reporting and the
-  wire protocol are reused as-is from :mod:`repro.core`.
+* nothing else: the agent loop itself, VSF caching/swapping,
+  statistics reporting and the wire protocol are :mod:`repro.core`'s.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from repro.core.agent.agent import FlexRanAgent
 from repro.core.agent.cmi import ControlModule
-from repro.core.policy import PolicyDocument
 from repro.core.protocol.messages import (
+    CellConfigRep,
     CellStatsReport,
-    ConfigReply,
-    ConfigRequest,
-    FlexRanMessage,
-    Header,
-    Hello,
-    PolicyReconfiguration,
-    StatsRequest,
     UeConfigRep,
     UeStatsReport,
 )
-from repro.core.agent.reports import ReportsManager
 from repro.wifi.ap import (
     WIFI_MCS_TABLE,
     SlotDecision,
@@ -44,39 +37,61 @@ from repro.wifi.ap import (
 class WifiApApi:
     """Southbound API for the AP: the Wi-Fi 'device driver' of §7.2.
 
-    Duck-type compatible with the parts of the LTE agent API that the
-    shared machinery (ReportsManager) consumes: ``get_ue_stats`` and
-    ``get_cell_stats`` produce the same wire records, with Wi-Fi
-    semantics (aid as rnti, MCS index as CQI).
+    Implements the contract the agent core binds to (see
+    :class:`FlexRanAgent`) with Wi-Fi semantics on the same wire
+    records: the AP is its one cell, aid rides as rnti, the MCS index
+    as CQI.
     """
 
     def __init__(self, ap: WifiAp) -> None:
         self._ap = ap
+        #: Moves whenever a station's reportable state does.
+        self.change_seq = 0
+        # aid -> (change sequence, record) as of the last pass.
+        self._rows: Dict[int, Tuple[int, UeStatsReport]] = {}
 
     @property
     def enb_id(self) -> int:  # the protocol calls every NodeB an eNB
         return self._ap.ap_id
 
+    @property
+    def cell_ids(self) -> List[int]:
+        return [self._ap.ap_id]
+
     def set_scheduler(self, hook) -> None:
         self._ap.scheduler_hook = hook
 
-    def get_ue_stats(self, slot: int) -> List[UeStatsReport]:
-        reports = []
+    def collect_ue_stats(
+            self, slot: int,
+            since_seq: int) -> List[Tuple[int, UeStatsReport]]:
+        """One pass over the stations in aid order: a station whose
+        record differs from the last one built moves the change
+        sequence; returns ``(seq, record)`` above *since_seq*."""
+        rows: Dict[int, Tuple[int, UeStatsReport]] = {}
+        out = []
         for station in self._ap.stations_by_aid():
             # MCS index rides the CQI field: the highest usable entry
-            # of the AP's rate table (-1 when even MCS0 is unusable).
+            # of the AP's rate table (0 when even MCS0 is unusable).
             mcs_index = max(0, sum(
                 1 for thr, _ in WIFI_MCS_TABLE
                 if station.snr_db >= thr) - 1)
-            reports.append(UeStatsReport(
+            record = UeStatsReport(
                 rnti=station.aid,
                 queues={0: station.queue.size_bytes},
                 wb_cqi=mcs_index, wb_cqi_clear=mcs_index,
                 subband_sinr_db_x10=[int(station.snr_db * 10)],
                 rx_bytes_total=station.meter.total_bytes,
                 rrc_state=3,  # associated ~= connected
-            ))
-        return reports
+            )
+            row = self._rows.get(station.aid)
+            if row is None or row[1] != record:
+                self.change_seq += 1
+                row = (self.change_seq, record)
+            rows[station.aid] = row
+            if row[0] > since_seq:
+                out.append(row)
+        self._rows = rows
+        return out
 
     def get_cell_stats(self, slot: int) -> List[CellStatsReport]:
         return [CellStatsReport(
@@ -85,10 +100,17 @@ class WifiApApi:
             tb_ok=self._ap.slots_served,
             dl_bytes=self._ap.delivered_bytes)]
 
+    def get_cell_configs(self) -> List[CellConfigRep]:
+        return [CellConfigRep(cell_id=self._ap.ap_id, n_prb_dl=0,
+                              n_prb_ul=0, band=0)]
+
     def get_ue_configs(self) -> List[UeConfigRep]:
         return [UeConfigRep(rnti=s.aid, imsi=s.mac,
                             cell_id=self._ap.ap_id)
                 for s in self._ap.stations_by_aid()]
+
+    def subscribe_events(self, fn) -> None:
+        """The AP model raises no asynchronous events yet."""
 
 
 class MaxRateHook:
@@ -123,63 +145,13 @@ class WifiMacModule(ControlModule):
         return self.invoke("station_scheduling", ap, slot)
 
 
-class WifiAgent:
-    """FlexRAN agent attached to one access point."""
+class WifiAgent(FlexRanAgent):
+    """The agent core bound to one access point: its API and its one
+    control module.  Everything else -- channel, liveness and fallback,
+    dispatch, reports, policy and VSF handling -- is the shared loop."""
 
-    def __init__(self, agent_id: int, ap: WifiAp, *, endpoint=None) -> None:
-        self.agent_id = agent_id
+    def _attach(self, ap: WifiAp) -> None:
         self.ap = ap
         self.api = WifiApApi(ap)
         self.mac = WifiMacModule(self.api)
-        self.modules: Dict[str, ControlModule] = {self.mac.name: self.mac}
-        self.endpoint = endpoint
-        self.reports = ReportsManager(agent_id, self.api)
-        self._hello_sent = False
-        self._xid = 0
-
-    # -- master-facing loop (same shape as the LTE agent's) --------------
-
-    def _send(self, message: FlexRanMessage, now: int) -> None:
-        if self.endpoint is None:
-            return
-        message.header.agent_id = self.agent_id
-        message.header.tti = now
-        self.endpoint.send(message, now=now)
-
-    def tick_tx(self, now: int) -> None:
-        if self.endpoint is not None and not self._hello_sent:
-            self._xid += 1
-            self._send(Hello(header=Header(xid=self._xid),
-                             capabilities=["wifi_mac"], n_cells=1), now)
-            self._hello_sent = True
-        for reply in self.reports.due_replies(now):
-            self._send(reply, now)
-
-    def tick_rx(self, now: int) -> None:
-        if self.endpoint is None:
-            return
-        for message in self.endpoint.receive(now=now):
-            self.dispatch(message, now)
-
-    def dispatch(self, message: FlexRanMessage, now: int) -> None:
-        if isinstance(message, StatsRequest):
-            self.reports.register(message, now)
-        elif isinstance(message, ConfigRequest):
-            self._send(ConfigReply(
-                header=Header(xid=message.header.xid),
-                enb_id=self.api.enb_id, cells=[],
-                ues=self.api.get_ue_configs()), now)
-        elif isinstance(message, PolicyReconfiguration):
-            document = PolicyDocument.from_text(message.text)
-            for module_name, policies in document.modules.items():
-                module = self.modules.get(module_name)
-                if module is None:
-                    raise KeyError(
-                        f"wifi agent has no module {module_name!r}")
-                for policy in policies:
-                    module.apply_policy(policy)
-        elif isinstance(message, Hello):
-            pass
-        else:
-            raise TypeError(
-                f"wifi agent cannot handle {type(message).__name__}")
+        self.modules = {self.mac.name: self.mac}

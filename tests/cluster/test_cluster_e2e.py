@@ -10,10 +10,11 @@ import pytest
 
 from repro.cluster import ClusterConfig, ClusterRuntime, run_cluster
 from repro.sim.chaos import (
-    ClusterChaosHarness,
+    ShardRespawnAt,
     TcpDisconnectAt,
     WorkerKillAt,
     WorkerStallWindow,
+    cluster_chaos,
 )
 
 pytestmark = pytest.mark.slow
@@ -57,14 +58,16 @@ class TestClusterEndToEnd:
             workers=2, n_enbs=4, ues_per_enb=6, total_ttis=160,
             window=24, realtime_master=False)
         with ClusterRuntime(config).start() as runtime:
-            runtime.schedule_respawn(60, 1)
+            harness = cluster_chaos(runtime, [ShardRespawnAt(60, 1)])
             report = runtime.run()
+            chaos = harness.report()
         assert report.respawns == 1
         # Shard 1's two agents reconnected after the respawn.
         assert report.agents_accepted == 6
         assert report.rib_agents == 4
         assert report.rib_ues == 24
         assert report.master_ttis >= config.total_ttis
+        assert len(chaos.fired) == 1 and chaos.ok, chaos.to_dict()
 
 
 def healing_config(**overrides):
@@ -79,10 +82,9 @@ def healing_config(**overrides):
 
 def run_with_chaos(config, actions, **harness_kwargs):
     with ClusterRuntime(config).start() as runtime:
-        harness = ClusterChaosHarness(actions, **harness_kwargs)
-        runtime.attach_chaos(harness)
+        harness = cluster_chaos(runtime, actions, **harness_kwargs)
         report = runtime.run()
-        chaos = harness.check(runtime, report)
+        chaos = harness.report()
     return report, chaos
 
 
@@ -168,5 +170,5 @@ class TestClusterSelfHealing:
             config, [WorkerKillAt(30, 0)], max_respawns=2)
         payload = json.loads(json.dumps(chaos.to_dict()))
         assert payload["ok"] is True
-        assert payload["respawns"] == report.respawns
+        assert payload["checks"] > 0
         assert payload["fired"], "the kill action never fired"

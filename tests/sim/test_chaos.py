@@ -3,10 +3,10 @@
 from repro.core.survive.supervisor import BreakerState
 from repro.sim.chaos import (
     AppCrashWindow,
-    ChaosHarness,
     ControllerRestartAt,
     ProbeApp,
     Violation,
+    simulation_chaos,
 )
 from repro.sim.scenarios import chaos_survivability
 
@@ -82,8 +82,8 @@ class TestViolationDetection:
         sim.add_ue(enb, Ue("001", FixedCqi(12)))
         probe = ProbeApp()
         master.add_app(probe)
-        ChaosHarness(sim, [AppCrashWindow(probe.name, 10, 20)],
-                     clearance_ttis=10)
+        simulation_chaos(sim, [AppCrashWindow(probe.name, 10, 20)],
+                         clearance_ttis=10)
         with pytest.raises(ChaosError):
             sim.run(30)
 
@@ -96,10 +96,10 @@ class TestViolationDetection:
         master = MasterController(realtime=False)
         sim = Simulation(master=master)
         sim.add_enb()
-        harness = ChaosHarness(sim, [], clearance_ttis=10 ** 9)
-        # Bypass the master phase: tick the harness checker directly
-        # at a TTI the master never ran.
-        harness._check_invariants(77)
+        harness = simulation_chaos(sim, [], clearance_ttis=10 ** 9)
+        # Bypass the master phase: step the harness directly at a TTI
+        # the master never ran.
+        harness.step(77)
         assert any(v.invariant == "cycle_ran" and v.tti == 77
                    for v in harness.violations)
 

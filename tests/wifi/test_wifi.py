@@ -152,5 +152,8 @@ class TestWifiAgent:
         ap, stations, agent, conn = self.wired()
         conn.master_side.send(PolicyReconfiguration(text=build_policy(
             "pdcp", "x", behavior="y")), now=0)
-        with pytest.raises(KeyError):
-            agent.tick_rx(0)  # "no PDCP module for WiFi", literally
+        agent.tick_rx(0)  # "no PDCP module for WiFi", literally
+        # Counted at the dispatch boundary, not unwound through the RX
+        # tick: the control channel stays up.
+        assert agent.dispatch_errors == 1
+        assert agent.messages_handled == 0
