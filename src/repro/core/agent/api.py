@@ -45,6 +45,9 @@ _ENB_EVENT_TYPES = {
 
 _new = object.__new__
 
+_ALL_GROUPS = UeStatsReport.ALL_GROUPS
+"""A record built here is whole: it carries every statistic group."""
+
 _NO_NEIGHBORS: Dict[int, int] = {}
 """What a row without neighbor channels remembers as observed (shared:
 one empty dict per UE would be kept alive for nothing)."""
@@ -111,9 +114,6 @@ class AgentDataPlaneApi:
     def set_abs_pattern(self, cell_id: int, subframes: List[int]) -> None:
         """Install an Almost-Blank Subframe pattern on a cell."""
         self._enb.cells[cell_id].set_abs_pattern(subframes)
-
-    def get_abs_pattern(self, cell_id: int) -> List[int]:
-        return sorted(self._enb.cells[cell_id].muted_subframes)
 
     def set_prb_cap(self, cell_id: int, cap: Optional[int]) -> None:
         """Cap (or restore) the cell's usable DL PRBs (LSA revocation)."""
@@ -226,23 +226,24 @@ class AgentDataPlaneApi:
         record = _new(UeStatsReport)
         record.__dict__ = {
             "rnti": rnti,
+            "groups": _ALL_GROUPS,
+            "rrc_state": _RRC_STATE_INDEX[enb.rrc.context(rnti).state],
             "queues": rlc.queues.sizes(),
+            "ul_buffer_bytes": ue.ul_backlog_bytes,
             "wb_cqi": wb,
             "wb_cqi_clear": cell.known_cqi_clear.get(rnti, 0),
             "subband_cqi": [wb] * SUBBANDS,
             "subband_sinr_db_x10": [sinr_x10] * SUBBANDS,
+            "power_headroom_db": 20,
+            "neighbor_cqi": neighbor_cqi,
             "harq_states": [
                 (2 if p.needs_retx else 1) if p.busy else 0
                 for p in enb.harq[cell.cell_id].entity(rnti).processes],
-            "ul_buffer_bytes": ue.ul_backlog_bytes,
-            "power_headroom_db": 20,
             "rlc_bytes_in": rlc.stats.bytes_in,
             "rlc_bytes_out": rlc.stats.bytes_out,
             "pdcp_tx_bytes": pdcp_tx,
             "pdcp_rx_bytes": pdcp_rx,
             "rx_bytes_total": ue.rx_bytes_total,
-            "rrc_state": _RRC_STATE_INDEX[enb.rrc.context(rnti).state],
-            "neighbor_cqi": neighbor_cqi,
         }
         return record
 

@@ -10,8 +10,8 @@ requested report".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
 from repro.core.protocol.messages import (
     CellStatsReport,
@@ -22,12 +22,25 @@ from repro.core.protocol.messages import (
     StatsRequest,
     UeStatsReport,
 )
+from repro.core.protocol.schema import UNGROUPED, wire_fields
 
 
 FULL_REFRESH_REPLIES = 64
 """A periodic subscription re-sends a full snapshot every this many
 replies (staggered by agent id) so the master's picture self-heals even
-if a delta reply is ever lost or misapplied."""
+if a delta reply is ever lost or misapplied: a group that has not
+changed since the loss is stale at the master until then, and no
+longer."""
+
+_new = object.__new__
+_group_values = UeStatsReport.group_values
+_changed_groups = UeStatsReport.changed_groups
+_ALL_GROUPS = UeStatsReport.ALL_GROUPS
+
+_UE_FIELDS = tuple((name, group)
+                   for name, kind, group in wire_fields(UeStatsReport)
+                   if kind != "mask")
+"""``(name, group bit or None)`` of every statistic a record carries."""
 
 
 @dataclass
@@ -46,17 +59,25 @@ class Subscription:
     last_seq: int = -1
     #: Replies produced so far (drives the staggered full refresh).
     replies: int = 0
+    #: PERIODIC only: per RNTI, the ``group_values`` this subscription
+    #: has been sent -- what the next record is diffed against, kept up
+    #: to date by the diff itself.  Rebuilt by every full snapshot.
+    sent: Dict[int, list] = field(default_factory=dict)
 
 
 class ReportsManager:
     """Registers report requests and produces due replies.
 
     Periodic subscriptions are served *incrementally*: after the first
-    full snapshot, each reply carries only the UEs whose reportable
-    state changed since the previous reply (tracked through the
-    eNodeB's change-sequence machinery, with channel-driven changes
-    folded in by :meth:`AgentDataPlaneApi.collect_ue_stats`, the one
-    pass over the UEs a report TTI makes).
+    full snapshot, each reply carries only what changed since the
+    previous one.  The eNodeB's change sequence (with channel-driven
+    changes folded in by :meth:`AgentDataPlaneApi.collect_ue_stats`,
+    the one pass over the UEs a report TTI makes) says which UEs to
+    look at; the generated ``UeStatsReport.changed_groups`` says which
+    statistic groups of each differ from what *this subscription* was
+    last sent, and only those travel.  A subscription's flags are a
+    mask ANDed onto that, in full snapshots too: a group it did not ask
+    for is never on the wire.
     Cell reports are always complete, every reply self-identifies via
     ``StatsReply.full``, and a full snapshot is re-sent every
     :data:`FULL_REFRESH_REPLIES` replies and after a reconnect
@@ -112,7 +133,7 @@ class ReportsManager:
         since = min(marks)
         rows = self._api.collect_ue_stats(now, since)
         seq_now = self._api.change_seq
-        base_cells: Optional[List[CellStatsReport]] = None
+        cells: Optional[List[CellStatsReport]] = None
         for sub, mark in zip(due, marks):
             triggered = sub.report_type == ReportType.TRIGGERED
             if triggered and mark == seq_now:
@@ -120,11 +141,10 @@ class ReportsManager:
                 # so an unchanged sequence means an unchanged digest:
                 # skip (the pass built no record for this watermark).
                 continue
-            if base_cells is None:
-                base_cells = self._api.get_cell_stats(now)
+            wanted = sub.flags & _ALL_GROUPS
             delta = mark >= 0 and not triggered
             if delta:
-                base_ues = [rec for seq, rec in rows if seq > mark]
+                ue_reports = self._changed(sub, rows, mark, wanted)
             else:
                 if full_ues is None:
                     if since >= 0:
@@ -133,21 +153,26 @@ class ReportsManager:
                         since = -1
                         rows = self._api.collect_ue_stats(now, since)
                     full_ues = [rec for _, rec in rows]
-                base_ues = full_ues
-            ue_reports, cell_reports = self._filter(
-                (base_ues, base_cells), sub.flags)
+                if sub.report_type == ReportType.PERIODIC:
+                    sub.sent = {rec.rnti: _group_values(rec)
+                                for rec in full_ues}
+                ue_reports = (full_ues if wanted == _ALL_GROUPS else
+                              [_carrying(rec, wanted) for rec in full_ues])
             sub.last_seq = seq_now
             if triggered:
-                digest = self._digest(ue_reports)
+                digest = self._digest(ue_reports, wanted)
                 if digest == sub.last_digest:
                     continue
                 sub.last_digest = digest
+            if cells is None:
+                cells = self._api.get_cell_stats(now)
             sub.replies += 1
             replies.append(StatsReply(
                 header=Header(agent_id=self._agent_id, xid=sub.xid, tti=now),
                 report_type=sub.report_type,
                 full=0 if delta else 1,
-                ue_reports=ue_reports, cell_reports=cell_reports))
+                ue_reports=ue_reports,
+                cell_reports=cells if sub.flags & StatsFlags.CELL else []))
             sub.served = True
             if sub.report_type == ReportType.ONE_OFF:
                 done.append(sub.xid)
@@ -155,6 +180,30 @@ class ReportsManager:
             del self._subscriptions[xid]
         self.reports_sent += len(replies)
         return replies
+
+    @staticmethod
+    def _changed(sub: Subscription, rows, mark: int,
+                 wanted: int) -> List[UeStatsReport]:
+        """The delta share of *sub*: of every UE whose sequence moved
+        past *mark*, the subscribed groups that differ from what it was
+        last sent (all of them for a UE it has not seen); a UE with
+        none is left out."""
+        sent = sub.sent
+        relevant = wanted | UNGROUPED
+        out: List[UeStatsReport] = []
+        for seq, rec in rows:
+            if seq <= mark:
+                continue
+            seen = sent.get(rec.rnti)
+            if seen is None:
+                sent[rec.rnti] = _group_values(rec)
+                changed = relevant
+            else:
+                changed = _changed_groups(seen, rec) & relevant
+                if not changed:
+                    continue
+            out.append(_carrying(rec, changed & wanted))
+        return out
 
     def _watermark(self, sub: Subscription) -> int:
         """The change sequence above which *sub* needs UE records.
@@ -184,51 +233,25 @@ class ReportsManager:
         return False
 
     @staticmethod
-    def _filter(snapshot: Tuple[List[UeStatsReport], List[CellStatsReport]],
-                flags: int) -> Tuple[List[UeStatsReport], List[CellStatsReport]]:
-        """Trim a full snapshot down to the subscribed statistic groups."""
-        ue_full, cell_full = snapshot
-        if flags & StatsFlags.FULL == StatsFlags.FULL:
-            # Fast path for the dominant subscription shape: with every
-            # group subscribed nothing gets trimmed.  Published records
-            # and lists are replaced, never mutated, so replies may
-            # share them.
-            return ue_full, cell_full
-        cells = list(cell_full) if flags & StatsFlags.CELL else []
-        ues: List[UeStatsReport] = []
-        for rep in ue_full:
-            trimmed = UeStatsReport(rnti=rep.rnti, rrc_state=rep.rrc_state)
-            if flags & StatsFlags.QUEUES:
-                trimmed.queues = dict(rep.queues)
-                trimmed.ul_buffer_bytes = rep.ul_buffer_bytes
-            if flags & StatsFlags.CQI:
-                trimmed.wb_cqi = rep.wb_cqi
-                trimmed.wb_cqi_clear = rep.wb_cqi_clear
-                trimmed.subband_cqi = list(rep.subband_cqi)
-                trimmed.subband_sinr_db_x10 = list(rep.subband_sinr_db_x10)
-                trimmed.power_headroom_db = rep.power_headroom_db
-                trimmed.neighbor_cqi = dict(rep.neighbor_cqi)
-            if flags & StatsFlags.HARQ:
-                trimmed.harq_states = list(rep.harq_states)
-            if flags & StatsFlags.RLC:
-                trimmed.rlc_bytes_in = rep.rlc_bytes_in
-                trimmed.rlc_bytes_out = rep.rlc_bytes_out
-            if flags & StatsFlags.PDCP:
-                trimmed.pdcp_tx_bytes = rep.pdcp_tx_bytes
-                trimmed.pdcp_rx_bytes = rep.pdcp_rx_bytes
-                trimmed.rx_bytes_total = rep.rx_bytes_total
-            ues.append(trimmed)
-        return ues, cells
-
-    @staticmethod
-    def _digest(reports: List[UeStatsReport]) -> int:
-        """Change-detection digest over every wire field of *reports*."""
+    def _digest(reports: List[UeStatsReport], wanted: int) -> int:
+        """Change-detection digest over the wire fields of *reports*
+        that a subscription to the groups *wanted* is sent."""
+        names = [name for name, group in _UE_FIELDS
+                 if group is None or group & wanted]
         return hash(tuple(
             _hashable(getattr(rep, name))
-            for rep in reports for name in _UE_FIELD_NAMES))
+            for rep in reports for name in names))
 
 
-_UE_FIELD_NAMES = tuple(name for name, _ in UeStatsReport.FIELDS)
+def _carrying(record: UeStatsReport, groups: int) -> UeStatsReport:
+    """*record* as it goes into one reply: the same object when it
+    already says *groups*, otherwise a copy stamped with them (sharing
+    every container; a published record is never written)."""
+    if record.groups == groups:
+        return record
+    stamped = _new(UeStatsReport)
+    stamped.__dict__ = {**record.__dict__, "groups": groups}
+    return stamped
 
 
 def _hashable(value):

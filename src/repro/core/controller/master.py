@@ -237,6 +237,11 @@ class MasterController:
                         endpoint.peer, endpoint.rx_direction,
                         type(message).__name__, message.header.xid,
                         self.now)
+            # A delta's records are garbage once merged into the RIB;
+            # held until the next agent's batch has been decoded they
+            # double the live young objects and tip the collector over
+            # its threshold on every report TTI.
+            del messages, message
         if gathered:
             self.events.enqueue(gathered)
         if ob.enabled:

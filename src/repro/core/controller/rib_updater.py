@@ -23,10 +23,13 @@ from repro.core.protocol.messages import (
     Hello,
     StatsReply,
     SubframeTrigger,
+    UeStatsReport,
 )
 
 EVENT_HISTORY = 32
 """Events retained per agent for late-subscribing applications."""
+
+_merge = UeStatsReport.merge
 
 
 @dataclass
@@ -162,5 +165,10 @@ class RibUpdater:
                 node = target.ues.setdefault(
                     rnti, UeNode(rnti=rnti, cell_id=target.cell_id))
                 ue_index[rnti] = target
-            node.stats = ue_rep
+            # A report carries the statistic groups that changed: they
+            # are merged into the stored record, so readers always see
+            # a complete one.  With nothing stored the report stands as
+            # it is (its absent groups hold their defaults).
+            stored = node.stats
+            node.stats = ue_rep if stored is None else _merge(stored, ue_rep)
             node.stats_tti = now

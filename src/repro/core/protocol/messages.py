@@ -12,7 +12,8 @@ Each message class declares:
   breakdowns of Fig. 7 (agent management / sync / stats reporting /
   master commands);
 * ``FIELDS`` -- its payload's wire layout, one ``(name, kind)`` pair
-  per dataclass field in wire order, from which
+  per dataclass field in wire order (plus the group bit, for a field
+  that travels only when its group does), from which
   :func:`~repro.core.protocol.schema.compile_codec` emits the class's
   ``encode`` / ``decode`` at import.  Nested records declare ``FIELDS``
   the same way.
@@ -213,34 +214,49 @@ class UeStatsReport:
     Mirrors the statistics the paper's agent streams at TTI granularity:
     buffer status per logical channel, wideband and per-subband CQI,
     HARQ process states, RLC/PDCP counters and power headroom.
+
+    The third column of ``FIELDS`` files each statistic under the
+    :class:`StatsFlags` group a subscription selects it by; ``groups``
+    says which of them this record carries.  On the wire an absent
+    group costs nothing; decoded, its fields hold their defaults, and
+    the master's RIB merges the present groups into the record it
+    stores.  A record built whole (the default) carries all five.
     """
 
     rnti: int = 0
+    groups: int = int(StatsFlags.FULL & ~StatsFlags.CELL)
+    rrc_state: int = 0
     queues: Dict[int, int] = field(default_factory=dict)
+    ul_buffer_bytes: int = 0
     wb_cqi: int = 0
     wb_cqi_clear: int = 0
     subband_cqi: List[int] = field(default_factory=list)
     subband_sinr_db_x10: List[int] = field(default_factory=list)
-    harq_states: List[int] = field(default_factory=list)
-    ul_buffer_bytes: int = 0
     power_headroom_db: int = 0
+    neighbor_cqi: Dict[int, int] = field(default_factory=dict)
+    harq_states: List[int] = field(default_factory=list)
     rlc_bytes_in: int = 0
     rlc_bytes_out: int = 0
     pdcp_tx_bytes: int = 0
     pdcp_rx_bytes: int = 0
     rx_bytes_total: int = 0
-    rrc_state: int = 0
-    neighbor_cqi: Dict[int, int] = field(default_factory=dict)
 
-    FIELDS = (("rnti", "varint"), ("queues", "map<varint,varint>"),
-              ("wb_cqi", "byte"), ("wb_cqi_clear", "byte"),
-              ("subband_cqi", "list<varint>"),
-              ("subband_sinr_db_x10", "list<svarint>"),
-              ("harq_states", "list<varint>"), ("ul_buffer_bytes", "varint"),
-              ("power_headroom_db", "varint"), ("rlc_bytes_in", "varint"),
-              ("rlc_bytes_out", "varint"), ("pdcp_tx_bytes", "varint"),
-              ("pdcp_rx_bytes", "varint"), ("rx_bytes_total", "varint"),
-              ("rrc_state", "byte"), ("neighbor_cqi", "map<varint,varint>"))
+    FIELDS = (
+        ("rnti", "varint"), ("groups", "mask"), ("rrc_state", "byte"),
+        ("queues", "map<varint,varint>", StatsFlags.QUEUES),
+        ("ul_buffer_bytes", "varint", StatsFlags.QUEUES),
+        ("wb_cqi", "byte", StatsFlags.CQI),
+        ("wb_cqi_clear", "byte", StatsFlags.CQI),
+        ("subband_cqi", "rle<varint>", StatsFlags.CQI),
+        ("subband_sinr_db_x10", "rle<svarint>", StatsFlags.CQI),
+        ("power_headroom_db", "varint", StatsFlags.CQI),
+        ("neighbor_cqi", "map<varint,varint>", StatsFlags.CQI),
+        ("harq_states", "list<varint>", StatsFlags.HARQ),
+        ("rlc_bytes_in", "varint", StatsFlags.RLC),
+        ("rlc_bytes_out", "varint", StatsFlags.RLC),
+        ("pdcp_tx_bytes", "varint", StatsFlags.PDCP),
+        ("pdcp_rx_bytes", "varint", StatsFlags.PDCP),
+        ("rx_bytes_total", "varint", StatsFlags.PDCP))
 
 
 @compile_codec
@@ -280,14 +296,15 @@ class StatsReply(FlexRanMessage):
     grow sublinearly with UE count (Fig. 7a).
     """
 
-    MSG_TYPE: ClassVar[int] = 8
+    MSG_TYPE: ClassVar[int] = 22
     CATEGORY: ClassVar[str] = Category.STATS
 
     report_type: int = int(ReportType.PERIODIC)
-    #: 1 when ``ue_reports`` covers every attached UE; 0 for a delta
-    #: reply that carries only the UEs whose reportable state changed
-    #: since the subscription's previous reply.  Cell reports are
-    #: always complete either way.
+    #: 1 when ``ue_reports`` covers every attached UE with every
+    #: subscribed group; 0 for a delta reply that carries only the UEs,
+    #: and of each only the groups, that changed since the
+    #: subscription's previous reply.  Cell reports are always complete
+    #: either way.
     full: int = 1
     ue_reports: List[UeStatsReport] = field(default_factory=list)
     cell_reports: List[CellStatsReport] = field(default_factory=list)
@@ -564,6 +581,7 @@ MESSAGE_TYPES = {
 
 RETIRED_MESSAGE_TYPES = {
     6: "SetConfig",
+    8: "StatsReply (v1)",
 }
 """Wire discriminators this protocol used to assign and has removed.
 

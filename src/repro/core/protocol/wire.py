@@ -12,8 +12,9 @@ These are the scalar primitives only.  Messages, lists and maps are
 laid out by the codec :mod:`repro.core.protocol.schema` compiles from
 each message's field table; its generated code inlines the common
 cases and calls back into :class:`Writer` / :class:`Reader` for the
-rest (5+ byte varints, strings, blobs and every range error), so each
-check and error message lives here once.
+rest (5+ byte varints, strings, blobs, group masks, long ``rle``
+counts and every range error), so each check and error message lives
+here once.
 
 Encode and decode enforce the same 10-byte varint bound, so every
 frame a :class:`Writer` can produce is one a :class:`Reader` will
@@ -33,6 +34,18 @@ _MAX_VARINT_BYTES = 10
 _VARINT_LIMIT = 1 << (7 * _MAX_VARINT_BYTES)
 _SVARINT_MIN = -(_VARINT_LIMIT >> 1)
 _SVARINT_MAX = (_VARINT_LIMIT >> 1) - 1
+
+MAX_RLE_COUNT = 256
+"""Most elements an ``rle`` vector may declare, on either side.
+
+A constant-coded vector is the one place a decoder allocates from a
+declared count (``[value] * count``), so the count is bounded before
+anything is built.  The largest legitimate vector is one value per PRB
+of a 20 MHz carrier (110); the bound leaves room above that and keeps
+what a hostile frame can make a decoder allocate per declared byte
+small.  Must stay >= 0x7F: the generated code checks only counts that
+do not fit one byte.
+"""
 
 
 class Writer:
@@ -94,6 +107,23 @@ class Writer:
             raise EncodeError(f"byte out of range: {value}")
         self._parts.append(value)
         return self
+
+    def mask(self, value: int, allowed: int) -> "Writer":
+        """Append a group presence mask: one octet, bits of *allowed* only."""
+        if value & ~allowed:
+            raise EncodeError(
+                f"mask {value:#x} has bits outside the declared groups "
+                f"{allowed:#04x}")
+        self._parts.append(value)
+        return self
+
+    def rle_count(self, count: int) -> "Writer":
+        """Append the element count of an ``rle`` vector."""
+        if count > MAX_RLE_COUNT:
+            raise EncodeError(
+                f"rle vector of {count} elements exceeds the "
+                f"{MAX_RLE_COUNT}-element bound")
+        return self.varint(count)
 
     def string(self, text: str) -> "Writer":
         data = text.encode("utf-8")
@@ -165,6 +195,24 @@ class Reader:
         value = self._data[self._pos]
         self._pos += 1
         return value
+
+    def mask(self, allowed: int) -> int:
+        value = self.byte()
+        if value & ~allowed:
+            raise DecodeError(
+                f"mask {value:#04x} has bits outside the declared groups "
+                f"{allowed:#04x}")
+        return value
+
+    def rle_count(self) -> int:
+        """The element count of an ``rle`` vector, bounded before any
+        caller builds ``[value] * count`` from it."""
+        count = self.varint()
+        if count > MAX_RLE_COUNT:
+            raise DecodeError(
+                f"rle vector declares {count} elements, more than the "
+                f"{MAX_RLE_COUNT}-element bound")
+        return count
 
     def string(self) -> str:
         data = self._take(self.varint())

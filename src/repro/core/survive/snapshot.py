@@ -40,7 +40,10 @@ from repro.core.protocol.wire import Reader, Writer
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.controller.master import MasterController
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+"""2: statistics records in stats-wire-v2 layout (group mask, ``rle``
+vectors); a version-1 snapshot embeds records this codec cannot read
+and is refused."""
 
 
 def _enc(record) -> Optional[str]:

@@ -75,6 +75,25 @@ class TestDeltaReplies:
         assert [r.rnti for r in delta.ue_reports] == [rntis[1]]
         assert delta.ue_reports[0].queues
 
+    def test_sequence_moved_but_nothing_reported_changed(self):
+        # The sequence says which UEs to look at, the diff which groups
+        # to send: a UE that only moved its sequence is left out, one
+        # that changed outside the subscribed groups too.
+        enb, agent, rntis = make_agent()
+        subscribe(agent.reports, xid=1)
+        agent.reports.register(
+            StatsRequest(header=Header(xid=2),
+                         report_type=int(ReportType.PERIODIC),
+                         period_ttis=5, flags=int(StatsFlags.CQI)), now=30)
+        agent.reports.due_replies(30)
+        enb.mark_ue_report_dirty(rntis[0])
+        enb.enqueue_dl(rntis[2], 700, 33)
+        full, cqi_only = agent.reports.due_replies(35)
+        assert [r.rnti for r in full.ue_reports] == [rntis[2]]
+        assert not full.ue_reports[0].groups & StatsFlags.CQI
+        assert full.ue_reports[0].groups & StatsFlags.QUEUES
+        assert cqi_only.full == 0 and cqi_only.ue_reports == []
+
     def test_force_full_resets_watermark(self):
         enb, agent, rntis = make_agent()
         subscribe(agent.reports)

@@ -13,17 +13,26 @@ from repro.core.delegation import VsfLoadError, load_vsf
 from repro.core.policy import PolicyDocument, PolicyParseError, parse
 from repro.core.protocol import codec
 from repro.core.protocol.errors import DecodeError
-from repro.core.protocol.messages import MESSAGE_TYPES
-from repro.core.protocol.schema import LIST_KIND, MAP_KIND, wire_fields
+from repro.core.protocol.messages import MESSAGE_TYPES, StatsReply
+from repro.core.protocol.schema import (
+    LIST_KIND,
+    MAP_KIND,
+    RLE_KIND,
+    wire_fields,
+)
 from repro.core.protocol.wire import Reader, Writer
 
 from tests.core import schema_reference as reference
 from tests.core.test_golden_frames import MESSAGES as GOLDEN_MESSAGES
 
+def counted(kind):
+    return LIST_KIND.match(kind) or MAP_KIND.match(kind) \
+        or RLE_KIND.match(kind)
+
+
 WITH_COLLECTIONS = [
     cls for cls in (*reference.RECORDS, *MESSAGE_TYPES.values())
-    if any(LIST_KIND.match(kind) or MAP_KIND.match(kind)
-           for _, kind in wire_fields(cls))]
+    if any(counted(kind) for _, kind, _ in wire_fields(cls))]
 
 
 def assert_every_strict_prefix_fails(frame: bytes) -> None:
@@ -40,7 +49,7 @@ def assert_every_strict_prefix_fails(frame: bytes) -> None:
 class TestCodecFuzz:
     @given(st.binary(max_size=300))
     @settings(max_examples=300)
-    @example(b"\x08")           # valid type byte, truncated header
+    @example(b"\x16")           # valid type byte, truncated header
     @example(b"\x01\x00\x00")   # Hello with truncated payload
     def test_decode_never_crashes(self, data):
         """Random bytes either decode to a message or raise DecodeError."""
@@ -53,6 +62,31 @@ class TestCodecFuzz:
         # identical -- dict ordering is canonicalized -- but must
         # round-trip to an equal message).
         assert codec.decode(codec.encode(message)) == message
+
+    @given(st.binary(max_size=60), st.integers(0, 3))
+    @settings(max_examples=400)
+    @example(b"\x00\x00\x00", 1)                  # a UE with no group
+    @example(b"\x46\x02\x03\x0c\x0e\x09\x01\x0c\x09\x01\x12"
+             b"\x14\x00", 1)                      # a CQI-only delta
+    def test_stats_payloads_reencode_to_the_same_bytes(self, body, n_ues):
+        """Random bytes behind a valid frame head, so they reach the
+        record decoder as masks, ``rle`` counts and flags from outside.
+        What is accepted round-trips, and its own encoding is never
+        longer than the frame it came from: the only slack a decoder
+        tolerates is a padded varint or an unsorted map, never a second
+        spelling of a mask, a flag or a run."""
+        frame = (bytes([StatsReply.MSG_TYPE, 1, 2, 3, 1, 0, n_ues])
+                 + body + (b"\x00" if n_ues else b""))
+        try:
+            message = codec.decode(frame)
+        except DecodeError:
+            return
+        assert isinstance(message, StatsReply)
+        again = codec.encode(message)
+        assert codec.decode(again) == message
+        assert len(again) <= len(frame)
+        if not any(octet & 0x80 for octet in frame):  # no varint to pad
+            assert sorted(again) == sorted(frame)
 
     @given(st.binary(min_size=1, max_size=200))
     @settings(max_examples=200)
@@ -76,11 +110,11 @@ class TestCodecFuzz:
         """A count of 2^40 in front of a few bytes is a truncated frame,
         not a request for a terabyte: nothing is sized by the declared
         count, so decode fails as soon as the bytes run out."""
-        for name, kind in wire_fields(cls):
-            if not (LIST_KIND.match(kind) or MAP_KIND.match(kind)):
+        for name, kind, _ in wire_fields(cls):
+            if not counted(kind):
                 continue
             w = Writer()
-            for before, before_kind in wire_fields(cls):
+            for before, before_kind, _ in wire_fields(cls):
                 if before == name:
                     break
                 reference.put(w, cls, before_kind, getattr(cls(), before))

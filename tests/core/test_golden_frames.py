@@ -5,6 +5,14 @@ preceded the schema compiler (commit 986284d), by encoding ``MESSAGES``
 and ``RECORDS`` below.  A round-trip test alone would pass if encode
 and decode drifted together; these fail on the first changed byte.
 
+The seven ``StatsReply/*`` and ``UeStatsReport/*`` frames are the
+exception: stats wire v2 (message id 22: group mask, ``rle`` vectors)
+has no hand-written ancestor, so they were recorded from the compiled
+codec when the format was introduced and checked octet by octet
+against docs/PROTOCOL.md; ``test_cqi_delta_is_spelled_out`` keeps one
+of them written out.  Every other frame is byte-identical to the
+original recording.
+
 To pin a new message, add the case here and its frame (hex) to the
 JSON file in the same change that introduces the message.
 """
@@ -15,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.protocol import codec
+from repro.core.protocol.errors import RetiredMessageType
 from repro.core.protocol.messages import (
     MESSAGE_TYPES,
     AbsPatternConfig,
@@ -35,6 +44,7 @@ from repro.core.protocol.messages import (
     Hello,
     PolicyReconfiguration,
     PrbCapConfig,
+    StatsFlags,
     StatsReply,
     StatsRequest,
     SubframeTrigger,
@@ -64,6 +74,12 @@ UE_TYPICAL = UeStatsReport(
     pdcp_tx_bytes=10 ** 6, pdcp_rx_bytes=10 ** 5, rx_bytes_total=10 ** 9,
     rrc_state=3, neighbor_cqi={20: 9})
 UE_EMPTY = UeStatsReport()
+# What a delta reply carries for a UE whose channel moved and nothing
+# else did: one group, both subband vectors constant.
+UE_CQI_DELTA = UeStatsReport(
+    rnti=70, groups=int(StatsFlags.CQI), rrc_state=3, wb_cqi=12,
+    wb_cqi_clear=14, subband_cqi=[12] * 9, subband_sinr_db_x10=[187] * 9,
+    power_headroom_db=20)
 UE_WIDE = UeStatsReport(
     rnti=V3, queues={V2: V5, 1: 0, 300: V1, V10: V10},
     wb_cqi=0, wb_cqi_clear=255,
@@ -100,6 +116,7 @@ RECORDS = {
     "UeStatsReport/empty": UE_EMPTY,
     "UeStatsReport/typical": UE_TYPICAL,
     "UeStatsReport/wide": UE_WIDE,
+    "UeStatsReport/cqi_delta": UE_CQI_DELTA,
     "CellStatsReport/empty": CellStatsReport(),
     "CellStatsReport/typical": CELL_TYPICAL,
     "CellStatsReport/wide": CELL_WIDE,
@@ -222,3 +239,27 @@ def test_maps_are_sorted_on_the_wire():
     assert encode_record(shuffled) == encode_record(ordered)
     labels = UeConfigRep(labels={"b": "2", "a": "1"})
     assert encode_record(labels).index(b"a") < encode_record(labels).index(b"b")
+
+
+def test_cqi_delta_is_spelled_out():
+    """The commonest record of a fading deployment, octet by octet as
+    docs/PROTOCOL.md lays it out: 14 bytes where v1 sent about 65."""
+    assert bytes.fromhex(GOLDEN["UeStatsReport/cqi_delta"]) == bytes([
+        70,                 # varint rnti
+        0x02,               # mask groups: CQI alone
+        3,                  # byte rrc_state
+        12, 14,             # byte wb_cqi, wb_cqi_clear
+        9, 1, 12,           # rle<varint> subband_cqi: 9 x 12
+        9, 1, 0xF6, 0x02,   # rle<svarint> subband_sinr_db_x10: 9 x 187
+        20,                 # varint power_headroom_db
+        0,                  # map<varint,varint> neighbor_cqi: empty
+    ])
+
+
+def test_stats_wire_v1_is_retired_not_reassigned():
+    """A peer still sending the pre-mask ``StatsReply`` (id 8) is told
+    it speaks a deprecated dialect; nothing tries to parse its frame."""
+    assert StatsReply.MSG_TYPE == 22
+    v1_frame = bytes([8]) + bytes.fromhex(GOLDEN["StatsReply/typical"])[1:]
+    with pytest.raises(RetiredMessageType, match=r"StatsReply \(v1\)"):
+        codec.decode(v1_frame)

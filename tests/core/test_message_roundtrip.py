@@ -2,9 +2,10 @@
 
 For each of the 20 registered message types we build random instances
 (covering the full varint value range, signed lists, string maps and
-nested report records) and assert ``decode(encode(msg)) == msg`` and that
-the frame is fully consumed (``expect_end`` holds -- trailing bytes are
-rejected).
+nested report records -- with every group mask, and subband vectors
+that are constant, nearly constant and arbitrary) and assert
+``decode(encode(msg)) == msg`` and that the frame is fully consumed
+(``expect_end`` holds -- trailing bytes are rejected).
 """
 
 import pytest
@@ -42,6 +43,8 @@ from repro.core.protocol.messages import (
     VsfUpdate,
 )
 
+from tests.core.schema_reference import blank_absent_groups
+
 # Field strategies.  UVAR spans the full 64-bit range the data plane can
 # produce (byte counters accumulate); SVAR exercises the signed fields
 # (SINR, noise) well past the 2^63 boundary the old zigzag broke at.
@@ -61,13 +64,26 @@ CELL_CONFIGS = st.builds(
     antenna_ports=UVAR, transmission_mode=UVAR)
 UE_CONFIGS = st.builds(
     UeConfigRep, rnti=UVAR, imsi=SHORT, cell_id=UVAR, labels=STR_MAP)
+
+
+def runs(item):
+    """Vectors for an ``rle`` field: any list, a constant one, and a
+    constant one spoiled by its last element."""
+    constant = st.builds(lambda x, n: [x] * n, item, st.integers(1, 13))
+    return st.one_of(st.lists(item, max_size=6), constant,
+                     st.builds(lambda xs, y: xs + [y], constant, item))
+
+
+# A record as the wire carries it: the fields of a group its mask
+# leaves out hold their defaults (that is what "absent" decodes to).
 UE_STATS = st.builds(
-    UeStatsReport, rnti=UVAR, queues=INT_MAP, wb_cqi=U8, wb_cqi_clear=U8,
-    subband_cqi=UVAR_LIST, subband_sinr_db_x10=SVAR_LIST,
+    UeStatsReport, rnti=UVAR, groups=st.integers(0, 0x1F), queues=INT_MAP,
+    wb_cqi=U8, wb_cqi_clear=U8,
+    subband_cqi=runs(UVAR), subband_sinr_db_x10=runs(SVAR),
     harq_states=UVAR_LIST, ul_buffer_bytes=UVAR, power_headroom_db=UVAR,
     rlc_bytes_in=UVAR, rlc_bytes_out=UVAR, pdcp_tx_bytes=UVAR,
     pdcp_rx_bytes=UVAR, rx_bytes_total=UVAR, rrc_state=U8,
-    neighbor_cqi=INT_MAP)
+    neighbor_cqi=INT_MAP).map(blank_absent_groups)
 CELL_STATS = st.builds(
     CellStatsReport, cell_id=UVAR, n_prb=UVAR, connected_ues=UVAR,
     tb_ok=UVAR, tb_err=UVAR, dl_bytes=UVAR,

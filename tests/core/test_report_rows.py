@@ -7,9 +7,13 @@ when only the channel moved, and retains records only where that can
 happen.  These tests pin what must hold whatever the pass does inside:
 
 * the *exactness oracle* -- every reply, merged into a shadow map the
-  way the master's RIB merges it, equals a fresh full snapshot field
-  for field (it uses only ``due_replies`` and ``get_ue_stats(now)``, so
-  it pins behaviour that predates the pass);
+  way the master's RIB merges it (the groups a record carries overlay
+  the stored record), equals a fresh full snapshot field for field in
+  every group the subscription asked for, and holds nothing in the
+  others (it uses only ``due_replies`` and ``get_ue_stats(now)``);
+* the *loss bound* -- drop one delta frame and the RIB is wrong about
+  the groups it carried until the next staggered full refresh, and no
+  longer;
 * a published record never changes afterwards;
 * a channel-only change is visible to reports and not to the scheduler;
 * subscriptions due on the same TTI share one pass and each gets
@@ -19,27 +23,49 @@ happen.  These tests pin what must hold whatever the pass does inside:
 """
 
 import copy
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
 from repro.core.agent import FlexRanAgent
+from repro.core.agent.reports import FULL_REFRESH_REPLIES
 from repro.core.protocol.messages import (
     Header,
     ReportType,
     StatsFlags,
+    StatsReply,
     StatsRequest,
     UeStatsReport,
 )
+from repro.core.protocol.schema import wire_fields
 from repro.lte.enodeb import EnodeB
 from repro.lte.phy.channel import FixedCqi, GaussMarkovSinr, TraceCqi
 from repro.lte.ue import Ue
 from repro.sim.simulation import Simulation
 from repro.traffic.generators import CbrSource, PoissonSource
+from tests.core import schema_reference
 from tests.sim import context_oracle
 
 UE_FIELDS = tuple(f.name for f in fields(UeStatsReport))
 PERIOD = 5
+NARROW = int(StatsFlags.CQI | StatsFlags.RLC)
+"""The flags of the narrow subscription ``build`` adds to agent 0."""
+
+
+def reported_fields(flags):
+    """Names of the fields a subscription with *flags* is sent (the
+    mask itself aside), and of those it is not."""
+    sent, unsent = [], []
+    for name, kind, group in wire_fields(UeStatsReport):
+        if kind != "mask":
+            (sent if group is None or group & flags else unsent).append(name)
+    return sent, unsent
+
+
+def whole(record):
+    """*record* with every group marked present: a delta record is the
+    agent's whole record stamped with the groups that travel."""
+    return replace(record, groups=UeStatsReport.ALL_GROUPS)
 
 
 def fading(index):
@@ -49,7 +75,9 @@ def fading(index):
 def build(*, churn, n_enbs=2, ues_per_enb=16):
     """A small scale_churn (fading, Poisson, PF) or scale_steady
     (fixed CQI, CBR, round robin) deployment, subscribed like
-    ``large_scale``; agent 0 carries a second, slower subscription."""
+    ``large_scale``; agent 0 also carries a second, slower full
+    subscription and a faster one with narrow flags, so every stream
+    has its own period, its own flags and its own predecessors."""
     sim = Simulation(with_master=True, realtime_master=False)
     agents = []
     for e in range(n_enbs):
@@ -74,6 +102,9 @@ def build(*, churn, n_enbs=2, ues_per_enb=16):
     sim.master.northbound.request_stats(
         agents[0].agent_id, report_type=ReportType.PERIODIC,
         period_ttis=PERIOD + 2)
+    sim.master.northbound.request_stats(
+        agents[0].agent_id, report_type=ReportType.PERIODIC,
+        period_ttis=PERIOD - 2, flags=NARROW)
     return sim, agents
 
 
@@ -95,36 +126,62 @@ class TestExactnessOracle:
         sim, agents = build(churn=churn)
         compared = 0
         deltas = 0
+        narrow = 0
         mismatches = []
 
         def check(agent):
             shadows = {}  # xid -> {rnti: record}, one RIB view per stream
+            flags_of = {}
 
             def after(now, replies):
-                nonlocal compared, deltas
+                nonlocal compared, deltas, narrow
+                flags_of.update((sub.xid, sub.flags) for sub
+                                in agent.reports.active_subscriptions())
+                fresh = {r.rnti: r for r in agent.api.get_ue_stats(now)}
                 for reply in replies:
                     shadow = shadows.setdefault(reply.header.xid, {})
+                    flags = flags_of[reply.header.xid]
+                    sent, unsent = reported_fields(flags)
                     if reply.full == 1:
                         shadow.clear()
                     else:
                         deltas += 1
                     for record in reply.ue_reports:
-                        shadow[record.rnti] = record
-                    fresh = {r.rnti: r for r in agent.api.get_ue_stats(now)}
+                        assert not record.groups & ~flags
+                        assert reply.full == 0 or \
+                            record.groups == flags & UeStatsReport.ALL_GROUPS
+                        stored = shadow.get(record.rnti)
+                        # By group, as the RIB does: what the wire
+                        # carries of the record, over what is stored.
+                        arrived = schema_reference.blank_absent_groups(record)
+                        shadow[record.rnti] = (
+                            arrived if stored is None
+                            else schema_reference.merge(stored, arrived))
                     if sorted(shadow) != sorted(fresh):
                         mismatches.append(
                             f"tti {now} agent {agent.agent_id}: reported "
                             f"{sorted(shadow)}, attached {sorted(fresh)}")
                         continue
+                    narrow += flags == NARROW
+                    blank = UeStatsReport()
                     for rnti, want in fresh.items():
                         compared += 1
-                        for name in UE_FIELDS:
+                        assert shadow[rnti].groups == \
+                            flags & UeStatsReport.ALL_GROUPS
+                        for name in sent:
                             got = getattr(shadow[rnti], name)
                             if got != getattr(want, name):
                                 mismatches.append(
                                     f"tti {now} agent {agent.agent_id} "
+                                    f"xid {reply.header.xid} "
                                     f"UE {rnti} {name}: reported {got!r}, "
                                     f"snapshot {getattr(want, name)!r}")
+                        for name in unsent:
+                            if getattr(shadow[rnti], name) != \
+                                    getattr(blank, name):
+                                mismatches.append(
+                                    f"tti {now} UE {rnti} {name}: sent "
+                                    f"to a subscription without its group")
             tap_replies(agent, monkeypatch, after)
 
         for agent in agents:
@@ -134,7 +191,7 @@ class TestExactnessOracle:
         finally:
             sim.close()
         assert not mismatches, "\n".join(mismatches[:10])
-        assert compared > 3000 and deltas > 200
+        assert compared > 3000 and deltas > 200 and narrow > 100
 
     def test_builder_lists_every_wire_field_in_order(self):
         enb = EnodeB(1)
@@ -142,8 +199,75 @@ class TestExactnessOracle:
         enb.attach_ue(Ue("001", FixedCqi(9)), tti=0)
         (record,) = agent.api.get_ue_stats(0)
         assert tuple(record.__dict__) == UE_FIELDS
-        assert UE_FIELDS == tuple(name for name, _ in UeStatsReport.FIELDS)
+        assert UE_FIELDS == tuple(
+            name for name, _, _ in wire_fields(UeStatsReport))
         assert record == UeStatsReport(**record.__dict__)
+        assert record.groups == UeStatsReport.ALL_GROUPS  # built whole
+
+
+class TestLossBound:
+    def test_a_dropped_delta_heals_by_the_next_full_refresh(self, monkeypatch):
+        """Group deltas keep a rarely-changing group stale for longer
+        after a loss than record deltas did: a UE's CQI steps once, the
+        delta carrying it is dropped, and although the UE's queues keep
+        arriving the master is wrong about its CQI until the staggered
+        full refresh -- at most FULL_REFRESH_REPLIES x period TTIs
+        later, which is the contract."""
+        period = 2
+        sim = Simulation(with_master=True, realtime_master=False)
+        enb = sim.add_enb(17)   # agent 17: full refresh on replies 17, 81
+        agent = sim.add_agent(enb, rtt_ms=0.0)
+        stepper = Ue("001", TraceCqi([(0, 7), (60, 12)]))
+        steady = Ue("002", FixedCqi(9))
+        for ue in (stepper, steady):
+            sim.add_ue(enb, ue)
+            sim.add_downlink_traffic(enb, ue, CbrSource(0.5, start_tti=5))
+        sim.master.northbound.request_stats(
+            agent.agent_id, report_type=ReportType.PERIODIC,
+            period_ttis=period)
+        dropped = []
+        send = agent._send
+
+        def lossy_send(message, now):
+            if (not dropped and isinstance(message, StatsReply)
+                    and message.full == 0 and any(
+                        r.rnti == stepper.rnti and r.groups & StatsFlags.CQI
+                        and r.wb_cqi == 12 for r in message.ue_reports)):
+                dropped.append(now)
+                return
+            send(message, now)
+        monkeypatch.setattr(agent, "_send", lossy_send)
+
+        last = {}       # the agent's whole records at its latest report TTI
+        wrong = []      # report TTIs after which the RIB disagreed with them
+        fulls = []
+
+        def after(now, replies):
+            if replies:
+                last.update(tti=now, records={
+                    r.rnti: r for r in agent.api.get_ue_stats(now)})
+                fulls.extend(now for r in replies if r.full == 1)
+        tap_replies(agent, monkeypatch, after)
+        try:
+            for _ in range((FULL_REFRESH_REPLIES + 50) * period):
+                sim.run(1)
+                if last.get("tti") == sim.now - 1:      # rtt 0: applied
+                    node = sim.master.rib.agent(agent.agent_id)
+                    if any(ue.stats != last["records"][ue.rnti]
+                           for ue in node.all_ues()):
+                        wrong.append(sim.now - 1)
+        finally:
+            sim.close()
+        (lost_at,) = dropped
+        healed_at = min(t for t in fulls if t > lost_at)
+        assert healed_at - lost_at <= FULL_REFRESH_REPLIES * period
+        # The loss was real and lasted: the queues kept flowing, the CQI
+        # group did not change again, so nothing but the refresh fixed it.
+        assert healed_at - lost_at > 10 * period
+        assert wrong and min(wrong) == lost_at
+        assert [t for t in wrong if t < healed_at] == list(
+            range(lost_at, healed_at, period))
+        assert not [t for t in wrong if t >= healed_at]
 
 
 class TestPublishedRecordsAreImmutable:
@@ -227,14 +351,19 @@ class TestChannelOnlyChanges:
         moved = agent.reports.due_replies(40)[0].ue_reports[0]
         assert moved is not first
         assert moved.subband_sinr_db_x10 != first.subband_sinr_db_x10
-        # Everything the data plane owns was carried over, not re-walked.
+        # Everything the data plane owns was carried over, not re-walked
+        # -- and is not sent either: the CQI group is all that differs.
         assert moved.queues is first.queues
         assert moved.harq_states is first.harq_states
+        assert first.groups == UeStatsReport.ALL_GROUPS
+        assert moved.groups == StatsFlags.CQI
         # A data-plane change rebuilds.
         enb.enqueue_dl(rnti, 700, 43)
         rebuilt = agent.reports.due_replies(45)[0].ue_reports[0]
         assert rebuilt.queues is not moved.queues and rebuilt.queues
-        assert rebuilt == agent.api.get_ue_stats(45)[0]
+        assert rebuilt.groups == (StatsFlags.QUEUES | StatsFlags.RLC
+                                  | StatsFlags.PDCP)
+        assert whole(rebuilt) == agent.api.get_ue_stats(45)[0]
 
 
 class TestTriggeredDigest:
@@ -334,8 +463,11 @@ class TestRetainedStateFollowsTheUe:
             enb.tick(t)
         (record,) = agent.reports.due_replies(35)[0].ue_reports
         assert record is not old and record.queues is not old.queues
-        assert record == agent.api.get_ue_stats(35)[0]
-        assert agent.api._rows[rnti][3] is record
+        assert whole(record) == agent.api.get_ue_stats(35)[0]
+        # The reply carries the retained record, stamped with the
+        # groups in which the newcomer differs from its predecessor.
+        assert whole(record) == agent.api._rows[rnti][3]
+        assert record.queues is agent.api._rows[rnti][3].queues
 
     def test_handover_drops_the_source_row_and_reobserves(self):
         sim = Simulation(with_master=True, realtime_master=False)

@@ -1,13 +1,22 @@
-"""Tests for statistics-group filtering and a multi-eNodeB soak run."""
+"""Tests for statistics-group filtering and a multi-eNodeB soak run.
+
+A subscription's flags select which statistic groups reach the wire;
+what the tests look at is therefore what the master sees --
+``codec.decode(codec.encode(reply))`` -- where a group that was not
+asked for is absent (its fields read as their defaults) and costs no
+bytes.  In memory the reply shares the agent's whole records.
+"""
 
 import pytest
 
 from repro.core.agent import FlexRanAgent
+from repro.core.protocol import codec
 from repro.core.protocol.messages import (
     Header,
     ReportType,
     StatsFlags,
     StatsRequest,
+    UeStatsReport,
 )
 from repro.lte.enodeb import EnodeB
 from repro.lte.phy.channel import FixedCqi, GaussMarkovSinr
@@ -41,11 +50,12 @@ class TestStatsFlagFiltering:
         reports.register(request(flags), now=30)
         replies = reports.due_replies(30)
         assert len(replies) == 1
-        return replies[0]
+        return codec.decode(codec.encode(replies[0]))
 
     def test_queues_only(self):
         reply = self.reply_for(StatsFlags.QUEUES)
         rep = reply.ue_reports[0]
+        assert rep.groups == StatsFlags.QUEUES
         assert rep.queues  # included
         assert rep.wb_cqi == 0  # CQI group excluded
         assert rep.subband_cqi == []
@@ -64,6 +74,7 @@ class TestStatsFlagFiltering:
         reply = self.reply_for(StatsFlags.CELL)
         assert reply.cell_reports
         rep = reply.ue_reports[0]
+        assert rep.groups == 0 and rep.rrc_state  # who is there, no more
         assert rep.queues == {} and rep.wb_cqi == 0
 
     def test_full_includes_everything(self):
@@ -80,7 +91,6 @@ class TestStatsFlagFiltering:
         assert rep.pdcp_tx_bytes == 0
 
     def test_smaller_flags_mean_smaller_wire_size(self):
-        from repro.core.protocol import codec
         small = len(codec.encode(self.reply_for(StatsFlags.QUEUES)))
         full = len(codec.encode(self.reply_for(StatsFlags.FULL)))
         assert small < full / 2
@@ -92,6 +102,60 @@ class TestStatsFlagFiltering:
                 header=Header(xid=9),
                 report_type=int(ReportType.PERIODIC),
                 period_ttis=0), now=0)
+
+
+class TestSubscriptionsAddUp:
+    def test_narrow_fast_stream_does_not_clobber_the_full_slow_one(self):
+        """Regression: the RIB used to *replace* a UE's record with
+        whatever arrived, and a non-FULL reply carried zero-filled
+        fields, so a FULL subscription at 4 TTIs plus a CQI-only one at
+        1 TTI left ``queues == {}`` / ``rlc_bytes_in == 0`` in the RIB
+        on three TTIs out of four.  Present groups are merged now."""
+        sim = Simulation(with_master=True, realtime_master=False)
+        enb = sim.add_enb(1)
+        agent = sim.add_agent(enb, rtt_ms=0.0)
+        for i in range(4):
+            ue = Ue(f"{i:03d}", FixedCqi(9 + i))
+            sim.add_ue(enb, ue)
+            sim.add_downlink_traffic(enb, ue, CbrSource(20.0, start_tti=5))
+        nb = sim.master.northbound
+        full_xid = nb.request_stats(
+            agent.agent_id, report_type=ReportType.PERIODIC, period_ttis=4,
+            flags=int(StatsFlags.FULL))
+        nb.request_stats(agent.agent_id, report_type=ReportType.PERIODIC,
+                         period_ttis=1, flags=int(StatsFlags.CQI))
+        truth = {}      # rnti -> the agent's record at the last full reply
+        checked = backlogged = 0
+        original = agent.reports.due_replies
+
+        def due_replies(now):
+            replies = original(now)
+            if any(r.header.xid == full_xid for r in replies):
+                truth.update((r.rnti, r) for r in agent.api.get_ue_stats(now))
+            return replies
+        agent.reports.due_replies = due_replies
+        try:
+            for _ in range(150):
+                sim.run(1)
+                node = sim.master.rib.agent(agent.agent_id)
+                for ue in node.all_ues():
+                    want = truth.get(ue.rnti)
+                    if want is None or ue.stats is None:
+                        continue
+                    # Equal at every full-subscription TTI and never
+                    # zeroed by the CQI-only replies in between.
+                    assert ue.stats.queues == want.queues
+                    assert ue.stats.rlc_bytes_in == want.rlc_bytes_in
+                    assert ue.stats.harq_states == want.harq_states
+                    checked += 1
+                    backlogged += bool(sum(want.queues.values())
+                                       and want.rlc_bytes_in)
+            # The two streams add up to a record with every group.
+            assert all(ue.stats.groups == UeStatsReport.ALL_GROUPS
+                       for ue in node.all_ues())
+        finally:
+            sim.close()
+        assert checked > 500 and backlogged > 300
 
 
 class TestMultiEnbSoak:
