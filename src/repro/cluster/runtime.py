@@ -3,14 +3,19 @@
 :class:`ClusterRuntime` hosts the real :class:`MasterController` plus
 the TCP transport server, spawns one worker process per shard
 (``multiprocessing`` spawn context -- no inherited state), and runs
-the barrier-free credit pump:
+the credit pump on one thread -- the master's single writer also owns
+its sockets:
 
-* adopt agents as their TCP connections arrive (``connect_agent`` +
-  a periodic-stats subscription, the scale-bench workload);
-* poll the worker control pipes for progress and extend grants from
-  the :class:`~repro.cluster.credits.CreditScheduler`;
+* accept agents as their TCP connections arrive and adopt them
+  (``connect_agent`` + a periodic-stats subscription, the scale-bench
+  workload);
+* poll the worker control pipes for progress and delivery counts, and
+  extend grants from the :class:`~repro.cluster.credits.CreditScheduler`;
 * tick the master through every TTI below the fleet low-water mark,
   so its cross-shard RIB view is complete for each TTI it serves;
+* hold a shard at the one barrier (:meth:`ClusterRuntime._settled`)
+  before its first grant and after its last TTI: both sides have
+  handled every frame the other dispatched;
 * on shard failure (or deliberate rebalancing), hand the shard's RIB
   subtrees over checkpoint snapshots to the replacement worker's
   adoption path (:meth:`respawn_shard`).
@@ -29,7 +34,6 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
-import threading
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -38,6 +42,7 @@ from repro import obs as _obs
 from repro.cluster.credits import CreditScheduler
 from repro.cluster.partition import ShardMap, ShardSpec, plan_shards
 from repro.cluster.supervise import (
+    FAIL_CONNECTION,
     FAIL_PIPE_EOF,
     FAIL_WORKER_ERROR,
     ShardSupervisionPolicy,
@@ -55,16 +60,16 @@ from repro.core.survive.snapshot import (
     snapshot_rib_subset,
 )
 from repro.net.link import EmulatedLink
-from repro.net.tcp import TcpEndpoint, TcpHub, TcpTransportServer
+from repro.net.tcp import TcpEndpoint, TcpTransportServer, wait_ready
 
 logger = logging.getLogger(__name__)
 
-DRAIN_TTIS = 4
-"""Extra master ticks after all workers finish, so reports still in
-the kernel's sockets get applied before the run is scored."""
-
-DRAIN_SETTLE_S = 0.05
-"""Grace period for in-flight TCP data before the drain ticks."""
+SUPERVISION_POLL_S = 0.05
+"""How long an idle pump sleeps in its readiness wait before it runs
+the supervisor's wall-clock detectors (stall, respawn backoff, run
+deadline) again.  Every event the pump reacts to -- a pipe tuple, a
+frame, a connection, a dead worker's pipe EOF -- ends the wait at
+once, so no outcome depends on this value."""
 
 
 @dataclass(frozen=True)
@@ -123,7 +128,12 @@ class ClusterReport:
 
 
 class _ShardHandle:
-    """Master-side bookkeeping for one worker process."""
+    """Master-side bookkeeping for one worker process.
+
+    ``ready`` and ``done`` are barrier outcomes, not message echoes:
+    the shard's set-up exchange has settled (it may spend credit) and
+    its last TTI's frames have settled (it may be stopped).
+    """
 
     def __init__(self, spec: ShardSpec, process, pipe) -> None:
         self.spec = spec
@@ -133,6 +143,9 @@ class _ShardHandle:
         self.ready = False
         self.quarantined = False
         self.busy_s = 0.0
+        #: Latest ``{agent: (frames_dispatched, frames_handled)}`` the
+        #: idle worker reported; None until it has reported once.
+        self.counts: Optional[Dict[int, Tuple[int, int]]] = None
 
 
 class ClusterRuntime:
@@ -150,17 +163,15 @@ class ClusterRuntime:
         self.credits = CreditScheduler(
             config.total_ttis, config.window,
             [s.shard_id for s in self.shard_map.shards])
-        self.hub = TcpHub(name="cluster-hub")
         self.server: Optional[TcpTransportServer] = None
         self.master_tti = 0
         self.respawns = 0
         self.max_lead_ttis = 0
         self._ctx = multiprocessing.get_context("spawn")
         self._handles: Dict[int, _ShardHandle] = {}
-        self._pending_lock = threading.Lock()
-        self._pending_agents: List[Tuple[int, TcpEndpoint]] = []
         self._fleet_samples_us: List[float] = []
         self._low_water_mark = 0
+        self._started: Optional[float] = None
         self._low_water_stamp: Optional[float] = None
         self.supervisor = ShardSupervisor(self, ShardSupervisionPolicy(
             stall_timeout_s=config.stall_timeout_s,
@@ -177,28 +188,49 @@ class ClusterRuntime:
         master's single-writer discipline."""
         self._chaos = harness
 
-    # -- transport-side callbacks (hub loop thread) ------------------------
+    # -- transport-side callbacks (pump thread) ----------------------------
 
     def _endpoint_factory(self, agent_id: int) -> TcpEndpoint:
+        self.shard_map.owner(agent_id)  # KeyError: not this fleet's agent
         return TcpEndpoint(
             EmulatedLink(name=f"master->agent{agent_id}"),
             EmulatedLink(name=f"agent{agent_id}->master"),
             peer=f"agent{agent_id}", tx_direction="dl",
             rx_direction="ul", streaming=True)
 
-    def _on_agent(self, agent_id: int, endpoint: TcpEndpoint) -> None:
-        with self._pending_lock:
-            self._pending_agents.append((agent_id, endpoint))
+    def _adopt(self, agent_id: int, endpoint: TcpEndpoint) -> None:
+        """Connect an agent whose TCP session the server just bound."""
+        owner = self.shard_map.owner(agent_id)
+        if self._handles[owner.shard_id].quarantined:
+            # A quarantined shard's straggler connection (e.g. its
+            # worker died between dialing and the quarantine
+            # decision) must not re-enter the census.
+            endpoint.close()
+            return
+        self._drop_agent(agent_id)  # a reconnect replaces the session
+        self.master.connect_agent(agent_id, endpoint)
+        # The scale workload: subscribe each agent to periodic
+        # full stats as soon as it is adopted (idempotent per
+        # connection; a reconnect re-subscribes the fresh agent).
+        self.master.northbound.request_stats(
+            agent_id, report_type=ReportType.PERIODIC,
+            period_ttis=self.config.stats_period_ttis)
+
+    def _drop_agent(self, agent_id: int) -> None:
+        """Detach an agent's connection from the master and close it."""
+        endpoint = self.master.agent_endpoints().get(agent_id)
+        if endpoint is not None:
+            self.master.disconnect_agent(agent_id)
+            endpoint.close()
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "ClusterRuntime":
         """Bind the transport server and spawn the worker fleet."""
-        self.hub.start()
         self.server = TcpTransportServer(
-            self.hub, host=self.config.host,
+            host=self.config.host,
             endpoint_factory=self._endpoint_factory,
-            on_agent=self._on_agent)
+            on_agent=self._adopt)
         host, port = self.server.start()
         for spec in self.shard_map.shards:
             self._spawn(spec, host, port)
@@ -227,7 +259,6 @@ class ClusterRuntime:
             handle.pipe.close()
         if self.server is not None:
             self.server.stop()
-        self.hub.stop()
 
     def __enter__(self) -> "ClusterRuntime":
         return self
@@ -241,41 +272,33 @@ class ClusterRuntime:
         """Drive the fleet to completion; returns the run report.
 
         The timed window starts once every worker has built its shard
-        and all agents are adopted, so ``us_per_tti`` measures
-        steady-state fleet throughput, not process-spawn cost.
+        and the whole fleet's set-up exchange has settled, so
+        ``us_per_tti`` measures steady-state fleet throughput, not
+        process-spawn cost.  It ends when every shard's last frame has
+        been applied: the master ticks exactly ``total_ttis`` TTIs.
         """
         config = self.config
-        self._wait_fleet_ready()
         self.supervisor.start_run()
-        started = time.perf_counter()
-        self._low_water_stamp = started
-        for shard_id, grant in self.credits.grants():
-            self._send_grant(shard_id, grant)
-        while True:
-            worked = self._adopt_pending()
+        while not all(h.done for h in self._handles.values()):
+            worked = self.server.pump()
             worked |= self._poll_workers()
+            worked |= self._pump_connections()
             worked |= self.supervisor.poll()
-            if self._chaos is not None:
+            if self._chaos is not None and self._started is not None:
                 self._chaos.step(self.credits.low_water())
-            for shard_id, grant in self.credits.grants():
-                self._send_grant(shard_id, grant)
             target = self.credits.low_water()
             while self.master_tti < target:
                 self.master.tick(self.master_tti)
                 self.master_tti += 1
                 worked = True
-            if (self.credits.all_done()
-                    and all(h.done for h in self._handles.values())):
-                break
+            worked |= self._settle()
+            for shard_id, grant in self.credits.grants():
+                if self._handles[shard_id].ready:
+                    self._send_grant(shard_id, grant)
             if not worked:
-                time.sleep(0.0002)
-        # Let the last reports cross the kernel, then drain them.
-        time.sleep(DRAIN_SETTLE_S)
-        self._adopt_pending()
-        for _ in range(DRAIN_TTIS):
-            self.master.tick(self.master_tti)
-            self.master_tti += 1
-        wall_s = time.perf_counter() - started
+                self._idle_wait()
+        ended = time.perf_counter()
+        wall_s = ended - (self._started or ended)
         return ClusterReport(
             workers=config.workers, n_enbs=config.n_enbs,
             ues_per_enb=config.ues_per_enb,
@@ -295,31 +318,83 @@ class ClusterRuntime:
             respawn_latency_s=list(self.supervisor.respawn_latency_s),
             stall_seconds=round(self.supervisor.stall_seconds, 3))
 
-    def _wait_fleet_ready(self, *, timeout: float = 120.0) -> None:
-        """Block until every worker is built and every agent adopted."""
-        deadline = time.monotonic() + timeout
-        while True:
-            self._poll_workers()
-            self._adopt_pending()
-            # Liveness only (the stall watchdog and run deadline arm at
-            # start_run): a worker that dies while building its shard
-            # is respawned here instead of burning the whole timeout.
-            self.supervisor.poll()
-            live = [h for h in self._handles.values()
-                    if not h.quarantined]
-            total_agents = sum(len(h.spec.agent_ids) for h in live)
-            if (all(h.ready for h in live)
-                    and len(self.master.agent_endpoints())
-                    >= total_agents):
-                return
-            if time.monotonic() > deadline:
-                missing = [s for s, h in self._handles.items()
-                           if not h.ready]
-                raise RuntimeError(
-                    f"cluster startup timed out; shards not ready: "
-                    f"{missing}, agents connected: "
-                    f"{len(self.master.agent_endpoints())}/{total_agents}")
-            time.sleep(0.001)
+    def _idle_wait(self) -> None:
+        """Sleep until a pipe, the listener or a connection has work."""
+        # A dead worker's pipe stays readable (EOF) until its respawn
+        # is due: leave it out, or the wait would spin through the
+        # backoff.
+        healing = self.supervisor.pending_respawns()
+        wait_ready(
+            [e.sock for e in self.master.agent_endpoints().values()],
+            [h.pipe for s, h in self._handles.items()
+             if not h.quarantined and s not in healing]
+            + self.server.waitables(),
+            timeout=SUPERVISION_POLL_S)
+
+    def _pump_connections(self) -> bool:
+        """Move every connection's bytes; a closed one is a classified
+        failure of the shard that owns it."""
+        moved = False
+        for agent_id, endpoint in self.master.agent_endpoints().items():
+            moved |= endpoint.sock.pump()
+            if not endpoint.connected:
+                moved |= self.supervisor.note_failure(
+                    self.shard_map.owner(agent_id).shard_id,
+                    FAIL_CONNECTION,
+                    f"master<-agent{agent_id}: connection closed")
+        return moved
+
+    def _settled(self, handle: _ShardHandle) -> bool:
+        """The one barrier: for each of the shard's connections, both
+        sides have handled every frame the other dispatched.
+
+        The worker reports its half only while idle, after serving its
+        control plane, and sends nothing but reactions there -- so a
+        match against the master's live counters means nothing is in
+        flight and nothing more will be sent until someone acts.
+        """
+        if handle.counts is None:
+            return False
+        endpoints = self.master.agent_endpoints()
+        for agent_id in handle.spec.agent_ids:
+            endpoint = endpoints.get(agent_id)
+            dispatched, handled = handle.counts.get(agent_id, (-1, -1))
+            if (endpoint is None
+                    or endpoint.frames_handled != dispatched
+                    or endpoint.frames_dispatched != handled):
+                return False
+        return True
+
+    def _settle(self) -> bool:
+        """Start, heal and done: serve the shards waiting at the
+        barrier and release the ones that have passed it."""
+        finished = self.master_tti >= self.config.total_ttis
+        waiting = [
+            (shard_id, h) for shard_id, h in self._handles.items()
+            if not h.done and (not h.ready or (
+                finished and self.credits.progress(shard_id)
+                >= self.config.total_ttis))]
+        if not waiting:
+            return False
+        # The RIB-updater slot at the TTI the master is holding: the
+        # set-up (or last) frames are applied and answered without
+        # advancing the clock or re-running the apps.
+        self.master.drain_agents()
+        passed = [(s, h) for s, h in waiting if self._settled(h)]
+        if self._started is None:
+            # The fleet's first grants go out together, so the timed
+            # window opens with every shard set up.
+            if len(passed) < len(waiting):
+                return False
+            self._started = self._low_water_stamp = time.perf_counter()
+        for shard_id, handle in passed:
+            if handle.ready:
+                handle.done = True
+            else:
+                handle.ready = True
+                self.supervisor.note_activity(shard_id)
+                self._send_grant(shard_id, self.credits.granted(shard_id))
+        return bool(passed)
 
     def _send_grant(self, shard_id: int, grant: int) -> None:
         handle = self._handles[shard_id]
@@ -333,31 +408,6 @@ class ClusterRuntime:
             self.supervisor.note_failure(
                 shard_id, FAIL_PIPE_EOF,
                 f"grant pipe broken (grant={grant})")
-
-    def _adopt_pending(self) -> bool:
-        """Connect agents whose TCP sessions arrived since last tick."""
-        with self._pending_lock:
-            pending, self._pending_agents = self._pending_agents, []
-        for agent_id, endpoint in pending:
-            owner = self.shard_map.owner(agent_id)
-            if self._handles[owner.shard_id].quarantined:
-                # A quarantined shard's straggler connection (e.g. its
-                # worker died between dialing and the quarantine
-                # decision) must not re-enter the census.
-                endpoint.close()
-                continue
-            if agent_id in self.master.agent_endpoints():
-                # A respawned shard's agent reconnecting: swap the
-                # dead socket's endpoint for the live one.
-                self.master.disconnect_agent(agent_id)
-            self.master.connect_agent(agent_id, endpoint)
-            # The scale workload: subscribe each agent to periodic
-            # full stats as soon as it is adopted (idempotent per
-            # connection; a reconnect re-subscribes the fresh agent).
-            self.master.northbound.request_stats(
-                agent_id, report_type=ReportType.PERIODIC,
-                period_ttis=self.config.stats_period_ttis)
-        return bool(pending)
 
     def _poll_workers(self) -> bool:
         worked = False
@@ -374,29 +424,26 @@ class ClusterRuntime:
                     # must NOT mark the shard done: its credits would
                     # never complete and the pump would spin forever.
                     # Classify the EOF and let the supervisor heal it.
-                    self.supervisor.note_failure(
+                    worked |= self.supervisor.note_failure(
                         shard_id, FAIL_PIPE_EOF,
                         "control pipe EOF (worker vanished)")
                     break
                 worked = True
                 kind = message[0]
-                if kind == "ready":
-                    handle.ready = True
-                    self.supervisor.note_activity(shard_id)
-                elif kind == "progress":
-                    self.credits.report(shard_id, int(message[1]))
-                    handle.busy_s += float(message[2])
-                    self.supervisor.note_activity(shard_id)
-                    self._note_low_water()
-                elif kind == "done":
-                    self.credits.report(shard_id, int(message[1]))
-                    handle.done = True
-                    self.supervisor.note_activity(shard_id)
-                    self._note_low_water()
-                elif kind == "error":
+                if kind == "error":
                     self.supervisor.note_failure(
                         shard_id, FAIL_WORKER_ERROR, str(message[1]))
                     break
+                self.credits.report(shard_id, int(message[1]))
+                if kind == "progress":
+                    handle.busy_s += float(message[2])
+                else:
+                    # "ready" / "done": the worker is idle at one end
+                    # of its run and has served its control plane --
+                    # its half of the barrier.
+                    handle.counts = message[2]
+                self.supervisor.note_activity(shard_id)
+                self._note_low_water()
         return worked
 
     def _note_low_water(self) -> None:
@@ -422,13 +469,14 @@ class ClusterRuntime:
         The handoff reuses the checkpoint primitives end to end: the
         shard's RIB subtrees are snapshotted
         (:func:`snapshot_rib_subset`), the worker process is
-        terminated, and the subtrees are merged back
-        (:func:`merge_rib_subset`) so the master keeps serving a warm
-        view of the shard while the replacement worker reconnects and
-        the normal Hello -> config-request resync path refreshes it.
-        The replacement restarts its TTI range from zero; the credit
-        scheduler resets only this shard, so the rest of the fleet
-        keeps running through its existing grants (barrier-free).
+        terminated and its connections closed, and the subtrees are
+        merged back (:func:`merge_rib_subset`) so the master keeps
+        serving a warm view of the shard while the replacement worker
+        reconnects and the normal Hello -> config-request resync path
+        refreshes it.  The replacement restarts its TTI range from
+        zero and is granted nothing until that exchange has settled;
+        the credit scheduler resets only this shard, so the rest of
+        the fleet keeps running through its existing grants.
 
         Returns the agent ids handed over.
         """
@@ -448,14 +496,11 @@ class ClusterRuntime:
         handle.process.join(5.0)
         handle.pipe.close()
         for agent_id in spec.agent_ids:
-            self.master.disconnect_agent(agent_id)
+            self._drop_agent(agent_id)
             self.master.rib.remove_agent(agent_id)
         merged = merge_rib_subset(self.master.rib, subset)
         self.credits.reset_shard(shard_id)
         self._spawn(spec, self.server.host, self.server.port)
-        for sid, grant in self.credits.grants():
-            if sid == shard_id:
-                self._send_grant(sid, grant)
         self.respawns += 1
         ob = _obs.get()
         if ob.enabled:
@@ -489,10 +534,8 @@ class ClusterRuntime:
         except OSError:
             pass
         removed: List[int] = []
-        connected = self.master.agent_endpoints()
         for agent_id in handle.spec.agent_ids:
-            if agent_id in connected:
-                self.master.disconnect_agent(agent_id)
+            self._drop_agent(agent_id)
             self.master.rib.remove_agent(agent_id)
             removed.append(agent_id)
         self.credits.remove_shard(shard_id)

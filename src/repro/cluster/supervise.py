@@ -6,10 +6,12 @@ error message, just a dead pipe) deadlocked the credit pump forever.
 vRAN deployments treat component restart as the *common case*, so the
 :class:`ShardSupervisor` turns shard failure into a managed lifecycle:
 
-1. **Detect** -- four independent detectors, each classifying its
+1. **Detect** -- five independent detectors, each classifying its
    failure cause instead of raising:
 
    * ``worker_error``  -- the worker reported an exception on its pipe;
+   * ``connection_closed`` -- the master found one of the shard's TCP
+     connections closed (EOF, reset, or closed under it);
    * ``pipe_eof``      -- the control pipe hit EOF (worker vanished,
      e.g. SIGKILL -- the silent-death case);
    * ``process_death`` -- ``process.is_alive()`` went false while the
@@ -49,11 +51,12 @@ logger = logging.getLogger(__name__)
 # Failure causes (the classification vocabulary; also the obs metric
 # suffixes under ``cluster.failures.<cause>``).
 FAIL_WORKER_ERROR = "worker_error"
+FAIL_CONNECTION = "connection_closed"
 FAIL_PIPE_EOF = "pipe_eof"
 FAIL_PROCESS_DEATH = "process_death"
 FAIL_STALL = "stall"
 
-FAILURE_CAUSES = (FAIL_WORKER_ERROR, FAIL_PIPE_EOF,
+FAILURE_CAUSES = (FAIL_WORKER_ERROR, FAIL_CONNECTION, FAIL_PIPE_EOF,
                   FAIL_PROCESS_DEATH, FAIL_STALL)
 
 
@@ -108,8 +111,7 @@ class ShardSupervisor:
     """Watches the worker fleet and heals or quarantines failed shards.
 
     Lives on the master's pump thread: every method is called from the
-    pump loop (or from ``_wait_fleet_ready`` before the run starts), so
-    no locking is needed.  *runtime* only has to provide the narrow
+    pump loop, so no locking is needed.  *runtime* only has to provide the narrow
     surface the detectors and healers use: ``_handles`` (with
     ``spec`` / ``process`` / ``pipe`` / ``done`` / ``ready`` /
     ``quarantined``), ``credits``, ``respawn_shard(shard_id)`` and
@@ -132,7 +134,8 @@ class ShardSupervisor:
     # -- lifecycle ---------------------------------------------------------
 
     def start_run(self) -> None:
-        """Arm the stall watchdog and the run deadline (fleet is ready)."""
+        """Arm the stall watchdog and the run deadline.  Called when
+        the pump starts, so the deadline also covers fleet start-up."""
         now = time.monotonic()
         self._epoch = now
         if self.policy.run_deadline_s > 0:

@@ -4,18 +4,19 @@
 :class:`~repro.sim.simulation.Simulation` holding the shard's slice of
 the scale deployment, dials the master's transport server once per
 agent (streaming :class:`~repro.net.tcp.TcpEndpoint`), and then runs
-the credit loop: run TTIs up to the latest grant, report progress over
-the control pipe, block when out of credit.
+the credit loop on its one thread: run TTIs up to the latest grant and
+report progress over the control pipe; with no credit to spend, serve
+the agents' control plane and wait on pipe + sockets.
 
 The control pipe (``multiprocessing.Pipe``) carries only tiny
-scheduler tuples -- grants down, progress up.  All protocol traffic
-(reports, stats, commands) travels over the TCP data plane, exactly as
-the paper's deployment does.
+scheduler tuples -- grants down; progress and, whenever the worker is
+idle at either end of its run, its per-agent delivery counts up.  All
+protocol traffic (reports, stats, commands) travels over the TCP data
+plane, exactly as the paper's deployment does.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
 from typing import Tuple
@@ -24,13 +25,6 @@ from repro.cluster.partition import ShardSpec
 
 PROGRESS_CHUNK_TTIS = 8
 """How many TTIs a worker runs between progress reports."""
-
-SWITCH_INTERVAL_S = 0.0005
-"""Interpreter thread switch interval inside a worker process.  The
-sim thread is CPU-bound and the hub thread moves every frame; at the
-default 5 ms each asyncio loop iteration queues a full interval behind
-the sim thread, so an 80-TTI shard (about 30 ms) could finish before
-the master's answer to its agents' ``Hello`` had been read."""
 
 
 @dataclass(frozen=True)
@@ -42,10 +36,9 @@ class WorkerSpec:
     port: int
     total_ttis: int
     report_chunk: int = PROGRESS_CHUNK_TTIS
-    queue_frames: int = 1024
 
 
-def build_shard_sim(spec: WorkerSpec, hub=None):
+def build_shard_sim(spec: WorkerSpec):
     """Assemble the shard's slice of the scale deployment.
 
     Each eNodeB is populated by the same
@@ -53,16 +46,14 @@ def build_shard_sim(spec: WorkerSpec, hub=None):
     :func:`~repro.sim.scenarios.large_scale` -- mixed-CQI UEs under
     phase-spread CBR downlink load with the local scheduler -- so a
     sharded run is the single-process scale deployment's work, split
-    across processes.  Returns ``(sim, hub, endpoints)``.
+    across processes.  Returns ``(sim, endpoints)``.
     """
     from repro.net.link import EmulatedLink
-    from repro.net.tcp import TcpEndpoint, TcpHub, connect_endpoint
+    from repro.net.tcp import TcpEndpoint, connect_endpoint
     from repro.sim.scenarios import populate_scale_cell
     from repro.sim.simulation import Simulation
 
     shard = spec.shard
-    if hub is None:
-        hub = TcpHub(name=f"worker{shard.shard_id}-hub").start()
     sim = Simulation(with_master=False)
     endpoints = []
     for agent_id in shard.agent_ids:
@@ -72,9 +63,8 @@ def build_shard_sim(spec: WorkerSpec, hub=None):
             EmulatedLink(name=f"agent{agent_id}.dl"),
             peer=f"agent{agent_id}", tx_direction="ul",
             rx_direction="dl", streaming=True)
-        connect_endpoint(hub, spec.host, spec.port, agent_id=agent_id,
-                         endpoint=endpoint,
-                         queue_frames=spec.queue_frames)
+        connect_endpoint(spec.host, spec.port, agent_id=agent_id,
+                         endpoint=endpoint)
         sim.add_agent(enb, agent_id=agent_id, endpoint=endpoint)
         endpoints.append(endpoint)
         # Fleet agent ids run 1..n_enbs (plan_shards), so the
@@ -83,19 +73,22 @@ def build_shard_sim(spec: WorkerSpec, hub=None):
             sim, enb, label=agent_id, ordinal=agent_id - 1,
             ues_per_enb=shard.ues_per_enb,
             load_factor=shard.load_factor)
-    return sim, hub, endpoints
+    return sim, endpoints
 
 
 def worker_main(spec: WorkerSpec, pipe) -> None:
     """Spawn target: build the shard, then run the credit loop."""
-    hub = None
-    sys.setswitchinterval(SWITCH_INTERVAL_S)
+    from repro.net.tcp import TransportClosed, wait_ready
+
+    endpoints = []
     try:
-        sim, hub, endpoints = build_shard_sim(spec)
-        pipe.send(("ready", spec.shard.shard_id))
+        sim, endpoints = build_shard_sim(spec)
+        agents = [sim.agents[a] for a in spec.shard.agent_ids]
+        socks = [endpoint.sock for endpoint in endpoints]
         granted = 0
         done = 0
         stop = False
+        reported = None
 
         def take(message) -> None:
             """Apply one scheduler tuple from the master."""
@@ -110,25 +103,40 @@ def worker_main(spec: WorkerSpec, pipe) -> None:
             elif message[0] == "stop":
                 stop = True
 
-        while done < spec.total_ttis and not stop:
-            while granted <= done and not stop:
-                take(pipe.recv())  # blocks: out of credit
-            if stop:
-                break
-            step = min(granted, spec.total_ttis) - done
-            step = min(step, spec.report_chunk)
-            started = time.perf_counter()
-            sim.run(step)
-            elapsed = time.perf_counter() - started
-            done += step
-            while pipe.poll():  # drain grants that arrived meanwhile
-                take(pipe.recv())
-            pipe.send(("progress", done, elapsed))
-        if not stop:
-            pipe.send(("done", done))
-            # Keep the TCP connections open until the master has
-            # drained everything in flight and says stop.
-            while not stop:
+        # The set-up exchange opens here: Hello and the attach events
+        # the populator queued.  Everything after it is a reaction.
+        for agent in agents:
+            agent.tick_tx(0)
+        while not stop:
+            credit = min(granted, spec.total_ttis) - done
+            if credit > 0:
+                step = min(credit, spec.report_chunk)
+                started = time.perf_counter()
+                sim.run(step)
+                elapsed = time.perf_counter() - started
+                done += step
+                pipe.send(("progress", done, elapsed))
+            else:
+                # No credit to spend -- not started, window exhausted,
+                # or finished: serve the control plane at the last TTI
+                # run, tell the master what has been delivered, sleep
+                # until the pipe or a socket has something.
+                for agent in agents:
+                    agent.tick_rx(max(done - 1, 0))
+                for endpoint in endpoints:
+                    if not endpoint.connected:
+                        raise TransportClosed(
+                            f"{endpoint.peer}: connection closed")
+                if done == 0 or done >= spec.total_ttis:
+                    report = ("done" if done else "ready", done, {
+                        agent.agent_id: (endpoint.frames_dispatched,
+                                         endpoint.frames_handled)
+                        for agent, endpoint in zip(agents, endpoints)})
+                    if report != reported:
+                        pipe.send(report)
+                        reported = report
+                wait_ready(socks, (pipe,))
+            while pipe.poll():
                 take(pipe.recv())
     except EOFError:
         pass  # master went away; nothing left to coordinate with
@@ -139,8 +147,8 @@ def worker_main(spec: WorkerSpec, pipe) -> None:
             pass
         raise
     finally:
-        if hub is not None:
-            hub.stop()
+        for endpoint in endpoints:
+            endpoint.close()
 
 
 def spawn_worker(ctx, spec: WorkerSpec) -> Tuple[object, object]:

@@ -76,7 +76,3 @@ class MonitoringApp(App):
             return 0.0
         delta = samples[-1].rx_bytes_total - samples[0].rx_bytes_total
         return delta * 8 / (span * 1000.0)
-
-    def cqi_history(self, agent_id: int, rnti: int) -> List[Tuple[int, int]]:
-        return [(s.tti, s.cqi)
-                for s in self.series.get((agent_id, rnti), [])]

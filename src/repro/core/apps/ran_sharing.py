@@ -20,7 +20,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.apps.base import App
 from repro.core.controller.northbound import NorthboundApi
-from repro.core.policy import PolicyDocument, VsfPolicy
 
 
 @dataclass
@@ -77,11 +76,3 @@ class RanSharingApp(App):
                 parameters={"fractions": change.fractions})
             self.applied_changes.append((tti, dict(change.fractions)))
             self._change_index += 1
-
-
-def build_group_policy_document(premium_fraction: float) -> str:
-    """Policy text retuning a group-based VSF's premium share."""
-    doc = PolicyDocument(modules={"mac": [VsfPolicy(
-        vsf="dl_scheduling",
-        parameters={"premium_fraction": premium_fraction})]})
-    return doc.to_text()

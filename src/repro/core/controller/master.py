@@ -43,7 +43,7 @@ from repro.core.survive.supervisor import AppSupervisor, SupervisionPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.survive.snapshot import CheckpointStore
-from repro.net.transport import ProtocolEndpoint
+from repro.net.transport import ProtocolEndpoint, TransportClosed
 
 logger = logging.getLogger(__name__)
 
@@ -189,7 +189,15 @@ class MasterController:
             endpoint = self._endpoints[agent_id]
         except KeyError:
             raise KeyError(f"agent {agent_id} is not connected") from None
-        endpoint.send(message, now=self.now)
+        try:
+            endpoint.send(message, now=self.now)
+        except TransportClosed:
+            # A closed connection is a down link: its endpoint has
+            # accounted the frame as dropped, and whoever supervises
+            # the agent (liveness here, the shard supervisor in a
+            # cluster) deals with it -- a command must not crash the
+            # TTI cycle that issued it.
+            pass
 
     # -- the TTI cycle ------------------------------------------------------
 
@@ -199,10 +207,10 @@ class MasterController:
         self.now = now
         if ob.enabled:
             with ob.tracer.span("master", "tick", tti=now):
-                self.task_manager.cycle(now, self._drain_agents,
+                self.task_manager.cycle(now, self.drain_agents,
                                         self.northbound)
         else:
-            self.task_manager.cycle(now, self._drain_agents,
+            self.task_manager.cycle(now, self.drain_agents,
                                     self.northbound)
         if self.checkpoints is not None and now > 0:
             self.checkpoints.maybe_take(self, now)
@@ -214,8 +222,13 @@ class MasterController:
                     logger.exception("cycle hook failed; removing it")
                     self.remove_cycle_hook(hook)
 
-    def _drain_agents(self) -> None:
-        """The RIB-updater slot: apply every received agent message."""
+    def drain_agents(self) -> None:
+        """The RIB-updater slot: apply every received agent message.
+
+        Public because a host may have to run this slot alone: the
+        cluster runtime serves a (re)spawned shard's set-up exchange at
+        the TTI it is holding, without advancing it or re-running apps.
+        """
         ob = _obs.get()
         drained = 0
         gathered: List[EventNotification] = []

@@ -30,7 +30,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Deque, Optional
 
 from repro import obs as _obs
 from repro.core.controller.events import EventNotificationService
@@ -128,15 +128,6 @@ class CycleStats:
 
     def percentile_idle_ms(self, q: float) -> float:
         return self._pct(self.idle_ms_samples, q)
-
-    def tail_summary(self) -> Dict[str, Dict[str, float]]:
-        """p50/p95/p99 of each slot, keyed by series name."""
-        out: Dict[str, Dict[str, float]] = {}
-        for name, fn in (("core_ms", self.percentile_core_ms),
-                         ("app_ms", self.percentile_app_ms),
-                         ("idle_ms", self.percentile_idle_ms)):
-            out[name] = {"p50": fn(50), "p95": fn(95), "p99": fn(99)}
-        return out
 
 
 class TaskManager:

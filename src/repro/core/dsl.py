@@ -169,8 +169,3 @@ class DslScheduler(Scheduler):
             for u in selected:
                 taken.add(u.rnti)
         return out
-
-
-def register_dsl_factory(registry) -> None:
-    """Trust the DSL interpreter on an agent's factory registry."""
-    registry.register("dsl:scheduler", DslScheduler)

@@ -32,10 +32,6 @@ class QueuedPacket:
             raise ValueError(f"packet size must be positive, got {self.size_bytes}")
 
 
-class QueueOverflow(Exception):
-    """Raised when a bounded queue cannot accept a packet."""
-
-
 class TransmissionQueue:
     """FIFO byte queue with partial (segmented) dequeue.
 

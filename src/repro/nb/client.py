@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import http.client
 import json
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 
 class ClientError(Exception):
@@ -168,12 +168,3 @@ class NorthboundClient:
 
     def unsubscribe(self, sub_id: int) -> dict:
         return self.delete(f"/v1/subscriptions/{sub_id}")
-
-
-def parse_hostport(value: str, default_port: int = 8080
-                   ) -> Tuple[str, int]:
-    """Parse ``host``, ``host:port``, or ``:port`` CLI arguments."""
-    host, sep, port = value.rpartition(":")
-    if not sep:
-        return value or "127.0.0.1", default_port
-    return host or "127.0.0.1", int(port)

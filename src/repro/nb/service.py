@@ -52,42 +52,23 @@ class Ticket:
     """Completion handle for a command submitted across threads.
 
     The controller thread resolves the ticket inside the pump; the
-    submitting thread either blocks on :meth:`wait` (plain clients,
-    tests) or registers a callback bridged into its own event loop
-    (the asyncio frontend).
+    submitting thread blocks on :meth:`result` (or polls ``done``).
     """
 
-    __slots__ = ("_event", "_result", "_error", "_callbacks", "_lock")
+    __slots__ = ("_event", "_result", "_error")
 
     def __init__(self) -> None:
         self._event = threading.Event()
         self._result: object = None
         self._error: Optional[BaseException] = None
-        self._callbacks: List[Callable[["Ticket"], None]] = []
-        self._lock = threading.Lock()
 
     def resolve(self, result: object) -> None:
-        with self._lock:
-            self._result = result
-            callbacks = self._callbacks[:]
-            self._event.set()
-        for cb in callbacks:
-            cb(self)
+        self._result = result
+        self._event.set()
 
     def reject(self, error: BaseException) -> None:
-        with self._lock:
-            self._error = error
-            callbacks = self._callbacks[:]
-            self._event.set()
-        for cb in callbacks:
-            cb(self)
-
-    def add_done_callback(self, cb: Callable[["Ticket"], None]) -> None:
-        with self._lock:
-            if not self._event.is_set():
-                self._callbacks.append(cb)
-                return
-        cb(self)
+        self._error = error
+        self._event.set()
 
     @property
     def done(self) -> bool:

@@ -1,4 +1,4 @@
-"""Real asyncio TCP transport for the master--agent control channel.
+"""Real TCP transport for the master--agent control channel.
 
 The paper's deployment speaks the FlexRAN protocol over plain TCP; this
 module provides that transport for the reproduction, carrying exactly
@@ -12,12 +12,14 @@ sender released the frame); the codec frame is byte-identical to what
 the emulated link carries, so signaling accounting and the decode path
 are unchanged.
 
-Each connection runs one asyncio *reader task* (parses envelopes into
-the receiving endpoint's inbox) and one *writer task* (drains a bounded
-send queue to the socket).  The send queue applies real backpressure:
-when it is full, the sending thread blocks until the writer task has
-flushed room free, so a slow peer throttles its producer instead of
-growing an unbounded buffer.
+One thread owns a socket.  A connection is a non-blocking
+:class:`SocketPeer` that the thread owning its endpoint *pumps*: every
+touch (``send``, ``receive``, a blocked wait) moves bytes both ways --
+inbound through the :class:`FrameDecoder` into the endpoint's inbox,
+outbound from a bounded out-buffer into the kernel.  Delivery is a
+counted fact: an endpoint counts the frames it dispatched, parsed and
+handled, and whoever must know that a frame arrived compares counts
+instead of waiting a while.
 
 Two operating modes share this machinery:
 
@@ -27,28 +29,33 @@ Two operating modes share this machinery:
   shadow*: ``send`` enqueues the encoded frame into the shadow exactly
   as the emulated transport does (same latency, jitter, loss,
   partition and accounting semantics -- the full netem repertoire),
-  and a per-TTI flush pops the frames that became deliverable and
-  ships them through the kernel TCP stack, then waits until the peer
-  has parsed them.  Every existing scenario, fault injector and obs
-  instrument therefore runs unchanged on either transport.
+  and a per-TTI flush ships the frames that became deliverable through
+  the kernel, pumping both ends until the receiver has parsed as many
+  frames as the sender dispatched.  Every existing scenario, fault
+  injector and obs instrument therefore runs unchanged on either
+  transport.
 
 * **Streaming** (cluster mode): agent and master live in different
   processes with independent clocks.  ``send`` dispatches immediately;
-  the receiver holds arrived frames until its own clock reaches the
-  deliver stamp, which keeps RIB application causally ordered even
+  the master holds arrived uplink frames until its own clock reaches
+  the deliver stamp, which keeps RIB application causally ordered even
   when a worker runs ahead of the master's tick point.
 """
 
 from __future__ import annotations
 
-import asyncio
 import logging
-import threading
+import select
+import socket
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.net.link import EmulatedLink
-from repro.net.transport import ControlConnection, ProtocolEndpoint
+from repro.net.transport import (
+    ControlConnection,
+    ProtocolEndpoint,
+    TransportClosed,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -58,16 +65,16 @@ MAX_FRAME_BYTES = 1 << 24
 PREAMBLE_MAGIC = 0x464C52  # "FLR"
 """First varint of a connection's preamble envelope."""
 
-DEFAULT_SEND_QUEUE_FRAMES = 1024
-"""Bounded send-queue depth (frames) before the producer blocks."""
+OUT_BUFFER_BYTES = 1 << 18
+"""Unsent bytes a connection may hold before a streaming ``send`` blocks
+until the kernel has taken the excess (the buffer exceeds the bound by
+at most the frame that crossed it)."""
 
-SEND_BLOCK_TIMEOUT_S = 30.0
-"""How long a producer may block on a full send queue before the
-connection is declared wedged."""
-
-
-class TransportClosed(RuntimeError):
-    """The TCP connection is gone (peer exited or transport shut down)."""
+DEAD_PEER_S = 10.0
+"""The transport's one wall-clock bound: a *blocked* wait (connect,
+handshake, out-buffer relief, lockstep flush) in which no socket
+becomes ready for this long declares the peer dead.  It only ever
+judges the absence of all progress, never something that arrived."""
 
 
 # ---------------------------------------------------------------------------
@@ -156,207 +163,122 @@ class FrameDecoder:
 
 
 # ---------------------------------------------------------------------------
-# The event-loop host
+# The pumped socket
 # ---------------------------------------------------------------------------
 
 
-class TcpHub:
-    """One asyncio loop on a daemon thread hosting every TCP transport
-    object (server, connections) of this process.
+class SocketPeer:
+    """One TCP connection as a non-blocking socket its owner pumps.
 
-    The simulation / controller thread talks to the loop only through
-    ``call_soon_threadsafe`` and :meth:`call` (a blocking
-    ``run_coroutine_threadsafe`` bridge), mirroring the northbound
-    server's threading discipline.
+    ``pump`` is the only place bytes move: it reads until the kernel
+    has nothing more (every complete envelope goes to ``on_body``) and
+    writes the out-buffer until the kernel takes no more.  EOF, a reset
+    or a protocol-broken stream closes the peer.
     """
 
-    def __init__(self, *, name: str = "tcp-hub") -> None:
-        self.name = name
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-
-    @property
-    def loop(self) -> asyncio.AbstractEventLoop:
-        if self._loop is None:
-            raise TransportClosed("TCP hub is not running")
-        return self._loop
-
-    @property
-    def running(self) -> bool:
-        return self._loop is not None
-
-    def start(self) -> "TcpHub":
-        if self._thread is not None:
-            return self
-        self._thread = threading.Thread(target=self._run, name=self.name,
-                                        daemon=True)
-        self._thread.start()
-        if not self._ready.wait(10.0):
-            raise RuntimeError("TCP hub failed to start in time")
-        return self
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        self._ready.set()
-        try:
-            loop.run_forever()
-        finally:
-            try:
-                loop.run_until_complete(loop.shutdown_asyncgens())
-            finally:
-                loop.close()
-
-    def call(self, coro, *, timeout: float = 10.0):
-        """Run *coro* on the loop; block the caller for the result."""
-        future = asyncio.run_coroutine_threadsafe(coro, self.loop)
-        return future.result(timeout)
-
-    def stop(self) -> None:
-        loop = self._loop
-        thread = self._thread
-        if loop is None:
-            return
-        self._loop = None
-        self._thread = None
-        self._ready.clear()
-
-        def _shutdown() -> None:
-            for task in asyncio.all_tasks(loop):
-                task.cancel()
-            loop.call_soon(loop.stop)
-
-        try:
-            loop.call_soon_threadsafe(_shutdown)
-        except RuntimeError:
-            return
-        if thread is not None:
-            thread.join(5.0)
-
-
-# ---------------------------------------------------------------------------
-# Per-connection reader/writer machinery
-# ---------------------------------------------------------------------------
-
-
-class _SocketPeer:
-    """Loop-side half of one TCP connection.
-
-    Owns the reader task (stream -> :class:`FrameDecoder` ->
-    ``on_body`` callback) and the writer task (bounded queue ->
-    socket).  ``send_body`` is the only cross-thread producer entry;
-    its :class:`threading.BoundedSemaphore` is the backpressure gate.
-    """
-
-    def __init__(self, hub: TcpHub, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter, *,
-                 on_body: Callable[[bytes], None],
-                 queue_frames: int = DEFAULT_SEND_QUEUE_FRAMES,
-                 label: str = "conn") -> None:
-        self.hub = hub
+    def __init__(self, sock: socket.socket, *, label: str,
+                 on_body: Callable[[bytes], None]) -> None:
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock = sock
         self.label = label
-        self._reader = reader
-        self._writer = writer
-        self._on_body = on_body
-        self._slots = threading.BoundedSemaphore(queue_frames)
-        self._pending: Deque[bytes] = deque()
-        self._wake = asyncio.Event()
-        self.closed = threading.Event()
+        self.on_body = on_body
+        self.closed = False
         self.backpressure_waits = 0
-        self._tasks: List[asyncio.Task] = []
+        self._decoder = FrameDecoder()
+        self._out = bytearray()
 
-    def start(self) -> None:
-        loop = self.hub.loop
-        self._tasks = [
-            loop.create_task(self._read_loop(), name=f"{self.label}-rd"),
-            loop.create_task(self._write_loop(), name=f"{self.label}-wr"),
-        ]
+    def fileno(self) -> int:
+        return self.sock.fileno()
 
-    # -- producer side (any thread) ---------------------------------------
+    @property
+    def wants_write(self) -> bool:
+        return bool(self._out) and not self.closed
 
-    def send_body(self, body: bytes) -> None:
-        """Enqueue one already-enveloped blob; blocks when the queue is
-        full until the writer task frees a slot (backpressure)."""
-        if self.closed.is_set():
-            raise TransportClosed(f"{self.label}: connection closed")
-        if not self._slots.acquire(blocking=False):
-            self.backpressure_waits += 1
-            if not self._slots.acquire(timeout=SEND_BLOCK_TIMEOUT_S):
-                raise TransportClosed(
-                    f"{self.label}: send queue wedged for "
-                    f"{SEND_BLOCK_TIMEOUT_S:.0f}s")
-        try:
-            self.hub.loop.call_soon_threadsafe(self._enqueue, body)
-        except RuntimeError:
-            self._slots.release()
-            raise TransportClosed(f"{self.label}: transport stopped") from None
-
-    def _enqueue(self, body: bytes) -> None:
-        self._pending.append(body)
-        self._wake.set()
-
-    # -- loop side ---------------------------------------------------------
-
-    async def _write_loop(self) -> None:
+    def pump(self) -> bool:
+        """One non-blocking pass, both directions; True if bytes moved."""
+        if self.closed:
+            return False
+        moved = False
         try:
             while True:
-                await self._wake.wait()
-                self._wake.clear()
-                while self._pending:
-                    body = self._pending.popleft()
-                    self._writer.write(body)
-                    self._slots.release()
-                await self._writer.drain()
-        except (asyncio.CancelledError, ConnectionError, OSError):
-            pass
-        finally:
-            self._shut()
-
-    async def _read_loop(self) -> None:
-        decoder = FrameDecoder()
-        try:
-            while True:
-                data = await self._reader.read(65536)
+                data = self.sock.recv(1 << 16)
                 if not data:
+                    self.close()
                     break
-                for body in decoder.feed(data):
-                    self._on_body(body)
-        except (asyncio.CancelledError, ConnectionError, OSError):
+                moved = True
+                for body in self._decoder.feed(data):
+                    self.on_body(body)
+        except BlockingIOError:
             pass
-        except ValueError as exc:
+        except ValueError as exc:  # outside input: never trusted
             logger.error("%s: broken TCP stream: %s", self.label, exc)
-        finally:
-            self._shut()
-
-    def _shut(self) -> None:
-        if self.closed.is_set():
-            return
-        self.closed.set()
+            self.close()
+        except OSError:  # a reset: the peer is gone
+            self.close()
+        if self.closed:
+            return True
         try:
-            self._writer.close()
-        except Exception:  # noqa: BLE001 - best-effort close
+            while self._out:
+                del self._out[:self.sock.send(self._out)]
+                moved = True
+        except BlockingIOError:
             pass
+        except OSError:  # EPIPE / ECONNRESET: the peer is gone
+            self.close()
+        return moved
+
+    def queue(self, blob: bytes) -> None:
+        """Append one enveloped blob and push what the kernel takes."""
+        self._out += blob
+        self.pump()
+        if self.closed:
+            raise TransportClosed(f"{self.label}: connection closed")
+
+    def relieve(self) -> None:
+        """Backpressure: while the out-buffer is over its bound, block
+        pumping *both* directions -- a slow peer throttles its producer
+        without a second thread, and two peers both blocked here still
+        read each other's bytes (no send/send deadlock)."""
+        if len(self._out) > OUT_BUFFER_BYTES:
+            self.backpressure_waits += 1
+            pump_until(lambda: len(self._out) <= OUT_BUFFER_BYTES, (self,))
 
     def close(self) -> None:
-        """Cancel both tasks and close the socket (any thread)."""
-        self.closed.set()
-        loop = self.hub._loop
-        if loop is None:
-            return
+        if not self.closed:
+            self.closed = True
+            self.sock.close()
 
-        def _cancel() -> None:
-            for task in self._tasks:
-                task.cancel()
-            try:
-                self._writer.close()
-            except Exception:  # noqa: BLE001
-                pass
-        try:
-            loop.call_soon_threadsafe(_cancel)
-        except RuntimeError:
-            pass
+
+def wait_ready(peers: Iterable[SocketPeer], readers: Iterable = (), *,
+               timeout: Optional[float] = None) -> bool:
+    """Block until a peer's socket can move bytes or one of *readers*
+    (anything with ``fileno()``: a control pipe, a listener) is
+    readable; False when *timeout* seconds passed first."""
+    poller = select.poll()
+    for reader in readers:
+        poller.register(reader, select.POLLIN)
+    for peer in peers:
+        if not peer.closed:
+            poller.register(peer, select.POLLIN | select.POLLOUT
+                            if peer.wants_write else select.POLLIN)
+    return bool(poller.poll(None if timeout is None else timeout * 1e3))
+
+
+def pump_until(settled: Callable[[], bool],
+               peers: Tuple[SocketPeer, ...]) -> None:
+    """Pump *peers* until ``settled()``; :class:`TransportClosed` when
+    one closes first or nothing moves for :data:`DEAD_PEER_S`."""
+    while not settled():
+        moved = False
+        for peer in peers:
+            moved |= peer.pump()
+            if peer.closed:
+                raise TransportClosed(f"{peer.label}: connection closed")
+        if not moved and not wait_ready(peers, timeout=DEAD_PEER_S):
+            raise TransportClosed(
+                f"{peers[0].label}: peer made no progress for "
+                f"{DEAD_PEER_S:g}s")
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +294,12 @@ class TcpEndpoint(ProtocolEndpoint):
     shadow -- `send` runs the identical encode/accounting/fault path as
     the emulated transport -- but delivery happens by shipping the
     frames the shadow releases through the socket, and ``receive``
-    drains the inbox the peer's reader task fills.
+    pumps that socket itself and drains the inbox it fills.
+
+    ``frames_dispatched`` (handed to the socket), ``frames_parsed``
+    (read off it) and ``frames_handled`` (returned by ``receive``) are
+    the delivery facts: a direction has quiesced when the receiver's
+    ``frames_handled`` equals the sender's ``frames_dispatched``.
     """
 
     def __init__(self, outbound: EmulatedLink, inbound: EmulatedLink, *,
@@ -382,28 +309,35 @@ class TcpEndpoint(ProtocolEndpoint):
                          tx_direction=tx_direction,
                          rx_direction=rx_direction)
         self.streaming = streaming
-        self._sock: Optional[_SocketPeer] = None
-        self._lock = threading.Lock()
-        self._arrived = threading.Condition(self._lock)
+        self.sock: Optional[SocketPeer] = None
         self._inbox: Deque[Tuple[int, bytes]] = deque()
         self.frames_dispatched = 0
         self.frames_parsed = 0
 
-    # -- wiring ------------------------------------------------------------
-
-    def attach_socket(self, sock: _SocketPeer) -> None:
-        self._sock = sock
+    def attach_socket(self, sock: SocketPeer) -> None:
+        self.sock = sock
 
     @property
     def connected(self) -> bool:
-        return self._sock is not None and not self._sock.closed.is_set()
+        return self.sock is not None and not self.sock.closed
+
+    @property
+    def frames_handled(self) -> int:
+        return self.frames_parsed - len(self._inbox)
 
     # -- send path ---------------------------------------------------------
 
     def send(self, message, *, now: int) -> int:
+        if not self.connected:
+            # A closed connection is a down link: the shadow accounts
+            # the frame as dropped, the caller learns the peer is gone.
+            self._outbound.set_up(False)
+            super().send(message, now=now)
+            raise TransportClosed(f"{self.peer}: connection closed")
         size = super().send(message, now=now)
         if self.streaming:
             self.transmit_due(now)
+            self.sock.relieve()
         return size
 
     def transmit_due(self, now: int) -> int:
@@ -415,52 +349,38 @@ class TcpEndpoint(ProtocolEndpoint):
         socket -- identical loss semantics to the emulated transport.
         """
         frames = self._outbound.deliver_due(now)
-        if not frames:
-            return 0
-        sock = self._sock
-        if sock is None:
-            raise TransportClosed(f"{self.peer}: endpoint has no socket")
         for frame in frames:
-            sock.send_body(encode_envelope(now, frame))
+            self.sock.queue(encode_envelope(now, frame))
         self.frames_dispatched += len(frames)
         return len(frames)
 
     # -- receive path ------------------------------------------------------
 
     def on_envelope(self, body: bytes) -> None:
-        """Reader-task callback: park one parsed envelope in the inbox."""
-        deliver_tti, frame = decode_envelope(body)
-        with self._arrived:
-            self._inbox.append((deliver_tti, frame))
-            self.frames_parsed += 1
-            self._arrived.notify_all()
+        """Park one parsed envelope in the inbox (the socket's sink)."""
+        self._inbox.append(decode_envelope(body))
+        self.frames_parsed += 1
 
     def receive(self, *, now: int) -> list:
+        self.sock.pump()
+        inbox = self._inbox
+        # Only the uplink waits for its stamp: the master's clock is the
+        # fleet's and never restarts, whereas a respawned worker is back
+        # at TTI 0 and must answer the master's later-stamped requests
+        # before it can be granted a single TTI.
+        gated = self.rx_direction == "ul"
         frames: List[bytes] = []
-        with self._lock:
-            inbox = self._inbox
-            while inbox and inbox[0][0] <= now:
-                frames.append(inbox.popleft()[1])
+        while inbox and (inbox[0][0] <= now or not gated):
+            frames.append(inbox.popleft()[1])
         return self._decode_frames(frames, now)
-
-    def wait_parsed(self, target: int, *, timeout: float = 10.0) -> None:
-        """Block until this endpoint has parsed >= *target* frames."""
-        with self._arrived:
-            ok = self._arrived.wait_for(
-                lambda: self.frames_parsed >= target, timeout)
-        if not ok:
-            raise TransportClosed(
-                f"{self.peer}: peer delivered {self.frames_parsed}/"
-                f"{target} frames within {timeout:.0f}s")
 
     def pending_frames(self) -> int:
         """Parsed frames still waiting for their deliver TTI."""
-        with self._lock:
-            return len(self._inbox)
+        return len(self._inbox)
 
     def close(self) -> None:
-        if self._sock is not None:
-            self._sock.close()
+        if self.sock is not None:
+            self.sock.close()
 
 
 # ---------------------------------------------------------------------------
@@ -484,112 +404,108 @@ def _parse_preamble(body: bytes) -> int:
 
 
 class TcpTransportServer:
-    """Master-side listener: accepts agent connections.
+    """Master-side listener, pumped by the thread that owns the master.
 
     A connecting agent announces itself with one preamble envelope
-    (magic + agent id); the server then builds the master-side
-    endpoint via *endpoint_factory* and hands it to *on_agent*.  Both
-    callbacks run on the hub loop thread -- keep them tiny and
-    thread-safe (the cluster runtime parks the endpoint in a pending
-    list its pump adopts between ticks).
+    (magic + agent id); ``pump`` accepts what is waiting, reads each
+    new connection until its preamble is complete, builds the
+    master-side endpoint via *endpoint_factory* (``KeyError`` /
+    ``ValueError`` reject the id), binds it to the socket and hands it
+    to *on_agent* -- all on the caller's thread, so the callbacks may
+    touch the master directly.
     """
 
-    def __init__(self, hub: TcpHub, *, host: str = "127.0.0.1",
-                 port: int = 0,
+    def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
                  endpoint_factory: Callable[[int], TcpEndpoint],
                  on_agent: Optional[Callable[[int, TcpEndpoint], None]]
-                 = None,
-                 queue_frames: int = DEFAULT_SEND_QUEUE_FRAMES) -> None:
-        self.hub = hub
+                 = None) -> None:
         self.host = host
         self.port = port
         self._endpoint_factory = endpoint_factory
         self._on_agent = on_agent
-        self._queue_frames = queue_frames
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._peers: List[_SocketPeer] = []
+        self._listener: Optional[socket.socket] = None
+        self._handshakes: List[Tuple[SocketPeer, List[bytes]]] = []
+        self._peers: List[SocketPeer] = []
         self.agents_accepted = 0
 
     def start(self) -> Tuple[str, int]:
-        async def _start() -> Tuple[str, int]:
-            self._server = await asyncio.start_server(
-                self._handle, self.host, self.port)
-            sockname = self._server.sockets[0].getsockname()
-            return sockname[0], sockname[1]
-
-        self.host, self.port = self.hub.call(_start())
+        self._listener = socket.create_server((self.host, self.port),
+                                              backlog=128)
+        self._listener.setblocking(False)
+        self.host, self.port = self._listener.getsockname()[:2]
         return self.host, self.port
 
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        decoder = FrameDecoder()
-        bodies: List[bytes] = []
+    def waitables(self) -> list:
+        """What a readiness wait must watch for ``pump`` to have work."""
+        return [self._listener] + [peer for peer, _ in self._handshakes]
+
+    def open_connections(self) -> int:
+        """Identified connections nobody has closed yet."""
+        self._peers = [peer for peer in self._peers if not peer.closed]
+        return len(self._peers)
+
+    def pump(self) -> bool:
+        """Accept and identify waiting connections; True if any moved."""
+        moved = False
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except BlockingIOError:
+                break
+            bodies: List[bytes] = []
+            self._handshakes.append((SocketPeer(
+                sock, label="tcp server handshake",
+                on_body=bodies.append), bodies))
+            moved = True
+        for entry in list(self._handshakes):
+            peer, bodies = entry
+            moved |= peer.pump()
+            if bodies or peer.closed:  # closed: EOF or a broken stream
+                self._handshakes.remove(entry)
+                if bodies:
+                    self._bind(peer, bodies)
+        return moved
+
+    def _bind(self, peer: SocketPeer, bodies: List[bytes]) -> None:
         try:
-            while not bodies:
-                data = await reader.read(4096)
-                if not data:
-                    writer.close()
-                    return
-                bodies = decoder.feed(data)
             agent_id = _parse_preamble(bodies[0])
-        except (ValueError, ConnectionError, OSError) as exc:
-            logger.error("tcp server: rejected connection: %s", exc)
-            writer.close()
+            endpoint = self._endpoint_factory(agent_id)
+            peer.label = f"master<-agent{agent_id}"
+            peer.on_body = endpoint.on_envelope
+            # Frames that rode in behind the preamble in the same read.
+            for body in bodies[1:]:
+                endpoint.on_envelope(body)
+        except (KeyError, ValueError) as exc:
+            logger.error("tcp server: rejected connection: %r", exc)
+            peer.close()
             return
-        endpoint = self._endpoint_factory(agent_id)
-        peer = _SocketPeer(self.hub, reader, writer,
-                           on_body=endpoint.on_envelope,
-                           queue_frames=self._queue_frames,
-                           label=f"master<-agent{agent_id}")
         endpoint.attach_socket(peer)
-        peer.start()
         self._peers.append(peer)
-        # Frames that rode in behind the preamble in the same read.
-        for body in bodies[1:]:
-            endpoint.on_envelope(body)
         self.agents_accepted += 1
         if self._on_agent is not None:
             self._on_agent(agent_id, endpoint)
 
     def stop(self) -> None:
-        for peer in self._peers:
+        for peer in self._peers + [p for p, _ in self._handshakes]:
             peer.close()
-        server = self._server
-        if server is None:
-            return
-        self._server = None
-
-        async def _close() -> None:
-            server.close()
-            await server.wait_closed()
-
-        try:
-            self.hub.call(_close(), timeout=5.0)
-        except (TransportClosed, Exception):  # noqa: BLE001 - teardown
-            pass
+        self._peers, self._handshakes = [], []
+        if self._listener is not None:
+            self._listener.close()
+            self._listener = None
 
 
-def connect_endpoint(hub: TcpHub, host: str, port: int, *, agent_id: int,
-                     endpoint: TcpEndpoint,
-                     queue_frames: int = DEFAULT_SEND_QUEUE_FRAMES,
-                     timeout: float = 10.0) -> TcpEndpoint:
+def connect_endpoint(host: str, port: int, *, agent_id: int,
+                     endpoint: TcpEndpoint) -> TcpEndpoint:
     """Dial the transport server and bind *endpoint* to the connection.
 
-    Sends the identifying preamble, then starts the reader/writer
-    tasks.  Returns the same endpoint, now connected.
+    The connect blocks (the listener's backlog completes it whether or
+    not the server is being pumped right now); the identifying preamble
+    is queued like any other bytes.  Returns the same endpoint.
     """
-    async def _connect() -> _SocketPeer:
-        reader, writer = await asyncio.open_connection(host, port)
-        writer.write(_preamble(agent_id))
-        await writer.drain()
-        return _SocketPeer(hub, reader, writer,
-                           on_body=endpoint.on_envelope,
-                           queue_frames=queue_frames,
-                           label=f"agent{agent_id}->master")
-
-    peer = hub.call(_connect(), timeout=timeout)
-    endpoint.attach_socket(peer)
-    hub.loop.call_soon_threadsafe(peer.start)
+    endpoint.attach_socket(SocketPeer(
+        socket.create_connection((host, port), timeout=DEAD_PEER_S),
+        label=f"agent{agent_id}->master", on_body=endpoint.on_envelope))
+    endpoint.sock.queue(_preamble(agent_id))
     return endpoint
 
 
@@ -607,7 +523,7 @@ class TcpControlConnection(ControlConnection):
     from it exactly as before), plus the per-TTI ``flush_uplink`` /
     ``flush_downlink`` hooks the simulation clock drives in its LINK
     phases.  Each flush ships the frames that became deliverable this
-    TTI through the kernel and blocks until the peer endpoint has
+    TTI through the kernel and pumps both ends until the receiver has
     parsed them, which preserves the emulated transport's causal
     ordering TTI for TTI.
     """
@@ -620,17 +536,20 @@ class TcpControlConnection(ControlConnection):
         super().__init__(rtt_ms=rtt_ms, name=name, seed=seed)
         server.establish(agent_id, self)
 
-    # -- per-TTI delivery --------------------------------------------------
+    def _flush(self, sender: TcpEndpoint, receiver: TcpEndpoint,
+               now: int) -> None:
+        sender.transmit_due(now)
+        pump_until(
+            lambda: receiver.frames_parsed == sender.frames_dispatched,
+            (sender.sock, receiver.sock))
 
     def flush_uplink(self, now: int) -> None:
         """LINK_UP phase: ship due agent->master frames, await parse."""
-        self.agent_side.transmit_due(now)
-        self.master_side.wait_parsed(self.agent_side.frames_dispatched)
+        self._flush(self.agent_side, self.master_side, now)
 
     def flush_downlink(self, now: int) -> None:
         """LINK_DOWN phase: ship due master->agent frames, await parse."""
-        self.master_side.transmit_due(now)
-        self.agent_side.wait_parsed(self.master_side.frames_dispatched)
+        self._flush(self.master_side, self.agent_side, now)
 
     def close(self) -> None:
         self.agent_side.close()
@@ -638,48 +557,38 @@ class TcpControlConnection(ControlConnection):
 
 
 class TcpConnectionFabric:
-    """In-process TCP wiring: one hub + one transport server that pairs
-    each :class:`TcpControlConnection`'s two endpoints over loopback.
+    """In-process TCP wiring: one transport server that pairs each
+    :class:`TcpControlConnection`'s two endpoints over loopback.
 
-    ``establish`` dials the server with the agent-id preamble; the
-    accept path binds the registered master-side endpoint to the
-    accepted socket.  Used by :class:`~repro.sim.simulation.Simulation`
-    when ``transport="tcp"``.
+    ``establish`` dials the server with the agent-id preamble and pumps
+    the accept path until it has bound the registered master-side
+    endpoint to the accepted socket.  Used by
+    :class:`~repro.sim.simulation.Simulation` when ``transport="tcp"``.
     """
 
     def __init__(self, *, host: str = "127.0.0.1") -> None:
-        self.hub = TcpHub(name="sim-tcp-hub").start()
         self._expected: Dict[int, TcpControlConnection] = {}
-        self._accepted: Dict[int, threading.Event] = {}
         self.server = TcpTransportServer(
-            self.hub, host=host, endpoint_factory=self._master_endpoint,
-            on_agent=self._on_agent)
+            host=host, endpoint_factory=lambda agent_id:
+            self._expected[agent_id].master_side)
         self.host, self.port = self.server.start()
-
-    def _master_endpoint(self, agent_id: int) -> TcpEndpoint:
-        try:
-            return self._expected[agent_id].master_side
-        except KeyError:
-            raise ValueError(
-                f"unexpected agent id {agent_id} on TCP fabric") from None
-
-    def _on_agent(self, agent_id: int, endpoint: TcpEndpoint) -> None:
-        self._accepted[agent_id].set()
 
     def establish(self, agent_id: int,
                   connection: TcpControlConnection) -> None:
         if agent_id in self._expected:
             raise ValueError(f"agent {agent_id} already on TCP fabric")
         self._expected[agent_id] = connection
-        self._accepted[agent_id] = threading.Event()
-        connect_endpoint(self.hub, self.host, self.port,
-                         agent_id=agent_id, endpoint=connection.agent_side)
-        if not self._accepted[agent_id].wait(10.0):
-            raise RuntimeError(
-                f"TCP fabric: agent {agent_id} handshake timed out")
+        dialed = connect_endpoint(self.host, self.port, agent_id=agent_id,
+                                  endpoint=connection.agent_side).sock
+        while not connection.master_side.connected:
+            if not (dialed.pump() | self.server.pump()) and not wait_ready(
+                    (dialed,), self.server.waitables(),
+                    timeout=DEAD_PEER_S):
+                raise TransportClosed(
+                    f"TCP fabric: agent {agent_id} handshake made no "
+                    f"progress for {DEAD_PEER_S:g}s")
 
     def close(self) -> None:
         for connection in self._expected.values():
             connection.close()
         self.server.stop()
-        self.hub.stop()

@@ -24,6 +24,12 @@ from repro.core.protocol.messages import FlexRanMessage
 from repro.net.link import DuplexChannel, EmulatedLink
 
 
+class TransportClosed(RuntimeError):
+    """The connection under an endpoint is gone (peer exited, socket
+    reset, transport shut down); the frame being sent was accounted as
+    dropped by the endpoint's link."""
+
+
 class ProtocolEndpoint:
     """One side of a control connection (send + receive queues).
 

@@ -69,10 +69,6 @@ def get() -> Observability:
     return _current
 
 
-def is_enabled() -> bool:
-    return _current.enabled
-
-
 def enable(*, trace: bool = True,
            trace_max_events: Optional[int] = None) -> Observability:
     """Switch on observability with fresh backends; returns them.

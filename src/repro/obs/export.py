@@ -87,11 +87,6 @@ def prometheus_text(registry) -> str:
     return "\n".join(out) + ("\n" if out else "")
 
 
-def write_prometheus(registry, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(prometheus_text(registry))
-
-
 def chrome_trace(ob: Observability,
                  extra: Optional[Dict[str, object]] = None
                  ) -> Dict[str, object]:

@@ -261,9 +261,10 @@ class WorkerStallWindow(ShardFaultAt):
 class TcpDisconnectAt(ShardFaultAt):
     """Drop one shard's TCP data plane while its process stays alive.
 
-    Closes the master-side sockets of every agent in the shard; the
-    worker's next frame dispatch raises ``TransportClosed``, which
-    surfaces as a worker-reported ``error`` on the control pipe.
+    Closes the master-side sockets of every agent in the shard.  The
+    master's pump finds the endpoints closed (``connection_closed``),
+    the worker sees EOF and reports ``TransportClosed`` as an ``error``
+    on the control pipe; whichever lands first classifies the failure.
     """
 
     def inject(self, runtime) -> str:
@@ -384,7 +385,9 @@ class FleetInvariants:
       the fleet-wide budget (*max_respawns* overrides the default
       ``shards x per-shard budget`` bound);
     * ``census`` -- the post-run RIB holds exactly the agents and UEs
-      of the shard map minus quarantined shards.
+      of the shard map minus quarantined shards, and the master holds
+      exactly one open connection per live agent (a connection it
+      replaced was closed, not dropped).
     """
 
     def __init__(self, max_respawns: Optional[int] = None) -> None:
@@ -432,6 +435,11 @@ class FleetInvariants:
         if rib_ues != expected_ues:
             yield ("census",
                    f"RIB UEs {rib_ues} != expected {expected_ues}")
+        open_connections = runtime.server.open_connections()
+        if open_connections != len(expected_agents):
+            yield ("census",
+                   f"{open_connections} open connections for "
+                   f"{len(expected_agents)} live agents")
 
 
 # -- the harness --------------------------------------------------------------

@@ -68,8 +68,9 @@ class Simulation:
         self.clock.register(Phase.AGENT_TX, self._agent_tx_phase)
         if self.transport == "tcp":
             # Real-TCP lockstep: the LINK phases ship each TTI's due
-            # frames through the kernel and wait for the peer's reader
-            # task, preserving the emulated transport's causal order.
+            # frames through the kernel and pump both ends until the
+            # receiver has parsed them, preserving the emulated
+            # transport's causal order.
             self.clock.register(Phase.LINK_UP, self._link_up_phase)
             self.clock.register(Phase.LINK_DOWN, self._link_down_phase)
         if self.master is not None:
@@ -148,7 +149,7 @@ class Simulation:
         return agent
 
     def _fabric(self) -> TcpConnectionFabric:
-        """The lazily started in-process TCP wiring (hub + server)."""
+        """The lazily started in-process TCP wiring (loopback server)."""
         if self._tcp_fabric is None:
             self._tcp_fabric = TcpConnectionFabric()
         return self._tcp_fabric

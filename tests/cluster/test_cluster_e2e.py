@@ -31,8 +31,9 @@ class TestClusterEndToEnd:
         assert report.rib_agents == 4
         assert report.rib_ues == 40
         assert report.agents_accepted == 4
-        # It ticked through the whole run plus the drain tail.
-        assert report.master_ttis >= config.total_ttis
+        # It ticked through the whole run, and not one TTI more: the
+        # last frames are counted in, not waited for.
+        assert report.master_ttis == config.total_ttis
         # The credit scheme held: no shard outran the window.
         assert report.max_lead_ttis <= config.window
         assert report.respawns == 0
@@ -51,6 +52,43 @@ class TestClusterEndToEnd:
         assert payload["rib_agents"] == 2
         assert payload["rib_ues"] == 8
 
+    @pytest.mark.parametrize("workers,n_enbs", [(1, 2), (2, 4)])
+    @pytest.mark.parametrize("total_ttis", [1, 8])
+    def test_short_run_census_is_complete(self, workers, n_enbs,
+                                          total_ttis):
+        """A run too short to hide a race behind: the census must not
+        depend on whether a worker read the master's ConfigRequest
+        before it spent its credit.  No shard is granted a TTI until
+        its set-up exchange has settled, and none is stopped until its
+        last frame is applied."""
+        config = ClusterConfig(
+            workers=workers, n_enbs=n_enbs, ues_per_enb=4,
+            total_ttis=total_ttis, window=16, realtime_master=False)
+        for _ in range(5):
+            report = run_cluster(config)
+            assert report.rib_agents == n_enbs
+            assert report.rib_ues == 4 * n_enbs
+            assert report.master_ttis == total_ttis
+            assert report.respawns == 0 and not report.failures
+
+    def test_timed_window_excludes_set_up(self):
+        """``us_per_tti`` starts at the start barrier: spawning the
+        workers, building the shards and the Hello/config exchange
+        (well over 100 ms together) stay outside it."""
+        import time
+
+        config = ClusterConfig(
+            workers=1, n_enbs=2, ues_per_enb=4, total_ttis=8,
+            window=16, realtime_master=False)
+        with ClusterRuntime(config).start() as runtime:
+            began = time.perf_counter()
+            report = runtime.run()
+            total_s = time.perf_counter() - began
+        assert report.wall_s < total_s / 2
+        assert report.us_per_tti == pytest.approx(
+            report.wall_s * 1e6 / 8)
+        assert sum(report.fleet_samples_us) <= report.wall_s * 1e6
+
     def test_respawn_hands_shard_over_snapshot(self):
         """Kill one shard mid-run; the replacement reconnects and the
         RIB reconverges to the full deployment."""
@@ -61,13 +99,17 @@ class TestClusterEndToEnd:
             harness = cluster_chaos(runtime, [ShardRespawnAt(60, 1)])
             report = runtime.run()
             chaos = harness.report()
+            open_connections = runtime.server.open_connections()
         assert report.respawns == 1
         # Shard 1's two agents reconnected after the respawn.
         assert report.agents_accepted == 6
         assert report.rib_agents == 4
         assert report.rib_ues == 24
-        assert report.master_ttis >= config.total_ttis
+        assert report.master_ttis == config.total_ttis
         assert len(chaos.fired) == 1 and chaos.ok, chaos.to_dict()
+        # The two connections the respawn replaced were closed, not
+        # dropped: one open connection per live agent.
+        assert open_connections == 4
 
 
 def healing_config(**overrides):
@@ -109,7 +151,7 @@ class TestClusterSelfHealing:
         # Full census: the replacement reconnected all of shard 1.
         assert report.rib_agents == 4
         assert report.rib_ues == 24
-        assert report.master_ttis >= config.total_ttis
+        assert report.master_ttis == config.total_ttis
         assert len(report.respawn_latency_s) == 1
         assert chaos.ok, chaos.to_dict()
 
@@ -126,7 +168,7 @@ class TestClusterSelfHealing:
         # Census is the shard map minus the quarantined shard.
         assert report.rib_agents == 2
         assert report.rib_ues == 12
-        assert report.master_ttis >= config.total_ttis
+        assert report.master_ttis == config.total_ttis
         assert report.wall_s < config.run_deadline_s
         assert chaos.ok, chaos.to_dict()
 
@@ -142,24 +184,52 @@ class TestClusterSelfHealing:
         assert report.degraded_shards == []
         assert report.rib_agents == 4
         assert report.rib_ues == 24
-        assert report.master_ttis >= config.total_ttis
+        assert report.master_ttis == config.total_ttis
         assert chaos.ok, chaos.to_dict()
 
     def test_tcp_disconnect_heals_through_worker_error_path(self):
-        """Dropping a shard's data plane makes its worker raise
-        TransportClosed -- a *reported* error, the third detector."""
+        """Dropping a shard's data plane is a classified failure on
+        whichever side sees it first: the master finds its endpoint
+        closed, the worker reports TransportClosed over its pipe."""
         config = healing_config()
         report, chaos = run_with_chaos(config, [TcpDisconnectAt(40, 1)])
         assert report.respawns >= 1
-        # The worker usually gets its error tuple out before dying,
-        # but losing that race to the liveness poll is still a valid
-        # classification.
         assert report.failures[0]["cause"] in (
-            "worker_error", "pipe_eof", "process_death")
+            "connection_closed", "worker_error", "pipe_eof",
+            "process_death")
         assert report.degraded_shards == []
         assert report.rib_agents == 4
         assert report.rib_ues == 24
-        assert report.master_ttis >= config.total_ttis
+        assert report.master_ttis == config.total_ttis
+        assert chaos.ok, chaos.to_dict()
+
+    def test_send_on_a_dropped_connection_is_a_shard_failure(self):
+        """The master keeps talking to a shard whose sockets it just
+        lost -- what any keepalive, app or attach event does.  The
+        frame is a drop on a down link and the shard a classified
+        failure; nothing escapes the pump."""
+
+        class DisconnectThenSend(TcpDisconnectAt):
+            def inject(self, runtime):
+                fired = super().inject(runtime)
+                runtime.master.northbound.request_config(3, scope="ues")
+                self.dropped = runtime.master.agent_endpoints()[
+                    3]._outbound.dropped_messages
+                return fired
+
+        config = healing_config()
+        action = DisconnectThenSend(40, 1)
+        report, chaos = run_with_chaos(config, [action])
+        assert action.dropped == 1
+        # Whichever side sees the closed socket first names it.
+        assert report.failures[0]["cause"] in (
+            "connection_closed", "worker_error")
+        assert report.failures[0]["action"] == "respawn"
+        assert report.respawns == 1
+        assert report.degraded_shards == []
+        assert report.rib_agents == 4
+        assert report.rib_ues == 24
+        assert report.master_ttis == config.total_ttis
         assert chaos.ok, chaos.to_dict()
 
     def test_chaos_report_is_json_able(self):

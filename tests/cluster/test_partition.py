@@ -5,7 +5,7 @@ import pytest
 from repro.cluster.partition import ShardMap, ShardSpec, plan_shards
 from repro.cluster.worker import WorkerSpec, build_shard_sim
 from repro.net.link import EmulatedLink
-from repro.net.tcp import TcpEndpoint, TcpHub, TcpTransportServer
+from repro.net.tcp import TcpEndpoint, TcpTransportServer
 from repro.sim.scenarios import large_scale
 
 
@@ -77,17 +77,19 @@ def test_shard_cells_match_the_single_process_deployment():
     shard's flows used to start in lockstep)."""
     whole = large_scale(n_enbs=4, ues_per_enb=6)
     shard = plan_shards(4, 2, ues_per_enb=6)[1]
-    hub = TcpHub(name="test-hub").start()
     server = TcpTransportServer(
-        hub, endpoint_factory=lambda agent_id: TcpEndpoint(
+        endpoint_factory=lambda agent_id: TcpEndpoint(
             EmulatedLink(), EmulatedLink(), streaming=True))
     host, port = server.start()
     try:
-        sim, _, _ = build_shard_sim(WorkerSpec(
-            shard=shard, host=host, port=port, total_ttis=0), hub=hub)
+        # The listener's backlog completes the dials; nobody has to
+        # pump the server for a shard to be built.
+        sim, endpoints = build_shard_sim(WorkerSpec(
+            shard=shard, host=host, port=port, total_ttis=0))
     finally:
         server.stop()
-        hub.stop()
+    for endpoint in endpoints:
+        endpoint.close()
     sliced = cell_population(sim, shard.agent_ids)
     assert sliced == cell_population(whole.sim, shard.agent_ids)
     assert len({credit for *_, credit in sliced}) == 12

@@ -13,6 +13,7 @@ import pytest
 
 from repro.cluster.credits import CreditScheduler
 from repro.cluster.supervise import (
+    FAIL_CONNECTION,
     FAIL_PIPE_EOF,
     FAIL_PROCESS_DEATH,
     FAIL_STALL,
@@ -93,8 +94,8 @@ class TestBackoffDelay:
 
     def test_causes_vocabulary_is_closed(self):
         assert set(FAILURE_CAUSES) == {
-            FAIL_WORKER_ERROR, FAIL_PIPE_EOF, FAIL_PROCESS_DEATH,
-            FAIL_STALL}
+            FAIL_WORKER_ERROR, FAIL_CONNECTION, FAIL_PIPE_EOF,
+            FAIL_PROCESS_DEATH, FAIL_STALL}
 
 
 class TestFailureIntake:
