@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.lte.constants import (
@@ -61,8 +62,9 @@ class Cell:
         # Spectrum sharing (LSA): a runtime cap on usable DL PRBs; None
         # means the full carrier is licensed for use right now.
         self.prb_cap: Optional[int] = None
-        # The dominant interfering cell, if any (eICIC topologies).
-        self.interference_source: Optional["Cell"] = None
+        # The dominant interfering cell, if any (eICIC topologies);
+        # assigned through the interference_source property.
+        self._interference_source: Optional["Cell"] = None
         # Whether this cell transmitted user data in the last RAN phase;
         # consulted by victims of this cell when resolving interference.
         self.transmitting: bool = False
@@ -70,15 +72,27 @@ class Cell:
         #: Called with the RNTI whenever a CQI refresh changed the
         #: eNodeB's knowledge for that UE (the eNodeB's dirty marking).
         self.cqi_listener: Optional[Callable[[int], None]] = None
-        # SRS due-heap of (due_tti, rnti): refresh_cqi pops only the
-        # UEs whose report is due this TTI instead of scanning every
-        # served UE (per-UE due times spread over all residues of the
-        # SRS period, so a full scan never gets to early-return at
-        # scale).  Entries are invalidated lazily: a popped entry for a
-        # detached RNTI is dropped, and one refreshed more recently
-        # than its due time implies (force refresh, RNTI reuse) is
-        # re-queued at the true due time.
+        # SRS schedule: a due-heap of (due_tti, rnti); refresh_cqi pops
+        # only the entries due this TTI.  A forced refresh observes the
+        # whole cell at once, so UEs attached together share a phase (a
+        # deployment built at one TTI reports on one TTI in
+        # SRS_PERIOD_TTIS).  Entries are invalidated lazily: a popped
+        # entry for a detached or parked RNTI is dropped, and one
+        # refreshed more recently than its due time implies (forced
+        # refresh, RNTI reuse) is re-queued at the true due time.
         self._srs_heap: List[Tuple[int, int]] = []
+        # Parked RNTIs have no live heap entry: they were observed on a
+        # channel object that declares time_invariant, with no
+        # interferer, so their next report cannot differ.  For them
+        # cqi_updated_tti is the last observation, however old; a
+        # replaced channel object or a new interferer re-arms them.
+        self._srs_parked: Set[int] = set()
+        # Last TTI the periodic pass served (_rearm's "now").
+        self._srs_served_tti = -1
+        # TTI of the last forced pass, while cqi_updated_tti == that TTI
+        # still vouches for an observation (reads repeat within a TTI);
+        # a replaced channel object or interferer change voids it.
+        self._fresh_tti: Optional[int] = None
 
     @property
     def cell_id(self) -> int:
@@ -90,6 +104,20 @@ class Cell:
         if self.prb_cap is None:
             return self.config.n_prb_dl
         return max(0, min(self.config.n_prb_dl, self.prb_cap))
+
+    @property
+    def interference_source(self) -> Optional["Cell"]:
+        return self._interference_source
+
+    @interference_source.setter
+    def interference_source(self, source: Optional["Cell"]) -> None:
+        self._interference_source = source
+        # Under an interferer every report has two states to tell
+        # apart, so nobody stays parked.
+        self._fresh_tti = None
+        for rnti in self._srs_parked:
+            self._rearm(rnti)
+        self._srs_parked.clear()
 
     def set_prb_cap(self, cap: Optional[int]) -> None:
         """Restrict (or restore) the usable downlink PRBs at runtime."""
@@ -104,11 +132,14 @@ class Cell:
         # The newcomer has no CQI knowledge yet: queue it as due
         # immediately so the next refresh_cqi call observes it.
         heapq.heappush(self._srs_heap, (-(10 ** 9), rnti))
+        ue.watch_channels(self.cell_id, partial(self._channel_swapped, rnti))
         if primary:
             ue.serving_cell_id = self.cell_id
 
     def remove_ue(self, rnti: int) -> Ue:
         ue = self.ues.pop(rnti)
+        ue.unwatch_channels(self.cell_id)
+        self._srs_parked.discard(rnti)
         for mapping in (self.known_cqi, self.known_cqi_clear, self.cqi_updated_tti):
             mapping.pop(rnti, None)
         return ue
@@ -135,9 +166,8 @@ class Cell:
         knowledge an eICIC deployment shares over X2 (or, in FlexRAN,
         through the master).  Without an interferer this is ``True``.
         """
-        if self.interference_source is None:
-            return True
-        return self.interference_source.is_muted(tti)
+        source = self._interference_source
+        return source is None or source.is_muted(tti)
 
     def refresh_cqi(self, tti: int, *, force: bool = False) -> None:
         """Update the eNodeB's CQI knowledge on the SRS period.
@@ -147,38 +177,53 @@ class Cell:
         restricted-measurement report eICIC introduces).  For cells
         without an interferer the two coincide.
         """
-        has_aggressor = self.interference_source is not None
+        has_aggressor = self._interference_source is not None
         listener = self.cqi_listener
+        updated = self.cqi_updated_tti
+        parked = self._srs_parked
         if force:
-            # Forced full refresh (attach, SCell activation): update
-            # every UE now; existing heap entries lazily re-queue
-            # themselves to the new due times as they pop.
+            # Forced full refresh (attach, SCell activation): observe
+            # every UE now, except those an earlier forced pass already
+            # observed at this TTI; existing heap entries lazily
+            # re-queue themselves to the new due times as they pop.
+            again = tti == self._fresh_tti
             for rnti, ue in self.ues.items():
-                self._refresh_one(rnti, ue, tti, has_aggressor, listener)
+                if again and updated.get(rnti) == tti:
+                    continue
+                if not self._refresh_one(rnti, ue, tti, has_aggressor,
+                                         listener):
+                    parked.add(rnti)
+            self._fresh_tti = tti
             return
+        self._srs_served_tti = tti
         heap = self._srs_heap
         ues_get = self.ues.get
-        updated = self.cqi_updated_tti
         while heap and heap[0][0] <= tti:
             _, rnti = heapq.heappop(heap)
             ue = ues_get(rnti)
-            if ue is None:
-                continue  # detached since this entry was queued
+            if ue is None or rnti in parked:
+                continue  # detached or parked since this entry was queued
             last = updated.get(rnti)
             if last is not None and tti - last < SRS_PERIOD_TTIS:
                 # Refreshed more recently than this entry knew (forced
                 # refresh, or RNTI reuse): re-queue at the true due.
                 heapq.heappush(heap, (last + SRS_PERIOD_TTIS, rnti))
-                continue
-            self._refresh_one(rnti, ue, tti, has_aggressor, listener)
-            heapq.heappush(heap, (tti + SRS_PERIOD_TTIS, rnti))
+            elif self._refresh_one(rnti, ue, tti, has_aggressor, listener):
+                heapq.heappush(heap, (tti + SRS_PERIOD_TTIS, rnti))
+            else:
+                parked.add(rnti)
 
     def _refresh_one(self, rnti: int, ue: Ue, tti: int, has_aggressor: bool,
-                     listener: Optional[Callable[[int], None]]) -> None:
-        """Refresh the eNodeB's CQI knowledge for one UE at *tti*."""
-        channel = ue.channel_for(self.cell_id)
-        cqi = channel.cqi(tti, interference_active=has_aggressor)
+                     listener: Optional[Callable[[int], None]]) -> bool:
+        """Refresh the eNodeB's CQI knowledge for one UE at *tti*.
+
+        Returns whether the UE's next report can differ from this one,
+        i.e. whether it stays on the SRS schedule.
+        """
+        channel = ue.channel_for(self.config.cell_id)
         cqi_clear = channel.cqi(tti, interference_active=False)
+        cqi = (channel.cqi(tti, interference_active=True)
+               if has_aggressor else cqi_clear)
         if listener is not None and (
                 self.known_cqi.get(rnti) != cqi
                 or self.known_cqi_clear.get(rnti) != cqi_clear):
@@ -186,6 +231,25 @@ class Cell:
         self.known_cqi[rnti] = cqi
         self.known_cqi_clear[rnti] = cqi_clear
         self.cqi_updated_tti[rnti] = tti
+        return has_aggressor or not channel.time_invariant
+
+    def _channel_swapped(self, rnti: int) -> None:
+        """A channel object of served UE *rnti* was replaced."""
+        self._fresh_tti = None
+        if rnti in self._srs_parked:
+            self._srs_parked.discard(rnti)
+            self._rearm(rnti)
+
+    def _rearm(self, rnti: int) -> None:
+        """Queue a parked UE's next observation on its own SRS grid:
+        the first ``cqi_updated_tti + k * SRS_PERIOD_TTIS`` the
+        periodic pass has not served yet -- the TTI at which a UE
+        observed every period would report next, so the eNodeB learns
+        the new value exactly when it otherwise would."""
+        last = self.cqi_updated_tti[rnti]
+        periods = max(self._srs_served_tti - last, 0) // SRS_PERIOD_TTIS + 1
+        heapq.heappush(self._srs_heap,
+                       (last + periods * SRS_PERIOD_TTIS, rnti))
 
     def scheduling_cqi(self, rnti: int, tti: int) -> int:
         """CQI the scheduler should assume for *rnti* at *tti*.
@@ -204,7 +268,7 @@ class Cell:
         did this TTI (set during the RAN phase's planning pass).
         """
         ue = self.ues[rnti]
-        src = self.interference_source
+        src = self._interference_source
         active = bool(src is not None and src.transmitting
                       and src.last_tx_tti == tti)
         return ue.channel_for(self.cell_id).cqi(

@@ -25,9 +25,11 @@ from __future__ import annotations
 import enum
 import logging
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -153,7 +155,9 @@ class EnodeB:
         self.last_plan_tti = -1
         self.last_prbs_dl: Dict[int, int] = {c: 0 for c in self.cells}
         self.last_prbs_ul: Dict[int, int] = {c: 0 for c in self.cells}
-        self._pending_feedback: List[Tuple[int, int, int, int, bool]] = []
+        # (due_tti, cell_id, rnti, pid, ok), appended by _transmit_dl in
+        # due order: _process_feedback takes the due ones off the front.
+        self._pending_feedback: Deque[Tuple[int, int, int, int, bool]] = deque()
         self._harq_payload: Dict[Tuple[int, int, int], Dict[int, int]] = {}
 
         self._rng = np.random.default_rng(seed)
@@ -222,14 +226,7 @@ class EnodeB:
         self.rlc.pop(rnti, None)
         self.pdcp.pop(rnti, None)
         self.harq[cell.cell_id].remove(rnti)
-        # Purge in-flight HARQ bookkeeping so a later reuse of the RNTI
-        # cannot receive feedback for the departed UE's blocks.
-        self._pending_feedback = [
-            f for f in self._pending_feedback
-            if not (f[1] == cell.cell_id and f[2] == rnti)]
-        for key in [k for k in self._harq_payload
-                    if k[0] == cell.cell_id and k[1] == rnti]:
-            del self._harq_payload[key]
+        self._purge_harq(cell.cell_id, rnti)
         self.rrc.release(rnti)
         ue.rnti = None
         ue.serving_cell_id = None
@@ -286,10 +283,38 @@ class EnodeB:
             self._view_cache[scell_id].remove(rnti)
             cell.remove_ue(rnti)
             self.harq[scell_id].remove(rnti)
-            self._pending_feedback = [
-                f for f in self._pending_feedback
-                if not (f[1] == scell_id and f[2] == rnti)]
+            # Blocks in flight on the carrier go back to the head of
+            # their bearers, oldest first, as a MAX_HARQ_TX drop would
+            # send them; one whose pending feedback is an ACK was
+            # delivered already and is only forgotten.
+            rlc = self.rlc[rnti]
+            tti = max(self.last_plan_tti, 0)
+            for split in reversed(self._purge_harq(scell_id, rnti)):
+                for lcid, nbytes in split.items():
+                    rlc.requeue_front(nbytes, tti, lcid)
             self.mark_ue_dirty(rnti)
+
+    def _purge_harq(self, cell_id: int, rnti: int) -> List[Dict[int, int]]:
+        """Forget *rnti*'s in-flight HARQ bookkeeping on one carrier, so
+        a later reuse of the RNTI cannot receive feedback for these
+        blocks.  Returns the payload splits not delivered yet, oldest
+        block first."""
+        delivered = set()
+        kept = deque()
+        for entry in self._pending_feedback:
+            _, entry_cell, entry_rnti, pid, ok = entry
+            if entry_cell != cell_id or entry_rnti != rnti:
+                kept.append(entry)
+            elif ok:
+                delivered.add(pid)
+        self._pending_feedback = kept
+        payload = self._harq_payload
+        undelivered = []
+        for key in [k for k in payload if k[0] == cell_id and k[1] == rnti]:
+            split = payload.pop(key)
+            if key[2] not in delivered:
+                undelivered.append(split)
+        return undelivered
 
     def active_scells(self, rnti: int) -> List[int]:
         return sorted(self._scells.get(rnti, set()))
@@ -453,8 +478,9 @@ class EnodeB:
         for cell_id, cell in self.cells.items():
             cell.refresh_cqi(tti)
             ctx = self.build_context(cell_id, tti)
+            n_prb = ctx.n_prb  # the cell's, read once, before any hook runs
             assignments = self.dl_scheduler[cell_id](ctx) or []
-            validate_allocation(assignments, cell.n_prb)
+            validate_allocation(assignments, n_prb)
             grants = self.ul_scheduler[cell_id](ctx) or []
             self._plan_dl[cell_id] = assignments
             self._plan_ul[cell_id] = grants
@@ -513,9 +539,9 @@ class EnodeB:
                 self.mark_ue_dirty(rnti)
 
     def _process_feedback(self, tti: int) -> None:
-        due = [f for f in self._pending_feedback if f[0] <= tti]
-        self._pending_feedback = [f for f in self._pending_feedback if f[0] > tti]
-        for _, cell_id, rnti, pid, ok in due:
+        pending = self._pending_feedback
+        while pending and pending[0][0] <= tti:
+            _, cell_id, rnti, pid, ok = pending.popleft()
             entity = self.harq[cell_id].entity(rnti)
             drop = entity.feedback(pid, ok)
             self.mark_ue_dirty(rnti)

@@ -69,18 +69,18 @@ class HarqEntity:
         self.acked_blocks = 0
         self.nacked_blocks = 0
         self.dropped_blocks = 0
-        # Invoked after any operation that may flip a process's
-        # needs_retx flag; the owning pool uses it to maintain its
-        # retx-candidate set.
+        # Processes holding a NACKed block (busy and needs_retx).  Only
+        # a non-final NACK raises it and only a retransmission lowers
+        # it: an ACK or a drop resets a process that was awaiting
+        # feedback, which never needs a retransmission at that moment.
+        self._retx_count = 0
+        # Invoked when that count leaves or reaches zero; the owning
+        # pool uses it to maintain its retx-candidate set.
         self._on_retx_change = on_retx_change
 
     def has_pending_retx(self) -> bool:
         """Whether any process holds a NACKed block (timing aside)."""
-        return any(p.busy and p.needs_retx for p in self.processes)
-
-    def _retx_changed(self) -> None:
-        if self._on_retx_change is not None:
-            self._on_retx_change(self)
+        return self._retx_count > 0
 
     def free_process(self) -> Optional[HarqProcess]:
         """A process available for new data, or ``None`` if all busy."""
@@ -120,7 +120,9 @@ class HarqEntity:
         proc.last_tx_tti = tti
         proc.awaiting_feedback = True
         proc.needs_retx = False
-        self._retx_changed()
+        self._retx_count -= 1
+        if self._retx_count == 0 and self._on_retx_change is not None:
+            self._on_retx_change(self)
         return proc
 
     def feedback(self, pid: int, ok: bool) -> Optional[HarqDrop]:
@@ -137,17 +139,17 @@ class HarqEntity:
         if ok:
             self.acked_blocks += 1
             proc.reset()
-            self._retx_changed()
             return None
         self.nacked_blocks += 1
         if proc.attempt >= MAX_HARQ_TX:
             self.dropped_blocks += 1
             drop = HarqDrop(self.rnti, pid, proc.payload_bytes, proc.lcid)
             proc.reset()
-            self._retx_changed()
             return drop
         proc.needs_retx = True
-        self._retx_changed()
+        self._retx_count += 1
+        if self._retx_count == 1 and self._on_retx_change is not None:
+            self._on_retx_change(self)
         return None
 
     def pending_retx(self, tti: int) -> List[PendingRetx]:

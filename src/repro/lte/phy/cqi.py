@@ -52,7 +52,10 @@ def cqi_efficiency(cqi: int) -> float:
 
 def validate_cqi(cqi: int) -> int:
     """Raise ``ValueError`` unless *cqi* is a valid 4-bit CQI."""
-    if not isinstance(cqi, int) or isinstance(cqi, bool):
+    # A plain int (every caller on the TTI path) is settled by one type
+    # test; int subclasses other than bool take the general one.
+    if type(cqi) is not int and (
+            not isinstance(cqi, int) or isinstance(cqi, bool)):
         raise ValueError(f"CQI must be an int, got {cqi!r}")
     if not CQI_MIN <= cqi <= CQI_MAX:
         raise ValueError(f"CQI must be in [{CQI_MIN}, {CQI_MAX}], got {cqi}")

@@ -10,6 +10,7 @@ endpoint plus measurement instrumentation.
 from __future__ import annotations
 
 from collections import deque
+from operator import attrgetter
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.lte.phy.channel import ChannelModel, FixedCqi
@@ -54,6 +55,34 @@ class RateMeter:
         return self.total_bytes * 8 / (elapsed_ttis * 1000.0)
 
 
+class CarrierChannels(Dict[int, ChannelModel]):
+    """``cell id -> channel``; tells its UE when an entry is replaced.
+
+    Entries are assigned and deleted one at a time: the bulk mutators
+    would change what a carrier reads without anyone hearing of it.
+    """
+
+    __slots__ = ("_swapped",)
+
+    def __init__(self, swapped: Callable[[], None]) -> None:
+        super().__init__()
+        self._swapped = swapped
+
+    def __setitem__(self, cell_id: int, channel: ChannelModel) -> None:
+        super().__setitem__(cell_id, channel)
+        self._swapped()
+
+    def __delitem__(self, cell_id: int) -> None:
+        super().__delitem__(cell_id)
+        self._swapped()
+
+    def _unpublished(self, *args, **kwargs):
+        raise TypeError(
+            "assign or delete carrier channels one entry at a time")
+
+    update = pop = popitem = setdefault = clear = __ior__ = _unpublished
+
+
 class Ue:
     """One mobile device attached (or attaching) to a cell."""
 
@@ -62,14 +91,19 @@ class Ue:
                  record_series: bool = False,
                  meter_window_ttis: int = 1000) -> None:
         self.imsi = imsi
-        self.channel: ChannelModel = channel if channel is not None else FixedCqi(15)
+        self._channel: ChannelModel = (
+            channel if channel is not None else FixedCqi(15))
+        #: cell id -> callback of a serving cell that wants to hear when
+        #: a channel object of this UE is replaced (its SRS schedule
+        #: stops observing a channel that declares ``time_invariant``).
+        self._channel_watchers: Dict[int, Callable[[], None]] = {}
         self.labels: Dict[str, str] = dict(labels or {})
         self.rnti: Optional[int] = None
         self.serving_cell_id: Optional[int] = None
         #: Per-carrier channels for carrier aggregation: cell id ->
         #: channel on that carrier.  The primary carrier falls back to
         #: :attr:`channel`.
-        self.carrier_channels: Dict[int, ChannelModel] = {}
+        self.carrier_channels = CarrierChannels(self._channels_swapped)
         #: Channels toward neighbor cells (cell id -> channel), the
         #: source of the reported neighbor-cell CQIs; a handover swaps
         #: the target's entry with :attr:`channel`.
@@ -130,13 +164,35 @@ class Ue:
             self.ul_meter.add(sent, tti)
         return sent
 
+    # -- channels -------------------------------------------------------
+
+    def _set_channel(self, channel: ChannelModel) -> None:
+        self._channel = channel
+        self._channels_swapped()
+
+    #: The primary carrier's channel.  Assigning a new object is how a
+    #: link changes character mid-run; serving cells are told.  Read
+    #: through a C-level getter: the stats pass reads it per UE.
+    channel = property(attrgetter("_channel"), _set_channel)
+
+    def watch_channels(self, cell_id: int, fn: Callable[[], None]) -> None:
+        """Call *fn* whenever a channel object of this UE is replaced."""
+        self._channel_watchers[cell_id] = fn
+
+    def unwatch_channels(self, cell_id: int) -> None:
+        self._channel_watchers.pop(cell_id, None)
+
+    def _channels_swapped(self) -> None:
+        for fn in self._channel_watchers.values():
+            fn()
+
     # -- measurements ---------------------------------------------------
 
     def channel_for(self, cell_id: Optional[int]) -> ChannelModel:
         """The channel on a given carrier (primary channel by default)."""
         if cell_id is not None and cell_id in self.carrier_channels:
             return self.carrier_channels[cell_id]
-        return self.channel
+        return self._channel
 
     def measured_cqi(self, tti: int, *, interference_active: bool = True) -> int:
         """The CQI this UE would report right now."""

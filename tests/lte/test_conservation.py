@@ -6,8 +6,10 @@ either delivered to the UE, still queued, held in HARQ processes
 awaiting feedback, or explicitly counted as dropped.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.lte.cell import CellConfig
 from repro.lte.enodeb import EnodeB
 from repro.lte.mac.amc import ErrorModel
 from repro.lte.mac.schedulers import make_scheduler
@@ -21,16 +23,16 @@ def accounted_bytes(enb, rnti):
     Successfully transmitted payload is delivered immediately but its
     HARQ buffer is only released on the ACK four TTIs later, so
     payload whose pending feedback is positive must not be counted a
-    second time.
+    second time.  HARQ buffers count on every carrier serving the UE.
     """
     ue = enb.ue(rnti)
-    cell_id = enb.primary_cell(rnti).cell_id
+    carriers = {enb.primary_cell(rnti).cell_id, *enb.active_scells(rnti)}
     delivered_unacked = {
         (c, r, p) for (_, c, r, p, ok) in enb._pending_feedback if ok}
     in_harq_failed = sum(
         sum(split.values())
         for key, split in enb._harq_payload.items()
-        if key[0] == cell_id and key[1] == rnti
+        if key[0] in carriers and key[1] == rnti
         and key not in delivered_unacked)
     rlc = enb.rlc[rnti]
     # SRB signalling is injected by RRC, not by the traffic source, so
@@ -67,6 +69,9 @@ def test_byte_conservation_under_errors(cqi_hi, cqi_drop, flip_period,
                 enb.enqueue_dl(rnti, 1400, t)
                 offered += 1400
         enb.tick(t)
+        # _process_feedback takes due entries off the front.
+        due = [entry[0] for entry in enb._pending_feedback]
+        assert due == sorted(due)
     # Drain HARQ feedback in flight (no new traffic).
     for t in range(600, 640):
         enb.tick(t)
@@ -97,6 +102,38 @@ def test_conservation_with_harq_exhaustion():
     # Some blocks were dropped by HARQ and requeued.
     assert enb.counters.tb_dropped > 0 or enb.counters.tb_err > 0
     assert accounted_bytes(enb, rnti) == offered
+
+
+@pytest.mark.parametrize("base_bler", [0.0, 0.3])
+def test_conservation_across_scell_deactivation(base_bler):
+    """Blocks in flight on a carrier that is deactivated go back to
+    their bearer; they used to stay in ``_harq_payload`` forever, dequeued
+    from RLC and never delivered, requeued or counted."""
+    enb = EnodeB(1, [CellConfig(cell_id=10), CellConfig(cell_id=11)],
+                 seed=1, error_model=ErrorModel(base_bler=base_bler),
+                 rlc_buffer_bytes=10_000_000)
+    ue = Ue("001", FixedCqi(12))
+    ue.carrier_channels[11] = FixedCqi(12)
+    rnti = enb.attach_ue(ue, cell_id=10, tti=0)
+    for t in range(60):
+        enb.tick(t)
+    enb.activate_scell(rnti, 11, tti=60)
+    offered = 0
+    for t in range(60, 200):
+        for _ in range(8):
+            enb.enqueue_dl(rnti, 1400, t)
+            offered += 1400
+        enb.tick(t)
+        assert accounted_bytes(enb, rnti) == offered
+    assert any(key[0] == 11 for key in enb._harq_payload)  # in flight
+    enb.deactivate_scell(rnti, 11)
+    assert accounted_bytes(enb, rnti) == offered
+    for t in range(200, 600):
+        enb.tick(t)
+        due = [entry[0] for entry in enb._pending_feedback]
+        assert due == sorted(due)
+    assert accounted_bytes(enb, rnti) == offered
+    assert not [key for key in enb._harq_payload if key[0] == 11]
 
 
 def test_counters_consistent():

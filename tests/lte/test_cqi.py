@@ -50,6 +50,35 @@ class TestValidation:
     def test_accepts_valid(self, good):
         assert validate_cqi(good) == good
 
+    def test_same_verdict_as_the_isinstance_definition(self):
+        """The plain-int shortcut accepts and rejects exactly what the
+        two ``isinstance`` tests alone do, with the same message."""
+        import enum
+
+        import numpy as np
+
+        class Level(enum.IntEnum):
+            LOW = 3
+            HUGE = 99
+
+        def reference(cqi):
+            if not isinstance(cqi, int) or isinstance(cqi, bool):
+                raise ValueError(f"CQI must be an int, got {cqi!r}")
+            if not 0 <= cqi <= 15:
+                raise ValueError(f"CQI must be in [0, 15], got {cqi}")
+            return cqi
+
+        def verdict(fn, value):
+            try:
+                return fn(value)
+            except ValueError as exc:
+                return str(exc)
+
+        for value in (*range(-2, 18), True, False, 7.0, 2.5, "7", None,
+                      np.int64(7), np.int32(20), np.float64(3.0),
+                      Level.LOW, Level.HUGE, 10 ** 30):
+            assert verdict(validate_cqi, value) == verdict(reference, value)
+
     def test_clamp(self):
         assert clamp_cqi(-5) == 0
         assert clamp_cqi(99) == 15

@@ -1,6 +1,8 @@
 """Tests for HARQ entities and FDD timing."""
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.lte.constants import HARQ_PROCESSES, HARQ_RTT_TTIS, MAX_HARQ_TX
 from repro.lte.mac.harq import HarqEntity, HarqPool
@@ -122,3 +124,75 @@ class TestHarqPool:
         pool.entity(70).feedback(proc.pid, ok=False)
         pool.remove(70)
         assert pool.all_pending_retx(100) == []
+
+
+class RetxBookkeeping(RuleBasedStateMachine):
+    """The entity's count of NACKed blocks and the pool's candidate set
+    are maintained on transitions only; a scan must always agree."""
+
+    RNTIS = (70, 71, 72)
+
+    def __init__(self):
+        super().__init__()
+        self.pool = HarqPool()
+        self.attached = set()
+        self.tti = 0
+
+    def entity(self, rnti):
+        self.attached.add(rnti)
+        return self.pool.entity(rnti)
+
+    @rule(rnti=st.sampled_from(RNTIS))
+    def start(self, rnti):
+        entity = self.entity(rnti)
+        self.tti += 1
+        if entity.free_process() is None:
+            with pytest.raises(RuntimeError):
+                start_block(entity, tti=self.tti)
+        else:
+            start_block(entity, tti=self.tti)
+
+    @rule(rnti=st.sampled_from(RNTIS), pid=st.integers(0, HARQ_PROCESSES - 1),
+          ok=st.booleans())
+    def feedback(self, rnti, pid, ok):
+        entity = self.entity(rnti)
+        if entity.processes[pid].awaiting_feedback:
+            entity.feedback(pid, ok)
+        else:
+            with pytest.raises(RuntimeError):
+                entity.feedback(pid, ok)
+
+    @rule(rnti=st.sampled_from(RNTIS), pid=st.integers(0, HARQ_PROCESSES - 1))
+    def retransmit(self, rnti, pid):
+        entity = self.entity(rnti)
+        self.tti += 1
+        proc = entity.processes[pid]
+        if proc.busy and proc.needs_retx:
+            entity.retransmit(pid, self.tti)
+        else:
+            with pytest.raises(RuntimeError):
+                entity.retransmit(pid, self.tti)
+
+    @rule(rnti=st.sampled_from(RNTIS))
+    def remove(self, rnti):
+        self.pool.remove(rnti)
+        self.attached.discard(rnti)
+
+    @invariant()
+    def count_and_set_agree_with_a_scan(self):
+        waiting = set()
+        for rnti in self.attached:
+            entity = self.pool.entity(rnti)
+            scanned = sum(p.busy and p.needs_retx for p in entity.processes)
+            assert entity._retx_count == scanned
+            assert entity.has_pending_retx() == (scanned > 0)
+            if scanned:
+                waiting.add(rnti)
+        assert self.pool._retx_rntis == waiting
+        assert ({p.rnti for p in self.pool.all_pending_retx(self.tti + 100)}
+                == waiting)
+
+
+RetxBookkeeping.TestCase.settings = settings(
+    max_examples=100, stateful_step_count=60, deadline=None)
+TestRetxBookkeeping = RetxBookkeeping.TestCase
