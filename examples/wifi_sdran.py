@@ -39,7 +39,7 @@ def main() -> None:
         ap.associate(s)
 
     conn = ControlConnection()
-    master = MasterController(realtime=False)
+    master = MasterController()
     master.connect_agent(1, conn.master_side)
     agent = WifiAgent(1, ap, endpoint=conn.agent_side)
     # A master-side stats subscription, over the ordinary protocol.

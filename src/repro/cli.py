@@ -140,7 +140,7 @@ def _demo_wifi() -> None:
     for s in (fast, slow):
         ap.associate(s)
     conn = ControlConnection()
-    master = MasterController(realtime=False)
+    master = MasterController()
     master.connect_agent(1, conn.master_side)
     agent = WifiAgent(1, ap, endpoint=conn.agent_side)
 

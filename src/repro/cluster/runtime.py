@@ -86,7 +86,6 @@ class ClusterConfig:
     load_factor: float = 0.8
     host: str = "127.0.0.1"
     seed: int = 0
-    realtime_master: bool = True
     # Supervision knobs (see repro.cluster.supervise).
     stall_timeout_s: float = 10.0
     respawn_budget: int = 3
@@ -154,8 +153,7 @@ class ClusterRuntime:
     def __init__(self, config: ClusterConfig, *,
                  master: Optional[MasterController] = None) -> None:
         self.config = config
-        self.master = master or MasterController(
-            realtime=config.realtime_master)
+        self.master = master or MasterController()
         self.shard_map = ShardMap(plan_shards(
             config.n_enbs, config.workers,
             ues_per_enb=config.ues_per_enb,

@@ -42,7 +42,6 @@ class VsfSlot:
     #: fall back to when the active one misbehaves, and fault counters.
     fallback_name: Optional[str] = None
     faults: int = 0
-    consecutive_overruns: int = 0
     quarantined: Dict[str, int] = field(default_factory=dict)
     #: Most recent VSF that completed a sandboxed invocation cleanly;
     #: quarantine rolls back to it in preference to the static fallback.
@@ -56,20 +55,18 @@ class SandboxPolicy:
     The paper proposes running control modules "in a sandboxed mode"
     so "the network operator could quickly identify VSFs that present
     an unexpected behavior".  Within one process the enforceable
-    sandbox is behavioural: a VSF that raises, or that repeatedly
-    overruns its per-invocation time budget, is quarantined and the
-    slot reverts to its fallback implementation.
+    sandbox is behavioural: a VSF that raises, or whose declared
+    ``cost_ms`` attribute (absent: 0) exceeds the per-invocation time
+    budget, is quarantined and the slot reverts to its fallback
+    implementation.
     """
 
     time_budget_ms: Optional[float] = None
-    max_consecutive_overruns: int = 3
 
     def __post_init__(self) -> None:
         if self.time_budget_ms is not None and self.time_budget_ms <= 0:
             raise ValueError(
                 f"time budget must be positive, got {self.time_budget_ms}")
-        if self.max_consecutive_overruns <= 0:
-            raise ValueError("max_consecutive_overruns must be positive")
 
 
 class VsfFault(Exception):
@@ -177,36 +174,25 @@ class ControlModule(abc.ABC):
     def invoke(self, operation: str, *args: Any, **kwargs: Any) -> Any:
         """Run the active VSF of *operation* (the CMI call).
 
-        With a :class:`SandboxPolicy` installed, exceptions and
-        time-budget overruns quarantine the active VSF and revert to
-        the slot's fallback implementation.
+        With a :class:`SandboxPolicy` installed, an exception or a
+        declared cost over the time budget quarantines the active VSF
+        and reverts to the slot's fallback implementation.
         """
-        if self.sandbox is None:
-            return self.active_vsf(operation)(*args, **kwargs)
-        return self._invoke_sandboxed(operation, *args, **kwargs)
-
-    def _invoke_sandboxed(self, operation: str, *args: Any,
-                          **kwargs: Any) -> Any:
-        slot = self._slot(operation)
         vsf = self.active_vsf(operation)
-        start = time.perf_counter()
+        if self.sandbox is None:
+            return vsf(*args, **kwargs)
+        slot = self._slot(operation)
         try:
             result = vsf(*args, **kwargs)
         except Exception as exc:  # noqa: BLE001 - the sandbox boundary
             self._quarantine(slot, f"exception: {exc!r}")
             # Retry once with the (trusted) fallback implementation.
             return self.active_vsf(operation)(*args, **kwargs)
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
         budget = self.sandbox.time_budget_ms
-        if budget is not None and elapsed_ms > budget:
-            slot.consecutive_overruns += 1
-            if (slot.consecutive_overruns
-                    >= self.sandbox.max_consecutive_overruns):
-                self._quarantine(
-                    slot, f"time budget: {elapsed_ms:.2f} ms > {budget} ms "
-                          f"x{slot.consecutive_overruns}")
+        if budget is not None and getattr(vsf, "cost_ms", 0.0) > budget:
+            self._quarantine(
+                slot, f"time budget: {vsf.cost_ms} ms > {budget} ms")
         else:
-            slot.consecutive_overruns = 0
             slot.last_good_name = slot.active_name
         return result
 
@@ -214,7 +200,6 @@ class ControlModule(abc.ABC):
         bad = slot.active_name or "<anonymous>"
         slot.faults += 1
         slot.quarantined[bad] = slot.quarantined.get(bad, 0) + 1
-        slot.consecutive_overruns = 0
         logger.error("module %s: quarantining VSF %s for %s (%s)",
                      self.name, bad, slot.operation, reason)
         ob = _obs.get()

@@ -33,6 +33,10 @@ class App(abc.ABC):
     period_ttis: int = 1
     #: Event types this app subscribes to (event-based pattern).
     subscribed_events: Set[EventType] = frozenset()
+    #: Declared cost of one invocation (``run`` or an ``on_event``
+    #: delivery) in simulated ms: what the Task Manager charges to the
+    #: application slot and the supervisor holds against the deadline.
+    cost_ms: float = 0.0
     #: Per-invocation deadline enforced by the app supervisor; None
     #: defers to the Task Manager's app-slot budget.
     deadline_ms: Optional[float] = None
@@ -52,10 +56,13 @@ class App(abc.ABC):
         return self.period_ttis > 0 and tti % self.period_ttis == 0
 
     def describe(self) -> dict:
+        """What the application declares, as plain data."""
         return {
             "name": self.name,
             "priority": self.priority,
             "period_ttis": self.period_ttis,
+            "cost_ms": self.cost_ms,
             "deadline_ms": self.deadline_ms,
-            "events": sorted(int(e) for e in self.subscribed_events),
+            "subscribed_events": sorted(
+                e.name.lower() for e in self.subscribed_events),
         }

@@ -42,6 +42,7 @@ class EventNotificationService:
         self._queue: List[EventNotification] = []
         self._taps: List[EventTap] = []
         self.delivered = 0
+        #: Events no runnable application subscribes to.
         self.dropped_no_subscriber = 0
         self.dropped_quarantined = 0
 
@@ -70,14 +71,15 @@ class EventNotificationService:
         """Queue events gathered during the RIB-update slot."""
         self._queue.extend(events)
 
-    def pending(self) -> int:
-        return len(self._queue)
+    def dispatch(self, tti: int, nb: "NorthboundApi") -> float:
+        """Deliver every queued event to its subscribers.
 
-    def dispatch(self, tti: int, nb: "NorthboundApi") -> int:
-        """Deliver every queued event to its subscribers; returns count."""
+        Returns the declared cost of the deliveries made: what the Task
+        Manager charges to the application slot for them.
+        """
         events, self._queue = self._queue, []
         sup = self.supervisor
-        count = 0
+        cost_ms = 0.0
         if self._taps:
             for event in events:
                 for tap in tuple(self._taps):
@@ -91,34 +93,34 @@ class EventNotificationService:
                 kind = EventType(event.event_type)
             except ValueError:
                 kind = None
-            delivered_any = False
+            subscribed = False
             for reg in self._registry.runnable():
-                if kind is None or kind not in reg.app.subscribed_events:
+                app = reg.app
+                if kind is None or kind not in app.subscribed_events:
                     continue
-                if sup is not None and not sup.admitted(reg.app.name, tti):
+                subscribed = True
+                if sup is not None and not sup.admitted(app.name, tti):
                     self.dropped_quarantined += 1
                     continue
+                cost_ms += app.cost_ms
                 if nb is not None:
-                    nb.set_current_app(reg.app)
+                    nb.set_current_app(app)
                 try:
                     if sup is None:
-                        reg.app.on_event(event, tti, nb)
+                        app.on_event(event, tti, nb)
                         completed = True
                     else:
-                        app = reg.app
                         completed = sup.call(
                             app.name,
                             lambda: app.on_event(event, tti, nb),
-                            tti=tti, kind="event",
-                            deadline_ms=getattr(app, "deadline_ms", None))
+                            tti=tti, kind="event", cost_ms=app.cost_ms,
+                            deadline_ms=app.deadline_ms)
                 finally:
                     if nb is not None:
                         nb.set_current_app(None)
                 if completed:
                     reg.events_delivered += 1
-                    delivered_any = True
-                    count += 1
-            if not delivered_any:
+                    self.delivered += 1
+            if not subscribed:
                 self.dropped_no_subscriber += 1
-        self.delivered += count
-        return count
+        return cost_ms

@@ -80,18 +80,9 @@ class RegistryService:
 
     def describe(self) -> List[Dict[str, object]]:
         """Plain-data view of every registration (the ``/v1/apps``
-        payload of the northbound server)."""
-        out: List[Dict[str, object]] = []
-        for reg in self._registrations.values():
-            out.append({
-                "name": reg.app.name,
-                "state": reg.state.value,
-                "priority": getattr(reg.app, "priority", 0),
-                "period_ttis": getattr(reg.app, "period_ttis", 1),
-                "runs": reg.runs,
-                "events_delivered": reg.events_delivered,
-                "subscribed_events": sorted(
-                    e.name.lower()
-                    for e in getattr(reg.app, "subscribed_events", ())),
-            })
-        return out
+        payload of the northbound server): what each application
+        declares plus its registration's state and counters."""
+        return [{**reg.app.describe(), "state": reg.state.value,
+                 "runs": reg.runs,
+                 "events_delivered": reg.events_delivered}
+                for reg in self._registrations.values()]

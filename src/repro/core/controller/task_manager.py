@@ -8,21 +8,24 @@ applications as well as the Event Notification Service threads (e.g.,
 80% of the TTI)".  Single-writer/multiple-reader RIB access falls out
 of this slotting: the updater runs alone in its slot, apps only read.
 
-In real-time mode the application slot's budget is enforced: once the
-slot is exhausted, remaining (lower-priority) applications are
+The slot's budget is simulated time: every invocation (an event
+delivery or a periodic run) is charged the application's declared
+``cost_ms``.  In real-time mode the budget is enforced: once the
+charges exceed it, remaining (lower-priority) applications are
 deferred to the next cycle and counted.  In non real-time mode "the
 Task Manager does not enforce a strict duration of the cycle".
 
 With an :class:`~repro.core.survive.AppSupervisor` installed, every
 application invocation additionally runs inside a fault boundary: an
-app that raises or chronically overruns its deadline is quarantined
+app that raises or declares more than its deadline is quarantined
 (skipped entirely, counted per cycle) instead of unwinding the TTI
 cycle -- the enforceable version of the paper's claim that "the
 operation of the master controller is not affected" by misbehaving
 applications.
 
 Per-cycle wall-clock times of both slots are recorded -- they are the
-"Apps" / "Core Components" / "Idle Time" series of Fig. 8.
+"Apps" / "Core Components" / "Idle Time" series of Fig. 8 -- and only
+recorded: no decision reads them (DESIGN.md section 11).
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ DEFAULT_TTI_BUDGET_MS = 1.0
 DEFAULT_UPDATER_SHARE = 0.2
 
 CYCLE_SAMPLE_WINDOW = 100_000
-"""Per-slot timing samples retained for percentile queries."""
+"""Core-slot timing samples retained for percentile queries."""
 
 
 @dataclass
@@ -61,6 +64,8 @@ class CycleRecord:
     overran: bool
     #: Apps skipped this cycle because their breaker was open.
     apps_quarantined: int = 0
+    #: Declared cost charged to the application slot (simulated ms).
+    slot_ms: float = 0.0
 
 
 def _cycle_window() -> Deque[float]:
@@ -71,7 +76,7 @@ def _cycle_window() -> Deque[float]:
 class CycleStats:
     """Aggregated cycle timings over a run.
 
-    Besides the running means (the Fig. 8 series), per-slot samples
+    Besides the running means (the Fig. 8 series), core-slot samples
     are retained in a bounded window so tail cycle times
     (p50/p95/p99) can be reported -- a long master run keeps the most
     recent :data:`CYCLE_SAMPLE_WINDOW` cycles.
@@ -86,10 +91,6 @@ class CycleStats:
     quarantined_total: int = 0
     core_ms_samples: Deque[float] = field(default_factory=_cycle_window,
                                           repr=False)
-    app_ms_samples: Deque[float] = field(default_factory=_cycle_window,
-                                         repr=False)
-    idle_ms_samples: Deque[float] = field(default_factory=_cycle_window,
-                                          repr=False)
 
     def add(self, record: CycleRecord) -> None:
         self.cycles += 1
@@ -100,8 +101,6 @@ class CycleStats:
         self.deferred_total += record.apps_deferred
         self.quarantined_total += record.apps_quarantined
         self.core_ms_samples.append(record.core_ms)
-        self.app_ms_samples.append(record.app_ms)
-        self.idle_ms_samples.append(record.idle_ms)
 
     @property
     def mean_core_ms(self) -> float:
@@ -115,19 +114,10 @@ class CycleStats:
     def mean_idle_ms(self) -> float:
         return self.idle_ms_total / self.cycles if self.cycles else 0.0
 
-    @staticmethod
-    def _pct(samples: Deque[float], q: float) -> float:
-        return percentile(list(samples), q) if samples else 0.0
-
     def percentile_core_ms(self, q: float) -> float:
         """Tail core-slot time over the retained window (0 if empty)."""
-        return self._pct(self.core_ms_samples, q)
-
-    def percentile_app_ms(self, q: float) -> float:
-        return self._pct(self.app_ms_samples, q)
-
-    def percentile_idle_ms(self, q: float) -> float:
-        return self._pct(self.idle_ms_samples, q)
+        samples = self.core_ms_samples
+        return percentile(list(samples), q) if samples else 0.0
 
 
 class TaskManager:
@@ -176,11 +166,11 @@ class TaskManager:
 
         if ob.enabled:
             with ob.tracer.span("task_manager", "apps", tti=tti):
-                apps_run, apps_deferred, apps_quarantined = self._app_slot(
-                    tti, nb, core_end)
+                apps_run, apps_deferred, apps_quarantined, slot_ms = (
+                    self._app_slot(tti, nb))
         else:
-            apps_run, apps_deferred, apps_quarantined = self._app_slot(
-                tti, nb, core_end)
+            apps_run, apps_deferred, apps_quarantined, slot_ms = (
+                self._app_slot(tti, nb))
         app_ms = (time.perf_counter() - core_end) * 1000.0
 
         if ob.enabled:
@@ -200,56 +190,51 @@ class TaskManager:
             idle_ms=max(0.0, self.tti_budget_ms - used_ms),
             apps_run=apps_run, apps_deferred=apps_deferred,
             overran=used_ms > self.tti_budget_ms,
-            apps_quarantined=apps_quarantined)
+            apps_quarantined=apps_quarantined, slot_ms=slot_ms)
         self.stats.add(record)
         self.last_record = record
         return record
 
-    def _app_deadline_ms(self, app) -> Optional[float]:
-        """Per-invocation deadline: the app's own, or the slot budget."""
-        deadline = getattr(app, "deadline_ms", None)
-        if deadline is not None:
-            return deadline
-        return self.app_budget_ms if self.realtime else None
-
-    def _app_slot(self, tti: int, nb: "NorthboundApi",
-                  core_end: float) -> tuple:
+    def _app_slot(self, tti: int, nb: "NorthboundApi") -> tuple:
         """The application slot: event fan-out, then due applications."""
         apps_run = 0
         apps_deferred = 0
         apps_quarantined = 0
         sup = self.supervisor
-        self._events.dispatch(tti, nb)
+        # Enforced in real-time mode only: the slot's budget, which is
+        # also the deadline of an application that sets none.
+        budget = self.app_budget_ms if self.realtime else None
+        slot_ms = self._events.dispatch(tti, nb)
         for reg in self._registry.runnable():
-            if not reg.app.is_due(tti):
+            app = reg.app
+            if not app.is_due(tti):
                 continue
             # Quarantine check precedes budget accounting: an open
             # breaker consumes none of the slot, so a crash-looping
             # app cannot starve lower-priority healthy apps.
-            if sup is not None and not sup.admitted(reg.app.name, tti):
+            if sup is not None and not sup.admitted(app.name, tti):
                 apps_quarantined += 1
                 continue
-            if self.realtime:
-                elapsed_app_ms = (time.perf_counter() - core_end) * 1000.0
-                if elapsed_app_ms > self.app_budget_ms:
-                    apps_deferred += 1
-                    continue
+            if budget is not None and slot_ms > budget:
+                apps_deferred += 1
+                continue
+            slot_ms += app.cost_ms
             if nb is not None:
-                nb.set_current_app(reg.app)
+                nb.set_current_app(app)
             try:
                 if sup is None:
-                    reg.app.run(tti, nb)
+                    app.run(tti, nb)
                     completed = True
                 else:
-                    app = reg.app
                     completed = sup.call(
                         app.name, lambda: app.run(tti, nb), tti=tti,
-                        kind="periodic",
-                        deadline_ms=self._app_deadline_ms(app))
+                        cost_ms=app.cost_ms,
+                        deadline_ms=(app.deadline_ms if app.deadline_ms
+                                     is not None else budget))
             finally:
                 if nb is not None:
                     nb.set_current_app(None)
             if completed:
                 reg.runs += 1
                 apps_run += 1
-        return apps_run, apps_deferred, apps_quarantined
+        return apps_run, apps_deferred, apps_quarantined, slot_ms

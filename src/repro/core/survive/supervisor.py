@@ -5,8 +5,9 @@ controller is not affected" by slow or misbehaving applications
 (Section 4.3.3).  The :class:`AppSupervisor` makes that guarantee
 enforceable: every application invocation (the periodic ``run`` slot
 and the event-based ``on_event`` deliveries alike) passes through
-:meth:`AppSupervisor.call`, which catches exceptions, meters the
-invocation against a deadline, and drives a per-app circuit breaker:
+:meth:`AppSupervisor.call`, which catches exceptions, holds the
+invocation's declared cost against a deadline, and drives a per-app
+circuit breaker:
 
 ``CLOSED`` --(N consecutive faults)--> ``QUARANTINED``
 --(cooldown expires)--> ``PROBATION``
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import enum
 import logging
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -46,17 +46,17 @@ class BreakerState(enum.Enum):
 class SupervisionPolicy:
     """Limits of the application fault boundary.
 
-    ``deadline_ms`` is the default per-invocation time budget; the
-    Task Manager overrides it per call with the app's own
-    ``deadline_ms`` attribute or the app-slot budget.  ``None``
-    disables overrun detection (crash containment still applies).
+    ``deadline_ms`` is the default per-invocation budget for the
+    declared ``cost_ms``; the Task Manager overrides it per call with
+    the app's own ``deadline_ms`` attribute or the app-slot budget.
+    ``None`` disables overrun detection (crash containment still
+    applies).  An invocation over its deadline is a fault like a crash.
     """
 
     max_consecutive_faults: int = 3
     cooldown_ttis: int = 500
     probation_runs: int = 5
     deadline_ms: Optional[float] = None
-    max_overrun_streak: int = 3
     escalation_factor: float = 2.0
     max_cooldown_ttis: int = 8000
 
@@ -70,8 +70,6 @@ class SupervisionPolicy:
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise ValueError(
                 f"deadline_ms must be positive, got {self.deadline_ms}")
-        if self.max_overrun_streak <= 0:
-            raise ValueError("max_overrun_streak must be positive")
         if self.escalation_factor < 1.0:
             raise ValueError("escalation_factor must be >= 1")
         if self.max_cooldown_ttis < self.cooldown_ttis:
@@ -86,9 +84,8 @@ class AppHealth:
     state: BreakerState = BreakerState.CLOSED
     #: Total invocations that raised.
     crashes: int = 0
-    #: Total invocations that exceeded their deadline.
+    #: Total invocations whose declared cost exceeded their deadline.
     overruns: int = 0
-    overrun_streak: int = 0
     consecutive_faults: int = 0
     clean_runs: int = 0
     quarantines: int = 0
@@ -126,9 +123,6 @@ class AppSupervisor:
             self._health[name] = AppHealth(name=name)
         return self._health[name]
 
-    def states(self) -> Dict[str, BreakerState]:
-        return {name: h.state for name, h in self._health.items()}
-
     def quarantined_names(self) -> List[str]:
         return sorted(name for name, h in self._health.items()
                       if h.state is BreakerState.QUARANTINED)
@@ -161,9 +155,9 @@ class AppSupervisor:
     # -- the boundary -----------------------------------------------------
 
     def call(self, name: str, fn: Callable[[], None], *, tti: int,
-             kind: str = "periodic",
+             kind: str = "periodic", cost_ms: float = 0.0,
              deadline_ms: Optional[float] = None) -> bool:
-        """Run *fn* inside the fault boundary.
+        """Run *fn*, declared to cost *cost_ms*, inside the boundary.
 
         Returns True if the invocation completed (even if it overran
         its deadline), False if it raised.  Faults feed the breaker;
@@ -172,7 +166,6 @@ class AppSupervisor:
         h = self.health(name)
         budget = (deadline_ms if deadline_ms is not None
                   else self.policy.deadline_ms)
-        start = time.perf_counter()
         try:
             fn()
         except Exception as exc:  # noqa: BLE001 - the app fault boundary
@@ -184,20 +177,14 @@ class AppSupervisor:
                 ob.registry.counter("survive.app.crashes." + name).inc()
             self._fault(h, tti, kind, f"exception: {exc!r}")
             return False
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        if budget is not None and elapsed_ms > budget:
+        if budget is not None and cost_ms > budget:
             h.overruns += 1
-            h.overrun_streak += 1
             ob = _obs.get()
             if ob.enabled:
                 ob.registry.counter("survive.app.overruns").inc()
-            if h.overrun_streak >= self.policy.max_overrun_streak:
-                self._fault(
-                    h, tti, kind,
-                    f"deadline: {elapsed_ms:.2f} ms > {budget} ms "
-                    f"x{h.overrun_streak}")
+            self._fault(h, tti, kind,
+                        f"deadline: {cost_ms} ms > {budget} ms")
         else:
-            h.overrun_streak = 0
             self._clean(h, tti)
         return True
 
@@ -241,7 +228,6 @@ class AppSupervisor:
         h.cooldown_ttis = int(min(cooldown, self.policy.max_cooldown_ttis))
         h.quarantined_at_tti = tti
         h.consecutive_faults = 0
-        h.overrun_streak = 0
         h.probation_left = 0
         h._transition(BreakerState.QUARANTINED, tti)
         ob = _obs.get()

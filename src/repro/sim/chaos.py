@@ -86,9 +86,10 @@ class ProbeApp(App):
     """A controllable high-priority application for fault injection.
 
     Healthy by default; :class:`AppCrashWindow` flips ``chaos_crash``
-    to script misbehavior.  Runs above the centralized scheduler so a
-    crash-looping probe exercises the no-starvation property of the
-    supervised app slot.
+    and :class:`AppOverrunWindow` raises ``cost_ms`` to script
+    misbehavior.  Runs above the centralized scheduler so a
+    crash-looping or slot-hogging probe exercises the no-starvation
+    property of the supervised app slot.
     """
 
     name = "chaos_probe"
@@ -144,6 +145,42 @@ class AppCrashWindow(ChaosAction):
         if tti == self.end:
             _find_app(sim, self.app).chaos_crash = False
             return f"app {self.app} stops crashing"
+        return None
+
+    def end_tti(self) -> int:
+        return self.end
+
+
+@dataclass
+class AppOverrunWindow(ChaosAction):
+    """Make *app* declare *cost_ms* per invocation for the cycles
+    ``[start, end)``, then what it declared before.
+
+    The window names cycles exactly, which takes acting one step ahead
+    (hence ``start >= 1``); :class:`AppCrashWindow` acts *at* its
+    bounds, so its first crashing cycle is ``start + 1``.
+    """
+
+    app: str
+    start: int
+    end: int
+    cost_ms: float
+    _declared: float = field(default=0.0, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.start < self.end:
+            raise ValueError(
+                f"need 1 <= start < end, got [{self.start}, {self.end})")
+
+    def fire(self, sim: "Simulation", tti: int) -> Optional[str]:
+        # A step follows its TTI's cycle: act one step ahead of it.
+        if tti == self.start - 1:
+            app = _find_app(sim, self.app)
+            self._declared, app.cost_ms = app.cost_ms, self.cost_ms
+            return f"app {self.app} declares {self.cost_ms} ms per run"
+        if tti == self.end - 1:
+            _find_app(sim, self.app).cost_ms = self._declared
+            return f"app {self.app} declares {self._declared} ms again"
         return None
 
     def end_tti(self) -> int:

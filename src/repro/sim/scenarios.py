@@ -301,8 +301,7 @@ def partitioned_centralized(*, n_enbs: int = 1, ues_per_enb: int = 10,
     connection.  With ``fault=None`` this is the fault-free baseline
     of the same deployment (supervisor armed, nothing injected).
     """
-    master = MasterController(realtime=True,
-                              echo_period_ttis=echo_period_ttis,
+    master = MasterController(echo_period_ttis=echo_period_ttis,
                               liveness_timeout_ttis=liveness_timeout_ttis,
                               stale_after_ttis=stale_after_ttis)
     sim = Simulation(master=master, transport=transport)
@@ -365,8 +364,7 @@ def chaos_survivability(*, n_enbs: int = 1, ues_per_enb: int = 5,
         simulation_chaos,
     )
 
-    master = MasterController(
-        realtime=True, checkpoint_period_ttis=checkpoint_period_ttis)
+    master = MasterController(checkpoint_period_ttis=checkpoint_period_ttis)
     sim = Simulation(master=master)
     app = RemoteSchedulerApp(schedule_ahead=schedule_ahead)
     master.add_app(app)

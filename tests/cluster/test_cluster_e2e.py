@@ -24,7 +24,7 @@ class TestClusterEndToEnd:
     def test_two_worker_run_converges(self):
         config = ClusterConfig(
             workers=2, n_enbs=4, ues_per_enb=10, total_ttis=200,
-            window=32, realtime_master=False)
+            window=32)
         report = run_cluster(config)
         # The master saw every shard's full deployment: all four
         # agents in the RIB, every UE attached via stats reports.
@@ -45,7 +45,7 @@ class TestClusterEndToEnd:
 
         config = ClusterConfig(
             workers=1, n_enbs=2, ues_per_enb=4, total_ttis=80,
-            window=16, realtime_master=False)
+            window=16)
         report = run_cluster(config)
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["workers"] == 1
@@ -63,7 +63,7 @@ class TestClusterEndToEnd:
         last frame is applied."""
         config = ClusterConfig(
             workers=workers, n_enbs=n_enbs, ues_per_enb=4,
-            total_ttis=total_ttis, window=16, realtime_master=False)
+            total_ttis=total_ttis, window=16)
         for _ in range(5):
             report = run_cluster(config)
             assert report.rib_agents == n_enbs
@@ -79,7 +79,7 @@ class TestClusterEndToEnd:
 
         config = ClusterConfig(
             workers=1, n_enbs=2, ues_per_enb=4, total_ttis=8,
-            window=16, realtime_master=False)
+            window=16)
         with ClusterRuntime(config).start() as runtime:
             began = time.perf_counter()
             report = runtime.run()
@@ -94,7 +94,7 @@ class TestClusterEndToEnd:
         RIB reconverges to the full deployment."""
         config = ClusterConfig(
             workers=2, n_enbs=4, ues_per_enb=6, total_ttis=160,
-            window=24, realtime_master=False)
+            window=24)
         with ClusterRuntime(config).start() as runtime:
             harness = cluster_chaos(runtime, [ShardRespawnAt(60, 1)])
             report = runtime.run()
@@ -116,7 +116,7 @@ def healing_config(**overrides):
     """Small fleet with snappy supervision for the failure tests."""
     defaults = dict(
         workers=2, n_enbs=4, ues_per_enb=6, total_ttis=160,
-        window=24, realtime_master=False, respawn_backoff_s=0.01,
+        window=24, respawn_backoff_s=0.01,
         run_deadline_s=60.0)
     defaults.update(overrides)
     return ClusterConfig(**defaults)

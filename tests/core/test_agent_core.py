@@ -238,7 +238,7 @@ class TestHandshakeAndLiveness:
         conn = ControlConnection(rtt_ms=4)
         conn.partition(100, 505)
         agent = type(binding)(conn).agent
-        master = MasterController(realtime=False)
+        master = MasterController()
         master.connect_agent(1, conn.master_side)
         for t in range(1200):
             agent.tick_tx(t)
@@ -255,7 +255,7 @@ class TestHandshakeAndLiveness:
         """The master's config self-heal re-asks an agent whose
         ``ConfigReply`` names no cell -- every echo period, forever."""
         _, agent, conn = wired
-        master = MasterController(realtime=False)
+        master = MasterController()
         master.connect_agent(1, conn.master_side)
         asked = []
         send = conn.master_side.send

@@ -9,6 +9,7 @@ from repro.core.controller import MasterController
 from repro.core.controller.events import EventNotificationService
 from repro.core.controller.registry import AppState, RegistryService
 from repro.core.controller.task_manager import TaskManager
+from repro.core.survive.supervisor import AppSupervisor, SupervisionPolicy
 from repro.core.protocol.messages import (
     EventNotification,
     EventType,
@@ -25,10 +26,11 @@ class Recorder(App):
     priority = 5
     subscribed_events = frozenset({EventType.UE_ATTACH})
 
-    def __init__(self, name="recorder", priority=5, period=1):
+    def __init__(self, name="recorder", priority=5, period=1, cost_ms=0.0):
         self.name = name
         self.priority = priority
         self.period_ttis = period
+        self.cost_ms = cost_ms
         self.runs = []
         self.events = []
 
@@ -62,6 +64,17 @@ class TestRegistry:
         assert reg.registration("x").state is AppState.PAUSED
         reg.resume("x")
         assert len(reg.runnable()) == 1
+
+    def test_descriptions_carry_the_declared_cost(self):
+        reg = RegistryService()
+        app = Recorder("x", cost_ms=0.25)
+        reg.register(app)
+        (row,) = reg.describe()        # the /v1/apps payload
+        assert (row["name"], row["cost_ms"]) == ("x", 0.25)
+        assert (row["state"], row["runs"]) == ("running", 0)
+        assert row["subscribed_events"] == ["ue_attach"]
+        assert app.describe()["cost_ms"] == 0.25
+        assert App.cost_ms == 0.0 and App.deadline_ms is None
 
     def test_deregister(self):
         reg = RegistryService()
@@ -116,42 +129,86 @@ class TestTaskManager:
         assert tm.stats.cycles == 1
 
     def test_realtime_defers_over_budget(self):
+        # App slot: 80% of 0.5 ms = 0.4 ms; the first app declares 1 ms.
         registry, events, tm = self.make(realtime=True, tti_budget_ms=0.5,
                                          updater_share=0.2)
-
-        class Slow(Recorder):
-            def run(self, tti, nb):
-                super().run(tti, nb)
-                end = __import__("time").perf_counter() + 0.001
-                while __import__("time").perf_counter() < end:
-                    pass
-
-        first = Slow("first", priority=10)
-        second = Slow("second", priority=1)
+        first = Recorder("first", priority=10, cost_ms=1.0)
+        second = Recorder("second", priority=1, cost_ms=1.0)
         registry.register(first)
         registry.register(second)
         record = tm.cycle(0, lambda: None, nb=None)
         assert record.apps_run == 1
         assert record.apps_deferred == 1
+        assert record.slot_ms == 1.0
+        assert first.runs == [0]
         assert second.runs == []
+        assert tm.stats.deferred_total == 1
+
+    def test_slot_fills_in_priority_order_up_to_the_budget(self):
+        # 0.8 ms slot: 0.3 + 0.5 fit exactly (deferral is "exceeds"),
+        # the 0.1 ms app after them runs too, the fourth is deferred.
+        registry, events, tm = self.make(realtime=True)
+        apps = [Recorder("a", priority=9, cost_ms=0.3),
+                Recorder("b", priority=8, cost_ms=0.5),
+                Recorder("c", priority=7, cost_ms=0.1),
+                Recorder("d", priority=6, cost_ms=0.1)]
+        for app in apps:
+            registry.register(app)
+        for tti in range(3):
+            record = tm.cycle(tti, lambda: None, nb=None)
+            assert (record.apps_run, record.apps_deferred) == (3, 1)
+            assert record.slot_ms == pytest.approx(0.9)
+        assert [len(app.runs) for app in apps] == [3, 3, 3, 0]
 
     def test_non_realtime_never_defers(self):
+        # A 1 us cycle budget: any real cycle overruns it, measurably.
         registry, events, tm = self.make(realtime=False, tti_budget_ms=0.001)
-
-        class Slow(Recorder):
-            def run(self, tti, nb):
-                super().run(tti, nb)
-                end = __import__("time").perf_counter() + 0.0005
-                while __import__("time").perf_counter() < end:
-                    pass
-
-        a = Slow("a", priority=2)
-        b = Slow("b", priority=1)
+        a = Recorder("a", priority=2, cost_ms=0.5)
+        b = Recorder("b", priority=1, cost_ms=0.5)
         registry.register(a)
         registry.register(b)
         record = tm.cycle(0, lambda: None, nb=None)
         assert record.apps_run == 2
+        assert record.apps_deferred == 0
+        assert record.slot_ms == 1.0
+        assert a.runs == b.runs == [0]
         assert record.overran
+        assert tm.stats.overruns == 1
+
+    def test_event_delivery_cost_counts_toward_the_slot(self):
+        registry, events, tm = self.make(realtime=True)
+        handler = Recorder("handler", priority=9, period=0, cost_ms=0.5)
+        low = Recorder("low", priority=1)
+        low.subscribed_events = frozenset()
+        registry.register(handler)
+        registry.register(low)
+        attach = EventNotification(event_type=int(EventType.UE_ATTACH),
+                                   rnti=70)
+        # One delivery (0.5 ms) leaves room; two (1.0 ms) exhaust the
+        # 0.8 ms slot before any periodic app has run.
+        events.enqueue([attach])
+        record = tm.cycle(0, lambda: None, nb=None)
+        assert (record.apps_run, record.apps_deferred) == (1, 0)
+        assert record.slot_ms == 0.5
+        events.enqueue([attach, attach])
+        record = tm.cycle(1, lambda: None, nb=None)
+        assert (record.apps_run, record.apps_deferred) == (0, 1)
+        assert record.slot_ms == 1.0
+        assert low.runs == [0]
+        assert len(handler.events) == 3
+
+    def test_unsupervised_manager_still_charges_and_defers(self):
+        master = MasterController(supervision=False)
+        assert master.task_manager.supervisor is None
+        heavy = Recorder("heavy", priority=9, cost_ms=2.0)
+        low = Recorder("low", priority=1)
+        master.add_app(heavy)
+        master.add_app(low)
+        for tti in range(4):
+            master.tick(tti)
+        assert heavy.runs == [0, 1, 2, 3]
+        assert low.runs == []
+        assert master.task_manager.stats.deferred_total == 4
 
     def test_invalid_params_rejected(self):
         registry, events, _ = self.make()
@@ -169,8 +226,8 @@ class TestEventService:
         registry.register(app)
         events.enqueue([EventNotification(event_type=int(EventType.UE_ATTACH),
                                           rnti=70)])
-        count = events.dispatch(0, nb=None)
-        assert count == 1
+        events.dispatch(0, nb=None)
+        assert events.delivered == 1
         assert app.events == [(0, 70)]
 
     def test_unsubscribed_event_dropped(self):
@@ -179,16 +236,44 @@ class TestEventService:
         registry.register(Recorder())
         events.enqueue([EventNotification(
             event_type=int(EventType.SCHEDULING_REQUEST), rnti=70)])
-        assert events.dispatch(0, nb=None) == 0
+        events.dispatch(0, nb=None)
+        assert events.delivered == 0
         assert events.dropped_no_subscriber == 1
+        assert events.dropped_quarantined == 0
+
+    def test_crashed_delivery_is_not_a_missing_subscriber(self):
+        registry = RegistryService()
+        sup = AppSupervisor(SupervisionPolicy(max_consecutive_faults=1))
+        events = EventNotificationService(registry, supervisor=sup)
+
+        class Crashing(Recorder):
+            def on_event(self, event, tti, nb):
+                raise RuntimeError("handler bug")
+
+        registry.register(Crashing())
+        attach = EventNotification(event_type=int(EventType.UE_ATTACH),
+                                   rnti=70)
+        # TTI 0: the handler crashes (and is quarantined); a subscriber
+        # existed, so neither drop counter moves.
+        events.enqueue([attach])
+        events.dispatch(0, nb=None)
+        assert (events.dropped_no_subscriber,
+                events.dropped_quarantined) == (0, 0)
+        assert sup.health("recorder").crashes == 1
+        # TTI 1: one drop, one counter.
+        events.enqueue([attach])
+        events.dispatch(1, nb=None)
+        assert (events.dropped_no_subscriber,
+                events.dropped_quarantined) == (0, 1)
+        assert events.delivered == 0
 
 
-def build_loop(rtt_ms=0.0, realtime=True):
+def build_loop(rtt_ms=0.0):
     """A full master<->agent<->eNodeB loop for integration tests."""
     enb = EnodeB(1)
     conn = ControlConnection(rtt_ms=rtt_ms)
     agent = FlexRanAgent(1, enb, endpoint=conn.agent_side)
-    master = MasterController(realtime=realtime)
+    master = MasterController()
     master.connect_agent(1, conn.master_side)
     return enb, agent, master, conn
 
@@ -235,9 +320,7 @@ class TestMasterLoop:
         assert node.cqi == 11
 
     def test_app_lifecycle_and_events(self):
-        # realtime=False: the run-count assertion must not depend on
-        # wall-clock app-slot deferral (flaky on a loaded machine).
-        enb, agent, master, conn = build_loop(realtime=False)
+        enb, agent, master, conn = build_loop()
         app = Recorder()
         master.add_app(app)
         rnti = enb.attach_ue(Ue("001", FixedCqi(15)), tti=0)

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.agent import FlexRanAgent
+from repro.core.apps.base import App
 from repro.core.controller import MasterController
+from repro.core.controller.rib import AgentLiveness
 from repro.core.protocol.messages import DciSpec, UlMacCommand
 from repro.lte.enodeb import EnodeB
 from repro.lte.phy.channel import FixedCqi
@@ -66,6 +68,69 @@ class TestLiveness:
         with pytest.raises(ValueError):
             MasterController(echo_period_ttis=100,
                              liveness_timeout_ttis=100)
+
+
+class NorthboundReader(App):
+    """Reads what docs/WRITING_APPS.md tells applications to read."""
+
+    name = "nb_reader"
+
+    def __init__(self):
+        self.seen = {}
+
+    def run(self, tti, nb):
+        if tti == 30:  # both agents have joined the RIB by now
+            for agent_id in nb.agent_ids():
+                nb.enable_sync(agent_id)
+        self.seen[tti] = {
+            agent_id: (nb.agent_liveness(agent_id),
+                       nb.estimated_agent_tti(agent_id))
+            for agent_id in nb.agent_ids()}
+
+
+class TestNorthboundReads:
+    """``agent_liveness`` / ``estimated_agent_tti`` from inside an
+    application, on a two-agent deployment 10 TTIs (one way) away."""
+
+    def run(self):
+        from repro.sim.simulation import Simulation
+        master = MasterController(echo_period_ttis=20,
+                                  liveness_timeout_ttis=60)
+        sim = Simulation(master=master)
+        app = NorthboundReader()
+        master.add_app(app)
+        for _ in range(2):
+            sim.add_agent(sim.add_enb(), rtt_ms=20)
+        sim.connections[2].partition(100, 250)
+        sim.run(300)
+        return app, master
+
+    def test_estimate_lags_by_the_one_way_delay(self):
+        app, master = self.run()
+        # Until the first sync message (enabled at 30, there at 40,
+        # its first trigger back at 51) there is nothing to age: now.
+        assert [est for _, est in app.seen[50].values()] == [50, 50]
+        # Synced: the agent was at `now - 10` when it sent what has
+        # just arrived; a partitioned agent's estimate keeps ageing.
+        for tti in (51, 99, 150, 299):
+            assert [est for _, est in app.seen[tti].values()] == [
+                tti - 10, tti - 10]
+
+    def test_liveness_follows_a_partition(self):
+        app, master = self.run()
+        changes = {1: [], 2: []}
+        for tti in range(52, 300):
+            for agent_id, (liveness, _) in app.seen[tti].items():
+                if app.seen[tti - 1][agent_id][0] is not liveness:
+                    changes[agent_id].append((tti, liveness))
+        # Agent 2's last frame before the partition arrives at TTI 99:
+        # stale 20 TTIs later, dead at 60, active again when the first
+        # frame sent after the partition lands (250 + 10).
+        assert changes == {1: [], 2: [(119, AgentLiveness.STALE),
+                                      (159, AgentLiveness.DEAD),
+                                      (260, AgentLiveness.ACTIVE)]}
+        assert changes[2] == master.rib.agent(2).liveness_history[-3:]
+        assert app.seen[200][1][0] is AgentLiveness.ACTIVE
 
 
 class TestUplinkRemoteScheduling:

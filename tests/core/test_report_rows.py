@@ -78,7 +78,7 @@ def build(*, churn, n_enbs=2, ues_per_enb=16):
     ``large_scale``; agent 0 also carries a second, slower full
     subscription and a faster one with narrow flags, so every stream
     has its own period, its own flags and its own predecessors."""
-    sim = Simulation(with_master=True, realtime_master=False)
+    sim = Simulation(with_master=True)
     agents = []
     for e in range(n_enbs):
         enb = sim.add_enb(seed=e)
@@ -214,7 +214,7 @@ class TestLossBound:
         full refresh -- at most FULL_REFRESH_REPLIES x period TTIs
         later, which is the contract."""
         period = 2
-        sim = Simulation(with_master=True, realtime_master=False)
+        sim = Simulation(with_master=True)
         enb = sim.add_enb(17)   # agent 17: full refresh on replies 17, 81
         agent = sim.add_agent(enb, rtt_ms=0.0)
         stepper = Ue("001", TraceCqi([(0, 7), (60, 12)]))
@@ -470,7 +470,7 @@ class TestRetainedStateFollowsTheUe:
         assert record.queues is agent.api._rows[rnti][3].queues
 
     def test_handover_drops_the_source_row_and_reobserves(self):
-        sim = Simulation(with_master=True, realtime_master=False)
+        sim = Simulation(with_master=True)
         enb_a, enb_b = sim.add_enb(1), sim.add_enb(2)
         agent_a, agent_b = sim.add_agent(enb_a), sim.add_agent(enb_b)
         cell_a, cell_b = enb_a.cell().cell_id, enb_b.cell().cell_id

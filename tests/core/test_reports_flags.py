@@ -111,7 +111,7 @@ class TestSubscriptionsAddUp:
         fields, so a FULL subscription at 4 TTIs plus a CQI-only one at
         1 TTI left ``queues == {}`` / ``rlc_bytes_in == 0`` in the RIB
         on three TTIs out of four.  Present groups are merged now."""
-        sim = Simulation(with_master=True, realtime_master=False)
+        sim = Simulation(with_master=True)
         enb = sim.add_enb(1)
         agent = sim.add_agent(enb, rtt_ms=0.0)
         for i in range(4):

@@ -1,7 +1,5 @@
 """Tests for VSF sandboxing (Sec 4.3.1) and the scheduling DSL (Sec 7.3)."""
 
-import time
-
 import pytest
 
 from repro.core.agent import FlexRanAgent
@@ -32,6 +30,14 @@ class ToyModule(ControlModule):
     OPERATIONS = ("op",)
 
 
+def declared(cost_ms, result):
+    """A VSF that returns *result* and declares *cost_ms*."""
+    def vsf():
+        return result
+    vsf.cost_ms = cost_ms
+    return vsf
+
+
 class TestSandbox:
     def test_exception_quarantines_and_falls_back(self):
         m = ToyModule(sandbox=SandboxPolicy())
@@ -44,30 +50,45 @@ class TestSandbox:
         assert m._slot("op").faults == 1
 
     def test_time_budget_overruns_quarantine(self):
-        m = ToyModule(sandbox=SandboxPolicy(time_budget_ms=0.1,
-                                            max_consecutive_overruns=2))
+        m = ToyModule(sandbox=SandboxPolicy(time_budget_ms=0.1))
         m.register_vsf("op", "good", lambda: "ok")
-
-        def slow():
-            end = time.perf_counter() + 0.001
-            while time.perf_counter() < end:
-                pass
-            return "slow"
-
-        m.register_vsf("op", "sluggish", slow, activate=True)
+        m.register_vsf("op", "sluggish", declared(1.0, "slow"),
+                       activate=True)
         m.set_fallback("op", "good")
-        assert m.invoke("op") == "slow"     # first overrun tolerated
-        assert m.invoke("op") == "slow"     # second overrun -> quarantine
+        faults = []
+        m.on_vsf_fault(lambda op, name, reason: faults.append((name, reason)))
+        assert m.invoke("op") == "slow"     # it completed: over budget
         assert m.active_name("op") == "good"
+        assert "sluggish" not in m.cached_names("op")
+        assert faults == [("sluggish", "time budget: 1.0 ms > 0.1 ms")]
         assert m.invoke("op") == "ok"
 
+    def test_over_budget_rolls_back_in_preference_order(self):
+        m = ToyModule(sandbox=SandboxPolicy(time_budget_ms=0.5))
+        m.register_vsf("op", "fallback", lambda: "fallback")
+        m.register_vsf("op", "proven", declared(0.2, "proven"),
+                       activate=True)
+        m.set_fallback("op", "fallback")
+        assert m.invoke("op") == "proven"   # becomes last-known-good
+        m.register_vsf("op", "heavy", declared(0.6, "heavy"), activate=True)
+        assert m.invoke("op") == "heavy"
+        assert m.active_name("op") == "proven"
+        m.register_vsf("op", "heavy", declared(0.6, "heavy"))
+        m._slot("op").cache.pop("fallback")
+        m._slot("op").fallback_name = None
+        m.register_vsf("op", "proven", declared(0.6, "late"), activate=True)
+        assert m.invoke("op") == "late"     # any other cached VSF
+        assert m.active_name("op") == "heavy"
+        with pytest.raises(VsfFault):       # none left
+            m.invoke("op")
+
     def test_fast_vsf_resets_overrun_counter(self):
-        m = ToyModule(sandbox=SandboxPolicy(time_budget_ms=50.0,
-                                            max_consecutive_overruns=2))
-        m.register_vsf("op", "fine", lambda: "ok", activate=True)
+        m = ToyModule(sandbox=SandboxPolicy(time_budget_ms=50.0))
+        m.register_vsf("op", "fine", declared(50.0, "ok"), activate=True)
         for _ in range(10):
-            assert m.invoke("op") == "ok"
+            assert m.invoke("op") == "ok"   # at the budget, not over it
         assert m._slot("op").faults == 0
+        assert m._slot("op").last_good_name == "fine"
 
     def test_no_fallback_available_raises(self):
         m = ToyModule(sandbox=SandboxPolicy())
@@ -85,7 +106,8 @@ class TestSandbox:
         with pytest.raises(ValueError):
             SandboxPolicy(time_budget_ms=0)
         with pytest.raises(ValueError):
-            SandboxPolicy(max_consecutive_overruns=0)
+            SandboxPolicy(time_budget_ms=-0.5)
+        assert SandboxPolicy().time_budget_ms is None
 
 
 class TestSandboxEndToEnd:

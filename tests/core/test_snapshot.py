@@ -24,7 +24,7 @@ from repro.traffic.generators import SaturatingSource
 
 def populated_sim(*, checkpoint_period_ttis=None):
     master = MasterController(
-        realtime=False, checkpoint_period_ttis=checkpoint_period_ttis)
+        checkpoint_period_ttis=checkpoint_period_ttis)
     sim = Simulation(master=master)
     enb = sim.add_enb()
     agent = sim.add_agent(enb)
@@ -77,7 +77,7 @@ class TestSnapshotRoundTrip:
         assert snapshot["version"] == SNAPSHOT_VERSION == 2
         stale = json.loads(json.dumps(snapshot))
         stale["version"] = 1
-        fresh = MasterController(realtime=False)
+        fresh = MasterController()
         with pytest.raises(ValueError, match="unsupported snapshot version 1"):
             restore_master(fresh, stale)
         assert fresh.rib.ue_count() == 0        # nothing was restored

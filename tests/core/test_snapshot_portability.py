@@ -30,7 +30,7 @@ from repro.traffic.generators import CbrSource
 
 
 def _populated_sim(n_enbs=3):
-    sim = Simulation(with_master=True, realtime_master=False)
+    sim = Simulation(with_master=True)
     for e in range(n_enbs):
         enb = sim.add_enb(seed=e)
         sim.add_agent(enb)
@@ -82,7 +82,7 @@ class TestCrossProcessRestore:
         "from repro.core.survive.snapshot import (\n"
         "    restore_master, snapshot_master)\n"
         "snapshot = json.load(sys.stdin)\n"
-        "master = MasterController(realtime=False)\n"
+        "master = MasterController()\n"
         "restore_master(master, snapshot)\n"
         "json.dump(snapshot_master(master, snapshot['tti']), sys.stdout)\n"
     )
@@ -117,6 +117,6 @@ class TestCrossProcessRestore:
         sim = _populated_sim()
         snapshot = json.loads(
             json.dumps(snapshot_master(sim.master, sim.now)))
-        fresh = MasterController(realtime=False)
+        fresh = MasterController()
         restore_master(fresh, snapshot)
         assert rib_forest_equal(fresh.rib, sim.master.rib)

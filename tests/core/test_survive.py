@@ -97,18 +97,68 @@ class TestBreakerStateMachine:
         # Both patterns feed the same breaker.
         assert h.state is BreakerState.QUARANTINED
 
-    def test_overrun_streak_faults_the_breaker(self):
-        import time
-        sup = AppSupervisor(policy(max_overrun_streak=2))
-
-        def slow():
-            time.sleep(0.002)
-
+    def test_overrun_faults_the_breaker(self):
+        sup = AppSupervisor(policy())
         for tti in range(2):
-            assert sup.call("a", slow, tti=tti, deadline_ms=0.1) is True
+            # Over its deadline, but it completed.
+            assert sup.call("a", ok, tti=tti, cost_ms=2.0,
+                            deadline_ms=0.1) is True
         h = sup.health("a")
         assert h.overruns == 2
-        assert h.consecutive_faults == 1  # streak reached -> one fault
+        assert h.consecutive_faults == 2  # an overrun is a fault
+        assert h.faults_by_kind == {"periodic": 2}
+        assert h.crashes == 0 and sup.faults_contained == 0
+        assert h.state is BreakerState.CLOSED
+
+    def test_cost_at_or_under_the_deadline_is_clean(self):
+        sup = AppSupervisor(policy(deadline_ms=0.5))
+        sup.call("a", ok, tti=0, cost_ms=0.5)          # policy default
+        sup.call("a", ok, tti=1, cost_ms=0.9, deadline_ms=1.0)
+        sup.call("a", ok, tti=2, cost_ms=9.0, deadline_ms=None)
+        h = sup.health("a")
+        assert (h.overruns, h.clean_runs) == (1, 2)    # tti 2: 9.0 > 0.5
+        assert AppSupervisor(policy()).call("b", ok, tti=0, cost_ms=9.0)
+
+    def test_three_overruns_in_a_row_quarantine(self):
+        sup = AppSupervisor(policy())
+
+        def run(tti, cost_ms):
+            sup.call("a", ok, tti=tti, cost_ms=cost_ms, deadline_ms=0.8)
+
+        # A clean run in between resets the count.
+        run(0, 2.0), run(1, 2.0), run(2, 0.1), run(3, 2.0), run(4, 2.0)
+        h = sup.health("a")
+        assert h.state is BreakerState.CLOSED
+        assert h.consecutive_faults == 2
+        run(5, 2.0)
+        assert h.transitions == [(5, BreakerState.QUARANTINED)]
+        assert h.overruns == 5
+        assert h.last_fault == "deadline: 2.0 ms > 0.8 ms"
+        # Crashes and overruns feed one count.
+        sup.call("b", crash, tti=0)
+        sup.call("b", ok, tti=1, cost_ms=2.0, deadline_ms=0.8)
+        sup.call("b", crash, tti=2)
+        assert sup.health("b").transitions == [(2, BreakerState.QUARANTINED)]
+
+    def test_overrun_on_probation_requarantines_escalated(self):
+        sup = AppSupervisor(policy())
+        for tti in range(3):
+            sup.call("a", ok, tti=tti, cost_ms=2.0, deadline_ms=0.8)
+        h = sup.health("a")
+        assert h.cooldown_ttis == 100
+        assert not sup.admitted("a", 101)
+        assert sup.admitted("a", 102)
+        sup.call("a", ok, tti=102, cost_ms=0.1, deadline_ms=0.8)
+        sup.call("a", ok, tti=103, cost_ms=2.0, deadline_ms=0.8)
+        assert h.cooldown_ttis == 200
+        assert not sup.admitted("a", 302)
+        assert sup.admitted("a", 303)
+        for tti in range(303, 306):
+            sup.call("a", ok, tti=tti, cost_ms=0.1, deadline_ms=0.8)
+        assert h.transitions == [
+            (2, BreakerState.QUARANTINED), (102, BreakerState.PROBATION),
+            (103, BreakerState.QUARANTINED), (303, BreakerState.PROBATION),
+            (305, BreakerState.CLOSED)]
 
     def test_describe_reports_state(self):
         sup = AppSupervisor(policy())
@@ -145,8 +195,7 @@ class HealthyApp(App):
 
 class TestTaskManagerBoundary:
     def test_crashing_app_never_stalls_cycle_or_starves_others(self):
-        master = MasterController(realtime=False,
-                                  supervision_policy=policy())
+        master = MasterController(supervision_policy=policy())
         crasher = CrashingApp()
         healthy = HealthyApp()
         master.add_app(crasher)
@@ -166,7 +215,6 @@ class TestTaskManagerBoundary:
         # After re-admission the app runs at its original priority
         # (before lower-priority apps in the slot).
         master = MasterController(
-            realtime=False,
             supervision_policy=policy(cooldown_ttis=5, probation_runs=2))
         crasher = CrashingApp()
         healthy = HealthyApp()
@@ -197,7 +245,7 @@ class TestTaskManagerBoundary:
         assert both == ["crasher", "healthy"]
 
     def test_supervision_disabled_is_legacy_behavior(self):
-        master = MasterController(realtime=False, supervision=False)
+        master = MasterController(supervision=False)
         master.add_app(CrashingApp())
         assert master.supervisor is None
         with pytest.raises(RuntimeError, match="app boom"):
@@ -218,8 +266,7 @@ class EventCrashApp(App):
 class TestEventBoundary:
     def test_event_handler_fault_contained(self):
         from repro.core.protocol.messages import EventNotification, EventType
-        master = MasterController(realtime=False,
-                                  supervision_policy=policy())
+        master = MasterController(supervision_policy=policy())
         master.add_app(EventCrashApp())
         for tti in range(5):
             master.events.enqueue([EventNotification(
@@ -228,8 +275,11 @@ class TestEventBoundary:
         h = master.supervisor.health("event_crasher")
         assert h.faults_by_kind.get("event") == 3
         assert h.state is BreakerState.QUARANTINED
-        # Quarantined: later events are dropped, not delivered.
-        assert master.events.dropped_quarantined > 0
+        # Quarantined at TTI 2: the two later events are dropped as
+        # that and as nothing else (a subscriber existed throughout).
+        assert master.events.dropped_quarantined == 2
+        assert master.events.dropped_no_subscriber == 0
+        assert master.events.delivered == 0
 
 
 def scheduling_ctx():

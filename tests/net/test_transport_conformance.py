@@ -4,11 +4,8 @@ The acceptance bar for the TCP transport is that a scenario run over
 it produces the *same Tier-1-observable results* as over the emulated
 links -- message counts, byte accounting, fault outcomes, RIB contents
 and obs instrumentation, TTI for TTI.  These tests run the same
-deployment on both transports and compare fingerprints.
-
-Masters run with ``realtime=False``: the realtime task manager defers
-applications on wall-clock budget overruns, which is deliberately
-nondeterministic and orthogonal to transport behavior.
+deployment on both transports and compare fingerprints, on the default
+(real-time) master: no decision in it reads the wall clock.
 """
 
 import pytest
@@ -25,8 +22,7 @@ from repro.traffic.generators import CbrSource
 
 def _build(transport, *, n_enbs=2, ues_per_enb=3, rtt_ms=2.0,
            schedule_ahead=4):
-    sim = Simulation(with_master=True, realtime_master=False,
-                     transport=transport)
+    sim = Simulation(with_master=True, transport=transport)
     sim.master.add_app(RemoteSchedulerApp(schedule_ahead=schedule_ahead))
     for e in range(n_enbs):
         enb = sim.add_enb(seed=e)

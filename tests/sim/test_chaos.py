@@ -3,6 +3,7 @@
 from repro.core.survive.supervisor import BreakerState
 from repro.sim.chaos import (
     AppCrashWindow,
+    AppOverrunWindow,
     ControllerRestartAt,
     ProbeApp,
     Violation,
@@ -63,6 +64,62 @@ class TestAcceptanceScenario:
                    for etype, _rnti, _tti in node.last_events)
 
 
+class TestOverrunInjection:
+    def test_slot_hog_is_quarantined_on_exact_ttis(self):
+        """A high-priority app that declares 2 ms per run (slot: 0.8 ms)
+        starves the scheduler below it for ``max_consecutive_faults``
+        cycles, is quarantined, and comes back on probation once the
+        cooldown has passed -- every TTI exact, on any host."""
+        from repro.net.clock import Phase
+
+        sc = chaos_survivability(crash_window=None, poison_at=None,
+                                 restart_at=None, clearance_ttis=500)
+        master = sc.sim.master
+        policy = master.supervisor.policy
+        assert (policy.max_consecutive_faults, policy.cooldown_ttis,
+                policy.probation_runs) == (3, 500, 5)
+        sc.harness.actions.append(
+            AppOverrunWindow(sc.probe.name, 400, 420, cost_ms=2.0))
+        deferred_at = []
+
+        def note_deferral(tti):
+            if master.task_manager.last_record.apps_deferred:
+                deferred_at.append(tti)
+
+        sc.sim.clock.register(Phase.POST, note_deferral)
+        sc.sim.run(1000)
+
+        report = sc.harness.report()
+        assert report.ok, report.violations[:5]
+        assert report.fired == [
+            (399, "app chaos_probe declares 2.0 ms per run"),
+            (419, "app chaos_probe declares 0.0 ms again")]
+        h = master.supervisor.health(sc.probe.name)
+        assert h.transitions == [(402, BreakerState.QUARANTINED),
+                                 (902, BreakerState.PROBATION),
+                                 (906, BreakerState.CLOSED)]
+        assert (h.overruns, h.crashes) == (3, 0)
+        assert h.last_fault == "deadline: 2.0 ms > 0.8 ms"
+        # The scheduler is starved while the hog still runs and on no
+        # cycle after its breaker opens.
+        assert deferred_at == [400, 401, 402]
+        runs = {reg.app.name: reg.runs
+                for reg in master.registry.registrations()}
+        assert runs == {sc.app.name: 1000 - 3,
+                        sc.probe.name: 1000 - (902 - 403)}
+        stats = master.task_manager.stats
+        assert (stats.deferred_total, stats.quarantined_total) == (
+            3, 902 - 403)
+        assert sc.probe.cost_ms == 0.0
+
+    def test_window_must_leave_a_step_ahead_of_its_first_cycle(self):
+        import pytest
+
+        for start, end in ((0, 10), (-1, 10), (5, 5), (6, 5)):
+            with pytest.raises(ValueError):
+                AppOverrunWindow("chaos_probe", start, end, cost_ms=2.0)
+
+
 class TestViolationDetection:
     def test_unsupervised_crash_takes_platform_down(self):
         """Negative control: the same scripted crash that the chaos
@@ -75,7 +132,7 @@ class TestViolationDetection:
         from repro.sim.chaos import ChaosError
         from repro.sim.simulation import Simulation
 
-        master = MasterController(realtime=False, supervision=False)
+        master = MasterController(supervision=False)
         sim = Simulation(master=master)
         enb = sim.add_enb()
         sim.add_agent(enb)
@@ -93,7 +150,7 @@ class TestViolationDetection:
         from repro.core.controller.master import MasterController
         from repro.sim.simulation import Simulation
 
-        master = MasterController(realtime=False)
+        master = MasterController()
         sim = Simulation(master=master)
         sim.add_enb()
         harness = simulation_chaos(sim, [], clearance_ttis=10 ** 9)

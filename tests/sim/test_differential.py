@@ -8,10 +8,18 @@ compared with the reference builder's -- every ``UeView`` field,
 ``backlogged()`` / ``candidates()``.  A divergence means an
 invalidation missed a scheduler-visible input; it fails at the TTI it
 happens, naming the UE and the field.
+
+The slow-host suite at the end runs a deployment on hosts of different
+speeds (``time.perf_counter`` replaced by a clock that advances a fixed
+step per reading) and compares everything the run decided: no
+behavioural decision may read the wall clock (DESIGN.md section 11).
 """
+
+import time
 
 import pytest
 
+from repro.core.survive.snapshot import snapshot_rib
 from repro.lte.cell import CellConfig
 from repro.lte.enodeb import EnodeB
 from repro.lte.mac.drx import DrxConfig
@@ -21,6 +29,7 @@ from repro.lte.ue import Ue
 from repro.net.clock import Phase
 from repro.sim.scenarios import (
     FaultSpec,
+    centralized_scheduling,
     chaos_survivability,
     hetnet_eicic,
     large_scale,
@@ -69,7 +78,7 @@ def scale_slice_over_tcp_transport():
 
 def fading_poisson_pf():
     """``scale_churn`` in miniature: per-UE state moves every period."""
-    sim = Simulation(with_master=True, realtime_master=False)
+    sim = Simulation(with_master=True)
     enbs = []
     for e in range(2):
         enb = sim.add_enb(seed=e)
@@ -171,3 +180,69 @@ def test_oracle_catches_a_missed_invalidation(build, build_context_oracle,
     finally:
         sim.close()
     build_context_oracle.mismatches.clear()  # expected; keep teardown quiet
+
+
+# -- slow-host identity -------------------------------------------------------
+
+
+def slow_host_centralized():
+    sc = centralized_scheduling(n_enbs=2, ues_per_enb=8)
+    return sc.sim, sc.enbs, sc.agents, None, 600
+
+
+def slow_host_chaos():
+    """``repro chaos``: crash window, poisoned VSF, controller restart."""
+    sc = chaos_survivability()
+    return sc.sim, sc.enbs, sc.agents, sc.harness, 4000
+
+
+def _decisions(build, ms_per_reading, monkeypatch):
+    """Run *build* on a host whose clock advances *ms_per_reading* per
+    ``perf_counter`` call (None: the real clock); everything decided."""
+    with monkeypatch.context() as patch:
+        if ms_per_reading is not None:
+            now = [0.0]
+
+            def perf_counter():
+                now[0] += ms_per_reading / 1000.0
+                return now[0]
+
+            patch.setattr(time, "perf_counter", perf_counter)
+        sim, enbs, agents, harness, ttis = build()
+        # A controller restart replaces master and supervisor: keep both.
+        masters = [sim.master]
+        try:
+            sim.run(ttis)
+        finally:
+            sim.close()
+        if sim.master is not masters[0]:
+            masters.append(sim.master)
+        report = harness.report() if harness is not None else None
+        return {
+            "delivered": [enb.counters.dl_delivered_bytes for enb in enbs],
+            "runs": [{reg.app.name: reg.runs
+                      for reg in master.registry.registrations()}
+                     for master in masters],
+            "cycles": [(master.task_manager.stats.cycles,
+                        master.task_manager.stats.deferred_total,
+                        master.task_manager.stats.quarantined_total)
+                       for master in masters],
+            "transitions": [{name: master.supervisor.health(name).transitions
+                             for name in master.registry.names()}
+                            for master in masters],
+            "vsfs": [agent.mac.describe() for agent in agents],
+            "fired": report and report.fired,
+            "violations": report and report.violations,
+            "rib": snapshot_rib(sim.master.rib),
+        }
+
+
+@pytest.mark.parametrize("build", [slow_host_centralized, slow_host_chaos],
+                         ids=lambda f: f.__name__)
+def test_slow_host_decides_the_same(build, monkeypatch):
+    real = _decisions(build, None, monkeypatch)
+    assert sum(real["delivered"]) > 0
+    assert all(sum(runs.values()) > 0 for runs in real["runs"])
+    for ms_per_reading in (1.0, 5.0):
+        assert _decisions(build, ms_per_reading, monkeypatch) == real, \
+            f"run differs on a host reading {ms_per_reading} ms per call"
