@@ -49,20 +49,10 @@ from typing import Callable, Dict, Tuple
 
 
 def _demo_quickstart() -> None:
-    from repro.core.apps.monitoring import MonitoringApp
-    from repro.lte.phy.channel import FixedCqi
-    from repro.lte.ue import Ue
-    from repro.sim.simulation import Simulation
-    from repro.traffic.generators import SaturatingSource
-
-    sim = Simulation(with_master=True)
-    enb = sim.add_enb()
-    agent = sim.add_agent(enb, rtt_ms=2.0)
-    ue = Ue("208930000000001", FixedCqi(15))
-    sim.add_ue(enb, ue)
-    sim.add_downlink_traffic(enb, ue, SaturatingSource(start_tti=20))
-    sim.master.add_app(MonitoringApp())
+    sim = _scenario_quickstart()
     sim.run(2000)
+    (agent,) = sim.agents.values()
+    ((_, ue),) = agent.enb.attached_ues()
     print(f"UE goodput over 2 s: {ue.throughput_mbps(sim.now):.2f} Mb/s "
           "(paper ceiling: ~25)")
     print(f"RIB knows {sim.master.rib.ue_count()} UE(s); active VSF: "

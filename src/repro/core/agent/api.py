@@ -148,7 +148,7 @@ class AgentDataPlaneApi:
         enb = self._enb
         rows = self._rows
         rows_get = rows.get
-        seqs = enb.change_seq_of
+        seqs = enb.ue_change_seqs()
         build = self._build_record
         out: List[Tuple[int, UeStatsReport]] = []
         ues = enb.attached_ues()

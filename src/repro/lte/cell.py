@@ -47,10 +47,16 @@ class CellConfig:
 
 
 class Cell:
-    """Runtime state of one carrier."""
+    """Runtime state of one carrier.
 
-    def __init__(self, config: CellConfig) -> None:
+    *on_change* is called with the RNTI whenever a CQI refresh changes
+    the eNodeB's knowledge of that UE.
+    """
+
+    def __init__(self, config: CellConfig,
+                 on_change: Callable[[int], None]) -> None:
         self.config = config
+        self._on_change = on_change
         self.ues: Dict[int, Ue] = {}
         # eNodeB's knowledge of UE channel quality: refreshed only every
         # SRS period, under the cell's *assumed* interference state.
@@ -69,9 +75,6 @@ class Cell:
         # consulted by victims of this cell when resolving interference.
         self.transmitting: bool = False
         self.last_tx_tti: int = -1
-        #: Called with the RNTI whenever a CQI refresh changed the
-        #: eNodeB's knowledge for that UE (the eNodeB's dirty marking).
-        self.cqi_listener: Optional[Callable[[int], None]] = None
         # SRS schedule: a due-heap of (due_tti, rnti); refresh_cqi pops
         # only the entries due this TTI.  A forced refresh observes the
         # whole cell at once, so UEs attached together share a phase (a
@@ -178,7 +181,6 @@ class Cell:
         without an interferer the two coincide.
         """
         has_aggressor = self._interference_source is not None
-        listener = self.cqi_listener
         updated = self.cqi_updated_tti
         parked = self._srs_parked
         if force:
@@ -190,8 +192,7 @@ class Cell:
             for rnti, ue in self.ues.items():
                 if again and updated.get(rnti) == tti:
                     continue
-                if not self._refresh_one(rnti, ue, tti, has_aggressor,
-                                         listener):
+                if not self._refresh_one(rnti, ue, tti, has_aggressor):
                     parked.add(rnti)
             self._fresh_tti = tti
             return
@@ -208,13 +209,13 @@ class Cell:
                 # Refreshed more recently than this entry knew (forced
                 # refresh, or RNTI reuse): re-queue at the true due.
                 heapq.heappush(heap, (last + SRS_PERIOD_TTIS, rnti))
-            elif self._refresh_one(rnti, ue, tti, has_aggressor, listener):
+            elif self._refresh_one(rnti, ue, tti, has_aggressor):
                 heapq.heappush(heap, (tti + SRS_PERIOD_TTIS, rnti))
             else:
                 parked.add(rnti)
 
-    def _refresh_one(self, rnti: int, ue: Ue, tti: int, has_aggressor: bool,
-                     listener: Optional[Callable[[int], None]]) -> bool:
+    def _refresh_one(self, rnti: int, ue: Ue, tti: int,
+                     has_aggressor: bool) -> bool:
         """Refresh the eNodeB's CQI knowledge for one UE at *tti*.
 
         Returns whether the UE's next report can differ from this one,
@@ -224,10 +225,9 @@ class Cell:
         cqi_clear = channel.cqi(tti, interference_active=False)
         cqi = (channel.cqi(tti, interference_active=True)
                if has_aggressor else cqi_clear)
-        if listener is not None and (
-                self.known_cqi.get(rnti) != cqi
+        if (self.known_cqi.get(rnti) != cqi
                 or self.known_cqi_clear.get(rnti) != cqi_clear):
-            listener(rnti)
+            self._on_change(rnti)
         self.known_cqi[rnti] = cqi
         self.known_cqi_clear[rnti] = cqi_clear
         self.cqi_updated_tti[rnti] = tti

@@ -27,9 +27,8 @@ import logging
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import (
-    Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tuple)
+    Callable, Deque, Dict, List, Mapping, Optional, Sequence, Set, Tuple)
 
 import numpy as np
 
@@ -128,17 +127,23 @@ class EnodeB:
             cell_configs = [CellConfig(cell_id=enb_id * 10)]
         if not cell_configs:
             raise ValueError("an eNodeB needs at least one cell")
+        # Every per-UE entity records the RNTIs it changes here; the
+        # eNodeB only what it owns (membership, bearer QoS, the UE uplink
+        # buffer).  Readers of sequences or views _settle it first.
+        self._changed: Set[int] = set()
+        record = self._changed.add
         self.cells: Dict[int, Cell] = {
-            cfg.cell_id: Cell(cfg) for cfg in cell_configs}
-        self.rrc = RrcEntity()
+            cfg.cell_id: Cell(cfg, record) for cfg in cell_configs}
+        self.rrc = RrcEntity(record)
         self.rrc.subscribe(self._on_rrc_event)
         self.error_model = error_model
         self._rlc_buffer_bytes = rlc_buffer_bytes
 
         self.rlc: Dict[int, RlcEntity] = {}
         self.pdcp: Dict[int, PdcpEntity] = {}
-        self.harq: Dict[int, HarqPool] = {c: HarqPool() for c in self.cells}
-        self.drx = DrxManager()
+        self.harq: Dict[int, HarqPool] = {
+            c: HarqPool(record) for c in self.cells}
+        self.drx = DrxManager(record)
         #: (rnti, lcid) -> QosProfile for bearers with explicit QoS.
         self.bearer_qos: Dict[Tuple[int, int], object] = {}
         self._ue_cell: Dict[int, int] = {}
@@ -166,17 +171,10 @@ class EnodeB:
 
         self._view_cache: Dict[int, UeViewCache] = {
             c: UeViewCache(cell, self) for c, cell in self.cells.items()}
-        # Per-UE change sequence: bumped whenever scheduler- or
-        # report-visible UE state changes.  Feeds the agent's delta
-        # stats reporting; scheduler-visible changes also dirty the
-        # view caches (see mark_ue_dirty / mark_ue_report_dirty).
+        # Settled UE changes, departures and report-only changes, and
+        # per attached RNTI the value of its last one (delta reports).
         self._change_seq = 0
         self._ue_seq: Dict[int, int] = {}
-        #: Read-only ``rnti -> change_seq value of its last change``.
-        self.change_seq_of: Mapping[int, int] = MappingProxyType(
-            self._ue_seq)
-        for cell in self.cells.values():
-            cell.cqi_listener = self.mark_ue_dirty
 
     # -- topology -------------------------------------------------------
 
@@ -198,13 +196,15 @@ class EnodeB:
         self._next_rnti += 1
         ue.rnti = rnti
         cell.add_ue(rnti, ue)
-        self._ue_cell[rnti] = cell.cell_id
-        self.rlc[rnti] = RlcEntity(rnti, buffer_limit_bytes=self._rlc_buffer_bytes)
-        self.pdcp[rnti] = PdcpEntity(rnti)
-        self.rrc.start_attach(rnti, tti)
         self._view_cache[cell.cell_id].add(rnti)
+        self._ue_cell[rnti] = cell.cell_id
+        record = self._changed.add
+        self.rlc[rnti] = RlcEntity(
+            rnti, record, buffer_limit_bytes=self._rlc_buffer_bytes)
+        self.pdcp[rnti] = PdcpEntity(rnti, record)
+        self.rrc.start_attach(rnti, tti)
         cell.refresh_cqi(tti, force=True)
-        self.mark_ue_dirty(rnti)
+        record(rnti)
         logger.info("enb %d: UE %s attached as RNTI %d on cell %d",
                     self.enb_id, ue.imsi, rnti, cell.cell_id)
         return rnti
@@ -271,7 +271,7 @@ class EnodeB:
         self._view_cache[scell_id].add(rnti)
         self.cells[scell_id].refresh_cqi(tti, force=True)
         scells.add(scell_id)
-        self.mark_ue_dirty(rnti)
+        self._changed.add(rnti)
 
     def deactivate_scell(self, rnti: int, scell_id: int) -> None:
         """Deactivate a secondary carrier; no-op if not active."""
@@ -292,7 +292,7 @@ class EnodeB:
             for split in reversed(self._purge_harq(scell_id, rnti)):
                 for lcid, nbytes in split.items():
                     rlc.requeue_front(nbytes, tti, lcid)
-            self.mark_ue_dirty(rnti)
+            self._changed.add(rnti)
 
     def _purge_harq(self, cell_id: int, rnti: int) -> List[Dict[int, int]]:
         """Forget *rnti*'s in-flight HARQ bookkeeping on one carrier, so
@@ -328,7 +328,7 @@ class EnodeB:
         if lcid < DEFAULT_LCID:
             raise ValueError(f"lcid {lcid} is a signalling bearer")
         self.bearer_qos[(rnti, lcid)] = profile
-        self.mark_ue_dirty(rnti)
+        self._changed.add(rnti)
 
     # -- DRX ---------------------------------------------------------------
 
@@ -339,27 +339,40 @@ class EnodeB:
         self.drx.configure(rnti, config)
         for cell_id in (self._ue_cell[rnti], *self._scells.get(rnti, ())):
             self._view_cache[cell_id].track_drx(rnti, config is not None)
-        self.mark_ue_dirty(rnti)
 
     # -- change tracking -------------------------------------------------
 
-    def mark_ue_dirty(self, rnti: int) -> None:
-        """Record that *rnti*'s scheduler/report-visible state changed.
+    def _settle(self) -> None:
+        """Turn the recorded RNTIs into change sequences and dirty views.
 
-        Bumps the eNodeB-wide change sequence (consumed by delta stats
-        reporting) and dirties the UE's view in the PCell's -- and any
-        active SCell's -- view cache so the next :meth:`build_context`
-        refreshes exactly this UE.
+        Each recorded RNTI still attached gets the next sequence value
+        and has its view dirtied in its PCell's and every active SCell's
+        cache; one that left before settling is dropped.
         """
-        # The bump is mark_ue_report_dirty's, inlined: this is the
-        # data plane's hottest call.
-        self._change_seq += 1
-        self._ue_seq[rnti] = self._change_seq
-        cell_id = self._ue_cell.get(rnti)
-        if cell_id is not None:
-            self._view_cache[cell_id].mark_dirty(rnti)
-            for scell_id in self._scells.get(rnti, ()):
-                self._view_cache[scell_id].mark_dirty(rnti)
+        changed = self._changed
+        if not changed:
+            return
+        ue_cell = self._ue_cell
+        ue_seq = self._ue_seq
+        seq = self._change_seq
+        for rnti in changed:
+            if rnti in ue_cell:
+                seq += 1
+                ue_seq[rnti] = seq
+        self._change_seq = seq
+        # A cell serves exactly the UEs its cache has views of, as PCell
+        # or SCell, so this reaches every carrier of a UE and none of a
+        # departed one.
+        caches = self._view_cache
+        for cell_id, cell in self.cells.items():
+            caches[cell_id].dirty |= changed.intersection(cell.ues)
+        changed.clear()
+
+    def ue_change_seqs(self) -> Mapping[int, int]:
+        """``rnti -> change_seq`` value of its last change, for every
+        attached UE (settled first; read-only to the caller)."""
+        self._settle()
+        return self._ue_seq
 
     def mark_ue_report_dirty(self, rnti: int) -> int:
         """Record a change only stats reports can see; return its sequence.
@@ -375,6 +388,7 @@ class EnodeB:
     @property
     def change_seq(self) -> int:
         """Monotone counter of UE-state changes (0 = nothing ever)."""
+        self._settle()
         return self._change_seq
 
     # -- events ---------------------------------------------------------
@@ -411,16 +425,14 @@ class EnodeB:
         transport-layer models see exactly what they sent.
         """
         self.pdcp[rnti].ingress(lcid, nbytes)
-        accepted = self.rlc[rnti].enqueue(nbytes, tti, lcid)
-        self.mark_ue_dirty(rnti)
-        return accepted
+        return self.rlc[rnti].enqueue(nbytes, tti, lcid)
 
     def notify_ul(self, rnti: int, nbytes: int, tti: int) -> None:
         """A UE produced uplink data (triggers a scheduling request)."""
         ue = self.ue(rnti)
         had_backlog = ue.ul_backlog_bytes > 0
         ue.generate_ul(nbytes)
-        self.mark_ue_dirty(rnti)
+        self._changed.add(rnti)
         if not had_backlog:
             self._emit(EnbEvent(type=EnbEventType.SCHEDULING_REQUEST,
                                 tti=tti, rnti=rnti,
@@ -435,9 +447,10 @@ class EnodeB:
         """Scheduler-facing snapshot for one cell and TTI.
 
         The views and the backlogged / schedulable lists come from the
-        cell's :class:`UeViewCache`, which refreshes only the UEs marked
-        dirty since the previous TTI.
+        cell's :class:`UeViewCache`, which refreshes only the UEs whose
+        state changed since the previous TTI.
         """
+        self._settle()
         cell = self.cells[cell_id]
         views, backlogged, schedulable = self._view_cache[cell_id].build(tti)
         if self.bearer_qos:
@@ -527,8 +540,7 @@ class EnodeB:
     # -- internals --------------------------------------------------------
 
     def _advance_rrc(self, tti: int) -> None:
-        for rnti in self.rrc.check_timeouts(tti):
-            self.mark_ue_dirty(rnti)
+        self.rrc.check_timeouts(tti)
         for rnti in self.rrc.attaching_rntis():
             if self.rrc.setup_due(rnti, tti):
                 # Attach handshake rides SRB1 through the normal
@@ -536,7 +548,6 @@ class EnodeB:
                 per_msg = ATTACH_SIGNALLING_BYTES // 3
                 for _ in range(3):
                     self.rlc[rnti].enqueue(per_msg, tti, SRB_LCID)
-                self.mark_ue_dirty(rnti)
 
     def _process_feedback(self, tti: int) -> None:
         pending = self._pending_feedback
@@ -544,7 +555,6 @@ class EnodeB:
             _, cell_id, rnti, pid, ok = pending.popleft()
             entity = self.harq[cell_id].entity(rnti)
             drop = entity.feedback(pid, ok)
-            self.mark_ue_dirty(rnti)
             key = (cell_id, rnti, pid)
             if ok:
                 self._harq_payload.pop(key, None)
@@ -589,7 +599,6 @@ class EnodeB:
 
         self.counters.dl_assignments += 1
         self.drx.note_activity(a.rnti, tti)
-        self.mark_ue_dirty(a.rnti)
         actual = cell.actual_cqi(a.rnti, tti)
         p_err = self.error_model.error_probability(a.cqi_used, actual, attempt)
         ok = bool(self._rng.random() >= p_err)
@@ -620,7 +629,7 @@ class EnodeB:
         sent = ue.send_ul(capacity, tti)
         if sent <= 0:
             return
-        self.mark_ue_dirty(grant.rnti)
+        self._changed.add(grant.rnti)
         self.counters.ul_grants += 1
         if self._rng.random() >= p_err:
             self.counters.ul_delivered_bytes += sent

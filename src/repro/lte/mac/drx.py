@@ -12,7 +12,7 @@ gives the energy proxy the energy-saving application optimizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,14 @@ class DrxState:
 
 
 class DrxManager:
-    """DRX state of every UE of one eNodeB."""
+    """DRX state of every UE of one eNodeB.
 
-    def __init__(self) -> None:
+    *on_change* is called with the RNTI whenever a command or downlink
+    activity changes a UE's DRX state.
+    """
+
+    def __init__(self, on_change: Callable[[int], None]) -> None:
+        self._on_change = on_change
         self._states: Dict[int, DrxState] = {}
         #: Awake/asleep TTIs accumulated by UEs whose DRX was later
         #: disabled or removed: the energy proxy keeps the total even
@@ -99,8 +104,9 @@ class DrxManager:
         """
         if config is None:
             self._retire(rnti)
-            return
-        self.state(rnti).config = config
+        else:
+            self.state(rnti).config = config
+        self._on_change(rnti)
 
     def _retire(self, rnti: int) -> None:
         state = self._states.pop(rnti, None)
@@ -124,6 +130,7 @@ class DrxManager:
         state = self._states.get(rnti)
         if state is not None:
             state.note_activity(tti)
+            self._on_change(rnti)
 
     def account_all(self, tti: int) -> None:
         for state in self._states.values():

@@ -13,7 +13,7 @@ modelling RLC AM re-segmentation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.lte.constants import HARQ_PROCESSES, HARQ_RTT_TTIS, MAX_HARQ_TX
 from repro.lte.mac.dci import PendingRetx
@@ -60,10 +60,16 @@ class HarqDrop:
 
 
 class HarqEntity:
-    """All HARQ processes of a single UE."""
+    """All HARQ processes of a single UE.
 
-    def __init__(self, rnti: int, on_retx_change=None) -> None:
+    *on_change* is called with the RNTI whenever a transmission or
+    feedback changes a process.
+    """
+
+    def __init__(self, rnti: int, on_change: Callable[[int], None],
+                 on_retx_change=None) -> None:
         self.rnti = rnti
+        self._on_change = on_change
         self.processes: List[HarqProcess] = [
             HarqProcess(pid) for pid in range(HARQ_PROCESSES)]
         self.acked_blocks = 0
@@ -108,6 +114,7 @@ class HarqEntity:
         proc.last_tx_tti = tti
         proc.awaiting_feedback = True
         proc.needs_retx = False
+        self._on_change(self.rnti)
         return proc
 
     def retransmit(self, pid: int, tti: int) -> HarqProcess:
@@ -123,6 +130,7 @@ class HarqEntity:
         self._retx_count -= 1
         if self._retx_count == 0 and self._on_retx_change is not None:
             self._on_retx_change(self)
+        self._on_change(self.rnti)
         return proc
 
     def feedback(self, pid: int, ok: bool) -> Optional[HarqDrop]:
@@ -136,6 +144,7 @@ class HarqEntity:
             raise RuntimeError(
                 f"RNTI {self.rnti}: unexpected HARQ feedback on process {pid}")
         proc.awaiting_feedback = False
+        self._on_change(self.rnti)
         if ok:
             self.acked_blocks += 1
             proc.reset()
@@ -170,9 +179,11 @@ class HarqEntity:
 
 
 class HarqPool:
-    """HARQ entities for every UE attached to a cell."""
+    """HARQ entities for every UE attached to a cell; each records its
+    changes through *on_change*."""
 
-    def __init__(self) -> None:
+    def __init__(self, on_change: Callable[[int], None]) -> None:
+        self._on_change = on_change
         self._entities: Dict[int, HarqEntity] = {}
         # RNTIs with at least one process awaiting retransmission:
         # keeps the per-TTI pending-retx sweep proportional to UEs
@@ -184,7 +195,7 @@ class HarqPool:
     def entity(self, rnti: int) -> HarqEntity:
         if rnti not in self._entities:
             self._entities[rnti] = HarqEntity(
-                rnti, on_retx_change=self._on_retx_change)
+                rnti, self._on_change, on_retx_change=self._on_retx_change)
         return self._entities[rnti]
 
     def remove(self, rnti: int) -> None:

@@ -10,7 +10,7 @@ forwards SDUs into the RLC transmission queues.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Callable, Dict
 
 PDCP_HEADER_BYTES = 2
 PDCP_SN_MODULUS = 4096  # 12-bit sequence numbers
@@ -30,13 +30,15 @@ class PdcpEntity:
     """Per-UE PDCP with one instance shared across its bearers.
 
     ``ingress`` stamps a sequence number, accounts the header, and
-    returns the PDU size to be placed on the RLC queue.
+    returns the PDU size to be placed on the RLC queue.  *on_change* is
+    called with the RNTI whenever a method moves the counters.
     """
 
-    def __init__(self, rnti: int) -> None:
+    def __init__(self, rnti: int, on_change: Callable[[int], None]) -> None:
         self.rnti = rnti
         self._tx_sn: Dict[int, int] = {}
         self.stats: Dict[int, PdcpStats] = {}
+        self._on_change = on_change
 
     def _bearer_stats(self, lcid: int) -> PdcpStats:
         if lcid not in self.stats:
@@ -52,6 +54,7 @@ class PdcpEntity:
         st = self._bearer_stats(lcid)
         st.tx_sdus += 1
         st.tx_bytes += sdu_bytes
+        self._on_change(self.rnti)
         return sdu_bytes + PDCP_HEADER_BYTES
 
     def egress(self, lcid: int, pdu_bytes: int) -> int:
@@ -62,6 +65,7 @@ class PdcpEntity:
         st = self._bearer_stats(lcid)
         st.rx_sdus += 1
         st.rx_bytes += sdu
+        self._on_change(self.rnti)
         return sdu
 
     def tx_sn(self, lcid: int) -> int:

@@ -11,7 +11,7 @@ loss recovery is approximated by re-queueing HARQ-dropped payloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.lte.mac.queues import DEFAULT_LCID, QueueSet, TransmissionQueue
 
@@ -36,13 +36,18 @@ class RlcStats:
 
 
 class RlcEntity:
-    """All RLC bearers of one UE."""
+    """All RLC bearers of one UE.
 
-    def __init__(self, rnti: int, *,
+    *on_change* is called with the RNTI whenever a method changes the
+    queues or the counters (the eNodeB's change record).
+    """
+
+    def __init__(self, rnti: int, on_change: Callable[[int], None], *,
                  buffer_limit_bytes: Optional[int] = DEFAULT_RLC_BUFFER_BYTES) -> None:
         self.rnti = rnti
         self.queues = QueueSet(limit_bytes=buffer_limit_bytes)
         self.stats = RlcStats()
+        self._on_change = on_change
 
     def enqueue(self, pdu_bytes: int, tti: int, lcid: int = DEFAULT_LCID) -> bool:
         """Admit one PDCP PDU; returns False on tail drop."""
@@ -53,6 +58,7 @@ class RlcEntity:
         else:
             self.stats.dropped_sdus += 1
             self.stats.dropped_bytes += pdu_bytes
+        self._on_change(self.rnti)
         return accepted
 
     def dequeue(self, max_bytes: int, tti: int, lcid: int) -> int:
@@ -63,6 +69,7 @@ class RlcEntity:
         if payload > 0:
             self.stats.pdus_out += 1
             self.stats.bytes_out += payload
+            self._on_change(self.rnti)
         return payload
 
     def dequeue_priority(self, max_bytes: int, tti: int, *,
@@ -97,6 +104,7 @@ class RlcEntity:
             return
         self.queues.queue(lcid).push_front(nbytes, tti)
         self.stats.requeued_bytes += nbytes
+        self._on_change(self.rnti)
 
     def buffer_bytes(self, lcid: Optional[int] = None) -> int:
         """Current backlog, per bearer or total."""
@@ -105,5 +113,6 @@ class RlcEntity:
         return self.queues.queue(lcid).size_bytes
 
     def queue(self, lcid: int = DEFAULT_LCID) -> TransmissionQueue:
-        """Direct access to a bearer queue (tests and traffic models)."""
+        """Direct access to a bearer queue (tests): a change made through
+        it is not recorded."""
         return self.queues.queue(lcid)

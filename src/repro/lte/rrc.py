@@ -71,10 +71,12 @@ class RrcEntity:
 
     The entity is deliberately passive: it advances state machines when
     the data plane tells it signalling bytes were delivered, and it
-    notifies observers (the FlexRAN agent) of state transitions.
+    notifies observers (the FlexRAN agent) of state transitions.  Every
+    transition is also recorded by calling *on_change* with the RNTI.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, on_change: Callable[[int], None]) -> None:
+        self._on_change = on_change
         self._contexts: Dict[int, RrcUeContext] = {}
         self._observers: List[Callable[[RrcEvent, int, int], None]] = []
         # RNTIs whose attach is still in flight (RANDOM_ACCESS or
@@ -114,6 +116,7 @@ class RrcEntity:
         ctx = RrcUeContext(rnti=rnti, state=RrcState.RANDOM_ACCESS, ra_tti=tti)
         self._contexts[rnti] = ctx
         self._attaching.add(rnti)
+        self._on_change(rnti)
         self._notify(RrcEvent.RANDOM_ACCESS, rnti, tti)
         return ctx
 
@@ -124,6 +127,7 @@ class RrcEntity:
                 and tti - ctx.ra_tti >= RA_DELAY_TTIS):
             ctx.setup_enqueued = True
             ctx.state = RrcState.CONNECTING
+            self._on_change(rnti)
             return True
         return False
 
@@ -136,6 +140,7 @@ class RrcEntity:
             ctx.state = RrcState.CONNECTED
             ctx.connected_tti = tti
             self._attaching.discard(rnti)
+            self._on_change(rnti)
             self._notify(RrcEvent.UE_ATTACHED, rnti, tti)
 
     def check_timeouts(self, tti: int) -> List[int]:
@@ -148,6 +153,7 @@ class RrcEntity:
             if tti - ctx.ra_tti > ATTACH_TIMEOUT_TTIS:
                 ctx.state = RrcState.FAILED
                 failed.append(rnti)
+                self._on_change(rnti)
                 self._notify(RrcEvent.ATTACH_FAILED, rnti, tti)
         for rnti in failed:
             self._attaching.discard(rnti)

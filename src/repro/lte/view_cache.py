@@ -11,9 +11,11 @@ them with a usable CQI).  :meth:`build` refreshes only the views marked
 dirty since the last build, so a UE for which nothing changed costs
 nothing.
 
-The cache owns no protocol state: RLC, DRX, RRC and the cell stay the
-owners and :meth:`EnodeB.mark_ue_dirty` is how they say a view is out
-of date.  Invalidation rules (see DESIGN.md section 6):
+The cache owns no protocol state: RLC, PDCP, HARQ, DRX, RRC and the
+cell stay the owners and record the RNTIs they change; the eNodeB's
+settle step puts each recorded RNTI into :attr:`UeViewCache.dirty` of
+its PCell and SCells before any build.  Invalidation rules (see
+DESIGN.md section 6):
 
 * a dirty UE has every view field, its membership and its backlog
   position recomputed;
@@ -52,7 +54,9 @@ class UeViewCache:
         self._cell = cell
         self._enb = enb
         self._views: Dict[int, UeView] = {}
-        self._dirty: Set[int] = set()
+        #: RNTIs whose view is out of date; filled by the eNodeB's
+        #: settle step, emptied by the next build.
+        self.dirty: Set[int] = set()
         self._drx: Set[int] = set()
         #: RNTIs whose view is in ``_ues``: awake and in a schedulable
         #: RRC state as of the last refresh.
@@ -73,7 +77,7 @@ class UeViewCache:
         self._views[rnti] = UeView(rnti=rnti, queue_bytes=0, cqi=0)
         if self._enb.drx.is_configured(rnti):
             self._drx.add(rnti)
-        self._dirty.add(rnti)
+        self.dirty.add(rnti)
 
     def remove(self, rnti: int) -> None:
         """Stop serving *rnti* (detach / SCell deactivation)."""
@@ -85,12 +89,8 @@ class UeViewCache:
                 del self._backlogged[
                     bisect_left(self._backlogged, rnti, key=_rnti_of)]
                 self._schedulable_stale = True
-        self._dirty.discard(rnti)
+        self.dirty.discard(rnti)
         self._drx.discard(rnti)
-
-    def mark_dirty(self, rnti: int) -> None:
-        if rnti in self._views:
-            self._dirty.add(rnti)
 
     def track_drx(self, rnti: int, tracked: bool) -> None:
         """Start (or stop) re-checking *rnti*'s wakefulness per build."""
@@ -109,7 +109,7 @@ class UeViewCache:
         """
         muted = self._cell.interferer_muted(tti)
         if muted is not self._cqis_assume_muted:
-            self._dirty.update(self._views)
+            self.dirty.update(self._views)
             self._cqis_assume_muted = muted
         if self._drx:
             is_awake = self._enb.drx.is_awake
@@ -118,8 +118,8 @@ class UeViewCache:
                 # A wakefulness flip shows as a disagreement with the
                 # membership (an idle UE merely refreshes needlessly).
                 if is_awake(rnti, tti) != (rnti in included):
-                    self._dirty.add(rnti)
-        if self._dirty:
+                    self.dirty.add(rnti)
+        if self.dirty:
             self._refresh(tti)
         if self._ues_stale:
             views = self._views
@@ -138,7 +138,7 @@ class UeViewCache:
         state_of = enb.rrc.state_of
         included = self._included
         backlogged = self._backlogged
-        for rnti in self._dirty:
+        for rnti in self.dirty:
             view = self._views[rnti]
             was_included = rnti in included
             was_backlogged = was_included and view.queue_bytes > 0
@@ -168,4 +168,4 @@ class UeViewCache:
                 self._schedulable_stale = True
             elif now_backlogged and was_usable != (view.cqi > 0):
                 self._schedulable_stale = True
-        self._dirty.clear()
+        self.dirty.clear()

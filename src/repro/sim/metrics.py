@@ -100,12 +100,3 @@ def cdf_points(values: Sequence[float]) -> List[Tuple[float, float]]:
     if n == 0:
         return []
     return [(v, (i + 1) / n) for i, v in enumerate(ordered)]
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Simple percentile (q in [0, 100]) with linear interpolation.
-
-    Shared with the observability subsystem so benchmark summaries and
-    platform telemetry agree on tail semantics.
-    """
-    return _percentile(values, q)

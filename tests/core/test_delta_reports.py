@@ -18,6 +18,7 @@ from repro.core.protocol.messages import (
     StatsRequest,
 )
 from repro.lte.enodeb import EnodeB
+from repro.lte.mac.drx import DrxConfig
 from repro.lte.phy.channel import FixedCqi
 from repro.lte.rrc import RrcState
 from repro.lte.ue import Ue
@@ -86,7 +87,8 @@ class TestDeltaReplies:
                          report_type=int(ReportType.PERIODIC),
                          period_ttis=5, flags=int(StatsFlags.CQI)), now=30)
         agent.reports.due_replies(30)
-        enb.mark_ue_report_dirty(rntis[0])
+        # DRX is recorded as a change, but no report group carries it.
+        enb.set_drx(rntis[0], DrxConfig())
         enb.enqueue_dl(rntis[2], 700, 33)
         full, cqi_only = agent.reports.due_replies(35)
         assert [r.rnti for r in full.ue_reports] == [rntis[2]]

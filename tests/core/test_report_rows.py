@@ -332,7 +332,7 @@ class TestChannelOnlyChanges:
                 continue
             # Nothing is queued for this UE, so whatever moved the
             # sequence here was the channel -- and no view went stale.
-            assert not enb._view_cache[cell_id]._dirty
+            assert not enb._view_cache[cell_id].dirty
             if enb.change_seq > before:
                 advanced += 1
                 assert [r.rnti for r in replies[0].ue_reports] == [rnti]

@@ -24,7 +24,7 @@ from repro.traffic.generators import CbrSource, SaturatingSource
 
 class TestPrbCap:
     def test_cap_limits_usable_prbs(self):
-        cell = Cell(CellConfig(cell_id=10))
+        cell = Cell(CellConfig(cell_id=10), set().add)
         assert cell.n_prb == 50
         cell.set_prb_cap(25)
         assert cell.n_prb == 25
@@ -32,13 +32,13 @@ class TestPrbCap:
         assert cell.n_prb == 50
 
     def test_cap_beyond_carrier_is_clamped(self):
-        cell = Cell(CellConfig(cell_id=10))
+        cell = Cell(CellConfig(cell_id=10), set().add)
         cell.set_prb_cap(80)
         assert cell.n_prb == 50
 
     def test_negative_cap_rejected(self):
         with pytest.raises(ValueError):
-            Cell(CellConfig(cell_id=10)).set_prb_cap(-1)
+            Cell(CellConfig(cell_id=10), set().add).set_prb_cap(-1)
 
     def test_cap_halves_saturated_throughput(self):
         results = {}

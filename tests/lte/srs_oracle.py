@@ -9,8 +9,8 @@ It is kept only here, as the definition ``Cell``'s schedule is checked
 against (the ``tests/sim/context_oracle.py`` pattern): driven beside a
 cell -- same ``add_ue`` / ``remove_ue`` / ``refresh_cqi`` calls, one
 periodic refresh per TTI -- it must hold the same ``known_cqi`` and
-``known_cqi_clear`` and make the same listener calls in the same order
-after every call.
+``known_cqi_clear`` and record the same RNTIs in the same order after
+every call.
 
 The oracle reads the cell's ``ues``, ``cell_id`` and
 ``interference_source`` and nothing else; its knowledge, due-heap and
@@ -20,7 +20,7 @@ listener are its own.
 import heapq
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.lte.cell import Cell
+from repro.lte.cell import Cell, CellConfig
 from repro.lte.constants import SRS_PERIOD_TTIS
 from repro.lte.ue import Ue
 
@@ -82,16 +82,16 @@ class EveryPeriodSrs:
 class ShadowedCell:
     """A :class:`Cell` and its oracle, driven by the same calls.
 
-    Every ``refresh`` compares the two: knowledge and the whole
-    listener-call history (order included).
+    Every ``refresh`` compares the two: knowledge and the whole history
+    of change records (the cell's ``on_change`` calls) against the
+    oracle's listener calls, order included.
     """
 
-    def __init__(self, cell: Cell) -> None:
-        self.cell = cell
-        self.oracle = EveryPeriodSrs(cell)
+    def __init__(self, config: CellConfig) -> None:
         self.calls: List[int] = []
         self.oracle_calls: List[int] = []
-        cell.cqi_listener = self.calls.append
+        self.cell = Cell(config, self.calls.append)
+        self.oracle = EveryPeriodSrs(self.cell)
         self.oracle.cqi_listener = self.oracle_calls.append
 
     def add_ue(self, rnti: int, ue: Ue, tti: int, *,

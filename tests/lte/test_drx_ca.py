@@ -57,7 +57,7 @@ class TestDrxState:
 
 class TestDrxManager:
     def test_configure_and_disable(self):
-        mgr = DrxManager()
+        mgr = DrxManager(set().add)
         mgr.configure(70, DrxConfig(cycle_ttis=10, on_duration_ttis=2))
         assert mgr.enabled_rntis() == [70]
         assert not mgr.is_awake(70, 5)
@@ -69,7 +69,7 @@ class TestDrxManager:
         # Regression: disabling DRX used to leave a zombie DrxState in
         # the manager (still visited by account_all every TTI) and its
         # awake/asleep counters vanished from the energy proxy.
-        mgr = DrxManager()
+        mgr = DrxManager(set().add)
         mgr.configure(70, DrxConfig(cycle_ttis=10, on_duration_ttis=2,
                                     inactivity_ttis=0))
         for tti in range(40):

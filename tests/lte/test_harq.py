@@ -17,18 +17,18 @@ def start_block(entity, tti=0, **kw):
 
 class TestHarqEntity:
     def test_all_processes_initially_free(self):
-        e = HarqEntity(70)
+        e = HarqEntity(70, set().add)
         assert e.busy_count() == 0
         assert e.free_process().pid == 0
 
     def test_start_occupies_process(self):
-        e = HarqEntity(70)
+        e = HarqEntity(70, set().add)
         proc = start_block(e)
         assert proc.busy and proc.attempt == 1
         assert e.busy_count() == 1
 
     def test_exhausting_processes(self):
-        e = HarqEntity(70)
+        e = HarqEntity(70, set().add)
         for _ in range(HARQ_PROCESSES):
             start_block(e)
         assert e.free_process() is None
@@ -36,21 +36,21 @@ class TestHarqEntity:
             start_block(e)
 
     def test_ack_frees_process(self):
-        e = HarqEntity(70)
+        e = HarqEntity(70, set().add)
         proc = start_block(e)
         assert e.feedback(proc.pid, ok=True) is None
         assert e.busy_count() == 0
         assert e.acked_blocks == 1
 
     def test_nack_marks_retx(self):
-        e = HarqEntity(70)
+        e = HarqEntity(70, set().add)
         proc = start_block(e)
         assert e.feedback(proc.pid, ok=False) is None
         assert proc.needs_retx
         assert e.nacked_blocks == 1
 
     def test_retx_timing_respects_harq_rtt(self):
-        e = HarqEntity(70)
+        e = HarqEntity(70, set().add)
         proc = start_block(e, tti=100)
         e.feedback(proc.pid, ok=False)
         assert e.pending_retx(100 + HARQ_RTT_TTIS - 1) == []
@@ -60,7 +60,7 @@ class TestHarqEntity:
         assert pending[0].tb_bits == 8000
 
     def test_retransmit_increments_attempt(self):
-        e = HarqEntity(70)
+        e = HarqEntity(70, set().add)
         proc = start_block(e, tti=0)
         e.feedback(proc.pid, ok=False)
         proc2 = e.retransmit(proc.pid, tti=8)
@@ -68,7 +68,7 @@ class TestHarqEntity:
         assert proc2.awaiting_feedback
 
     def test_drop_after_max_attempts(self):
-        e = HarqEntity(70)
+        e = HarqEntity(70, set().add)
         proc = start_block(e, tti=0)
         drop = None
         tti = 0
@@ -84,18 +84,18 @@ class TestHarqEntity:
         assert e.busy_count() == 0
 
     def test_unexpected_feedback_rejected(self):
-        e = HarqEntity(70)
+        e = HarqEntity(70, set().add)
         with pytest.raises(RuntimeError):
             e.feedback(0, ok=True)
 
     def test_retransmit_without_pending_rejected(self):
-        e = HarqEntity(70)
+        e = HarqEntity(70, set().add)
         proc = start_block(e)
         with pytest.raises(RuntimeError):
             e.retransmit(proc.pid, tti=8)
 
     def test_concurrent_processes_independent(self):
-        e = HarqEntity(70)
+        e = HarqEntity(70, set().add)
         p0 = start_block(e, tti=0)
         p1 = start_block(e, tti=1, payload_bytes=500)
         assert p0.pid != p1.pid
@@ -106,12 +106,12 @@ class TestHarqEntity:
 
 class TestHarqPool:
     def test_entity_per_rnti(self):
-        pool = HarqPool()
+        pool = HarqPool(set().add)
         assert pool.entity(70) is pool.entity(70)
         assert pool.entity(70) is not pool.entity(71)
 
     def test_all_pending_retx_ordered(self):
-        pool = HarqPool()
+        pool = HarqPool(set().add)
         for rnti in (72, 70):
             proc = start_block(pool.entity(rnti), tti=0)
             pool.entity(rnti).feedback(proc.pid, ok=False)
@@ -119,7 +119,7 @@ class TestHarqPool:
         assert [p.rnti for p in pending] == [70, 72]
 
     def test_remove(self):
-        pool = HarqPool()
+        pool = HarqPool(set().add)
         proc = start_block(pool.entity(70), tti=0)
         pool.entity(70).feedback(proc.pid, ok=False)
         pool.remove(70)
@@ -134,7 +134,7 @@ class RetxBookkeeping(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.pool = HarqPool()
+        self.pool = HarqPool(set().add)
         self.attached = set()
         self.tti = 0
 

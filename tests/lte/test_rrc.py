@@ -14,7 +14,7 @@ from repro.lte.rrc import (
 
 @pytest.fixture
 def rrc():
-    return RrcEntity()
+    return RrcEntity(set().add)
 
 
 class TestAttach:

@@ -94,9 +94,9 @@ class Deployment:
     way ``EnodeB`` drives its cells."""
 
     def __init__(self) -> None:
-        self.cells = {c: ShadowedCell(Cell(CellConfig(cell_id=c)))
+        self.cells = {c: ShadowedCell(CellConfig(cell_id=c))
                       for c in (PCELL, SCELL)}
-        self.aggressor = Cell(CellConfig(cell_id=20))
+        self.aggressor = Cell(CellConfig(cell_id=20), set().add)
         self.ues = {}        # rnti -> Ue, attached to the PCell
         self.on_scell = set()
         self.next_rnti = 70
@@ -151,7 +151,7 @@ class Deployment:
 @settings(max_examples=200, deadline=None)
 @given(program=steps)
 def test_schedule_matches_every_period_oracle(program):
-    """Same knowledge, same listener calls, TTI by TTI, whatever mix of
+    """Same knowledge, same change records, TTI by TTI, whatever mix of
     static, switching, fading and interfered UEs comes and goes."""
     dep = Deployment()
     tti = 0
@@ -171,7 +171,7 @@ def test_schedule_matches_every_period_oracle(program):
 # -- parked UEs ---------------------------------------------------------------
 
 def test_parked_ue_costs_no_channel_reads():
-    cell = Cell(CellConfig(cell_id=PCELL))
+    cell = Cell(CellConfig(cell_id=PCELL), set().add)
     channel = CountingFixedCqi(9)
     cell.add_ue(70, Ue("001", channel))
     cell.refresh_cqi(0, force=True)
@@ -189,7 +189,7 @@ def test_parked_ue_costs_no_channel_reads():
 def swapped_in_at(swap) -> int:
     """Attach a static UE at TTI 0, run to TTI 104, apply *swap*, and
     return the TTI at which the cell learns of CQI 6."""
-    cell = Cell(CellConfig(cell_id=PCELL))
+    cell = Cell(CellConfig(cell_id=PCELL), set().add)
     ue = Ue("001", FixedCqi(12))
     cell.add_ue(70, ue)
     cell.refresh_cqi(0, force=True)
@@ -216,14 +216,14 @@ def test_replaced_carrier_channel_is_learned_at_the_next_srs_instant():
 
 
 def test_interferer_rearms_parked_ues_on_their_grid():
-    cell = Cell(CellConfig(cell_id=PCELL))
+    cell = Cell(CellConfig(cell_id=PCELL), set().add)
     channel = CountingFixedCqi(9)
     cell.add_ue(70, Ue("001", channel))
     cell.refresh_cqi(3, force=True)
     for tti in range(3, 48):
         cell.refresh_cqi(tti)
     assert channel.reads == 1
-    cell.interference_source = Cell(CellConfig(cell_id=20))
+    cell.interference_source = Cell(CellConfig(cell_id=20), set().add)
     for tti in range(48, 54):
         cell.refresh_cqi(tti)
         # 3 + 5 * 10: the first grid instant after the change.
@@ -295,11 +295,12 @@ def test_a_later_attach_still_rephases_the_cell():
 def test_forced_refresh_rereads_after_a_change_within_the_tti():
     """The skip rests on reads repeating within a TTI; a new interferer
     or channel object between two forced passes of one TTI breaks that."""
-    shadowed = ShadowedCell(Cell(CellConfig(cell_id=PCELL)))
+    shadowed = ShadowedCell(CellConfig(cell_id=PCELL))
     first = Ue("001", InterferenceChannel(20.0, 2.0))
     shadowed.add_ue(70, first, 5)
     clear = shadowed.cell.known_cqi[70]
-    shadowed.cell.interference_source = Cell(CellConfig(cell_id=20))
+    shadowed.cell.interference_source = Cell(CellConfig(cell_id=20),
+                                             set().add)
     shadowed.add_ue(71, Ue("002", FixedCqi(7)), 5)
     assert shadowed.cell.known_cqi[70] < clear
     first.channel = FixedCqi(3)

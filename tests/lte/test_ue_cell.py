@@ -90,7 +90,7 @@ class TestCellConfig:
 
 class TestCell:
     def make_cell(self):
-        return Cell(CellConfig(cell_id=10))
+        return Cell(CellConfig(cell_id=10), set().add)
 
     def test_add_remove_ue(self):
         cell = self.make_cell()
@@ -129,7 +129,7 @@ class TestCell:
             cell.set_abs_pattern([12])
 
     def test_interference_scheduling_cqi(self):
-        aggressor = Cell(CellConfig(cell_id=20))
+        aggressor = Cell(CellConfig(cell_id=20), set().add)
         victim = self.make_cell()
         victim.interference_source = aggressor
         ue = Ue("001", InterferenceChannel(
@@ -144,7 +144,7 @@ class TestCell:
         assert victim.scheduling_cqi(70, 2) == 2
 
     def test_actual_cqi_depends_on_real_transmission(self):
-        aggressor = Cell(CellConfig(cell_id=20))
+        aggressor = Cell(CellConfig(cell_id=20), set().add)
         victim = self.make_cell()
         victim.interference_source = aggressor
         ue = Ue("001", InterferenceChannel(

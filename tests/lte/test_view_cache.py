@@ -26,28 +26,30 @@ def build_enb(n_ues=3, cqi=12):
     return enb, rntis
 
 
-def cache_of(enb):
+def build(enb, tti):
+    """The cell's cached lists at *tti*, settled as ``build_context``
+    settles them but not checked against the reference builder (one
+    test below changes state unrecorded on purpose)."""
     (cell_id,) = enb.cells
-    return enb._view_cache[cell_id]
+    enb._settle()
+    return enb._view_cache[cell_id].build(tti)
 
 
 class TestDirtyRefresh:
     def test_clean_build_reuses_views_and_lists(self):
         enb, rntis = build_enb(2)
-        cache = cache_of(enb)
-        cache.build(61)
+        build(enb, 61)
         # Nothing changed: later builds hand out the very same list.
-        assert cache.build(62)[0] is cache.build(63)[0]
+        assert build(enb, 62)[0] is build(enb, 63)[0]
 
     def test_traffic_arrival_refreshes_only_that_ue(self):
         enb, rntis = build_enb(2)
-        cache = cache_of(enb)
-        before = {v.rnti: v for v in cache.build(61)[0]}
+        before = {v.rnti: v for v in build(enb, 61)[0]}
         enb.enqueue_dl(rntis[0], 500, 61)
-        # Bypass the eNodeB for the other UE: without a dirty mark its
-        # view must stay as it was.
-        enb.rlc[rntis[1]].enqueue(300, 61, 3)
-        views, backlogged, _ = cache.build(62)
+        # Bypass the RLC entity for the other UE: with no change
+        # recorded its view must stay as it was.
+        enb.rlc[rntis[1]].queue(3).push(300, 61)
+        views, backlogged, _ = build(enb, 62)
         by_rnti = {v.rnti: v for v in views}
         assert by_rnti[rntis[0]] is before[rntis[0]]  # mutated in place
         assert by_rnti[rntis[0]].queue_bytes == 500
@@ -56,44 +58,40 @@ class TestDirtyRefresh:
 
     def test_views_ordered_by_rnti(self):
         enb, rntis = build_enb(3)
-        views = cache_of(enb).build(61)[0]
+        views = build(enb, 61)[0]
         assert [v.rnti for v in views] == sorted(rntis)
 
 
 class TestBacklogMemos:
     def test_backlog_sorted_and_incremental(self):
         enb, rntis = build_enb(4)
-        cache = cache_of(enb)
         # Enqueue in reverse attach order; the memo must still come
         # out RNTI-sorted (bisect insertion, not rebuild order).
         for rnti in reversed(rntis):
             enb.enqueue_dl(rnti, 200, 61)
-            cache.build(61)
-        _, backlogged, schedulable = cache.build(62)
+            build(enb, 61)
+        _, backlogged, schedulable = build(enb, 62)
         assert [v.rnti for v in backlogged] == sorted(rntis)
         assert [v.rnti for v in schedulable] == sorted(rntis)
 
     def test_drained_ue_leaves_backlog(self):
         enb, rntis = build_enb(2)
-        cache = cache_of(enb)
         enb.enqueue_dl(rntis[0], 300, 61)
-        cache.build(61)
-        # Drain by detaching the RLC payload directly via the queue API.
+        build(enb, 61)
+        # Drain through the RLC entity alone: it records the change.
         rlc = enb.rlc[rntis[0]]
         while rlc.buffer_bytes() > 0:
             rlc.dequeue(rlc.buffer_bytes() + 64, 61, 3)
-        enb.mark_ue_dirty(rntis[0])
-        _, backlogged, _ = cache.build(62)
+        _, backlogged, _ = build(enb, 62)
         assert backlogged == []
 
     def test_detach_removes_from_backlog(self):
         enb, rntis = build_enb(2)
-        cache = cache_of(enb)
         for rnti in rntis:
             enb.enqueue_dl(rnti, 200, 61)
-        cache.build(61)
+        build(enb, 61)
         enb.detach_ue(rntis[0])
-        views, backlogged, schedulable = cache.build(62)
+        views, backlogged, schedulable = build(enb, 62)
         assert [v.rnti for v in views] == [rntis[1]]
         assert [v.rnti for v in backlogged] == [rntis[1]]
         assert [v.rnti for v in schedulable] == [rntis[1]]
@@ -103,10 +101,9 @@ class TestBacklogMemos:
         extra = enb.attach_ue(Ue("000077", FixedCqi(0)), tti=61)
         for t in range(61, 121):
             enb.tick(t)
-        cache = cache_of(enb)
         enb.enqueue_dl(rntis[0], 200, 121)
         enb.enqueue_dl(extra, 200, 121)
-        _, backlogged, schedulable = cache.build(121)
+        _, backlogged, schedulable = build(enb, 121)
         assert {v.rnti for v in backlogged} == {rntis[0], extra}
         assert [v.rnti for v in schedulable] == [rntis[0]]
 
@@ -115,7 +112,6 @@ class TestDrxTracking:
     def test_sleep_transition_updates_membership(self):
         enb, rntis = build_enb(1)
         rnti = rntis[0]
-        cache = cache_of(enb)
         enb.set_drx(rnti, DrxConfig(cycle_ttis=10, on_duration_ttis=2,
                                     inactivity_ttis=0))
         enb.enqueue_dl(rnti, 200, 99)
@@ -123,25 +119,24 @@ class TestDrxTracking:
                          if enb.drx.is_awake(rnti, t))
         asleep_tti = next(t for t in range(awake_tti, awake_tti + 10)
                           if not enb.drx.is_awake(rnti, t))
-        views, backlogged, _ = cache.build(awake_tti)
+        views, backlogged, _ = build(enb, awake_tti)
         assert [v.rnti for v in views] == [rnti]
         assert [v.rnti for v in backlogged] == [rnti]
-        views, backlogged, schedulable = cache.build(asleep_tti)
+        views, backlogged, schedulable = build(enb, asleep_tti)
         assert views == [] and backlogged == [] and schedulable == []
-        # Waking again restores membership with no explicit dirty mark.
-        views, backlogged, _ = cache.build(awake_tti + 10)
+        # Waking again restores membership with no change recorded.
+        views, backlogged, _ = build(enb, awake_tti + 10)
         assert [v.rnti for v in views] == [rnti]
         assert [v.rnti for v in backlogged] == [rnti]
 
     def test_disabling_drx_stops_the_per_build_check(self):
         enb, rntis = build_enb(1)
         rnti = rntis[0]
-        cache = cache_of(enb)
         enb.set_drx(rnti, DrxConfig(cycle_ttis=10, on_duration_ttis=2,
                                     inactivity_ttis=0))
         asleep_tti = next(t for t in range(100, 120)
                           if not enb.drx.is_awake(rnti, t))
-        assert cache.build(asleep_tti)[0] == []
+        assert build(enb, asleep_tti)[0] == []
         enb.set_drx(rnti, None)
         for tti in range(asleep_tti + 1, asleep_tti + 12):
-            assert [v.rnti for v in cache.build(tti)[0]] == [rnti]
+            assert [v.rnti for v in build(enb, tti)[0]] == [rnti]

@@ -6,9 +6,9 @@ call, with no memory between calls, so it cannot go stale.  It is kept
 only here, as the definition the eNodeB's view cache is checked
 against.  :func:`install` wraps ``EnodeB.build_context`` so that every
 context handed to a scheduler is compared with the reference field by
-field at the moment it is built; a missed ``mark_ue_dirty`` anywhere in
-``src/`` then fails the test that exercised it, naming the UE and the
-field.
+field at the moment it is built; an entity anywhere in ``src/`` that
+changes a view's input without recording it then fails the test that
+exercised it, naming the UE and the field.
 """
 
 from dataclasses import dataclass, field, fields

@@ -21,7 +21,6 @@ import pytest
 
 from repro.core.survive.snapshot import snapshot_rib
 from repro.lte.cell import CellConfig
-from repro.lte.enodeb import EnodeB
 from repro.lte.mac.drx import DrxConfig
 from repro.lte.mac.qos import QosProfile
 from repro.lte.phy.channel import FixedCqi, GaussMarkovSinr
@@ -163,20 +162,26 @@ def test_every_context_matches_the_reference(build, build_context_oracle):
 @pytest.mark.parametrize("build", SCENARIOS, ids=lambda f: f.__name__)
 def test_oracle_catches_a_missed_invalidation(build, build_context_oracle,
                                               monkeypatch):
-    """Self-test: lose one UE's dirty marks and the suite must fail,
-    naming that UE and a field."""
-    sim, enbs, ttis = build()
-    victim = enbs[0].rntis()[-1]
-    mark_ue_dirty = EnodeB.mark_ue_dirty
+    """Self-test: one entity stops recording one UE, and the next context
+    built for its cell must fail, naming that UE and a field.
+
+    After 50 TTIs (attached and connected: only data changes remain) a
+    context is built, the victim's RLC entity loses its change hook and
+    queues a PDU, and nothing else records the UE before the next
+    build."""
+    sim, enbs, _ = build()
+    enb = enbs[0]
+    victim = enb.rntis()[-1]
+    cell_id = enb.primary_cell(victim).cell_id
     try:
-        sim.run(50)  # attached and connected: only data changes remain
-        monkeypatch.setattr(
-            EnodeB, "mark_ue_dirty",
-            lambda enb, rnti: (None if enb is enbs[0] and rnti == victim
-                               else mark_ue_dirty(enb, rnti)))
+        sim.run(50)
+        enb.build_context(cell_id, sim.now)
+        rlc = enb.rlc[victim]
+        monkeypatch.setattr(rlc, "_on_change", lambda rnti: None)
+        rlc.enqueue(1000, sim.now)
         with pytest.raises(AssertionError,
-                           match=rf"UE {victim} (queue_bytes|queues|cqi) "):
-            sim.run(ttis - 50)
+                           match=rf"UE {victim} (queue_bytes|queues) "):
+            enb.build_context(cell_id, sim.now)
     finally:
         sim.close()
     build_context_oracle.mismatches.clear()  # expected; keep teardown quiet

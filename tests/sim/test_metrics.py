@@ -3,7 +3,8 @@
 import pytest
 
 from repro.net.clock import SimClock
-from repro.sim.metrics import Probe, Series, cdf_points, goodput_mbps, percentile
+from repro.sim import percentile
+from repro.sim.metrics import Probe, Series, cdf_points, goodput_mbps
 
 
 class TestSeries:
