@@ -11,15 +11,18 @@ hooks.  Neither the agent's control modules nor the master ever touch
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.protocol.messages import (
     CellConfigRep,
     CellStatsReport,
     EventType,
+    StatsFlags,
     UeConfigRep,
     UeStatsReport,
 )
+from repro.core.protocol.schema import UNGROUPED
+from repro.lte.cell import Cell
 from repro.lte.enodeb import (
     DlSchedulerHook,
     EnbEvent,
@@ -45,12 +48,27 @@ _ENB_EVENT_TYPES = {
 
 _new = object.__new__
 
-_ALL_GROUPS = UeStatsReport.ALL_GROUPS
-"""A record built here is whole: it carries every statistic group."""
+_BLANK = UeStatsReport().__dict__  # every field in wire order, all groups
+_NO_NEIGHBORS: Dict[int, int] = {}  # shared: records are never written
 
-_NO_NEIGHBORS: Dict[int, int] = {}
-"""What a row without neighbor channels remembers as observed (shared:
-one empty dict per UE would be kept alive for nothing)."""
+_QUEUES, _CQI, _HARQ, _RLC, _PDCP = (int(flag) for flag in (
+    StatsFlags.QUEUES, StatsFlags.CQI, StatsFlags.HARQ, StatsFlags.RLC,
+    StatsFlags.PDCP))
+_WHOLE = UeStatsReport.ALL_GROUPS | UNGROUPED  # UNGROUPED: rrc_state
+
+KIND_GROUPS = {
+    "membership": _WHOLE,     # a new UE on a re-used RNTI; SCells
+    "rlc": _QUEUES | _RLC,    # queues, rlc_bytes_in / _out
+    "pdcp": _PDCP,            # pdcp_*_bytes, rx_bytes_total (delivery)
+    "harq": _HARQ,
+    "rrc": UNGROUPED,
+    "cqi": _CQI,              # known CQIs; a replaced channel object
+    "ul_buffer": _QUEUES,     # ul_buffer_bytes
+    "view": 0,                # bearer QoS and DRX: scheduler views only
+}
+"""Per kind of recorded change (``lte.enodeb.CHANGE_KINDS``), the
+statistics it can move: the one place a change kind meets a report
+group, so nothing under ``lte/`` knows what a group is."""
 
 HandoverExecutor = Callable[[int, int, int, int], bool]
 """Callback ``(rnti, source_cell, target_cell, tti) -> success`` that the
@@ -63,7 +81,7 @@ def _observe_channel(ue: Ue, tti: int) -> Tuple[int, Dict[int, int]]:
     neighbors = ue.neighbor_channels
     return (int(round(ue.measured_sinr_db(tti) * 10)),
             {cid: ch.cqi(tti) for cid, ch in neighbors.items()}
-            if neighbors else {})
+            if neighbors else _NO_NEIGHBORS)
 
 
 class AgentDataPlaneApi:
@@ -72,15 +90,11 @@ class AgentDataPlaneApi:
     def __init__(self, enb: EnodeB) -> None:
         self._enb = enb
         self._handover_executor: Optional[HandoverExecutor] = None
-        # :meth:`collect_ue_stats`'s memory, per RNTI:
-        # ``(static_channel, sinr_x10, neighbor_cqi, record, seq)``.
-        # The first three are the last channel observation, with
-        # ``static_channel`` the channel object it stays valid for
-        # (time-invariant, no neighbor channels) or None; such a row
-        # keeps no record.  Otherwise ``record`` is the last record
-        # built (None until one was needed) and ``seq`` the UE's change
-        # sequence it stands for.
-        self._rows: Dict[int, tuple] = {}
+        # collect_ue_stats's memory: per RNTI the last record and the
+        # sequence it stands for; the RNTIs whose channel can move.
+        self._records: Dict[int, UeStatsReport] = {}
+        self._stands: Dict[int, int] = {}
+        self._moving: Set[int] = set()
 
     @property
     def enb_id(self) -> int:
@@ -129,73 +143,65 @@ class AgentDataPlaneApi:
     def collect_ue_stats(
             self, tti: int,
             since_seq: int) -> List[Tuple[int, UeStatsReport]]:
-        """One pass over the attached UEs for a report TTI.
-
-        Visits each UE once in RNTI order: observes its channel, folds
-        a channel-only change (SINR drift, neighbor CQI) into the
-        eNodeB's change sequence, and returns ``(seq, record)`` for
-        every UE whose sequence is now above *since_seq* (``-1``: all
-        of them).  A UE on a time-invariant channel object with no
-        neighbor channels is observed once and then skipped until the
-        channel is swapped out or the data plane changes it.
-
-        Where the channel can move without the data plane, the last
-        record is retained with the sequence it stands for: a
-        channel-only change copies it with the fresh channel fields,
-        a data-plane change (the sequence moved on) rebuilds it.  A
+        """``(seq, record)``, in RNTI order, of every UE whose sequence
+        is above *since_seq* (``-1``: all) after one pass over those UEs
+        and the ones whose channel can move (not ``time_invariant``, or
+        neighbor channels).  Such a channel, or one whose ``cqi`` kind
+        moved, is observed, and a move of what was seen folds into the
+        eNodeB's sequence.  One record per UE is kept with the sequence
+        it stands for; a visit re-reads only the groups moved since
+        (:data:`KIND_GROUPS`, the observation) and shares the rest.  A
         record handed out is never mutated afterwards, only replaced.
         """
         enb = self._enb
-        rows = self._rows
-        rows_get = rows.get
         seqs = enb.ue_change_seqs()
-        build = self._build_record
+        kind_seqs = enb.ue_kind_seqs()
+        kinds = [(kind_seqs[kind], bits)
+                 for kind, bits in KIND_GROUPS.items() if bits]
+        records, stands, moving = self._records, self._stands, self._moving
+        changed = {}
+        for rnti, seq in reversed(seqs.items()):  # value order
+            if seq <= since_seq:
+                break
+            changed[rnti] = seq
         out: List[Tuple[int, UeStatsReport]] = []
-        ues = enb.attached_ues()
-        for rnti, ue in ues:
-            row = rows_get(rnti)
-            channel = ue.channel
-            neighbors = ue.neighbor_channels
-            if row is not None and row[0] is channel and not neighbors:
-                # Static channel, observed before (row[1] is its SINR).
-                seq = seqs[rnti]
-                if seq > since_seq:
-                    out.append((seq, build(rnti, ue, row[1], {})))
-                continue
-            sinr_x10, neighbor_cqi = _observe_channel(ue, tti)
+        for rnti in sorted(changed.keys() | moving):
+            if rnti not in seqs:
+                continue  # a moving UE that left; forgotten below
             seq = seqs[rnti]
-            record = None
-            moved = True
-            if row is not None:
-                _, last_sinr_x10, last_neighbor_cqi, kept, kept_seq = row
-                moved = (sinr_x10 != last_sinr_x10
-                         or neighbor_cqi != last_neighbor_cqi)
-                if kept_seq == seq:
-                    # The data plane has not touched the UE since.
-                    if not moved:
-                        record = kept
-                    elif kept is not None:
-                        record = _new(UeStatsReport)
-                        record.__dict__ = {
-                            **kept.__dict__,
-                            "subband_sinr_db_x10": [sinr_x10] * SUBBANDS,
-                            "neighbor_cqi": neighbor_cqi}
-            if moved:
-                seq = enb.mark_ue_report_dirty(rnti)
+            prev = records[rnti] if rnti in records else None
+            bits = _WHOLE if prev is None else 0
+            if prev is not None and seq > stands[rnti]:
+                stood = stands[rnti]
+                for kind_seq, kind_bits in kinds:
+                    if rnti in kind_seq and kind_seq[rnti] > stood:
+                        bits |= kind_bits
+            cell = enb.primary_cell(rnti)
+            ue = cell.ues[rnti]
+            observed = None
+            if bits & _CQI or rnti in moving:
+                observed = _observe_channel(ue, tti)
+                if prev is None or observed != (
+                        prev.subband_sinr_db_x10[0], prev.neighbor_cqi):
+                    seq = enb.mark_ue_report_dirty(rnti)
+                    bits |= _CQI
+                if ue.channel.time_invariant and not ue.neighbor_channels:
+                    if rnti in moving:
+                        moving.discard(rnti)
+                elif rnti not in moving:
+                    moving.add(rnti)
+            record = prev
+            if bits:
+                record = records[rnti] = self._build_record(
+                    rnti, ue, cell, bits, observed, prev)
+            stands[rnti] = seq
             if seq > since_seq:
-                if record is None:
-                    record = build(rnti, ue, sinr_x10, neighbor_cqi)
                 out.append((seq, record))
-            if channel.time_invariant and not neighbors:
-                rows[rnti] = (channel, sinr_x10, _NO_NEIGHBORS, None, 0)
-            else:
-                rows[rnti] = (None, sinr_x10, neighbor_cqi, record, seq)
-        if len(rows) > len(ues):
-            # Every attached UE has a row by now, so the surplus is
-            # departed RNTIs.
-            live = {rnti for rnti, _ in ues}
-            for rnti in [r for r in rows if r not in live]:
-                del rows[rnti]
+        if len(records) > len(seqs):
+            # Every attached UE has a record by now: the rest departed.
+            for rnti in [r for r in records if r not in seqs]:
+                del records[rnti], stands[rnti]
+                moving.discard(rnti)
         return out
 
     def get_ue_stats(self, tti: int) -> List[UeStatsReport]:
@@ -205,46 +211,56 @@ class AgentDataPlaneApi:
         UE with active secondary carriers still reports once).  Reads
         and changes no reporting state.
         """
-        return [self._build_record(rnti, ue, *_observe_channel(ue, tti))
-                for rnti, ue in self._enb.attached_ues()]
-
-    def _build_record(self, rnti: int, ue: Ue, sinr_x10: int,
-                      neighbor_cqi: Dict[int, int]) -> UeStatsReport:
-        """The one place a :class:`UeStatsReport` is assembled.
-
-        Fills ``__dict__`` directly, as the generated ``decode`` does:
-        the dataclass ``__init__`` costs more than the walks below.
-        """
         enb = self._enb
-        cell = enb.primary_cell(rnti)
-        rlc = enb.rlc[rnti]
-        pdcp_tx = pdcp_rx = 0
-        for bearer in enb.pdcp[rnti].stats.values():
-            pdcp_tx += bearer.tx_bytes
-            pdcp_rx += bearer.rx_bytes
-        wb = cell.known_cqi.get(rnti, 0)
-        record = _new(UeStatsReport)
-        record.__dict__ = {
-            "rnti": rnti,
-            "groups": _ALL_GROUPS,
-            "rrc_state": _RRC_STATE_INDEX[enb.rrc.context(rnti).state],
-            "queues": rlc.queues.sizes(),
-            "ul_buffer_bytes": ue.ul_backlog_bytes,
-            "wb_cqi": wb,
-            "wb_cqi_clear": cell.known_cqi_clear.get(rnti, 0),
-            "subband_cqi": [wb] * SUBBANDS,
-            "subband_sinr_db_x10": [sinr_x10] * SUBBANDS,
-            "power_headroom_db": 20,
-            "neighbor_cqi": neighbor_cqi,
-            "harq_states": [
+        return [self._build_record(rnti, ue, enb.primary_cell(rnti), _WHOLE,
+                                   _observe_channel(ue, tti))
+                for rnti, ue in enb.attached_ues()]
+
+    def _build_record(self, rnti: int, ue: Ue, cell: Cell, bits: int,
+                      observed: Optional[Tuple[int, Dict[int, int]]],
+                      prev: Optional[UeStatsReport] = None
+                      ) -> UeStatsReport:
+        """The one place a :class:`UeStatsReport` is assembled: *prev*
+        with the groups in *bits* (``UNGROUPED``: ``rrc_state``) re-read
+        and every other container shared, or a whole record.  The CQI
+        group carries *observed*, ``(sinr_x10, neighbor_cqi)``.  Fills
+        ``__dict__`` as the generated ``decode`` does: the dataclass
+        ``__init__`` costs more than the walks below."""
+        enb = self._enb
+        state = ({**_BLANK, "rnti": rnti} if prev is None
+                 else {**prev.__dict__})
+        if bits & UNGROUPED:
+            state["rrc_state"] = _RRC_STATE_INDEX[enb.rrc.context(rnti).state]
+        if bits & _QUEUES:
+            state["queues"] = enb.rlc[rnti].queues.sizes()
+            state["ul_buffer_bytes"] = ue.ul_backlog_bytes
+        if bits & _CQI:
+            known, clear = cell.known_cqi, cell.known_cqi_clear
+            wb = known[rnti] if rnti in known else 0
+            sinr_x10, state["neighbor_cqi"] = observed
+            state["wb_cqi"] = wb
+            state["wb_cqi_clear"] = clear[rnti] if rnti in clear else 0
+            state["subband_cqi"] = [wb] * SUBBANDS
+            state["subband_sinr_db_x10"] = [sinr_x10] * SUBBANDS
+            state["power_headroom_db"] = 20
+        if bits & _HARQ:
+            state["harq_states"] = [
                 (2 if p.needs_retx else 1) if p.busy else 0
-                for p in enb.harq[cell.cell_id].entity(rnti).processes],
-            "rlc_bytes_in": rlc.stats.bytes_in,
-            "rlc_bytes_out": rlc.stats.bytes_out,
-            "pdcp_tx_bytes": pdcp_tx,
-            "pdcp_rx_bytes": pdcp_rx,
-            "rx_bytes_total": ue.rx_bytes_total,
-        }
+                for p in enb.harq[cell.cell_id].entity(rnti).processes]
+        if bits & _RLC:
+            stats = enb.rlc[rnti].stats
+            state["rlc_bytes_in"] = stats.bytes_in
+            state["rlc_bytes_out"] = stats.bytes_out
+        if bits & _PDCP:
+            pdcp_tx = pdcp_rx = 0
+            for bearer in enb.pdcp[rnti].stats.values():
+                pdcp_tx += bearer.tx_bytes
+                pdcp_rx += bearer.rx_bytes
+            state["pdcp_tx_bytes"] = pdcp_tx
+            state["pdcp_rx_bytes"] = pdcp_rx
+            state["rx_bytes_total"] = ue.rx_bytes_total
+        record = _new(UeStatsReport)
+        record.__dict__ = state
         return record
 
     def get_cell_stats(self, tti: int) -> List[CellStatsReport]:

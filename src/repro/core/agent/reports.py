@@ -22,7 +22,7 @@ from repro.core.protocol.messages import (
     StatsRequest,
     UeStatsReport,
 )
-from repro.core.protocol.schema import UNGROUPED, wire_fields
+from repro.core.protocol.schema import UNGROUPED
 
 
 FULL_REFRESH_REPLIES = 64
@@ -33,14 +33,8 @@ changed since the loss is stale at the master until then, and no
 longer."""
 
 _new = object.__new__
-_group_values = UeStatsReport.group_values
 _changed_groups = UeStatsReport.changed_groups
 _ALL_GROUPS = UeStatsReport.ALL_GROUPS
-
-_UE_FIELDS = tuple((name, group)
-                   for name, kind, group in wire_fields(UeStatsReport)
-                   if kind != "mask")
-"""``(name, group bit or None)`` of every statistic a record carries."""
 
 
 @dataclass
@@ -53,16 +47,14 @@ class Subscription:
     flags: int
     created_tti: int
     served: bool = False
-    last_digest: Optional[int] = None
     #: Change-sequence watermark of the previous reply; ``-1`` forces
     #: the next reply to be a full snapshot.
     last_seq: int = -1
     #: Replies produced so far (drives the staggered full refresh).
     replies: int = 0
-    #: PERIODIC only: per RNTI, the ``group_values`` this subscription
-    #: has been sent -- what the next record is diffed against, kept up
-    #: to date by the diff itself.  Rebuilt by every full snapshot.
-    sent: Dict[int, list] = field(default_factory=dict)
+    #: Per RNTI, the record this subscription last considered (PERIODIC)
+    #: or sent (TRIGGERED): what the next one is diffed against.
+    sent: Dict[int, UeStatsReport] = field(default_factory=dict)
 
 
 class ReportsManager:
@@ -90,6 +82,7 @@ class ReportsManager:
         #: Any technology's data-plane facade: ``collect_ue_stats`` +
         #: ``change_seq`` and ``get_cell_stats`` are what this uses.
         self._api = api
+        #: In xid order, kept so by :meth:`register`.
         self._subscriptions: Dict[int, Subscription] = {}
         self.reports_sent = 0
 
@@ -108,20 +101,26 @@ class ReportsManager:
             raise ValueError(
                 f"periodic report needs period >= 1 TTI, got "
                 f"{request.period_ttis}")
-        self._subscriptions[xid] = Subscription(
-            xid=xid, report_type=request.report_type,
-            period_ttis=max(1, request.period_ttis), flags=request.flags,
-            created_tti=now)
+        self._subscriptions = dict(sorted({
+            **self._subscriptions, xid: Subscription(
+                xid=xid, report_type=request.report_type,
+                period_ttis=max(1, request.period_ttis),
+                flags=request.flags, created_tti=now)}.items()))
 
     def active_subscriptions(self) -> List[Subscription]:
-        return [self._subscriptions[x] for x in sorted(self._subscriptions)]
+        return list(self._subscriptions.values())
 
     def due_replies(self, now: int) -> List[StatsReply]:
         """Build the statistics replies owed at this TTI."""
         replies: List[StatsReply] = []
         done: List[int] = []
-        due = [sub for sub in self.active_subscriptions()
-               if self._is_due(sub, now)]
+        # Due: a PERIODIC on its period, a TRIGGERED always (it compares
+        # records), a ONE_OFF until served.
+        due = [sub for sub in self._subscriptions.values()
+               if (sub.report_type == ReportType.PERIODIC
+                   and (now - sub.created_tti) % sub.period_ttis == 0)
+               or sub.report_type == ReportType.TRIGGERED
+               or sub.report_type == ReportType.ONE_OFF and not sub.served]
         if not due:
             return replies
         # One pass over the UEs per report TTI: it folds channel-driven
@@ -137,9 +136,9 @@ class ReportsManager:
         for sub, mark in zip(due, marks):
             triggered = sub.report_type == ReportType.TRIGGERED
             if triggered and mark == seq_now:
-                # Every digest input is covered by the change sequence,
-                # so an unchanged sequence means an unchanged digest:
-                # skip (the pass built no record for this watermark).
+                # Every field it compares is covered by the change
+                # sequence, so an unchanged sequence means an unchanged
+                # report: skip (the pass built no record for this mark).
                 continue
             wanted = sub.flags & _ALL_GROUPS
             delta = mark >= 0 and not triggered
@@ -154,16 +153,14 @@ class ReportsManager:
                         rows = self._api.collect_ue_stats(now, since)
                     full_ues = [rec for _, rec in rows]
                 if sub.report_type == ReportType.PERIODIC:
-                    sub.sent = {rec.rnti: _group_values(rec)
-                                for rec in full_ues}
+                    sub.sent = {rec.rnti: rec for rec in full_ues}
                 ue_reports = (full_ues if wanted == _ALL_GROUPS else
                               [_carrying(rec, wanted) for rec in full_ues])
             sub.last_seq = seq_now
             if triggered:
-                digest = self._digest(ue_reports, wanted)
-                if digest == sub.last_digest:
+                if sub.replies and _unchanged(sub.sent, full_ues, wanted):
                     continue
-                sub.last_digest = digest
+                sub.sent = {rec.rnti: rec for rec in full_ues}
             if cells is None:
                 cells = self._api.get_cell_stats(now)
             sub.replies += 1
@@ -185,23 +182,27 @@ class ReportsManager:
     def _changed(sub: Subscription, rows, mark: int,
                  wanted: int) -> List[UeStatsReport]:
         """The delta share of *sub*: of every UE whose sequence moved
-        past *mark*, the subscribed groups that differ from what it was
-        last sent (all of them for a UE it has not seen); a UE with
-        none is left out."""
+        past *mark*, the subscribed groups that differ from the record
+        it last considered (all of them for a UE it has not seen); a UE
+        with none is left out."""
         sent = sub.sent
         relevant = wanted | UNGROUPED
         out: List[UeStatsReport] = []
         for seq, rec in rows:
             if seq <= mark:
                 continue
-            seen = sent.get(rec.rnti)
-            if seen is None:
-                sent[rec.rnti] = _group_values(rec)
-                changed = relevant
-            else:
+            rnti = rec.rnti
+            if rnti in sent:
+                seen = sent[rnti]
+                if seen is rec:
+                    continue
+                sent[rnti] = rec
                 changed = _changed_groups(seen, rec) & relevant
                 if not changed:
                     continue
+            else:
+                sent[rnti] = rec
+                changed = relevant
             out.append(_carrying(rec, changed & wanted))
         return out
 
@@ -210,7 +211,7 @@ class ReportsManager:
 
         Its own watermark when the reply can be a delta (PERIODIC, not
         its turn for the staggered refresh) or may be skipped outright
-        (TRIGGERED with a digest to compare against); -1 when it needs
+        (TRIGGERED with a reply to compare against); -1 when it needs
         every UE.
         """
         if sub.report_type == ReportType.PERIODIC:
@@ -218,29 +219,20 @@ class ReportsManager:
                     == self._agent_id % FULL_REFRESH_REPLIES):
                 return -1
             return sub.last_seq
-        if (sub.report_type == ReportType.TRIGGERED
-                and sub.last_digest is not None):
+        if sub.report_type == ReportType.TRIGGERED and sub.replies:
             return sub.last_seq
         return -1
 
-    def _is_due(self, sub: Subscription, now: int) -> bool:
-        if sub.report_type == ReportType.ONE_OFF:
-            return not sub.served
-        if sub.report_type == ReportType.PERIODIC:
-            return (now - sub.created_tti) % sub.period_ttis == 0
-        if sub.report_type == ReportType.TRIGGERED:
-            return True  # change detection happens against the digest
-        return False
 
-    @staticmethod
-    def _digest(reports: List[UeStatsReport], wanted: int) -> int:
-        """Change-detection digest over the wire fields of *reports*
-        that a subscription to the groups *wanted* is sent."""
-        names = [name for name, group in _UE_FIELDS
-                 if group is None or group & wanted]
-        return hash(tuple(
-            _hashable(getattr(rep, name))
-            for rep in reports for name in names))
+def _unchanged(sent: Dict[int, UeStatsReport],
+               records: List[UeStatsReport], wanted: int) -> bool:
+    """Whether *records* are the UEs *sent* holds, with the same values
+    in every field a subscription to the groups *wanted* is sent."""
+    relevant = wanted | UNGROUPED
+    return len(records) == len(sent) and all(
+        rec.rnti in sent
+        and not _changed_groups(sent[rec.rnti], rec) & relevant
+        for rec in records)
 
 
 def _carrying(record: UeStatsReport, groups: int) -> UeStatsReport:
@@ -252,11 +244,3 @@ def _carrying(record: UeStatsReport, groups: int) -> UeStatsReport:
     stamped = _new(UeStatsReport)
     stamped.__dict__ = {**record.__dict__, "groups": groups}
     return stamped
-
-
-def _hashable(value):
-    if isinstance(value, dict):
-        return tuple(sorted(value.items()))
-    if isinstance(value, list):
-        return tuple(value)
-    return value

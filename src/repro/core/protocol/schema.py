@@ -33,14 +33,10 @@ A group's fields are contiguous and on the wire iff its bit is set in
 the mask; absent fields decode to their dataclass defaults.  From the
 same column the compiler also emits, for such a class,
 
-* ``group_values(rec)`` -- a list of the values of every field but the
-  mask, in table order, sharing *rec*'s containers: what a sender
-  remembers of the records it sent, to diff the next one against;
-* ``changed_groups(seen, rec)`` -- the bits of the groups in which
-  *rec* differs from such a list, plus :data:`UNGROUPED` when a field
-  outside every group does; *seen* is brought up to date in exactly
-  those groups, in place, so an unchanged group keeps the containers it
-  already held and a diff allocates nothing;
+* ``changed_groups(prev, rec)`` -- the bits of the groups in which
+  *rec* differs from the record *prev*, plus :data:`UNGROUPED` when a
+  field outside every group does (a sender diffs a record against the
+  one it sent before; neither changes);
 * ``merge(stored, delta)`` -- a new record: *stored* overlaid with the
   ungrouped fields and present groups of *delta*, its mask the union
   (*delta* itself when it carries every group);
@@ -505,21 +501,16 @@ class _ClassCompiler:
             f"    obj.__dict__ = {{{state}}}\n    return obj\n")
 
     def groups_source(self) -> str:
-        """``group_values`` / ``changed_groups`` / ``merge`` of a class
-        with a mask, from the same runs ``codec_source`` walks."""
+        """``changed_groups`` / ``merge`` of a class with a mask, from
+        the same runs ``codec_source`` walks."""
         name = self.cls.__name__
         mask_field = self.fields[self.mask_index][0]
-        slots: Dict[str, int] = {}
         changed = overlay = ""
         always = []
         for group, run in self.runs():
             fields = [f for _, f, kind in run if kind != "mask"]
-            for f in fields:
-                slots[f] = len(slots)
             differs = "\n        or ".join(
-                f'seen[{slots[f]}] != d["{f}"]' for f in fields)
-            remember = "".join(f'    seen[{slots[f]}] = d["{f}"]\n'
-                               for f in fields)
+                f'p["{f}"] != d["{f}"]' for f in fields)
             if group is None:
                 always += fields
             else:
@@ -527,20 +518,13 @@ class _ClassCompiler:
                     f'    state["{f}"] = d["{f}"]\n' for f in fields)
             if fields:
                 bit = UNGROUPED if group is None else group
-                changed += (f"if ({differs}):\n    mask |= {bit:#04x}\n"
-                            + remember)
-        values = ",\n            ".join(f'd["{f}"]' for f in slots)
+                changed += f"if ({differs}):\n    mask |= {bit:#04x}\n"
         carried = "".join(f', "{f}": d["{f}"]' for f in always)
         return (
-            f"\n\ndef group_values(rec):\n"
-            f'    """What changed_groups remembers of a {name} '
-            f'(generated)."""\n'
-            f"    d = rec.__dict__\n    return [{values}]\n"
-            f"\n\ndef changed_groups(seen, rec):\n"
-            f'    """Bits of the groups where *rec* differs from the '
-            f'group_values\n    list *seen*, which is brought up to date '
-            f'in them (generated)."""\n'
-            f"    d = rec.__dict__\n    mask = 0\n"
+            f"\n\ndef changed_groups(prev, rec):\n"
+            f'    """Bits of the groups where {name} *rec* differs from '
+            f'*prev*\n    (generated)."""\n'
+            f"    p = prev.__dict__\n    d = rec.__dict__\n    mask = 0\n"
             + _indent(changed) + "    return mask\n"
             f"\n\ndef merge(stored, delta):\n"
             f'    """*stored* overlaid with the groups present in *delta*: '
@@ -572,7 +556,7 @@ def compile_codec(cls: type) -> type:
     exec(compile(source, filename, "exec"), namespace)
     names = ["encode", "decode"]
     if grouped:
-        names += ["group_values", "changed_groups", "merge"]
+        names += ["changed_groups", "merge"]
         cls.ALL_GROUPS = compiler.all_groups
     for name in names:
         function = namespace[name]

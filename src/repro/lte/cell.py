@@ -50,7 +50,8 @@ class Cell:
     """Runtime state of one carrier.
 
     *on_change* is called with the RNTI whenever a CQI refresh changes
-    the eNodeB's knowledge of that UE.
+    the eNodeB's knowledge of that UE, and whenever a channel object of
+    a served UE is replaced.
     """
 
     def __init__(self, config: CellConfig,
@@ -234,7 +235,11 @@ class Cell:
         return has_aggressor or not channel.time_invariant
 
     def _channel_swapped(self, rnti: int) -> None:
-        """A channel object of served UE *rnti* was replaced."""
+        """A channel object of served UE *rnti* was replaced: a change
+        of the UE's channel, recorded even before the next observation
+        (which records again only if the CQI moved), because what the
+        UE reports of it may have moved without its CQI."""
+        self._on_change(rnti)
         self._fresh_tti = None
         if rnti in self._srs_parked:
             self._srs_parked.discard(rnti)

@@ -60,6 +60,14 @@ RNTI_BASE = 0x46
 DlSchedulerHook = Callable[[SchedulingContext], List[DlAssignment]]
 UlSchedulerHook = Callable[[SchedulingContext], List[UlGrant]]
 
+CHANGE_KINDS = ("membership", "rlc", "pdcp", "harq", "rrc", "cqi",
+                "ul_buffer", "view")
+"""What a recorded UE change was a change of, one record set each: the
+entity that made it (RLC, PDCP, HARQ, RRC; ``cqi`` is a cell's CQI
+knowledge of the UE or a replaced channel object of it), or state the
+eNodeB owns -- ``membership`` (attach, SCell (de)activation), the UE
+``ul_buffer``, and the ``view``-only bearer QoS and DRX."""
+
 
 class EnbEventType(enum.Enum):
     """Data-plane events surfaced to the FlexRAN agent (Table 1)."""
@@ -127,14 +135,17 @@ class EnodeB:
             cell_configs = [CellConfig(cell_id=enb_id * 10)]
         if not cell_configs:
             raise ValueError("an eNodeB needs at least one cell")
-        # Every per-UE entity records the RNTIs it changes here; the
-        # eNodeB only what it owns (membership, bearer QoS, the UE uplink
-        # buffer).  Readers of sequences or views _settle it first.
-        self._changed: Set[int] = set()
-        record = self._changed.add
+        # Every per-UE entity records the RNTIs it changes into the set
+        # of its kind (CHANGE_KINDS); the eNodeB only what it owns.
+        # Readers of sequences or views _settle them first.
+        self._recorded: Tuple[Set[int], ...] = tuple(
+            set() for _ in CHANGE_KINDS)
+        (self._record_membership, self._record_rlc, self._record_pdcp,
+         record_harq, record_rrc, record_cqi, self._record_ul_buffer,
+         self._record_view) = (recorded.add for recorded in self._recorded)
         self.cells: Dict[int, Cell] = {
-            cfg.cell_id: Cell(cfg, record) for cfg in cell_configs}
-        self.rrc = RrcEntity(record)
+            cfg.cell_id: Cell(cfg, record_cqi) for cfg in cell_configs}
+        self.rrc = RrcEntity(record_rrc)
         self.rrc.subscribe(self._on_rrc_event)
         self.error_model = error_model
         self._rlc_buffer_bytes = rlc_buffer_bytes
@@ -142,8 +153,8 @@ class EnodeB:
         self.rlc: Dict[int, RlcEntity] = {}
         self.pdcp: Dict[int, PdcpEntity] = {}
         self.harq: Dict[int, HarqPool] = {
-            c: HarqPool(record) for c in self.cells}
-        self.drx = DrxManager(record)
+            c: HarqPool(record_harq) for c in self.cells}
+        self.drx = DrxManager(self._record_view)
         #: (rnti, lcid) -> QosProfile for bearers with explicit QoS.
         self.bearer_qos: Dict[Tuple[int, int], object] = {}
         self._ue_cell: Dict[int, int] = {}
@@ -171,10 +182,16 @@ class EnodeB:
 
         self._view_cache: Dict[int, UeViewCache] = {
             c: UeViewCache(cell, self) for c, cell in self.cells.items()}
-        # Settled UE changes, departures and report-only changes, and
-        # per attached RNTI the value of its last one (delta reports).
+        # Settled UE changes, departures and report-only changes; per
+        # attached RNTI the value of its last one (delta reports), kept
+        # in value order; and per kind, the value of its last change of
+        # that kind.
         self._change_seq = 0
         self._ue_seq: Dict[int, int] = {}
+        self._kind_seqs: Dict[str, Dict[int, int]] = {
+            kind: {} for kind in CHANGE_KINDS}
+        self._settle_into = tuple(zip(self._recorded,
+                                      self._kind_seqs.values()))
 
     # -- topology -------------------------------------------------------
 
@@ -198,13 +215,13 @@ class EnodeB:
         cell.add_ue(rnti, ue)
         self._view_cache[cell.cell_id].add(rnti)
         self._ue_cell[rnti] = cell.cell_id
-        record = self._changed.add
         self.rlc[rnti] = RlcEntity(
-            rnti, record, buffer_limit_bytes=self._rlc_buffer_bytes)
-        self.pdcp[rnti] = PdcpEntity(rnti, record)
+            rnti, self._record_rlc,
+            buffer_limit_bytes=self._rlc_buffer_bytes)
+        self.pdcp[rnti] = PdcpEntity(rnti, self._record_pdcp)
         self.rrc.start_attach(rnti, tti)
         cell.refresh_cqi(tti, force=True)
-        record(rnti)
+        self._record_membership(rnti)
         logger.info("enb %d: UE %s attached as RNTI %d on cell %d",
                     self.enb_id, ue.imsi, rnti, cell.cell_id)
         return rnti
@@ -219,6 +236,8 @@ class EnodeB:
         # consumers notice even though the RNTI itself is gone.
         self._change_seq += 1
         self._ue_seq.pop(rnti, None)
+        for seqs in self._kind_seqs.values():
+            seqs.pop(rnti, None)
         ue = cell.remove_ue(rnti)
         self.drx.remove(rnti)
         for key in [k for k in self.bearer_qos if k[0] == rnti]:
@@ -271,7 +290,7 @@ class EnodeB:
         self._view_cache[scell_id].add(rnti)
         self.cells[scell_id].refresh_cqi(tti, force=True)
         scells.add(scell_id)
-        self._changed.add(rnti)
+        self._record_membership(rnti)
 
     def deactivate_scell(self, rnti: int, scell_id: int) -> None:
         """Deactivate a secondary carrier; no-op if not active."""
@@ -292,7 +311,7 @@ class EnodeB:
             for split in reversed(self._purge_harq(scell_id, rnti)):
                 for lcid, nbytes in split.items():
                     rlc.requeue_front(nbytes, tti, lcid)
-            self._changed.add(rnti)
+            self._record_membership(rnti)
 
     def _purge_harq(self, cell_id: int, rnti: int) -> List[Dict[int, int]]:
         """Forget *rnti*'s in-flight HARQ bookkeeping on one carrier, so
@@ -328,7 +347,7 @@ class EnodeB:
         if lcid < DEFAULT_LCID:
             raise ValueError(f"lcid {lcid} is a signalling bearer")
         self.bearer_qos[(rnti, lcid)] = profile
-        self._changed.add(rnti)
+        self._record_view(rnti)
 
     # -- DRX ---------------------------------------------------------------
 
@@ -345,11 +364,17 @@ class EnodeB:
     def _settle(self) -> None:
         """Turn the recorded RNTIs into change sequences and dirty views.
 
-        Each recorded RNTI still attached gets the next sequence value
-        and has its view dirtied in its PCell's and every active SCell's
-        cache; one that left before settling is dropped.
+        Each recorded RNTI still attached gets the next sequence value,
+        once however many kinds recorded it, which also becomes the
+        value of each of those kinds' last change; its view is dirtied
+        in its PCell's and every active SCell's cache.  One that left
+        before settling is dropped.  No method call per RNTI: this runs
+        for every cell on every TTI.
         """
-        changed = self._changed
+        changed = set()
+        for kind_recorded in self._recorded:
+            if kind_recorded:
+                changed |= kind_recorded
         if not changed:
             return
         ue_cell = self._ue_cell
@@ -358,32 +383,53 @@ class EnodeB:
         for rnti in changed:
             if rnti in ue_cell:
                 seq += 1
+                if rnti in ue_seq:
+                    del ue_seq[rnti]  # re-inserted last: value order
                 ue_seq[rnti] = seq
         self._change_seq = seq
+        for kind_recorded, kind_seqs in self._settle_into:
+            if kind_recorded:
+                for rnti in kind_recorded:
+                    if rnti in ue_seq:  # attached, so numbered above
+                        kind_seqs[rnti] = ue_seq[rnti]
+                kind_recorded -= kind_recorded  # clear() as an operator
         # A cell serves exactly the UEs its cache has views of, as PCell
         # or SCell, so this reaches every carrier of a UE and none of a
         # departed one.
         caches = self._view_cache
         for cell_id, cell in self.cells.items():
             caches[cell_id].dirty |= changed.intersection(cell.ues)
-        changed.clear()
 
     def ue_change_seqs(self) -> Mapping[int, int]:
         """``rnti -> change_seq`` value of its last change, for every
-        attached UE (settled first; read-only to the caller)."""
+        attached UE, in value order: the UEs changed since a given
+        value are a tail of it (settled first; read-only to the
+        caller)."""
         self._settle()
         return self._ue_seq
+
+    def ue_kind_seqs(self) -> Mapping[str, Mapping[int, int]]:
+        """Per :data:`CHANGE_KINDS` entry, ``rnti -> change_seq`` value
+        of the last change of that kind, for the attached UEs that had
+        one (settled first; read-only to the caller)."""
+        self._settle()
+        return self._kind_seqs
 
     def mark_ue_report_dirty(self, rnti: int) -> int:
         """Record a change only stats reports can see; return its sequence.
 
-        The reported SINR and neighbor-cell CQIs move with the channel
-        alone and no :class:`UeView` field reads them, so this bumps
-        the change sequence without dirtying any view cache.
+        The reported SINR and neighbor-cell CQIs are what the agent
+        observes of the channel when it reports; no entity here holds
+        them, so none can record their moving, and no :class:`UeView`
+        field reads them.  This bumps *rnti*'s sequence, of no kind,
+        without dirtying any view cache.
         """
-        self._change_seq += 1
-        self._ue_seq[rnti] = self._change_seq
-        return self._change_seq
+        seq = self._change_seq = self._change_seq + 1
+        ue_seq = self._ue_seq
+        if rnti in ue_seq:
+            del ue_seq[rnti]
+        ue_seq[rnti] = seq
+        return seq
 
     @property
     def change_seq(self) -> int:
@@ -432,7 +478,7 @@ class EnodeB:
         ue = self.ue(rnti)
         had_backlog = ue.ul_backlog_bytes > 0
         ue.generate_ul(nbytes)
-        self._changed.add(rnti)
+        self._record_ul_buffer(rnti)
         if not had_backlog:
             self._emit(EnbEvent(type=EnbEventType.SCHEDULING_REQUEST,
                                 tti=tti, rnti=rnti,
@@ -629,7 +675,7 @@ class EnodeB:
         sent = ue.send_ul(capacity, tti)
         if sent <= 0:
             return
-        self._changed.add(grant.rnti)
+        self._record_ul_buffer(grant.rnti)
         self.counters.ul_grants += 1
         if self._rng.random() >= p_err:
             self.counters.ul_delivered_bytes += sent

@@ -104,10 +104,7 @@ class Ue:
         #: channel on that carrier.  The primary carrier falls back to
         #: :attr:`channel`.
         self.carrier_channels = CarrierChannels(self._channels_swapped)
-        #: Channels toward neighbor cells (cell id -> channel), the
-        #: source of the reported neighbor-cell CQIs; a handover swaps
-        #: the target's entry with :attr:`channel`.
-        self.neighbor_channels: Dict[int, ChannelModel] = {}
+        self._neighbor_channels: Dict[int, ChannelModel] = {}
 
         self.meter = RateMeter(meter_window_ttis)
         self.ul_meter = RateMeter(meter_window_ttis)
@@ -174,6 +171,19 @@ class Ue:
     #: link changes character mid-run; serving cells are told.  Read
     #: through a C-level getter: the stats pass reads it per UE.
     channel = property(attrgetter("_channel"), _set_channel)
+
+    def _set_neighbor_channels(self,
+                               channels: Dict[int, ChannelModel]) -> None:
+        self._neighbor_channels = channels
+        self._channels_swapped()
+
+    #: Channels toward neighbor cells (cell id -> channel), the source of
+    #: the reported neighbor-cell CQIs; a handover swaps the target's
+    #: entry with :attr:`channel`.  Assign a new dict to change them on
+    #: an attached UE: serving cells hear of that, not of an edit in
+    #: place.
+    neighbor_channels = property(attrgetter("_neighbor_channels"),
+                                 _set_neighbor_channels)
 
     def watch_channels(self, cell_id: int, fn: Callable[[], None]) -> None:
         """Call *fn* whenever a channel object of this UE is replaced."""

@@ -167,8 +167,7 @@ def blank_absent_groups(obj):
 
 
 def changed_groups(prev, rec) -> int:
-    """Reference ``changed_groups``: *prev* is the previous record, not
-    what was remembered of it, and nothing is updated."""
+    """Reference ``changed_groups``: one ``getattr`` pair per field."""
     mask = 0
     for name, kind, group in wire_fields(type(rec)):
         if kind != "mask" and getattr(prev, name) != getattr(rec, name):

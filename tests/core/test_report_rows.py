@@ -1,10 +1,10 @@
 """The record-level stats path: one pass per report TTI.
 
-``ReportsManager.due_replies`` makes one ``collect_ue_stats`` pass over
-an agent's UEs per report TTI; the API observes each channel once,
-rebuilds a record only when the data plane changed the UE, copies it
-when only the channel moved, and retains records only where that can
-happen.  These tests pin what must hold whatever the pass does inside:
+``ReportsManager.due_replies`` makes one ``collect_ue_stats`` pass per
+report TTI over the UEs that changed or whose channel can move; the API
+retains one record per UE and re-reads only the groups that a recorded
+kind of change (``KIND_GROUPS``) or the channel observation moved.
+These tests pin what must hold whatever the pass does inside:
 
 * the *exactness oracle* -- every reply, merged into a shadow map the
   way the master's RIB merges it (the groups a record carries overlay
@@ -19,7 +19,10 @@ happen.  These tests pin what must hold whatever the pass does inside:
 * subscriptions due on the same TTI share one pass and each gets
   exactly the UEs changed since its own watermark;
 * retained state follows the UE: gone after a detach or a handover,
-  rebuilt for a re-used RNTI, and never kept for a static channel.
+  rebuilt for a re-used RNTI, one record per UE, shared with what a
+  subscription holds as sent;
+* each kind of change re-reads exactly the groups the table names, and
+  the rest of the record is shared with its predecessor.
 """
 
 import copy
@@ -28,6 +31,7 @@ from dataclasses import fields, replace
 import pytest
 
 from repro.core.agent import FlexRanAgent
+from repro.core.agent.api import KIND_GROUPS
 from repro.core.agent.reports import FULL_REFRESH_REPLIES
 from repro.core.protocol.messages import (
     Header,
@@ -38,8 +42,11 @@ from repro.core.protocol.messages import (
     UeStatsReport,
 )
 from repro.core.protocol.schema import wire_fields
-from repro.lte.enodeb import EnodeB
-from repro.lte.phy.channel import FixedCqi, GaussMarkovSinr, TraceCqi
+from repro.lte.enodeb import CHANGE_KINDS, EnodeB
+from repro.lte.mac.drx import DrxConfig
+from repro.lte.mac.qos import QosProfile
+from repro.lte.phy.channel import FixedCqi, FixedSinr, GaussMarkovSinr, TraceCqi
+from repro.lte.rrc import RA_DELAY_TTIS
 from repro.lte.ue import Ue
 from repro.sim.simulation import Simulation
 from repro.traffic.generators import CbrSource, PoissonSource
@@ -386,6 +393,23 @@ class TestTriggeredDigest:
         assert reply.ue_reports[0].neighbor_cqi == {99: 12}
         assert agent.reports.due_replies(41) == []
 
+    def test_a_change_outside_the_subscribed_groups_does_not_fire(self):
+        enb, agent, rnti = lone_agent(FixedCqi(9))
+        agent.reports.register(
+            StatsRequest(header=Header(xid=1),
+                         report_type=int(ReportType.TRIGGERED),
+                         flags=int(StatsFlags.CQI)), now=30)
+        (first,) = agent.reports.due_replies(30)
+        seq = enb.change_seq
+        enb.enqueue_dl(rnti, 700, 31)       # queues, RLC, PDCP
+        assert agent.reports.due_replies(31) == []
+        assert enb.change_seq > seq
+        enb.ue(rnti).channel = FixedCqi(4)  # CQI
+        enb.cell().refresh_cqi(32, force=True)
+        (reply,) = agent.reports.due_replies(32)
+        assert reply.full == 1 and reply.ue_reports[0].wb_cqi == 4
+        assert reply.ue_reports[0].groups == StatsFlags.CQI
+
 
 class TestSharedPass:
     def test_subscriptions_share_one_pass_and_keep_their_watermarks(
@@ -428,16 +452,22 @@ class TestSharedPass:
 
 
 class TestRetainedStateFollowsTheUe:
-    def test_static_channel_ues_retain_no_record(self):
+    def test_static_channel_ues_retain_one_record(self):
+        """One record per UE; for an agent with one subscription it is
+        the record that subscription holds as sent, so retaining it
+        costs no second copy."""
         sim, agents = build(churn=False)
         try:
             sim.run(200)
         finally:
             sim.close()
         for agent in agents:
-            rows = agent.api._rows
-            assert sorted(rows) == agent.enb.rntis()
-            assert all(row[3] is None for row in rows.values())
+            assert sorted(agent.api._records) == agent.enb.rntis()
+            assert not agent.api._moving
+        (sub,) = agents[1].reports.active_subscriptions()
+        assert sub.sent == agents[1].api._records
+        assert all(sub.sent[rnti] is record
+                   for rnti, record in agents[1].api._records.items())
 
     def test_fading_ues_retain_their_last_record(self):
         sim, agents = build(churn=True)
@@ -446,10 +476,11 @@ class TestRetainedStateFollowsTheUe:
         finally:
             sim.close()
         for agent in agents:
-            rows = agent.api._rows
-            assert sorted(rows) == agent.enb.rntis()
-            assert all(isinstance(row[3], UeStatsReport)
-                       for row in rows.values())
+            records = agent.api._records
+            assert sorted(records) == agent.enb.rntis()
+            assert agent.api._moving == set(records)
+            assert all(isinstance(record, UeStatsReport)
+                       for record in records.values())
 
     def test_reused_rnti_gets_a_fresh_record(self):
         enb, agent, rnti = lone_agent(GaussMarkovSinr(10.0, seed=1))
@@ -466,8 +497,8 @@ class TestRetainedStateFollowsTheUe:
         assert whole(record) == agent.api.get_ue_stats(35)[0]
         # The reply carries the retained record, stamped with the
         # groups in which the newcomer differs from its predecessor.
-        assert whole(record) == agent.api._rows[rnti][3]
-        assert record.queues is agent.api._rows[rnti][3].queues
+        assert whole(record) == agent.api._records[rnti]
+        assert record.queues is agent.api._records[rnti].queues
 
     def test_handover_drops_the_source_row_and_reobserves(self):
         sim = Simulation(with_master=True)
@@ -485,8 +516,8 @@ class TestRetainedStateFollowsTheUe:
                 period_ttis=PERIOD)
         try:
             sim.run(100)
-            assert sorted(agent_a.api._rows) == enb_a.rntis()
-            old_record = agent_a.api._rows[old_rnti][3]
+            assert sorted(agent_a.api._records) == enb_a.rntis()
+            old_record = agent_a.api._records[old_rnti]
             assert old_record.neighbor_cqi == {cell_b: 13}
             assert agent_a.rrc.execute_handover(
                 old_rnti, cell_a, cell_b, sim.now)
@@ -495,8 +526,147 @@ class TestRetainedStateFollowsTheUe:
             sim.close()
         # The source forgot the departed RNTI; the target observed the
         # swapped-in channel and the swapped-out neighbor.
-        assert sorted(agent_a.api._rows) == [stayer.rnti]
-        record = agent_b.api._rows[mover.rnti][3]
+        assert sorted(agent_a.api._records) == [stayer.rnti]
+        assert agent_a.api._moving == {stayer.rnti}
+        record = agent_b.api._records[mover.rnti]
         assert record.neighbor_cqi == {cell_a: 6}
         assert record.subband_sinr_db_x10 != old_record.subband_sinr_db_x10
         assert record.wb_cqi == 13
+
+
+def attaching_agent():
+    """One UE on a static channel, ten TTIs after its attach: still in
+    random access (its next RRC step is due), nothing queued, every
+    HARQ process idle; its record has been built once."""
+    enb = EnodeB(17)
+    agent = FlexRanAgent(17, enb)
+    rnti = enb.attach_ue(Ue("001", FixedCqi(9)), tti=0)
+    for t in range(RA_DELAY_TTIS):
+        enb.tick(t)
+    agent.api.collect_ue_stats(RA_DELAY_TTIS, -1)
+    return enb, agent, rnti
+
+
+def start_harq(enb, rnti, tti):
+    enb.harq[enb.primary_cell(rnti).cell_id].entity(rnti).start(
+        pid=None, tb_bits=8000, payload_bytes=1000, cqi_used=9, n_prb=10,
+        lcid=3, tti=tti)
+
+
+def swap_channel(enb, rnti, tti):
+    enb.ue(rnti).channel = FixedCqi(4)
+    enb.primary_cell(rnti).refresh_cqi(tti, force=True)
+
+
+# One mutation through each kind's entity (the eNodeB's own, for the
+# kinds it owns), made at TTI RA_DELAY_TTIS.
+KIND_MUTATIONS = {
+    "rlc": lambda enb, rnti, t: enb.rlc[rnti].enqueue(700, t),
+    "pdcp": lambda enb, rnti, t: enb.pdcp[rnti].ingress(3, 700),
+    "harq": start_harq,
+    "rrc": lambda enb, rnti, t: enb.rrc.setup_due(rnti, t),
+    "cqi": swap_channel,
+    "ul_buffer": lambda enb, rnti, t: enb.notify_ul(rnti, 500, t),
+    "view": lambda enb, rnti, t: (
+        enb.configure_bearer(rnti, 3, QosProfile(qci=9)),
+        enb.set_drx(rnti, DrxConfig())),
+}
+
+# The container each group holds, by which a rebuild is told from a copy.
+CONTAINERS = {StatsFlags.QUEUES: "queues", StatsFlags.CQI: "subband_cqi",
+              StatsFlags.HARQ: "harq_states"}
+
+
+class TestOnlyWhatMovedIsRebuilt:
+    def test_the_kind_table_names_every_kind(self):
+        assert tuple(KIND_GROUPS) == CHANGE_KINDS
+        assert set(KIND_MUTATIONS) == set(CHANGE_KINDS) - {"membership"}
+
+    @pytest.mark.parametrize("kind", KIND_MUTATIONS)
+    def test_a_kind_moves_exactly_the_groups_the_table_names(self, kind):
+        """Checked against two fresh snapshots, so a table entry naming
+        too few groups (a stale report) or too many (wasted re-reads)
+        fails here; and the pass re-reads those groups, sharing the
+        rest with the record it retained."""
+        enb, agent, rnti = attaching_agent()
+        t = RA_DELAY_TTIS
+        (before,) = agent.api.get_ue_stats(t)
+        kept = agent.api._records[rnti]
+        since = enb.change_seq
+        KIND_MUTATIONS[kind](enb, rnti, t)
+        (after,) = agent.api.get_ue_stats(t)
+        assert schema_reference.changed_groups(before, after) == \
+            KIND_GROUPS[kind]
+        rows = agent.api.collect_ue_stats(t, since)
+        assert [(seq, rec.rnti) for seq, rec in rows] == \
+            [(enb.change_seq, rnti)]
+        (_, record), = rows
+        assert record == after
+        if not KIND_GROUPS[kind]:
+            assert record is kept
+        for group, name in CONTAINERS.items():
+            shared = getattr(record, name) is getattr(kept, name)
+            assert shared != bool(KIND_GROUPS[kind] & group), name
+
+    def test_a_newcomer_on_a_used_rnti_is_rebuilt_whole(self):
+        enb, agent, rnti = attaching_agent()
+        start_harq(enb, rnti, RA_DELAY_TTIS)
+        enb.rlc[rnti].enqueue(700, RA_DELAY_TTIS)
+        agent.api.collect_ue_stats(RA_DELAY_TTIS, -1)
+        kept = agent.api._records[rnti]
+        since = enb.change_seq
+        enb.detach_ue(rnti)
+        enb._next_rnti = rnti
+        enb.attach_ue(Ue("002", FixedCqi(9)), tti=RA_DELAY_TTIS)
+        (_, record), = agent.api.collect_ue_stats(RA_DELAY_TTIS, since)
+        assert record == agent.api.get_ue_stats(RA_DELAY_TTIS)[0]
+        for name in CONTAINERS.values():
+            assert getattr(record, name) is not getattr(kept, name)
+
+    def test_a_harq_only_change_shares_every_other_group(self):
+        enb, agent, rnti = lone_agent(FixedCqi(9))
+        subscribe(agent.reports)
+        (first,) = agent.reports.due_replies(30)[0].ue_reports
+        start_harq(enb, rnti, 31)
+        (record,) = agent.reports.due_replies(35)[0].ue_reports
+        assert record.groups == StatsFlags.HARQ
+        assert record.harq_states != first.harq_states
+        assert record.queues is first.queues
+        assert record.subband_cqi is first.subband_cqi
+        assert record.subband_sinr_db_x10 is first.subband_sinr_db_x10
+        assert whole(record) == agent.api.get_ue_stats(35)[0]
+
+    def test_a_group_changed_and_changed_back_is_not_sent(self):
+        enb, agent, rnti = lone_agent(FixedCqi(9))
+        subscribe(agent.reports)
+        agent.reports.due_replies(30)
+        cell = enb.primary_cell(rnti).cell_id
+        start_harq(enb, rnti, 31)
+        enb.harq[cell].entity(rnti).feedback(0, True)
+        seq = enb.change_seq
+        (reply,) = agent.reports.due_replies(35)
+        assert reply.full == 0 and reply.ue_reports == []
+        # The UE was visited (its sequence moved) and its HARQ group
+        # re-read, to the values it was last sent.
+        assert agent.api._stands[rnti] == seq
+
+    def test_a_static_ue_is_reobserved_when_its_channel_changes(self):
+        enb, agent, rnti = lone_agent(FixedCqi(9))
+        subscribe(agent.reports)
+        (first,) = agent.reports.due_replies(30)[0].ue_reports
+        assert rnti not in agent.api._moving
+        # A same-CQI object with another SINR: nothing the cell knows
+        # moves, what the UE reports does.
+        enb.ue(rnti).channel = FixedSinr(first.subband_sinr_db_x10[0] / 10
+                                         + 0.05)
+        (record,) = agent.reports.due_replies(35)[0].ue_reports
+        assert record.groups == StatsFlags.CQI
+        assert record.subband_sinr_db_x10 != first.subband_sinr_db_x10
+        assert rnti not in agent.api._moving
+        # Neighbor channels, assigned, make it a UE that can move.
+        enb.ue(rnti).neighbor_channels = {99: TraceCqi([(0, 5), (45, 12)])}
+        (record,) = agent.reports.due_replies(40)[0].ue_reports
+        assert record.neighbor_cqi == {99: 5}
+        assert rnti in agent.api._moving
+        (record,) = agent.reports.due_replies(45)[0].ue_reports
+        assert record.neighbor_cqi == {99: 12}

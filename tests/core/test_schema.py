@@ -65,12 +65,12 @@ class TestGeneratedCodeIsLegible:
         the same file -- nothing about the partition is written twice."""
         source = UeStatsReport.CODEC_SOURCE
         encode, decode = source.split("def decode")[0], \
-            source.split("def decode")[1].split("def group_values")[0]
+            source.split("def decode")[1].split("def changed_groups")[0]
         for bit in ("0x01", "0x02", "0x04", "0x08", "0x10"):
             assert encode.count(f"if mask & {bit}:") == 1
             assert decode.count(f"if f1 & {bit}:") == 1
         assert decode.count("else:\n            f3 = {}\n") == 1
-        for name in ("group_values", "changed_groups", "merge"):
+        for name in ("changed_groups", "merge"):
             function = getattr(UeStatsReport, name)
             assert function.__code__.co_filename == \
                 "<repro/core/protocol/schema UeStatsReport>"

@@ -10,7 +10,8 @@ against (the ``tests/sim/context_oracle.py`` pattern): driven beside a
 cell -- same ``add_ue`` / ``remove_ue`` / ``refresh_cqi`` calls, one
 periodic refresh per TTI -- it must hold the same ``known_cqi`` and
 ``known_cqi_clear`` and record the same RNTIs in the same order after
-every call.
+every call.  A replaced channel object of a served UE is one record
+of its own, at the replacement.
 
 The oracle reads the cell's ``ues``, ``cell_id`` and
 ``interference_source`` and nothing else; its knowledge, due-heap and
@@ -18,6 +19,7 @@ listener are its own.
 """
 
 import heapq
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.lte.cell import Cell, CellConfig
@@ -44,6 +46,11 @@ class EveryPeriodSrs:
         for mapping in (self.known_cqi, self.known_cqi_clear,
                         self.cqi_updated_tti):
             mapping.pop(rnti, None)
+
+    def channel_swapped(self, rnti: int) -> None:
+        """A channel object of served UE *rnti* was replaced."""
+        if self.cqi_listener is not None:
+            self.cqi_listener(rnti)
 
     def refresh_cqi(self, tti: int, *, force: bool = False) -> None:
         ues = self.cell.ues
@@ -99,9 +106,13 @@ class ShadowedCell:
         """What ``EnodeB.attach_ue`` / ``activate_scell`` do to a cell."""
         self.cell.add_ue(rnti, ue, primary=primary)
         self.oracle.add_ue(rnti)
+        # Heard after the cell, which registered first.
+        ue.watch_channels(("oracle", self.cell.cell_id),
+                          partial(self.oracle.channel_swapped, rnti))
         self.refresh(tti, force=True)
 
     def remove_ue(self, rnti: int) -> None:
+        self.cell.ues[rnti].unwatch_channels(("oracle", self.cell.cell_id))
         self.cell.remove_ue(rnti)
         self.oracle.remove_ue(rnti)
 

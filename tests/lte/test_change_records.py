@@ -2,19 +2,23 @@
 
 Every per-UE entity records, through the hook it was built with, the
 RNTI whose state one of its methods changed; a read-only call records
-nothing.  The eNodeB settles the recorded set wherever a change sequence
-or a view is read, so a change is visible to ``change_seq`` and
-``collect_ue_stats`` without a ``plan`` in between, and an RNTI that
-left before settling leaves no trace.
+nothing.  On an eNodeB the hook is the record set of the entity's kind
+(``CHANGE_KINDS``), and a change lands in that set alone.  The eNodeB
+settles the sets wherever a change sequence or a view is read -- one
+sequence step per UE however many kinds recorded it, and per kind the
+value of that kind's last change -- so a change is visible to
+``change_seq`` and ``collect_ue_stats`` without a ``plan`` in between,
+and an RNTI that left before settling leaves no trace.
 """
 
 import pytest
 
 from repro.core.agent.api import AgentDataPlaneApi
 from repro.lte.cell import Cell, CellConfig
-from repro.lte.enodeb import EnodeB
+from repro.lte.enodeb import CHANGE_KINDS, EnodeB
 from repro.lte.mac.drx import DrxConfig, DrxManager
 from repro.lte.mac.harq import HarqEntity, HarqPool
+from repro.lte.mac.qos import QosProfile
 from repro.lte.pdcp import PdcpEntity
 from repro.lte.phy.channel import FixedCqi
 from repro.lte.rlc import RlcEntity
@@ -165,6 +169,109 @@ def test_a_pool_hands_its_hook_to_every_entity():
         == [RNTI]
 
 
+def _attach(enb, rnti):
+    """A second UE on *enb*, attaching; returns its RNTI."""
+    return enb.attach_ue(Ue("009", FixedCqi(11)), 10, tti=40)
+
+
+def _connecting(enb, rnti):
+    rnti = _attach(enb, rnti)
+    enb.rrc.setup_due(rnti, 40 + RA_DELAY_TTIS)
+    return rnti
+
+
+def _harq_of(enb, rnti):
+    return enb.harq[10].entity(rnti)
+
+
+def _queued(enb, rnti):
+    enb.rlc[rnti].enqueue(500, 41)
+    return rnti
+
+
+def _harq_sent(enb, rnti):
+    _start(_harq_of(enb, rnti))
+    return rnti
+
+
+def _harq_nacked(enb, rnti):
+    _harq_of(enb, _harq_sent(enb, rnti)).feedback(0, False)
+    return rnti
+
+
+def _drx_on(enb, rnti):
+    enb.drx.configure(rnti, DrxConfig())
+    return rnti
+
+
+# The same calls through a connected eNodeB's own entities, and the
+# eNodeB's own records: name -> (kind, set-up returning the RNTI to act
+# on or None, call).
+ENB_CHANGES = {
+    "rlc.enqueue": (
+        "rlc", None, lambda enb, r: enb.rlc[r].enqueue(100, 41)),
+    "rlc.dequeue_priority": (
+        "rlc", _queued, lambda enb, r: enb.rlc[r].dequeue_priority(300, 41)),
+    "rlc.requeue_front": (
+        "rlc", None, lambda enb, r: enb.rlc[r].requeue_front(100, 41, 3)),
+    "pdcp.ingress": ("pdcp", None, lambda enb, r: enb.pdcp[r].ingress(3, 100)),
+    "pdcp.egress": ("pdcp", None, lambda enb, r: enb.pdcp[r].egress(3, 100)),
+    "harq.start": ("harq", None, lambda enb, r: _start(_harq_of(enb, r))),
+    "harq.retransmit": (
+        "harq", _harq_nacked,
+        lambda enb, r: _harq_of(enb, r).retransmit(0, 48)),
+    "harq.feedback": (
+        "harq", _harq_sent, lambda enb, r: _harq_of(enb, r).feedback(0, True)),
+    "drx.configure": (
+        "view", None, lambda enb, r: enb.drx.configure(r, DrxConfig())),
+    "drx.configure(None)": (
+        "view", _drx_on, lambda enb, r: enb.drx.configure(r, None)),
+    "drx.note_activity": (
+        "view", _drx_on, lambda enb, r: enb.drx.note_activity(r, 45)),
+    "rrc.start_attach": (
+        "rrc", lambda enb, r: 99, lambda enb, r: enb.rrc.start_attach(r, 40)),
+    "rrc.setup_due": (
+        "rrc", _attach,
+        lambda enb, r: enb.rrc.setup_due(r, 40 + RA_DELAY_TTIS)),
+    "rrc.srb_delivered": (
+        "rrc", _connecting,
+        lambda enb, r: enb.rrc.srb_delivered(r, ATTACH_SIGNALLING_BYTES, 55)),
+    "rrc.check_timeouts": (
+        "rrc", _attach, lambda enb, r: enb.rrc.check_timeouts(10 ** 6)),
+    "cell.refresh_cqi": (
+        "cqi", None, lambda enb, r: _swap_channel_of(enb.cells[10], r)),
+    # What the eNodeB owns itself.
+    "enb.notify_ul": ("ul_buffer", None, lambda enb, r: enb.notify_ul(r, 9, 41)),
+    "enb.configure_bearer": (
+        "view", None,
+        lambda enb, r: enb.configure_bearer(r, 3, QosProfile(qci=9))),
+}
+
+
+def _swap_channel_of(cell, rnti):
+    cell.ues[rnti].channel = FixedCqi(4)
+    cell.refresh_cqi(41, force=True)
+
+
+def test_every_entity_call_has_an_enodeb_row():
+    assert set(CHANGES) <= set(ENB_CHANGES)
+    assert {kind for kind, _, _ in ENB_CHANGES.values()} \
+        == set(CHANGE_KINDS) - {"membership"}
+
+
+@pytest.mark.parametrize("name", ENB_CHANGES)
+def test_a_change_lands_in_its_kinds_record_and_no_other(name):
+    kind, set_up, call = ENB_CHANGES[name]
+    enb, (rnti, _) = connected_enb()
+    if set_up is not None:
+        rnti = set_up(enb, rnti)
+    assert enb.change_seq  # settles what the set-up recorded
+    call(enb, rnti)
+    assert [k for k, recorded in zip(CHANGE_KINDS, enb._recorded)
+            if recorded] == [kind]
+    assert enb._recorded[CHANGE_KINDS.index(kind)] == {rnti}
+
+
 def connected_enb(cells=(10,), n_ues=2):
     enb = EnodeB(1, [CellConfig(cell_id=c) for c in cells])
     rntis = [enb.attach_ue(Ue(f"{i:03d}", FixedCqi(11)), cells[0], tti=0)
@@ -210,8 +317,57 @@ class TestSettling:
     def test_an_rnti_gone_before_settling_leaves_no_sequence(self):
         enb, rntis = connected_enb()
         seq = enb.change_seq
+        assert all(rntis[0] in enb.ue_kind_seqs()[kind]
+                   for kind in ("membership", "rlc", "rrc", "cqi"))
         enb.enqueue_dl(rntis[0], 700, 40)
         enb.detach_ue(rntis[0])
         assert rntis[0] not in enb.ue_change_seqs()
+        assert not any(rntis[0] in seqs
+                       for seqs in enb.ue_kind_seqs().values())
         # The departure itself moves the sequence, once.
         assert enb.change_seq == seq + 1
+
+    def test_one_step_per_ue_however_many_kinds_recorded_it(self):
+        enb, (first, second) = connected_enb()
+        seq = enb.change_seq
+        before = {kind: dict(seqs)
+                  for kind, seqs in enb.ue_kind_seqs().items()}
+        enb.enqueue_dl(first, 700, 40)            # pdcp, rlc
+        _start(enb.harq[10].entity(first))        # harq
+        enb.notify_ul(first, 100, 40)             # ul_buffer
+        enb.pdcp[second].ingress(3, 100)          # pdcp
+        assert enb.change_seq == seq + 2
+        seqs = enb.ue_change_seqs()
+        assert sorted(seqs.values())[-2:] == [seq + 1, seq + 2]
+        kinds = enb.ue_kind_seqs()
+        for kind in CHANGE_KINDS:
+            moved = {r for r in (first, second)
+                     if kinds[kind].get(r) != before[kind].get(r)}
+            assert all(kinds[kind][r] == seqs[r] for r in moved)
+            assert moved == {
+                "pdcp": {first, second}, "rlc": {first}, "harq": {first},
+                "ul_buffer": {first}}.get(kind, set()), kind
+
+    def test_kind_values_do_not_wait_for_a_reader(self):
+        """A kind's value is its last change, whether or not anyone read
+        the kind map before: an untouched kind is not counted as moved."""
+        enb, (first, _) = connected_enb()
+        enb.rlc[first].enqueue(700, 40)
+        seq = enb.change_seq  # settled; the kind map never read
+        kinds = enb.ue_kind_seqs()
+        assert kinds["rlc"][first] == seq
+        assert all(kinds[kind].get(first, 0) < seq
+                   for kind in ("membership", "harq", "rrc", "cqi"))
+
+    def test_the_sequence_map_is_in_value_order(self):
+        """So the UEs changed since a value are a tail of it."""
+        enb, rntis = connected_enb(n_ues=4)
+        for rnti in (rntis[2], rntis[0], rntis[3]):
+            enb.rlc[rnti].enqueue(100, 40)
+            assert enb.change_seq
+        seqs = enb.ue_change_seqs()
+        assert list(seqs.values()) == sorted(seqs.values())
+        assert list(seqs)[-3:] == [rntis[2], rntis[0], rntis[3]]
+        enb.mark_ue_report_dirty(rntis[2])
+        assert list(seqs)[-1] == rntis[2]
+        assert list(seqs.values()) == sorted(seqs.values())
