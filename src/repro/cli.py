@@ -301,13 +301,11 @@ def _cmd_chaos(args) -> int:
           f"checks, {len(report.fired)} fault actions fired")
     for tti, desc in report.fired:
         print(f"  tti {tti:>5}: {desc}")
-    sup = sc.sim.master.supervisor
-    if sup is not None:
-        h = sup.health(sc.probe.name)
-        print(f"probe app (since last restart): {h.crashes} crashes "
-              f"contained, {h.quarantines} quarantine(s), "
-              f"{h.readmissions} re-admission(s), final state "
-              f"{h.state.value}")
+    h = sc.sim.master.supervisor.health(sc.probe.name)
+    print(f"probe app (since last restart): {h.crashes} crashes "
+          f"contained, {h.quarantines} quarantine(s), "
+          f"{h.readmissions} re-admission(s), final state "
+          f"{h.state.value}")
     agent = sc.agents[0]
     print(f"agent {agent.agent_id} active dl scheduler: "
           f"{agent.mac.active_name('dl_scheduling')}")

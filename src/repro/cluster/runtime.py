@@ -90,7 +90,6 @@ class ClusterConfig:
     stall_timeout_s: float = 10.0
     respawn_budget: int = 3
     respawn_backoff_s: float = 0.05
-    respawn_backoff_cap_s: float = 2.0
     run_deadline_s: float = 120.0
 
 
@@ -175,7 +174,6 @@ class ClusterRuntime:
             stall_timeout_s=config.stall_timeout_s,
             respawn_budget=config.respawn_budget,
             backoff_base_s=config.respawn_backoff_s,
-            backoff_cap_s=config.respawn_backoff_cap_s,
             run_deadline_s=config.run_deadline_s))
         self._chaos = None
 

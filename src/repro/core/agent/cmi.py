@@ -8,6 +8,10 @@ agent cache can store many different implementations for a specific
 VSF, which the master can swap at runtime") and swaps the active one
 on policy reconfiguration.  Swap latency is measured per activation --
 the paper reports ~100 ns VSF load time (Section 5.4).
+
+Every VSF runs "in a sandboxed mode" (Section 4.3.1): one that raises,
+or whose declared ``cost_ms`` attribute (absent: 0) exceeds the TTI it
+runs in, is quarantined and the slot rolls back to another cached one.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro import obs as _obs
 from repro.core.policy import VsfPolicy
+from repro.net.clock import TTI_MS
 
 logger = logging.getLogger(__name__)
 
@@ -48,27 +53,6 @@ class VsfSlot:
     last_good_name: Optional[str] = None
 
 
-@dataclass
-class SandboxPolicy:
-    """Fault-isolation limits for pushed VSF code.
-
-    The paper proposes running control modules "in a sandboxed mode"
-    so "the network operator could quickly identify VSFs that present
-    an unexpected behavior".  Within one process the enforceable
-    sandbox is behavioural: a VSF that raises, or whose declared
-    ``cost_ms`` attribute (absent: 0) exceeds the per-invocation time
-    budget, is quarantined and the slot reverts to its fallback
-    implementation.
-    """
-
-    time_budget_ms: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.time_budget_ms is not None and self.time_budget_ms <= 0:
-            raise ValueError(
-                f"time budget must be positive, got {self.time_budget_ms}")
-
-
 class VsfFault(Exception):
     """A sandboxed VSF misbehaved and no fallback was available."""
 
@@ -91,10 +75,9 @@ class ControlModule(abc.ABC):
     #: fallbacks while disconnected.
     REMOTE_VSF_NAMES: frozenset = frozenset()
 
-    def __init__(self, *, sandbox: Optional[SandboxPolicy] = None) -> None:
+    def __init__(self) -> None:
         self._slots: Dict[str, VsfSlot] = {
             op: VsfSlot(op) for op in self.OPERATIONS}
-        self.sandbox = sandbox
         self._fault_observers: List[Callable[[str, str, str], None]] = []
 
     def message_handlers(self) -> Dict[type, Callable[[Any, int], None]]:
@@ -172,26 +155,28 @@ class ControlModule(abc.ABC):
         return sorted(self._slot(operation).cache)
 
     def invoke(self, operation: str, *args: Any, **kwargs: Any) -> Any:
-        """Run the active VSF of *operation* (the CMI call).
+        """Run the active VSF of *operation* (the CMI call) sandboxed.
 
-        With a :class:`SandboxPolicy` installed, an exception or a
-        declared cost over the time budget quarantines the active VSF
-        and reverts to the slot's fallback implementation.
+        An exception, or a declared cost over the TTI, quarantines the
+        active VSF and rolls the slot back to another cached one.
         """
-        vsf = self.active_vsf(operation)
-        if self.sandbox is None:
-            return vsf(*args, **kwargs)
-        slot = self._slot(operation)
+        try:
+            slot = self._slots[operation]
+        except KeyError:
+            slot = self._slot(operation)  # raises the CmiError
+        vsf = slot.active
+        if vsf is None:
+            raise CmiError(f"no active VSF for {self.name}.{operation}")
         try:
             result = vsf(*args, **kwargs)
         except Exception as exc:  # noqa: BLE001 - the sandbox boundary
             self._quarantine(slot, f"exception: {exc!r}")
-            # Retry once with the (trusted) fallback implementation.
-            return self.active_vsf(operation)(*args, **kwargs)
-        budget = self.sandbox.time_budget_ms
-        if budget is not None and getattr(vsf, "cost_ms", 0.0) > budget:
+            # Retry once with the implementation rolled back to.
+            return slot.active(*args, **kwargs)
+        cost_ms = getattr(vsf, "cost_ms", 0.0)
+        if cost_ms > TTI_MS:
             self._quarantine(
-                slot, f"time budget: {vsf.cost_ms} ms > {budget} ms")
+                slot, f"time budget: {cost_ms} ms > {TTI_MS} ms")
         else:
             slot.last_good_name = slot.active_name
         return result
@@ -212,20 +197,16 @@ class ControlModule(abc.ABC):
                 f".{slot.operation}.{bad}").inc()
         # Rollback preference: the last VSF known to have completed a
         # clean sandboxed invocation, then the designated fallback,
-        # then any other cached implementation.
-        fallback = slot.last_good_name
-        if fallback == bad or (fallback is not None
-                               and fallback not in slot.cache):
-            fallback = None
+        # then any other cached implementation -- never the offender,
+        # nor one an earlier fault already evicted.
+        preferred = (slot.last_good_name, slot.fallback_name,
+                     *sorted(slot.cache))
+        fallback = next((name for name in preferred
+                         if name != bad and name in slot.cache), None)
         if fallback is None:
-            fallback = slot.fallback_name
-        if fallback is None or fallback == bad:
-            candidates = [n for n in sorted(slot.cache) if n != bad]
-            if not candidates:
-                raise VsfFault(
-                    f"{self.name}.{slot.operation}: VSF {bad!r} failed "
-                    f"({reason}) and no fallback is available")
-            fallback = candidates[0]
+            raise VsfFault(
+                f"{self.name}.{slot.operation}: VSF {bad!r} failed "
+                f"({reason}) and no fallback is available")
         slot.cache.pop(bad, None)  # evict the offender from the cache
         if slot.last_good_name == bad:
             slot.last_good_name = None

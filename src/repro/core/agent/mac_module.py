@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.agent.api import AgentDataPlaneApi
-from repro.core.agent.cmi import ControlModule, SandboxPolicy
+from repro.core.agent.cmi import ControlModule
 from repro.core.protocol.messages import (
     AbsPatternConfig,
     BearerQosConfig,
@@ -140,13 +140,8 @@ class MacControlModule(ControlModule):
     OPERATIONS = ("dl_scheduling", "ul_scheduling")
     REMOTE_VSF_NAMES = frozenset({"remote_stub", "remote_stub_ul"})
 
-    def __init__(self, api: AgentDataPlaneApi, *,
-                 sandbox: Optional[SandboxPolicy] = None) -> None:
-        # Pushed scheduling code runs sandboxed by default: a VSF that
-        # raises is quarantined and the built-in scheduler takes over
-        # (Section 4.3.1's containment of "unexpected behavior").
-        super().__init__(sandbox=sandbox if sandbox is not None
-                         else SandboxPolicy())
+    def __init__(self, api: AgentDataPlaneApi) -> None:
+        super().__init__()
         self._api = api
         self.remote_stub = RemoteSchedulingStub()
         self.remote_ul_stub = RemoteUlStub()

@@ -10,7 +10,7 @@ happens inside the application slot of the TTI cycle.
 from __future__ import annotations
 
 import logging
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List
 
 from repro.core.controller.registry import RegistryService
 from repro.core.survive.supervisor import AppSupervisor
@@ -28,15 +28,15 @@ if TYPE_CHECKING:  # pragma: no cover
 class EventNotificationService:
     """Dispatches queued agent events to subscribed applications.
 
-    With an :class:`AppSupervisor` attached (shared with the Task
-    Manager), each ``on_event`` delivery runs inside the same fault
-    boundary as the periodic slot: a handler that raises is counted
-    against the app's breaker (event pattern) instead of unwinding the
-    dispatch loop, and quarantined apps receive no events at all.
+    Each ``on_event`` delivery runs inside the fault boundary of the
+    :class:`AppSupervisor` shared with the Task Manager: a handler that
+    raises is counted against the app's breaker (event pattern)
+    instead of unwinding the dispatch loop, and quarantined apps
+    receive no events at all.
     """
 
-    def __init__(self, registry: RegistryService, *,
-                 supervisor: Optional[AppSupervisor] = None) -> None:
+    def __init__(self, registry: RegistryService,
+                 supervisor: AppSupervisor) -> None:
         self._registry = registry
         self.supervisor = supervisor
         self._queue: List[EventNotification] = []
@@ -99,26 +99,13 @@ class EventNotificationService:
                 if kind is None or kind not in app.subscribed_events:
                     continue
                 subscribed = True
-                if sup is not None and not sup.admitted(app.name, tti):
+                if not sup.admitted(app.name, tti):
                     self.dropped_quarantined += 1
                     continue
                 cost_ms += app.cost_ms
-                if nb is not None:
-                    nb.set_current_app(app)
-                try:
-                    if sup is None:
-                        app.on_event(event, tti, nb)
-                        completed = True
-                    else:
-                        completed = sup.call(
-                            app.name,
-                            lambda: app.on_event(event, tti, nb),
-                            tti=tti, kind="event", cost_ms=app.cost_ms,
-                            deadline_ms=app.deadline_ms)
-                finally:
-                    if nb is not None:
-                        nb.set_current_app(None)
-                if completed:
+                if sup.invoke(app, app.on_event, event, tti, nb, nb=nb,
+                              tti=tti, kind="event",
+                              deadline_ms=app.deadline_ms):
                     reg.events_delivered += 1
                     self.delivered += 1
             if not subscribed:

@@ -69,7 +69,6 @@ class MasterController:
                  liveness_timeout_ttis: int = LIVENESS_TIMEOUT_TTIS,
                  stale_after_ttis: Optional[int] = None,
                  dead_gc_ttis: int = DEAD_GC_TTIS,
-                 supervision: bool = True,
                  supervision_policy: Optional[SupervisionPolicy] = None,
                  checkpoint_period_ttis: Optional[int] = None,
                  checkpoint_keep: int = 4) -> None:
@@ -81,7 +80,7 @@ class MasterController:
             echo_period_ttis=echo_period_ttis,
             liveness_timeout_ttis=liveness_timeout_ttis,
             stale_after_ttis=stale_after_ttis,
-            dead_gc_ttis=dead_gc_ttis, supervision=supervision,
+            dead_gc_ttis=dead_gc_ttis,
             supervision_policy=supervision_policy,
             checkpoint_period_ttis=checkpoint_period_ttis,
             checkpoint_keep=checkpoint_keep)
@@ -90,14 +89,12 @@ class MasterController:
         self.registry = RegistryService()
         # One supervisor shared by both app entry points (periodic slot
         # and event fan-out) so a single breaker governs each app.
-        self.supervisor: Optional[AppSupervisor] = (
-            AppSupervisor(supervision_policy) if supervision else None)
-        self.events = EventNotificationService(
-            self.registry, supervisor=self.supervisor)
+        self.supervisor = AppSupervisor(supervision_policy)
+        self.events = EventNotificationService(self.registry,
+                                               self.supervisor)
         self.task_manager = TaskManager(
             self.registry, self.events, realtime=realtime,
-            tti_budget_ms=tti_budget_ms, updater_share=updater_share,
-            supervisor=self.supervisor)
+            tti_budget_ms=tti_budget_ms, updater_share=updater_share)
         self.northbound = NorthboundApi(self)
         # Imported at use site: snapshot.py needs the RIB node classes,
         # which would close an import cycle at module scope.

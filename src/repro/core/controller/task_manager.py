@@ -15,13 +15,12 @@ charges exceed it, remaining (lower-priority) applications are
 deferred to the next cycle and counted.  In non real-time mode "the
 Task Manager does not enforce a strict duration of the cycle".
 
-With an :class:`~repro.core.survive.AppSupervisor` installed, every
-application invocation additionally runs inside a fault boundary: an
-app that raises or declares more than its deadline is quarantined
-(skipped entirely, counted per cycle) instead of unwinding the TTI
-cycle -- the enforceable version of the paper's claim that "the
-operation of the master controller is not affected" by misbehaving
-applications.
+Every application invocation runs inside the master's
+:class:`~repro.core.survive.AppSupervisor` fault boundary: an app that
+raises or declares more than its deadline is quarantined (skipped
+entirely, counted per cycle) instead of unwinding the TTI cycle -- the
+enforceable version of the paper's claim that "the operation of the
+master controller is not affected" by misbehaving applications.
 
 Per-cycle wall-clock times of both slots are recorded -- they are the
 "Apps" / "Core Components" / "Idle Time" series of Fig. 8 -- and only
@@ -38,7 +37,6 @@ from typing import TYPE_CHECKING, Callable, Deque, Optional
 from repro import obs as _obs
 from repro.core.controller.events import EventNotificationService
 from repro.core.controller.registry import RegistryService
-from repro.core.survive.supervisor import AppSupervisor
 from repro.obs.registry import percentile
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -121,14 +119,15 @@ class CycleStats:
 
 
 class TaskManager:
-    """Runs the two-slot TTI cycle over registry applications."""
+    """Runs the two-slot TTI cycle over registry applications, inside
+    the fault boundary it shares with the Events Notification Service
+    (``events.supervisor``)."""
 
     def __init__(self, registry: RegistryService,
                  events: EventNotificationService, *,
                  realtime: bool = True,
                  tti_budget_ms: float = DEFAULT_TTI_BUDGET_MS,
-                 updater_share: float = DEFAULT_UPDATER_SHARE,
-                 supervisor: Optional[AppSupervisor] = None) -> None:
+                 updater_share: float = DEFAULT_UPDATER_SHARE) -> None:
         if not 0.0 < updater_share < 1.0:
             raise ValueError(
                 f"updater_share must be in (0, 1), got {updater_share}")
@@ -140,9 +139,7 @@ class TaskManager:
         self.realtime = realtime
         self.tti_budget_ms = tti_budget_ms
         self.updater_share = updater_share
-        #: The application fault boundary; None disables supervision
-        #: (the legacy fast path -- an app exception unwinds the cycle).
-        self.supervisor = supervisor
+        self.supervisor = events.supervisor
         self.stats = CycleStats()
         self.last_record: Optional[CycleRecord] = None
 
@@ -212,29 +209,16 @@ class TaskManager:
             # Quarantine check precedes budget accounting: an open
             # breaker consumes none of the slot, so a crash-looping
             # app cannot starve lower-priority healthy apps.
-            if sup is not None and not sup.admitted(app.name, tti):
+            if not sup.admitted(app.name, tti):
                 apps_quarantined += 1
                 continue
             if budget is not None and slot_ms > budget:
                 apps_deferred += 1
                 continue
             slot_ms += app.cost_ms
-            if nb is not None:
-                nb.set_current_app(app)
-            try:
-                if sup is None:
-                    app.run(tti, nb)
-                    completed = True
-                else:
-                    completed = sup.call(
-                        app.name, lambda: app.run(tti, nb), tti=tti,
-                        cost_ms=app.cost_ms,
-                        deadline_ms=(app.deadline_ms if app.deadline_ms
-                                     is not None else budget))
-            finally:
-                if nb is not None:
-                    nb.set_current_app(None)
-            if completed:
+            if sup.invoke(app, app.run, tti, nb, nb=nb, tti=tti,
+                          deadline_ms=(app.deadline_ms if app.deadline_ms
+                                       is not None else budget)):
                 reg.runs += 1
                 apps_run += 1
         return apps_run, apps_deferred, apps_quarantined, slot_ms

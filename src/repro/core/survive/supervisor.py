@@ -5,9 +5,9 @@ controller is not affected" by slow or misbehaving applications
 (Section 4.3.3).  The :class:`AppSupervisor` makes that guarantee
 enforceable: every application invocation (the periodic ``run`` slot
 and the event-based ``on_event`` deliveries alike) passes through
-:meth:`AppSupervisor.call`, which catches exceptions, holds the
-invocation's declared cost against a deadline, and drives a per-app
-circuit breaker:
+:meth:`AppSupervisor.invoke` and so :meth:`AppSupervisor.call`, which
+catches exceptions, holds the invocation's declared cost against a
+deadline, and drives a per-app circuit breaker:
 
 ``CLOSED`` --(N consecutive faults)--> ``QUARANTINED``
 --(cooldown expires)--> ``PROBATION``
@@ -27,9 +27,13 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro import obs as _obs
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.apps.base import App
+    from repro.core.controller.northbound import NorthboundApi
 
 logger = logging.getLogger(__name__)
 
@@ -57,7 +61,6 @@ class SupervisionPolicy:
     cooldown_ttis: int = 500
     probation_runs: int = 5
     deadline_ms: Optional[float] = None
-    escalation_factor: float = 2.0
     max_cooldown_ttis: int = 8000
 
     def __post_init__(self) -> None:
@@ -70,8 +73,6 @@ class SupervisionPolicy:
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise ValueError(
                 f"deadline_ms must be positive, got {self.deadline_ms}")
-        if self.escalation_factor < 1.0:
-            raise ValueError("escalation_factor must be >= 1")
         if self.max_cooldown_ttis < self.cooldown_ttis:
             raise ValueError("max_cooldown_ttis must be >= cooldown_ttis")
 
@@ -112,8 +113,7 @@ class AppSupervisor:
     def __init__(self, policy: Optional[SupervisionPolicy] = None) -> None:
         self.policy = policy or SupervisionPolicy()
         self._health: Dict[str, AppHealth] = {}
-        #: Exceptions absorbed at the boundary (would have unwound the
-        #: TTI cycle without supervision).
+        #: Exceptions absorbed at the boundary.
         self.faults_contained = 0
 
     # -- introspection ----------------------------------------------------
@@ -154,20 +154,40 @@ class AppSupervisor:
 
     # -- the boundary -----------------------------------------------------
 
-    def call(self, name: str, fn: Callable[[], None], *, tti: int,
-             kind: str = "periodic", cost_ms: float = 0.0,
+    def invoke(self, app: "App", fn: Callable[..., None], *args: Any,
+               nb: Optional["NorthboundApi"], tti: int,
+               kind: str = "periodic",
+               deadline_ms: Optional[float] = None) -> bool:
+        """Invoke *app* through *fn* (its ``run`` or ``on_event``, looked
+        up by the caller) as ``fn(*args)``: the one way the master runs
+        an application.  The northbound attributes commands to *app*
+        while it runs; the boundary charges the app's declared cost.
+        """
+        if nb is not None:
+            nb.set_current_app(app)
+        try:
+            return self.call(app.name, fn, *args, tti=tti, kind=kind,
+                             cost_ms=app.cost_ms, deadline_ms=deadline_ms)
+        finally:
+            if nb is not None:
+                nb.set_current_app(None)
+
+    def call(self, name: str, fn: Callable[..., None], *args: Any,
+             tti: int, kind: str = "periodic", cost_ms: float = 0.0,
              deadline_ms: Optional[float] = None) -> bool:
-        """Run *fn*, declared to cost *cost_ms*, inside the boundary.
+        """Run ``fn(*args)``, declared to cost *cost_ms*, inside the
+        boundary.
 
         Returns True if the invocation completed (even if it overran
-        its deadline), False if it raised.  Faults feed the breaker;
-        the exception never propagates to the caller.
+        its deadline), False if it raised.  Faults feed the breaker
+        under *kind* ("periodic" / "event"); the exception never
+        propagates to the caller.
         """
         h = self.health(name)
         budget = (deadline_ms if deadline_ms is not None
                   else self.policy.deadline_ms)
         try:
-            fn()
+            fn(*args)
         except Exception as exc:  # noqa: BLE001 - the app fault boundary
             h.crashes += 1
             self.faults_contained += 1
@@ -223,9 +243,10 @@ class AppSupervisor:
 
     def _quarantine(self, h: AppHealth, tti: int) -> None:
         h.quarantines += 1
-        cooldown = (self.policy.cooldown_ttis
-                    * self.policy.escalation_factor ** (h.quarantines - 1))
-        h.cooldown_ttis = int(min(cooldown, self.policy.max_cooldown_ttis))
+        # Every re-quarantine doubles the cooldown, up to the cap.
+        h.cooldown_ttis = min(
+            self.policy.cooldown_ttis * 2 ** (h.quarantines - 1),
+            self.policy.max_cooldown_ttis)
         h.quarantined_at_tti = tti
         h.consecutive_faults = 0
         h.probation_left = 0

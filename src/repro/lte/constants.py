@@ -15,9 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-TTI_MS = 1.0
-"""One LTE subframe / scheduling interval, in ms."""
-
 SUBFRAMES_PER_FRAME = 10
 """LTE radio frame length in subframes."""
 

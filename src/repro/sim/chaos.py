@@ -387,9 +387,7 @@ class SurvivabilityInvariants:
 
         # 3. A quarantined app never runs (run counts are compared
         # with the previous step's).
-        sup = master.supervisor
-        quarantined = (set(sup.quarantined_names())
-                       if sup is not None else set())
+        quarantined = set(master.supervisor.quarantined_names())
         for name in sorted(quarantined & self._prev_quarantined):
             try:
                 runs = master.registry.registration(name).runs

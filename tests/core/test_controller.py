@@ -88,7 +88,7 @@ class TestRegistry:
 class TestTaskManager:
     def make(self, realtime=True, **kw):
         registry = RegistryService()
-        events = EventNotificationService(registry)
+        events = EventNotificationService(registry, AppSupervisor())
         return registry, events, TaskManager(registry, events,
                                              realtime=realtime, **kw)
 
@@ -197,10 +197,12 @@ class TestTaskManager:
         assert low.runs == [0]
         assert len(handler.events) == 3
 
-    def test_unsupervised_manager_still_charges_and_defers(self):
-        master = MasterController(supervision=False)
-        assert master.task_manager.supervisor is None
+    def test_master_charges_and_defers_inside_the_boundary(self):
+        master = MasterController()
+        assert master.task_manager.supervisor is master.supervisor
+        assert master.events.supervisor is master.supervisor
         heavy = Recorder("heavy", priority=9, cost_ms=2.0)
+        heavy.deadline_ms = 2.0    # over the slot, within its deadline
         low = Recorder("low", priority=1)
         master.add_app(heavy)
         master.add_app(low)
@@ -209,6 +211,7 @@ class TestTaskManager:
         assert heavy.runs == [0, 1, 2, 3]
         assert low.runs == []
         assert master.task_manager.stats.deferred_total == 4
+        assert master.supervisor.health("heavy").overruns == 0
 
     def test_invalid_params_rejected(self):
         registry, events, _ = self.make()
@@ -221,7 +224,7 @@ class TestTaskManager:
 class TestEventService:
     def test_dispatch_to_subscribers(self):
         registry = RegistryService()
-        events = EventNotificationService(registry)
+        events = EventNotificationService(registry, AppSupervisor())
         app = Recorder()
         registry.register(app)
         events.enqueue([EventNotification(event_type=int(EventType.UE_ATTACH),
@@ -232,7 +235,7 @@ class TestEventService:
 
     def test_unsubscribed_event_dropped(self):
         registry = RegistryService()
-        events = EventNotificationService(registry)
+        events = EventNotificationService(registry, AppSupervisor())
         registry.register(Recorder())
         events.enqueue([EventNotification(
             event_type=int(EventType.SCHEDULING_REQUEST), rnti=70)])
@@ -244,7 +247,7 @@ class TestEventService:
     def test_crashed_delivery_is_not_a_missing_subscriber(self):
         registry = RegistryService()
         sup = AppSupervisor(SupervisionPolicy(max_consecutive_faults=1))
-        events = EventNotificationService(registry, supervisor=sup)
+        events = EventNotificationService(registry, sup)
 
         class Crashing(Recorder):
             def on_event(self, event, tti, nb):

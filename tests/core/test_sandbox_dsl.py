@@ -3,11 +3,7 @@
 import pytest
 
 from repro.core.agent import FlexRanAgent
-from repro.core.agent.cmi import (
-    ControlModule,
-    SandboxPolicy,
-    VsfFault,
-)
+from repro.core.agent.cmi import ControlModule, VsfFault
 from repro.core.delegation import pack_vsf
 from repro.core.dsl import DslError, DslScheduler, validate_program
 from repro.core.protocol.messages import (
@@ -40,7 +36,7 @@ def declared(cost_ms, result):
 
 class TestSandbox:
     def test_exception_quarantines_and_falls_back(self):
-        m = ToyModule(sandbox=SandboxPolicy())
+        m = ToyModule()
         m.register_vsf("op", "good", lambda x: x)
         m.register_vsf("op", "bad", lambda x: 1 / 0, activate=True)
         m.set_fallback("op", "good")
@@ -50,64 +46,70 @@ class TestSandbox:
         assert m._slot("op").faults == 1
 
     def test_time_budget_overruns_quarantine(self):
-        m = ToyModule(sandbox=SandboxPolicy(time_budget_ms=0.1))
+        m = ToyModule()
         m.register_vsf("op", "good", lambda: "ok")
-        m.register_vsf("op", "sluggish", declared(1.0, "slow"),
+        m.register_vsf("op", "sluggish", declared(1.5, "slow"),
                        activate=True)
         m.set_fallback("op", "good")
         faults = []
         m.on_vsf_fault(lambda op, name, reason: faults.append((name, reason)))
-        assert m.invoke("op") == "slow"     # it completed: over budget
+        assert m.invoke("op") == "slow"     # it completed: over the TTI
         assert m.active_name("op") == "good"
         assert "sluggish" not in m.cached_names("op")
-        assert faults == [("sluggish", "time budget: 1.0 ms > 0.1 ms")]
+        assert faults == [("sluggish", "time budget: 1.5 ms > 1.0 ms")]
         assert m.invoke("op") == "ok"
 
     def test_over_budget_rolls_back_in_preference_order(self):
-        m = ToyModule(sandbox=SandboxPolicy(time_budget_ms=0.5))
+        m = ToyModule()
         m.register_vsf("op", "fallback", lambda: "fallback")
-        m.register_vsf("op", "proven", declared(0.2, "proven"),
+        m.register_vsf("op", "proven", declared(0.4, "proven"),
                        activate=True)
         m.set_fallback("op", "fallback")
         assert m.invoke("op") == "proven"   # becomes last-known-good
-        m.register_vsf("op", "heavy", declared(0.6, "heavy"), activate=True)
+        m.register_vsf("op", "heavy", declared(1.2, "heavy"), activate=True)
         assert m.invoke("op") == "heavy"
         assert m.active_name("op") == "proven"
-        m.register_vsf("op", "heavy", declared(0.6, "heavy"))
+        m.register_vsf("op", "heavy", declared(1.2, "heavy"))
         m._slot("op").cache.pop("fallback")
-        m._slot("op").fallback_name = None
-        m.register_vsf("op", "proven", declared(0.6, "late"), activate=True)
+        m.register_vsf("op", "proven", declared(1.2, "late"), activate=True)
         assert m.invoke("op") == "late"     # any other cached VSF
         assert m.active_name("op") == "heavy"
         with pytest.raises(VsfFault):       # none left
             m.invoke("op")
 
+    def test_rollback_skips_a_fallback_an_earlier_fault_evicted(self):
+        def module(*extra):
+            m = ToyModule()
+            m.register_vsf("op", "a", lambda: 1 / 0)
+            m.register_vsf("op", "b", declared(1.5, "b"))
+            for name in extra:
+                m.register_vsf("op", name, declared(0.0, name))
+            m.set_fallback("op", "a")
+            return m
+
+        m = module("c")
+        assert m.invoke("op") == "b"        # a raises: evicted, b answers
+        assert m.invoke("op") == "b"        # b is over the TTI ...
+        assert m.active_name("op") == "c"   # ... and c, not a, takes over
+        assert m.cached_names("op") == ["c"]
+        m = module()
+        assert m.invoke("op") == "b"
+        with pytest.raises(VsfFault):       # a is gone: nothing is left
+            m.invoke("op")
+
     def test_fast_vsf_resets_overrun_counter(self):
-        m = ToyModule(sandbox=SandboxPolicy(time_budget_ms=50.0))
-        m.register_vsf("op", "fine", declared(50.0, "ok"), activate=True)
+        m = ToyModule()
+        m.register_vsf("op", "fine", declared(1.0, "ok"), activate=True)
         for _ in range(10):
-            assert m.invoke("op") == "ok"   # at the budget, not over it
+            assert m.invoke("op") == "ok"   # at the TTI, not over it
         assert m._slot("op").faults == 0
         assert m._slot("op").last_good_name == "fine"
 
     def test_no_fallback_available_raises(self):
-        m = ToyModule(sandbox=SandboxPolicy())
+        m = ToyModule()
         m.register_vsf("op", "only", lambda: 1 / 0, activate=True)
         with pytest.raises(VsfFault):
             m.invoke("op")
-
-    def test_without_sandbox_exceptions_propagate(self):
-        m = ToyModule()  # no sandbox
-        m.register_vsf("op", "bad", lambda: 1 / 0, activate=True)
-        with pytest.raises(ZeroDivisionError):
-            m.invoke("op")
-
-    def test_invalid_policy(self):
-        with pytest.raises(ValueError):
-            SandboxPolicy(time_budget_ms=0)
-        with pytest.raises(ValueError):
-            SandboxPolicy(time_budget_ms=-0.5)
-        assert SandboxPolicy().time_budget_ms is None
 
 
 class TestSandboxEndToEnd:

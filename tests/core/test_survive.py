@@ -1,16 +1,19 @@
 """Tests of the app supervisor, fault boundaries and CMI rollback."""
 
-import pytest
-
-from repro.core.agent.cmi import SandboxPolicy
+from repro.core.agent import FlexRanAgent
 from repro.core.agent.mac_module import MacControlModule
 from repro.core.apps.base import App
 from repro.core.controller.master import MasterController
+from repro.core.protocol.messages import EventNotification, EventType
 from repro.core.survive.supervisor import (
     AppSupervisor,
     BreakerState,
     SupervisionPolicy,
 )
+from repro.lte.enodeb import EnodeB
+from repro.net.transport import ControlConnection
+from repro.wifi.agent import WifiAgent
+from repro.wifi.ap import Station, WifiAp
 
 
 def policy(**kwargs):
@@ -244,13 +247,6 @@ class TestTaskManagerBoundary:
         both = [name for t, name in order if t == readmit_tti]
         assert both == ["crasher", "healthy"]
 
-    def test_supervision_disabled_is_legacy_behavior(self):
-        master = MasterController(supervision=False)
-        master.add_app(CrashingApp())
-        assert master.supervisor is None
-        with pytest.raises(RuntimeError, match="app boom"):
-            master.tick(0)
-
 
 class EventCrashApp(App):
     name = "event_crasher"
@@ -290,10 +286,8 @@ def scheduling_ctx():
 class TestCmiRollback:
     def _mac(self):
         from repro.core.agent.api import AgentDataPlaneApi
-        from repro.lte.enodeb import EnodeB
         enb = EnodeB(1)
-        return MacControlModule(AgentDataPlaneApi(enb),
-                                sandbox=SandboxPolicy())
+        return MacControlModule(AgentDataPlaneApi(enb))
 
     def test_rollback_prefers_last_known_good(self):
         mac = self._mac()
@@ -340,3 +334,51 @@ class TestCmiRollback:
             assert ob.registry.counter("survive.vsf.rollbacks").value == 1
         finally:
             obs.disable()
+
+
+def vsf_faults(agent, conn, tti):
+    """The VSF_FAULT events *agent* sends at *tti*, as detail dicts."""
+    agent.tick_tx(tti)
+    return [m.details for m in conn.master_side.receive(now=tti)
+            if isinstance(m, EventNotification)
+            and m.event_type == int(EventType.VSF_FAULT)]
+
+
+def raising(*args):
+    raise RuntimeError("broken VSF")
+
+
+class TestEveryModuleIsSandboxed:
+    def test_raising_handover_vsf_rolls_back(self):
+        conn = ControlConnection()
+        agent = FlexRanAgent(1, EnodeB(1), endpoint=conn.agent_side)
+        moves = []
+        agent.api.set_handover_executor(
+            lambda *move: moves.append(move) or True)
+        agent.rrc.register_vsf("handover", "broken", raising, activate=True)
+        assert agent.rrc.execute_handover(70, 10, 20, 5)
+        # Rolled back to the cached built-in, which executed the move.
+        assert agent.rrc.active_name("handover") == "immediate"
+        assert agent.rrc.cached_names("handover") == ["immediate"]
+        assert moves == [(70, 10, 20, 5)]
+        (fault,) = vsf_faults(agent, conn, 5)
+        assert (fault["operation"], fault["vsf"]) == ("handover", "broken")
+
+    def test_raising_station_scheduling_vsf_rolls_back(self):
+        ap = WifiAp(1)
+        station = Station(mac="02:00:00:00:00:01", snr_db=60.0)
+        ap.associate(station)
+        conn = ControlConnection()
+        agent = WifiAgent(1, ap, endpoint=conn.agent_side)
+        agent.mac.register_vsf("station_scheduling", "broken", raising,
+                               activate=True)
+        for slot in range(10):
+            ap.enqueue(station.aid, 8000, slot)
+            ap.tick(slot)
+        assert agent.mac.active_name("station_scheduling") == "fair_airtime"
+        assert agent.mac.cached_names("station_scheduling") == [
+            "fair_airtime", "max_rate"]
+        assert ap.slots_served == 10    # the fault slot was served too
+        (fault,) = vsf_faults(agent, conn, 10)
+        assert (fault["operation"], fault["vsf"]) == (
+            "station_scheduling", "broken")

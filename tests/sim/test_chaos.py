@@ -2,10 +2,8 @@
 
 from repro.core.survive.supervisor import BreakerState
 from repro.sim.chaos import (
-    AppCrashWindow,
     AppOverrunWindow,
     ControllerRestartAt,
-    ProbeApp,
     Violation,
     simulation_chaos,
 )
@@ -121,29 +119,6 @@ class TestOverrunInjection:
 
 
 class TestViolationDetection:
-    def test_unsupervised_crash_takes_platform_down(self):
-        """Negative control: the same scripted crash that the chaos
-        scenario survives is fatal when supervision is off."""
-        import pytest
-
-        from repro.core.controller.master import MasterController
-        from repro.lte.phy.channel import FixedCqi
-        from repro.lte.ue import Ue
-        from repro.sim.chaos import ChaosError
-        from repro.sim.simulation import Simulation
-
-        master = MasterController(supervision=False)
-        sim = Simulation(master=master)
-        enb = sim.add_enb()
-        sim.add_agent(enb)
-        sim.add_ue(enb, Ue("001", FixedCqi(12)))
-        probe = ProbeApp()
-        master.add_app(probe)
-        simulation_chaos(sim, [AppCrashWindow(probe.name, 10, 20)],
-                         clearance_ttis=10)
-        with pytest.raises(ChaosError):
-            sim.run(30)
-
     def test_harness_detects_missing_cycle(self):
         """Direct check: a TTI where the master never cycled counts as
         a cycle_ran violation."""
