@@ -51,7 +51,7 @@ from repro.lte.rlc import RlcEntity
 from repro.lte.rrc import ATTACH_SIGNALLING_BYTES, RrcEntity, RrcEvent
 from repro.lte.constants import SUBFRAMES_PER_FRAME
 from repro.lte.ue import Ue
-from repro.lte.view_cache import UeViewCache
+from repro.lte.view_cache import REFRESHER_OF_KIND, UeViewCache
 
 logger = logging.getLogger(__name__)
 
@@ -107,13 +107,13 @@ class MacCounters:
 
 def default_ul_scheduler(ctx: SchedulingContext) -> List[UlGrant]:
     """Fair-split uplink grants across UEs with buffered UL data."""
-    pending = [u for u in ctx.ues if u.ul_buffer_bytes > 0 and u.cqi > 0]
+    pending = ctx.ul_backlogged()
     if not pending:
         return []
     share = max(1, ctx.n_prb // len(pending))
     grants: List[UlGrant] = []
     remaining = ctx.n_prb
-    for ue in sorted(pending, key=lambda u: u.rnti):
+    for ue in pending:
         n_prb = min(share, remaining)
         if n_prb <= 0:
             break
@@ -190,8 +190,14 @@ class EnodeB:
         self._ue_seq: Dict[int, int] = {}
         self._kind_seqs: Dict[str, Dict[int, int]] = {
             kind: {} for kind in CHANGE_KINDS}
-        self._settle_into = tuple(zip(self._recorded,
-                                      self._kind_seqs.values()))
+        # Per kind: its record set, its sequence map, and per cell its
+        # refresher's dirty set and the cell's live RNTIs (if it has one).
+        self._settle_into = tuple(
+            (recorded, self._kind_seqs[kind],
+             tuple((self._view_cache[c].dirty[REFRESHER_OF_KIND[kind]],
+                    cell.ues.keys()) for c, cell in self.cells.items())
+             if REFRESHER_OF_KIND[kind] else ())
+            for kind, recorded in zip(CHANGE_KINDS, self._recorded))
 
     # -- topology -------------------------------------------------------
 
@@ -367,9 +373,10 @@ class EnodeB:
         Each recorded RNTI still attached gets the next sequence value,
         once however many kinds recorded it, which also becomes the
         value of each of those kinds' last change; its view is dirtied
-        in its PCell's and every active SCell's cache.  One that left
-        before settling is dropped.  No method call per RNTI: this runs
-        for every cell on every TTI.
+        in its PCell's and every active SCell's cache, per kind for the
+        fields that kind feeds (``view_cache.REFRESHER_OF_KIND``).  One
+        that left before settling is dropped.  No method call per RNTI:
+        this runs for every cell on every TTI.
         """
         changed = set()
         for kind_recorded in self._recorded:
@@ -387,18 +394,17 @@ class EnodeB:
                     del ue_seq[rnti]  # re-inserted last: value order
                 ue_seq[rnti] = seq
         self._change_seq = seq
-        for kind_recorded, kind_seqs in self._settle_into:
+        for kind_recorded, kind_seqs, views_dirty in self._settle_into:
             if kind_recorded:
                 for rnti in kind_recorded:
                     if rnti in ue_seq:  # attached, so numbered above
                         kind_seqs[rnti] = ue_seq[rnti]
+                # A cell serves exactly the UEs its cache has views of,
+                # as PCell or SCell, so this reaches every carrier of a
+                # UE and none of a departed one.
+                for dirty, served in views_dirty:
+                    dirty |= served & kind_recorded
                 kind_recorded -= kind_recorded  # clear() as an operator
-        # A cell serves exactly the UEs its cache has views of, as PCell
-        # or SCell, so this reaches every carrier of a UE and none of a
-        # departed one.
-        caches = self._view_cache
-        for cell_id, cell in self.cells.items():
-            caches[cell_id].dirty |= changed.intersection(cell.ues)
 
     def ue_change_seqs(self) -> Mapping[int, int]:
         """``rnti -> change_seq`` value of its last change, for every
@@ -492,18 +498,19 @@ class EnodeB:
     def build_context(self, cell_id: int, tti: int) -> SchedulingContext:
         """Scheduler-facing snapshot for one cell and TTI.
 
-        The views and the backlogged / schedulable lists come from the
-        cell's :class:`UeViewCache`, which refreshes only the UEs whose
-        state changed since the previous TTI.
+        The views and the backlogged / schedulable / uplink-backlogged
+        lists come from the cell's :class:`UeViewCache`, which re-reads
+        only the fields that changes recorded since the previous TTI
+        feed.
         """
         self._settle()
         cell = self.cells[cell_id]
-        views, backlogged, schedulable = self._view_cache[cell_id].build(tti)
-        if self.bearer_qos:
-            view_rntis = {v.rnti for v in views}
+        cache = self._view_cache[cell_id]
+        views, backlogged, schedulable, ul_backlogged = cache.build(tti)
+        if self.bearer_qos:  # of the UEs in views, at O(bearers)
             bearer_qos = {key: profile
                           for key, profile in self.bearer_qos.items()
-                          if key[0] in view_rntis}
+                          if key[0] in cache.included}
         else:
             bearer_qos = {}
         return SchedulingContext(
@@ -512,7 +519,8 @@ class EnodeB:
             cell_id=cell_id, subframe=tti % SUBFRAMES_PER_FRAME,
             abs_subframe=cell.is_muted(tti),
             bearer_qos=bearer_qos,
-            backlogged_ues=backlogged, schedulable_ues=schedulable)
+            backlogged_ues=backlogged, schedulable_ues=schedulable,
+            ul_backlogged_ues=ul_backlogged)
 
     # -- per-TTI engine ---------------------------------------------------
 

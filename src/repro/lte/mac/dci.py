@@ -96,15 +96,17 @@ class SchedulingContext:
     #: (rnti, lcid) -> QoS profile of configured bearers (see
     #: :mod:`repro.lte.mac.qos`); empty when no QoS is provisioned.
     bearer_qos: Dict = field(default_factory=dict)
-    # Memos behind backlogged() / candidates().  A context describes one
-    # (cell, TTI) snapshot -- UE state does not change while schedulers
-    # consult it -- so each is computed at most once per TTI even when
-    # several algorithm passes (slices, inner policies) run over the
-    # same context; a builder that already keeps the lists (the
-    # eNodeB's view cache) passes them in.
+    # Memos behind backlogged() / candidates() / ul_backlogged().  A
+    # context describes one (cell, TTI) snapshot -- UE state does not
+    # change while schedulers consult it -- so each is computed at most
+    # once per TTI even when several algorithm passes (slices, inner
+    # policies) run over the same context; a builder that already keeps
+    # the lists (the eNodeB's view cache) passes them in.
     backlogged_ues: Optional[List[UeView]] = field(
         default=None, repr=False, compare=False)
     schedulable_ues: Optional[List[UeView]] = field(
+        default=None, repr=False, compare=False)
+    ul_backlogged_ues: Optional[List[UeView]] = field(
         default=None, repr=False, compare=False)
 
     def ue(self, rnti: int) -> Optional[UeView]:
@@ -140,6 +142,15 @@ class SchedulingContext:
         if exclude_rntis:
             return [u for u in base if u.rnti not in exclude_rntis]
         return list(base)
+
+    def ul_backlogged(self) -> List[UeView]:
+        """UEs with uplink data and a usable CQI, in RNTI order (memoized;
+        read-only like :meth:`backlogged`)."""
+        if self.ul_backlogged_ues is None:
+            self.ul_backlogged_ues = sorted(
+                (u for u in self.ues if u.ul_buffer_bytes > 0 and u.cqi > 0),
+                key=lambda u: u.rnti)
+        return self.ul_backlogged_ues
 
 
 def total_prbs(assignments: Sequence[DlAssignment]) -> int:

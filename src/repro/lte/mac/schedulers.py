@@ -17,7 +17,8 @@ manipulate at runtime (Fig. 3): e.g. the RAN-sharing experiment changes
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, List, Optional, Sequence
+from itertools import chain, islice
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro import obs as _obs
 from repro.lte.mac import amc
@@ -94,40 +95,15 @@ def schedule_retransmissions(ctx: SchedulingContext,
     return out
 
 
-def _greedy_fill(ues: Sequence[UeView], budget: int, tti: int,
-                 *, min_share_prb: int = 0) -> List[DlAssignment]:
-    """Allocate PRBs to *ues* in order, each by queue need.
-
-    If ``min_share_prb`` is positive, the budget is first divided so
-    every backlogged UE gets at least that many PRBs where possible
-    (frequency-multiplexed fairness); otherwise UEs are served greedily
-    in order (time-multiplexed fairness).
-    """
+def _greedy_fill(ues: Iterable[UeView], budget: int) -> List[DlAssignment]:
+    """Allocate PRBs to the candidates *ues* in order, each by queue
+    need, until the budget runs out (time-multiplexed fairness)."""
     out: List[DlAssignment] = []
     remaining = budget
-    candidates = [u for u in ues if u.queue_bytes > 0 and u.cqi > 0]
-    if not candidates:
-        return out
-    if min_share_prb > 0:
-        fair = budget // len(candidates)
-        if min_share_prb * len(candidates) <= budget:
-            share = max(min_share_prb, fair)
-        else:
-            # The budget cannot give every candidate its minimum share.
-            # Handing min_share_prb to the UEs served first would leave
-            # the tail with zero PRBs; clamp to the fair split instead
-            # so everyone keeps a slot ("at least that many PRBs where
-            # possible" -- and where not possible, degrade evenly).
-            share = max(1, fair)
-    else:
-        share = budget
-    for ue in candidates:
+    for ue in ues:
         if remaining <= 0:
             break
-        need = prbs_for_queue(ue.cqi, ue.queue_bytes)
-        n_prb = min(need, share, remaining)
-        if n_prb <= 0:
-            continue
+        n_prb = min(prbs_for_queue(ue.cqi, ue.queue_bytes), remaining)
         out.append(DlAssignment(rnti=ue.rnti, n_prb=n_prb,
                                 cqi_used=amc.select_mcs(ue.cqi)))
         remaining -= n_prb
@@ -151,20 +127,17 @@ class RoundRobinScheduler(Scheduler):
     def schedule(self, ctx: SchedulingContext) -> List[DlAssignment]:
         out = schedule_retransmissions(ctx, ctx.n_prb)
         remaining = ctx.n_prb - sum(a.n_prb for a in out)
-        retx_rntis = {a.rnti for a in out}
-        backlogged = ctx.candidates(retx_rntis)
-        if not backlogged or remaining <= 0:
+        candidates = ctx.candidates({a.rnti for a in out})
+        if not candidates or remaining <= 0:
             return out
-        start = self._next_index % len(backlogged)
-        rotated = backlogged[start:] + backlogged[:start]
-        new_data = _greedy_fill(rotated, remaining, ctx.tti)
-        if new_data:
-            served_first = new_data[0].rnti
-            for i, u in enumerate(backlogged):
-                if u.rnti == served_first:
-                    self._next_index = i + 1
-                    break
-        out.extend(new_data)
+        # Walk the candidates in place, from the rotation index round to
+        # it, until the PRBs run out.  The first one is always served
+        # (a candidate needs at least one PRB): the next TTI starts
+        # after it.
+        start = self._next_index % len(candidates)
+        self._next_index = start + 1
+        out.extend(_greedy_fill(chain(islice(candidates, start, None),
+                                      islice(candidates, start)), remaining))
         return out
 
 
@@ -276,7 +249,7 @@ class MaxCqiScheduler(Scheduler):
         retx_rntis = {a.rnti for a in out}
         ranked = sorted(ctx.candidates(retx_rntis),
                         key=lambda u: (-u.cqi, u.rnti))
-        out.extend(_greedy_fill(ranked, remaining, ctx.tti))
+        out.extend(_greedy_fill(ranked, remaining))
         return out
 
 

@@ -6,26 +6,29 @@ TTI kept the 32x100 deployment far above the paper's 1 ms TTI budget
 (Section 6.1.2), although only a few percent of the UEs change in any
 one TTI.  :class:`UeViewCache` keeps one view per served UE, keyed by
 RNTI and mutated in place, plus the RNTI-ordered lists the scheduling
-context exposes (all schedulable UEs, the backlogged ones, and those of
-them with a usable CQI).  :meth:`build` refreshes only the views marked
-dirty since the last build, so a UE for which nothing changed costs
+context exposes (all schedulable UEs, the backlogged ones, those of
+them with a usable CQI, and those with uplink backlog and a usable
+CQI).  :meth:`build` re-reads only the view fields the changes recorded
+since the last build feed, so a UE for which nothing changed costs
 nothing.
 
 The cache owns no protocol state: RLC, PDCP, HARQ, DRX, RRC and the
 cell stay the owners and record the RNTIs they change; the eNodeB's
-settle step puts each recorded RNTI into :attr:`UeViewCache.dirty` of
-its PCell and SCells before any build.  Invalidation rules (see
-DESIGN.md section 6):
+settle step puts each into :attr:`UeViewCache.dirty` of its PCell and
+SCells, under its kind's refresher.  Invalidation rules (see DESIGN.md
+section 6):
 
-* a dirty UE has every view field, its membership and its backlog
-  position recomputed;
+* a change re-reads the fields its kind feeds (:data:`REFRESHER_OF_KIND`):
+  ``harq`` and ``pdcp`` none; ``rlc`` the queues and backlog position;
+  ``cqi`` the CQI and the CQI > 0 filters; ``ul_buffer`` the uplink
+  buffer and list; ``membership``, ``rrc`` and ``view`` (DRX, bearer
+  QoS) everything, membership included;
 * an eICIC interference flip (``interferer_muted`` changed since the
-  last build) dirties every UE, because the cached CQIs were derived
-  under the other interference state;
+  last build) refreshes every UE fully, because the cached CQIs were
+  derived under the other interference state;
 * UEs with DRX configured have their wakefulness re-checked on every
   build (sleep is a pure function of time, so no event marks it);
-* a membership change (attach, detach, RRC or DRX transition) rebuilds
-  the view list;
+* a membership change rebuilds the view list;
 * a UE entering or leaving the backlog, or a backlogged UE's CQI
   crossing zero, re-filters the schedulable list.
 """
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from operator import attrgetter
-from typing import Dict, List, Set, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.lte.mac.dci import UeView
 from repro.lte.rrc import RrcState
@@ -46,6 +49,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 _SCHEDULABLE_STATES = (RrcState.CONNECTING, RrcState.CONNECTED)
 _rnti_of = attrgetter("rnti")
 
+REFRESHER_OF_KIND: Dict[str, Optional[str]] = {
+    "membership": "full", "rrc": "full", "view": "full", "rlc": "queues",
+    "cqi": "cqi", "ul_buffer": "ul_buffer", "harq": None, "pdcp": None}
+"""Per ``enodeb.CHANGE_KINDS`` entry, the ``UeViewCache._refresh_<name>``
+re-reading the view fields it feeds (None: none); all are idempotent."""
+
 
 class UeViewCache:
     """Cached scheduler views of one cell's UEs, refreshed when dirty."""
@@ -54,21 +63,27 @@ class UeViewCache:
         self._cell = cell
         self._enb = enb
         self._views: Dict[int, UeView] = {}
-        #: RNTIs whose view is out of date; filled by the eNodeB's
-        #: settle step, emptied by the next build.
-        self.dirty: Set[int] = set()
+        #: Per refresher, the RNTIs whose fields it must re-read;
+        #: filled by the eNodeB's settle step, emptied by the next build.
+        self.dirty: Dict[str, Set[int]] = {
+            name: set() for name in ("full", "queues", "cqi", "ul_buffer")}
+        self._refreshers = tuple(
+            (rntis, getattr(self, f"_refresh_{name}"))
+            for name, rntis in self.dirty.items())
         self._drx: Set[int] = set()
         #: RNTIs whose view is in ``_ues``: awake and in a schedulable
-        #: RRC state as of the last refresh.
-        self._included: Set[int] = set()
-        # All three lists are RNTI-ordered.  ``_backlogged`` is kept
-        # incrementally (it churns every TTI under load); the other two
-        # are rebuilt from it / from ``_included`` when flagged stale.
+        #: RRC state as of the last refresh (read-only to callers).
+        self.included: Set[int] = set()
+        # All four lists are RNTI-ordered.  ``_backlogged`` is kept
+        # incrementally (it churns every TTI under load); the others
+        # are rebuilt from the views they filter when flagged stale.
         self._ues: List[UeView] = []
         self._backlogged: List[UeView] = []
         self._schedulable: List[UeView] = []
+        self._ul_backlogged: List[UeView] = []
         self._ues_stale = False
         self._schedulable_stale = False
+        self._ul_stale = False
         #: The interference state the cached CQIs were derived under.
         self._cqis_assume_muted = True
 
@@ -77,19 +92,18 @@ class UeViewCache:
         self._views[rnti] = UeView(rnti=rnti, queue_bytes=0, cqi=0)
         if self._enb.drx.is_configured(rnti):
             self._drx.add(rnti)
-        self.dirty.add(rnti)
+        self.dirty["full"].add(rnti)
 
     def remove(self, rnti: int) -> None:
         """Stop serving *rnti* (detach / SCell deactivation)."""
         view = self._views.pop(rnti)
-        if rnti in self._included:
-            self._included.discard(rnti)
-            self._ues_stale = True
+        if rnti in self.included:
+            self.included.discard(rnti)
+            self._ues_stale = self._ul_stale = True
             if view.queue_bytes > 0:
-                del self._backlogged[
-                    bisect_left(self._backlogged, rnti, key=_rnti_of)]
-                self._schedulable_stale = True
-        self.dirty.discard(rnti)
+                self._move(view, False)
+        for rntis in self.dirty.values():
+            rntis.discard(rnti)
         self._drx.discard(rnti)
 
     def track_drx(self, rnti: int, tracked: bool) -> None:
@@ -100,45 +114,61 @@ class UeViewCache:
             self._drx.discard(rnti)
 
     def build(self, tti: int) -> Tuple[List[UeView], List[UeView],
-                                       List[UeView]]:
-        """Refresh dirty views; return (ues, backlogged, schedulable).
+                                       List[UeView], List[UeView]]:
+        """Refresh dirty views; return (ues, backlogged, schedulable, ul).
 
         The returned lists are the cache's own: callers (the scheduling
         context) must treat them as read-only snapshots of this TTI,
         exactly as :meth:`SchedulingContext.backlogged` already requires.
         """
+        full = self.dirty["full"]
         muted = self._cell.interferer_muted(tti)
         if muted is not self._cqis_assume_muted:
-            self.dirty.update(self._views)
+            full.update(self._views)
             self._cqis_assume_muted = muted
         if self._drx:
             is_awake = self._enb.drx.is_awake
-            included = self._included
+            included = self.included
             for rnti in self._drx:
                 # A wakefulness flip shows as a disagreement with the
                 # membership (an idle UE merely refreshes needlessly).
                 if is_awake(rnti, tti) != (rnti in included):
-                    self.dirty.add(rnti)
-        if self.dirty:
-            self._refresh(tti)
+                    full.add(rnti)
+        for rntis, refresh in self._refreshers:
+            if rntis:
+                refresh(rntis, tti)
+                rntis.clear()
         if self._ues_stale:
             views = self._views
-            self._ues = [views[rnti] for rnti in sorted(self._included)]
+            self._ues = [views[rnti] for rnti in sorted(self.included)]
             self._ues_stale = False
         if self._schedulable_stale:
             self._schedulable = [v for v in self._backlogged if v.cqi > 0]
             self._schedulable_stale = False
-        return self._ues, self._backlogged, self._schedulable
+        if self._ul_stale:
+            self._ul_backlogged = [v for v in self._ues
+                                   if v.ul_buffer_bytes > 0 and v.cqi > 0]
+            self._ul_stale = False
+        return (self._ues, self._backlogged, self._schedulable,
+                self._ul_backlogged)
 
-    def _refresh(self, tti: int) -> None:
+    def _move(self, view: UeView, backlogged: bool) -> None:
+        """Insert *view* into (or delete it from) the backlogged list."""
+        i = bisect_left(self._backlogged, view.rnti, key=_rnti_of)
+        if backlogged:
+            self._backlogged.insert(i, view)
+        else:
+            del self._backlogged[i]
+        self._schedulable_stale = True
+
+    def _refresh_full(self, rntis: Set[int], tti: int) -> None:
         cell = self._cell
         enb = self._enb
         rlc_map = enb.rlc
         is_awake = enb.drx.is_awake
         state_of = enb.rrc.state_of
-        included = self._included
-        backlogged = self._backlogged
-        for rnti in self.dirty:
+        included = self.included
+        for rnti in rntis:
             view = self._views[rnti]
             was_included = rnti in included
             was_backlogged = was_included and view.queue_bytes > 0
@@ -160,12 +190,39 @@ class UeViewCache:
                 self._ues_stale = True
             now_backlogged = now_included and view.queue_bytes > 0
             if now_backlogged != was_backlogged:
-                i = bisect_left(backlogged, rnti, key=_rnti_of)
-                if now_backlogged:
-                    backlogged.insert(i, view)
-                else:
-                    del backlogged[i]
-                self._schedulable_stale = True
+                self._move(view, now_backlogged)
             elif now_backlogged and was_usable != (view.cqi > 0):
                 self._schedulable_stale = True
-        self.dirty.clear()
+        self._ul_stale = True
+
+    def _refresh_queues(self, rntis: Set[int], tti: int) -> None:
+        rlc_map = self._enb.rlc
+        views = self._views
+        included = self.included
+        for rnti in rntis:
+            view = views[rnti]
+            was_backlogged = view.queue_bytes > 0
+            sizes = rlc_map[rnti].queues.sizes()
+            view.queues = sizes
+            view.queue_bytes = total = sum(sizes.values())
+            if (total > 0) != was_backlogged and rnti in included:
+                self._move(view, total > 0)
+
+    def _refresh_cqi(self, rntis: Set[int], tti: int) -> None:
+        scheduling_cqi = self._cell.scheduling_cqi
+        views = self._views
+        for rnti in rntis:
+            view = views[rnti]
+            was_usable = view.cqi > 0
+            view.cqi = scheduling_cqi(rnti, tti)
+            if (view.cqi > 0) != was_usable and rnti in self.included:
+                if view.queue_bytes > 0:
+                    self._schedulable_stale = True
+                if view.ul_buffer_bytes > 0:
+                    self._ul_stale = True
+
+    def _refresh_ul_buffer(self, rntis: Set[int], tti: int) -> None:
+        ues = self._cell.ues
+        for rnti in rntis:
+            self._views[rnti].ul_buffer_bytes = ues[rnti].ul_backlog_bytes
+        self._ul_stale = True

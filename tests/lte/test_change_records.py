@@ -8,8 +8,11 @@ settles the sets wherever a change sequence or a view is read -- one
 sequence step per UE however many kinds recorded it, and per kind the
 value of that kind's last change -- so a change is visible to
 ``change_seq`` and ``collect_ue_stats`` without a ``plan`` in between,
-and an RNTI that left before settling leaves no trace.
+and an RNTI that left before settling leaves no trace.  A view re-reads,
+on every carrier of the UE, only the fields the recorded kinds feed.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -24,6 +27,8 @@ from repro.lte.phy.channel import FixedCqi
 from repro.lte.rlc import RlcEntity
 from repro.lte.rrc import ATTACH_SIGNALLING_BYTES, RA_DELAY_TTIS, RrcEntity
 from repro.lte.ue import Ue
+from repro.lte.view_cache import REFRESHER_OF_KIND
+from tests.sim.context_oracle import UE_VIEW_FIELDS
 
 RNTI = 70
 
@@ -272,6 +277,34 @@ def test_a_change_lands_in_its_kinds_record_and_no_other(name):
     assert enb._recorded[CHANGE_KINDS.index(kind)] == {rnti}
 
 
+def _channel_swap_observed(enb, rnti):
+    enb.ue(rnti).channel = FixedCqi(4)
+    for cell in enb.cells.values():
+        cell.refresh_cqi(41, force=True)
+
+
+# kind -> (one change of that kind, the view fields it re-reads)
+KIND_REREADS = {
+    "harq": (lambda enb, r: _start(_harq_of(enb, r)), set()),
+    "pdcp": (lambda enb, r: enb.pdcp[r].ingress(3, 100), set()),
+    "rlc": (lambda enb, r: enb.rlc[r].enqueue(700, 41),
+            {"queues", "queue_bytes"}),
+    "cqi": (_channel_swap_observed, {"cqi"}),
+    "ul_buffer": (lambda enb, r: enb.notify_ul(r, 9, 41),
+                  {"ul_buffer_bytes"}),
+    "view": (lambda enb, r: enb.configure_bearer(r, 3, QosProfile(qci=9)),
+             {"queues", "queue_bytes", "ul_buffer_bytes"}),
+}
+
+
+def test_every_kind_has_a_refresher_entry():
+    assert set(REFRESHER_OF_KIND) == set(CHANGE_KINDS)
+    assert set(REFRESHER_OF_KIND.values()) - {None} \
+        == set(EnodeB(1)._view_cache[10].dirty)
+    assert {REFRESHER_OF_KIND[kind]
+            for kind in ("membership", "rrc", "view")} == {"full"}
+
+
 def connected_enb(cells=(10,), n_ues=2):
     enb = EnodeB(1, [CellConfig(cell_id=c) for c in cells])
     rntis = [enb.attach_ue(Ue(f"{i:03d}", FixedCqi(11)), cells[0], tti=0)
@@ -304,15 +337,30 @@ class TestSettling:
         assert enb.change_seq == since + 2
         assert enb.ue_change_seqs()[rntis[0]] == since + 2
 
-    def test_a_change_dirties_every_carrier_of_the_ue(self):
+    @pytest.mark.parametrize("kind", KIND_REREADS)
+    def test_a_change_re_reads_its_kinds_fields(self, kind):
+        """A UE on PCell 10 and SCell 11 has its queue and uplink buffer
+        changed behind the view cache's back, then one change of *kind*
+        recorded: a field re-read on a carrier shows the news, any
+        other keeps its cached value."""
         enb, (rnti, _) = connected_enb(cells=(10, 11))
         enb.activate_scell(rnti, 11, tti=40)
         for cell_id in enb.cells:
             enb.build_context(cell_id, 40)
+        caches = enb._view_cache
+        before = {c: replace(caches[c]._views[rnti]) for c in caches}
+        enb.rlc[rnti].queue(3).push(300, 40)
+        enb.ue(rnti).ul_backlog_bytes += 500
         seq = enb.change_seq
-        enb.rlc[rnti].enqueue(700, 40)
-        assert enb.change_seq == seq + 1
-        assert all(rnti in enb._view_cache[c].dirty for c in (10, 11))
+        change, reread = KIND_REREADS[kind]
+        change(enb, rnti)
+        assert enb.change_seq == seq + 1  # settled
+        for cell_id, cache in caches.items():
+            cache.build(41)  # not build_context: the oracle would object
+            view = cache._views[rnti]
+            assert {name for name in UE_VIEW_FIELDS
+                    if getattr(view, name) != getattr(before[cell_id], name)
+                    } == reread, cell_id
 
     def test_an_rnti_gone_before_settling_leaves_no_sequence(self):
         enb, rntis = connected_enb()

@@ -12,10 +12,10 @@ from repro.lte.mac.schedulers import (
     ProportionalFairScheduler,
     RoundRobinScheduler,
     SlicedScheduler,
-    _greedy_fill,
     make_scheduler,
     schedule_retransmissions,
 )
+from tests.lte.rr_oracle import rotate_copy_refilter
 
 
 def ctx_with(ues, n_prb=50, tti=0, pending_retx=None):
@@ -230,39 +230,40 @@ def test_property_no_scheduler_oversubscribes(n_prb, queues, cqis, which):
         assert ue.queue_bytes > 0 and ue.cqi > 0
 
 
-class TestGreedyFillMinShare:
-    """Regression: min-share must degrade evenly at small budgets.
+@st.composite
+def round_robin_inputs(draw):
+    """A cell's views in any order (unique RNTIs, some idle or at CQI 0),
+    its pending retransmissions, its PRB budget and a rotation index."""
+    rntis = draw(st.lists(st.integers(min_value=70, max_value=130),
+                          unique=True, max_size=20))
+    ues = draw(st.permutations([
+        UeView(rnti=rnti,
+               queue_bytes=draw(st.sampled_from([0, 1, 300, 1500, 10 ** 7])),
+               cqi=draw(st.integers(min_value=0, max_value=15)))
+        for rnti in rntis]))
+    retx = draw(st.lists(st.builds(
+        PendingRetx, rnti=st.integers(min_value=70, max_value=135),
+        harq_pid=st.integers(min_value=0, max_value=7),
+        n_prb=st.integers(min_value=1, max_value=30),
+        cqi_used=st.integers(min_value=1, max_value=15),
+        tb_bits=st.just(1000), attempt=st.just(2)),
+        max_size=4, unique_by=lambda r: (r.rnti, r.harq_pid)))
+    n_prb = draw(st.integers(min_value=0, max_value=100))
+    next_index = draw(st.integers(min_value=0, max_value=60))
+    return ues, retx, n_prb, next_index
 
-    With ``min_share_prb > budget // len(candidates)`` the old code
-    handed the full minimum share to the UEs served first and nothing
-    to the tail (budget 4, min-share 2, 4 UEs -> 2, 2, 0, 0).  The fix
-    clamps to the fair split so everyone keeps at least one PRB.
-    """
 
-    def test_small_budget_serves_every_candidate(self):
-        ues = views(4)  # saturated queues, cqi 10
-        out = _greedy_fill(ues, 4, tti=0, min_share_prb=2)
-        assert [a.n_prb for a in out] == [1, 1, 1, 1]
-        assert {a.rnti for a in out} == {u.rnti for u in ues}
+@settings(max_examples=300, deadline=None)
+@given(inputs=round_robin_inputs())
+def test_round_robin_matches_the_rotate_copy_oracle(inputs):
+    """The in-place walk decides exactly what rotating a copy did."""
+    ues, retx, n_prb, next_index = inputs
 
-    def test_sufficient_budget_honours_min_share(self):
-        ues = views(4)
-        out = _greedy_fill(ues, 50, tti=0, min_share_prb=2)
-        assert all(a.n_prb >= 2 for a in out)
-        assert {a.rnti for a in out} == {u.rnti for u in ues}
+    def ctx():
+        return ctx_with(list(ues), n_prb=n_prb, pending_retx=list(retx))
 
-    @settings(max_examples=100, deadline=None)
-    @given(
-        n_ues=st.integers(min_value=1, max_value=20),
-        budget=st.integers(min_value=1, max_value=100),
-        min_share=st.integers(min_value=1, max_value=20),
-    )
-    def test_property_no_starved_tail(self, n_ues, budget, min_share):
-        ues = views(n_ues)
-        out = _greedy_fill(ues, budget, tti=0, min_share_prb=min_share)
-        assert sum(a.n_prb for a in out) <= budget
-        served = {a.rnti for a in out}
-        # Whenever the budget covers one PRB per candidate, no
-        # saturated candidate may be starved by earlier over-allocation.
-        if budget >= n_ues:
-            assert served == {u.rnti for u in ues}
+    want, want_next = rotate_copy_refilter(ctx(), next_index)
+    sched = RoundRobinScheduler()
+    sched._next_index = next_index
+    assert sched.schedule(ctx()) == want
+    assert sched._next_index == want_next

@@ -49,7 +49,7 @@ class TestDirtyRefresh:
         # Bypass the RLC entity for the other UE: with no change
         # recorded its view must stay as it was.
         enb.rlc[rntis[1]].queue(3).push(300, 61)
-        views, backlogged, _ = build(enb, 62)
+        views, backlogged, _, _ = build(enb, 62)
         by_rnti = {v.rnti: v for v in views}
         assert by_rnti[rntis[0]] is before[rntis[0]]  # mutated in place
         assert by_rnti[rntis[0]].queue_bytes == 500
@@ -70,7 +70,7 @@ class TestBacklogMemos:
         for rnti in reversed(rntis):
             enb.enqueue_dl(rnti, 200, 61)
             build(enb, 61)
-        _, backlogged, schedulable = build(enb, 62)
+        _, backlogged, schedulable, _ = build(enb, 62)
         assert [v.rnti for v in backlogged] == sorted(rntis)
         assert [v.rnti for v in schedulable] == sorted(rntis)
 
@@ -82,7 +82,7 @@ class TestBacklogMemos:
         rlc = enb.rlc[rntis[0]]
         while rlc.buffer_bytes() > 0:
             rlc.dequeue(rlc.buffer_bytes() + 64, 61, 3)
-        _, backlogged, _ = build(enb, 62)
+        _, backlogged, _, _ = build(enb, 62)
         assert backlogged == []
 
     def test_detach_removes_from_backlog(self):
@@ -91,7 +91,7 @@ class TestBacklogMemos:
             enb.enqueue_dl(rnti, 200, 61)
         build(enb, 61)
         enb.detach_ue(rntis[0])
-        views, backlogged, schedulable = build(enb, 62)
+        views, backlogged, schedulable, _ = build(enb, 62)
         assert [v.rnti for v in views] == [rntis[1]]
         assert [v.rnti for v in backlogged] == [rntis[1]]
         assert [v.rnti for v in schedulable] == [rntis[1]]
@@ -103,9 +103,25 @@ class TestBacklogMemos:
             enb.tick(t)
         enb.enqueue_dl(rntis[0], 200, 121)
         enb.enqueue_dl(extra, 200, 121)
-        _, backlogged, schedulable = build(enb, 121)
+        _, backlogged, schedulable, _ = build(enb, 121)
         assert {v.rnti for v in backlogged} == {rntis[0], extra}
         assert [v.rnti for v in schedulable] == [rntis[0]]
+
+    def test_uplink_backlog_sorted_incremental_and_usable(self):
+        enb, rntis = build_enb(3, cqi=12)
+        extra = enb.attach_ue(Ue("000077", FixedCqi(0)), tti=61)
+        for t in range(61, 121):
+            enb.tick(t)
+        for rnti in [extra, *reversed(rntis)]:
+            enb.notify_ul(rnti, 300, 121)
+            build(enb, 121)
+        assert [v.rnti for v in build(enb, 122)[3]] == rntis  # CQI 0 left out
+        ue = enb.ue(rntis[1])
+        ue.send_ul(ue.ul_backlog_bytes, 122)  # as _transmit_ul does
+        enb._record_ul_buffer(rntis[1])
+        assert [v.rnti for v in build(enb, 123)[3]] == [rntis[0], rntis[2]]
+        enb.detach_ue(rntis[0])
+        assert [v.rnti for v in build(enb, 124)[3]] == [rntis[2]]
 
 
 class TestDrxTracking:
@@ -119,13 +135,13 @@ class TestDrxTracking:
                          if enb.drx.is_awake(rnti, t))
         asleep_tti = next(t for t in range(awake_tti, awake_tti + 10)
                           if not enb.drx.is_awake(rnti, t))
-        views, backlogged, _ = build(enb, awake_tti)
+        views, backlogged, _, _ = build(enb, awake_tti)
         assert [v.rnti for v in views] == [rnti]
         assert [v.rnti for v in backlogged] == [rnti]
-        views, backlogged, schedulable = build(enb, asleep_tti)
+        views, backlogged, schedulable, _ = build(enb, asleep_tti)
         assert views == [] and backlogged == [] and schedulable == []
         # Waking again restores membership with no change recorded.
-        views, backlogged, _ = build(enb, awake_tti + 10)
+        views, backlogged, _, _ = build(enb, awake_tti + 10)
         assert [v.rnti for v in views] == [rnti]
         assert [v.rnti for v in backlogged] == [rnti]
 

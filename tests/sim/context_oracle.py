@@ -1,10 +1,10 @@
 """Reference oracle for ``EnodeB.build_context``.
 
 :func:`reference_context` is the uncached builder: it rebuilds every
-``UeView`` from the protocol entities (RLC, DRX, RRC, the cell) on every
-call, with no memory between calls, so it cannot go stale.  It is kept
-only here, as the definition the eNodeB's view cache is checked
-against.  :func:`install` wraps ``EnodeB.build_context`` so that every
+``UeView`` and the uplink-backlogged list from the protocol entities
+(RLC, DRX, RRC, the cell) on every call, with no memory between calls,
+so it cannot go stale.  It is kept only here, as the definition the
+eNodeB's view cache is checked against.  :func:`install` wraps ``EnodeB.build_context`` so that every
 context handed to a scheduler is compared with the reference field by
 field at the moment it is built; an entity anywhere in ``src/`` that
 changes a view's input without recording it then fails the test that
@@ -57,7 +57,10 @@ def reference_context(enb: EnodeB, cell_id: int, tti: int
         cell_id=cell_id, subframe=tti % SUBFRAMES_PER_FRAME,
         abs_subframe=cell.is_muted(tti),
         bearer_qos={key: profile for key, profile in enb.bearer_qos.items()
-                    if key[0] in view_rntis})
+                    if key[0] in view_rntis},
+        ul_backlogged_ues=sorted(
+            (v for v in views if v.ul_buffer_bytes > 0 and v.cqi > 0),
+            key=lambda v: v.rnti))
 
 
 def context_mismatches(got: SchedulingContext, want: SchedulingContext
@@ -86,7 +89,8 @@ def context_mismatches(got: SchedulingContext, want: SchedulingContext
                     f"{getattr(ref, name)!r}")
     for name, got_list, want_list in (
             ("backlogged()", got.backlogged(), want.backlogged()),
-            ("candidates()", got.candidates(), want.candidates())):
+            ("candidates()", got.candidates(), want.candidates()),
+            ("ul_backlogged()", got.ul_backlogged(), want.ul_backlogged())):
         if [v.rnti for v in got_list] != [v.rnti for v in want_list]:
             out.append(f"{where}: {name} order "
                        f"{[v.rnti for v in got_list]} != reference "

@@ -5,9 +5,11 @@ oracle of :mod:`tests.sim.context_oracle` (installed for every test in
 this directory): at every call, the context the scheduler is handed is
 compared with the reference builder's -- every ``UeView`` field,
 ``pending_retx``, ``bearer_qos``, ``abs_subframe`` and the order of
-``backlogged()`` / ``candidates()``.  A divergence means an
-invalidation missed a scheduler-visible input; it fails at the TTI it
-happens, naming the UE and the field.
+``backlogged()`` / ``candidates()`` / ``ul_backlogged()``.  A
+divergence means an invalidation missed a scheduler-visible input; it
+fails at the TTI it happens, naming the UE and the field.  The two
+self-tests check that claim: one per scenario for a missed RLC record,
+one per kind of record that feeds a view.
 
 The slow-host suite at the end runs a deployment on hosts of different
 speeds (``time.perf_counter`` replaced by a clock that advances a fixed
@@ -21,9 +23,11 @@ import pytest
 
 from repro.core.survive.snapshot import snapshot_rib
 from repro.lte.cell import CellConfig
+from repro.lte.constants import SRS_PERIOD_TTIS
 from repro.lte.mac.drx import DrxConfig
 from repro.lte.mac.qos import QosProfile
 from repro.lte.phy.channel import FixedCqi, GaussMarkovSinr
+from repro.lte.rrc import RA_DELAY_TTIS
 from repro.lte.ue import Ue
 from repro.net.clock import Phase
 from repro.sim.scenarios import (
@@ -182,6 +186,89 @@ def test_oracle_catches_a_missed_invalidation(build, build_context_oracle,
         with pytest.raises(AssertionError,
                            match=rf"UE {victim} (queue_bytes|queues) "):
             enb.build_context(cell_id, sim.now)
+    finally:
+        sim.close()
+    build_context_oracle.mismatches.clear()  # expected; keep teardown quiet
+
+
+# One unrecorded change per kind that feeds a view (view_cache.
+# REFRESHER_OF_KIND), made on saturated_cell_with_drx after 50 TTIs,
+# where every UE's RLC records every TTI: a record of another kind must
+# not cover for the missing one.  Each takes the simulation, its
+# eNodeB and ``mute(owner, hook_attribute, rnti)``, and returns the
+# victim's RNTI and the view field the oracle must name (None: the UE
+# list itself).
+
+
+def _miss_rlc(sim, enb, mute):
+    victim = enb.rntis()[-1]
+    mute(enb.rlc[victim], "_on_change", victim)
+    enb.rlc[victim].enqueue(1000, sim.now)
+    return victim, "(queue_bytes|queues)"
+
+
+def _miss_cqi(sim, enb, mute):
+    """Seen at the UE's next SRS observation."""
+    victim = enb.rntis()[-1]
+    mute(enb.primary_cell(victim), "_on_change", victim)
+    enb.ue(victim).channel = FixedCqi(3)
+    return victim, "cqi"
+
+
+def _miss_ul_buffer(sim, enb, mute):
+    victim = enb.rntis()[-1]
+    mute(enb, "_record_ul_buffer", victim)
+    enb.notify_ul(victim, 500, sim.now)
+    return victim, "ul_buffer_bytes"
+
+
+def _miss_rrc(sim, enb, mute):
+    """A newcomer in random access is not schedulable; the unrecorded
+    setup, RA_DELAY_TTIS later, makes it CONNECTING, which is."""
+    victim = sim.add_ue(enb, Ue("newcomer", FixedCqi(9)))
+    mute(enb.rrc, "_on_change", victim)
+    return victim, None
+
+
+def _miss_drx(sim, enb, mute):
+    """Switching DRX off stops the per-build wake check, so for a UE
+    asleep at the last build only the record wakes its view."""
+    victim = enb.rntis()[0]  # DRX-configured by the scenario
+    while enb.drx.is_awake(victim, enb.last_plan_tti):
+        sim.run(1)
+    mute(enb.drx, "_on_change", victim)
+    enb.set_drx(victim, None)
+    return victim, None
+
+
+MISSES = {"rlc": _miss_rlc, "cqi": _miss_cqi, "ul_buffer": _miss_ul_buffer,
+          "rrc": _miss_rrc, "view": _miss_drx}
+
+
+@pytest.mark.parametrize("kind", MISSES)
+def test_oracle_catches_a_missed_record_of_each_kind(
+        kind, build_context_oracle, monkeypatch):
+    """Self-test per view-feeding kind: one owner stops recording one
+    UE, and the first context built after the missed change matters
+    must fail, naming that UE and the field (or the UE list)."""
+    sim, (enb,), _ = saturated_cell_with_drx()
+
+    def mute(owner, attribute, victim):
+        record = getattr(owner, attribute)
+
+        def record_others(rnti):
+            if rnti != victim:
+                record(rnti)
+
+        monkeypatch.setattr(owner, attribute, record_others)
+
+    try:
+        sim.run(50)
+        victim, field = MISSES[kind](sim, enb, mute)
+        named = (rf"UE {victim} {field} " if field else
+                 rf"ues \[[^]]*\] != reference \[[^]]*\b{victim}\b")
+        with pytest.raises(AssertionError, match=named):
+            sim.run(max(SRS_PERIOD_TTIS, RA_DELAY_TTIS) + 1)
     finally:
         sim.close()
     build_context_oracle.mismatches.clear()  # expected; keep teardown quiet

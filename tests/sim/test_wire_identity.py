@@ -1,23 +1,40 @@
-"""Whole-run wire identity: every frame a deployment puts on the wire.
+"""Whole-run identity: every frame a deployment puts on the wire, and
+every decision an agent-less RAN applies.
 
 The golden frames (``tests/core/golden_frames.json``) pin single
-messages; this pins whole runs.  Each case hashes every frame
+messages; this pins whole runs.  Each frame case hashes every frame
 ``codec.encode`` returns, length-prefixed and in order, over 300 TTIs of
 one deployment: ``large_scale`` in miniature (static channels, CBR load,
 periodic full-statistics subscriptions) and the differential suite's
 ``fading_poisson_pf`` (fading channels, Poisson load, PF scheduling, so
-per-UE state moves every period).  A change that claims to keep
-behaviour must keep both digests; one that changes what is sent, when,
-or in which order moves them, and records the new values here with the
-reason in CHANGES.md.
-"""
+per-UE state moves every period).
 
-import hashlib
+A RAN without agents sends no frame, so the agent-less case hashes what
+its schedulers decided instead: every downlink assignment the eNodeBs
+apply, then their counters (``tests/behaviour_identity.py``'s
+assignment digest).  The run has two eNodeBs, one with two carriers,
+fading and static channels, uplink backlog, an SCell activation and
+DRX, all scheduled by the built-in round robin and uplink split.
+
+A change that claims to keep behaviour must keep every digest; one that
+changes what is sent or scheduled, when, or in which order moves them,
+and records the new values here with the reason in CHANGES.md.
+"""
 
 import pytest
 
 from repro.core.protocol import codec
-from repro.sim.scenarios import large_scale
+from repro.lte.cell import CellConfig
+from repro.lte.enodeb import EnodeB
+from repro.lte.mac.drx import DrxConfig
+from repro.lte.phy.channel import FixedCqi, GaussMarkovSinr
+from repro.lte.ue import Ue
+from repro.net.clock import Phase
+from repro.sim.scenarios import large_scale, sinr_for_cqi
+from repro.sim.simulation import Simulation
+from repro.traffic.generators import CbrSource, PoissonSource
+from tests.behaviour_identity import (
+    enb_counters, record_assignments, record_frames)
 from tests.sim.test_differential import fading_poisson_pf
 
 TTIS = 300
@@ -41,31 +58,68 @@ PINNED = {
 }
 
 
-def frame_digest(build, monkeypatch):
+def frame_digest(build):
     """``(frames, sha256)`` of every frame encoded while *build*'s
     simulation runs :data:`TTIS` TTIs."""
-    digest = hashlib.sha256()
-    frames = 0
-    encode = codec.encode
-
-    def hashing_encode(message):
-        nonlocal frames
-        frame = encode(message)
-        digest.update(len(frame).to_bytes(4, "big"))
-        digest.update(frame)
-        frames += 1
-        return frame
-
-    monkeypatch.setattr(codec, "encode", hashing_encode)
-    sim = build()
-    try:
-        sim.run(TTIS)
-    finally:
-        sim.close()
-    return frames, digest.hexdigest()
+    with record_frames(codec) as frames:
+        sim = build()
+        try:
+            sim.run(TTIS)
+        finally:
+            sim.close()
+    return frames.count, frames.hexdigest()
 
 
 @pytest.mark.parametrize("build", [large_scale_4x16, fading_pf],
                          ids=lambda f: f.__name__)
-def test_whole_run_frames_are_pinned(build, monkeypatch):
-    assert frame_digest(build, monkeypatch) == PINNED[build.__name__]
+def test_whole_run_frames_are_pinned(build):
+    assert frame_digest(build) == PINNED[build.__name__]
+
+
+def agentless_multicell():
+    """Two agent-less eNodeBs, the first with carriers 10 and 11."""
+    sim = Simulation()
+    enbs = [sim.add_enb(1, [CellConfig(cell_id=10), CellConfig(cell_id=11)],
+                        seed=1),
+            sim.add_enb(2, seed=2)]
+    ues = []
+    for e, enb in enumerate(enbs):
+        for i in range(6):
+            seed = 10 * e + i
+            channel = (FixedCqi(4 + 2 * i) if i % 2 else GaussMarkovSinr(
+                sinr_for_cqi(5 + i), sigma_db=3.0, seed=seed))
+            ue = Ue(f"{e}{i:03d}", channel)
+            cells = sorted(enb.cells)
+            sim.add_ue(enb, ue, cell_id=cells[i % len(cells)])
+            sim.add_downlink_traffic(
+                enb, ue, PoissonSource(2.0, seed=seed, start_tti=20))
+            if i < 3:
+                sim.add_uplink_traffic(enb, ue, CbrSource(0.3, start_tti=30))
+            ues.append(ue)
+    first, drx_ue = enbs[0], ues[1]
+    drx = DrxConfig(cycle_ttis=20, on_duration_ttis=4, inactivity_ttis=2)
+    script = {
+        80: lambda tti: first.activate_scell(ues[0].rnti, 11, tti=tti),
+        120: lambda tti: first.set_drx(drx_ue.rnti, drx),
+        200: lambda tti: first.set_drx(drx_ue.rnti, None),
+        240: lambda tti: first.deactivate_scell(ues[0].rnti, 11),
+    }
+    sim.clock.register(
+        Phase.TRAFFIC, lambda tti: script.get(tti, lambda _: None)(tti))
+    return sim, enbs
+
+
+ASSIGNMENTS_PINNED = (
+    988, "fdb8e044cd984c3e20442e163e2917e88af6d7ca72db060cd54ab5a65874a467")
+"""(applied downlink assignments, digest) of :func:`agentless_multicell`
+over :data:`TTIS` TTIs."""
+
+
+def test_agentless_assignments_are_pinned():
+    with record_assignments(EnodeB) as applied:
+        sim, enbs = agentless_multicell()
+        sim.run(TTIS)
+    assert all(enb.counters.ul_grants > 0 for enb in enbs)
+    assert sum(enb.counters.tb_err for enb in enbs) > 0
+    assert (applied.count, applied.hexdigest(enb_counters(enbs))) \
+        == ASSIGNMENTS_PINNED
