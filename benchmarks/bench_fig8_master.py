@@ -9,10 +9,10 @@ updates), and memory grows with the RIB.
 
 Every time here is a wall-clock measurement, so only orderings with a
 wide margin are asserted (each series grows from one agent to three by
-about x3); the rest is reported.  The paper's core > apps ordering does
-not hold for this build -- the compiled codec halved the core slot's
-decode while the per-TTI scheduler app is pure Python -- and is not
-asserted.  No reading feeds back into the run (DESIGN.md section 11).
+about x3); the rest is reported.  The paper's core > apps ordering is
+reported, not asserted: EXPERIMENTS.md records which way each
+measurement found it.  No reading feeds back into the run (DESIGN.md
+section 11).
 """
 
 from __future__ import annotations

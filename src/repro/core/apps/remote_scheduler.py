@@ -18,7 +18,9 @@ Two latency mechanisms from Section 5.3 are implemented:
 The app also keeps in-flight bookkeeping: bytes already scheduled but
 not yet reflected in RIB queue reports are subtracted from the queue
 estimate, preventing systematic over-scheduling on slow control
-channels.
+channels.  Their sum is a running total per UE, updated as decisions
+are sent and expire, so a TTI's work follows the decisions made, not
+the decisions still in flight.
 """
 
 from __future__ import annotations
@@ -76,8 +78,10 @@ class RemoteSchedulerApp(App):
         self._inflight_ttl_margin = inflight_ttl_margin
         #: agent_id -> (subscription handle, TTI of last (re)assert).
         self._subscribed: Dict[int, Tuple[StatsSubscription, int]] = {}
-        # rnti -> deque of (expire_tti, bytes) decisions in flight.
+        # rnti -> deque of (expire_tti, bytes) decisions in flight, and
+        # rnti -> the sum of their bytes, kept as entries come and go.
         self._inflight: Dict[int, Deque[Tuple[int, int]]] = {}
+        self._inflight_total: Dict[int, int] = {}
         self.decisions_sent = 0
 
     # -- setup ------------------------------------------------------------
@@ -144,12 +148,17 @@ class RemoteSchedulerApp(App):
                     continue
                 nb.send_dl_command(agent.agent_id, cell_id, target, assignments)
                 self.decisions_sent += 1
-                ttl = (self.schedule_ahead + 2 * sync_lag
-                       + self._inflight_ttl_margin)
+                expire = (tti + self.schedule_ahead + 2 * sync_lag
+                          + self._inflight_ttl_margin)
+                inflight, totals = self._inflight, self._inflight_total
                 for a in assignments:
-                    bits = transport_block_bits(a.cqi_used, a.n_prb)
-                    self._inflight.setdefault(a.rnti, deque()).append(
-                        (tti + ttl, bits // 8))
+                    nbytes = transport_block_bits(a.cqi_used, a.n_prb) // 8
+                    if a.rnti in inflight:
+                        inflight[a.rnti].append((expire, nbytes))
+                        totals[a.rnti] += nbytes
+                    else:
+                        inflight[a.rnti] = deque(((expire, nbytes),))
+                        totals[a.rnti] = nbytes
 
     def _build_context(self, cell: CellNode, target: int, now: int,
                        sync_lag: int) -> SchedulingContext:
@@ -172,6 +181,8 @@ class RemoteSchedulerApp(App):
         pending = self._inflight.get(rnti)
         if not pending:
             return 0
+        total = self._inflight_total[rnti]
         while pending and pending[0][0] <= now:
-            pending.popleft()
-        return sum(b for _, b in pending)
+            total -= pending.popleft()[1]
+        self._inflight_total[rnti] = total
+        return total

@@ -18,12 +18,14 @@ tracks the admitted allocation; a later command for the same target is
   remote stub),
 * **denied** otherwise.
 
-Old targets are garbage-collected as time advances.
+Targets older than the retention window are garbage-collected as time
+advances; admission visits only those, not every target still held.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -68,8 +70,13 @@ class ConflictResolver:
         if retention_ttis <= 0:
             raise ValueError(
                 f"retention must be positive, got {retention_ttis}")
-        self._admitted: Dict[Tuple[str, int, int, int],
-                             AdmittedDecision] = {}
+        #: target TTI -> (kind, agent, cell) -> the decision admitted.
+        self._admitted: Dict[int, Dict[Tuple[str, int, int],
+                                       AdmittedDecision]] = {}
+        # The keys of _admitted as a min-heap.  Targets arrive out of
+        # order (agents' subframe estimates differ), and collection pops
+        # only the targets that fell below the horizon.
+        self._targets: List[int] = []
         self.retention_ttis = retention_ttis
         self.counters = ConflictCounters()
 
@@ -87,13 +94,21 @@ class ConflictResolver:
         table: downlink and uplink allocations of the same target TTI
         use disjoint PRB budgets and never conflict with each other.
         """
-        self._gc(now)
-        key = (kind, agent_id, cell_id, target_tti)
+        admitted, targets = self._admitted, self._targets
+        horizon = now - self.retention_ttis
+        while targets and targets[0] < horizon:
+            del admitted[heapq.heappop(targets)]
+        if target_tti in admitted:
+            decisions = admitted[target_tti]
+        else:
+            admitted[target_tti] = decisions = {}
+            heapq.heappush(targets, target_tti)
+        key = (kind, agent_id, cell_id)
         incoming = list(assignments)
-        existing = self._admitted.get(key)
+        existing = decisions.get(key)
 
         if existing is None:
-            self._admitted[key] = AdmittedDecision(priority, incoming)
+            decisions[key] = AdmittedDecision(priority, incoming)
             self.counters.allowed += 1
             return ConflictOutcome.ALLOWED, incoming
 
@@ -103,24 +118,19 @@ class ConflictResolver:
                 and (n_prb_limit is None or total_prbs <= n_prb_limit))
         if fits:
             merged = existing.assignments + incoming
-            self._admitted[key] = AdmittedDecision(
+            decisions[key] = AdmittedDecision(
                 max(existing.priority, priority), merged)
             self.counters.merged += 1
             return ConflictOutcome.MERGED, merged
 
         if priority > existing.priority:
-            self._admitted[key] = AdmittedDecision(priority, incoming)
+            decisions[key] = AdmittedDecision(priority, incoming)
             self.counters.replaced += 1
             return ConflictOutcome.REPLACED, incoming
 
         self.counters.denied += 1
         return ConflictOutcome.DENIED, []
 
-    def _gc(self, now: int) -> None:
-        horizon = now - self.retention_ttis
-        stale = [key for key in self._admitted if key[3] < horizon]
-        for key in stale:
-            del self._admitted[key]
-
     def pending_targets(self) -> int:
-        return len(self._admitted)
+        """Admitted (kind, agent, cell, target) decisions still held."""
+        return sum(len(decisions) for decisions in self._admitted.values())

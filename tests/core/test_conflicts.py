@@ -1,9 +1,12 @@
 """Tests for the application conflict-resolution mechanism (Sec 7.3)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.apps.base import App
 from repro.core.controller.conflicts import (
+    AdmittedDecision,
+    ConflictCounters,
     ConflictOutcome,
     ConflictResolver,
 )
@@ -95,6 +98,80 @@ class TestResolverUnit:
     def test_invalid_retention(self):
         with pytest.raises(ValueError):
             ConflictResolver(retention_ttis=0)
+
+    def test_target_at_the_horizon_is_kept(self):
+        r = ConflictResolver(retention_ttis=16)
+        r.admit(1, 10, 84, [dci(70)], n_prb_limit=50, priority=5, now=80)
+        r.admit(1, 10, 83, [dci(70)], n_prb_limit=50, priority=5, now=80)
+        r.admit(1, 11, 90, [dci(70)], n_prb_limit=50, priority=5, now=100)
+        assert r.pending_targets() == 2  # 83 < 100 - 16 went, 84 stays
+
+
+class ScanResolver:
+    """The reference: one flat table keyed (kind, agent, cell, target),
+    collected by scanning every key on every admission."""
+
+    def __init__(self, *, retention_ttis):
+        self._admitted = {}
+        self.retention_ttis = retention_ttis
+        self.counters = ConflictCounters()
+
+    def admit(self, agent_id, cell_id, target_tti, assignments, *,
+              n_prb_limit, priority, now, kind="dl"):
+        horizon = now - self.retention_ttis
+        for key in [k for k in self._admitted if k[3] < horizon]:
+            del self._admitted[key]
+        key = (kind, agent_id, cell_id, target_tti)
+        incoming = list(assignments)
+        existing = self._admitted.get(key)
+        if existing is None:
+            self._admitted[key] = AdmittedDecision(priority, incoming)
+            self.counters.allowed += 1
+            return ConflictOutcome.ALLOWED, incoming
+        fits = (not existing.rntis & {a.rnti for a in incoming}
+                and (n_prb_limit is None or existing.prbs
+                     + sum(a.n_prb for a in incoming) <= n_prb_limit))
+        if fits:
+            merged = existing.assignments + incoming
+            self._admitted[key] = AdmittedDecision(
+                max(existing.priority, priority), merged)
+            self.counters.merged += 1
+            return ConflictOutcome.MERGED, merged
+        if priority > existing.priority:
+            self._admitted[key] = AdmittedDecision(priority, incoming)
+            self.counters.replaced += 1
+            return ConflictOutcome.REPLACED, incoming
+        self.counters.denied += 1
+        return ConflictOutcome.DENIED, []
+
+    def pending_targets(self):
+        return len(self._admitted)
+
+
+RETENTION = 8
+command = st.tuples(
+    st.integers(0, 12),                          # clock advance
+    st.integers(-RETENTION - 3, 4),              # target - now
+    st.sampled_from(["dl", "ul"]), st.integers(1, 2), st.integers(10, 11),
+    st.lists(st.tuples(st.integers(70, 73), st.integers(1, 30)),
+             min_size=1, max_size=3),
+    st.one_of(st.none(), st.just(50)), st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(commands=st.lists(command, max_size=80))
+def test_indexed_collection_matches_the_scan(commands):
+    new = ConflictResolver(retention_ttis=RETENTION)
+    ref = ScanResolver(retention_ttis=RETENTION)
+    now = 0
+    for advance, ahead, kind, agent, cell, specs, limit, priority in commands:
+        now += advance
+        args = (agent, cell, now + ahead, [dci(r, n) for r, n in specs])
+        kwargs = dict(n_prb_limit=limit, priority=priority, now=now,
+                      kind=kind)
+        assert new.admit(*args, **kwargs) == ref.admit(*args, **kwargs)
+        assert new.pending_targets() == ref.pending_targets()
+    assert new.counters == ref.counters
 
 
 class _CommandingApp(App):

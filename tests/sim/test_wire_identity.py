@@ -7,7 +7,10 @@ messages; this pins whole runs.  Each frame case hashes every frame
 one deployment: ``large_scale`` in miniature (static channels, CBR load,
 periodic full-statistics subscriptions) and the differential suite's
 ``fading_poisson_pf`` (fading channels, Poisson load, PF scheduling, so
-per-UE state moves every period).
+per-UE state moves every period), and ``centralized_scheduling`` over a
+non-zero RTT (the master's scheduler app pushes every decision, so the
+downlink commands carry its in-flight accounting and conflict
+admission).
 
 A RAN without agents sends no frame, so the agent-less case hashes what
 its schedulers decided instead: every downlink assignment the eNodeBs
@@ -30,7 +33,8 @@ from repro.lte.mac.drx import DrxConfig
 from repro.lte.phy.channel import FixedCqi, GaussMarkovSinr
 from repro.lte.ue import Ue
 from repro.net.clock import Phase
-from repro.sim.scenarios import large_scale, sinr_for_cqi
+from repro.sim.scenarios import (
+    centralized_scheduling, large_scale, sinr_for_cqi)
 from repro.sim.simulation import Simulation
 from repro.traffic.generators import CbrSource, PoissonSource
 from tests.behaviour_identity import (
@@ -49,12 +53,22 @@ def fading_pf():
     return sim
 
 
+def centralized_rtt4():
+    """Centralized scheduling over a 4 ms RTT, four TTIs ahead: in-flight
+    decisions expire inside the run and the conflict resolver's
+    128-TTI retention horizon is crossed."""
+    return centralized_scheduling(n_enbs=2, ues_per_enb=6, rtt_ms=4.0,
+                                  schedule_ahead=4).sim
+
+
 PINNED = {
     # (frames encoded, sha256 over them)
     "large_scale_4x16": (
         434, "c396e7b1e2b69b958a6d499a8003bd4359bcef4e4bcf6fa4eedadfc5fb210a42"),
     "fading_pf": (
         66, "61a325d5cab8ff0e6663fdc9da7543c4e0f558a93d3a24d3c68c7f755d21a130"),
+    "centralized_rtt4": (
+        1698, "5b234a2aa0c8ce8b235bcb516669d7f0ef80e03c0907c7d2aeb4fa960df6565e"),
 }
 
 
@@ -70,7 +84,8 @@ def frame_digest(build):
     return frames.count, frames.hexdigest()
 
 
-@pytest.mark.parametrize("build", [large_scale_4x16, fading_pf],
+@pytest.mark.parametrize("build", [large_scale_4x16, fading_pf,
+                                   centralized_rtt4],
                          ids=lambda f: f.__name__)
 def test_whole_run_frames_are_pinned(build):
     assert frame_digest(build) == PINNED[build.__name__]
