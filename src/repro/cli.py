@@ -410,11 +410,9 @@ def _cmd_serve(args) -> int:
                                            smoke_thread.is_alive()):
                     sim.run(min(50, ttis - step))
                     step += 50
-                    time.sleep(0.001)
                 # Keep ticking until the smoke client wraps up.
                 while smoke_thread is not None and smoke_thread.is_alive():
                     sim.run(50)
-                    time.sleep(0.001)
             else:
                 while True:  # Ctrl-C to stop
                     sim.run(50)

@@ -3,12 +3,13 @@
 Layered per docs/NORTHBOUND.md:
 
 * :mod:`repro.nb.subscriptions` -- the transport-neutral routing table;
-* :mod:`repro.nb.service` -- the controller bridge (event tap, command
-  pump, RIB sampling) that keeps every master/RIB touch on the
-  controller thread;
+* :mod:`repro.nb.service` -- the controller bridge (event tap, RIB
+  sampling, the cycle hook that pumps the server) that keeps every
+  master/RIB touch on the controller thread;
 * :mod:`repro.nb.routes` / :mod:`repro.nb.encoders` -- the HTTP route
   vocabulary and the JSONL/SSE payload encoders;
-* :mod:`repro.nb.server` -- the asyncio HTTP/1.1 frontend;
+* :mod:`repro.nb.server` -- the HTTP/1.1 frontend, pumped by the
+  service's cycle hook;
 * :mod:`repro.nb.client` -- a blocking stdlib client;
 * :mod:`repro.nb.auth` -- the authentication seam (allow-all default,
   shared bearer token for CI).
@@ -18,7 +19,7 @@ from repro.nb.auth import AuthPolicy, TokenAuth, build_auth
 from repro.nb.client import ClientError, NorthboundClient, StreamHandle
 from repro.nb.routes import ApiError, Router, StreamRequest, build_router
 from repro.nb.server import NorthboundServer
-from repro.nb.service import CommandError, NorthboundService, Ticket
+from repro.nb.service import NorthboundService
 from repro.nb.subscriptions import (
     DEFAULT_QUEUE_CAPACITY,
     Subscription,
@@ -29,7 +30,6 @@ __all__ = [
     "ApiError",
     "AuthPolicy",
     "ClientError",
-    "CommandError",
     "DEFAULT_QUEUE_CAPACITY",
     "NorthboundClient",
     "NorthboundServer",
@@ -39,7 +39,6 @@ __all__ = [
     "StreamRequest",
     "Subscription",
     "SubscriptionTable",
-    "Ticket",
     "TokenAuth",
     "build_auth",
     "build_router",

@@ -56,8 +56,7 @@ class StreamHandle:
                 line = line[len(b"data: "):]
             yield json.loads(line)
 
-    def read(self, n: int, timeout_items: Optional[int] = None
-             ) -> List[dict]:
+    def read(self, n: int) -> List[dict]:
         """Collect the next *n* items (blocks on the socket)."""
         items: List[dict] = []
         for item in self:

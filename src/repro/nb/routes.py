@@ -2,8 +2,8 @@
 
 The frontend normalizes every request into the same typed northbound
 vocabulary in-process apps use: a route handler either performs a
-read/command through :meth:`NorthboundService.call` (which executes on
-the controller thread against the real :class:`NorthboundApi`) or
+read/command on the master's :class:`NorthboundApi` directly (the
+server dispatches from the master's cycle hook, between TTIs) or
 returns a :class:`StreamRequest` telling the transport to open a
 subscription stream.  The route layer itself knows nothing about
 sockets, so its handlers are unit-testable without a server.
@@ -39,7 +39,6 @@ class StreamRequest:
     event_classes: Optional[frozenset] = None
     key: Optional[Tuple[int, int]] = None
     period_ttis: int = 10
-    capacity: Optional[int] = None
 
 
 def _require(body: dict, field: str, kind=None):
@@ -51,8 +50,7 @@ def _require(body: dict, field: str, kind=None):
     return value
 
 
-def _int_query(query: Dict[str, str], name: str, default: int, *,
-               minimum: int = 1) -> int:
+def _int_query(query: Dict[str, str], name: str, default: int) -> int:
     raw = query.get(name)
     if raw is None:
         return default
@@ -60,8 +58,8 @@ def _int_query(query: Dict[str, str], name: str, default: int, *,
         value = int(raw)
     except ValueError:
         raise ApiError(400, f"query parameter {name!r} must be an integer")
-    if value < minimum:
-        raise ApiError(400, f"query parameter {name!r} must be >= {minimum}")
+    if value < 1:
+        raise ApiError(400, f"query parameter {name!r} must be >= 1")
     return value
 
 
@@ -124,56 +122,50 @@ class Router:
 
 
 def get_info(service, args, body, query):
-    master = service.master
-    return service.call(lambda nb: {
+    nb = service.master.northbound
+    return {
         "platform": "repro-flexran",
         "tti": nb.now,
         "agents": nb.agent_ids(),
         "live_agents": nb.live_agent_ids(),
-        "apps": master.registry.names(),
+        "apps": service.master.registry.names(),
         "service": service.stats(),
-    })
+    }
 
 
 def get_apps(service, args, body, query):
-    return service.call(
-        lambda nb: {"apps": service.master.registry.describe()})
+    return {"apps": service.master.registry.describe()}
 
 
 def get_agents(service, args, body, query):
-    def read(nb):
-        now = nb.now
-        return {"tti": now,
-                "agents": [encoders.agent_summary(nb.rib.agent(a), now)
-                           for a in nb.agent_ids()]}
-    return service.call(read)
+    nb = service.master.northbound
+    now = nb.now
+    return {"tti": now,
+            "agents": [encoders.agent_summary(nb.rib.agent(a), now)
+                       for a in nb.agent_ids()]}
+
+
+def _agent_node(nb, agent_id: int):
+    try:
+        return nb.rib.agent(agent_id)
+    except KeyError:
+        raise ApiError(404, f"no agent {agent_id}") from None
 
 
 def get_agent(service, args, body, query):
     (agent_id,) = args
-
-    def read(nb):
-        try:
-            node = nb.rib.agent(agent_id)
-        except KeyError:
-            raise ApiError(404, f"no agent {agent_id}")
-        return encoders.agent_detail(node, nb.now)
-    return service.call(read)
+    nb = service.master.northbound
+    return encoders.agent_detail(_agent_node(nb, agent_id), nb.now)
 
 
 def get_agent_ues(service, args, body, query):
     (agent_id,) = args
-
-    def read(nb):
-        try:
-            node = nb.rib.agent(agent_id)
-        except KeyError:
-            raise ApiError(404, f"no agent {agent_id}")
-        now = nb.now
-        return {"tti": now, "agent": agent_id,
-                "ues": [encoders.ue_sample(now, agent_id, ue, ue.rnti)
-                        for ue in node.all_ues()]}
-    return service.call(read)
+    nb = service.master.northbound
+    node = _agent_node(nb, agent_id)
+    now = nb.now
+    return {"tti": now, "agent": agent_id,
+            "ues": [encoders.ue_sample(now, agent_id, ue, ue.rnti)
+                    for ue in node.all_ues()]}
 
 
 def get_metrics(service, args, body, query):
@@ -190,7 +182,7 @@ def get_subscriptions(service, args, body, query):
 def post_policy(service, args, body, query):
     (agent_id,) = args
     text = _require(body, "text", str)
-    xid = service.call(lambda nb: nb.send_policy(agent_id, text))
+    xid = service.master.northbound.send_policy(agent_id, text)
     return {"xid": xid}
 
 
@@ -203,8 +195,8 @@ def post_vsf(service, args, body, query):
     params = body.get("params")
     if params is not None and not isinstance(params, dict):
         raise ApiError(400, "field 'params' must be an object")
-    xid = service.call(lambda nb: nb.push_vsf(
-        agent_id, module, operation, name, factory, params))
+    xid = service.master.northbound.push_vsf(
+        agent_id, module, operation, name, factory, params)
     return {"xid": xid}
 
 
@@ -214,7 +206,7 @@ def post_prb_cap(service, args, body, query):
     cap = body.get("cap")
     if cap is not None and not isinstance(cap, int):
         raise ApiError(400, "field 'cap' must be an integer or null")
-    xid = service.call(lambda nb: nb.set_prb_cap(agent_id, cell_id, cap))
+    xid = service.master.northbound.set_prb_cap(agent_id, cell_id, cap)
     return {"xid": xid}
 
 
@@ -224,8 +216,8 @@ def post_abs_pattern(service, args, body, query):
     subframes = _require(body, "subframes", list)
     if not all(isinstance(s, int) for s in subframes):
         raise ApiError(400, "field 'subframes' must be a list of integers")
-    xid = service.call(
-        lambda nb: nb.set_abs_pattern(agent_id, cell_id, subframes))
+    xid = service.master.northbound.set_abs_pattern(
+        agent_id, cell_id, subframes)
     return {"xid": xid}
 
 
@@ -234,8 +226,8 @@ def post_handover(service, args, body, query):
     rnti = _require(body, "rnti", int)
     source_cell = _require(body, "source_cell", int)
     target_cell = _require(body, "target_cell", int)
-    xid = service.call(lambda nb: nb.send_handover(
-        agent_id, rnti, source_cell, target_cell))
+    xid = service.master.northbound.send_handover(
+        agent_id, rnti, source_cell, target_cell)
     return {"xid": xid}
 
 
@@ -255,9 +247,7 @@ def stream_events(service, args, body, query):
     if raw:
         classes = frozenset(c.strip() for c in raw.split(",") if c.strip())
     return StreamRequest(kind="events", mode=_stream_mode(query),
-                         event_classes=classes,
-                         capacity=_int_query(query, "capacity", 0,
-                                             minimum=0) or None)
+                         event_classes=classes)
 
 
 def stream_ue(service, args, body, query):

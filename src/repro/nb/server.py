@@ -1,35 +1,37 @@
-"""Asyncio HTTP frontend for the northbound service plane.
+"""HTTP/1.1 frontend for the northbound service plane.
 
-A deliberately small HTTP/1.1 server on stdlib ``asyncio`` streams (no
-new dependencies): unary requests get JSON responses over keep-alive
-connections; stream requests (``/v1/stream/...``) subscribe a row in
-the routing table and hold the connection open, writing JSONL or SSE
-frames as the controller publishes.
+A deliberately small HTTP/1.1 server on non-blocking stdlib sockets
+(no new dependencies): unary requests get JSON responses over
+keep-alive connections; stream requests (``/v1/stream/...``) subscribe
+a row in the routing table and hold the connection open, writing JSONL
+or SSE frames as the controller publishes.
 
-The server runs its event loop in a dedicated thread so a blocking
-simulation loop (or the CLI) can own the main thread.  The only
-cross-thread traffic is:
+One thread owns the sockets, as on the control channel: every
+connection is a :class:`~repro.net.tcp.SocketPeer` with a
+:class:`RequestParser` as its decoder, and the service's cycle hook
+pumps them between TTIs, in this order:
 
-* command tickets -- resolved on the controller thread, bridged into
-  the loop via ``call_soon_threadsafe``;
-* the per-TTI wake batch -- ONE ``call_soon_threadsafe`` per TTI
-  carrying every subscription whose queue went empty -> non-empty,
-  which is what keeps thousands of subscribers from costing thousands
-  of cross-thread calls per TTI.
+1. :meth:`NorthboundServer.serve` -- one readiness poll, then accept
+   what is waiting and read the peers that are ready; each parsed
+   request is dispatched right there, on the master's thread;
+2. the service samples its streams;
+3. :meth:`NorthboundServer.flush` -- hand each stream's queued frames
+   to its socket.
 
-Writers also wake on a short timeout as a belt-and-braces fallback, so
-an item that raced a drain is delivered at most ``FLUSH_INTERVAL_S``
-late rather than stuck.
+No client can block the TTI: the kernel takes what it takes, and a
+stream whose out-buffer holds more than ``OUT_BUFFER_BYTES`` leaves its
+frames in the subscription's drop-oldest queue.  A request that
+arrives while the simulation is not ticking waits in the kernel.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import logging
-import threading
+import select
+import socket
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 from repro import obs as _obs
@@ -38,15 +40,12 @@ from repro.nb.auth import AuthPolicy
 from repro.nb.routes import ApiError, Router, StreamRequest, build_router
 from repro.nb.service import NorthboundService
 from repro.nb.subscriptions import Subscription
+from repro.net import tcp
 
 logger = logging.getLogger(__name__)
 
 MAX_HEADER_BYTES = 16384
 MAX_BODY_BYTES = 1 << 20
-SAFETY_WAKE_S = 5.0
-"""Belt-and-braces writer wake-up; publishes and unsubscribes both
-wake writers explicitly, so this timer only bounds the damage of an
-unforeseen lost wake."""
 
 _REASONS = {200: "OK", 400: "Bad Request", 401: "Unauthorized",
             404: "Not Found", 405: "Method Not Allowed",
@@ -58,6 +57,92 @@ class HttpError(Exception):
         super().__init__(message)
         self.status = status
         self.message = message
+
+
+class RequestParser:
+    """Incremental HTTP/1.1 request parser: a ``SocketPeer`` decoder.
+
+    ``feed`` accepts any chunking and returns the requests it
+    completed, in order, as ``(method, path, query, headers, body)``.
+    Input it cannot accept comes back as an :class:`HttpError` item,
+    and the parser ignores everything after it.
+    """
+
+    def __init__(self) -> None:
+        self._buffer = bytearray()
+        self._failed = False
+
+    def feed(self, data: bytes) -> list:
+        if self._failed:
+            return []
+        self._buffer += data
+        items: list = []
+        while True:
+            try:
+                request = self._parse_one()
+            except HttpError as exc:
+                self._failed = True
+                self._buffer.clear()
+                items.append(exc)
+                return items
+            if request is None:
+                return items
+            items.append(request)
+
+    def _parse_one(self):
+        buf = self._buffer
+        end = buf.find(b"\r\n\r\n")
+        if end < 0:
+            if len(buf) > MAX_HEADER_BYTES:
+                raise HttpError(413, "headers too large")
+            return None
+        head_len = end + 4
+        if head_len > MAX_HEADER_BYTES:
+            raise HttpError(413, "headers too large")
+        lines = buf[:end].decode("latin-1").split("\r\n")
+        try:
+            method, target, _version = lines[0].split(" ", 2)
+            parts = urlsplit(target)
+        except ValueError:
+            raise HttpError(400, f"malformed request line {lines[0]!r}"
+                            ) from None
+        headers: Dict[str, str] = {}
+        for line in lines[1:]:
+            name, sep, value = line.partition(":")
+            if sep:
+                headers[name.strip().lower()] = value.strip()
+        length = headers.get("content-length", "0")
+        try:
+            n = int(length)
+        except ValueError:
+            raise HttpError(400, "bad Content-Length") from None
+        if n < 0:
+            raise HttpError(400, "bad Content-Length")
+        if n > MAX_BODY_BYTES:
+            raise HttpError(413, "body too large")
+        if len(buf) < head_len + n:
+            return None  # body not fully arrived yet
+        body = bytes(buf[head_len:head_len + n])
+        del buf[:head_len + n]
+        return (method.upper(), parts.path, dict(parse_qsl(parts.query)),
+                headers, body)
+
+
+class _Client:
+    """One accepted connection and, once it asked for one, its stream."""
+
+    __slots__ = ("fd", "peer", "events", "closing", "sub", "frame",
+                 "histogram")
+
+    def __init__(self, fd: int) -> None:
+        self.fd = fd
+        self.peer: Optional[tcp.SocketPeer] = None
+        self.events = select.POLLIN
+        #: Answered with ``Connection: close``: close once flushed.
+        self.closing = False
+        self.sub: Optional[Subscription] = None
+        self.frame = None
+        self.histogram = None
 
 
 class NorthboundServer:
@@ -72,329 +157,229 @@ class NorthboundServer:
         self.port = port
         self.auth = auth or AuthPolicy()
         self.router = router or build_router()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        #: sub_id -> asyncio.Event waking that stream's writer.
-        self._wakers: Dict[int, asyncio.Event] = {}
-        self._tasks: "set" = set()
+        self._listener: Optional[socket.socket] = None
+        self._poller = select.poll()
+        #: fd -> client, every open connection.
+        self._clients: Dict[int, _Client] = {}
+        #: sub_id -> client, the connections carrying a stream.
+        self._streams: Dict[int, _Client] = {}
         self.connections_accepted = 0
         self.requests_served = 0
         self.streams_opened = 0
-        self.client_disconnects = 0
 
-    # -- lifecycle (called from any thread) -------------------------------
+    # -- lifecycle --------------------------------------------------------
 
     def start(self) -> Tuple[str, int]:
-        """Boot the server thread; returns the bound (host, port)."""
-        if self._thread is not None:
+        """Bind and hand the server to the service's pump; returns the
+        bound (host, port)."""
+        if self._listener is not None:
             raise RuntimeError("server already started")
-        self._thread = threading.Thread(
-            target=self._run_loop, name="nb-server", daemon=True)
-        self._thread.start()
-        if not self._ready.wait(10.0):
-            raise RuntimeError("northbound server failed to start in time")
-        if self._startup_error is not None:
-            raise RuntimeError(
-                f"northbound server failed to start: "
-                f"{self._startup_error!r}")
-        self.service.set_wake_callback(self._wake_from_controller)
+        self._listener = socket.create_server((self.host, self.port),
+                                              backlog=128)
+        self._listener.setblocking(False)
+        self.host, self.port = self._listener.getsockname()[:2]
+        self._poller.register(self._listener, select.POLLIN)
+        self.service.server = self
         return self.host, self.port
 
     def stop(self) -> None:
-        """Shut the loop down and join the server thread."""
-        self.service.set_wake_callback(None)
-        loop = self._loop
-        if loop is None:
+        """Close every connection (unsubscribing its stream) and the
+        listener."""
+        if self._listener is None:
             return
-        loop.call_soon_threadsafe(self._begin_shutdown)
-        if self._thread is not None:
-            self._thread.join(5.0)
-        self._thread = None
-        self._loop = None
+        if self.service.server is self:
+            self.service.server = None
+        for client in list(self._clients.values()):
+            client.peer.close()
+            self._drop(client)
+        self._poller.unregister(self._listener)
+        self._listener.close()
+        self._listener = None
 
-    def _begin_shutdown(self) -> None:
-        if self._server is not None:
-            self._server.close()
-        # Wake every stream writer so its coroutine observes shutdown,
-        # cancel lingering connection handlers, then stop the loop once
-        # they have unwound.
-        for event in self._wakers.values():
-            event.set()
-        for task in tuple(self._tasks):
-            task.cancel()
-        loop = asyncio.get_event_loop()
+    # -- step 1: accept, read, dispatch -----------------------------------
 
-        async def _drain() -> None:
-            if self._tasks:
-                await asyncio.gather(*self._tasks, return_exceptions=True)
-            loop.stop()
+    def serve(self) -> None:
+        """One readiness poll; accept and read what is ready, answering
+        each complete request."""
+        for fd, _mask in self._poller.poll(0):
+            client = self._clients.get(fd)
+            if client is None:  # the listener
+                self._accept()
+            else:
+                client.peer.pump()
+                self._settle(client)
 
-        loop.create_task(_drain())
+    def _accept(self) -> None:
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except BlockingIOError:
+                return
+            except OSError as exc:  # e.g. out of descriptors: next TTI
+                logger.warning("northbound accept failed: %s", exc)
+                return
+            client = _Client(sock.fileno())
+            client.peer = tcp.SocketPeer(
+                sock, RequestParser(), label="northbound client",
+                on_body=lambda item, c=client: self._on_request(c, item))
+            self._clients[client.fd] = client
+            self._poller.register(client.fd, client.events)
+            self.connections_accepted += 1
+            # Its request usually rode in with the connect.
+            client.peer.pump()
+            self._settle(client)
 
-    def _run_loop(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            server = loop.run_until_complete(asyncio.start_server(
-                self._handle_client, self.host, self.port))
-            self._server = server
-            self.port = server.sockets[0].getsockname()[1]
-        except BaseException as exc:  # noqa: BLE001 - startup report
-            self._startup_error = exc
-            self._ready.set()
-            loop.close()
+    def _on_request(self, client: _Client, item) -> None:
+        """A parsed request (or a parse error) from *client*."""
+        if client.sub is not None:
+            # A stream client sends nothing more: anything it does send
+            # means it hung up.
+            client.peer.close()
             return
-        self._ready.set()
-        try:
-            loop.run_forever()
-        finally:
-            try:
-                loop.run_until_complete(loop.shutdown_asyncgens())
-            finally:
-                loop.close()
-
-    # -- controller-thread wake bridge ------------------------------------
-
-    def _wake_from_controller(self, subs: List[Subscription]) -> None:
-        """ONE cross-thread call per TTI for the whole wake batch."""
-        loop = self._loop
-        if loop is None or loop.is_closed():
+        if client.closing:
+            return  # pipelined behind a request that closes the connection
+        if isinstance(item, HttpError):
+            self._respond(client, item.status, {"error": item.message},
+                          close=True)
             return
-        sub_ids = [s.sub_id for s in subs]
-        try:
-            loop.call_soon_threadsafe(self._wake_many, sub_ids)
-        except RuntimeError:
-            pass  # loop shutting down
-
-    def _wake_many(self, sub_ids: List[int]) -> None:
-        for sub_id in sub_ids:
-            event = self._wakers.get(sub_id)
-            if event is not None:
-                event.set()
-
-    # -- request handling ---------------------------------------------------
-
-    async def _handle_client(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        self.connections_accepted += 1
-        task = asyncio.current_task()
-        if task is not None:
-            self._tasks.add(task)
-        try:
-            while True:
-                try:
-                    request = await self._read_request(reader)
-                except HttpError as exc:
-                    await self._write_json(
-                        writer, exc.status, {"error": exc.message},
-                        close=True)
-                    break
-                if request is None:
-                    break  # clean EOF between requests
-                keep_open = await self._serve_one(reader, writer, *request)
-                if not keep_open:
-                    break
-        except (ConnectionResetError, BrokenPipeError, TimeoutError):
-            self.client_disconnects += 1
-        except asyncio.CancelledError:
-            pass  # server shutdown
-        except Exception:  # noqa: BLE001 - connection boundary
-            logger.exception("northbound connection handler failed")
-        finally:
-            if task is not None:
-                self._tasks.discard(task)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-
-    async def _read_request(self, reader: asyncio.StreamReader):
-        """Parse one request; None on clean EOF before any bytes."""
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
-                return None
-            raise HttpError(400, "truncated request") from None
-        except asyncio.LimitOverrunError:
-            raise HttpError(413, "headers too large") from None
-        if len(head) > MAX_HEADER_BYTES:
-            raise HttpError(413, "headers too large")
-        lines = head.decode("latin-1").split("\r\n")
-        try:
-            method, target, _version = lines[0].split(" ", 2)
-        except ValueError:
-            raise HttpError(400, f"malformed request line {lines[0]!r}"
-                            ) from None
-        headers: Dict[str, str] = {}
-        for line in lines[1:]:
-            if not line:
-                continue
-            name, sep, value = line.partition(":")
-            if sep:
-                headers[name.strip().lower()] = value.strip()
-        body = b""
-        length = headers.get("content-length")
-        if length is not None:
-            try:
-                n = int(length)
-            except ValueError:
-                raise HttpError(400, "bad Content-Length") from None
-            if n > MAX_BODY_BYTES:
-                raise HttpError(413, "body too large")
-            if n:
-                body = await reader.readexactly(n)
-        return method.upper(), target, headers, body
-
-    async def _serve_one(self, reader, writer, method: str, target: str,
-                         headers: Dict[str, str], body: bytes) -> bool:
-        """Handle one parsed request; returns keep-alive."""
+        method, path, query, headers, body = item
         self.requests_served += 1
-        parts = urlsplit(target)
-        path = parts.path
-        query = dict(parse_qsl(parts.query))
+        close = headers.get("connection", "").lower() == "close"
         if not self.auth.authorize(method, path, headers):
-            await self._write_json(
-                writer, 401, {"error": "unauthorized"},
-                extra_headers=[("WWW-Authenticate",
-                                self.auth.challenge())])
-            return headers.get("connection", "").lower() != "close"
+            self._respond(client, 401, {"error": "unauthorized"},
+                          close=close,
+                          extra_headers=[("WWW-Authenticate",
+                                          self.auth.challenge())])
+            return
         parsed_body: Optional[dict] = None
         if body:
             try:
                 parsed_body = json.loads(body)
-            except ValueError:
-                await self._write_json(writer, 400,
-                                       {"error": "body is not valid JSON"})
-                return True
+            except (ValueError, RecursionError):  # bytes, or too deep
+                self._respond(client, 400,
+                              {"error": "body is not valid JSON"},
+                              close=close)
+                return
             if not isinstance(parsed_body, dict):
-                await self._write_json(
-                    writer, 400, {"error": "body must be a JSON object"})
-                return True
+                self._respond(client, 400,
+                              {"error": "body must be a JSON object"},
+                              close=close)
+                return
         try:
             result = self.router.dispatch(self.service, method, path,
                                           parsed_body, query)
+            if isinstance(result, StreamRequest):
+                self._open_stream(client, result)
+                return
         except ApiError as exc:
-            await self._write_json(writer, exc.status,
-                                   {"error": exc.message})
-            return True
+            self._respond(client, exc.status, {"error": exc.message},
+                          close=close)
+            return
         except Exception:  # noqa: BLE001 - request boundary
             logger.exception("northbound handler failed for %s %s",
                              method, path)
-            await self._write_json(writer, 500,
-                                   {"error": "internal error"})
-            return True
-        if isinstance(result, StreamRequest):
-            await self._serve_stream(reader, writer, result)
-            return False  # streaming responses own the connection
-        await self._write_json(writer, 200, result)
-        return headers.get("connection", "").lower() != "close"
+            self._respond(client, 500, {"error": "internal error"},
+                          close=close)
+            return
+        self._respond(client, 200, result, close=close)
 
-    async def _write_json(self, writer: asyncio.StreamWriter, status: int,
-                          obj: object, *, close: bool = False,
-                          extra_headers=()) -> None:
+    def _respond(self, client: _Client, status: int, obj: object, *,
+                 close: bool, extra_headers=()) -> None:
         payload = json.dumps(obj, default=str).encode("utf-8")
-        reason = _REASONS.get(status, "Unknown")
-        head = [f"HTTP/1.1 {status} {reason}",
+        head = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
                 "Content-Type: application/json",
                 f"Content-Length: {len(payload)}"]
         for name, value in extra_headers:
             head.append(f"{name}: {value}")
         if close:
             head.append("Connection: close")
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
-                     + payload)
-        await writer.drain()
+            client.closing = True
+        client.peer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
+                          + payload)
 
-    # -- streaming ---------------------------------------------------------
-
-    def _open_subscription(self, request: StreamRequest) -> Subscription:
+    def _open_stream(self, client: _Client, request: StreamRequest) -> None:
         service = self.service
         if request.kind == "events":
-            return service.subscribe_events(request.event_classes,
-                                            capacity=request.capacity)
-        if request.kind == "ue":
-            agent_id, rnti = request.key  # type: ignore[misc]
-            return service.subscribe_ue(agent_id, rnti,
-                                        period_ttis=request.period_ttis,
-                                        capacity=request.capacity)
-        if request.kind == "cell":
-            agent_id, cell_id = request.key  # type: ignore[misc]
-            return service.subscribe_cell(agent_id, cell_id,
-                                          period_ttis=request.period_ttis,
-                                          capacity=request.capacity)
-        return service.subscribe_tti(period_ttis=request.period_ttis,
-                                     capacity=request.capacity)
-
-    async def _serve_stream(self, reader: asyncio.StreamReader,
-                            writer: asyncio.StreamWriter,
-                            request: StreamRequest) -> None:
-        """Hold the connection, writing frames as publishes arrive."""
-        sub = self._open_subscription(request)
-        # A streaming client sends nothing more; the next byte (or EOF)
-        # means it hung up.  Watching for it lets an *idle* stream --
-        # e.g. an event filter that never matches -- unsubscribe
-        # promptly instead of lingering until a write fails.
-        eof_watch = asyncio.ensure_future(reader.read(1))
-        frame = encoders.FRAMERS[request.mode]
-        waker = asyncio.Event()
-        self._wakers[sub.sub_id] = waker
-        self.streams_opened += 1
+            sub = service.subscribe_events(request.event_classes)
+        elif request.kind == "ue":
+            sub = service.subscribe_ue(*request.key,
+                                       period_ttis=request.period_ttis)
+        elif request.kind == "cell":
+            sub = service.subscribe_cell(*request.key,
+                                         period_ttis=request.period_ttis)
+        else:
+            sub = service.subscribe_tti(period_ttis=request.period_ttis)
+        client.sub = sub
+        client.frame = encoders.FRAMERS[request.mode]
         ob = _obs.get()
-        histogram = (ob.registry.histogram(
-            f"nb.fanout.latency_ms.{sub.kind}") if ob.enabled else None)
-        head = ("HTTP/1.1 200 OK\r\n"
-                f"Content-Type: {encoders.CONTENT_TYPES[request.mode]}\r\n"
-                "Cache-Control: no-store\r\n"
-                f"X-Subscription-Id: {sub.sub_id}\r\n"
-                "Connection: close\r\n\r\n")
-        try:
-            writer.write(head.encode("latin-1"))
-            await writer.drain()
-            queue = sub.queue
-            while not sub.closed and not eof_watch.done():
-                wrote = False
-                while queue:
-                    try:
-                        payload, stamp = queue.popleft()
-                    except IndexError:
-                        break
-                    if histogram is not None:
-                        histogram.observe(
-                            (time.perf_counter() - stamp) * 1000.0)
-                    writer.write(frame(payload))
-                    sub.delivered += 1
-                    wrote = True
-                if wrote:
-                    if writer.is_closing():
-                        break
-                    await writer.drain()
-                waker.clear()
-                if queue:
-                    continue
-                # Idle: block until a publish/unsubscribe wake or the
-                # client hangs up.  Clear-then-recheck above makes the
-                # block race-free against concurrent appends.
-                waiting = asyncio.ensure_future(waker.wait())
-                done, _pending = await asyncio.wait(
-                    {waiting, eof_watch},
-                    timeout=SAFETY_WAKE_S,
-                    return_when=asyncio.FIRST_COMPLETED)
-                if waiting not in done:
-                    waiting.cancel()
-                if eof_watch in done:
-                    break
-                if self._server is None or not self._server.is_serving():
-                    break
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            # Client went away mid-stream: unsubscribe, keep serving.
-            self.client_disconnects += 1
-        finally:
-            eof_watch.cancel()
-            self._wakers.pop(sub.sub_id, None)
-            self.service.unsubscribe(sub.sub_id)
+        if ob.enabled:
+            client.histogram = ob.registry.histogram(
+                f"nb.fanout.latency_ms.{sub.kind}")
+        self._streams[sub.sub_id] = client
+        self.streams_opened += 1
+        client.peer.write((
+            "HTTP/1.1 200 OK\r\n"
+            f"Content-Type: {encoders.CONTENT_TYPES[request.mode]}\r\n"
+            "Cache-Control: no-store\r\n"
+            f"X-Subscription-Id: {sub.sub_id}\r\n"
+            "Connection: close\r\n\r\n").encode("latin-1"))
+
+    # -- step 3: frames to sockets ----------------------------------------
+
+    def flush(self) -> None:
+        """Hand each stream's queued frames to its socket, up to the
+        out-buffer bound; what stays queued is the drop-oldest queue's
+        to keep or drop."""
+        for client in list(self._streams.values()):
+            sub = client.sub
+            peer = client.peer
+            if sub.closed:  # unsubscribed by a DELETE: end the stream
+                peer.close()
+            elif sub.queue and peer.out_bytes <= tcp.OUT_BUFFER_BYTES:
+                self._write_frames(client)
+                peer.flush()
+            else:
+                continue
+            self._settle(client)
+
+    def _write_frames(self, client: _Client) -> None:
+        sub = client.sub
+        peer = client.peer
+        queue = sub.queue
+        frame = client.frame
+        histogram = client.histogram
+        now = time.perf_counter()
+        while queue and peer.out_bytes <= tcp.OUT_BUFFER_BYTES:
+            payload, stamp = queue.popleft()
+            if histogram is not None:
+                histogram.observe((now - stamp) * 1000.0)
+            peer.write(frame(payload))
+            sub.delivered += 1
+
+    # -- bookkeeping ------------------------------------------------------
+
+    def _settle(self, client: _Client) -> None:
+        """After bytes moved: close what is done, drop what is closed,
+        and watch for what the connection waits on next."""
+        peer = client.peer
+        if client.closing and not peer.wants_write:
+            peer.close()
+        if peer.closed:
+            self._drop(client)
+            return
+        # A client that does not read its answers gets no more of them
+        # parsed: its requests wait in the kernel.
+        events = ((select.POLLIN if peer.out_bytes <= tcp.OUT_BUFFER_BYTES
+                   else 0)
+                  | (select.POLLOUT if peer.wants_write else 0))
+        if events != client.events:
+            client.events = events
+            self._poller.modify(client.fd, events)
+
+    def _drop(self, client: _Client) -> None:
+        del self._clients[client.fd]
+        self._poller.unregister(client.fd)
+        if client.sub is not None:
+            del self._streams[client.sub.sub_id]
+            self.service.unsubscribe(client.sub.sub_id)
+

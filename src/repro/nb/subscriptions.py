@@ -8,16 +8,17 @@ subscription id the frontend hands the client), and *how full* its
 delivery queue is.  Subscribe and unsubscribe are explicit operations
 against this table; nothing is implicit in connection state.
 
-Threading model
----------------
+Publishing rules
+----------------
 
 Publishes happen on the controller (simulation) thread inside the TTI
-loop; consumption happens on the asyncio server thread.  Three rules
-keep the TTI loop unharmed by slow or dead consumers:
+loop, and so does consumption: the server's pump hands queued frames
+to the sockets at the end of the same cycle.  Three rules keep the TTI
+loop unharmed by slow or dead consumers:
 
-* **Copy-on-write match indexes.**  ``subscribe``/``unsubscribe``
-  rebuild immutable tuples under a lock; ``publish`` reads one tuple
-  without taking the lock, so the hot path never blocks on churn.
+* **Match indexes.**  ``subscribe``/``unsubscribe`` rebuild immutable
+  per-kind tuples; ``publish`` walks one of them and never scans the
+  whole table.
 * **Encode once, append everywhere.**  The publisher serializes an
   item to JSON bytes *once*; fanning out to N subscribers is N deque
   appends of the same bytes object.
@@ -31,7 +32,6 @@ keep the TTI loop unharmed by slow or dead consumers:
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -54,7 +54,7 @@ class Subscription:
 
     __slots__ = ("sub_id", "kind", "key", "event_classes", "period_ttis",
                  "queue", "capacity", "drops", "delivered", "published",
-                 "created_tti", "closed", "wake_pending")
+                 "created_tti", "closed")
 
     def __init__(self, sub_id: int, kind: str, *,
                  key: Optional[Tuple[int, ...]] = None,
@@ -75,10 +75,6 @@ class Subscription:
         self.published = 0
         self.created_tti = created_tti
         self.closed = False
-        #: Publisher-side flag: a wake for this row is already queued
-        #: in the current flush cycle.  Only the controller thread
-        #: reads or writes it.
-        self.wake_pending = False
 
     def matches_event(self, event_class: str) -> bool:
         return (self.event_classes is None
@@ -103,17 +99,13 @@ class Subscription:
 
 
 class SubscriptionTable:
-    """Explicit subscription routing table with lock-free publishes.
+    """Explicit subscription routing table.
 
-    All mutation (subscribe/unsubscribe) happens under ``_lock`` and
-    replaces the match indexes wholesale; the publisher reads whichever
-    immutable snapshot is current.  A publish that interleaves with a
-    subscribe may miss the newcomer for that one item -- acceptable for
-    telemetry, and the price of never locking the TTI loop.
+    Subscribe and unsubscribe replace the match indexes wholesale; the
+    publisher reads the current ones.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._next_id = 1
         self._subs: Dict[int, Subscription] = {}
         # Immutable match indexes, rebuilt on churn.
@@ -139,14 +131,13 @@ class SubscriptionTable:
             raise ValueError(f"period must be >= 1 TTI, got {period_ttis}")
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        with self._lock:
-            sub = Subscription(self._next_id, kind, key=key,
-                               event_classes=event_classes,
-                               period_ttis=period_ttis, capacity=capacity,
-                               created_tti=created_tti)
-            self._next_id += 1
-            self._subs[sub.sub_id] = sub
-            self._reindex()
+        sub = Subscription(self._next_id, kind, key=key,
+                           event_classes=event_classes,
+                           period_ttis=period_ttis, capacity=capacity,
+                           created_tti=created_tti)
+        self._next_id += 1
+        self._subs[sub.sub_id] = sub
+        self._reindex()
         ob = _obs.get()
         if ob.enabled:
             ob.registry.gauge("nb.subscriptions.active").set(len(self._subs))
@@ -154,19 +145,18 @@ class SubscriptionTable:
 
     def unsubscribe(self, sub_id: int) -> bool:
         """Remove a row; returns whether it existed."""
-        with self._lock:
-            sub = self._subs.pop(sub_id, None)
-            if sub is None:
-                return False
-            sub.closed = True
-            self._reindex()
+        sub = self._subs.pop(sub_id, None)
+        if sub is None:
+            return False
+        sub.closed = True
+        self._reindex()
         ob = _obs.get()
         if ob.enabled:
             ob.registry.gauge("nb.subscriptions.active").set(len(self._subs))
         return True
 
     def _reindex(self) -> None:
-        """Rebuild the immutable match indexes (callers hold _lock)."""
+        """Rebuild the immutable match indexes."""
         subs = list(self._subs.values())
         self._event_subs = tuple(s for s in subs if s.kind == KIND_EVENTS)
         self._tti_subs = tuple(s for s in subs if s.kind == KIND_TTI)
@@ -184,13 +174,12 @@ class SubscriptionTable:
         return self._subs.get(sub_id)
 
     def describe(self) -> List[Dict[str, object]]:
-        with self._lock:
-            return [s.describe() for s in self._subs.values()]
+        return [s.describe() for s in self._subs.values()]
 
     def __len__(self) -> int:
         return len(self._subs)
 
-    # -- sampled-stream enumeration (controller thread) -------------------
+    # -- sampled-stream enumeration ---------------------------------------
 
     def sampled_subs(self) -> Tuple[Tuple[Subscription, ...], ...]:
         """Current per-UE and per-cell subscription groups."""
@@ -204,33 +193,29 @@ class SubscriptionTable:
         """Cheap guard so publishers can skip encoding entirely."""
         return bool(self._event_subs)
 
-    # -- publishing (controller thread, hot path) -------------------------
+    # -- publishing (hot path) --------------------------------------------
 
     def publish_event(self, event_class: str, payload: bytes,
-                      stamp: float,
-                      woken: List[Subscription]) -> int:
+                      stamp: float) -> int:
         """Fan one encoded event out to every matching event stream.
 
-        Appends subscriptions that transitioned empty -> non-empty to
-        *woken* (the caller batches one cross-thread wake per TTI).
         Returns the number of subscriptions reached.
         """
         count = 0
         for sub in self._event_subs:
             if not sub.matches_event(event_class):
                 continue
-            self._append(sub, payload, stamp, woken)
+            self._append(sub, payload, stamp)
             count += 1
         return count
 
-    def publish_to(self, sub: Subscription, payload: bytes, stamp: float,
-                   woken: List[Subscription]) -> None:
+    def publish_to(self, sub: Subscription, payload: bytes,
+                   stamp: float) -> None:
         """Append one encoded item to a single subscription's queue."""
-        self._append(sub, payload, stamp, woken)
+        self._append(sub, payload, stamp)
 
     @staticmethod
-    def _append(sub: Subscription, payload: bytes, stamp: float,
-                woken: List[Subscription]) -> None:
+    def _append(sub: Subscription, payload: bytes, stamp: float) -> None:
         queue = sub.queue
         if len(queue) == queue.maxlen:
             # deque(maxlen) evicts the oldest on append: slow consumer.
@@ -240,10 +225,3 @@ class SubscriptionTable:
                 ob.registry.counter(f"nb.fanout.dropped.{sub.kind}").inc()
         queue.append((payload, stamp))
         sub.published += 1
-        # Every append guarantees a wake in this flush cycle (the
-        # ``wake_pending`` flag bounds *woken* to one entry per row),
-        # so consumers may block indefinitely between wakes -- no
-        # polling timer, no missed-wake race.
-        if not sub.wake_pending:
-            sub.wake_pending = True
-            woken.append(sub)

@@ -170,14 +170,19 @@ class FrameDecoder:
 class SocketPeer:
     """One TCP connection as a non-blocking socket its owner pumps.
 
-    ``pump`` is the only place bytes move: it reads until the kernel
-    has nothing more (every complete envelope goes to ``on_body``) and
+    ``pump`` and ``flush`` are the only places bytes move: ``pump``
+    reads until the kernel has nothing more (*decoder* turns the bytes
+    into items, each goes to ``on_body``) and then flushes, which
     writes the out-buffer until the kernel takes no more.  EOF, a reset
-    or a protocol-broken stream closes the peer.
+    or a stream the decoder rejects closes the peer.
+
+    *decoder* is anything with ``feed(data) -> list`` that raises
+    ``ValueError`` on a broken stream: a :class:`FrameDecoder` on the
+    control channel, the northbound's HTTP request parser there.
     """
 
-    def __init__(self, sock: socket.socket, *, label: str,
-                 on_body: Callable[[bytes], None]) -> None:
+    def __init__(self, sock: socket.socket, decoder, *, label: str,
+                 on_body: Callable[[object], None]) -> None:
         sock.setblocking(False)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.sock = sock
@@ -185,7 +190,7 @@ class SocketPeer:
         self.on_body = on_body
         self.closed = False
         self.backpressure_waits = 0
-        self._decoder = FrameDecoder()
+        self._decoder = decoder
         self._out = bytearray()
 
     def fileno(self) -> int:
@@ -194,6 +199,11 @@ class SocketPeer:
     @property
     def wants_write(self) -> bool:
         return bool(self._out) and not self.closed
+
+    @property
+    def out_bytes(self) -> int:
+        """Bytes queued that the kernel has not taken yet."""
+        return len(self._out)
 
     def pump(self) -> bool:
         """One non-blocking pass, both directions; True if bytes moved."""
@@ -218,6 +228,12 @@ class SocketPeer:
             self.close()
         if self.closed:
             return True
+        return self.flush() or moved
+
+    def flush(self) -> bool:
+        """Write the out-buffer until the kernel takes no more; True if
+        bytes moved."""
+        moved = False
         try:
             while self._out:
                 del self._out[:self.sock.send(self._out)]
@@ -227,6 +243,10 @@ class SocketPeer:
         except OSError:  # EPIPE / ECONNRESET: the peer is gone
             self.close()
         return moved
+
+    def write(self, blob: bytes) -> None:
+        """Append *blob* to the out-buffer; the next flush sends it."""
+        self._out += blob
 
     def queue(self, blob: bytes) -> None:
         """Append one enveloped blob and push what the kernel takes."""
@@ -454,7 +474,7 @@ class TcpTransportServer:
                 break
             bodies: List[bytes] = []
             self._handshakes.append((SocketPeer(
-                sock, label="tcp server handshake",
+                sock, FrameDecoder(), label="tcp server handshake",
                 on_body=bodies.append), bodies))
             moved = True
         for entry in list(self._handshakes):
@@ -504,7 +524,8 @@ def connect_endpoint(host: str, port: int, *, agent_id: int,
     """
     endpoint.attach_socket(SocketPeer(
         socket.create_connection((host, port), timeout=DEAD_PEER_S),
-        label=f"agent{agent_id}->master", on_body=endpoint.on_envelope))
+        FrameDecoder(), label=f"agent{agent_id}->master",
+        on_body=endpoint.on_envelope))
     endpoint.sock.queue(_preamble(agent_id))
     return endpoint
 

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import select
+import socket
 import threading
 import time
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 
@@ -43,6 +47,76 @@ def service(sim):
     svc.attach()
     yield svc
     svc.detach()
+
+
+def http_request(method: str, path: str, body: Optional[dict] = None,
+                 headers: Tuple[str, ...] = ()) -> bytes:
+    """One raw HTTP/1.1 request."""
+    payload = b"" if body is None else json.dumps(body).encode("utf-8")
+    head = [f"{method} {path} HTTP/1.1", "Host: test", *headers]
+    if payload:
+        head.append(f"Content-Length: {len(payload)}")
+    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + payload
+
+
+class RawHttp:
+    """A raw-socket client for tests that step the simulation on the
+    test thread: send, ``sim.run``, then read what the pump wrote."""
+
+    def __init__(self, host: str, port: int, *,
+                 rcvbuf: Optional[int] = None) -> None:
+        self.sock = socket.socket()
+        if rcvbuf is not None:
+            self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+        self.sock.settimeout(5.0)
+        self.sock.connect((host, port))
+        self._buf = b""
+
+    def send(self, *requests: bytes) -> None:
+        self.sock.sendall(b"".join(requests))
+
+    def answered(self) -> bool:
+        """Whether any bytes have come back."""
+        return bool(self._buf or select.select([self.sock], [], [], 0)[0])
+
+    def _read_until(self, done) -> None:
+        while not done():
+            data = self.sock.recv(1 << 16)
+            if not data:
+                raise ConnectionError("server closed the connection")
+            self._buf += data
+
+    def response(self) -> Tuple[int, Dict[str, str], bytes]:
+        """The next complete response: (status, headers, body)."""
+        self._read_until(lambda: b"\r\n\r\n" in self._buf)
+        head, _, rest = self._buf.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        headers = {}
+        for line in lines[1:]:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        length = int(headers.get("content-length", "0"))
+        self._buf = rest
+        self._read_until(lambda: len(self._buf) >= length)
+        body, self._buf = self._buf[:length], self._buf[length:]
+        return int(lines[0].split(" ")[1]), headers, body
+
+    def json(self) -> Tuple[int, dict]:
+        status, _, body = self.response()
+        return status, json.loads(body)
+
+    def items(self) -> List[dict]:
+        """Every complete JSONL item that has arrived so far."""
+        while select.select([self.sock], [], [], 0)[0]:
+            data = self.sock.recv(1 << 16)
+            if not data:
+                break
+            self._buf += data
+        *lines, self._buf = self._buf.split(b"\n")
+        return [json.loads(line) for line in lines if line.strip()]
+
+    def close(self) -> None:
+        self.sock.close()
 
 
 class LiveServer:

@@ -1,15 +1,13 @@
-"""Service-core tests: controller bridge, pump, sampling, correlation.
+"""Service-core tests: controller bridge, pump, sampling.
 
 Everything here drives the simulation synchronously on the test thread
--- the pump runs as a master cycle hook, so ``submit(...)`` followed by
-``sim.run(1)`` executes the command deterministically.
+-- the pump runs as a master cycle hook, so streams fill as
+``sim.run`` steps.  Commands through the server: tests/nb/test_pump.py.
 """
 
 from __future__ import annotations
 
 import json
-
-import pytest
 
 from repro import obs
 from repro.lte.phy.channel import FixedCqi
@@ -30,34 +28,6 @@ def agent_id_of(sim) -> int:
     ids = sim.master.rib.agent_ids()
     assert ids, "agent not yet in RIB"
     return ids[0]
-
-
-class TestCommandPump:
-    def test_commands_execute_on_cycle_and_return_xid(self, sim, service):
-        sim.run(50)
-        agent = agent_id_of(sim)
-        ticket = service.submit(lambda nb: nb.ping(agent))
-        assert not ticket.done
-        sim.run(1)
-        xid = ticket.result(0)
-        assert isinstance(xid, int) and xid > 0
-
-    def test_call_failures_propagate(self, sim, service):
-        sim.run(50)
-        ticket = service.submit(lambda nb: nb.rib.agent(999))
-        sim.run(1)
-        with pytest.raises(KeyError):
-            ticket.result(0)
-        assert service.commands_failed == 1
-
-    def test_reads_see_consistent_rib(self, sim, service):
-        sim.run(100)
-        ticket = service.submit(
-            lambda nb: (nb.now, nb.agent_ids(), nb.live_agent_ids()))
-        sim.run(1)
-        now, agents, live = ticket.result(0)
-        assert agents == live
-        assert now >= 100
 
 
 class TestEventStreams:
@@ -145,31 +115,6 @@ class TestBackpressure:
             assert sub.drops == 500 - 4
             counter = ob.registry.counter("nb.fanout.dropped.tti")
             assert counter.value == 500 - 4
-
-
-class TestXidCorrelation:
-    def test_command_xid_correlates_to_agent_delivery(self):
-        with obs.enabled_scope(trace=False) as ob:
-            sim = build_sim()
-            svc = NorthboundService(sim.master)
-            svc.attach()
-            try:
-                sim.run(60)
-                agent = agent_id_of(sim)
-                cell_id = sorted(sim.master.rib.agent(agent).cells)[0]
-                ticket = svc.submit(
-                    lambda nb: nb.set_prb_cap(agent, cell_id, 17))
-                sim.run(1)
-                xid = ticket.result(0)
-                sim.run(60)  # let the command cross the control channel
-                records = ob.correlator.records(direction="dl",
-                                                msg_type="PrbCapConfig")
-                matched = [r for r in records if r.xid == xid]
-                assert matched, (
-                    f"no completed dl PrbCapConfig record for xid {xid}; "
-                    f"saw {[r.xid for r in records]}")
-            finally:
-                svc.detach()
 
 
 class TestLifecycle:

@@ -14,10 +14,6 @@ from repro.nb.subscriptions import (
 )
 
 
-def woken_ids(woken):
-    return [s.sub_id for s in woken]
-
-
 class TestMembership:
     def test_subscribe_assigns_unique_ids(self):
         table = SubscriptionTable()
@@ -65,37 +61,22 @@ class TestEventRouting:
         any_class = table.subscribe(KIND_EVENTS)
         only_ho = table.subscribe(
             KIND_EVENTS, event_classes=frozenset({"handover_complete"}))
-        woken = []
-        reached = table.publish_event("ue_attach", b"{}", 0.0, woken)
+        reached = table.publish_event("ue_attach", b"{}", 0.0)
         assert reached == 1
         assert len(any_class.queue) == 1
         assert len(only_ho.queue) == 0
-        reached = table.publish_event("handover_complete", b"{}", 0.0, woken)
+        reached = table.publish_event("handover_complete", b"{}", 0.0)
         assert reached == 2
         assert len(only_ho.queue) == 1
 
     def test_unsubscribed_rows_receive_nothing(self):
         table = SubscriptionTable()
         sub = table.subscribe(KIND_EVENTS)
-        table.publish_event("ue_attach", b"{}", 0.0, [])
+        table.publish_event("ue_attach", b"{}", 0.0)
         table.unsubscribe(sub.sub_id)
         published_before = sub.published
-        table.publish_event("ue_attach", b"{}", 0.0, [])
+        table.publish_event("ue_attach", b"{}", 0.0)
         assert sub.published == published_before
-
-    def test_woken_records_each_row_once_per_flush_cycle(self):
-        table = SubscriptionTable()
-        sub = table.subscribe(KIND_EVENTS)
-        woken = []
-        table.publish_event("ue_attach", b"a", 0.0, woken)
-        table.publish_event("ue_attach", b"b", 0.0, woken)
-        assert woken_ids(woken) == [sub.sub_id]  # deduped by the flag
-        # The pump resets the flag when it flushes the batch; the next
-        # append queues a fresh wake.
-        sub.wake_pending = False
-        woken.clear()
-        table.publish_event("ue_attach", b"c", 0.0, woken)
-        assert woken_ids(woken) == [sub.sub_id]
 
 
 class TestBackpressure:
@@ -103,7 +84,7 @@ class TestBackpressure:
         table = SubscriptionTable()
         sub = table.subscribe(KIND_EVENTS, capacity=3)
         for i in range(10):
-            table.publish_event("ue_attach", b"%d" % i, 0.0, [])
+            table.publish_event("ue_attach", b"%d" % i, 0.0)
         assert sub.drops == 7
         assert sub.published == 10
         # Drop-oldest: the freshest three frames survive.
@@ -114,7 +95,7 @@ class TestBackpressure:
             table = SubscriptionTable()
             table.subscribe(KIND_EVENTS, capacity=1)
             for _ in range(5):
-                table.publish_event("ue_attach", b"{}", 0.0, [])
+                table.publish_event("ue_attach", b"{}", 0.0)
             counter = ob.registry.counter("nb.fanout.dropped.events")
             assert counter.value == 4
 

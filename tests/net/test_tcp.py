@@ -208,7 +208,8 @@ class TestTcpControlConnection:
         idle = socket.create_connection(listener.getsockname())
         # The master side now pumps a socket nothing will ever reach.
         conn.master_side.attach_socket(
-            SocketPeer(idle, label="deaf", on_body=lambda body: None))
+            SocketPeer(idle, FrameDecoder(), label="deaf",
+                       on_body=lambda body: None))
         conn.agent_side.send(EchoReply(), now=0)
         began = time.monotonic()
         with pytest.raises(TransportClosed, match="no progress"):
