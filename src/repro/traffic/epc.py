@@ -3,8 +3,9 @@
 The paper's testbed ran openair-cn as the Evolved Packet Core; the
 reproduction only needs its externally visible role -- delivering
 downlink flows into eNodeB bearers (S1-U ingress) and accounting
-uplink deliveries -- so this stub implements exactly that, plus flow
-management helpers the examples and benchmarks use.
+uplink deliveries -- so this stub implements exactly that.  Every flow
+waits on a timing wheel for the TTI its source next emits in, so the
+TRAFFIC phase costs a call per packet, not per provisioned flow.
 """
 
 from __future__ import annotations
@@ -28,152 +29,92 @@ class FlowStats:
 
 
 @dataclass
-class _DownlinkFlow:
+class _Flow:
     source: TrafficSource
     enb: EnodeB
     rnti: int
-    lcid: int
+    lcid: int = DEFAULT_LCID  # downlink only
     stats: FlowStats = field(default_factory=FlowStats)
-    #: Bound ``next_emission_tti`` hint of the source, or ``None``
-    #: for sources that must be polled every TTI.
-    hint: object = None
-    #: Cleared by :meth:`EpcStub.remove_flows_for`; stale timing-wheel
-    #: entries for removed flows are skipped via this flag.
-    active: bool = True
-
-
-@dataclass
-class _UplinkFlow:
-    source: TrafficSource
-    enb: EnodeB
-    rnti: int
-    stats: FlowStats = field(default_factory=FlowStats)
-    hint: object = None
     active: bool = True
 
 
 class EpcStub:
     """Routes generated traffic into eNodeBs every TTI.
 
-    Flows whose source exposes a ``next_emission_tti`` hint (CBR) sit
-    in a per-direction timing wheel and are only visited on TTIs where
-    they can actually emit; the source credits the skipped TTIs on its
-    next call, so delivered rates are unchanged.  At thousands of
-    provisioned flows this turns the TRAFFIC phase from "one Python
-    call per flow per TTI" into "one call per emitted packet".
-    Hint-less sources (Poisson, saturating, on/off) are polled every
-    TTI as before.
+    Each direction's wheel maps a TTI to the flows due then (``None``:
+    added since the last tick).  A flow is visited when its source's
+    ``next_emission_tti`` says it can emit; the source accounts the
+    TTIs skipped.  A flow whose UE is absent is probed every TTI
+    without calling its source.  A parked flow's UE must stay present
+    until its next visit: in :mod:`repro` only a handover detaches a
+    UE, and it re-homes the UE's flows (:meth:`rehome`) in the call.
     """
 
     def __init__(self) -> None:
-        self._downlink: List[_DownlinkFlow] = []
-        self._uplink: List[_UplinkFlow] = []
-        # Poll lists: flows visited every TTI.  Wheels: tti -> flows
-        # whose next visit is that TTI (each flow in at most one
-        # bucket).  Pending: hinted flows added but not yet visited
-        # (the add-time TTI is unknown, so the first visit is polled).
-        self._dl_poll: List[_DownlinkFlow] = []
-        self._ul_poll: List[_UplinkFlow] = []
-        self._dl_pending: List[_DownlinkFlow] = []
-        self._ul_pending: List[_UplinkFlow] = []
-        self._dl_wheel: dict = {}
-        self._ul_wheel: dict = {}
+        self._downlink, self._uplink = [], []  # every flow not removed
+        self._dl_wheel, self._ul_wheel = {}, {}
 
     def add_downlink(self, source: TrafficSource, enb: EnodeB, rnti: int,
                      *, lcid: int = DEFAULT_LCID) -> FlowStats:
         """Provision a downlink flow; returns its live counters."""
-        hint = getattr(source, "next_emission_tti", None)
-        flow = _DownlinkFlow(source=source, enb=enb, rnti=rnti, lcid=lcid,
-                             hint=hint)
+        flow = _Flow(source, enb, rnti, lcid)
         self._downlink.append(flow)
-        (self._dl_pending if hint is not None else self._dl_poll).append(flow)
+        self._dl_wheel.setdefault(None, []).append(flow)
         return flow.stats
 
     def add_uplink(self, source: TrafficSource, enb: EnodeB,
                    rnti: int) -> FlowStats:
         """Provision an uplink flow (data originates at the UE)."""
-        hint = getattr(source, "next_emission_tti", None)
-        flow = _UplinkFlow(source=source, enb=enb, rnti=rnti, hint=hint)
+        flow = _Flow(source, enb, rnti)
         self._uplink.append(flow)
-        (self._ul_pending if hint is not None else self._ul_poll).append(flow)
+        self._ul_wheel.setdefault(None, []).append(flow)
         return flow.stats
+
+    def _flows_of(self, enb: EnodeB, rnti: int) -> List[_Flow]:
+        return [flow for flow in self._downlink + self._uplink
+                if flow.enb is enb and flow.rnti == rnti]
 
     def rehome(self, old_enb: EnodeB, old_rnti: int,
                new_enb: EnodeB, new_rnti: int) -> int:
         """Repoint flows after a handover moved a UE; returns count."""
-        moved = 0
-        for flow in self._downlink + self._uplink:
-            if flow.enb is old_enb and flow.rnti == old_rnti:
-                flow.enb = new_enb
-                flow.rnti = new_rnti
-                moved += 1
-        return moved
+        moved = self._flows_of(old_enb, old_rnti)
+        for flow in moved:
+            flow.enb, flow.rnti = new_enb, new_rnti
+        return len(moved)
 
-    def remove_flows_for(self, rnti: int) -> int:
-        """Drop all flows toward *rnti* (UE detached); returns count."""
-        before = len(self._downlink) + len(self._uplink)
-        for flow in self._downlink + self._uplink:
-            if flow.rnti == rnti:
-                flow.active = False  # skip stale timing-wheel entries
-        self._downlink = [f for f in self._downlink if f.rnti != rnti]
-        self._uplink = [f for f in self._uplink if f.rnti != rnti]
-        self._dl_poll = [f for f in self._dl_poll if f.rnti != rnti]
-        self._ul_poll = [f for f in self._ul_poll if f.rnti != rnti]
-        self._dl_pending = [f for f in self._dl_pending if f.rnti != rnti]
-        self._ul_pending = [f for f in self._ul_pending if f.rnti != rnti]
-        return before - len(self._downlink) - len(self._uplink)
-
-    def _requeue(self, wheel: dict, flow, due: int) -> None:
-        bucket = wheel.get(due)
-        if bucket is None:
-            wheel[due] = [flow]
-        else:
-            bucket.append(flow)
+    def remove_flows_for(self, enb: EnodeB, rnti: int) -> int:
+        """Drop UE *rnti*'s flows on *enb* (RNTIs are per eNodeB); count."""
+        removed = self._flows_of(enb, rnti)
+        for flow in removed:
+            flow.active = False  # the wheel drops it at its next visit
+        self._downlink = [flow for flow in self._downlink if flow.active]
+        self._uplink = [flow for flow in self._uplink if flow.active]
+        return len(removed)
 
     def tick(self, tti: int) -> None:
         """TRAFFIC phase: generate and deliver this TTI's packets."""
-        dl_visit = self._dl_poll
-        due = self._dl_wheel.pop(tti, None)
-        if self._dl_pending or due:
-            dl_visit = dl_visit + self._dl_pending + (due or [])
-            self._dl_pending = []
-        for flow in dl_visit:
-            if not flow.active:
-                continue
-            if not flow.enb.has_ue(flow.rnti):
-                if flow.hint is not None:
-                    # Keep probing each TTI until the UE attaches; the
-                    # source is not called, so no credit accrues.
-                    self._requeue(self._dl_wheel, flow, tti + 1)
-                continue
-            packets = flow.source.packets(tti)
-            if flow.hint is not None:
-                self._requeue(self._dl_wheel, flow, max(tti + 1,
-                                                        flow.hint(tti)))
-            for size in packets:
-                flow.stats.offered_packets += 1
-                flow.stats.offered_bytes += size
-                if flow.enb.enqueue_dl(flow.rnti, size, tti, flow.lcid):
-                    flow.stats.accepted_bytes += size
-                else:
-                    flow.stats.dropped_bytes += size
-        ul_visit = self._ul_poll
-        due = self._ul_wheel.pop(tti, None)
-        if self._ul_pending or due:
-            ul_visit = ul_visit + self._ul_pending + (due or [])
-            self._ul_pending = []
-        for flow in ul_visit:
-            if not flow.active:
-                continue
-            if not flow.enb.has_ue(flow.rnti):
-                if flow.hint is not None:
-                    self._requeue(self._ul_wheel, flow, tti + 1)
-                continue
-            total = sum(flow.source.packets(tti))
-            if flow.hint is not None:
-                self._requeue(self._ul_wheel, flow, max(tti + 1,
-                                                        flow.hint(tti)))
-            if total > 0:
-                flow.stats.offered_bytes += total
-                flow.stats.accepted_bytes += total
-                flow.enb.notify_ul(flow.rnti, total, tti)
+        for wheel, uplink in ((self._dl_wheel, False), (self._ul_wheel, True)):
+            for flow in wheel.pop(None, []) + wheel.pop(tti, []):
+                if not flow.active:
+                    continue
+                if not flow.enb.has_ue(flow.rnti):  # probe until attach
+                    wheel.setdefault(tti + 1, []).append(flow)
+                    continue
+                packets = flow.source.packets(tti)
+                due = flow.source.next_emission_tti(tti)
+                wheel.setdefault(due, []).append(flow)
+                stats = flow.stats
+                if not uplink:
+                    for size in packets:
+                        stats.offered_packets += 1
+                        stats.offered_bytes += size
+                        if flow.enb.enqueue_dl(flow.rnti, size, tti, flow.lcid):
+                            stats.accepted_bytes += size
+                        else:
+                            stats.dropped_bytes += size
+                elif packets:
+                    total = sum(packets)
+                    stats.offered_packets += len(packets)
+                    stats.offered_bytes += total
+                    stats.accepted_bytes += total
+                    flow.enb.notify_ul(flow.rnti, total, tti)

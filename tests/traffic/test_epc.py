@@ -51,7 +51,25 @@ class TestDownlink:
         epc = EpcStub()
         epc.add_downlink(CbrSource(8.0), enb, rnti)
         epc.add_uplink(CbrSource(1.0), enb, rnti)
-        assert epc.remove_flows_for(rnti) == 2
+        assert epc.remove_flows_for(enb, rnti) == 2
+        assert epc.remove_flows_for(enb, rnti) == 0
+
+    def test_remove_flows_is_scoped_to_one_enb(self):
+        # Every eNodeB numbers its RNTIs from the same base, so the two
+        # cells' UEs share an RNTI; removing one must leave the other.
+        enb_a, _, rnti_a = make_cell()
+        enb_b = EnodeB(2)
+        rnti_b = enb_b.attach_ue(Ue("002", FixedCqi(15)), tti=0)
+        assert rnti_a == rnti_b
+        epc = EpcStub()
+        stats_a = epc.add_downlink(CbrSource(8.0), enb_a, rnti_a)
+        stats_b = epc.add_downlink(CbrSource(8.0), enb_b, rnti_b)
+        assert epc.remove_flows_for(enb_a, rnti_a) == 1
+        for t in range(20):
+            epc.tick(t)
+        assert stats_a.offered_bytes == 0
+        # 1000 B per TTI for 20 TTIs, offered in whole 1400 B packets.
+        assert stats_b.offered_bytes == 20_000 // 1400 * 1400
 
 
 class TestUplink:
@@ -63,6 +81,16 @@ class TestUplink:
             epc.tick(t)
         assert ue.ul_backlog_bytes > 0
         assert stats.offered_bytes == ue.ul_backlog_bytes
+
+    def test_uplink_counts_packets(self):
+        enb, ue, rnti = make_cell()
+        epc = EpcStub()
+        stats = epc.add_uplink(SaturatingSource(burst_bytes=3000), enb, rnti)
+        for t in range(10):
+            epc.tick(t)
+        # 3000 B per TTI is two 1400 B packets and one of 200 B.
+        assert stats.offered_packets == 30
+        assert stats.offered_bytes == stats.accepted_bytes == 30_000
 
 
 class TestRehome:

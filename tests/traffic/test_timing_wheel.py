@@ -1,14 +1,17 @@
 """CBR delta-crediting, emission hints, and the EPC timing wheel.
 
-The TRAFFIC phase used to poll every provisioned flow every TTI.  CBR
-sources now credit elapsed TTIs on each call and expose a
-``next_emission_tti`` hint, and :class:`EpcStub` parks hinted flows in
-a timing wheel so they are only visited on TTIs where they can emit.
-These tests pin the rate-exactness of sparse polling and the wheel's
-lifecycle corners (pending adds, detached UEs, flow removal).
+The TRAFFIC phase used to poll every provisioned flow every TTI.  Every
+source now exposes a ``next_emission_tti`` hint and accounts the TTIs
+it is not called for, and :class:`EpcStub` parks every flow in a
+timing wheel so it is only visited on TTIs where it can emit.  These
+tests pin the rate-exactness of sparse polling, the wheel against the
+dense per-TTI loop it replaced, and the wheel's lifecycle corners
+(pending adds, detached UEs, flow removal).
 """
 
-from repro.lte.enodeb import EnodeB
+import pytest
+
+from repro.lte.enodeb import RNTI_BASE, EnodeB
 from repro.lte.phy.channel import FixedCqi
 from repro.lte.ue import Ue
 from repro.traffic.epc import EpcStub
@@ -17,6 +20,7 @@ from repro.traffic.generators import (
     CbrSource,
     OnOffSource,
     PoissonSource,
+    SaturatingSource,
 )
 
 
@@ -96,14 +100,6 @@ class TestEpcTimingWheel:
             epc.tick(t)
         assert stats.offered_bytes == 71 * 1400
 
-    def test_hintless_flow_polled_every_tti(self):
-        enb, ue, rnti = self.make_cell()
-        epc = EpcStub()
-        stats = epc.add_uplink(PoissonSource(1.0, seed=3), enb, rnti)
-        for t in range(500):
-            epc.tick(t)
-        assert stats.offered_bytes > 0
-
     def test_no_credit_while_ue_absent(self):
         # The wheel probes an absent UE's flow every TTI without
         # calling the source, so attach does not trigger a burst.
@@ -115,7 +111,7 @@ class TestEpcTimingWheel:
         assert stats.offered_bytes == 0
         ue = Ue("001", FixedCqi(15))
         rnti = enb.attach_ue(ue, tti=400)
-        epc._downlink[0].rnti = rnti  # repoint the provisioned flow
+        assert epc.rehome(enb, 9999, enb, rnti) == 1
         epc.tick(400)
         epc.tick(401)
         # 1 Mbps == 125 B/TTI: at most one packet could be due by now.
@@ -129,23 +125,71 @@ class TestEpcTimingWheel:
             epc.tick(t)
         offered = stats.offered_bytes
         assert offered > 0
-        assert epc.remove_flows_for(rnti) == 1
+        assert epc.remove_flows_for(enb, rnti) == 1
         for t in range(50, 200):
             epc.tick(t)  # stale wheel entries must be skipped
         assert stats.offered_bytes == offered
 
-    def test_wheel_and_dense_polling_agree(self):
-        # Same deployment twice: hinted (CBR via wheel) vs an
-        # equivalent-rate source stripped of its hint.
-        def run(strip_hint):
-            enb, ue, rnti = self.make_cell()
-            epc = EpcStub()
-            src = CbrSource(0.8)
-            if strip_hint:
-                src.next_emission_tti = None  # type: ignore[assignment]
-            stats = epc.add_downlink(src, enb, rnti)
-            for t in range(1500):
-                epc.tick(t)
-            return stats.offered_bytes, stats.offered_packets
+    def test_poisson_flow_added_before_attach_draws_from_attach(self):
+        # Provisioned at TTI 0 with its window open from TTI 20, the
+        # flow's UE attaches at TTI 301: its first draw is at attach,
+        # none is spent while the UE is absent.
+        enb = EnodeB(1)
+        epc = EpcStub()
+        stats = epc.add_downlink(PoissonSource(60.0, seed=5, start_tti=20),
+                                 enb, RNTI_BASE)
+        offered = []
+        for t in range(1500):
+            if t == 301:
+                assert enb.attach_ue(Ue("001", FixedCqi(15)),
+                                     tti=t) == RNTI_BASE
+            before = stats.offered_packets
+            epc.tick(t)
+            offered.append(stats.offered_packets - before)
+        scalar = PoissonSource(60.0, seed=5)._rng
+        lam = 60.0 * 1000.0 / 8.0 / 1400
+        assert offered == [0] * 301 + [int(scalar.poisson(lam))
+                                       for _ in range(1199)]
 
-        assert run(False) == run(True)
+
+def dense_loop(source, attach_at, ttis):
+    """Per TTI, the ``(packets, bytes)`` offered by the loop the wheel
+    replaced: the source called on every TTI its UE is present."""
+    out = [source.packets(t) if t >= attach_at else []
+           for t in range(ttis)]
+    return [(len(packets), sum(packets)) for packets in out]
+
+
+SOURCES = {
+    "cbr": lambda: CbrSource(0.8, phase=0.25),
+    "cbr_stop": lambda: CbrSource(2.0, stop_tti=900),
+    "poisson": lambda: PoissonSource(3.0, seed=11, start_tti=5),
+    "poisson_ptrs": lambda: PoissonSource(150.0, seed=2),
+    "on_off": lambda: OnOffSource(2.0, on_ttis=7, off_ttis=13, start_tti=3),
+    "saturating": lambda: SaturatingSource(burst_bytes=3000, start_tti=9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+@pytest.mark.parametrize("uplink", [False, True])
+@pytest.mark.parametrize("attach_at", [0, 41])
+def test_wheel_equals_dense_loop(name, uplink, attach_at):
+    # Each source type, each direction, UE present from the start or
+    # attaching late: per TTI, the wheel offers what the dense loop
+    # offers from an identical source.
+    ttis = 1500
+    enb = EnodeB(1)
+    epc = EpcStub()
+    add = epc.add_uplink if uplink else epc.add_downlink
+    stats = add(SOURCES[name](), enb, RNTI_BASE)
+    offered = []
+    for t in range(ttis):
+        if t == attach_at:
+            enb.attach_ue(Ue("001", FixedCqi(15)), tti=t)
+        before = (stats.offered_packets, stats.offered_bytes)
+        epc.tick(t)
+        offered.append((stats.offered_packets - before[0],
+                        stats.offered_bytes - before[1]))
+    expected = dense_loop(SOURCES[name](), attach_at, ttis)
+    assert sum(n for n, _ in expected) > 0
+    assert offered == expected
