@@ -10,6 +10,7 @@ per-TTI work far below 1 ms for realistic cell sizes).
 
 from __future__ import annotations
 
+import pytest
 
 from repro.core.controller.rib import Rib
 from repro.core.controller.rib_updater import RibUpdater
@@ -68,12 +69,14 @@ def test_scheduler_fair_share(benchmark):
     assert out
 
 
-def test_scheduler_proportional_fair(benchmark):
+@pytest.mark.parametrize("n_ues", [N_UES, 100])
+def test_scheduler_proportional_fair(benchmark, n_ues):
+    """Saturated queues, mixed CQIs; 100 UEs is one scale_churn cell."""
     sched = ProportionalFairScheduler()
     ctx = SchedulingContext(
         tti=0, n_prb=50,
         ues=[UeView(rnti=70 + i, queue_bytes=10 ** 6, cqi=5 + i % 10)
-             for i in range(N_UES)])
+             for i in range(n_ues)])
     out = benchmark(lambda: sched.schedule(ctx))
     assert out
 

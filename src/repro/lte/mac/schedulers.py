@@ -21,10 +21,14 @@ from itertools import chain, islice
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro import obs as _obs
+from repro.lte.constants import CQI_MAX
 from repro.lte.mac import amc
 from repro.lte.mac.dci import DlAssignment, SchedulingContext, UeView
 from repro.lte.phy.tbs import prbs_needed, transport_block_bits
 from repro.lte.rlc import RLC_HEADER_BYTES
+
+#: Bits one PRB carries at each CQI: proportional fair's instantaneous rate.
+_ONE_PRB_BITS = tuple(transport_block_bits(cqi, 1) for cqi in range(CQI_MAX + 1))
 
 
 def prbs_for_queue(cqi: int, queue_bytes: int) -> int:
@@ -191,46 +195,67 @@ class ProportionalFairScheduler(Scheduler):
     a delegated VSF ("a local proportional fair scheduler").  The
     average rate is tracked internally with an EWMA whose horizon is a
     public, reconfigurable parameter.
+
+    Ranking: averages move only in the EWMA update after the picks, so
+    each candidate's metric is computed once per TTI and one stable
+    reverse sort orders the grants -- the picks of a max per grant,
+    first-wins ties included.  EWMA: every UE in ``ctx.ues`` decays by
+    ``1 - alpha``, then a served UE's average becomes ``(1 - alpha) *
+    prev + alpha * bits``; for an unserved UE the product alone equals
+    the full update bit for bit, as averages are never negative.  A UE
+    absent from ``ctx.ues`` keeps its average frozen.
     """
 
     name = "proportional_fair"
 
     def __init__(self, *, ewma_alpha: float = 0.05) -> None:
         super().__init__()
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError(f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
-        self.parameters = {"ewma_alpha": ewma_alpha}
+        self.parameters = {"ewma_alpha": self._validate_alpha(ewma_alpha)}
         self._avg_rate: Dict[int, float] = {}
 
+    @staticmethod
+    def _validate_alpha(alpha: Any) -> float:
+        try:
+            value = float(alpha)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"ewma_alpha must be a number, got {alpha!r}") from None
+        if not 0.0 < value <= 1.0:
+            raise ValueError(f"ewma_alpha must be in (0, 1], got {alpha}")
+        return value
+
+    def set_parameter(self, name: str, value: Any) -> None:
+        if name == "ewma_alpha":
+            value = self._validate_alpha(value)
+        super().set_parameter(name, value)
+
     def schedule(self, ctx: SchedulingContext) -> List[DlAssignment]:
-        alpha = float(self.parameters["ewma_alpha"])
+        alpha = self.parameters["ewma_alpha"]
+        decay = 1 - alpha
         out = schedule_retransmissions(ctx, ctx.n_prb)
         remaining = ctx.n_prb - sum(a.n_prb for a in out)
-        retx_rntis = {a.rnti for a in out}
-        candidates = ctx.candidates(retx_rntis)
-        served_bits: Dict[int, int] = {}
-        while remaining > 0 and candidates:
-            def metric(u: UeView) -> float:
-                inst = transport_block_bits(u.cqi, 1)
-                avg = self._avg_rate.get(u.rnti, 1.0)
-                return inst / max(avg, 1.0)
-
-            best = max(candidates, key=metric)
-            need = prbs_for_queue(best.cqi, best.queue_bytes)
-            n_prb = min(need, remaining)
+        candidates = ctx.candidates({a.rnti for a in out})
+        avg_rate = self._avg_rate
+        get = avg_rate.get
+        metrics = [_ONE_PRB_BITS[u.cqi] / (avg if (avg := get(u.rnti, 1.0)) > 1.0 else 1.0)
+                   for u in candidates]
+        served: Dict[int, float] = {}
+        for i in sorted(range(len(metrics)), key=metrics.__getitem__, reverse=True):
+            if remaining <= 0:
+                break
+            ue = candidates[i]
+            n_prb = min(prbs_for_queue(ue.cqi, ue.queue_bytes), remaining)
             if n_prb <= 0:
-                candidates.remove(best)
                 continue
-            out.append(DlAssignment(rnti=best.rnti, n_prb=n_prb,
-                                    cqi_used=amc.select_mcs(best.cqi)))
-            served_bits[best.rnti] = transport_block_bits(best.cqi, n_prb)
+            out.append(DlAssignment(rnti=ue.rnti, n_prb=n_prb,
+                                    cqi_used=amc.select_mcs(ue.cqi)))
+            served[ue.rnti] = (decay * get(ue.rnti, 1.0)
+                               + alpha * transport_block_bits(ue.cqi, n_prb))
             remaining -= n_prb
-            candidates.remove(best)
-        # EWMA update for every connected UE, served or not.
         for u in ctx.ues:
-            bits = served_bits.get(u.rnti, 0)
-            prev = self._avg_rate.get(u.rnti, 1.0)
-            self._avg_rate[u.rnti] = (1 - alpha) * prev + alpha * bits
+            rnti = u.rnti
+            avg_rate[rnti] = decay * (avg_rate[rnti] if rnti in avg_rate else 1.0)
+        avg_rate.update(served)
         return out
 
 
@@ -347,15 +372,30 @@ class GroupScheduler(Scheduler):
 
     def __init__(self, *, premium_fraction: float = 0.7) -> None:
         super().__init__()
-        if not 0.0 <= premium_fraction <= 1.0:
-            raise ValueError(
-                f"premium_fraction must be in [0, 1], got {premium_fraction}")
-        self.parameters = {"premium_fraction": premium_fraction}
+        self.parameters = {
+            "premium_fraction": self._validate_fraction(premium_fraction)}
         self._premium = FairShareScheduler()
         self._secondary = FairShareScheduler()
 
+    @staticmethod
+    def _validate_fraction(fraction: Any) -> float:
+        try:
+            value = float(fraction)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"premium_fraction must be a number, got {fraction!r}") from None
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(
+                f"premium_fraction must be in [0, 1], got {fraction}")
+        return value
+
+    def set_parameter(self, name: str, value: Any) -> None:
+        if name == "premium_fraction":
+            value = self._validate_fraction(value)
+        super().set_parameter(name, value)
+
     def schedule(self, ctx: SchedulingContext) -> List[DlAssignment]:
-        frac = float(self.parameters["premium_fraction"])
+        frac = self.parameters["premium_fraction"]
         out = schedule_retransmissions(ctx, ctx.n_prb)
         remaining = ctx.n_prb - sum(a.n_prb for a in out)
         retx_rntis = {a.rnti for a in out}

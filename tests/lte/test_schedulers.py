@@ -3,6 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.agent.cmi import ControlModule
+from repro.lte.cell import CellConfig
+from repro.lte.enodeb import EnodeB
 from repro.lte.mac.dci import PendingRetx, SchedulingContext, UeView
 from repro.lte.mac.schedulers import (
     FairShareScheduler,
@@ -15,12 +18,20 @@ from repro.lte.mac.schedulers import (
     make_scheduler,
     schedule_retransmissions,
 )
+from repro.lte.phy.channel import FixedCqi
+from repro.lte.ue import Ue
+from tests.lte.pf_oracle import max_per_pick
 from tests.lte.rr_oracle import rotate_copy_refilter
 
 
 def ctx_with(ues, n_prb=50, tti=0, pending_retx=None):
     return SchedulingContext(tti=tti, n_prb=n_prb, ues=ues,
                              pending_retx=pending_retx or [])
+
+
+def hexed(avg_rate):
+    """PF averages by RNTI as ``float.hex`` strings: equal means bit for bit."""
+    return {rnti: avg.hex() for rnti, avg in avg_rate.items()}
 
 
 def views(n, queue=10 ** 6, cqi=10, labels=None):
@@ -119,6 +130,92 @@ class TestProportionalFair:
     def test_invalid_alpha_rejected(self):
         with pytest.raises(ValueError):
             ProportionalFairScheduler(ewma_alpha=0.0)
+        with pytest.raises(ValueError):
+            ProportionalFairScheduler(ewma_alpha="x")
+
+    @pytest.mark.parametrize("bad", [2.0, 0.0, -0.1, float("nan"), "x", None])
+    def test_reconfiguration_validates_alpha(self, bad):
+        sched = ProportionalFairScheduler(ewma_alpha=0.2)
+        with pytest.raises(ValueError):
+            sched.set_parameter("ewma_alpha", bad)
+        assert sched.parameters["ewma_alpha"] == 0.2
+
+    def test_alpha_is_stored_as_a_float(self):
+        sched = ProportionalFairScheduler(ewma_alpha=1)
+        sched.set_parameter("ewma_alpha", "0.5")
+        assert sched.parameters["ewma_alpha"] == 0.5
+        assert type(sched.parameters["ewma_alpha"]) is float
+
+    def test_policy_reconfiguration_cannot_store_a_bad_alpha(self):
+        class Mac(ControlModule):
+            name = "mac"
+            OPERATIONS = ("dl_scheduling",)
+
+        mac = Mac()
+        sched = ProportionalFairScheduler(ewma_alpha=0.1)
+        mac.register_vsf("dl_scheduling", "pf", sched)
+        with pytest.raises(ValueError):
+            mac.configure_vsf("dl_scheduling", {"ewma_alpha": 2.0})
+        ues = views(2, cqi=12)
+        for tti in range(4):
+            sched(ctx_with(ues, tti=tti))
+        assert sched.parameters["ewma_alpha"] == 0.1
+        assert all(avg >= 0.0 for avg in sched._avg_rate.values())
+
+    def test_sliced_inner_pf_tracks_only_its_members(self):
+        sched = SlicedScheduler({"mno": 0.6, "mvno": 0.4},
+                                inner_factory=ProportionalFairScheduler)
+        mno = [UeView(rnti=70 + i, queue_bytes=10 ** 6, cqi=5 + 3 * i,
+                      labels={"operator": "mno"}) for i in range(3)]
+        mvno = [UeView(rnti=80 + i, queue_bytes=10 ** 6, cqi=4 + 5 * i,
+                       labels={"operator": "mvno"}) for i in range(2)]
+        oracle = {"mno": {}, "mvno": {}}
+        for tti in range(20):
+            out = sched(ctx_with(mno + mvno, tti=tti))
+            for op, members, quota in (("mno", mno, 30), ("mvno", mvno, 20)):
+                want = max_per_pick(ctx_with(members, n_prb=quota, tti=tti),
+                                    oracle[op], 0.05)
+                assert [a for a in out if a.rnti in {u.rnti for u in members}] \
+                    == want
+        for op, members in (("mno", mno), ("mvno", mvno)):
+            avg = sched.inner_scheduler(op)._avg_rate
+            assert set(avg) == {u.rnti for u in members}
+            assert hexed(avg) == hexed(oracle[op])
+
+    def test_view_cache_context_serves_only_ues_in_the_context(self):
+        enb = EnodeB(1, [CellConfig(cell_id=10)])
+        rntis = [enb.attach_ue(Ue(f"{i:03d}", FixedCqi(4 + 2 * i)), 10, tti=0)
+                 for i in range(6)]
+        for t in range(40):
+            enb.tick(t)
+        sched = ProportionalFairScheduler(ewma_alpha=0.3)
+        oracle = {}
+        for t in range(40, 60):
+            for i, rnti in enumerate(rntis):
+                if (t + i) % 3:
+                    enb.enqueue_dl(rnti, 200 * (i + 1), t)
+            ctx = enb.build_context(10, t)
+            assert ctx.schedulable_ues is not None
+            out = sched.schedule(ctx)
+            assert {a.rnti for a in out} <= {u.rnti for u in ctx.ues}
+            assert out == max_per_pick(ctx, oracle, 0.3)
+            assert hexed(sched._avg_rate) == hexed(oracle)
+
+    @pytest.mark.parametrize("k", [1, 5, 40])
+    def test_absent_ue_keeps_its_average(self, k):
+        sched = ProportionalFairScheduler(ewma_alpha=0.25)
+        ues = [UeView(rnti=70, queue_bytes=10 ** 6, cqi=9),
+               UeView(rnti=71, queue_bytes=10 ** 6, cqi=12)]
+        for tti in range(10):
+            sched(ctx_with(ues, tti=tti))
+        frozen = sched._avg_rate[70]
+        for tti in range(10, 10 + k):
+            sched(ctx_with(ues[1:], tti=tti))
+            assert sched._avg_rate[70] == frozen
+        oracle = dict(sched._avg_rate)
+        out = sched(ctx_with(ues, tti=10 + k))
+        assert out == max_per_pick(ctx_with(ues, tti=10 + k), oracle, 0.25)
+        assert hexed(sched._avg_rate) == hexed(oracle)
 
 
 class TestMaxCqi:
@@ -186,6 +283,21 @@ class TestGroup:
     def test_invalid_fraction_rejected(self):
         with pytest.raises(ValueError):
             GroupScheduler(premium_fraction=1.5)
+        with pytest.raises(ValueError):
+            GroupScheduler(premium_fraction="x")
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan"), "x", None])
+    def test_reconfiguration_validates_fraction(self, bad):
+        sched = GroupScheduler(premium_fraction=0.6)
+        with pytest.raises(ValueError):
+            sched.set_parameter("premium_fraction", bad)
+        assert sched.parameters["premium_fraction"] == 0.6
+
+    def test_reconfiguration_accepts_the_bounds(self):
+        sched = GroupScheduler()
+        for good in (0, 1, 0.25):
+            sched.set_parameter("premium_fraction", good)
+            assert sched.parameters["premium_fraction"] == good
 
 
 class TestRegistry:
@@ -267,3 +379,54 @@ def test_round_robin_matches_the_rotate_copy_oracle(inputs):
     sched._next_index = next_index
     assert sched.schedule(ctx()) == want
     assert sched._next_index == want_next
+
+
+@st.composite
+def pf_inputs(draw):
+    """A run of TTIs over one pool of RNTIs: each TTI's views are a
+    subset of the pool (UEs join and leave), with few distinct CQIs and
+    starting averages so that metrics tie, some idle or at CQI 0, plus
+    pending retransmissions and a PRB budget."""
+    pool = draw(st.lists(st.integers(min_value=70, max_value=130),
+                         unique=True, min_size=1, max_size=16))
+    start = {rnti: draw(st.sampled_from([0.0, 0.5, 0.8, 1.0, 700.0, 2800.0]))
+             for rnti in draw(st.lists(st.sampled_from(pool), unique=True))}
+    alpha = draw(st.one_of(
+        st.just(1.0), st.floats(min_value=0.0, max_value=1.0,
+                                exclude_min=True)))
+    ttis = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        present = draw(st.lists(st.sampled_from(pool), unique=True))
+        ues = [UeView(rnti=rnti,
+                      queue_bytes=draw(st.sampled_from(
+                          [0, 1, 300, 1500, 20_000, 10 ** 7])),
+                      cqi=draw(st.sampled_from([0, 1, 7, 7, 15])))
+               for rnti in present]
+        retx = draw(st.lists(st.builds(
+            PendingRetx, rnti=st.sampled_from(pool),
+            harq_pid=st.integers(min_value=0, max_value=7),
+            n_prb=st.integers(min_value=1, max_value=30),
+            cqi_used=st.integers(min_value=1, max_value=15),
+            tb_bits=st.just(1000), attempt=st.just(2)),
+            max_size=3, unique_by=lambda r: (r.rnti, r.harq_pid)))
+        n_prb = draw(st.integers(min_value=1, max_value=50))
+        ttis.append((ues, retx, n_prb))
+    return start, alpha, ttis
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=pf_inputs())
+def test_proportional_fair_matches_the_max_per_pick_oracle(inputs):
+    """Ranking once per TTI and the bulk EWMA decide and average exactly
+    what a max per pick and a per-UE update did, TTI after TTI."""
+    start, alpha, ttis = inputs
+    sched = ProportionalFairScheduler(ewma_alpha=alpha)
+    sched._avg_rate = dict(start)
+    oracle = dict(start)
+    for tti, (ues, retx, n_prb) in enumerate(ttis):
+        def ctx():
+            return ctx_with(list(ues), n_prb=n_prb, tti=tti,
+                            pending_retx=list(retx))
+
+        assert sched.schedule(ctx()) == max_per_pick(ctx(), oracle, alpha)
+        assert hexed(sched._avg_rate) == hexed(oracle)
