@@ -13,29 +13,13 @@ EPC flows move to the target eNodeB without losing its traffic.
 Run:  python examples/mobility_handover.py
 """
 
-from repro.core.apps.mobility import MobilityManagerApp
-from repro.lte.phy.channel import FixedCqi
-from repro.lte.ue import Ue
-from repro.sim.simulation import Simulation
-from repro.traffic.generators import CbrSource
+from repro.sim.scenarios import mobility_handover
 
 
 def main() -> None:
-    sim = Simulation(with_master=True)
-    enb_a = sim.add_enb(1)
-    enb_b = sim.add_enb(2)
-    sim.add_agent(enb_a)
-    sim.add_agent(enb_b)
-
     # The UE is served by cell 10 at CQI 4 but measures cell 20 at 13.
-    ue = Ue("208930000000007", FixedCqi(4))
-    ue.neighbor_channels = {enb_b.cell().cell_id: FixedCqi(13)}
-    sim.add_ue(enb_a, ue)
-    sim.add_downlink_traffic(enb_a, ue, CbrSource(4.0, start_tti=50))
-
-    app = MobilityManagerApp(period_ttis=10, hysteresis_cqi=2,
-                             time_to_trigger_ttis=1000, load_aware=True)
-    sim.master.add_app(app)
+    scenario = mobility_handover()
+    sim, ue, app = scenario.sim, scenario.ue, scenario.app
 
     sim.run(1500)
     mid_rx = ue.rx_bytes_total

@@ -1,40 +1,29 @@
 #!/usr/bin/env python3
 """Quickstart: a complete FlexRAN deployment in ~50 lines.
 
-Builds one eNodeB with a FlexRAN agent, connects it to a master
-controller over an emulated control channel, attaches a UE with
-saturating downlink traffic, deploys a monitoring application, runs
-two simulated seconds, then drives the northbound API directly: every
-command returns its transaction id (xid), and streams are first-class
-subscription handles.
+Runs the ``quickstart`` deployment from ``repro.sim.scenarios`` -- one
+eNodeB whose FlexRAN agent reaches a master controller over an
+emulated control channel, a UE with saturating downlink traffic and a
+monitoring application -- for two simulated seconds, then drives the
+northbound API directly: every command returns its transaction id
+(xid), and streams are first-class subscription handles.
 
 Run:  python examples/quickstart.py
 """
 
 import json
 
-from repro.core.apps.monitoring import MonitoringApp
-from repro.lte.phy.channel import FixedCqi
-from repro.lte.ue import Ue
 from repro.nb import NorthboundService
-from repro.sim.simulation import Simulation
-from repro.traffic.generators import SaturatingSource
+from repro.sim.scenarios import quickstart
 
 
 def main() -> None:
-    # 1. A deployment: master controller + one agent-enabled eNodeB.
-    sim = Simulation(with_master=True)
-    enb = sim.add_enb()
-    agent = sim.add_agent(enb, rtt_ms=2.0)
-
-    # 2. A UE with a fixed high-quality channel and saturating traffic.
-    ue = Ue("208930000000001", FixedCqi(15))
-    sim.add_ue(enb, ue)
-    sim.add_downlink_traffic(enb, ue, SaturatingSource(start_tti=20))
-
-    # 3. A controller application: periodic monitoring over the RIB.
-    monitor = MonitoringApp(period_ttis=100, stats_period_ttis=10)
-    sim.master.add_app(monitor)
+    # 1-3. The deployment: master controller + one agent-enabled
+    #    eNodeB, a UE with a fixed high-quality channel and saturating
+    #    traffic, and a controller application monitoring the RIB.
+    scenario = quickstart()
+    sim, enb, agent = scenario.sim, scenario.enb, scenario.agent
+    ue, monitor = scenario.ue, scenario.monitor
 
     # 4. Run 2 s of simulated time (2000 TTIs).
     sim.run(2000)

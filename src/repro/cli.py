@@ -1,20 +1,23 @@
 """Command-line entry point: ``python -m repro``.
 
-Small, self-contained demos over the canonical scenarios so a new user
-can see the platform working without writing code:
+Every ``--scenario`` is a name in ``repro.sim.scenarios.CATALOGUE``,
+the one table of deployments (``info`` lists them).  To see one
+working without writing code, run the script under ``examples/`` that
+narrates it:
 
-    python -m repro info                 # what is installed
-    python -m repro demo quickstart      # one cell, one UE, monitoring
-    python -m repro demo latency         # Fig 9's feasibility boundary
-    python -m repro demo slicing         # live MVNO reallocation
-    python -m repro demo eicic           # the three Fig 10 modes
-    python -m repro demo dash            # assisted vs default streaming
-    python -m repro demo wifi            # the beyond-LTE agent
+    python -m repro info                      # version, catalogue names
+    python examples/quickstart.py             # one cell, one UE, monitoring
+    python examples/centralized_scheduling.py # Fig 9's feasibility boundary
+    python examples/ran_slicing.py            # live MVNO reallocation
+    python examples/hetnet_eicic.py           # the three Fig 10 modes
+    python examples/video_streaming_mec.py    # assisted vs default streaming
+    python examples/mobility_handover.py      # controller-driven handover
+    python examples/wifi_sdran.py             # the beyond-LTE agent
 
 Observability (the ``repro.obs`` subsystem):
 
     python -m repro trace --scenario quickstart --out trace.json
-    python -m repro stats --scenario quickstart
+    python -m repro stats --scenario wifi_sdran --ttis 500
 
 Survivability (the ``repro.core.survive`` subsystem):
 
@@ -45,184 +48,20 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, Tuple
 
-
-def _demo_quickstart() -> None:
-    sim = _scenario_quickstart()
-    sim.run(2000)
-    (agent,) = sim.agents.values()
-    ((_, ue),) = agent.enb.attached_ues()
-    print(f"UE goodput over 2 s: {ue.throughput_mbps(sim.now):.2f} Mb/s "
-          "(paper ceiling: ~25)")
-    print(f"RIB knows {sim.master.rib.ue_count()} UE(s); active VSF: "
-          f"{agent.mac.active_name('dl_scheduling')}")
-
-
-def _demo_latency() -> None:
-    from repro.sim.scenarios import centralized_scheduling
-
-    print("Centralized scheduling: ahead must cover the RTT (Fig 9).")
-    for rtt, ahead in [(0, 0), (20, 8), (20, 24), (60, 64)]:
-        sc = centralized_scheduling(ues_per_enb=1, rtt_ms=rtt,
-                                    schedule_ahead=ahead, load_factor=1.3)
-        sc.sim.run(3000)
-        mbps = sc.ues_per_enb[0][0].meter.mean_mbps(3000)
-        state = "OK" if mbps > 1 else "deadline misses -> starved"
-        print(f"  RTT {rtt:>2} ms, ahead {ahead:>2}: {mbps:6.2f} Mb/s  {state}")
-
-
-def _demo_slicing() -> None:
-    from repro.core.apps.ran_sharing import ShareChange
-    from repro.sim.scenarios import ran_sharing
-
-    sc = ran_sharing(initial_fractions={"mno": 0.7, "mvno": 0.3},
-                     changes=[ShareChange(at_tti=4000,
-                                          fractions={"mno": 0.4,
-                                                     "mvno": 0.6})])
-    sc.sim.run(4000)
-    snap = {op: sum(u.meter.total_bytes for u in ues)
-            for op, ues in sc.ues_by_operator.items()}
-    sc.sim.run(4000)
-    print("MNO/MVNO throughput, phase 1 (70/30) -> phase 2 (40/60):")
-    for op in ("mno", "mvno"):
-        total = sum(u.meter.total_bytes for u in sc.ues_by_operator[op])
-        p1 = snap[op] * 8 / 4000 / 1000
-        p2 = (total - snap[op]) * 8 / 4000 / 1000
-        print(f"  {op:>4}: {p1:5.2f} -> {p2:5.2f} Mb/s")
-
-
-def _demo_eicic() -> None:
-    from repro.sim.scenarios import EICIC_MODES, hetnet_eicic
-
-    print("HetNet interference management (Fig 10):")
-    for mode in EICIC_MODES:
-        sc = hetnet_eicic(mode)
-        sc.sim.run(6000)
-        total = (sum(u.meter.mean_mbps(6000) for u in sc.macro_ues)
-                 + sc.small_ue.meter.mean_mbps(6000))
-        print(f"  {mode:<14} network throughput: {total:5.2f} Mb/s")
-
-
-def _demo_dash() -> None:
-    from repro.sim.scenarios import dash_streaming
-
-    print("4K DASH under drastic channel swings (Fig 11b), 60 s:")
-    for assisted in (False, True):
-        sc = dash_streaming("high", assisted=assisted)
-        sc.sim.run(60_000)
-        label = "assisted" if assisted else "default "
-        c = sc.client
-        print(f"  {label}: {c.segments_completed * 2:>3d} s downloaded, "
-              f"{c.freeze_count()} freezes "
-              f"({c.total_freeze_ms()} ms frozen)")
-
-
-def _demo_wifi() -> None:
-    from repro.core.controller import MasterController
-    from repro.net.transport import ControlConnection
-    from repro.wifi.agent import WifiAgent
-    from repro.wifi.ap import Station, WifiAp
-
-    ap = WifiAp(1)
-    fast = Station(mac="02::01", snr_db=60.0)
-    slow = Station(mac="02::02", snr_db=15.0)
-    for s in (fast, slow):
-        ap.associate(s)
-    conn = ControlConnection()
-    master = MasterController()
-    master.connect_agent(1, conn.master_side)
-    agent = WifiAgent(1, ap, endpoint=conn.agent_side)
-
-    def run(slots, offset):
-        for t in range(offset, offset + slots):
-            for s in (fast, slow):
-                ap.enqueue(s.aid, 6000, t)
-            agent.tick_tx(t)
-            master.tick(t)
-            agent.tick_rx(t)
-            ap.tick(t)
-
-    run(2000, 0)
-    print("Wi-Fi AP under the same FlexRAN machinery (Sec 7.2):")
-    print(f"  fair airtime: fast {fast.meter.total_bytes * 8 / 2e6:.1f}, "
-          f"slow {slow.meter.total_bytes * 8 / 2e6:.1f} Mb/s")
-    master.northbound.reconfigure_vsf(
-        1, "wifi_mac", "station_scheduling", behavior="max_rate")
-    f0, s0 = fast.meter.total_bytes, slow.meter.total_bytes
-    run(2000, 2000)
-    print(f"  max-rate VSF (swapped by policy message): "
-          f"fast {(fast.meter.total_bytes - f0) * 8 / 2e6:.1f}, "
-          f"slow {(slow.meter.total_bytes - s0) * 8 / 2e6:.1f} Mb/s")
-
-
-DEMOS: Dict[str, Callable[[], None]] = {
-    "quickstart": _demo_quickstart,
-    "latency": _demo_latency,
-    "slicing": _demo_slicing,
-    "eicic": _demo_eicic,
-    "dash": _demo_dash,
-    "wifi": _demo_wifi,
-}
-
-
-# -- observability scenarios ------------------------------------------------
-
-
-def _scenario_quickstart():
-    """The quickstart topology: one cell, one UE, monitoring app."""
-    from repro.core.apps.monitoring import MonitoringApp
-    from repro.core.protocol.messages import ReportType
-    from repro.lte.phy.channel import FixedCqi
-    from repro.lte.ue import Ue
-    from repro.net.clock import Phase
-    from repro.sim.simulation import Simulation
-    from repro.traffic.generators import SaturatingSource
-
-    sim = Simulation(with_master=True)
-    enb = sim.add_enb()
-    agent = sim.add_agent(enb, rtt_ms=2.0)
-    ue = Ue("208930000000001", FixedCqi(15))
-    sim.add_ue(enb, ue)
-    sim.add_downlink_traffic(enb, ue, SaturatingSource(start_tti=20))
-    sim.master.add_app(MonitoringApp())
-
-    def subscribe(tti: int) -> None:
-        # Periodic stats reporting gives the correlator a steady
-        # uplink command/report stream to measure.
-        if tti == 50:
-            sim.master.northbound.request_stats(
-                agent.agent_id, report_type=ReportType.PERIODIC,
-                period_ttis=10)
-    sim.clock.register(Phase.POST, subscribe)
-    return sim
-
-
-def _scenario_centralized():
-    """Centralized remote scheduling over a 20 ms-RTT control channel."""
-    from repro.sim.scenarios import centralized_scheduling
-
-    sc = centralized_scheduling(ues_per_enb=2, rtt_ms=20.0,
-                                schedule_ahead=24, load_factor=1.2)
-    return sc.sim
-
-
-OBS_SCENARIOS: Dict[str, Tuple[Callable[[], object], int]] = {
-    # name -> (builder, default TTIs)
-    "quickstart": (_scenario_quickstart, 2000),
-    "centralized": (_scenario_centralized, 2000),
-}
+from repro.sim.scenarios import CATALOGUE
 
 
 def _run_observed(scenario: str, ttis: int, *, trace: bool):
-    """Build *scenario*, run it *ttis* TTIs under a fresh obs backend."""
+    """Build *scenario*, run it *ttis* TTIs (0: its catalogue default)
+    under a fresh obs backend."""
     from repro import obs
 
-    builder, default_ttis = OBS_SCENARIOS[scenario]
+    build, default_ttis = CATALOGUE[scenario]
     ob = obs.enable(trace=trace)
     try:
-        sim = builder()
-        sim.run(ttis if ttis > 0 else default_ttis)
+        sim = build().sim
+        sim.run(ttis or default_ttis)
     except BaseException:
         obs.disable()
         raise
@@ -373,10 +212,10 @@ def _cmd_serve(args) -> int:
     from repro.nb.server import NorthboundServer
     from repro.nb.service import NorthboundService
 
-    builder, default_ttis = OBS_SCENARIOS[args.scenario]
+    build, default_ttis = CATALOGUE[args.scenario]
     obs.enable(trace=False)
     try:
-        sim = builder()
+        sim = build().sim
         service = NorthboundService(sim.master)
         service.attach()
         server = NorthboundServer(service, host=args.host, port=args.port,
@@ -401,8 +240,7 @@ def _cmd_serve(args) -> int:
             smoke_thread = threading.Thread(target=smoke, daemon=True)
             smoke_thread.start()
 
-        ttis = args.ttis if args.ttis > 0 else (
-            default_ttis if args.smoke else 0)
+        ttis = args.ttis or (default_ttis if args.smoke else 0)
         try:
             if ttis:
                 step = 0
@@ -611,33 +449,40 @@ def _cmd_info() -> None:
     print(f"repro {repro.__version__} -- FlexRAN (CoNEXT 2016) "
           "reproduction")
     print(f"protocol message types: {len(MESSAGE_TYPES)}")
-    print(f"demos: {', '.join(sorted(DEMOS))}")
+    print(f"scenarios: {', '.join(sorted(CATALOGUE))}")
     print("docs: README.md, DESIGN.md, EXPERIMENTS.md, docs/PROTOCOL.md")
 
 
+def _run_length(text: str) -> int:
+    """``--ttis``: a run length in TTIs, 0 for the default."""
+    ttis = int(text)
+    if ttis < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {ttis}")
+    return ttis
+
+
 def main(argv=None) -> int:
+    scenarios = sorted(CATALOGUE)
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("info", help="show version and capabilities")
-    demo = sub.add_parser("demo", help="run a small demo scenario")
-    demo.add_argument("name", choices=sorted(DEMOS))
 
     trace = sub.add_parser(
         "trace", help="run a scenario and write a Chrome trace")
-    trace.add_argument("--scenario", choices=sorted(OBS_SCENARIOS),
+    trace.add_argument("--scenario", choices=scenarios,
                        default="quickstart")
-    trace.add_argument("--ttis", type=int, default=0,
+    trace.add_argument("--ttis", type=_run_length, default=0,
                        help="run length (default: scenario-specific)")
     trace.add_argument("--out", default="trace.json",
                        help="output path (Chrome trace-event JSON)")
 
     stats = sub.add_parser(
         "stats", help="run a scenario and print a metrics snapshot")
-    stats.add_argument("--scenario", choices=sorted(OBS_SCENARIOS),
+    stats.add_argument("--scenario", choices=scenarios,
                        default="quickstart")
-    stats.add_argument("--ttis", type=int, default=0,
+    stats.add_argument("--ttis", type=_run_length, default=0,
                        help="run length (default: scenario-specific)")
     stats.add_argument("--format", choices=("prom", "jsonl"),
                        default="prom")
@@ -656,12 +501,12 @@ def main(argv=None) -> int:
 
     serve = sub.add_parser(
         "serve", help="run a scenario with the northbound HTTP server")
-    serve.add_argument("--scenario", choices=sorted(OBS_SCENARIOS),
+    serve.add_argument("--scenario", choices=scenarios,
                        default="quickstart")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0,
                        help="listen port (default: ephemeral, printed)")
-    serve.add_argument("--ttis", type=int, default=0,
+    serve.add_argument("--ttis", type=_run_length, default=0,
                        help="stop after this many TTIs (default: run "
                             "until Ctrl-C, or the scenario default "
                             "with --smoke)")
@@ -713,8 +558,6 @@ def main(argv=None) -> int:
 
     if args.command == "info":
         _cmd_info()
-    elif args.command == "demo":
-        DEMOS[args.name]()
     elif args.command == "trace":
         return _cmd_trace(args)
     elif args.command == "stats":

@@ -4,12 +4,14 @@ Each builder assembles a :class:`~repro.sim.simulation.Simulation` for
 one of the paper's evaluation setups and returns the handles the
 harness needs.  Calibration constants (CQI operating points, offered
 loads) live here so every bench and example reads the same scenario.
+:data:`CATALOGUE` names one deployment of every builder; it is what
+``repro trace|stats|serve --scenario`` run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.apps.eicic import (
     AbsOnlyScheduler,
@@ -18,6 +20,8 @@ from repro.core.apps.eicic import (
     register_eicic_factories,
 )
 from repro.core.apps.mec_dash import AssistedClientBinding, MecDashApp
+from repro.core.apps.mobility import MobilityManagerApp
+from repro.core.apps.monitoring import MonitoringApp
 from repro.core.apps.ran_sharing import RanSharingApp, ShareChange
 from repro.core.apps.remote_scheduler import RemoteSchedulerApp
 from repro.core.agent import FlexRanAgent
@@ -47,6 +51,8 @@ from repro.traffic.dash import (
     WindowedThroughputAbr,
 )
 from repro.traffic.generators import CbrSource, SaturatingSource
+from repro.wifi.agent import WifiAgent
+from repro.wifi.ap import Station, WifiAp
 
 
 def sinr_for_cqi(cqi: int) -> float:
@@ -86,6 +92,65 @@ def saturated_cell(*, n_ues: int = 1, cqi: int = 15,
             sim.add_uplink_traffic(enb, ue, SaturatingSource(start_tti=20))
         ues.append(ue)
     return CellScenario(sim=sim, enb=enb, agent=agent, ues=ues)
+
+
+@dataclass
+class QuickstartScenario:
+    """The first deployment a new user runs, and its handles."""
+
+    sim: Simulation
+    enb: EnodeB
+    agent: FlexRanAgent
+    ue: Ue
+    monitor: MonitoringApp
+
+
+def quickstart(*, seed: int = 0) -> QuickstartScenario:
+    """One eNodeB with its agent 2 ms RTT from the master, one CQI-15 UE
+    with saturating downlink traffic, and a monitoring app sampling the
+    RIB every 100 TTIs over 10-TTI statistics reports."""
+    sim = Simulation(with_master=True)
+    enb = sim.add_enb(seed=seed)
+    agent = sim.add_agent(enb, rtt_ms=2.0)
+    ue = Ue("208930000000001", FixedCqi(15))
+    sim.add_ue(enb, ue)
+    sim.add_downlink_traffic(enb, ue, SaturatingSource(start_tti=20))
+    monitor = MonitoringApp(period_ttis=100, stats_period_ttis=10)
+    sim.master.add_app(monitor)
+    return QuickstartScenario(sim=sim, enb=enb, agent=agent, ue=ue,
+                              monitor=monitor)
+
+
+# ---------------------------------------------------------------------------
+# Centralized mobility management (Section 7.1)
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class MobilityScenario:
+    sim: Simulation
+    enbs: List[EnodeB]
+    agents: List[FlexRanAgent]
+    ue: Ue
+    app: MobilityManagerApp
+
+
+def mobility_handover(*, seed: int = 0) -> MobilityScenario:
+    """A UE served by cell 10 at CQI 4 that measures cell 20 at CQI 13,
+    with a 4 Mb/s CBR downlink from TTI 50, and the master's A3-style
+    mobility manager (2-CQI hysteresis, 1 s time to trigger)."""
+    sim = Simulation(with_master=True)
+    enbs = [sim.add_enb(1, seed=seed), sim.add_enb(2, seed=seed)]
+    agents = [sim.add_agent(enb) for enb in enbs]
+    ue = Ue("208930000000007", FixedCqi(4))
+    ue.neighbor_channels = {enbs[1].cell().cell_id: FixedCqi(13)}
+    sim.add_ue(enbs[0], ue)
+    sim.add_downlink_traffic(enbs[0], ue, CbrSource(4.0, start_tti=50))
+    app = MobilityManagerApp(period_ttis=10, hysteresis_cqi=2,
+                             time_to_trigger_ttis=1000, load_aware=True)
+    sim.master.add_app(app)
+    return MobilityScenario(sim=sim, enbs=enbs, agents=agents, ue=ue,
+                            app=app)
 
 
 # ---------------------------------------------------------------------------
@@ -639,3 +704,76 @@ def dash_streaming(case: str = LOW_VARIABILITY, *, assisted: bool = False,
     sim.add_dash_client(client)
     return DashScenario(sim=sim, enb=enb, ue=ue, client=client, video=video,
                         assisted=assisted, case=case)
+
+
+# ---------------------------------------------------------------------------
+# Beyond LTE: a Wi-Fi AP under the same agent and master (Section 7.2)
+# ---------------------------------------------------------------------------
+
+WIFI_SLOT_LOAD_BYTES = 6000
+"""Bytes offered to every station every slot: more than the fast
+station's 65 Mb/s MCS drains, so both stay backlogged."""
+
+
+@dataclass
+class WifiScenario:
+    sim: Simulation
+    ap: WifiAp
+    agent: WifiAgent
+    stations: List[Station]
+
+
+def wifi_sdran(*, transport: str = "emulated",
+               seed: int = 0) -> WifiScenario:
+    """An access point with a fast (65 Mb/s MCS) and a slow (6.5 Mb/s)
+    station, both saturated, under a master subscribed to periodic
+    statistics every 100 slots."""
+    sim = Simulation(with_master=True, transport=transport)
+    ap = WifiAp(1, seed=seed)
+    stations = [Station(mac="02:00:00:00:00:01", snr_db=60.0),
+                Station(mac="02:00:00:00:00:02", snr_db=15.0)]
+    for station in stations:
+        ap.associate(station)
+    agent = sim.add_ap(ap)
+    sim.master.northbound.request_stats(
+        agent.agent_id, report_type=ReportType.PERIODIC, period_ttis=100)
+
+    def offer(slot: int) -> None:
+        for station in stations:
+            ap.enqueue(station.aid, WIFI_SLOT_LOAD_BYTES, slot)
+    sim.clock.register(Phase.TRAFFIC, offer)
+    return WifiScenario(sim=sim, ap=ap, agent=agent, stations=stations)
+
+
+# ---------------------------------------------------------------------------
+# The catalogue
+# ---------------------------------------------------------------------------
+
+
+def _hetnet(mode: str):
+    return lambda seed=0: hetnet_eicic(mode, seed=seed)
+
+
+CATALOGUE: Dict[str, Tuple[Callable[..., object], int]] = {
+    # name -> (build(seed=0) returning a handle with .sim, default TTIs).
+    # Every deployment has a master; every public builder is reached.
+    "quickstart": (quickstart, 2000),
+    "saturated_cell": (
+        lambda seed=0: saturated_cell(with_master=True, seed=seed), 2000),
+    "centralized": (
+        lambda seed=0: centralized_scheduling(
+            ues_per_enb=2, rtt_ms=20.0, schedule_ahead=24,
+            load_factor=1.2, seed=seed), 2000),
+    "large_scale": (large_scale, 200),
+    "partitioned_centralized": (
+        lambda seed=0: partitioned_centralized(
+            fault=FaultSpec(partitions=[(600, 1200)]), seed=seed), 2000),
+    "chaos_survivability": (chaos_survivability, 4000),
+    **{f"hetnet_{mode}": (_hetnet(mode), 2000) for mode in EICIC_MODES},
+    "ran_sharing": (ran_sharing, 2000),
+    "dash_streaming": (
+        lambda seed=0: dash_streaming(HIGH_VARIABILITY, assisted=True,
+                                      seed=seed), 10_000),
+    "mobility_handover": (mobility_handover, 3000),
+    "wifi_sdran": (wifi_sdran, 2000),
+}

@@ -1,10 +1,11 @@
 """Top-level simulation harness: one object wiring the whole platform.
 
-A :class:`Simulation` assembles eNodeBs, FlexRAN agents, the master
-controller, control-channel links, the EPC stub, TCP flows and DASH
-clients onto the phased :class:`~repro.net.clock.SimClock`, in the
-causal per-TTI order described in that module.  Examples, tests and
-every benchmark build on this harness.
+A :class:`Simulation` assembles eNodeBs, Wi-Fi access points, FlexRAN
+agents, the master controller, control-channel links, the EPC stub, TCP
+flows and DASH clients onto the phased
+:class:`~repro.net.clock.SimClock`, in the causal per-TTI order
+described in that module.  Examples, tests and every benchmark build
+on this harness.
 
 Typical use::
 
@@ -36,6 +37,8 @@ from repro.traffic.dash import DashClient
 from repro.traffic.epc import EpcStub, FlowStats
 from repro.traffic.generators import TrafficSource
 from repro.traffic.tcp import TcpFlow
+from repro.wifi.agent import WifiAgent
+from repro.wifi.ap import WifiAp
 
 
 class Simulation:
@@ -126,6 +129,33 @@ class Simulation:
         in another process)."""
         if agent_id is None:
             agent_id = enb.enb_id
+        agent = FlexRanAgent(agent_id, enb,
+                             endpoint=self._connect(agent_id, rtt_ms,
+                                                    endpoint),
+                             sync_enabled=sync_enabled,
+                             vsf_registry=vsf_registry,
+                             connection_config=connection_config)
+        agent.api.set_handover_executor(self._execute_handover)
+        self.agents[agent_id] = agent
+        return agent
+
+    def add_ap(self, ap: WifiAp, *, agent_id: Optional[int] = None,
+               rtt_ms: float = 0.0) -> WifiAgent:
+        """Attach a FlexRAN agent to the Wi-Fi access point *ap*, the
+        way :meth:`add_agent` does to an eNodeB.  The AP serves its slot
+        in the RAN phase, after the eNodeBs."""
+        if agent_id is None:
+            agent_id = ap.ap_id
+        agent = WifiAgent(agent_id, ap,
+                          endpoint=self._connect(agent_id, rtt_ms))
+        self.agents[agent_id] = agent
+        self.clock.register(Phase.RAN, ap.tick)
+        return agent
+
+    def _connect(self, agent_id: int, rtt_ms: float, endpoint=None):
+        """The agent side of *agent_id*'s control channel: *endpoint*
+        if given, else a new connection to the master (if any) with
+        *rtt_ms* on the simulation's transport."""
         if agent_id in self.agents:
             raise ValueError(f"agent {agent_id} already exists")
         if endpoint is None and self.master is not None:
@@ -140,13 +170,7 @@ class Simulation:
             self.connections[agent_id] = conn
             self.master.connect_agent(agent_id, conn.master_side)
             endpoint = conn.agent_side
-        agent = FlexRanAgent(agent_id, enb, endpoint=endpoint,
-                             sync_enabled=sync_enabled,
-                             vsf_registry=vsf_registry,
-                             connection_config=connection_config)
-        agent.api.set_handover_executor(self._execute_handover)
-        self.agents[agent_id] = agent
-        return agent
+        return endpoint
 
     def _fabric(self) -> TcpConnectionFabric:
         """The lazily started in-process TCP wiring (loopback server)."""

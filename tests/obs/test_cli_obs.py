@@ -3,7 +3,7 @@
 import json
 
 from repro import obs
-from repro.cli import OBS_SCENARIOS, main
+from repro.cli import main
 from repro.obs.export import trace_components, validate_chrome_trace
 
 RUN = ["--ttis", "400"]  # short runs keep the suite fast
@@ -27,9 +27,6 @@ class TestTraceCommand:
     def test_leaves_obs_disabled(self, tmp_path):
         main(["trace", *RUN, "--out", str(tmp_path / "t.json")])
         assert not obs.get().enabled
-
-    def test_scenarios_registered(self):
-        assert {"quickstart", "centralized"} <= set(OBS_SCENARIOS)
 
 
 class TestStatsCommand:

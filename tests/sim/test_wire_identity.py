@@ -10,7 +10,11 @@ periodic full-statistics subscriptions) and the differential suite's
 per-UE state moves every period), and ``centralized_scheduling`` over a
 non-zero RTT (the master's scheduler app pushes every decision, so the
 downlink commands carry its in-flight accounting and conflict
-admission).
+admission).  Three more cases run the catalogue builders that replaced
+hand-wired example topologies -- ``quickstart``, ``mobility_handover``
+and ``wifi_sdran`` -- and their digests were recorded from that hand
+wiring (for Wi-Fi, a hand-written slot loop), so moving it changed no
+frame.
 
 A RAN without agents sends no frame, so the agent-less case hashes what
 its schedulers decided instead: every downlink assignment the eNodeBs
@@ -33,6 +37,7 @@ from repro.lte.mac.drx import DrxConfig
 from repro.lte.phy.channel import FixedCqi, GaussMarkovSinr
 from repro.lte.ue import Ue
 from repro.net.clock import Phase
+from repro.sim import scenarios
 from repro.sim.scenarios import (
     centralized_scheduling, large_scale, sinr_for_cqi)
 from repro.sim.simulation import Simulation
@@ -61,6 +66,18 @@ def centralized_rtt4():
                                   schedule_ahead=4).sim
 
 
+def quickstart():
+    return scenarios.quickstart().sim
+
+
+def mobility_handover():
+    return scenarios.mobility_handover().sim
+
+
+def wifi_sdran():
+    return scenarios.wifi_sdran().sim
+
+
 PINNED = {
     # (frames encoded, sha256 over them)
     "large_scale_4x16": (
@@ -69,6 +86,12 @@ PINNED = {
         66, "61a325d5cab8ff0e6663fdc9da7543c4e0f558a93d3a24d3c68c7f755d21a130"),
     "centralized_rtt4": (
         1698, "5b234a2aa0c8ce8b235bcb516669d7f0ef80e03c0907c7d2aeb4fa960df6565e"),
+    "quickstart": (
+        29, "fd0b61651c72e91eccdc50c8ea17b404c27ddfcd1b14f9c54b47baf38cc1e1e7"),
+    "mobility_handover": (
+        78, "be2b66b06be41f39e5586531b80f7ba0100c1c99ae86035a9afff13eafa8c4ab"),
+    "wifi_sdran": (
+        10, "d77ba9ed32d74d03a3a15c31b46be319401db19fdba035e67f8ce038760a8086"),
 }
 
 
@@ -85,7 +108,8 @@ def frame_digest(build):
 
 
 @pytest.mark.parametrize("build", [large_scale_4x16, fading_pf,
-                                   centralized_rtt4],
+                                   centralized_rtt4, quickstart,
+                                   mobility_handover, wifi_sdran],
                          ids=lambda f: f.__name__)
 def test_whole_run_frames_are_pinned(build):
     assert frame_digest(build) == PINNED[build.__name__]

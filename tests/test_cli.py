@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import DEMOS, main
+from repro.cli import main
 
 
 class TestCli:
@@ -14,25 +14,21 @@ class TestCli:
 
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2
-        assert "demo" in capsys.readouterr().out
+        assert "CATALOGUE" in capsys.readouterr().out
 
     def test_unknown_demo_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["demo", "bogus"])
+        # There is no ``demo`` command: examples/ narrates the
+        # catalogue's deployments.
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "quickstart"])
+        assert exc.value.code == 2
 
-    def test_demo_names_registered(self):
-        assert {"quickstart", "latency", "slicing", "eicic", "dash",
-                "wifi"} == set(DEMOS)
-
-    def test_quickstart_demo_runs(self, capsys):
-        assert main(["demo", "quickstart"]) == 0
-        out = capsys.readouterr().out
-        assert "UE goodput" in out
-
-    def test_wifi_demo_runs(self, capsys):
-        assert main(["demo", "wifi"]) == 0
-        out = capsys.readouterr().out
-        assert "max-rate VSF" in out
+    @pytest.mark.parametrize("command", ["trace", "stats", "serve"])
+    def test_negative_ttis_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--ttis", "-1"])
+        assert exc.value.code == 2
+        assert "--ttis: must be >= 0" in capsys.readouterr().err
 
     def test_serve_port_zero_binds_ephemeral(self, capsys):
         """Regression: ``--port 0`` must bind an OS-assigned port and

@@ -13,7 +13,9 @@ from repro.core.protocol.messages import (
     ConfigReply,
     Hello,
 )
+from repro.core.controller import MasterController
 from repro.net.transport import ControlConnection
+from repro.sim.scenarios import wifi_sdran
 from repro.wifi.agent import WifiAgent
 from repro.wifi.ap import Station, WifiAp, phy_rate_mbps
 
@@ -157,3 +159,65 @@ class TestWifiAgent:
         # tick: the control channel stays up.
         assert agent.dispatch_errors == 1
         assert agent.messages_handled == 0
+
+
+class TestOnTheSimulationClock:
+    """``Simulation.add_ap`` runs the AP in the phase order of the hand
+    slot loop below (traffic, agent TX, master, agent RX, AP slot), on
+    either transport."""
+
+    SLOTS = 3000
+
+    @staticmethod
+    def reference(slots):
+        """The ``wifi_sdran`` deployment driven by a hand-written slot
+        loop: per-station bytes after each phase, reports sent, RIB
+        station count and active VSF."""
+        ap = WifiAp(1)
+        stations = [Station(mac="02:00:00:00:00:01", snr_db=60.0),
+                    Station(mac="02:00:00:00:00:02", snr_db=15.0)]
+        for s in stations:
+            ap.associate(s)
+        conn = ControlConnection()
+        master = MasterController()
+        master.connect_agent(1, conn.master_side)
+        agent = WifiAgent(1, ap, endpoint=conn.agent_side)
+        master.northbound.request_stats(
+            1, report_type=ReportType.PERIODIC, period_ttis=100)
+        phases = []
+        for phase in range(2):
+            if phase:
+                master.northbound.reconfigure_vsf(
+                    1, "wifi_mac", "station_scheduling",
+                    behavior="max_rate")
+            for t in range(phase * slots, (phase + 1) * slots):
+                for s in stations:
+                    ap.enqueue(s.aid, 6000, t)
+                agent.tick_tx(t)
+                master.tick(t)
+                agent.tick_rx(t)
+                ap.tick(t)
+            phases.append([s.meter.total_bytes for s in stations])
+        return (phases, agent.reports.reports_sent, master.rib.ue_count(),
+                agent.mac.active_name("station_scheduling"))
+
+    @pytest.mark.parametrize("transport", ["emulated", "tcp"])
+    def test_add_ap_matches_the_hand_slot_loop(self, transport):
+        sc = wifi_sdran(transport=transport)
+        sim = sc.sim
+        phases = []
+        try:
+            sim.run(self.SLOTS)
+            phases.append([s.meter.total_bytes for s in sc.stations])
+            sim.master.northbound.reconfigure_vsf(
+                sc.agent.agent_id, "wifi_mac", "station_scheduling",
+                behavior="max_rate")
+            sim.run(self.SLOTS)
+            phases.append([s.meter.total_bytes for s in sc.stations])
+        finally:
+            sim.close()
+        got = (phases, sc.agent.reports.reports_sent,
+               sim.master.rib.ue_count(),
+               sc.agent.mac.active_name("station_scheduling"))
+        assert got == self.reference(self.SLOTS)
+        assert got[3] == "max_rate" and got[2] == 2
