@@ -45,6 +45,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Set
 
 from repro import obs as _obs
+from repro.core.survive.supervisor import capped_doubling
 
 logger = logging.getLogger(__name__)
 
@@ -80,6 +81,24 @@ class ShardSupervisionPolicy:
     backoff_cap_s: float = 2.0
     run_deadline_s: float = 120.0
 
+    def __post_init__(self) -> None:
+        if self.stall_timeout_s <= 0:
+            raise ValueError(
+                f"stall_timeout_s must be positive, got {self.stall_timeout_s}")
+        if self.respawn_budget < 0:
+            raise ValueError(
+                f"respawn_budget must be >= 0, got {self.respawn_budget}")
+        if self.backoff_base_s < 0:
+            raise ValueError(
+                f"backoff_base_s must be >= 0, got {self.backoff_base_s}")
+        if self.backoff_cap_s < self.backoff_base_s:
+            raise ValueError(
+                "backoff_cap_s must be >= backoff_base_s "
+                f"(got {self.backoff_cap_s} < {self.backoff_base_s})")
+        if self.run_deadline_s < 0:
+            raise ValueError(
+                f"run_deadline_s must be >= 0, got {self.run_deadline_s}")
+
 
 @dataclass
 class ShardFailure:
@@ -101,10 +120,8 @@ class ShardFailure:
 
 def backoff_delay(policy: ShardSupervisionPolicy, attempt: int) -> float:
     """Respawn delay before attempt *attempt* (0-based), capped."""
-    if attempt < 0:
-        raise ValueError(f"attempt must be >= 0: {attempt}")
-    return min(policy.backoff_cap_s,
-               policy.backoff_base_s * (2 ** attempt))
+    return capped_doubling(policy.backoff_base_s, policy.backoff_cap_s,
+                           attempt)
 
 
 class ShardSupervisor:

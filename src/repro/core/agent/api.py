@@ -90,11 +90,11 @@ class AgentDataPlaneApi:
     def __init__(self, enb: EnodeB) -> None:
         self._enb = enb
         self._handover_executor: Optional[HandoverExecutor] = None
-        # collect_ue_stats's memory: per RNTI the last record and the
-        # sequence it stands for; the RNTIs whose channel can move.
+        # collect_ue_stats's memory: per RNTI the last record; the RNTIs
+        # whose channel can move; per kind, its dirty set and group bits.
         self._records: Dict[int, UeStatsReport] = {}
-        self._stands: Dict[int, int] = {}
         self._moving: Set[int] = set()
+        self._moved: Optional[List[Tuple[Set[int], int]]] = None
 
     @property
     def enb_id(self) -> int:
@@ -148,34 +148,36 @@ class AgentDataPlaneApi:
         and the ones whose channel can move (not ``time_invariant``, or
         neighbor channels).  Such a channel, or one whose ``cqi`` kind
         moved, is observed, and a move of what was seen folds into the
-        eNodeB's sequence.  One record per UE is kept with the sequence
-        it stands for; a visit re-reads only the groups moved since
-        (:data:`KIND_GROUPS`, the observation) and shares the rest.  A
+        eNodeB's sequence.  One record per UE is kept; a visit re-reads
+        only the groups moved since the UE's last visit (the kinds whose
+        dirty set, filled by the eNodeB's settle, holds it, through
+        :data:`KIND_GROUPS`; the observation) and shares the rest.  A
         record handed out is never mutated afterwards, only replaced.
         """
         enb = self._enb
+        moved = self._moved
+        if moved is None:  # no record yet: every UE is built whole
+            sets = {k: set() for k, bits in KIND_GROUPS.items() if bits}
+            enb.settle_into(sets)
+            moved = self._moved = [(sets[k], KIND_GROUPS[k]) for k in sets]
         seqs = enb.ue_change_seqs()
-        kind_seqs = enb.ue_kind_seqs()
-        kinds = [(kind_seqs[kind], bits)
-                 for kind, bits in KIND_GROUPS.items() if bits]
-        records, stands, moving = self._records, self._stands, self._moving
+        records, moving = self._records, self._moving
         changed = {}
         for rnti, seq in reversed(seqs.items()):  # value order
             if seq <= since_seq:
                 break
             changed[rnti] = seq
+        visit = changed.keys() | moving
         out: List[Tuple[int, UeStatsReport]] = []
-        for rnti in sorted(changed.keys() | moving):
+        for rnti in sorted(visit):
             if rnti not in seqs:
                 continue  # a moving UE that left; forgotten below
             seq = seqs[rnti]
             prev = records[rnti] if rnti in records else None
             bits = _WHOLE if prev is None else 0
-            if prev is not None and seq > stands[rnti]:
-                stood = stands[rnti]
-                for kind_seq, kind_bits in kinds:
-                    if rnti in kind_seq and kind_seq[rnti] > stood:
-                        bits |= kind_bits
+            for dirty, kind_bits in moved:
+                if rnti in dirty:
+                    bits |= kind_bits
             cell = enb.primary_cell(rnti)
             ue = cell.ues[rnti]
             observed = None
@@ -194,13 +196,14 @@ class AgentDataPlaneApi:
             if bits:
                 record = records[rnti] = self._build_record(
                     rnti, ue, cell, bits, observed, prev)
-            stands[rnti] = seq
             if seq > since_seq:
                 out.append((seq, record))
+        for dirty, _ in moved:  # not clear(): since_seq skipped some
+            dirty -= visit
         if len(records) > len(seqs):
             # Every attached UE has a record by now: the rest departed.
             for rnti in [r for r in records if r not in seqs]:
-                del records[rnti], stands[rnti]
+                del records[rnti]
                 moving.discard(rnti)
         return out
 

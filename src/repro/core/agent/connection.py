@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro import obs as _obs
+from repro.core.survive.supervisor import capped_doubling
 
 logger = logging.getLogger(__name__)
 
@@ -167,8 +168,8 @@ class ConnectionSupervisor:
             self.stats.reconnect_attempts += 1
             _obs.get().registry.counter(
                 "agent.connection.reconnect_attempts").inc()
-            self._backoff = min(self._backoff * 2,
-                                self.config.reconnect_backoff_cap_ttis)
+            self._backoff = capped_doubling(
+                self._backoff, self.config.reconnect_backoff_cap_ttis, 1)
             self._next_probe = now + self._backoff
             if self._send_reconnect_probe is not None:
                 self._send_reconnect_probe(now)

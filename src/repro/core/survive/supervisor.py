@@ -38,6 +38,20 @@ if TYPE_CHECKING:  # pragma: no cover
 logger = logging.getLogger(__name__)
 
 
+def capped_doubling(base, cap, times: int):
+    """*base* doubled *times* times, but never above *cap* (a backoff
+    schedule).  Doubling stops at the cap, so no value past it is ever
+    computed and any *times* is safe; ``base * 2 ** times`` is not (as
+    a float it overflows from 1024 doublings on)."""
+    if times < 0:
+        raise ValueError(f"doublings must be >= 0: {times}")
+    value = min(base, cap)
+    while times > 0 and 0 < value < cap:
+        value = min(value * 2, cap)
+        times -= 1
+    return value
+
+
 class BreakerState(enum.Enum):
     """Circuit-breaker state of one supervised application."""
 
@@ -244,9 +258,9 @@ class AppSupervisor:
     def _quarantine(self, h: AppHealth, tti: int) -> None:
         h.quarantines += 1
         # Every re-quarantine doubles the cooldown, up to the cap.
-        h.cooldown_ttis = min(
-            self.policy.cooldown_ttis * 2 ** (h.quarantines - 1),
-            self.policy.max_cooldown_ttis)
+        h.cooldown_ttis = capped_doubling(
+            self.policy.cooldown_ttis, self.policy.max_cooldown_ttis,
+            h.quarantines - 1)
         h.quarantined_at_tti = tti
         h.consecutive_faults = 0
         h.probation_left = 0

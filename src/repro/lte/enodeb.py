@@ -28,7 +28,8 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Deque, Dict, List, Mapping, Optional, Sequence, Set, Tuple)
+    Callable, Collection, Deque, Dict, List, Mapping, Optional, Sequence,
+    Set, Tuple)
 
 import numpy as np
 
@@ -51,7 +52,7 @@ from repro.lte.rlc import RlcEntity
 from repro.lte.rrc import ATTACH_SIGNALLING_BYTES, RrcEntity, RrcEvent
 from repro.lte.constants import SUBFRAMES_PER_FRAME
 from repro.lte.ue import Ue
-from repro.lte.view_cache import REFRESHER_OF_KIND, UeViewCache
+from repro.lte.view_cache import UeViewCache
 
 logger = logging.getLogger(__name__)
 
@@ -140,6 +141,9 @@ class EnodeB:
         # Readers of sequences or views _settle them first.
         self._recorded: Tuple[Set[int], ...] = tuple(
             set() for _ in CHANGE_KINDS)
+        # Per kind: its record set and the (dirty, served) pairs of the
+        # readers registered through settle_into.
+        self._settle_into = [(recorded, []) for recorded in self._recorded]
         (self._record_membership, self._record_rlc, self._record_pdcp,
          record_harq, record_rrc, record_cqi, self._record_ul_buffer,
          self._record_view) = (recorded.add for recorded in self._recorded)
@@ -184,20 +188,9 @@ class EnodeB:
             c: UeViewCache(cell, self) for c, cell in self.cells.items()}
         # Settled UE changes, departures and report-only changes; per
         # attached RNTI the value of its last one (delta reports), kept
-        # in value order; and per kind, the value of its last change of
-        # that kind.
+        # in value order.
         self._change_seq = 0
         self._ue_seq: Dict[int, int] = {}
-        self._kind_seqs: Dict[str, Dict[int, int]] = {
-            kind: {} for kind in CHANGE_KINDS}
-        # Per kind: its record set, its sequence map, and per cell its
-        # refresher's dirty set and the cell's live RNTIs (if it has one).
-        self._settle_into = tuple(
-            (recorded, self._kind_seqs[kind],
-             tuple((self._view_cache[c].dirty[REFRESHER_OF_KIND[kind]],
-                    cell.ues.keys()) for c, cell in self.cells.items())
-             if REFRESHER_OF_KIND[kind] else ())
-            for kind, recorded in zip(CHANGE_KINDS, self._recorded))
 
     # -- topology -------------------------------------------------------
 
@@ -242,8 +235,9 @@ class EnodeB:
         # consumers notice even though the RNTI itself is gone.
         self._change_seq += 1
         self._ue_seq.pop(rnti, None)
-        for seqs in self._kind_seqs.values():
-            seqs.pop(rnti, None)
+        for _, into in self._settle_into:  # so no reader's sets grow
+            for dirty, _ in into:
+                dirty -= {rnti}
         ue = cell.remove_ue(rnti)
         self.drx.remove(rnti)
         for key in [k for k in self.bearer_qos if k[0] == rnti]:
@@ -367,16 +361,27 @@ class EnodeB:
 
     # -- change tracking -------------------------------------------------
 
+    def settle_into(self, dirty: Mapping[str, Set[int]],
+                    served: Optional[Collection[int]] = None) -> None:
+        """Register a reader: from the next settle on, every RNTI in
+        *served* (default: the attached ones) with a change of kind
+        ``k`` settled joins ``dirty[k]``, until the reader drains it or
+        the RNTI detaches."""
+        if served is None:
+            served = self._ue_cell.keys()
+        for kind, (_, into) in zip(CHANGE_KINDS, self._settle_into):
+            if kind in dirty:
+                into.append((dirty[kind], served))
+
     def _settle(self) -> None:
-        """Turn the recorded RNTIs into change sequences and dirty views.
+        """Turn the recorded RNTIs into change sequences and dirty sets.
 
         Each recorded RNTI still attached gets the next sequence value,
-        once however many kinds recorded it, which also becomes the
-        value of each of those kinds' last change; its view is dirtied
-        in its PCell's and every active SCell's cache, per kind for the
-        fields that kind feeds (``view_cache.REFRESHER_OF_KIND``).  One
-        that left before settling is dropped.  No method call per RNTI:
-        this runs for every cell on every TTI.
+        once however many kinds recorded it, and joins, per kind that
+        recorded it, the dirty set of every reader registered for that
+        kind (:meth:`settle_into`) that serves it.  One that left before
+        settling is dropped.  No method call per RNTI: this runs for
+        every cell on every TTI.
         """
         changed = set()
         for kind_recorded in self._recorded:
@@ -394,15 +399,9 @@ class EnodeB:
                     del ue_seq[rnti]  # re-inserted last: value order
                 ue_seq[rnti] = seq
         self._change_seq = seq
-        for kind_recorded, kind_seqs, views_dirty in self._settle_into:
+        for kind_recorded, into in self._settle_into:
             if kind_recorded:
-                for rnti in kind_recorded:
-                    if rnti in ue_seq:  # attached, so numbered above
-                        kind_seqs[rnti] = ue_seq[rnti]
-                # A cell serves exactly the UEs its cache has views of,
-                # as PCell or SCell, so this reaches every carrier of a
-                # UE and none of a departed one.
-                for dirty, served in views_dirty:
+                for dirty, served in into:  # no departed RNTI is served
                     dirty |= served & kind_recorded
                 kind_recorded -= kind_recorded  # clear() as an operator
 
@@ -413,13 +412,6 @@ class EnodeB:
         caller)."""
         self._settle()
         return self._ue_seq
-
-    def ue_kind_seqs(self) -> Mapping[str, Mapping[int, int]]:
-        """Per :data:`CHANGE_KINDS` entry, ``rnti -> change_seq`` value
-        of the last change of that kind, for the attached UEs that had
-        one (settled first; read-only to the caller)."""
-        self._settle()
-        return self._kind_seqs
 
     def mark_ue_report_dirty(self, rnti: int) -> int:
         """Record a change only stats reports can see; return its sequence.

@@ -14,8 +14,9 @@ nothing.
 
 The cache owns no protocol state: RLC, PDCP, HARQ, DRX, RRC and the
 cell stay the owners and record the RNTIs they change; the eNodeB's
-settle step puts each into :attr:`UeViewCache.dirty` of its PCell and
-SCells, under its kind's refresher.  Invalidation rules (see DESIGN.md
+settle step puts each into :attr:`UeViewCache.dirty`, which every cache
+registers (``EnodeB.settle_into``) under each kind's refresher for the
+UEs its cell serves, PCell or SCell.  Invalidation rules (see DESIGN.md
 section 6):
 
 * a change re-reads the fields its kind feeds (:data:`REFRESHER_OF_KIND`):
@@ -67,6 +68,9 @@ class UeViewCache:
         #: filled by the eNodeB's settle step, emptied by the next build.
         self.dirty: Dict[str, Set[int]] = {
             name: set() for name in ("full", "queues", "cqi", "ul_buffer")}
+        enb.settle_into({kind: self.dirty[name]
+                         for kind, name in REFRESHER_OF_KIND.items() if name},
+                        cell.ues.keys())
         self._refreshers = tuple(
             (rntis, getattr(self, f"_refresh_{name}"))
             for name, rntis in self.dirty.items())

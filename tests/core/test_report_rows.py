@@ -29,9 +29,10 @@ import copy
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.agent import FlexRanAgent
-from repro.core.agent.api import KIND_GROUPS
+from repro.core.agent.api import KIND_GROUPS, AgentDataPlaneApi
 from repro.core.agent.reports import FULL_REFRESH_REPLIES
 from repro.core.protocol.messages import (
     Header,
@@ -640,15 +641,19 @@ class TestOnlyWhatMovedIsRebuilt:
         enb, agent, rnti = lone_agent(FixedCqi(9))
         subscribe(agent.reports)
         agent.reports.due_replies(30)
+        kept = agent.api._records[rnti]
         cell = enb.primary_cell(rnti).cell_id
         start_harq(enb, rnti, 31)
         enb.harq[cell].entity(rnti).feedback(0, True)
-        seq = enb.change_seq
         (reply,) = agent.reports.due_replies(35)
         assert reply.full == 0 and reply.ue_reports == []
         # The UE was visited (its sequence moved) and its HARQ group
-        # re-read, to the values it was last sent.
-        assert agent.api._stands[rnti] == seq
+        # re-read, to the values it was last sent; the rest is shared.
+        record = agent.api._records[rnti]
+        assert record.harq_states is not kept.harq_states
+        assert record.harq_states == kept.harq_states
+        assert record.queues is kept.queues
+        assert record.subband_cqi is kept.subband_cqi
 
     def test_a_static_ue_is_reobserved_when_its_channel_changes(self):
         enb, agent, rnti = lone_agent(FixedCqi(9))
@@ -670,3 +675,61 @@ class TestOnlyWhatMovedIsRebuilt:
         assert rnti in agent.api._moving
         (record,) = agent.reports.due_replies(45)[0].ue_reports
         assert record.neighbor_cqi == {99: 12}
+
+
+# One step of a random program against one eNodeB and its record pass:
+# a change through an entity, an attach, a detach, a TTI, or a pass
+# whose since_seq is the current sequence plus an offset (below it,
+# equal, or above it; None: all).
+PASS_OFFSETS = (None, -5, -1, 0, 1, 5)
+_STEPS = st.one_of(
+    st.tuples(st.just("change"), st.integers(0, 7),
+              st.sampled_from(("rlc", "pdcp", "cqi", "ul_buffer", "view"))),
+    st.tuples(st.just("attach"), st.integers(1, 15)),
+    st.tuples(st.just("detach"), st.integers(0, 7)),
+    st.tuples(st.just("tick")),
+    st.tuples(st.just("pass"), st.sampled_from(PASS_OFFSETS)))
+
+PROGRAM_CHANGES = {
+    "rlc": lambda enb, rnti, t: enb.rlc[rnti].enqueue(300, t),
+    "pdcp": lambda enb, rnti, t: enb.pdcp[rnti].ingress(3, 300),
+    "cqi": lambda enb, rnti, t: (
+        setattr(enb.ue(rnti), "channel", FixedCqi(1 + (t + rnti) % 15)),
+        enb.primary_cell(rnti).refresh_cqi(t, force=True)),
+    "ul_buffer": lambda enb, rnti, t: enb.notify_ul(rnti, 200, t),
+    "view": lambda enb, rnti, t: enb.set_drx(
+        rnti, None if enb.drx.is_configured(rnti) else DrxConfig()),
+}
+
+
+class TestPassesDrainOnlyWhatTheyVisit:
+    @settings(max_examples=150, deadline=None)
+    @given(program=st.lists(_STEPS, max_size=40))
+    def test_every_record_handed_out_is_current(self, program):
+        """Whatever since_seq each pass is given, a record it returns
+        equals a fresh snapshot of its UE, and a final pass over all UEs
+        equals a fresh snapshot; a pass that forgot the changes of the
+        UEs its since_seq left out fails here."""
+        enb = EnodeB(1)
+        api = AgentDataPlaneApi(enb)
+        for i in range(3):
+            enb.attach_ue(Ue(f"{i:03d}", FixedCqi(9)), tti=0)
+        t = 0
+        for step in program:
+            rntis = enb.rntis()
+            if step[0] == "change" and rntis:
+                PROGRAM_CHANGES[step[2]](enb, rntis[step[1] % len(rntis)], t)
+            elif step[0] == "attach":
+                enb.attach_ue(Ue(f"{t:03d}", FixedCqi(step[1])), tti=t)
+            elif step[0] == "detach" and rntis:
+                enb.detach_ue(rntis[step[1] % len(rntis)])
+            elif step[0] == "tick":
+                enb.tick(t)
+                t += 1
+            elif step[0] == "pass":
+                since = -1 if step[1] is None else enb.change_seq + step[1]
+                fresh = {rec.rnti: rec for rec in api.get_ue_stats(t)}
+                for _, record in api.collect_ue_stats(t, since):
+                    assert record == fresh[record.rnti]
+        assert [rec for _, rec in api.collect_ue_stats(t, -1)] \
+            == api.get_ue_stats(t)

@@ -71,6 +71,20 @@ class TestSupervisor:
         # then capped at 40: 70, 90, 130, 170, 210, 250, 290.
         assert probes == [70, 90, 130, 170, 210, 250, 290]
 
+    def test_reconnect_intervals_double_to_the_cap(self):
+        probes = []
+        sup = ConnectionSupervisor(
+            ConnectionConfig(), send_reconnect_probe=probes.append)
+        sup.heard(0)
+        t = 0
+        while len(probes) < 13:
+            t += 1
+            sup.before_tx(t)
+        # The first probe comes one initial backoff after the outage;
+        # each after it waits twice the last, up to the cap.
+        assert [b - a for a, b in zip(probes, probes[1:])] == [
+            min(50 * 2 ** k, 800) for k in range(1, 13)]
+
     def test_reconnect_restores_and_resets_backoff(self):
         ups, downs = [], []
         sup = ConnectionSupervisor(

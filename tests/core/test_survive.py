@@ -1,5 +1,7 @@
 """Tests of the app supervisor, fault boundaries and CMI rollback."""
 
+import pytest
+
 from repro.core.agent import FlexRanAgent
 from repro.core.agent.mac_module import MacControlModule
 from repro.core.apps.base import App
@@ -9,6 +11,7 @@ from repro.core.survive.supervisor import (
     AppSupervisor,
     BreakerState,
     SupervisionPolicy,
+    capped_doubling,
 )
 from repro.lte.enodeb import EnodeB
 from repro.net.transport import ControlConnection
@@ -21,6 +24,22 @@ def policy(**kwargs):
                     probation_runs=3)
     defaults.update(kwargs)
     return SupervisionPolicy(**defaults)
+
+
+class TestCappedDoubling:
+    def test_doubles_from_the_base_and_stops_at_the_cap(self):
+        assert [capped_doubling(50, 800, n) for n in range(7)] == [
+            50, 100, 200, 400, 800, 800, 800]
+        assert capped_doubling(0.1, 0.5, 3) == 0.5
+
+    def test_any_count_of_doublings_is_safe(self):
+        assert capped_doubling(0.05, 2.0, 5000) == 2.0
+        assert capped_doubling(500, 8000, 10 ** 9) == 8000
+        assert capped_doubling(0.0, 2.0, 5000) == 0.0
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            capped_doubling(1, 2, -1)
 
 
 def crash():
@@ -89,6 +108,20 @@ class TestBreakerStateMachine:
                 sup.health("a").cooldown_ttis + 1
             sup.admitted("a", tti)
         assert sup.health("a").cooldown_ttis <= 300
+
+    def test_cooldowns_double_from_the_base_to_the_cap(self):
+        sup = AppSupervisor(policy(max_consecutive_faults=1,
+                                   probation_runs=1))
+        cooldowns = []
+        tti = 0
+        for _ in range(12):
+            sup.call("a", crash, tti=tti)  # closed or on probation
+            h = sup.health("a")
+            assert h.state is BreakerState.QUARANTINED
+            cooldowns.append(h.cooldown_ttis)
+            tti = h.quarantined_at_tti + h.cooldown_ttis
+            assert sup.admitted("a", tti)
+        assert cooldowns == [min(100 * 2 ** q, 8000) for q in range(12)]
 
     def test_event_and_periodic_faults_counted_separately(self):
         sup = AppSupervisor(policy())

@@ -6,17 +6,19 @@ nothing.  On an eNodeB the hook is the record set of the entity's kind
 (``CHANGE_KINDS``), and a change lands in that set alone.  The eNodeB
 settles the sets wherever a change sequence or a view is read -- one
 sequence step per UE however many kinds recorded it, and per kind the
-value of that kind's last change -- so a change is visible to
-``change_seq`` and ``collect_ue_stats`` without a ``plan`` in between,
-and an RNTI that left before settling leaves no trace.  A view re-reads,
-on every carrier of the UE, only the fields the recorded kinds feed.
+RNTI added to the dirty set of every reader registered for that kind
+(``settle_into``: the view caches, the agent's record pass) -- so a
+change is visible to ``change_seq`` and ``collect_ue_stats`` without a
+``plan`` in between, and an RNTI that left before settling leaves no
+trace.  A view re-reads, on every carrier of the UE, only the fields
+the recorded kinds feed.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from repro.core.agent.api import AgentDataPlaneApi
+from repro.core.agent.api import KIND_GROUPS, AgentDataPlaneApi
 from repro.lte.cell import Cell, CellConfig
 from repro.lte.enodeb import CHANGE_KINDS, EnodeB
 from repro.lte.mac.drx import DrxConfig, DrxManager
@@ -315,6 +317,24 @@ def connected_enb(cells=(10,), n_ues=2):
     return enb, rntis
 
 
+def reader(enb, served=None):
+    """Register one dirty set per kind with *enb*; return them."""
+    moved = {kind: set() for kind in CHANGE_KINDS}
+    enb.settle_into(moved, served)
+    return moved
+
+
+def registered(enb):
+    """Every ``(kind, id(dirty set))`` registered with *enb*, sorted."""
+    return sorted((kind, id(dirty))
+                  for kind, (_, into) in zip(CHANGE_KINDS, enb._settle_into)
+                  for dirty, _ in into)
+
+
+def registered_sets(enb):
+    return [dirty for _, into in enb._settle_into for dirty, _ in into]
+
+
 class TestSettling:
     def test_enodeb_reads_record_nothing(self):
         enb, rntis = connected_enb()
@@ -364,22 +384,24 @@ class TestSettling:
 
     def test_an_rnti_gone_before_settling_leaves_no_sequence(self):
         enb, rntis = connected_enb()
-        seq = enb.change_seq
-        assert all(rntis[0] in enb.ue_kind_seqs()[kind]
-                   for kind in ("membership", "rlc", "rrc", "cqi"))
+        moved = reader(enb)
+        enb.rlc[rntis[0]].enqueue(100, 40)
+        seq = enb.change_seq  # settled: the reader holds it
+        assert rntis[0] in moved["rlc"]
         enb.enqueue_dl(rntis[0], 700, 40)
         enb.detach_ue(rntis[0])
         assert rntis[0] not in enb.ue_change_seqs()
-        assert not any(rntis[0] in seqs
-                       for seqs in enb.ue_kind_seqs().values())
+        assert not any(rntis[0] in dirty for dirty in moved.values())
+        assert not any(rntis[0] in dirty
+                       for cache in enb._view_cache.values()
+                       for dirty in cache.dirty.values())
         # The departure itself moves the sequence, once.
         assert enb.change_seq == seq + 1
 
     def test_one_step_per_ue_however_many_kinds_recorded_it(self):
         enb, (first, second) = connected_enb()
         seq = enb.change_seq
-        before = {kind: dict(seqs)
-                  for kind, seqs in enb.ue_kind_seqs().items()}
+        moved = reader(enb)
         enb.enqueue_dl(first, 700, 40)            # pdcp, rlc
         _start(enb.harq[10].entity(first))        # harq
         enb.notify_ul(first, 100, 40)             # ul_buffer
@@ -387,25 +409,63 @@ class TestSettling:
         assert enb.change_seq == seq + 2
         seqs = enb.ue_change_seqs()
         assert sorted(seqs.values())[-2:] == [seq + 1, seq + 2]
-        kinds = enb.ue_kind_seqs()
-        for kind in CHANGE_KINDS:
-            moved = {r for r in (first, second)
-                     if kinds[kind].get(r) != before[kind].get(r)}
-            assert all(kinds[kind][r] == seqs[r] for r in moved)
-            assert moved == {
-                "pdcp": {first, second}, "rlc": {first}, "harq": {first},
-                "ul_buffer": {first}}.get(kind, set()), kind
+        assert moved == {kind: {
+            "pdcp": {first, second}, "rlc": {first}, "harq": {first},
+            "ul_buffer": {first}}.get(kind, set()) for kind in CHANGE_KINDS}
 
     def test_kind_values_do_not_wait_for_a_reader(self):
-        """A kind's value is its last change, whether or not anyone read
-        the kind map before: an untouched kind is not counted as moved."""
-        enb, (first, _) = connected_enb()
+        """A settle fills a reader's sets whether or not the reader
+        looks, and only from its registration on: an untouched kind is
+        not counted as moved, and an earlier change is not replayed."""
+        enb, (first, second) = connected_enb()
+        early = reader(enb)
         enb.rlc[first].enqueue(700, 40)
-        seq = enb.change_seq  # settled; the kind map never read
-        kinds = enb.ue_kind_seqs()
-        assert kinds["rlc"][first] == seq
-        assert all(kinds[kind].get(first, 0) < seq
-                   for kind in ("membership", "harq", "rrc", "cqi"))
+        assert enb.change_seq  # settled; the reader never looked
+        late = reader(enb)
+        enb.pdcp[second].ingress(3, 100)
+        assert enb.change_seq
+        assert early == {kind: {"rlc": {first}, "pdcp": {second}}.get(
+            kind, set()) for kind in CHANGE_KINDS}
+        assert late == {kind: {"pdcp": {second}}.get(kind, set())
+                        for kind in CHANGE_KINDS}
+
+    def test_a_reader_serves_only_its_rntis(self):
+        enb, (first, second) = connected_enb()
+        moved = reader(enb, served={second})
+        enb.rlc[first].enqueue(700, 40)
+        enb.rlc[second].enqueue(700, 40)
+        assert enb.change_seq
+        assert moved["rlc"] == {second}
+
+    def test_reader_sets_hold_only_attached_rntis_under_churn(self):
+        enb, (stays, _) = connected_enb()
+        api = AgentDataPlaneApi(enb)
+        api.collect_ue_stats(40, -1)  # registers the record pass's sets
+        since = enb.change_seq
+        for i in range(1000):
+            rnti = enb.attach_ue(Ue(f"{i:04d}", FixedCqi(9)), tti=40)
+            enb.enqueue_dl(rnti, 100, 40)
+            enb.rlc[stays].enqueue(100, 40)
+            assert enb.change_seq  # settled into every reader's sets
+            enb.detach_ue(rnti)
+        attached = set(enb.rntis())
+        for dirty in registered_sets(enb):
+            assert dirty <= attached
+        assert [rec.rnti for _, rec in api.collect_ue_stats(40, since)] \
+            == [stays]
+
+    def test_an_agentless_enodeb_registers_only_its_view_caches(self):
+        enb, _ = connected_enb(cells=(10, 11))
+        AgentDataPlaneApi(enb).get_ue_stats(40)  # reads, registers nothing
+        views = sorted(
+            (kind, id(cache.dirty[name]))
+            for cache in enb._view_cache.values()
+            for kind, name in REFRESHER_OF_KIND.items() if name)
+        assert registered(enb) == views
+        api = AgentDataPlaneApi(enb)
+        api.collect_ue_stats(40, -1)
+        assert len(registered(enb)) - len(views) == sum(
+            1 for bits in KIND_GROUPS.values() if bits)
 
     def test_the_sequence_map_is_in_value_order(self):
         """So the UEs changed since a value are a tail of it."""
