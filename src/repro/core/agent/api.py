@@ -235,7 +235,7 @@ class AgentDataPlaneApi:
         if bits & UNGROUPED:
             state["rrc_state"] = _RRC_STATE_INDEX[enb.rrc.context(rnti).state]
         if bits & _QUEUES:
-            state["queues"] = enb.rlc[rnti].queues.sizes()
+            state["queues"] = enb.rlc[rnti].sizes()
             state["ul_buffer_bytes"] = ue.ul_backlog_bytes
         if bits & _CQI:
             known, clear = cell.known_cqi, cell.known_cqi_clear

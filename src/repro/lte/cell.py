@@ -276,8 +276,10 @@ class Cell:
         src = self._interference_source
         active = bool(src is not None and src.transmitting
                       and src.last_tx_tti == tti)
-        return ue.channel_for(self.cell_id).cqi(
-            tti, interference_active=active)
+        carriers = ue.carrier_channels  # Ue.channel_for, without calls
+        cell_id = self.config.cell_id
+        channel = carriers[cell_id] if cell_id in carriers else ue.channel
+        return channel.cqi(tti, interference_active=active)
 
     def mark_transmission(self, tti: int, transmitting: bool) -> None:
         """Record whether this cell transmits user data at *tti*."""

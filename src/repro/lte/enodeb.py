@@ -626,17 +626,18 @@ class EnodeB:
             attempt = proc.attempt
             pid = proc.pid
         else:
-            if entity.free_process() is None:
+            free = entity.free_process()
+            if free is None:
                 self.counters.harq_blocked += 1
                 return
             budget = transport_block_bits(a.cqi_used, a.n_prb) // 8
             payload_split = self.rlc[a.rnti].dequeue_priority(
                 budget, tti, prefer_lcid=a.lcid)
-            payload = sum(payload_split.values())
-            if payload == 0:
+            if not payload_split:
                 return
             proc = entity.start(
-                pid=a.harq_pid, tb_bits=budget * 8, payload_bytes=payload,
+                pid=free.pid if a.harq_pid is None else a.harq_pid,
+                tb_bits=budget * 8, payload_bytes=sum(payload_split.values()),
                 cqi_used=a.cqi_used, n_prb=a.n_prb,
                 lcid=max(payload_split), tti=tti)
             self._harq_payload[(cell_id, a.rnti, proc.pid)] = payload_split

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.lte.constants import CQI_MAX, CQI_MIN
 from repro.lte.phy.cqi import validate_cqi
 
 HARQ_COMBINING_GAIN = 0.35
@@ -32,10 +33,15 @@ def select_mcs(reported_cqi: int, *, backoff: int = 0) -> int:
     subframes ahead) can back off some CQI steps to trade peak rate for
     reliability.
     """
-    validate_cqi(reported_cqi)
+    # A valid plain int is settled inline; anything else takes the
+    # full check (which raises, or admits an int subclass).
+    if type(reported_cqi) is not int or not (
+            CQI_MIN <= reported_cqi <= CQI_MAX):
+        validate_cqi(reported_cqi)
     if backoff < 0:
         raise ValueError(f"backoff must be >= 0, got {backoff}")
-    return max(0, reported_cqi - backoff)
+    mcs = reported_cqi - backoff
+    return mcs if mcs > 0 else 0
 
 
 @dataclass(frozen=True)
@@ -67,8 +73,11 @@ class ErrorModel:
         *cqi_actual* is what the channel supports at transmission time;
         *attempt* counts HARQ transmissions (1 = initial).
         """
-        validate_cqi(cqi_used)
-        validate_cqi(cqi_actual)
+        if type(cqi_used) is not int or not CQI_MIN <= cqi_used <= CQI_MAX:
+            validate_cqi(cqi_used)  # as in select_mcs
+        if type(cqi_actual) is not int or not (
+                CQI_MIN <= cqi_actual <= CQI_MAX):
+            validate_cqi(cqi_actual)
         if attempt < 1:
             raise ValueError(f"attempt must be >= 1, got {attempt}")
         if cqi_used == 0:
@@ -84,7 +93,7 @@ class ErrorModel:
             p = 1.0
         # HARQ chase combining: each retransmission accumulates energy.
         p *= HARQ_COMBINING_GAIN ** (attempt - 1)
-        return min(1.0, p)
+        return p if p < 1.0 else 1.0
 
 
 DEFAULT_ERROR_MODEL = ErrorModel()

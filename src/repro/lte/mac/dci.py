@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Collection, Dict, List, Optional, Sequence
 
+from repro.lte.constants import CQI_MAX, CQI_MIN
 from repro.lte.phy.cqi import validate_cqi
 
 
@@ -29,7 +30,9 @@ class DlAssignment:
     target_tti: Optional[int] = None  # for schedule-ahead decisions
 
     def __post_init__(self) -> None:
-        validate_cqi(self.cqi_used)
+        cqi = self.cqi_used  # a valid plain int is settled inline
+        if type(cqi) is not int or not CQI_MIN <= cqi <= CQI_MAX:
+            validate_cqi(cqi)
         if self.n_prb <= 0:
             raise ValueError(f"assignment must use >= 1 PRB, got {self.n_prb}")
         if self.rnti <= 0:
@@ -46,7 +49,9 @@ class UlGrant:
     target_tti: Optional[int] = None
 
     def __post_init__(self) -> None:
-        validate_cqi(self.cqi_used)
+        cqi = self.cqi_used  # as in DlAssignment
+        if type(cqi) is not int or not CQI_MIN <= cqi <= CQI_MAX:
+            validate_cqi(cqi)
         if self.n_prb <= 0:
             raise ValueError(f"grant must use >= 1 PRB, got {self.n_prb}")
 

@@ -127,9 +127,8 @@ class DrxManager:
         return state.is_awake(tti) if state is not None else True
 
     def note_activity(self, rnti: int, tti: int) -> None:
-        state = self._states.get(rnti)
-        if state is not None:
-            state.note_activity(tti)
+        if rnti in self._states:  # once per transport block: no .get
+            self._states[rnti].note_activity(tti)
             self._on_change(rnti)
 
     def account_all(self, tti: int) -> None:

@@ -46,7 +46,8 @@ class TransmissionQueue:
         if limit_bytes is not None and limit_bytes <= 0:
             raise ValueError(f"limit_bytes must be positive, got {limit_bytes}")
         self._packets: Deque[QueuedPacket] = deque()
-        self._bytes = 0
+        #: Total backlog in bytes (read-only to callers).
+        self.size_bytes = 0
         self.limit_bytes = limit_bytes
         self.dropped_packets = 0
         self.dropped_bytes = 0
@@ -57,12 +58,7 @@ class TransmissionQueue:
         return len(self._packets)
 
     def __bool__(self) -> bool:
-        return self._bytes > 0
-
-    @property
-    def size_bytes(self) -> int:
-        """Total backlog in bytes."""
-        return self._bytes
+        return self.size_bytes > 0
 
     def head_of_line_tti(self) -> Optional[int]:
         """Enqueue TTI of the oldest byte, or ``None`` if empty."""
@@ -72,12 +68,12 @@ class TransmissionQueue:
         """Enqueue a packet; returns ``False`` (and drops) on overflow."""
         if size_bytes <= 0:
             raise ValueError(f"packet size must be positive, got {size_bytes}")
-        if self.limit_bytes is not None and self._bytes + size_bytes > self.limit_bytes:
+        if self.limit_bytes is not None and self.size_bytes + size_bytes > self.limit_bytes:
             self.dropped_packets += 1
             self.dropped_bytes += size_bytes
             return False
         self._packets.append(QueuedPacket(size_bytes, tti))
-        self._bytes += size_bytes
+        self.size_bytes += size_bytes
         self.enqueued_bytes += size_bytes
         return True
 
@@ -89,7 +85,7 @@ class TransmissionQueue:
         if size_bytes <= 0:
             return
         self._packets.appendleft(QueuedPacket(size_bytes, tti))
-        self._bytes += size_bytes
+        self.size_bytes += size_bytes
 
     def pop_bytes(self, max_bytes: int, tti: int) -> int:
         """Dequeue up to *max_bytes*, segmenting the head packet.
@@ -108,15 +104,15 @@ class TransmissionQueue:
             else:
                 head.size_bytes -= room
                 taken += room
-        self._bytes -= taken
+        self.size_bytes -= taken
         self.dequeued_bytes += taken
         return taken
 
     def clear(self) -> int:
         """Drop the whole backlog; returns the bytes discarded."""
-        discarded = self._bytes
+        discarded = self.size_bytes
         self._packets.clear()
-        self._bytes = 0
+        self.size_bytes = 0
         return discarded
 
 
@@ -124,26 +120,28 @@ class QueueSet:
     """Per-UE map of logical channel id to transmission queue."""
 
     def __init__(self, *, limit_bytes: Optional[int] = None) -> None:
-        self._queues: Dict[int, TransmissionQueue] = {}
+        #: lcid -> queue, in creation order (read-only to callers: only
+        #: :meth:`queue` creates one).
+        self.by_lcid: Dict[int, TransmissionQueue] = {}
         self._limit_bytes = limit_bytes
 
     def queue(self, lcid: int = DEFAULT_LCID) -> TransmissionQueue:
         """Get (creating on first use) the queue for *lcid*."""
-        if lcid not in self._queues:
-            self._queues[lcid] = TransmissionQueue(limit_bytes=self._limit_bytes)
-        return self._queues[lcid]
+        if lcid not in self.by_lcid:
+            self.by_lcid[lcid] = TransmissionQueue(limit_bytes=self._limit_bytes)
+        return self.by_lcid[lcid]
 
     def lcids(self) -> List[int]:
         """Logical channel ids with a queue instantiated, sorted."""
-        return sorted(self._queues)
+        return sorted(self.by_lcid)
 
     def total_bytes(self) -> int:
         """Backlog across all logical channels."""
-        return sum(q.size_bytes for q in self._queues.values())
+        return sum(q.size_bytes for q in self.by_lcid.values())
 
     def items(self) -> Iterator[Tuple[int, TransmissionQueue]]:
-        return iter(sorted(self._queues.items()))
+        return iter(sorted(self.by_lcid.items()))
 
     def sizes(self) -> Dict[int, int]:
         """Map of lcid -> backlog bytes (the BSR payload)."""
-        return {lcid: q.size_bytes for lcid, q in self._queues.items()}
+        return {lcid: q.size_bytes for lcid, q in self.by_lcid.items()}

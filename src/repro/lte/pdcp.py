@@ -40,18 +40,18 @@ class PdcpEntity:
         self.stats: Dict[int, PdcpStats] = {}
         self._on_change = on_change
 
-    def _bearer_stats(self, lcid: int) -> PdcpStats:
-        if lcid not in self.stats:
-            self.stats[lcid] = PdcpStats()
-        return self.stats[lcid]
-
     def ingress(self, lcid: int, sdu_bytes: int) -> int:
         """Account one downlink SDU; returns the PDU size in bytes."""
         if sdu_bytes <= 0:
             raise ValueError(f"SDU size must be positive, got {sdu_bytes}")
-        sn = self._tx_sn.get(lcid, 0)
-        self._tx_sn[lcid] = (sn + 1) % PDCP_SN_MODULUS
-        st = self._bearer_stats(lcid)
+        tx_sn = self._tx_sn
+        sn = tx_sn[lcid] if lcid in tx_sn else 0
+        tx_sn[lcid] = (sn + 1) % PDCP_SN_MODULUS
+        stats = self.stats  # per bearer, created on first use
+        if lcid in stats:
+            st = stats[lcid]
+        else:
+            st = stats[lcid] = PdcpStats()
         st.tx_sdus += 1
         st.tx_bytes += sdu_bytes
         self._on_change(self.rnti)
@@ -61,8 +61,14 @@ class PdcpEntity:
         """Account delivered bytes on the receive side; returns SDU bytes."""
         if pdu_bytes <= 0:
             return 0
-        sdu = max(0, pdu_bytes - PDCP_HEADER_BYTES)
-        st = self._bearer_stats(lcid)
+        sdu = pdu_bytes - PDCP_HEADER_BYTES
+        if sdu < 0:
+            sdu = 0
+        stats = self.stats
+        if lcid in stats:
+            st = stats[lcid]
+        else:
+            st = stats[lcid] = PdcpStats()
         st.rx_sdus += 1
         st.rx_bytes += sdu
         self._on_change(self.rnti)

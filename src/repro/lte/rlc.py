@@ -11,7 +11,7 @@ loss recovery is approximated by re-queueing HARQ-dropped payloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.lte.mac.queues import DEFAULT_LCID, QueueSet, TransmissionQueue
 
@@ -39,7 +39,10 @@ class RlcEntity:
     """All RLC bearers of one UE.
 
     *on_change* is called with the RNTI whenever a method changes the
-    queues or the counters (the eNodeB's change record).
+    queues or the counters (the eNodeB's change record).  The backlog
+    readers see (:meth:`backlog`, :meth:`sizes`) is built once per
+    change and shared: every write drops it, and a snapshot handed out
+    is never mutated, only replaced.
     """
 
     def __init__(self, rnti: int, on_change: Callable[[int], None], *,
@@ -48,11 +51,15 @@ class RlcEntity:
         self.queues = QueueSet(limit_bytes=buffer_limit_bytes)
         self.stats = RlcStats()
         self._on_change = on_change
+        self._backlog: Optional[Tuple[Dict[int, int], int]] = None
 
     def enqueue(self, pdu_bytes: int, tti: int, lcid: int = DEFAULT_LCID) -> bool:
         """Admit one PDCP PDU; returns False on tail drop."""
         self.stats.sdus_in += 1
-        accepted = self.queues.queue(lcid).push(pdu_bytes, tti)
+        self._backlog = None
+        queues = self.queues.by_lcid
+        queue = queues[lcid] if lcid in queues else self.queues.queue(lcid)
+        accepted = queue.push(pdu_bytes, tti)
         if accepted:
             self.stats.bytes_in += pdu_bytes
         else:
@@ -62,13 +69,16 @@ class RlcEntity:
         return accepted
 
     def dequeue(self, max_bytes: int, tti: int, lcid: int) -> int:
-        """Build MAC SDU bytes from the bearer queue (segmenting)."""
-        if max_bytes <= RLC_HEADER_BYTES:
+        """Build MAC SDU bytes from the bearer queue (segmenting); a
+        bearer that does not exist yields nothing and is not created."""
+        queue = self.queues.by_lcid.get(lcid)
+        if max_bytes <= RLC_HEADER_BYTES or queue is None:
             return 0
-        payload = self.queues.queue(lcid).pop_bytes(max_bytes - RLC_HEADER_BYTES, tti)
+        payload = queue.pop_bytes(max_bytes - RLC_HEADER_BYTES, tti)
         if payload > 0:
             self.stats.pdus_out += 1
             self.stats.bytes_out += payload
+            self._backlog = None
             self._on_change(self.rnti)
         return payload
 
@@ -76,26 +86,42 @@ class RlcEntity:
                          prefer_lcid: Optional[int] = None) -> Dict[int, int]:
         """Drain bearers in LCID order (SRBs before DRBs) up to a budget.
 
-        Returns a map of lcid -> bytes taken.  LCID order encodes LTE's
-        logical-channel prioritization, where signalling radio bearers
-        (LCID 1-2) outrank data bearers (LCID >= 3).  With
-        ``prefer_lcid``, that data bearer is drained before the other
-        DRBs (QoS-targeted transport blocks); SRBs always come first.
+        Returns a map of lcid -> bytes taken, in drain order.  LCID
+        order encodes LTE's logical-channel prioritization, where
+        signalling radio bearers (LCID 1-2) outrank data bearers (LCID
+        >= 3).  With ``prefer_lcid``, that data bearer is drained before
+        the other DRBs (QoS-targeted transport blocks); SRBs always come
+        first.  Each drained bearer is one PDU with its own header; an
+        empty bearer costs neither a header nor a call.
         """
+        queues = self.queues.by_lcid
+        order = sorted(queues)
+        if prefer_lcid in queues and prefer_lcid >= DEFAULT_LCID:
+            first = 0
+            while order[first] < DEFAULT_LCID:
+                first += 1
+            if order[first] != prefer_lcid:  # not already the first DRB
+                order.remove(prefer_lcid)
+                order.insert(first, prefer_lcid)
         taken: Dict[int, int] = {}
         remaining = max_bytes
-        order = self.queues.lcids()
-        if prefer_lcid is not None and prefer_lcid in order:
-            srbs = [l for l in order if l < 3]
-            drbs = [l for l in order if l >= 3 and l != prefer_lcid]
-            order = srbs + [prefer_lcid] + drbs
+        pdus = payload = 0
         for lcid in order:
             if remaining <= RLC_HEADER_BYTES:
                 break
-            got = self.dequeue(remaining, tti, lcid)
-            if got > 0:
+            queue = queues[lcid]
+            if queue.size_bytes:
+                got = queue.pop_bytes(remaining - RLC_HEADER_BYTES, tti)
                 taken[lcid] = got
                 remaining -= got + RLC_HEADER_BYTES
+                pdus += 1
+                payload += got
+        if pdus:
+            stats = self.stats
+            stats.pdus_out += pdus
+            stats.bytes_out += payload
+            self._backlog = None
+            self._on_change(self.rnti)
         return taken
 
     def requeue_front(self, nbytes: int, tti: int, lcid: int) -> None:
@@ -104,15 +130,39 @@ class RlcEntity:
             return
         self.queues.queue(lcid).push_front(nbytes, tti)
         self.stats.requeued_bytes += nbytes
+        self._backlog = None
         self._on_change(self.rnti)
 
+    def backlog(self) -> Tuple[Dict[int, int], int]:
+        """``(lcid -> backlog bytes, their total)`` as of the last write:
+        built on the first read after it, then the same objects for
+        every reader until the next.  Read-only to callers."""
+        backlog = self._backlog
+        if backlog is None:
+            sizes: Dict[int, int] = {}
+            total = 0
+            for lcid, queue in self.queues.by_lcid.items():
+                sizes[lcid] = size = queue.size_bytes
+                total += size
+            backlog = self._backlog = (sizes, total)
+        return backlog
+
+    def sizes(self) -> Dict[int, int]:
+        """lcid -> backlog bytes (the BSR payload), from :meth:`backlog`:
+        one dict per change, shared by every reader and never mutated."""
+        return (self._backlog or self.backlog())[0]
+
     def buffer_bytes(self, lcid: Optional[int] = None) -> int:
-        """Current backlog, per bearer or total."""
+        """Current backlog, per bearer or total; a bearer that does not
+        exist has none and is not created."""
+        sizes, total = self.backlog()
         if lcid is None:
-            return self.queues.total_bytes()
-        return self.queues.queue(lcid).size_bytes
+            return total
+        return sizes[lcid] if lcid in sizes else 0
 
     def queue(self, lcid: int = DEFAULT_LCID) -> TransmissionQueue:
         """Direct access to a bearer queue (tests): a change made through
-        it is not recorded."""
+        it is not recorded, and the shared backlog is dropped here, not
+        when the caller writes."""
+        self._backlog = None
         return self.queues.queue(lcid)

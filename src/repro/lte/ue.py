@@ -33,9 +33,13 @@ class RateMeter:
         if nbytes < 0:
             raise ValueError(f"bytes must be >= 0, got {nbytes}")
         self.total_bytes += nbytes
-        self._samples.append((tti, nbytes))
-        self._window_bytes += nbytes
-        self._evict(tti)
+        samples = self._samples
+        samples.append((tti, nbytes))
+        window = self._window_bytes + nbytes
+        horizon = tti - self.window_ttis  # _evict, inlined: once per block
+        while samples and samples[0][0] <= horizon:
+            window -= samples.popleft()[1]
+        self._window_bytes = window
 
     def _evict(self, now: int) -> None:
         horizon = now - self.window_ttis

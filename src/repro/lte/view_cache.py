@@ -30,8 +30,9 @@ section 6):
 * UEs with DRX configured have their wakefulness re-checked on every
   build (sleep is a pure function of time, so no event marks it);
 * a membership change rebuilds the view list;
-* a UE entering or leaving the backlog, or a backlogged UE's CQI
-  crossing zero, re-filters the schedulable list.
+* the schedulable list is the backlogged list itself, the same object,
+  while no backlogged UE has CQI 0; otherwise a UE entering or leaving
+  the backlog, or a backlogged UE's CQI crossing zero, re-filters it.
 """
 
 from __future__ import annotations
@@ -80,10 +81,13 @@ class UeViewCache:
         self.included: Set[int] = set()
         # All four lists are RNTI-ordered.  ``_backlogged`` is kept
         # incrementally (it churns every TTI under load); the others
-        # are rebuilt from the views they filter when flagged stale.
+        # are rebuilt from the views they filter when flagged stale,
+        # except that ``_schedulable`` *is* ``_backlogged`` while none
+        # of its views has CQI 0 (``_unusable`` counts those).
         self._ues: List[UeView] = []
         self._backlogged: List[UeView] = []
-        self._schedulable: List[UeView] = []
+        self._schedulable: List[UeView] = self._backlogged
+        self._unusable = 0
         self._ul_backlogged: List[UeView] = []
         self._ues_stale = False
         self._schedulable_stale = False
@@ -105,6 +109,8 @@ class UeViewCache:
             self.included.discard(rnti)
             self._ues_stale = self._ul_stale = True
             if view.queue_bytes > 0:
+                if view.cqi <= 0:
+                    self._unusable -= 1
                 self._move(view, False)
         for rntis in self.dirty.values():
             rntis.discard(rnti)
@@ -147,7 +153,9 @@ class UeViewCache:
             self._ues = [views[rnti] for rnti in sorted(self.included)]
             self._ues_stale = False
         if self._schedulable_stale:
-            self._schedulable = [v for v in self._backlogged if v.cqi > 0]
+            self._schedulable = (
+                [v for v in self._backlogged if v.cqi > 0] if self._unusable
+                else self._backlogged)
             self._schedulable_stale = False
         if self._ul_stale:
             self._ul_backlogged = [v for v in self._ues
@@ -178,9 +186,7 @@ class UeViewCache:
             was_backlogged = was_included and view.queue_bytes > 0
             was_usable = view.cqi > 0
             ue = cell.ues[rnti]
-            sizes = rlc_map[rnti].queues.sizes()
-            view.queues = sizes
-            view.queue_bytes = sum(sizes.values())
+            view.queues, view.queue_bytes = rlc_map[rnti].backlog()
             view.cqi = cell.scheduling_cqi(rnti, tti)
             view.ul_buffer_bytes = ue.ul_backlog_bytes
             view.labels = ue.labels
@@ -193,9 +199,12 @@ class UeViewCache:
                     included.discard(rnti)
                 self._ues_stale = True
             now_backlogged = now_included and view.queue_bytes > 0
+            now_usable = view.cqi > 0
+            self._unusable += ((now_backlogged and not now_usable)
+                               - (was_backlogged and not was_usable))
             if now_backlogged != was_backlogged:
                 self._move(view, now_backlogged)
-            elif now_backlogged and was_usable != (view.cqi > 0):
+            elif now_backlogged and was_usable != now_usable:
                 self._schedulable_stale = True
         self._ul_stale = True
 
@@ -206,10 +215,11 @@ class UeViewCache:
         for rnti in rntis:
             view = views[rnti]
             was_backlogged = view.queue_bytes > 0
-            sizes = rlc_map[rnti].queues.sizes()
-            view.queues = sizes
-            view.queue_bytes = total = sum(sizes.values())
+            view.queues, total = rlc_map[rnti].backlog()
+            view.queue_bytes = total
             if (total > 0) != was_backlogged and rnti in included:
+                if view.cqi <= 0:
+                    self._unusable += 1 if total > 0 else -1
                 self._move(view, total > 0)
 
     def _refresh_cqi(self, rntis: Set[int], tti: int) -> None:
@@ -221,6 +231,7 @@ class UeViewCache:
             view.cqi = scheduling_cqi(rnti, tti)
             if (view.cqi > 0) != was_usable and rnti in self.included:
                 if view.queue_bytes > 0:
+                    self._unusable += 1 if was_usable else -1
                     self._schedulable_stale = True
                 if view.ul_buffer_bytes > 0:
                     self._ul_stale = True

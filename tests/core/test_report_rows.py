@@ -573,8 +573,11 @@ KIND_MUTATIONS = {
         enb.set_drx(rnti, DrxConfig())),
 }
 
-# The container each group holds, by which a rebuild is told from a copy.
-CONTAINERS = {StatsFlags.QUEUES: "queues", StatsFlags.CQI: "subband_cqi",
+# The container each group holds, by which a rebuild is told from a copy,
+# keyed by the groups whose move makes it new: ``queues`` is the RLC's
+# backlog snapshot, so re-reading QUEUES for an uplink buffer change
+# shares it, and only a move of the RLC (its group too) replaces it.
+CONTAINERS = {StatsFlags.RLC: "queues", StatsFlags.CQI: "subband_cqi",
               StatsFlags.HARQ: "harq_states"}
 
 

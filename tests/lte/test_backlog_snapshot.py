@@ -1,0 +1,117 @@
+"""One backlog snapshot per RLC change, shared by every reader; and what
+a transmitted block costs.
+
+``RlcEntity.backlog()`` builds ``(lcid -> bytes, total)`` on the first
+read after a write and hands the same objects to the scheduler's view
+cache and to the agent's record builder until the next write drops
+them; a snapshot handed out is never mutated (DESIGN.md sections 6 and
+8).
+"""
+
+import cProfile
+from collections import Counter
+from dataclasses import astuple
+
+from repro.core.agent.api import AgentDataPlaneApi
+from repro.lte.cell import CellConfig
+from repro.lte.enodeb import EnodeB
+from repro.lte.phy.channel import FixedCqi
+from repro.lte.rlc import RlcEntity
+from repro.lte.ue import Ue
+from tests.lte.test_change_records import connected_enb
+
+
+def test_a_report_keeps_its_queues_and_the_view_gets_new_ones():
+    enb, (rnti, _) = connected_enb()
+    api = AgentDataPlaneApi(enb)
+    enb.rlc[rnti].enqueue(700, 40)
+    (record,) = [rec for _, rec in api.collect_ue_stats(40, -1)
+                 if rec.rnti == rnti]
+    view = enb.build_context(10, 40).ue(rnti)
+    assert view.queues is record.queues  # one snapshot, two readers
+    reported = dict(record.queues)
+    enb.rlc[rnti].enqueue(300, 41)
+    fresh = enb.build_context(10, 41).ue(rnti).queues
+    assert record.queues == reported
+    assert fresh is not record.queues
+    assert fresh == {**reported, 3: reported[3] + 300}
+
+
+def test_both_readers_share_one_build_per_rlc_change(monkeypatch):
+    """Per UE, one snapshot is built per stretch between two TTIs' reads
+    in which its RLC changed, although the view cache and the record
+    pass both read every such change; after each TTI both hold the same
+    object."""
+    builds = Counter()
+    backlog = RlcEntity.backlog
+
+    def counting_backlog(rlc):
+        builds[rlc.rnti] += rlc._backlog is None
+        return backlog(rlc)
+
+    monkeypatch.setattr(RlcEntity, "backlog", counting_backlog)
+    enb, rntis = connected_enb(n_ues=3)
+    api = AgentDataPlaneApi(enb)
+
+    def state(rnti):
+        rlc = enb.rlc[rnti]
+        return astuple(rlc.stats), rlc.queues.sizes()
+
+    api.collect_ue_stats(39, -1)  # every record read whole: none stale
+    since = enb.change_seq
+    builds.clear()
+    seen = {rnti: state(rnti) for rnti in rntis}
+    changes = Counter()
+    for tti in range(40, 140):
+        for i, rnti in enumerate(rntis):
+            if (tti + i) % (i + 2) == 0:
+                enb.enqueue_dl(rnti, 900 * (i + 1), tti)
+        for rnti in rntis:  # what the readers are about to see
+            now = state(rnti)
+            changes[rnti] += now != seen[rnti]
+            seen[rnti] = now
+        api.collect_ue_stats(tti, since)
+        since = enb.change_seq
+        enb.tick(tti)
+        views = enb._view_cache[10]._views
+        for rnti in rntis:
+            assert api._records[rnti].queues is views[rnti].queues
+    assert all(changes[rnti] > 10 for rnti in rntis)
+    assert builds == changes
+
+
+def calls_per_block(ttis: int = 200) -> float:
+    """Calls the transmit pass of a one-cell, one-UE saturated eNodeB
+    makes per transmitted block, counted as the ttibudget benchmark
+    does: every Python function call, and every built-in call charged
+    to its caller."""
+    enb = EnodeB(1, [CellConfig(cell_id=10)])
+    rnti = enb.attach_ue(Ue("001", FixedCqi(12)), 10, tti=0)
+    for tti in range(40):
+        enb.enqueue_dl(rnti, 1500, tti)
+        enb.tick(tti)
+    profiler = cProfile.Profile()
+    blocks = enb.counters.dl_assignments
+    for tti in range(40, 40 + ttis):
+        for _ in range(4):
+            enb.enqueue_dl(rnti, 1500, tti)
+        enb.plan(tti)
+        profiler.enable()
+        enb.transmit(tti)
+        profiler.disable()
+    blocks = enb.counters.dl_assignments - blocks
+    assert blocks == ttis  # saturated: one block per TTI
+    calls = 0
+    for entry in profiler.getstats():
+        if not isinstance(entry.code, str):
+            calls += entry.callcount
+            calls += sum(callee.callcount for callee in entry.calls or ()
+                         if isinstance(callee.code, str))
+    return calls / blocks
+
+
+def test_a_transmitted_block_stays_under_its_call_ceiling():
+    # 49.5 calls per block before the transmit path was trimmed, 31.5
+    # after it (CPython 3.11); the ceiling leaves room for other
+    # interpreters' profilers.
+    assert calls_per_block() < 38

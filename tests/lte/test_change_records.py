@@ -128,6 +128,8 @@ CHANGES = {
 # (factory, call that reads the entity or leaves it as it was)
 READS = {
     "rlc.buffer_bytes": (_rlc, lambda rlc: rlc.buffer_bytes()),
+    "rlc.buffer_bytes(absent bearer)": (
+        lambda hook: RlcEntity(RNTI, hook), lambda rlc: rlc.buffer_bytes(7)),
     "rlc.dequeue_priority(empty)": (
         lambda hook: RlcEntity(RNTI, hook),
         lambda rlc: rlc.dequeue_priority(300, 1)),
@@ -343,6 +345,20 @@ class TestSettling:
         enb.queue_bytes(rntis[0])
         AgentDataPlaneApi(enb).get_ue_stats(40)
         assert enb.change_seq == seq
+
+    def test_reading_an_absent_bearer_creates_none(self):
+        enb, (rnti, _) = connected_enb()
+        rlc = enb.rlc[rnti]
+        before = dict(rlc.sizes())
+        seq = enb.change_seq
+        assert enb.queue_bytes(rnti, 7) == 0
+        assert enb.queue_bytes(rnti, -4) == 0
+        assert rlc.dequeue(500, 40, 5) == 0
+        assert rlc.sizes() == rlc.queues.sizes() == before
+        assert enb.change_seq == seq
+        fresh = RlcEntity(RNTI, set().add)
+        assert fresh.buffer_bytes(7) == 0
+        assert fresh.sizes() == fresh.queues.sizes() == {}
 
     def test_a_change_after_the_last_build_is_read_without_a_plan(self):
         enb, rntis = connected_enb()

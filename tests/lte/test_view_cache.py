@@ -7,9 +7,12 @@ the incrementally kept backlogged/schedulable lists stay RNTI-ordered
 through arrivals, drains, detaches and DRX transitions.
 """
 
+from hypothesis import given, settings, strategies as st
+
 from repro.lte.phy.channel import FixedCqi
 from repro.lte.enodeb import EnodeB
 from repro.lte.mac.drx import DrxConfig
+from repro.lte.mac.qos import QosProfile
 from repro.lte.ue import Ue
 
 
@@ -156,3 +159,47 @@ class TestDrxTracking:
         enb.set_drx(rnti, None)
         for tti in range(asleep_tti + 1, asleep_tti + 12):
             assert [v.rnti for v in build(enb, tti)[0]] == [rnti]
+
+
+# (operation, UE index, CQI); a CQI 0 makes a backlogged UE unusable.
+steps = st.tuples(
+    st.sampled_from(["enqueue", "drain", "channel", "drx", "qos", "detach",
+                     "attach"]),
+    st.integers(min_value=0, max_value=3), st.sampled_from([0, 0, 5, 12]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(program=st.lists(steps, max_size=30))
+def test_schedulable_is_the_backlog_while_no_backlogged_cqi_is_zero(program):
+    """Through arrivals, drains, CQI crossings, DRX sleep, full
+    refreshes, detaches and attaches, the schedulable list is the
+    backlogged list itself exactly while none of its UEs has CQI 0, and
+    the filtered list otherwise (the oracle fixture checks contents)."""
+    enb, rntis = build_enb(4, cqi=12)
+    cache = enb._view_cache[10]
+    for tti, (op, i, cqi) in enumerate(program, start=60):
+        attached = enb.rntis()
+        rnti = attached[i % len(attached)] if attached else None
+        if op == "attach" or rnti is None:
+            enb.attach_ue(Ue(f"01{tti:04d}", FixedCqi(cqi)), tti=tti)
+        elif op == "enqueue":
+            enb.enqueue_dl(rnti, 300, tti)
+        elif op == "drain":
+            enb.rlc[rnti].dequeue_priority(10 ** 6, tti)
+        elif op == "channel":
+            enb.ue(rnti).channel = FixedCqi(cqi)
+            enb.cells[10].refresh_cqi(tti, force=True)
+        elif op == "drx":
+            enb.set_drx(rnti, None if enb.drx.is_configured(rnti) else
+                        DrxConfig(cycle_ttis=4, on_duration_ttis=2,
+                                  inactivity_ttis=0))
+        elif op == "qos":
+            enb.configure_bearer(rnti, 3, QosProfile(qci=9))
+        else:
+            enb.detach_ue(rnti)
+        ctx = enb.build_context(10, tti)
+        backlogged, schedulable = ctx.backlogged_ues, ctx.schedulable_ues
+        unusable = [v for v in backlogged if v.cqi <= 0]
+        assert cache._unusable == len(unusable)
+        assert (schedulable is backlogged) == (not unusable)
+        assert schedulable == [v for v in backlogged if v.cqi > 0]
