@@ -46,23 +46,34 @@ partition is written once, in the table.
 
 What the emitted code looks like, and why:
 
-* Varints of 1, 2, 3 and 4 bytes are unrolled inline on both sides;
-  anything longer, and every value a check rejects, goes to the one
-  ``Writer`` / ``Reader`` primitive that owns the check and its error
-  message.  The multi-byte cases matter: about 17 of the 45 varints in
-  a real ``UeStatsReport`` (SINR x10, byte counters, RNTIs) are 2-4
-  bytes, so inlining only the single-byte case saves calls but no time.
-* List and map loops are inlined; an all-single-byte ``list<varint>``
-  or ``list<svarint>`` is still moved as one slice.
+* Encoding appends ``bytes`` objects, never single ints: a varint
+  below 2**14 is one ``buf += VARINT[v]`` from a module-level tuple of
+  its 16 384 encodings (about 0.7 MiB), a 3- or 4-byte one is its low
+  bits as continuation octets (``CONT``) followed by the ``VARINT`` of
+  the rest, and a byte, bool, mask, count or ``rle`` flag is an
+  ``OCTET``.  ``buf +=`` is no call, so what an encoder calls depends
+  on its fields, not on how many bytes their values take.  Anything
+  longer, and every value a check rejects (negative, a byte or svarint
+  out of range, a long ``rle`` count), goes to the one ``Writer``
+  primitive that owns the check and its message.
+  On the decode side varints of 1 to 4 bytes are unrolled inline and
+  longer ones go to the ``Reader``.
+* List and map loops are inlined, over the field's own list or tuple
+  (no copy); an all-single-byte ``list<varint>`` or ``list<svarint>``
+  is still moved as one slice.
 * Decoding runs over local ``data`` / ``pos`` with no bounds test per
   byte: running off the end raises ``IndexError``, which each decode
   turns into :class:`DecodeError` once.  Slices do not raise, so bulk
   lists compare lengths, and strings and blobs go through the
   ``Reader`` primitive that does.
+* A scalar list that misses the bulk slice is built as ``[0] * n`` and
+  filled by index.  Every element takes at least one byte, so ``n`` is
+  first held to the bytes left in the frame: a declared count never
+  makes a decoder allocate more than the frame's own size allows.
 * Instances are built with ``object.__new__`` and one ``__dict__``
   assignment, skipping the dataclass ``__init__`` keyword binding.
 * A group is one ``if mask & bit:`` around its fields, on both sides.
-* An ``rle`` count is the one declared count that sizes an allocation
+* An ``rle`` count may name more elements than it has bytes
   (``[value] * count``), so ``Reader.rle_count`` bounds it first; the
   flag octet is strict and a plain-coded vector of equal elements is
   rejected, which keeps ``encode(decode(frame)) == frame``.
@@ -100,28 +111,36 @@ differs.  A mask is one octet on the wire, so this bit is never sent."""
 
 # -- encode templates: the value is in local {v} --------------------------
 #
-# ``append`` is the bound ``bytearray.append`` of the Writer's buffer.
-# Every branch that cannot encode inline calls the Writer primitive,
-# which either handles the value (5+ bytes) or raises its EncodeError.
+# ``buf`` is the Writer's bytearray.  Every value that fits the tables is
+# one or more ``buf += <bytes>``, which the interpreter runs without a
+# call; every branch that cannot encode inline calls the Writer
+# primitive, which either handles the value (5+ bytes) or raises its
+# EncodeError.
+
+OCTET = tuple(bytes((i,)) for i in range(256))
+"""The 256 one-byte strings, indexed by their value."""
+
+CONT = OCTET[0x80:]
+"""``CONT[x]`` is the octet ``x | 0x80``: seven payload bits followed by
+more (a varint's continuation octet)."""
+
+VARINT = tuple(OCTET[v] if v < 0x80 else CONT[v & 0x7F] + OCTET[v >> 7]
+               for v in range(0x4000))
+"""``VARINT[v]`` is the LEB128 encoding of *v*, for every *v* below
+2**14 (one or two octets; about 0.7 MiB in all).  A 3- or 4-byte varint
+is its low 7 or 14 bits as ``CONT`` octets, then the ``VARINT`` of the
+rest."""
 
 _PUT_VARINT = """\
-if {v} < 0x80:
-    if {v} >= 0:
-        append({v})
-    else:
-        w.varint({v})
-elif {v} < 0x4000:
-    append({v} & 0x7F | 0x80)
-    append({v} >> 7)
-elif {v} < 0x200000:
-    append({v} & 0x7F | 0x80)
-    append({v} >> 7 & 0x7F | 0x80)
-    append({v} >> 14)
-elif {v} < 0x10000000:
-    append({v} & 0x7F | 0x80)
-    append({v} >> 7 & 0x7F | 0x80)
-    append({v} >> 14 & 0x7F | 0x80)
-    append({v} >> 21)
+if 0 <= {v} < 0x4000:
+    buf += VARINT[{v}]
+elif 0x4000 <= {v} < 0x200000:
+    buf += CONT[{v} & 0x7F]
+    buf += VARINT[{v} >> 7]
+elif 0x200000 <= {v} < 0x10000000:
+    buf += CONT[{v} & 0x7F]
+    buf += CONT[{v} >> 7 & 0x7F]
+    buf += VARINT[{v} >> 14]
 else:
     w.varint({v})
 """
@@ -130,20 +149,15 @@ else:
 # out of range, so the range check stays in Writer.svarint.
 _PUT_SVARINT = """\
 z = ({v} << 1) if {v} >= 0 else ~({v} << 1)
-if z < 0x80:
-    append(z)
-elif z < 0x4000:
-    append(z & 0x7F | 0x80)
-    append(z >> 7)
+if z < 0x4000:
+    buf += VARINT[z]
 elif z < 0x200000:
-    append(z & 0x7F | 0x80)
-    append(z >> 7 & 0x7F | 0x80)
-    append(z >> 14)
+    buf += CONT[z & 0x7F]
+    buf += VARINT[z >> 7]
 elif z < 0x10000000:
-    append(z & 0x7F | 0x80)
-    append(z >> 7 & 0x7F | 0x80)
-    append(z >> 14 & 0x7F | 0x80)
-    append(z >> 21)
+    buf += CONT[z & 0x7F]
+    buf += CONT[z >> 7 & 0x7F]
+    buf += VARINT[z >> 14]
 else:
     w.svarint({v})
 """
@@ -154,7 +168,7 @@ else:
 _PUT_COUNT = """\
 n = len({v})
 if n < 0x80:
-    append(n)
+    buf += VARINT[n]
 else:
     w.{count}(n)
 """
@@ -164,11 +178,11 @@ _PUT = {
     "svarint": _PUT_SVARINT,
     "byte": """\
 if 0 <= {v} <= 0xFF:
-    append({v})
+    buf += OCTET[{v}]
 else:
     w.byte({v})
 """,
-    "bool": "append(1 if {v} else 0)\n",
+    "bool": "buf += OCTET[1] if {v} else OCTET[0]\n",
     "string": "w.string({v})\n",
     "blob": "w.blob({v})\n",
 }
@@ -282,7 +296,8 @@ class _ClassCompiler:
                 f"dataclass fields {list(declared)}")
         self.namespace: Dict[str, object] = {
             "__name__": cls.__module__, "cls": cls, "new": object.__new__,
-            "DecodeError": DecodeError}
+            "DecodeError": DecodeError, "OCTET": OCTET, "CONT": CONT,
+            "VARINT": VARINT}
         self.mask_index, self.all_groups = self._check_groups()
         #: Source of the default each grouped field decodes to when its
         #: group is absent.
@@ -375,16 +390,21 @@ class _ClassCompiler:
             self.use_record(item)
             return (f"r._pos = pos\n{t} = [decode_{item}(r) "
                     f"for _ in range(n)]\npos = r._pos\n")
-        loop = (f"{t} = []\nadd = {t}.append\nfor _ in range(n):\n"
-                + _indent(self.get(item, "x") + "add(x)\n"))
+        # Every scalar element takes at least one byte, so a count past
+        # the bytes left is a truncated frame, and the list allocated
+        # below is never larger than the frame allows.
+        short = (f'    raise DecodeError("truncated {self.cls.__name__}: '
+                 '%d elements in %d bytes" % (n, left))\n')
+        fill = (f"{t} = [0] * n\nfor i in range(n):\n"
+                + _indent(self.get(item, "x") + f"{t}[i] = x\n"))
         if item not in _GET_BULK:
-            return loop
-        # A slice never raises: a short one means a truncated frame
-        # and falls to the loop, which runs off the end at once.
-        return ("chunk = data[pos:pos + n]\n"
-                "if n and len(chunk) == n and max(chunk) < 0x80:\n"
+            return "left = len(data) - pos\nif n > left:\n" + short + fill
+        # A slice never raises, and its length is the bound.
+        return ("chunk = data[pos:pos + n]\nleft = len(chunk)\n"
+                "if n > left:\n" + short
+                + "if n and max(chunk) < 0x80:\n"
                 f"    {t} = {_GET_BULK[item]}\n    pos += n\nelse:\n"
-                + _indent(loop))
+                + _indent(fill))
 
     # -- one field ---------------------------------------------------------
 
@@ -393,18 +413,18 @@ class _ClassCompiler:
         is_list, is_map = LIST_KIND.match(kind), MAP_KIND.match(kind)
         is_rle = RLE_KIND.match(kind)
         if is_list:
-            return (head + f"items = list(self.{name})\n"
+            return (head + f"items = self.{name}\n"
                     + _PUT_COUNT.format(v="items", count="varint")
                     + self.put_items(is_list.group(1)))
         if is_rle:
             item = self.rle_item(is_rle.group(1))
-            return (head + f"items = list(self.{name})\n"
+            return (head + f"items = self.{name}\n"
                     + _PUT_COUNT.format(v="items", count="rle_count")
                     + "if n and items.count(items[0]) == n:\n"
-                    + _indent("append(1)\nx = items[0]\n"
+                    + _indent("buf += OCTET[1]\nx = items[0]\n"
                               + self.put(item, "x"))
                     + "else:\n"
-                    + _indent("append(0)\n" + self.put_items(item)))
+                    + _indent("buf += OCTET[0]\n" + self.put_items(item)))
         if is_map:
             key, value = is_map.groups()
             return (head + f"m = self.{name}\n"
@@ -417,7 +437,7 @@ class _ClassCompiler:
             return (head + f"mask = self.{name}\n"
                     f"if mask & {~allowed:#x}:\n"
                     f"    w.mask(mask, {allowed:#04x})\n"
-                    "else:\n    append(mask)\n")
+                    "else:\n    buf += OCTET[mask]\n")
         return head + f"v = self.{name}\n" + self.put(kind, "v")
 
     def get_field(self, name: str, kind: str, t: str) -> str:
@@ -489,7 +509,7 @@ class _ClassCompiler:
         return (
             f"def encode(self, w):\n"
             f'    """Append this {name} to Writer *w* (generated)."""\n'
-            f"    buf = w._parts\n    append = buf.append\n"
+            f"    buf = w._parts\n"
             + _indent(encode) +
             f"\n\ndef decode(r):\n"
             f'    """Read one {name} from Reader *r* (generated)."""\n'

@@ -10,16 +10,19 @@ same data.
 
 These are the scalar primitives only.  Messages, lists and maps are
 laid out by the codec :mod:`repro.core.protocol.schema` compiles from
-each message's field table; its generated code inlines the common
-cases and calls back into :class:`Writer` / :class:`Reader` for the
-rest (5+ byte varints, strings, blobs, group masks, long ``rle``
-counts and every range error), so each check and error message lives
-here once.
+each message's field table.  Its generated code encodes every value
+that fits from byte tables straight into the Writer's buffer (varints
+of up to 4 bytes, bytes, bools, masks, counts) and decodes varints of
+up to 4 bytes inline; it calls back into :class:`Writer` /
+:class:`Reader` for the rest (5+ byte varints, strings, blobs, a mask
+with unknown bits, long ``rle`` counts and every range error), so each
+check and error message lives here once.
 
 Encode and decode enforce the same 10-byte varint bound, so every
 frame a :class:`Writer` can produce is one a :class:`Reader` will
-accept: out-of-range values raise :class:`EncodeError` at the sender
-instead of a :class:`DecodeError` at the receiver.
+accept: out-of-range values, and text with no UTF-8 form, raise
+:class:`EncodeError` at the sender instead of a :class:`DecodeError`
+at the receiver.
 """
 
 from __future__ import annotations
@@ -126,7 +129,12 @@ class Writer:
         return self.varint(count)
 
     def string(self, text: str) -> "Writer":
-        data = text.encode("utf-8")
+        try:
+            data = text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            # A lone surrogate ("\ud800") is a str but has no UTF-8 form.
+            raise EncodeError(f"string field is not encodable as UTF-8: "
+                              f"{exc}") from None
         self.varint(len(data))
         self._parts.extend(data)
         return self

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs as _obs
+from repro.core.protocol.errors import EncodeError
 from repro.nb import encoders
 from repro.nb.service import NorthboundService
 
@@ -97,7 +98,14 @@ class Router:
             matched_path = True
             if route_method != method:
                 continue
-            return handler(service, args, body or {}, query)
+            try:
+                return handler(service, args, body or {}, query)
+            except EncodeError as exc:
+                # A value JSON carries but the wire cannot (a lone
+                # surrogate in a string, an out-of-range integer) is
+                # the request's fault, whichever command met it.
+                raise ApiError(400, f"request cannot be encoded: {exc}") \
+                    from None
         if matched_path:
             raise ApiError(405, f"method {method} not allowed on {path}")
         raise ApiError(404, f"no such endpoint: {path}")

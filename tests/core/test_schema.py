@@ -1,6 +1,7 @@
 """The schema compiler itself: strict kinds, legible output, loud misuse."""
 
 import linecache
+import sys
 import traceback
 from dataclasses import dataclass, field
 
@@ -10,13 +11,15 @@ from repro.core.protocol import codec
 from repro.core.protocol.errors import DecodeError
 from repro.core.protocol.messages import (
     CaCommand,
+    CellStatsReport,
     Header,
     PrbCapConfig,
     StatsReply,
     SyncConfig,
     UeStatsReport,
 )
-from repro.core.protocol.schema import compile_codec
+from repro.core.protocol.schema import CONT, OCTET, VARINT, compile_codec
+from repro.core.protocol.wire import Writer
 
 
 class TestStrictBool:
@@ -95,6 +98,99 @@ class TestGeneratedCodeIsLegible:
         assert "in decode" in text
         assert "data[pos]" in text       # the line that ran off the end
         assert "IndexError" in text      # ... kept as the error's context
+
+
+def builtin_calls(record) -> list:
+    """The built-ins (``c_call`` events) that encoding *record* calls."""
+    w = Writer()
+    calls = []
+
+    def hook(frame, event, arg):
+        if event == "c_call":
+            calls.append(getattr(arg, "__qualname__", repr(arg)))
+
+    sys.setprofile(hook)
+    try:
+        record.encode(w)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def ue_record(scale: int, vector=list) -> UeStatsReport:
+    """A full-group record whose varints are all one byte (scale 1),
+    all three bytes (2 ** 14) or all four (2 ** 21)."""
+    return UeStatsReport(
+        rnti=70 * scale, rrc_state=3,
+        queues={3 * scale: 100 * scale, 4 * scale: 9 * scale},
+        ul_buffer_bytes=5 * scale, wb_cqi=12, wb_cqi_clear=13,
+        subband_cqi=vector(v * scale for v in (9, 10, 11, 12)),
+        subband_sinr_db_x10=vector(v * scale for v in (40, 3, 51)),
+        power_headroom_db=20 * scale, neighbor_cqi={2 * scale: 9 * scale},
+        harq_states=vector(v * scale for v in (1, 2, 3, 1, 2, 3, 1, 2)),
+        rlc_bytes_in=77 * scale, rlc_bytes_out=66 * scale,
+        pdcp_tx_bytes=55 * scale, pdcp_rx_bytes=44 * scale,
+        rx_bytes_total=33 * scale)
+
+
+def cell_record(n_prb: int) -> CellStatsReport:
+    return CellStatsReport(
+        cell_id=1, n_prb=n_prb, connected_ues=40, tb_ok=9000, tb_err=12,
+        dl_bytes=10 ** 6, noise_interference_per_prb_x10=[-1100] * n_prb,
+        dl_prb_occupancy=[1] * (n_prb // 2),
+        ul_prb_occupancy=[1] * (n_prb // 3))
+
+
+class TestEncodeCallBudget:
+    """The generated encoders move bytes with ``buf += <bytes>``: what
+    they call depends on the fields, never on how many bytes the values
+    take or how long the vectors are."""
+
+    @pytest.mark.parametrize("scale", [2 ** 14, 2 ** 21],
+                             ids=["3_bytes", "4_bytes"])
+    def test_a_ue_record_calls_the_same_at_any_varint_width(self, scale):
+        narrow, wide = ue_record(1), ue_record(scale)
+        assert len(self.encoded(wide)) > 2 * len(self.encoded(narrow))
+        calls = builtin_calls(narrow)
+        assert calls == builtin_calls(wide)
+        assert "bytearray.append" not in calls
+
+    def test_a_vector_below_the_bulk_range_skips_one_bound(self):
+        # The bulk check of a list<svarint> tests min() first; a vector
+        # that fails it never calls max(): one call fewer, never more.
+        record = ue_record(2 ** 14)
+        calls = builtin_calls(record)
+        record.subband_sinr_db_x10 = [-x for x in
+                                      record.subband_sinr_db_x10]
+        assert len(builtin_calls(record)) == len(calls) - 1
+
+    def test_a_cell_record_calls_the_same_at_6_and_100_prbs(self):
+        calls = builtin_calls(cell_record(6))
+        assert calls == builtin_calls(cell_record(100))
+        assert "bytearray.append" not in calls
+
+    def test_tuple_vectors_encode_as_lists_do(self):
+        assert (self.encoded(ue_record(1, tuple))
+                == self.encoded(ue_record(1, list)))
+        assert (self.encoded(ue_record(2 ** 21, tuple))
+                == self.encoded(ue_record(2 ** 21, list)))
+
+    def test_the_tables_are_the_writer_encodings_in_under_a_mib(self):
+        assert all(VARINT[v] == Writer().varint(v).getvalue()
+                   for v in range(0x4000))
+        assert [CONT[x] for x in range(0x80)] == [
+            bytes([x | 0x80]) for x in range(0x80)]
+        assert [OCTET[x] for x in range(0x100)] == [
+            bytes([x]) for x in range(0x100)]
+        objects = {id(o): o for table in (VARINT, CONT, OCTET)
+                   for o in (table, *table)}
+        assert sum(map(sys.getsizeof, objects.values())) <= 2 ** 20
+
+    @staticmethod
+    def encoded(record) -> bytes:
+        w = Writer()
+        record.encode(w)
+        return w.getvalue()
 
 
 class TestMisuseFailsAtImport:

@@ -1,6 +1,6 @@
 """Encode/decode symmetry at the varint range boundaries.
 
-Regression tests for three wire-layer bugs:
+Regression tests for four wire-layer bugs:
 
 * ``Writer.svarint`` used the 64-bit zigzag ``(v << 1) ^ (v >> 63)``,
   which silently mis-encodes Python ints below -2^63 (no overflow error
@@ -10,6 +10,8 @@ Regression tests for three wire-layer bugs:
   *receiver* reported the sender's bug.
 * ``Reader.string`` leaked ``UnicodeDecodeError`` (not the module's
   typed ``DecodeError``) on invalid UTF-8 payload bytes.
+* ``Writer.string`` leaked ``UnicodeEncodeError`` (not ``EncodeError``)
+  on text with no UTF-8 form, such as a lone surrogate.
 
 These pin the primitives.  The same bounds at every position of every
 compiled message (field, list element, map key, map value) are checked
@@ -20,16 +22,25 @@ group mask and the count, flag and coding of an ``rle`` vector.  A
 constant-coded vector is the one place a decoder builds something from
 a declared count, so that count is bounded before anything is built,
 and every choice a sender has is strict so a frame has one spelling.
+The last class holds every other scalar list, which the decoder fills
+by index from its declared count, to the bytes the frame has left.
 """
 
 import tracemalloc
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.protocol import codec
 from repro.core.protocol.errors import DecodeError, EncodeError
-from repro.core.protocol.messages import StatsFlags, StatsReply, UeStatsReport
+from repro.core.protocol.messages import (
+    PolicyReconfiguration,
+    StatsFlags,
+    StatsReply,
+    UeStatsReport,
+)
+from repro.core.protocol.schema import compile_codec
 from repro.core.protocol.wire import MAX_RLE_COUNT, Reader, Writer
 
 VARINT_MAX = 2 ** 70 - 1        # largest value a 10-byte varint carries
@@ -111,6 +122,24 @@ class TestStringDecodeErrors:
             Reader(w.getvalue()).string()
         except DecodeError:
             pass  # typed failure is the contract; any other raise fails
+
+
+class TestStringEncodeErrors:
+    """``str.encode`` leaked ``UnicodeEncodeError`` for text with no
+    UTF-8 form; the sender's error is ``EncodeError``, as the receiver's
+    is ``DecodeError``."""
+
+    @pytest.mark.parametrize("text", ["\ud800", "ok\udfff", "\udc80x"],
+                             ids=["high", "trailing_low", "leading_low"])
+    def test_a_lone_surrogate_raises_encode_error(self, text):
+        with pytest.raises(EncodeError, match="UTF-8"):
+            Writer().string(text)
+
+    def test_a_failed_message_leaves_no_residue(self):
+        with pytest.raises(EncodeError):
+            codec.encode(PolicyReconfiguration(text="\ud800"))
+        message = PolicyReconfiguration(text="cell: 1")
+        assert codec.decode(codec.encode(message)) == message
 
 
 class TestMaskAndRlePrimitives:
@@ -242,3 +271,59 @@ class TestStatsRecordDecodeSafety:
                 codec.encode(StatsReply(ue_reports=[record]))
         # ... and the failed encodes leave no residue in the next frame.
         assert codec.decode(codec.encode(StatsReply())) == StatsReply()
+
+
+def list_record(item: str) -> type:
+    """A record of one ``list<item>`` field, compiled like a message."""
+    record = type(f"ListOf{item.title()}", (), {
+        "__annotations__": {"items": list},
+        "items": field(default_factory=list),
+        "FIELDS": (("items", f"list<{item}>"),)})
+    return compile_codec(dataclass(record))
+
+
+# Three well-formed elements of each kind, one byte each.
+LIST_PAYLOADS = {"varint": bytes([1, 0, 1]), "svarint": bytes([1, 0, 1]),
+                 "byte": bytes([1, 0, 1]), "bool": bytes([1, 0, 1]),
+                 "string": bytes([0, 0, 0])}
+
+
+class TestHostileListCounts:
+    """A scalar list that misses the bulk slice is allocated from its
+    declared count and filled by index, so the count is first held to
+    the bytes left in the frame (each element takes at least one)."""
+
+    @pytest.mark.parametrize("item", sorted(LIST_PAYLOADS))
+    @pytest.mark.parametrize("declared", ["2**40", "len(frame)+1"])
+    def test_a_huge_count_in_a_tiny_frame_allocates_nothing(self, item,
+                                                            declared):
+        record = list_record(item)
+        payload = LIST_PAYLOADS[item]
+        if declared == "2**40":
+            count = 2 ** 40
+        else:
+            count = len(payload) + 2        # one count octet + payload + 1
+            assert count < 0x80
+        frame = Writer().varint(count).getvalue() + payload
+        if declared != "2**40":
+            assert count == len(frame) + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(DecodeError, match="truncated"):
+                record.decode(Reader(frame))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024     # not 8 bytes x the declared count
+
+    @pytest.mark.parametrize("item", sorted(LIST_PAYLOADS))
+    def test_a_count_the_frame_can_hold_decodes(self, item):
+        record = list_record(item)
+        payload = LIST_PAYLOADS[item]
+        r = Reader(bytes([len(payload)]) + payload)
+        decoded = record.decode(r)
+        r.expect_end()
+        assert len(decoded.items) == 3
+        w = Writer()
+        decoded.encode(w)
+        assert w.getvalue() == bytes([len(payload)]) + payload

@@ -94,6 +94,25 @@ class TestCommandsRunInTheCycle:
         assert status == 200
         client.close()
 
+    def test_text_the_wire_cannot_carry_is_400(self, sim, server, caplog):
+        # "\ud800" is valid JSON and a Python str, but has no UTF-8
+        # form: the codec's EncodeError is the request's fault, not a
+        # 500 with a logged traceback.
+        agent, _cell = first_cell(sim)
+        client = connect(server)
+        client.send(http_request("POST", f"/v1/agents/{agent}/policy",
+                                 {"text": "\ud800"}))
+        sim.run(1)
+        status, body = client.json()
+        assert status == 400
+        assert "cannot be encoded" in body["error"]
+        assert not [r for r in caplog.records if r.levelname == "ERROR"]
+        client.send(http_request("POST", f"/v1/agents/{agent}/policy",
+                                 {"text": "cell: 1"}))
+        sim.run(1)
+        assert client.json()[0] == 200
+        client.close()
+
     def test_rib_read_is_consistent(self, sim, server):
         sim.run(40)
         client = connect(server)
