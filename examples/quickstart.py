@@ -31,7 +31,7 @@ def main() -> None:
           f"{ue.throughput_mbps(sim.now):.2f} Mb/s")
 
     # 5. Issue a command through the northbound API: cap the cell to
-    #    25 downlink PRBs (the LSA spectrum knob).  Every command
+    #    25 downlink PRBs (the PrbCapConfig knob).  Every command
     #    returns the xid of the protocol message it sent, so the
     #    outcome is traceable end to end.
     nb = sim.master.northbound

@@ -1,5 +1,1 @@
 """FlexRAN core: protocol, agent, controller, applications."""
-
-from repro.core.dsl import DslError, DslScheduler, validate_program
-
-__all__ = ["DslError", "DslScheduler", "validate_program"]

@@ -215,9 +215,12 @@ class AgentDataPlaneApi:
         and changes no reporting state.
         """
         enb = self._enb
-        return [self._build_record(rnti, ue, enb.primary_cell(rnti), _WHOLE,
-                                   _observe_channel(ue, tti))
-                for rnti, ue in enb.attached_ues()]
+        out = []
+        for rnti in enb.rntis():
+            ue = enb.ue(rnti)
+            out.append(self._build_record(rnti, ue, enb.primary_cell(rnti),
+                                          _WHOLE, _observe_channel(ue, tti)))
+        return out
 
     def _build_record(self, rnti: int, ue: Ue, cell: Cell, bits: int,
                       observed: Optional[Tuple[int, Dict[int, int]]],
@@ -287,9 +290,6 @@ class AgentDataPlaneApi:
                 ul_prb_occupancy=[1] * ul_used
                                  + [0] * (cell.n_prb - ul_used)))
         return out
-
-    def queue_bytes(self, rnti: int) -> int:
-        return self._enb.queue_bytes(rnti)
 
     # -- commands (apply control decisions, Table 1 row 3) ---------------
 

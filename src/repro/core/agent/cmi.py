@@ -238,14 +238,3 @@ class ControlModule(abc.ABC):
             self.activate(policy.vsf, policy.behavior)
         if policy.parameters:
             self.configure_vsf(policy.vsf, policy.parameters)
-
-    def describe(self) -> Dict[str, Any]:
-        """Snapshot of the module's CMI state (for registry/monitoring)."""
-        return {
-            "module": self.name,
-            "operations": {
-                op: {"active": slot.active_name,
-                     "cached": sorted(slot.cache),
-                     "swaps": slot.swaps}
-                for op, slot in self._slots.items()},
-        }

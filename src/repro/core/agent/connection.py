@@ -113,10 +113,6 @@ class ConnectionSupervisor:
         self._next_probe = 0
 
     @property
-    def connected(self) -> bool:
-        return self.state is ConnectionState.CONNECTED
-
-    @property
     def armed(self) -> bool:
         """Whether the master has ever been heard (liveness active)."""
         return self._armed

@@ -86,9 +86,6 @@ class RemoteDecisionStore:
             self.stats.applied += 1
         return decision
 
-    def pending(self) -> int:
-        return len(self._store)
-
 
 class RemoteSchedulingStub(RemoteDecisionStore):
     """Agent-side stub of a centralized downlink scheduler: applies the

@@ -1,15 +1,14 @@
-"""PDCP control module: bearer accounting exposure.
+"""PDCP control module.
 
-PDCP has little *control* to delegate in LTE (its decisions -- header
-compression profile, ciphering -- are static in this model), but the
-module exists so the control-module structure matches the paper's
-Fig. 2 and so per-bearer statistics flow through a swappable
-aggregation VSF.
+PDCP has no *control* to delegate in LTE (its decisions -- header
+compression profile, ciphering -- are static in this model), so the
+module declares no operation: it exists so the control-module
+structure matches the paper's Fig. 2, and a policy addressed to it is
+rejected like one naming any other unknown operation.  Per-bearer PDCP
+counters reach the master in the statistics reports.
 """
 
 from __future__ import annotations
-
-from typing import Dict
 
 from repro.core.agent.api import AgentDataPlaneApi
 from repro.core.agent.cmi import ControlModule
@@ -19,20 +18,7 @@ class PdcpControlModule(ControlModule):
     """The PDCP control module of a FlexRAN agent."""
 
     name = "pdcp"
-    OPERATIONS = ("traffic_accounting",)
 
     def __init__(self, api: AgentDataPlaneApi) -> None:
         super().__init__()
         self._api = api
-        self.register_vsf("traffic_accounting", "totals", self._totals)
-        self.activate("traffic_accounting", "totals")
-
-    def _totals(self, tti: int) -> Dict[int, Dict[str, int]]:
-        """Default VSF: per-UE PDCP byte totals."""
-        out: Dict[int, Dict[str, int]] = {}
-        for report in self._api.get_ue_stats(tti):
-            out[report.rnti] = {
-                "tx_bytes": report.pdcp_tx_bytes,
-                "rx_bytes": report.pdcp_rx_bytes,
-            }
-        return out

@@ -107,9 +107,6 @@ class ReportsManager:
                 period_ttis=max(1, request.period_ttis),
                 flags=request.flags, created_tti=now)}.items()))
 
-    def active_subscriptions(self) -> List[Subscription]:
-        return list(self._subscriptions.values())
-
     def due_replies(self, now: int) -> List[StatsReply]:
         """Build the statistics replies owed at this TTI."""
         replies: List[StatsReply] = []

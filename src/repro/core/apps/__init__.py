@@ -19,11 +19,6 @@ from repro.core.apps.mobility import HandoverDecision, MobilityManagerApp
 from repro.core.apps.monitoring import MonitoringApp, UeSample
 from repro.core.apps.ran_sharing import RanSharingApp, ShareChange
 from repro.core.apps.remote_scheduler import RemoteSchedulerApp
-from repro.core.apps.spectrum import (
-    IncumbentWindow,
-    LsaAgreement,
-    LsaSpectrumApp,
-)
 
 __all__ = [
     "App",
@@ -46,7 +41,4 @@ __all__ = [
     "RanSharingApp",
     "ShareChange",
     "RemoteSchedulerApp",
-    "IncumbentWindow",
-    "LsaAgreement",
-    "LsaSpectrumApp",
 ]

@@ -93,6 +93,3 @@ class CarrierAggregationApp(App):
                             del self._low_since[key]
                     else:
                         self._low_since.pop(key, None)
-
-    def aggregated_ues(self) -> int:
-        return len(self._active)

@@ -98,6 +98,3 @@ class DrxEnergyApp(App):
             self._drx_enabled.discard(key)
         self.decisions.append(DrxDecision(
             tti=tti, agent_id=agent_id, rnti=rnti, enabled=enabled))
-
-    def sleeping_ues(self) -> int:
-        return len(self._drx_enabled)

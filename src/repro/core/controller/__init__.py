@@ -11,24 +11,10 @@ from repro.core.controller.registry import AppState, RegistryService
 from repro.core.controller.rib import AgentNode, CellNode, Rib, UeNode
 from repro.core.controller.rib_updater import RibUpdater
 from repro.core.controller.task_manager import CycleRecord, CycleStats, TaskManager
-from repro.core.controller.views import (
-    CellLoad,
-    UeQuality,
-    cell_loads,
-    congested_cells,
-    least_loaded_cell,
-    ue_qualities,
-)
 
 __all__ = [
     "ConflictOutcome",
     "ConflictResolver",
-    "CellLoad",
-    "UeQuality",
-    "cell_loads",
-    "congested_cells",
-    "least_loaded_cell",
-    "ue_qualities",
     "EventNotificationService",
     "MasterController",
     "NorthboundApi",

@@ -130,7 +130,3 @@ class ConflictResolver:
 
         self.counters.denied += 1
         return ConflictOutcome.DENIED, []
-
-    def pending_targets(self) -> int:
-        """Admitted (kind, agent, cell, target) decisions still held."""
-        return sum(len(decisions) for decisions in self._admitted.values())

@@ -17,9 +17,8 @@ Two API invariants hold across every command method:
   :meth:`NorthboundApi.subscribe_stats` returns a
   :class:`StatsSubscription` that owns its xid and knows how to
   ``renew()`` (same xid -- the agent's ReportsManager overwrites in
-  place) and ``cancel()``.  The raw :meth:`request_stats` /
-  :meth:`cancel_stats` pair remains as the low-level primitive the
-  handle is built on.
+  place).  The raw :meth:`request_stats` remains as the low-level
+  primitive the handle is built on.
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ class StatsSubscription:
     the subscription's xid for its whole lifetime: ``renew()`` re-sends
     the request under the *same* xid (the agent overwrites the existing
     registration in place, which makes renewal idempotent and safe over
-    a lossy control channel), and ``cancel()`` retires it.  Stats
+    a lossy control channel).  Stats
     replies carry this xid in their header, so matching replies to the
     subscription that caused them is a dictionary lookup.
     """
@@ -105,16 +104,6 @@ class StatsSubscription:
             period_ttis=self.period_ttis, flags=self.flags))
         self.api.counters.stats_requests += 1
         self.active = True
-        return self.xid
-
-    def cancel(self) -> int:
-        """Stop the agent's reporting; returns the xid for correlation.
-
-        Safe to call twice: the second call is a no-op.
-        """
-        if self.active:
-            self.api.cancel_stats(self.agent_id, self.xid)
-            self.active = False
         return self.xid
 
 
@@ -150,14 +139,6 @@ class NorthboundApi:
     def live_agent_ids(self) -> List[int]:
         """Agents the master still considers reachable (not DEAD)."""
         return self._master.live_agent_ids()
-
-    def agent_liveness(self, agent_id: int):
-        """The master's liveness assessment of one agent."""
-        return self.rib.agent(agent_id).liveness
-
-    def estimated_agent_tti(self, agent_id: int) -> int:
-        """The master's best estimate of an agent's current subframe."""
-        return self.rib.agent(agent_id).estimated_subframe(self._master.now)
 
     # -- commands ----------------------------------------------------------
 
@@ -289,21 +270,13 @@ class NorthboundApi:
         """Subscribe to agent statistics; returns a first-class handle.
 
         The returned :class:`StatsSubscription` carries the xid and can
-        ``renew()`` (idempotent re-assert under the same xid) and
-        ``cancel()`` itself.
+        ``renew()`` itself (idempotent re-assert under the same xid).
         """
         xid = self.request_stats(agent_id, report_type=report_type,
                                  period_ttis=period_ttis, flags=flags)
         return StatsSubscription(api=self, agent_id=agent_id, xid=xid,
                                  report_type=report_type,
                                  period_ttis=period_ttis, flags=flags)
-
-    def cancel_stats(self, agent_id: int, xid: int) -> int:
-        """Cancel the stats subscription identified by *xid*."""
-        self._master.send(agent_id, StatsRequest(
-            header=Header(xid=xid, tti=self._master.now),
-            report_type=int(ReportType.CANCEL)))
-        return xid
 
     def request_config(self, agent_id: int, scope: str = "enb") -> int:
         header = self._header()
@@ -315,7 +288,7 @@ class NorthboundApi:
     def set_prb_cap(self, agent_id: int, cell_id: int,
                     cap: Optional[int]) -> int:
         """Cap a cell's usable downlink PRBs (``None`` restores the full
-        carrier) -- the LSA spectrum-sharing knob of Section 7.1."""
+        carrier)."""
         header = self._header()
         self._master.send(agent_id, PrbCapConfig(
             header=header, cell_id=cell_id,

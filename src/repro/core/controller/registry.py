@@ -18,8 +18,6 @@ from repro.core.apps.base import App
 class AppState(enum.Enum):
     REGISTERED = "registered"
     RUNNING = "running"
-    PAUSED = "paused"
-    STOPPED = "stopped"
 
 
 @dataclass
@@ -42,19 +40,6 @@ class RegistryService:
         reg = Registration(app=app, state=AppState.RUNNING)
         self._registrations[app.name] = reg
         return reg
-
-    def deregister(self, name: str) -> None:
-        reg = self._get(name)
-        reg.state = AppState.STOPPED
-        del self._registrations[name]
-
-    def pause(self, name: str) -> None:
-        self._get(name).state = AppState.PAUSED
-
-    def resume(self, name: str) -> None:
-        reg = self._get(name)
-        if reg.state is AppState.PAUSED:
-            reg.state = AppState.RUNNING
 
     def _get(self, name: str) -> Registration:
         try:

@@ -76,9 +76,6 @@ class CellNode:
     def n_prb(self) -> int:
         return self.config.n_prb_dl if self.config else 0
 
-    def ue(self, rnti: int) -> Optional[UeNode]:
-        return self.ues.get(rnti)
-
 
 @dataclass
 class AgentNode:
@@ -111,13 +108,6 @@ class AgentNode:
             return
         self.liveness = state
         self.liveness_history.append((now, state))
-
-    def cell(self, cell_id: Optional[int] = None) -> Optional[CellNode]:
-        if cell_id is None:
-            if len(self.cells) == 1:
-                return next(iter(self.cells.values()))
-            return None
-        return self.cells.get(cell_id)
 
     def estimated_subframe(self, now: int) -> int:
         """Best estimate of the agent's current TTI.
@@ -175,12 +165,6 @@ class Rib:
 
     def ue_count(self) -> int:
         return sum(1 for _ in self.all_ues())
-
-    def find_ue(self, rnti: int) -> Optional[Tuple[AgentNode, CellNode, UeNode]]:
-        for agent, cell, ue in self.all_ues():
-            if ue.rnti == rnti:
-                return agent, cell, ue
-        return None
 
     def memory_footprint_bytes(self) -> int:
         """Approximate deep size of the RIB (the Fig. 8 memory series)."""

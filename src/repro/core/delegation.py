@@ -43,13 +43,11 @@ class VsfFactoryRegistry:
         self._install_builtins()
 
     def _install_builtins(self) -> None:
-        from repro.core.dsl import DslScheduler  # avoid an import cycle
         for name, cls in SCHEDULER_REGISTRY.items():
             self.register(f"scheduler:{name}", cls)
         self.register("scheduler:sliced", SlicedScheduler)
         self.register("scheduler:group_based", GroupScheduler)
         self.register("scheduler:qos_aware", QosScheduler)
-        self.register("dsl:scheduler", DslScheduler)
 
     def register(self, name: str, factory: Callable[..., Callable]) -> None:
         """Trust a new factory (the 'certification' step)."""

@@ -554,7 +554,7 @@ class PrbCapConfig(FlexRanMessage):
     """Cap (or restore) a cell's usable downlink carrier width.
 
     The typed replacement for the last string-keyed ``SetConfig`` use
-    (``dl_prb_cap``, the LSA spectrum knob): ``capped == False``
+    (``dl_prb_cap``, the downlink PRB cap): ``capped == False``
     restores the full carrier; otherwise ``n_prb`` PRBs stay usable.
     ``n_prb == 0`` with ``capped`` set fully vacates the shared band.
     """

@@ -147,9 +147,6 @@ class Writer:
     def getvalue(self) -> bytes:
         return bytes(self._parts)
 
-    def __len__(self) -> int:
-        return len(self._parts)
-
 
 class Reader:
     """Sequential wire-buffer reader."""

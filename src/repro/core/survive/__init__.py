@@ -24,7 +24,6 @@ from repro.core.survive.snapshot import (  # noqa: F401  (re-exported API)
     CheckpointStore,
     restore_master,
     restore_rib,
-    rib_forest_equal,
     rib_ground_truth_diff,
     snapshot_master,
     snapshot_rib,

@@ -160,15 +160,6 @@ def merge_rib_subset(rib: Rib, agents: List[dict]) -> List[int]:
     return merged
 
 
-def rib_forest_equal(a: Rib, b: Rib) -> bool:
-    """Structural equality of two RIB forests (node contents included).
-
-    Dataclass equality on the wire records makes this a deep compare;
-    the determinism test for checkpoint round-trips rests on it.
-    """
-    return snapshot_rib(a) == snapshot_rib(b)
-
-
 # -- whole-master snapshots -------------------------------------------------
 
 
@@ -241,10 +232,6 @@ class CheckpointStore:
 
     def latest(self) -> Optional[dict]:
         return self._snapshots[-1] if self._snapshots else None
-
-    def __len__(self) -> int:
-        return len(self._snapshots)
-
 
 # -- ground truth -----------------------------------------------------------
 

@@ -66,11 +66,11 @@ class Cell:
         self.cqi_updated_tti: Dict[int, int] = {}
         # eICIC: subframes (0-9) where this cell must stay silent.
         self.muted_subframes: Set[int] = set()
-        # Spectrum sharing (LSA): a runtime cap on usable DL PRBs; None
-        # means the full carrier is licensed for use right now.
+        # A runtime cap on usable DL PRBs (PrbCapConfig); None means
+        # the full carrier is licensed for use right now.
         self.prb_cap: Optional[int] = None
         # The dominant interfering cell, if any (eICIC topologies);
-        # assigned through the interference_source property.
+        # assigned through set_interference_source.
         self._interference_source: Optional["Cell"] = None
         # Whether this cell transmitted user data in the last RAN phase;
         # consulted by victims of this cell when resolving interference.
@@ -109,12 +109,8 @@ class Cell:
             return self.config.n_prb_dl
         return max(0, min(self.config.n_prb_dl, self.prb_cap))
 
-    @property
-    def interference_source(self) -> Optional["Cell"]:
-        return self._interference_source
-
-    @interference_source.setter
-    def interference_source(self, source: Optional["Cell"]) -> None:
+    def set_interference_source(self, source: Optional["Cell"]) -> None:
+        """Make *source* this cell's dominant interferer (``None``: none)."""
         self._interference_source = source
         # Under an interferer every report has two states to tell
         # apart, so nobody stays parked.
@@ -147,9 +143,6 @@ class Cell:
         for mapping in (self.known_cqi, self.known_cqi_clear, self.cqi_updated_tti):
             mapping.pop(rnti, None)
         return ue
-
-    def rntis(self) -> List[int]:
-        return sorted(self.ues)
 
     def is_muted(self, tti: int) -> bool:
         """True if the ABS pattern silences this cell at *tti*."""

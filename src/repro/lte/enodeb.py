@@ -262,12 +262,6 @@ class EnodeB:
     def rntis(self) -> List[int]:
         return sorted(self._ue_cell)
 
-    def attached_ues(self) -> List[Tuple[int, Ue]]:
-        """Every attached ``(rnti, ue)`` pair, in RNTI order."""
-        cells = self.cells
-        return [(rnti, cells[cell_id].ues[rnti])
-                for rnti, cell_id in sorted(self._ue_cell.items())]
-
     def has_ue(self, rnti: int) -> bool:
         """O(1) attachment test (use instead of ``rnti in rntis()``)."""
         return rnti in self._ue_cell
@@ -334,9 +328,6 @@ class EnodeB:
             if key[2] not in delivered:
                 undelivered.append(split)
         return undelivered
-
-    def active_scells(self, rnti: int) -> List[int]:
-        return sorted(self._scells.get(rnti, set()))
 
     # -- bearer QoS ---------------------------------------------------------
 
@@ -483,9 +474,6 @@ class EnodeB:
                                 cell_id=self._ue_cell[rnti]))
 
     # -- data-plane queries (consumed by the FlexRAN Agent API) ---------
-
-    def queue_bytes(self, rnti: int, lcid: Optional[int] = None) -> int:
-        return self.rlc[rnti].buffer_bytes(lcid)
 
     def build_context(self, cell_id: int, tti: int) -> SchedulingContext:
         """Scheduler-facing snapshot for one cell and TTI.

@@ -12,7 +12,7 @@ gives the energy proxy the energy-saving application optimizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,6 @@ class DrxState:
     awake_ttis: int = 0
     asleep_ttis: int = 0
 
-    @property
-    def enabled(self) -> bool:
-        return self.config is not None
-
     def is_awake(self, tti: int) -> bool:
         """Whether the UE listens to the PDCCH at *tti*."""
         if self.config is None:
@@ -68,10 +64,6 @@ class DrxState:
         else:
             self.asleep_ttis += 1
 
-    def awake_fraction(self) -> float:
-        total = self.awake_ttis + self.asleep_ttis
-        return self.awake_ttis / total if total else 1.0
-
 
 class DrxManager:
     """DRX state of every UE of one eNodeB.
@@ -82,17 +74,15 @@ class DrxManager:
 
     def __init__(self, on_change: Callable[[int], None]) -> None:
         self._on_change = on_change
-        self._states: Dict[int, DrxState] = {}
+        #: RNTI -> state of every UE with DRX enabled, and of no other:
+        #: only :meth:`configure` adds an entry, so reading it never
+        #: enrols a UE in the per-TTI accounting.  Read-only to callers.
+        self.states: Dict[int, DrxState] = {}
         #: Awake/asleep TTIs accumulated by UEs whose DRX was later
         #: disabled or removed: the energy proxy keeps the total even
         #: though the per-UE state is gone.
         self.retired_awake_ttis = 0
         self.retired_asleep_ttis = 0
-
-    def state(self, rnti: int) -> DrxState:
-        if rnti not in self._states:
-            self._states[rnti] = DrxState()
-        return self._states[rnti]
 
     def configure(self, rnti: int, config: Optional[DrxConfig]) -> None:
         """Enable (or, with ``None``, disable) DRX for a UE.
@@ -104,39 +94,35 @@ class DrxManager:
         """
         if config is None:
             self._retire(rnti)
+        elif rnti in self.states:
+            self.states[rnti].config = config
         else:
-            self.state(rnti).config = config
+            self.states[rnti] = DrxState(config)
         self._on_change(rnti)
 
     def _retire(self, rnti: int) -> None:
-        state = self._states.pop(rnti, None)
+        state = self.states.pop(rnti, None)
         if state is not None:
             self.retired_awake_ttis += state.awake_ttis
             self.retired_asleep_ttis += state.asleep_ttis
 
     def is_configured(self, rnti: int) -> bool:
         """Whether *rnti* currently has DRX enabled."""
-        return rnti in self._states
+        return rnti in self.states
 
     def is_awake(self, rnti: int, tti: int) -> bool:
-        # Fast path: a UE never touched by a DRX command has no state
-        # and is always awake.  Avoiding state() here keeps _states
-        # populated only with DRX-relevant UEs, so per-TTI accounting
-        # stays proportional to DRX users rather than attached UEs.
-        state = self._states.get(rnti)
+        # A UE without DRX has no state and is always awake.
+        state = self.states.get(rnti)
         return state.is_awake(tti) if state is not None else True
 
     def note_activity(self, rnti: int, tti: int) -> None:
-        if rnti in self._states:  # once per transport block: no .get
-            self._states[rnti].note_activity(tti)
+        if rnti in self.states:  # once per transport block: no .get
+            self.states[rnti].note_activity(tti)
             self._on_change(rnti)
 
     def account_all(self, tti: int) -> None:
-        for state in self._states.values():
+        for state in self.states.values():
             state.account(tti)
 
     def remove(self, rnti: int) -> None:
         self._retire(rnti)
-
-    def enabled_rntis(self) -> List[int]:
-        return sorted(r for r, s in self._states.items() if s.enabled)

@@ -173,10 +173,6 @@ class HarqEntity:
                     attempt=proc.attempt + 1))
         return out
 
-    def busy_count(self) -> int:
-        """Number of occupied processes (flow-control signal)."""
-        return sum(1 for proc in self.processes if proc.busy)
-
 
 class HarqPool:
     """HARQ entities for every UE attached to a cell; each records its

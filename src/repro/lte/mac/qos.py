@@ -163,14 +163,3 @@ class QosScheduler(Scheduler):
                     subframe=ctx.subframe)
                 out.extend(self._phase2.schedule(sub))
         return out
-
-
-def parse_bearer_config(value: str) -> Tuple[int, int, QosProfile]:
-    """Parse a ``rnti:lcid:qci[:gbr_kbps]`` configuration string."""
-    parts = value.split(":")
-    if len(parts) not in (3, 4):
-        raise ValueError(
-            f"bearer config must be rnti:lcid:qci[:gbr_kbps], got {value!r}")
-    rnti, lcid, qci = (int(parts[0]), int(parts[1]), int(parts[2]))
-    gbr = float(parts[3]) / 1000.0 if len(parts) == 4 else None
-    return rnti, lcid, QosProfile(qci=qci, gbr_mbps=gbr)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Deque, Dict, Optional
 
 DEFAULT_LCID = 3
 """Logical channel id of the default data radio bearer (DRB1)."""
@@ -54,15 +54,8 @@ class TransmissionQueue:
         self.enqueued_bytes = 0
         self.dequeued_bytes = 0
 
-    def __len__(self) -> int:
-        return len(self._packets)
-
     def __bool__(self) -> bool:
         return self.size_bytes > 0
-
-    def head_of_line_tti(self) -> Optional[int]:
-        """Enqueue TTI of the oldest byte, or ``None`` if empty."""
-        return self._packets[0].enqueue_tti if self._packets else None
 
     def push(self, size_bytes: int, tti: int) -> bool:
         """Enqueue a packet; returns ``False`` (and drops) on overflow."""
@@ -108,13 +101,6 @@ class TransmissionQueue:
         self.dequeued_bytes += taken
         return taken
 
-    def clear(self) -> int:
-        """Drop the whole backlog; returns the bytes discarded."""
-        discarded = self.size_bytes
-        self._packets.clear()
-        self.size_bytes = 0
-        return discarded
-
 
 class QueueSet:
     """Per-UE map of logical channel id to transmission queue."""
@@ -130,17 +116,6 @@ class QueueSet:
         if lcid not in self.by_lcid:
             self.by_lcid[lcid] = TransmissionQueue(limit_bytes=self._limit_bytes)
         return self.by_lcid[lcid]
-
-    def lcids(self) -> List[int]:
-        """Logical channel ids with a queue instantiated, sorted."""
-        return sorted(self.by_lcid)
-
-    def total_bytes(self) -> int:
-        """Backlog across all logical channels."""
-        return sum(q.size_bytes for q in self.by_lcid.values())
-
-    def items(self) -> Iterator[Tuple[int, TransmissionQueue]]:
-        return iter(sorted(self.by_lcid.items()))
 
     def sizes(self) -> Dict[int, int]:
         """Map of lcid -> backlog bytes (the BSR payload)."""

@@ -75,10 +75,6 @@ class Scheduler(abc.ABC):
                 f"{sorted(self.parameters)}")
         self.parameters[name] = value
 
-    def describe(self) -> Dict[str, Any]:
-        """Summary used in statistics/registry reports."""
-        return {"name": self.name, "parameters": dict(self.parameters)}
-
 
 def schedule_retransmissions(ctx: SchedulingContext,
                              budget: int) -> List[DlAssignment]:
@@ -329,10 +325,6 @@ class SlicedScheduler(Scheduler):
                 if op not in self._inner:
                     self._inner[op] = self._inner_factory()
         super().set_parameter(name, value)
-
-    def inner_scheduler(self, operator: str) -> Scheduler:
-        """Access a slice's inner scheduler (e.g. to reconfigure it)."""
-        return self._inner[operator]
 
     def schedule(self, ctx: SchedulingContext) -> List[DlAssignment]:
         fractions: Dict[str, float] = self.parameters["fractions"]

@@ -73,7 +73,3 @@ class PdcpEntity:
         st.rx_bytes += sdu
         self._on_change(self.rnti)
         return sdu
-
-    def tx_sn(self, lcid: int) -> int:
-        """Next transmit sequence number for *lcid*."""
-        return self._tx_sn.get(lcid, 0)

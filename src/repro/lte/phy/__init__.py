@@ -6,12 +6,10 @@ from repro.lte.phy.channel import (
     FixedSinr,
     GaussMarkovSinr,
     InterferenceChannel,
-    PathlossChannel,
     SquareWaveCqi,
     TraceCqi,
-    channel_for_cqi,
 )
-from repro.lte.phy.cqi import clamp_cqi, cqi_to_sinr_floor, sinr_to_cqi, validate_cqi
+from repro.lte.phy.cqi import cqi_to_sinr_floor, sinr_to_cqi, validate_cqi
 from repro.lte.phy.tbs import capacity_mbps, prbs_needed, transport_block_bits
 
 __all__ = [
@@ -20,11 +18,8 @@ __all__ = [
     "FixedSinr",
     "GaussMarkovSinr",
     "InterferenceChannel",
-    "PathlossChannel",
     "SquareWaveCqi",
     "TraceCqi",
-    "channel_for_cqi",
-    "clamp_cqi",
     "cqi_to_sinr_floor",
     "sinr_to_cqi",
     "validate_cqi",

@@ -11,8 +11,6 @@ CQI the UE would report.  Several models cover the experiments:
   fluctuations of the DASH experiments (Fig. 11: 3<->2 and 10<->4).
 * :class:`GaussMarkovSinr` -- mean-reverting random fading for
   scalability scenarios with heterogeneous UEs.
-* :class:`PathlossChannel` -- log-distance pathloss for mobility and
-  handover scenarios.
 * :class:`InterferenceChannel` -- a two-state wrapper giving distinct
   SINR with the dominant interferer active vs muted, the abstraction
   needed by the eICIC use case (Fig. 10).
@@ -23,14 +21,11 @@ from __future__ import annotations
 import abc
 import math
 from array import array
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.lte.phy.cqi import cqi_to_sinr_floor, sinr_to_cqi, validate_cqi
-
-THERMAL_NOISE_DBM_PER_HZ = -174.0
-UE_NOISE_FIGURE_DB = 7.0
 
 _NOISE_BLOCK = 16
 """Draws :class:`GaussMarkovSinr` takes from its generator at a time:
@@ -200,59 +195,6 @@ class GaussMarkovSinr(ChannelModel):
         return self._value
 
 
-class PathlossChannel(ChannelModel):
-    """Log-distance pathloss channel for positioned UEs.
-
-    Uses the 3GPP macro-cell model ``PL = 128.1 + 37.6 log10(d_km)`` and
-    a UE position callback so mobility scenarios can move the UE.
-    """
-
-    def __init__(self, *, tx_power_dbm: float = 43.0,
-                 bandwidth_hz: float = 9e6,
-                 position_fn=None,
-                 cell_xy: Tuple[float, float] = (0.0, 0.0),
-                 ue_xy: Tuple[float, float] = (500.0, 0.0),
-                 shadowing_db: float = 0.0, seed: int = 0) -> None:
-        self.tx_power_dbm = tx_power_dbm
-        self.cell_xy = cell_xy
-        self._ue_xy = ue_xy
-        self._position_fn = position_fn
-        noise_dbm = (THERMAL_NOISE_DBM_PER_HZ + UE_NOISE_FIGURE_DB
-                     + 10.0 * math.log10(bandwidth_hz))
-        self._noise_dbm = noise_dbm
-        self._shadowing_db = shadowing_db
-        self._rng = np.random.default_rng(seed)
-        self._shadow_cache: Dict[int, float] = {}
-
-    def set_position(self, xy: Tuple[float, float]) -> None:
-        """Move the UE (used when no position callback is installed)."""
-        self._ue_xy = xy
-
-    def _distance_km(self, tti: int) -> float:
-        xy = self._position_fn(tti) if self._position_fn else self._ue_xy
-        dx = xy[0] - self.cell_xy[0]
-        dy = xy[1] - self.cell_xy[1]
-        return max(0.01, math.hypot(dx, dy) / 1000.0)
-
-    def _shadowing(self, tti: int) -> float:
-        if self._shadowing_db <= 0:
-            return 0.0
-        # Shadowing is re-drawn once per 100 ms block (slow process).
-        block = tti // 100
-        if block not in self._shadow_cache:
-            self._shadow_cache[block] = float(
-                self._rng.normal(0.0, self._shadowing_db))
-        return self._shadow_cache[block]
-
-    def rsrp_dbm(self, tti: int) -> float:
-        """Reference signal received power proxy (dBm)."""
-        pathloss = 128.1 + 37.6 * math.log10(self._distance_km(tti))
-        return self.tx_power_dbm - pathloss - self._shadowing(tti)
-
-    def sinr_db(self, tti: int, *, interference_active: bool = True) -> float:
-        return self.rsrp_dbm(tti) - self._noise_dbm
-
-
 class InterferenceChannel(ChannelModel):
     """Two-state channel: SINR differs with the interferer on or off.
 
@@ -272,8 +214,3 @@ class InterferenceChannel(ChannelModel):
 
     def sinr_db(self, tti: int, *, interference_active: bool = True) -> float:
         return self.sinr_interfered_db if interference_active else self.sinr_clear_db
-
-
-def channel_for_cqi(cqi: int) -> ChannelModel:
-    """Convenience: a fixed channel that reports exactly *cqi*."""
-    return FixedCqi(cqi)

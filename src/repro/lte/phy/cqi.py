@@ -14,7 +14,6 @@ from repro.lte.constants import (
     CQI_MAX,
     CQI_MIN,
     CQI_SINR_THRESHOLDS_DB,
-    CQI_TABLE,
 )
 
 
@@ -44,12 +43,6 @@ def cqi_to_sinr_floor(cqi: int) -> float:
     return CQI_SINR_THRESHOLDS_DB[cqi]
 
 
-def cqi_efficiency(cqi: int) -> float:
-    """Spectral efficiency (information bits per RE) for *cqi*."""
-    validate_cqi(cqi)
-    return CQI_TABLE[cqi].efficiency
-
-
 def validate_cqi(cqi: int) -> int:
     """Raise ``ValueError`` unless *cqi* is a valid 4-bit CQI."""
     # A plain int (every caller on the TTI path) is settled by one type
@@ -60,16 +53,3 @@ def validate_cqi(cqi: int) -> int:
     if not CQI_MIN <= cqi <= CQI_MAX:
         raise ValueError(f"CQI must be in [{CQI_MIN}, {CQI_MAX}], got {cqi}")
     return cqi
-
-
-def clamp_cqi(cqi: int) -> int:
-    """Clamp an arbitrary integer into the valid CQI range."""
-    return max(CQI_MIN, min(CQI_MAX, int(cqi)))
-
-
-def degrade_cqi(cqi: int, steps: int) -> int:
-    """Return *cqi* degraded by *steps* levels (clamped at CQI 0)."""
-    validate_cqi(cqi)
-    if steps < 0:
-        raise ValueError(f"degradation steps must be >= 0, got {steps}")
-    return clamp_cqi(cqi - steps)

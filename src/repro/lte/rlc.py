@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.lte.mac.queues import DEFAULT_LCID, QueueSet, TransmissionQueue
+from repro.lte.mac.queues import DEFAULT_LCID, QueueSet
 
 RLC_HEADER_BYTES = 2
 DEFAULT_RLC_BUFFER_BYTES = 750_000
@@ -151,18 +151,3 @@ class RlcEntity:
         """lcid -> backlog bytes (the BSR payload), from :meth:`backlog`:
         one dict per change, shared by every reader and never mutated."""
         return (self._backlog or self.backlog())[0]
-
-    def buffer_bytes(self, lcid: Optional[int] = None) -> int:
-        """Current backlog, per bearer or total; a bearer that does not
-        exist has none and is not created."""
-        sizes, total = self.backlog()
-        if lcid is None:
-            return total
-        return sizes[lcid] if lcid in sizes else 0
-
-    def queue(self, lcid: int = DEFAULT_LCID) -> TransmissionQueue:
-        """Direct access to a bearer queue (tests): a change made through
-        it is not recorded, and the shared backlog is dropped here, not
-        when the caller writes."""
-        self._backlog = None
-        return self.queues.queue(lcid)

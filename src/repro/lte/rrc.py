@@ -97,9 +97,6 @@ class RrcEntity:
             raise KeyError(f"no RRC context for RNTI {rnti}")
         return self._contexts[rnti]
 
-    def contexts(self) -> List[RrcUeContext]:
-        return [self._contexts[r] for r in sorted(self._contexts)]
-
     def state_of(self, rnti: int) -> Optional[RrcState]:
         """The UE's RRC state, or ``None`` for an unknown RNTI."""
         ctx = self._contexts.get(rnti)
@@ -158,10 +155,6 @@ class RrcEntity:
         for rnti in failed:
             self._attaching.discard(rnti)
         return failed
-
-    def is_connected(self, rnti: int) -> bool:
-        ctx = self._contexts.get(rnti)
-        return ctx is not None and ctx.state is RrcState.CONNECTED
 
     def complete_handover(self, rnti: int, tti: int) -> None:
         """Record the handover action's completion for *rnti*."""

@@ -120,10 +120,6 @@ class Ue:
 
         self._delivery_callbacks: List[DeliveryCallback] = []
 
-    def __repr__(self) -> str:
-        return (f"Ue(imsi={self.imsi!r}, rnti={self.rnti}, "
-                f"cell={self.serving_cell_id})")
-
     # -- downlink -------------------------------------------------------
 
     def on_delivery(self, fn: DeliveryCallback) -> None:

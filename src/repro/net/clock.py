@@ -63,43 +63,20 @@ class SimClock:
     def __init__(self) -> None:
         self._now = 0
         self._phases: Dict[Phase, List[TickFn]] = {p: [] for p in Phase}
-        self._running = False
 
     @property
     def now(self) -> int:
         """Current TTI (milliseconds since simulation start)."""
         return self._now
 
-    @property
-    def now_ms(self) -> float:
-        """Current simulation time in milliseconds as a float."""
-        return self._now * TTI_MS
-
-    @property
-    def subframe(self) -> int:
-        """Subframe index within the current radio frame (0-9)."""
-        return self._now % SUBFRAMES_PER_FRAME
-
-    @property
-    def frame(self) -> int:
-        """System frame number (unbounded; callers may take mod 1024)."""
-        return self._now // SUBFRAMES_PER_FRAME
-
     def register(self, phase: Phase, fn: TickFn) -> None:
         """Register *fn* to run every TTI during *phase*."""
         self._phases[phase].append(fn)
 
-    def unregister(self, phase: Phase, fn: TickFn) -> None:
-        """Remove a previously registered callback; no-op if absent."""
-        try:
-            self._phases[phase].remove(fn)
-        except ValueError:
-            pass
-
     def tick(self) -> None:
         """Advance the world by exactly one TTI."""
         for phase in Phase:
-            # Iterate over a copy so callbacks may (un)register others.
+            # Iterate over a copy so callbacks may register others.
             for fn in list(self._phases[phase]):
                 fn(self._now)
         self._now += 1
@@ -108,19 +85,5 @@ class SimClock:
         """Advance the world by *ttis* TTIs."""
         if ttis < 0:
             raise ValueError(f"cannot run a negative number of TTIs: {ttis}")
-        self._running = True
-        try:
-            for _ in range(ttis):
-                if not self._running:
-                    break
-                self.tick()
-        finally:
-            self._running = False
-
-    def run_ms(self, milliseconds: float) -> None:
-        """Advance the world by (approximately) *milliseconds*."""
-        self.run(int(round(milliseconds / TTI_MS)))
-
-    def stop(self) -> None:
-        """Stop a ``run`` loop after the current TTI completes."""
-        self._running = False
+        for _ in range(ttis):
+            self.tick()

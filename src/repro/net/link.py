@@ -64,7 +64,8 @@ class EmulatedLink:
                  loss_probability: float = 0.0, jitter_ms: float = 0.0,
                  name: str = "link", seed: int = 0) -> None:
         self.name = name
-        self._latency_ttis = self._to_ttis(one_way_latency_ms)
+        #: Read-only to callers: :meth:`set_latency_ms` changes it.
+        self.one_way_latency_ttis = self._to_ttis(one_way_latency_ms)
         self._queue: List[_Transit] = []
         self._seq = 0
         self.counters: Dict[str, CategoryCounter] = {}
@@ -98,13 +99,9 @@ class EmulatedLink:
             raise ValueError(f"latency must be >= 0, got {latency_ms}")
         return int(math.ceil(latency_ms / TTI_MS))
 
-    @property
-    def one_way_latency_ttis(self) -> int:
-        return self._latency_ttis
-
     def set_latency_ms(self, latency_ms: float) -> None:
         """Change the link latency at runtime (the netem knob)."""
-        self._latency_ttis = self._to_ttis(latency_ms)
+        self.one_way_latency_ttis = self._to_ttis(latency_ms)
 
     # -- fault injection ---------------------------------------------------
 
@@ -184,7 +181,7 @@ class EmulatedLink:
             self.dropped_messages += 1
             self.dropped_bytes += size_bytes
             return -1
-        deliver = now + self._latency_ttis
+        deliver = now + self.one_way_latency_ttis
         if self._jitter_ttis > 0.0:
             deliver += int(round(self._rng.uniform(0, self._jitter_ttis)))
         # TCP never reorders: delivery is clamped to stay FIFO even when
@@ -268,10 +265,6 @@ class DuplexChannel:
         self.downlink = EmulatedLink(one_way_latency_ms=one_way,
                                      name=f"{name}.downlink", seed=seed + 1)
 
-    @property
-    def rtt_ttis(self) -> int:
-        return self.uplink.one_way_latency_ttis + self.downlink.one_way_latency_ttis
-
     def set_rtt_ms(self, rtt_ms: float) -> None:
         """Reconfigure the round-trip latency, split symmetrically."""
         self.uplink.set_latency_ms(rtt_ms / 2.0)
@@ -307,6 +300,3 @@ class DuplexChannel:
                 f"[{start_tti}, {end_tti})")
         self.fail_at(start_tti)
         self.heal_at(end_tti)
-
-    def dropped_messages(self) -> int:
-        return sum(link.dropped_messages for link in self.links)

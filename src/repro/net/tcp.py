@@ -394,10 +394,6 @@ class TcpEndpoint(ProtocolEndpoint):
             frames.append(inbox.popleft()[1])
         return self._decode_frames(frames, now)
 
-    def pending_frames(self) -> int:
-        """Parsed frames still waiting for their deliver TTI."""
-        return len(self._inbox)
-
     def close(self) -> None:
         if self.sock is not None:
             self.sock.close()

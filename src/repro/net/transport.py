@@ -124,10 +124,6 @@ class ControlConnection:
             self.channel.downlink, self.channel.uplink,
             peer=name, tx_direction="dl", rx_direction="ul")
 
-    @property
-    def rtt_ttis(self) -> int:
-        return self.channel.rtt_ttis
-
     def set_rtt_ms(self, rtt_ms: float) -> None:
         """Reconfigure round-trip latency at runtime (the netem knob)."""
         self.channel.set_rtt_ms(rtt_ms)
@@ -142,18 +138,6 @@ class ControlConnection:
         """Bounded random extra delay in both directions (FIFO kept)."""
         self.channel.set_jitter_ms(jitter_ms)
 
-    def fail_at(self, tti: int) -> None:
-        """Script a two-way link failure at *tti*."""
-        self.channel.fail_at(tti)
-
-    def heal_at(self, tti: int) -> None:
-        """Script the link healing at *tti*."""
-        self.channel.heal_at(tti)
-
     def partition(self, start_tti: int, end_tti: int) -> None:
         """Script a full partition over ``[start_tti, end_tti)``."""
         self.channel.partition(start_tti, end_tti)
-
-    def dropped_messages(self) -> int:
-        """Messages lost to faults, both directions."""
-        return self.channel.dropped_messages()

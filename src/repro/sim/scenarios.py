@@ -13,12 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.apps.carrier_aggregation import CarrierAggregationApp
 from repro.core.apps.eicic import (
     AbsOnlyScheduler,
     EicicMacroScheduler,
     OptimizedEicicApp,
     register_eicic_factories,
 )
+from repro.core.apps.energy import DrxEnergyApp
 from repro.core.apps.mec_dash import AssistedClientBinding, MecDashApp
 from repro.core.apps.mobility import MobilityManagerApp
 from repro.core.apps.monitoring import MonitoringApp
@@ -28,7 +30,8 @@ from repro.core.agent import FlexRanAgent
 from repro.core.agent.connection import ConnectionConfig
 from repro.core.controller import MasterController
 from repro.core.delegation import VsfFactoryRegistry
-from repro.core.protocol.messages import ReportType
+from repro.core.protocol.messages import DciSpec, ReportType, StatsFlags
+from repro.lte.cell import CellConfig
 from repro.lte.constants import SUBFRAMES_PER_FRAME
 from repro.lte.enodeb import EnodeB
 from repro.lte.mac.schedulers import Scheduler
@@ -37,9 +40,11 @@ from repro.lte.phy.channel import (
     FixedCqi,
     InterferenceChannel,
     SquareWaveCqi,
+    TraceCqi,
 )
 from repro.lte.phy.cqi import cqi_to_sinr_floor
 from repro.lte.phy.tbs import capacity_mbps
+from repro.lte.rlc import DEFAULT_RLC_BUFFER_BYTES
 from repro.lte.ue import Ue
 from repro.net.clock import Phase
 from repro.sim.simulation import Simulation
@@ -50,7 +55,7 @@ from repro.traffic.dash import (
     ThroughputAbr,
     WindowedThroughputAbr,
 )
-from repro.traffic.generators import CbrSource, SaturatingSource
+from repro.traffic.generators import CbrSource, OnOffSource, SaturatingSource
 from repro.wifi.agent import WifiAgent
 from repro.wifi.ap import Station, WifiAp
 
@@ -509,8 +514,8 @@ def hetnet_eicic(mode: str, *, abs_subframes: Sequence[int] = (1, 3, 5, 7),
 
     macro_cell = macro_enb.cell()
     small_cell = small_enb.cell()
-    macro_cell.interference_source = small_cell
-    small_cell.interference_source = macro_cell
+    macro_cell.set_interference_source(small_cell)
+    small_cell.set_interference_source(macro_cell)
 
     macro_ues: List[Ue] = []
     for i in range(n_macro_ues):
@@ -746,12 +751,148 @@ def wifi_sdran(*, transport: str = "emulated",
 
 
 # ---------------------------------------------------------------------------
+# The Table 1 controls beyond scheduling, in one run
+# ---------------------------------------------------------------------------
+
+TOUR_GBR_LCID = 4
+"""The GBR bearer's logical channel (the default bearer is LCID 3)."""
+
+TOUR_UL_COMMAND_TTI = 1000
+"""When the tour's master pushes its one centralized uplink grant."""
+
+
+@dataclass
+class FeatureTourScenario:
+    """One eNodeB under every Table 1 control the master can apply."""
+
+    sim: Simulation
+    enb: EnodeB
+    agent: FlexRanAgent
+    idle_ue: Ue
+    ca_ue: Ue
+    ul_ue: Ue
+    gbr_ue: Ue
+    energy: DrxEnergyApp
+    ca: CarrierAggregationApp
+
+
+def feature_tour(*, seed: int = 0) -> FeatureTourScenario:
+    """Carriers 10 and 11 on one eNodeB with bounded RLC buffers, four
+    UEs on carrier 10, and the master exercising DRX, carrier
+    aggregation, uplink grants, bearer QoS and the PRB cap over a
+    control channel with 2 ms RTT and 1 ms jitter:
+
+    * the DRX energy saver puts UEs that go quiet to sleep; the idle UE
+      sleeps until its on/off flow starts at TTI 1200, and DRX is lifted
+      and set again as the flow comes and goes;
+    * the CA manager activates carrier 11 for a UE whose 30 Mb/s CBR
+      flow (TTIs 100--1500) backlogs carrier 10, and releases it once
+      the flow stops; at TTI 2000 that UE leaves carrier 11's coverage;
+    * one UE sends 2 Mb/s uplink, granted by the agent's own uplink
+      split, except for one TTI the master grants centrally
+      (:data:`TOUR_UL_COMMAND_TTI`);
+    * a triggered CQI subscription reports only when a CQI moves;
+    * at TTI 20 the master provisions a 2 Mb/s GBR bearer (QCI 1,
+      LCID 4), pushes the ``scheduler:qos_aware`` VSF and selects and
+      tunes it by policy, so the bearer is served in the scheduler's GBR
+      phase beside a bulk TCP download to the same UE (whose tail drops
+      at the RLC buffer are TCP's loss signal); its CQI steps from 12
+      to 9 at TTI 2000;
+    * at TTI 2500 the master caps carrier 10 at 25 downlink PRBs.
+    """
+    sim = Simulation(with_master=True)
+    enb = sim.add_enb(1, [CellConfig(cell_id=10), CellConfig(cell_id=11)],
+                      seed=seed, rlc_buffer_bytes=DEFAULT_RLC_BUFFER_BYTES)
+    agent = sim.add_agent(enb, rtt_ms=2.0)
+    sim.connections[agent.agent_id].set_jitter_ms(1.0)
+    idle_ue, ca_ue, ul_ue = (Ue(f"tour{i}", FixedCqi(12)) for i in range(3))
+    gbr_ue = Ue("tour3", TraceCqi([(0, 12), (2000, 9)]))
+    for ue in (idle_ue, ca_ue, ul_ue, gbr_ue):
+        sim.add_ue(enb, ue, cell_id=10)
+    ca_ue.carrier_channels[11] = FixedCqi(12)  # a swap the cell hears of
+    sim.add_downlink_traffic(enb, idle_ue, OnOffSource(
+        2.0, on_ttis=300, off_ttis=500, start_tti=1200))
+    sim.add_downlink_traffic(enb, ca_ue,
+                             CbrSource(30.0, start_tti=100, stop_tti=1500))
+    sim.add_uplink_traffic(enb, ul_ue, CbrSource(2.0, start_tti=100))
+    sim.add_downlink_traffic(enb, gbr_ue, CbrSource(2.0, start_tti=100),
+                             lcid=TOUR_GBR_LCID)
+    sim.add_tcp_flow(enb, gbr_ue, unlimited=True)
+    energy = DrxEnergyApp()
+    ca = CarrierAggregationApp(scell_map={10: 11})
+    sim.master.add_app(energy)
+    sim.master.add_app(ca)
+
+    nb, agent_id = sim.master.northbound, agent.agent_id
+
+    def qos(tti: int) -> None:
+        # A triggered CQI subscription: a reply only when a UE's CQI
+        # moves (the GBR UE's, at TTI 2000).
+        nb.request_stats(agent_id, report_type=ReportType.TRIGGERED,
+                         flags=int(StatsFlags.CQI))
+        nb.set_bearer_qos(agent_id, 10, gbr_ue.rnti, TOUR_GBR_LCID, qci=1,
+                          gbr_mbps=2.0)
+        nb.push_vsf(agent_id, "mac", "dl_scheduling", "qos",
+                    "scheduler:qos_aware")
+        nb.reconfigure_vsf(agent_id, "mac", "dl_scheduling", behavior="qos",
+                           parameters={"burst_ms": 40})
+
+    def central_ul(tti: int) -> None:
+        # Hand the uplink to the master for ten TTIs: it grants once, in
+        # two commands for the same TTI that the conflict resolver
+        # merges into one decision.
+        nb.reconfigure_vsf(agent_id, "mac", "ul_scheduling",
+                           behavior="remote_stub_ul")
+        for ue, n_prb in ((ul_ue, 10), (gbr_ue, 2)):
+            nb.send_ul_command(agent_id, 10, tti + 5, [
+                DciSpec(rnti=ue.rnti, n_prb=n_prb, cqi_used=12)])
+
+    def local_ul(tti: int) -> None:
+        nb.reconfigure_vsf(agent_id, "mac", "ul_scheduling",
+                           behavior="local_fair_ul")
+
+    def leave_carrier_11(tti: int) -> None:
+        # Out of carrier 11's coverage: it reads the primary channel.
+        del ca_ue.carrier_channels[11]
+
+    def cap(tti: int) -> None:
+        nb.set_prb_cap(agent_id, 10, 25)
+
+    script = {20: qos, TOUR_UL_COMMAND_TTI: central_ul,
+              TOUR_UL_COMMAND_TTI + 10: local_ul, 2000: leave_carrier_11,
+              2500: cap}
+
+    def run_script(tti: int) -> None:
+        if tti in script:
+            script[tti](tti)
+    sim.clock.register(Phase.POST, run_script)
+    return FeatureTourScenario(sim=sim, enb=enb, agent=agent,
+                               idle_ue=idle_ue, ca_ue=ca_ue, ul_ue=ul_ue,
+                               gbr_ue=gbr_ue, energy=energy, ca=ca)
+
+
+# ---------------------------------------------------------------------------
 # The catalogue
 # ---------------------------------------------------------------------------
 
 
 def _hetnet(mode: str):
     return lambda seed=0: hetnet_eicic(mode, seed=seed)
+
+
+def _impaired_partitioned(seed: int = 0) -> CentralizedScenario:
+    """:func:`partitioned_centralized` over an impaired channel: 1 %
+    loss, a partition over TTIs 600--1200, and the RTT raised from 4 to
+    8 ms at TTI 1500."""
+    sc = partitioned_centralized(fault=FaultSpec(
+        loss=0.01, partitions=[(600, 1200)]), seed=seed)
+    connection = sc.sim.connections[sc.agents[0].agent_id]
+
+    def raise_rtt(tti: int) -> None:
+        if tti == 1500:
+            connection.set_rtt_ms(8.0)
+    sc.sim.clock.register(Phase.POST, raise_rtt)
+    return sc
 
 
 CATALOGUE: Dict[str, Tuple[Callable[..., object], int]] = {
@@ -765,9 +906,7 @@ CATALOGUE: Dict[str, Tuple[Callable[..., object], int]] = {
             ues_per_enb=2, rtt_ms=20.0, schedule_ahead=24,
             load_factor=1.2, seed=seed), 2000),
     "large_scale": (large_scale, 200),
-    "partitioned_centralized": (
-        lambda seed=0: partitioned_centralized(
-            fault=FaultSpec(partitions=[(600, 1200)]), seed=seed), 2000),
+    "partitioned_centralized": (_impaired_partitioned, 2000),
     "chaos_survivability": (chaos_survivability, 4000),
     **{f"hetnet_{mode}": (_hetnet(mode), 2000) for mode in EICIC_MODES},
     "ran_sharing": (ran_sharing, 2000),
@@ -776,4 +915,9 @@ CATALOGUE: Dict[str, Tuple[Callable[..., object], int]] = {
                                       seed=seed), 10_000),
     "mobility_handover": (mobility_handover, 3000),
     "wifi_sdran": (wifi_sdran, 2000),
+    "feature_tour": (feature_tour, 3000),
+    "centralized_tcp": (
+        lambda seed=0: centralized_scheduling(
+            ues_per_enb=2, rtt_ms=20.0, schedule_ahead=24,
+            load_factor=1.2, transport="tcp", seed=seed), 2000),
 }

@@ -308,9 +308,6 @@ class Simulation:
         """Advance the deployment by *ttis* TTIs (1 ms each)."""
         self.clock.run(ttis)
 
-    def run_ms(self, milliseconds: float) -> None:
-        self.clock.run_ms(milliseconds)
-
     @property
     def now(self) -> int:
         return self.clock.now

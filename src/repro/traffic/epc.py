@@ -35,7 +35,6 @@ class _Flow:
     rnti: int
     lcid: int = DEFAULT_LCID  # downlink only
     stats: FlowStats = field(default_factory=FlowStats)
-    active: bool = True
 
 
 class EpcStub:
@@ -51,7 +50,7 @@ class EpcStub:
     """
 
     def __init__(self) -> None:
-        self._downlink, self._uplink = [], []  # every flow not removed
+        self._downlink, self._uplink = [], []  # every flow provisioned
         self._dl_wheel, self._ul_wheel = {}, {}
 
     def add_downlink(self, source: TrafficSource, enb: EnodeB, rnti: int,
@@ -82,21 +81,10 @@ class EpcStub:
             flow.enb, flow.rnti = new_enb, new_rnti
         return len(moved)
 
-    def remove_flows_for(self, enb: EnodeB, rnti: int) -> int:
-        """Drop UE *rnti*'s flows on *enb* (RNTIs are per eNodeB); count."""
-        removed = self._flows_of(enb, rnti)
-        for flow in removed:
-            flow.active = False  # the wheel drops it at its next visit
-        self._downlink = [flow for flow in self._downlink if flow.active]
-        self._uplink = [flow for flow in self._uplink if flow.active]
-        return len(removed)
-
     def tick(self, tti: int) -> None:
         """TRAFFIC phase: generate and deliver this TTI's packets."""
         for wheel, uplink in ((self._dl_wheel, False), (self._ul_wheel, True)):
             for flow in wheel.pop(None, []) + wheel.pop(tti, []):
-                if not flow.active:
-                    continue
                 if not flow.enb.has_ue(flow.rnti):  # probe until attach
                     wheel.setdefault(tti + 1, []).append(flow)
                     continue

@@ -71,10 +71,6 @@ class TcpFlow:
         self._transmit = lambda size, tti: enb.enqueue_dl(rnti, size, tti, lcid)
         ue.on_delivery(self._on_radio_delivery)
 
-    def set_transmit(self, fn: Callable[[int, int], bool]) -> None:
-        """Custom transmit hook ``(size_bytes, tti) -> accepted``."""
-        self._transmit = fn
-
     def on_app_delivered(self, fn: Callable[[int, int], None]) -> None:
         """Register an application sink ``(nbytes, tti)`` (e.g. DASH)."""
         self._app_delivery_cbs.append(fn)
@@ -87,16 +83,12 @@ class TcpFlow:
             raise ValueError(f"bytes must be >= 0, got {nbytes}")
         self._app_backlog += nbytes
 
-    @property
-    def app_backlog(self) -> int:
-        return self._app_backlog
-
     # -- per-TTI engine -----------------------------------------------------
 
     def tick(self, tti: int) -> None:
         """Process acks, check the RTO, send what the window allows."""
         if self._transmit is None:
-            raise RuntimeError("TcpFlow used before wire()/set_transmit()")
+            raise RuntimeError("TcpFlow used before wire()")
         self._process_acks(tti)
         self._check_timeout(tti)
         self._send(tti)
@@ -174,11 +166,3 @@ class TcpFlow:
             self._last_ack_tti = tti  # back off before firing again
 
     # -- read-out -----------------------------------------------------------
-
-    def throughput_mbps(self, now: int) -> float:
-        """Goodput over the meter window ending at *now*, Mb/s."""
-        return self.meter.rate_mbps(now)
-
-    @property
-    def srtt_ms(self) -> Optional[float]:
-        return self._srtt_ms

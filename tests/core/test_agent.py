@@ -167,7 +167,7 @@ class TestCommands:
             cell_id=enb.cell().cell_id, target_tti=5,
             assignments=[DciSpec(rnti=rnti, n_prb=50, cqi_used=12)]))
         agent.tick_rx(0)
-        assert agent.mac.remote_stub.pending() == 1
+        assert len(agent.mac.remote_stub._store) == 1
 
     def test_expired_command_counted(self, wired):
         agent, enb, conn = wired
@@ -280,4 +280,4 @@ class TestRemoteStub:
         stub.store(10, 5, [], now=0)
         ctx = SchedulingContext(tti=100, n_prb=50, ues=[], cell_id=10)
         stub(ctx)
-        assert stub.pending() == 0
+        assert len(stub._store) == 0

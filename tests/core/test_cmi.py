@@ -82,7 +82,7 @@ class TestSwap:
         m.register_vsf("op_a", "two", lambda x: 2)
         m.activate("op_a", "one")
         # register auto-activated "one" (swap 1); explicit = 2 more.
-        assert m.describe()["operations"]["op_a"]["swaps"] >= 2
+        assert m._slots["op_a"].swaps >= 2
 
 
 class TestInvoke:
@@ -118,11 +118,3 @@ class TestPolicy:
         m.register_vsf("op_a", "plain", lambda x: x)
         with pytest.raises(CmiError):
             m.configure_vsf("op_a", {"threshold": 3})
-
-    def test_describe(self):
-        m = ToyModule()
-        m.register_vsf("op_a", "one", lambda x: 1)
-        desc = m.describe()
-        assert desc["module"] == "toy"
-        assert desc["operations"]["op_a"]["active"] == "one"
-        assert desc["operations"]["op_b"]["active"] is None

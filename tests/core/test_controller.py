@@ -7,7 +7,7 @@ from repro.core.agent import FlexRanAgent
 from repro.core.apps.base import App
 from repro.core.controller import MasterController
 from repro.core.controller.events import EventNotificationService
-from repro.core.controller.registry import AppState, RegistryService
+from repro.core.controller.registry import RegistryService
 from repro.core.controller.task_manager import TaskManager
 from repro.core.survive.supervisor import AppSupervisor, SupervisionPolicy
 from repro.core.protocol.messages import (
@@ -56,15 +56,6 @@ class TestRegistry:
         with pytest.raises(ValueError):
             reg.register(Recorder("x"))
 
-    def test_pause_resume(self):
-        reg = RegistryService()
-        reg.register(Recorder("x"))
-        reg.pause("x")
-        assert reg.runnable() == []
-        assert reg.registration("x").state is AppState.PAUSED
-        reg.resume("x")
-        assert len(reg.runnable()) == 1
-
     def test_descriptions_carry_the_declared_cost(self):
         reg = RegistryService()
         app = Recorder("x", cost_ms=0.25)
@@ -75,14 +66,6 @@ class TestRegistry:
         assert row["subscribed_events"] == ["ue_attach"]
         assert app.describe()["cost_ms"] == 0.25
         assert App.cost_ms == 0.0 and App.deadline_ms is None
-
-    def test_deregister(self):
-        reg = RegistryService()
-        reg.register(Recorder("x"))
-        reg.deregister("x")
-        assert reg.names() == []
-        with pytest.raises(KeyError):
-            reg.registration("x")
 
 
 class TestTaskManager:

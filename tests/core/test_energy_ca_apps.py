@@ -30,27 +30,26 @@ class TestDrxEnergyApp:
     def test_idle_ue_put_to_sleep(self):
         sim, enb, agent, ue, app = self.build(traffic=None)
         sim.run(3000)
-        assert app.sleeping_ues() == 1
-        state = enb.drx.state(ue.rnti)
-        assert state.enabled
+        assert len(app._drx_enabled) == 1
+        state = enb.drx.states[ue.rnti]
         # Awake fraction well below always-on over the DRX period.
-        assert state.awake_fraction() < 0.6
+        assert state.awake_ttis < 0.6 * (state.awake_ttis + state.asleep_ttis)
 
     def test_active_ue_stays_awake(self):
         sim, enb, agent, ue, app = self.build(
             traffic=CbrSource(5.0, start_tti=50))
         sim.run(3000)
-        assert app.sleeping_ues() == 0
-        assert not enb.drx.state(ue.rnti).enabled
+        assert len(app._drx_enabled) == 0
+        assert not enb.drx.is_configured(ue.rnti)
 
     def test_drx_lifted_when_traffic_resumes(self):
         # Quiet for 3 s, then traffic arrives.
         sim, enb, agent, ue, app = self.build(
             traffic=CbrSource(5.0, start_tti=3000))
         sim.run(2900)
-        assert app.sleeping_ues() == 1
+        assert len(app._drx_enabled) == 1
         sim.run(2000)
-        assert app.sleeping_ues() == 0
+        assert len(app._drx_enabled) == 0
         # Traffic flows at (near) full rate once DRX is lifted.
         assert ue.throughput_mbps(sim.now) > 4.0
 
@@ -81,26 +80,26 @@ class TestCarrierAggregationApp:
         # the app aggregates, and both carriers drain the queue.
         sim, enb, agent, ue, app = self.build(rate_mbps=30.0)
         sim.run(6000)
-        assert app.aggregated_ues() == 1
-        assert enb.active_scells(ue.rnti) == [11]
+        assert len(app._active) == 1
+        assert ue.rnti in enb.cells[11].ues
         # With the SCell the UE sustains the full 30 Mb/s offered load.
         assert ue.throughput_mbps(sim.now) > capacity_mbps(12, 50)
 
     def test_light_ue_not_aggregated(self):
         sim, enb, agent, ue, app = self.build(rate_mbps=2.0)
         sim.run(4000)
-        assert app.aggregated_ues() == 0
-        assert enb.active_scells(ue.rnti) == []
+        assert len(app._active) == 0
+        assert ue.rnti not in enb.cells[11].ues
 
     def test_scell_released_after_load_drops(self):
         sim, enb, agent, ue, app = self.build(rate_mbps=30.0)
         sim.run(4000)
-        assert app.aggregated_ues() == 1
+        assert len(app._active) == 1
         # Stop the traffic by replacing the source's stop time.
         sim.epc._downlink[0].source.stop_tti = sim.now
         sim.run(6000)
-        assert app.aggregated_ues() == 0
-        assert enb.active_scells(ue.rnti) == []
+        assert len(app._active) == 0
+        assert ue.rnti not in enb.cells[11].ues
         activations = [d for d in app.decisions if d.activated]
         releases = [d for d in app.decisions if not d.activated]
         assert len(activations) == 1 and len(releases) == 1

@@ -83,13 +83,13 @@ class NorthboundReader(App):
             for agent_id in nb.agent_ids():
                 nb.enable_sync(agent_id)
         self.seen[tti] = {
-            agent_id: (nb.agent_liveness(agent_id),
-                       nb.estimated_agent_tti(agent_id))
+            agent_id: (nb.rib.agent(agent_id).liveness,
+                       nb.rib.agent(agent_id).estimated_subframe(tti))
             for agent_id in nb.agent_ids()}
 
 
 class TestNorthboundReads:
-    """``agent_liveness`` / ``estimated_agent_tti`` from inside an
+    """An agent's liveness and estimated subframe, read from the RIB by an
     application, on a two-agent deployment 10 TTIs (one way) away."""
 
     def run(self):

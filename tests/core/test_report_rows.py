@@ -144,7 +144,7 @@ class TestExactnessOracle:
             def after(now, replies):
                 nonlocal compared, deltas, narrow
                 flags_of.update((sub.xid, sub.flags) for sub
-                                in agent.reports.active_subscriptions())
+                                in agent.reports._subscriptions.values())
                 fresh = {r.rnti: r for r in agent.api.get_ue_stats(now)}
                 for reply in replies:
                     shadow = shadows.setdefault(reply.header.xid, {})
@@ -465,7 +465,7 @@ class TestRetainedStateFollowsTheUe:
         for agent in agents:
             assert sorted(agent.api._records) == agent.enb.rntis()
             assert not agent.api._moving
-        (sub,) = agents[1].reports.active_subscriptions()
+        (sub,) = agents[1].reports._subscriptions.values()
         assert sub.sent == agents[1].api._records
         assert all(sub.sent[rnti] is record
                    for rnti, record in agents[1].api._records.items())

@@ -190,7 +190,7 @@ class TestMultiEnbSoak:
         idle = [u for i, u in enumerate(ues) if (i % 8) % 2 == 1]
         # Active UEs all got their traffic; idle UEs were put to sleep.
         assert all(u.rx_bytes_total > 100_000 for u in active)
-        assert energy.sleeping_ues() == len(idle)
+        assert len(energy._drx_enabled) == len(idle)
         # The monitor collected series for every UE.
         assert len(monitor.series) == 40
         # No task-manager starvation of either app.

@@ -133,7 +133,7 @@ class TestAgentFallback:
         agent.tick_rx(0)  # arms the supervisor
         for t in range(1, 80):
             agent.tick_tx(t)
-        assert not agent.connection.connected
+        assert agent.connection.state is not ConnectionState.CONNECTED
         assert agent.mac.active_name("dl_scheduling") == "local_rr"
         assert agent.mac.active_name("ul_scheduling") == "local_fair_ul"
 
@@ -161,7 +161,7 @@ class TestAgentFallback:
         # Master answers one of the reconnect probes.
         conn.master_side.send(EchoReply(), now=80)
         agent.tick_rx(80)
-        assert agent.connection.connected
+        assert agent.connection.state is ConnectionState.CONNECTED
         assert agent.mac.active_name("dl_scheduling") == "remote_stub"
         agent.tick_tx(81)
         hellos = [m for m in conn.master_side.receive(now=81)
@@ -232,10 +232,10 @@ class TestPartitionIntegration:
             echo_period_ttis=100, liveness_timeout_ttis=1500)
         sc.sim.run(2000)
         agent = sc.agents[0]
-        assert agent.connection.connected
+        assert agent.connection.state is ConnectionState.CONNECTED
         assert agent.connection.stats.disconnects == 0
         conn = sc.sim.connections[agent.agent_id]
-        assert conn.dropped_messages() > 0
+        assert sum(link.dropped_messages for link in conn.channel.links) > 0
 
 
 class TestRibGarbageCollection:

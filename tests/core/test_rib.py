@@ -91,12 +91,6 @@ class TestForestStructure:
         order = [(a.agent_id, u.rnti) for a, _, u in rib.all_ues()]
         assert order == [(1, 72), (2, 71), (2, 75)]
 
-    def test_find_ue(self, rib, updater):
-        updater.apply(1, config_reply(rntis=(70,)), now=0)
-        agent, cell, ue = rib.find_ue(70)
-        assert (agent.agent_id, cell.cell_id, ue.rnti) == (1, 10, 70)
-        assert rib.find_ue(99) is None
-
     def test_unknown_agent_rejected(self, rib):
         with pytest.raises(KeyError):
             rib.agent(9)

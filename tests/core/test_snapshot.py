@@ -11,7 +11,6 @@ from repro.core.survive.snapshot import (
     CheckpointStore,
     restore_master,
     restore_rib,
-    rib_forest_equal,
     rib_ground_truth_diff,
     snapshot_master,
     snapshot_rib,
@@ -45,7 +44,7 @@ class TestSnapshotRoundTrip:
         snap = snapshot_rib(rib)
         # The snapshot survives JSON serialization without loss.
         rebuilt = restore_rib(json.loads(json.dumps(snap)))
-        assert rib_forest_equal(rib, rebuilt)
+        assert snapshot_rib(rib) == snapshot_rib(rebuilt)
         # Deep content survived too, not just the topology.
         node = rebuilt.agent(1)
         assert node.cells[next(iter(node.cells))].config is not None
@@ -59,7 +58,7 @@ class TestSnapshotRoundTrip:
         sim.run(280)
         rebuilt = restore_rib(json.loads(json.dumps(
             snapshot_rib(sim.master.rib))))
-        assert rib_forest_equal(sim.master.rib, rebuilt)
+        assert snapshot_rib(sim.master.rib) == snapshot_rib(rebuilt)
         stats = [ue.stats for ue in rebuilt.agent(1).all_ues()]
         assert len(stats) == 3
         for record in stats:
@@ -82,21 +81,21 @@ class TestSnapshotRoundTrip:
             restore_master(fresh, stale)
         assert fresh.rib.ue_count() == 0        # nothing was restored
         restore_master(fresh, json.loads(json.dumps(snapshot)))
-        assert rib_forest_equal(fresh.rib, sim.master.rib)
+        assert snapshot_rib(fresh.rib) == snapshot_rib(sim.master.rib)
 
     def test_forest_inequality_detected(self):
         sim, _, _ = populated_sim()
         sim.run(300)
         rebuilt = restore_rib(snapshot_rib(sim.master.rib))
         rebuilt.agent(1).cells.popitem()
-        assert not rib_forest_equal(sim.master.rib, rebuilt)
+        assert snapshot_rib(sim.master.rib) != snapshot_rib(rebuilt)
 
     def test_checkpoint_store_ring(self):
         sim, _, _ = populated_sim(checkpoint_period_ttis=50)
         sim.run(400)
         store = sim.master.checkpoints
         assert store.taken >= 7
-        assert len(store) <= store.keep
+        assert len(store._snapshots) <= store.keep
         latest = store.latest()
         assert latest["tti"] % 50 == 0
         assert latest["xid"] == sim.master._xid

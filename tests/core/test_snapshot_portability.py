@@ -18,7 +18,6 @@ from repro.core.controller.master import MasterController
 from repro.core.survive.snapshot import (
     merge_rib_subset,
     restore_rib,
-    rib_forest_equal,
     snapshot_master,
     snapshot_rib,
     snapshot_rib_subset,
@@ -103,8 +102,7 @@ class TestCrossProcessRestore:
         echoed = json.loads(proc.stdout)
         # The forest the child rebuilt is bit-identical to ours.
         assert echoed["agents"] == snapshot["agents"]
-        assert rib_forest_equal(
-            restore_rib(echoed["agents"]), sim.master.rib)
+        assert snapshot_rib(restore_rib(echoed["agents"])) == snapshot_rib(sim.master.rib)
         # Transaction state crossed over too: the child's xid counter
         # continued from (not behind) the snapshot.
         assert echoed["xid"] >= snapshot["xid"]
@@ -119,4 +117,4 @@ class TestCrossProcessRestore:
             json.dumps(snapshot_master(sim.master, sim.now)))
         fresh = MasterController()
         restore_master(fresh, snapshot)
-        assert rib_forest_equal(fresh.rib, sim.master.rib)
+        assert snapshot_rib(fresh.rib) == snapshot_rib(sim.master.rib)

@@ -42,7 +42,7 @@ class TestVarint:
     def test_known_sizes(self, value, size):
         w = Writer()
         w.varint(value)
-        assert len(w) == size
+        assert len(w.getvalue()) == size
 
     def test_negative_rejected(self):
         with pytest.raises(EncodeError):
@@ -75,7 +75,7 @@ class TestSvarint:
     def test_small_negatives_compact(self):
         w = Writer()
         w.svarint(-1)
-        assert len(w) == 1
+        assert len(w.getvalue()) == 1
 
 
 class TestCompound:

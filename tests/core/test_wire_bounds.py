@@ -89,7 +89,7 @@ class TestVarintEncodeBound:
     def test_max_value_roundtrips_in_ten_bytes(self):
         w = Writer()
         w.varint(VARINT_MAX)
-        assert len(w) == 10
+        assert len(w.getvalue()) == 10
         assert Reader(w.getvalue()).varint() == VARINT_MAX
 
     @pytest.mark.parametrize("value", [VARINT_MAX + 1, 2 ** 80])

@@ -20,7 +20,7 @@ def dequeue_per_bearer(rlc: RlcEntity, max_bytes: int, tti: int, *,
     """*rlc*'s bearers drained in LCID order up to *max_bytes*."""
     taken: Dict[int, int] = {}
     remaining = max_bytes
-    order = rlc.queues.lcids()
+    order = sorted(rlc.queues.by_lcid)
     if prefer_lcid is not None and prefer_lcid in order:
         srbs = [lcid for lcid in order if lcid < 3]
         drbs = [lcid for lcid in order if lcid >= 3 and lcid != prefer_lcid]

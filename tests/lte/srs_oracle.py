@@ -14,7 +14,7 @@ every call.  A replaced channel object of a served UE is one record
 of its own, at the replacement.
 
 The oracle reads the cell's ``ues``, ``cell_id`` and
-``interference_source`` and nothing else; its knowledge, due-heap and
+``_interference_source`` and nothing else; its knowledge, due-heap and
 listener are its own.
 """
 
@@ -54,7 +54,7 @@ class EveryPeriodSrs:
 
     def refresh_cqi(self, tti: int, *, force: bool = False) -> None:
         ues = self.cell.ues
-        has_aggressor = self.cell.interference_source is not None
+        has_aggressor = self.cell._interference_source is not None
         if force:
             for rnti, ue in ues.items():
                 self._refresh_one(rnti, ue, tti, has_aggressor)

@@ -27,7 +27,8 @@ from repro.lte.mac.qos import QosProfile
 from repro.lte.pdcp import PdcpEntity
 from repro.lte.phy.channel import FixedCqi
 from repro.lte.rlc import RlcEntity
-from repro.lte.rrc import ATTACH_SIGNALLING_BYTES, RA_DELAY_TTIS, RrcEntity
+from repro.lte.rrc import (
+    ATTACH_SIGNALLING_BYTES, RA_DELAY_TTIS, RrcEntity, RrcState)
 from repro.lte.ue import Ue
 from repro.lte.view_cache import REFRESHER_OF_KIND
 from tests.sim.context_oracle import UE_VIEW_FIELDS
@@ -127,14 +128,13 @@ CHANGES = {
 
 # (factory, call that reads the entity or leaves it as it was)
 READS = {
-    "rlc.buffer_bytes": (_rlc, lambda rlc: rlc.buffer_bytes()),
-    "rlc.buffer_bytes(absent bearer)": (
-        lambda hook: RlcEntity(RNTI, hook), lambda rlc: rlc.buffer_bytes(7)),
+    "rlc.backlog": (_rlc, lambda rlc: rlc.backlog()),
+    "rlc.sizes(absent bearer)": (
+        lambda hook: RlcEntity(RNTI, hook), lambda rlc: rlc.sizes().get(7)),
     "rlc.dequeue_priority(empty)": (
         lambda hook: RlcEntity(RNTI, hook),
         lambda rlc: rlc.dequeue_priority(300, 1)),
     "rlc.requeue_front(0)": (_rlc, lambda rlc: rlc.requeue_front(0, 1, 3)),
-    "pdcp.tx_sn": (_pdcp, lambda pdcp: pdcp.tx_sn(3)),
     "pdcp.egress(0)": (_pdcp, lambda pdcp: pdcp.egress(3, 0)),
     "harq.pending_retx": (_nacked, lambda harq: harq.pending_retx(8)),
     "harq.free_process": (_nacked, lambda harq: harq.free_process()),
@@ -315,7 +315,7 @@ def connected_enb(cells=(10,), n_ues=2):
              for i in range(n_ues)]
     for t in range(40):
         enb.tick(t)
-    assert all(enb.rrc.is_connected(r) for r in rntis)
+    assert all(enb.rrc.state_of(r) is RrcState.CONNECTED for r in rntis)
     return enb, rntis
 
 
@@ -342,7 +342,7 @@ class TestSettling:
         enb, rntis = connected_enb()
         seq = enb.change_seq
         enb.build_context(10, 40)
-        enb.queue_bytes(rntis[0])
+        enb.rlc[rntis[0]].backlog()
         AgentDataPlaneApi(enb).get_ue_stats(40)
         assert enb.change_seq == seq
 
@@ -351,13 +351,13 @@ class TestSettling:
         rlc = enb.rlc[rnti]
         before = dict(rlc.sizes())
         seq = enb.change_seq
-        assert enb.queue_bytes(rnti, 7) == 0
-        assert enb.queue_bytes(rnti, -4) == 0
+        assert rlc.sizes().get(7, 0) == 0
+        assert rlc.sizes().get(-4, 0) == 0
         assert rlc.dequeue(500, 40, 5) == 0
         assert rlc.sizes() == rlc.queues.sizes() == before
         assert enb.change_seq == seq
         fresh = RlcEntity(RNTI, set().add)
-        assert fresh.buffer_bytes(7) == 0
+        assert fresh.sizes().get(7, 0) == 0
         assert fresh.sizes() == fresh.queues.sizes() == {}
 
     def test_a_change_after_the_last_build_is_read_without_a_plan(self):
@@ -385,7 +385,8 @@ class TestSettling:
             enb.build_context(cell_id, 40)
         caches = enb._view_cache
         before = {c: replace(caches[c]._views[rnti]) for c in caches}
-        enb.rlc[rnti].queue(3).push(300, 40)
+        enb.rlc[rnti].queues.queue(3).push(300, 40)
+        enb.rlc[rnti]._backlog = None  # a write nobody records
         enb.ue(rnti).ul_backlog_bytes += 500
         seq = enb.change_seq
         change, reread = KIND_REREADS[kind]

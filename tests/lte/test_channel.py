@@ -11,10 +11,8 @@ from repro.lte.phy.channel import (
     FixedSinr,
     GaussMarkovSinr,
     InterferenceChannel,
-    PathlossChannel,
     SquareWaveCqi,
     TraceCqi,
-    channel_for_cqi,
 )
 from repro.lte.phy.cqi import sinr_to_cqi
 
@@ -28,9 +26,6 @@ class TestFixedChannels:
     def test_fixed_sinr_constant(self):
         ch = FixedSinr(10.0)
         assert ch.sinr_db(0) == ch.sinr_db(123456) == 10.0
-
-    def test_channel_for_cqi_helper(self):
-        assert channel_for_cqi(9).cqi(0) == 9
 
     def test_sinr_consistent_with_cqi(self):
         ch = FixedCqi(11)
@@ -123,31 +118,6 @@ class TestGaussMarkov:
             GaussMarkovSinr(10.0, reversion=0.0)
         with pytest.raises(ValueError):
             GaussMarkovSinr(10.0, sigma_db=-1.0)
-
-
-class TestPathloss:
-    def test_sinr_decreases_with_distance(self):
-        near = PathlossChannel(ue_xy=(200.0, 0.0))
-        far = PathlossChannel(ue_xy=(2000.0, 0.0))
-        assert near.sinr_db(0) > far.sinr_db(0)
-
-    def test_position_callback(self):
-        ch = PathlossChannel(position_fn=lambda tti: (100.0 + tti, 0.0))
-        assert ch.sinr_db(0) > ch.sinr_db(5000)
-
-    def test_set_position(self):
-        ch = PathlossChannel(ue_xy=(100.0, 0.0))
-        before = ch.sinr_db(0)
-        ch.set_position((3000.0, 0.0))
-        assert ch.sinr_db(0) < before
-
-    def test_shadowing_redrawn_per_block(self):
-        ch = PathlossChannel(ue_xy=(500.0, 0.0), shadowing_db=8.0, seed=5)
-        # Same 100 ms block -> same shadowing -> same SINR.
-        assert ch.sinr_db(10) == ch.sinr_db(20)
-        # Values across many blocks differ (shadowing varies).
-        values = {round(ch.sinr_db(t * 100), 6) for t in range(20)}
-        assert len(values) > 1
 
 
 class TestInterference:

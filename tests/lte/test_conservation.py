@@ -26,7 +26,8 @@ def accounted_bytes(enb, rnti):
     second time.  HARQ buffers count on every carrier serving the UE.
     """
     ue = enb.ue(rnti)
-    carriers = {enb.primary_cell(rnti).cell_id, *enb.active_scells(rnti)}
+    carriers = {cell_id for cell_id, cell in enb.cells.items()
+                if rnti in cell.ues}
     delivered_unacked = {
         (c, r, p) for (_, c, r, p, ok) in enb._pending_feedback if ok}
     in_harq_failed = sum(
@@ -37,7 +38,7 @@ def accounted_bytes(enb, rnti):
     rlc = enb.rlc[rnti]
     # SRB signalling is injected by RRC, not by the traffic source, so
     # track only the data bearer (lcid 3).
-    drb = rlc.queue(3)
+    drb = rlc.queues.queue(3)
     return (ue.rx_bytes_total + drb.size_bytes + in_harq_failed
             + drb.dropped_bytes)
 

@@ -5,10 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.lte.constants import CQI_SINR_THRESHOLDS_DB, CQI_TABLE
 from repro.lte.phy.cqi import (
-    clamp_cqi,
-    cqi_efficiency,
     cqi_to_sinr_floor,
-    degrade_cqi,
     sinr_to_cqi,
     validate_cqi,
 )
@@ -79,37 +76,10 @@ class TestValidation:
                       Level.LOW, Level.HUGE, 10 ** 30):
             assert verdict(validate_cqi, value) == verdict(reference, value)
 
-    def test_clamp(self):
-        assert clamp_cqi(-5) == 0
-        assert clamp_cqi(99) == 15
-        assert clamp_cqi(7) == 7
-
 
 class TestEfficiency:
-    def test_matches_standard_table(self):
-        assert cqi_efficiency(15) == pytest.approx(5.5547)
-        assert cqi_efficiency(1) == pytest.approx(0.1523)
-
-    def test_strictly_increasing(self):
-        effs = [cqi_efficiency(c) for c in range(1, 16)]
-        assert all(a < b for a, b in zip(effs, effs[1:]))
-
-    def test_cqi0_has_zero_efficiency(self):
-        assert cqi_efficiency(0) == 0.0
 
     def test_modulation_orders(self):
         assert CQI_TABLE[6].modulation == "QPSK"
         assert CQI_TABLE[7].modulation == "16QAM"
         assert CQI_TABLE[10].modulation == "64QAM"
-
-
-class TestDegrade:
-    def test_degrade_steps(self):
-        assert degrade_cqi(10, 3) == 7
-
-    def test_degrade_clamps_at_zero(self):
-        assert degrade_cqi(2, 9) == 0
-
-    def test_negative_steps_rejected(self):
-        with pytest.raises(ValueError):
-            degrade_cqi(10, -1)

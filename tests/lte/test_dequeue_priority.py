@@ -53,7 +53,7 @@ def test_dequeue_priority_matches_the_per_bearer_oracle(bearers, program,
                     for record in records)
     for rlc in (mine, oracle):
         for lcid in bearers:
-            rlc.queue(lcid)  # instantiated, empty
+            rlc.queues.queue(lcid)  # instantiated, empty
     for tti, (op, *args) in enumerate(program):
         if op == "drain":
             budget, prefer = args

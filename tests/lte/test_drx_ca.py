@@ -7,6 +7,7 @@ from repro.lte.enodeb import EnodeB
 from repro.lte.mac.drx import DrxConfig, DrxManager, DrxState
 from repro.lte.phy.channel import FixedCqi
 from repro.lte.phy.tbs import capacity_mbps
+from repro.lte.rrc import RrcState
 from repro.lte.ue import Ue
 
 
@@ -39,7 +40,6 @@ class TestDrxState:
             state.account(t)
         assert state.awake_ttis == 20
         assert state.asleep_ttis == 80
-        assert state.awake_fraction() == pytest.approx(0.2)
 
     @pytest.mark.parametrize("kw", [
         dict(cycle_ttis=0),
@@ -59,11 +59,24 @@ class TestDrxManager:
     def test_configure_and_disable(self):
         mgr = DrxManager(set().add)
         mgr.configure(70, DrxConfig(cycle_ttis=10, on_duration_ttis=2))
-        assert mgr.enabled_rntis() == [70]
+        assert list(mgr.states) == [70]
         assert not mgr.is_awake(70, 5)
         mgr.configure(70, None)
         assert mgr.is_awake(70, 5)
-        assert mgr.enabled_rntis() == []
+        assert mgr.states == {}
+
+    def test_reading_a_state_never_enrols_the_ue(self):
+        # Regression: the per-UE lookup used to create a DrxState on
+        # read, so one read after DRX was disabled made the UE
+        # configured again, charged by account_all every TTI.
+        mgr = DrxManager(set().add)
+        mgr.configure(5, DrxConfig())
+        mgr.configure(5, None)
+        assert mgr.states.get(5) is None
+        assert not mgr.is_configured(5)
+        mgr.account_all(0)
+        assert mgr.states == {}
+        assert mgr.retired_awake_ttis + mgr.retired_asleep_ttis == 0
 
     def test_disable_drops_state_and_folds_energy_totals(self):
         # Regression: disabling DRX used to leave a zombie DrxState in
@@ -74,13 +87,13 @@ class TestDrxManager:
                                     inactivity_ttis=0))
         for tti in range(40):
             mgr.account_all(tti)
-        state = mgr._states[70]
+        state = mgr.states[70]
         awake, asleep = state.awake_ttis, state.asleep_ttis
         assert asleep > 0
         mgr.configure(70, None)
         # State dropped entirely: the per-TTI accounting loop must not
         # keep paying for a UE whose DRX is off.
-        assert 70 not in mgr._states
+        assert 70 not in mgr.states
         assert not mgr.is_configured(70)
         # ... but the energy totals survive in the retired counters.
         assert mgr.retired_awake_ttis == awake
@@ -88,11 +101,11 @@ class TestDrxManager:
         # Re-enabling starts fresh accounting; a later detach folds too.
         mgr.configure(70, DrxConfig(cycle_ttis=10, on_duration_ttis=2,
                                     inactivity_ttis=0))
-        assert mgr._states[70].awake_ttis == 0
+        assert mgr.states[70].awake_ttis == 0
         for tti in range(10):
             mgr.account_all(tti)
         mgr.remove(70)
-        assert 70 not in mgr._states
+        assert 70 not in mgr.states
         assert mgr.retired_awake_ttis + mgr.retired_asleep_ttis \
             == awake + asleep + 10
 
@@ -105,7 +118,7 @@ class TestEnodebDrx:
         # Complete attachment before enabling DRX.
         for t in range(60):
             enb.tick(t)
-        assert enb.rrc.is_connected(rnti)
+        assert enb.rrc.state_of(rnti) is RrcState.CONNECTED
         return enb, ue, rnti
 
     def test_sleeping_ue_not_scheduled(self):
@@ -129,8 +142,8 @@ class TestEnodebDrx:
                                     inactivity_ttis=10))
         for t in range(60, 2060):
             enb.tick(t)
-        state = enb.drx.state(rnti)
-        assert state.awake_fraction() < 0.2
+        state = enb.drx.states[rnti]
+        assert state.awake_ttis < 0.2 * (state.awake_ttis + state.asleep_ttis)
 
     def test_unknown_rnti_rejected(self):
         enb = EnodeB(1)
@@ -168,9 +181,9 @@ class TestCarrierAggregation:
     def test_deactivation_returns_to_single_carrier(self):
         enb, ue, rnti = self.build()
         enb.activate_scell(rnti, 11, tti=60)
-        assert enb.active_scells(rnti) == [11]
+        assert rnti in enb.cells[11].ues
         enb.deactivate_scell(rnti, 11)
-        assert enb.active_scells(rnti) == []
+        assert rnti not in enb.cells[11].ues
         assert rnti not in enb.cells[11].ues
         # Primary serving relationship is untouched.
         assert ue.serving_cell_id == 10
@@ -179,7 +192,7 @@ class TestCarrierAggregation:
         enb, ue, rnti = self.build()
         enb.activate_scell(rnti, 11, tti=60)
         enb.activate_scell(rnti, 11, tti=61)
-        assert enb.active_scells(rnti) == [11]
+        assert rnti in enb.cells[11].ues
 
     def test_pcell_cannot_be_scell(self):
         enb, ue, rnti = self.build()

@@ -8,6 +8,7 @@ from repro.lte.mac.amc import ErrorModel
 from repro.lte.mac.dci import DlAssignment, SchedulingContext
 from repro.lte.phy.channel import FixedCqi, SquareWaveCqi
 from repro.lte.phy.tbs import capacity_mbps
+from repro.lte.rrc import RrcState
 from repro.lte.ue import Ue
 
 
@@ -28,7 +29,7 @@ class TestAttachment:
         assert ue.rnti == rnti
         assert EnbEventType.RANDOM_ACCESS in events
         drive(enb, 100)
-        assert enb.rrc.is_connected(rnti)
+        assert enb.rrc.state_of(rnti) is RrcState.CONNECTED
         assert EnbEventType.UE_ATTACHED in events
 
     def test_attach_requires_scheduler(self):
@@ -39,7 +40,7 @@ class TestAttachment:
         enb.subscribe(lambda ev: events.append(ev.type))
         rnti = enb.attach_ue(Ue("001", FixedCqi(15)), tti=0)
         drive(enb, 2100)
-        assert not enb.rrc.is_connected(rnti)
+        assert enb.rrc.state_of(rnti) is not RrcState.CONNECTED
         assert EnbEventType.ATTACH_FAILED in events
 
     def test_detach_cleans_state(self):

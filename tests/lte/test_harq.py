@@ -18,14 +18,14 @@ def start_block(entity, tti=0, **kw):
 class TestHarqEntity:
     def test_all_processes_initially_free(self):
         e = HarqEntity(70, set().add)
-        assert e.busy_count() == 0
+        assert sum(p.busy for p in e.processes) == 0
         assert e.free_process().pid == 0
 
     def test_start_occupies_process(self):
         e = HarqEntity(70, set().add)
         proc = start_block(e)
         assert proc.busy and proc.attempt == 1
-        assert e.busy_count() == 1
+        assert sum(p.busy for p in e.processes) == 1
 
     def test_exhausting_processes(self):
         e = HarqEntity(70, set().add)
@@ -39,7 +39,7 @@ class TestHarqEntity:
         e = HarqEntity(70, set().add)
         proc = start_block(e)
         assert e.feedback(proc.pid, ok=True) is None
-        assert e.busy_count() == 0
+        assert sum(p.busy for p in e.processes) == 0
         assert e.acked_blocks == 1
 
     def test_nack_marks_retx(self):
@@ -81,7 +81,7 @@ class TestHarqEntity:
         assert drop is not None
         assert drop.payload_bytes == 1000
         assert e.dropped_blocks == 1
-        assert e.busy_count() == 0
+        assert sum(p.busy for p in e.processes) == 0
 
     def test_unexpected_feedback_rejected(self):
         e = HarqEntity(70, set().add)
@@ -100,7 +100,7 @@ class TestHarqEntity:
         p1 = start_block(e, tti=1, payload_bytes=500)
         assert p0.pid != p1.pid
         e.feedback(p0.pid, ok=True)
-        assert e.busy_count() == 1
+        assert sum(p.busy for p in e.processes) == 1
         assert e.processes[p1.pid].payload_bytes == 500
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.lte.enodeb import EnodeB
 from repro.lte.mac.dci import SchedulingContext, UeView
-from repro.lte.mac.qos import QosProfile, QosScheduler, parse_bearer_config
+from repro.lte.mac.qos import QosProfile, QosScheduler
 from repro.lte.phy.channel import FixedCqi
 from repro.lte.phy.tbs import capacity_mbps
 from repro.lte.ue import Ue
@@ -31,17 +31,6 @@ class TestQosProfile:
         assert QosProfile(qci=1, gbr_mbps=0.1).priority == 2
         assert QosProfile(qci=5).priority == 1
         assert QosProfile(qci=9).priority == 9
-
-    def test_parse_bearer_config(self):
-        rnti, lcid, profile = parse_bearer_config("70:4:1:2000")
-        assert (rnti, lcid) == (70, 4)
-        assert profile.qci == 1
-        assert profile.gbr_mbps == pytest.approx(2.0)
-        rnti, lcid, profile = parse_bearer_config("71:3:9")
-        assert profile.gbr_mbps is None
-        with pytest.raises(ValueError):
-            parse_bearer_config("70:4")
-
 
 def view(rnti, queues, cqi=10, **labels):
     return UeView(rnti=rnti, queue_bytes=sum(queues.values()), cqi=cqi,

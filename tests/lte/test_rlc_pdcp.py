@@ -17,15 +17,15 @@ class TestPdcp:
         pdcp = PdcpEntity(70, set().add)
         for _ in range(PDCP_SN_MODULUS + 2):
             pdcp.ingress(3, 10)
-        assert pdcp.tx_sn(3) == 2
+        assert pdcp._tx_sn[3] == 2
 
     def test_per_bearer_sequencing(self):
         pdcp = PdcpEntity(70, set().add)
         pdcp.ingress(3, 10)
         pdcp.ingress(4, 10)
         pdcp.ingress(4, 10)
-        assert pdcp.tx_sn(3) == 1
-        assert pdcp.tx_sn(4) == 2
+        assert pdcp._tx_sn[3] == 1
+        assert pdcp._tx_sn[4] == 2
 
     def test_egress_strips_header(self):
         pdcp = PdcpEntity(70, set().add)
@@ -49,10 +49,10 @@ class TestRlc:
     def test_enqueue_dequeue(self):
         rlc = RlcEntity(70, set().add)
         assert rlc.enqueue(1000, tti=0)
-        assert rlc.buffer_bytes() == 1000
+        assert rlc.backlog()[1] == 1000
         got = rlc.dequeue(500, tti=1, lcid=DEFAULT_LCID)
         assert got == 500 - RLC_HEADER_BYTES
-        assert rlc.buffer_bytes() == 1000 - got
+        assert rlc.backlog()[1] == 1000 - got
 
     def test_tiny_budget_yields_nothing(self):
         rlc = RlcEntity(70, set().add)
@@ -92,7 +92,7 @@ class TestRlc:
         rlc = RlcEntity(70, set().add)
         rlc.enqueue(100, 0)
         rlc.requeue_front(40, 1, DEFAULT_LCID)
-        assert rlc.buffer_bytes() == 140
+        assert rlc.backlog()[1] == 140
         assert rlc.stats.requeued_bytes == 40
 
     @given(st.lists(st.integers(min_value=1, max_value=3000), max_size=30),
@@ -104,4 +104,4 @@ class TestRlc:
         for budget in outs:
             rlc.dequeue(budget, 0, DEFAULT_LCID)
         assert (rlc.stats.bytes_in
-                == rlc.stats.bytes_out + rlc.buffer_bytes())
+                == rlc.stats.bytes_out + rlc.backlog()[1])

@@ -40,9 +40,9 @@ class TestAttach:
         rrc.start_attach(70, 0)
         rrc.setup_due(70, RA_DELAY_TTIS)
         rrc.srb_delivered(70, ATTACH_SIGNALLING_BYTES - 1, 20)
-        assert not rrc.is_connected(70)
+        assert rrc.state_of(70) is not RrcState.CONNECTED
         rrc.srb_delivered(70, 1, 21)
-        assert rrc.is_connected(70)
+        assert rrc.state_of(70) is RrcState.CONNECTED
         assert rrc.context(70).connected_tti == 21
 
     def test_timeout_fails_attach(self, rrc):
@@ -94,7 +94,7 @@ class TestLifecycle:
     def test_contexts_sorted(self, rrc):
         rrc.start_attach(75, 0)
         rrc.start_attach(71, 0)
-        assert [c.rnti for c in rrc.contexts()] == [71, 75]
+        assert sorted(rrc._contexts) == [71, 75]
 
     def test_unknown_rnti_rejected(self, rrc):
         with pytest.raises(KeyError):

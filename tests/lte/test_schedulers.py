@@ -178,7 +178,7 @@ class TestProportionalFair:
                 assert [a for a in out if a.rnti in {u.rnti for u in members}] \
                     == want
         for op, members in (("mno", mno), ("mvno", mvno)):
-            avg = sched.inner_scheduler(op)._avg_rate
+            avg = sched._inner[op]._avg_rate
             assert set(avg) == {u.rnti for u in members}
             assert hexed(avg) == hexed(oracle[op])
 
@@ -264,8 +264,8 @@ class TestSliced:
     def test_per_slice_policies(self):
         sched = SlicedScheduler({"mno": 0.5, "mvno": 0.5},
                                 policies={"mvno": "group_based"})
-        assert isinstance(sched.inner_scheduler("mvno"), GroupScheduler)
-        assert isinstance(sched.inner_scheduler("mno"), FairShareScheduler)
+        assert isinstance(sched._inner["mvno"], GroupScheduler)
+        assert isinstance(sched._inner["mno"], FairShareScheduler)
 
 
 class TestGroup:

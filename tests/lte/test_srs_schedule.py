@@ -113,7 +113,7 @@ class Deployment:
             self.cells[PCELL].add_ue(rnti, self.ues[rnti], tti)
             return
         if kind == "aggressor":
-            self.cells[args[0]].cell.interference_source = (
+            self.cells[args[0]].cell.set_interference_source(
                 self.aggressor if args[1] else None)
             return
         if kind == "force":
@@ -223,7 +223,7 @@ def test_interferer_rearms_parked_ues_on_their_grid():
     for tti in range(3, 48):
         cell.refresh_cqi(tti)
     assert channel.reads == 1
-    cell.interference_source = Cell(CellConfig(cell_id=20), set().add)
+    cell.set_interference_source(Cell(CellConfig(cell_id=20), set().add))
     for tti in range(48, 54):
         cell.refresh_cqi(tti)
         # 3 + 5 * 10: the first grid instant after the change.
@@ -232,7 +232,7 @@ def test_interferer_rearms_parked_ues_on_their_grid():
     for tti in range(54, 74):
         cell.refresh_cqi(tti)
     assert channel.reads == 1 + 2 * 3
-    cell.interference_source = None
+    cell.set_interference_source(None)
     for tti in range(74, 200):
         cell.refresh_cqi(tti)
     assert cell.cqi_updated_tti[70] == 83  # parked again at the next report
@@ -299,8 +299,8 @@ def test_forced_refresh_rereads_after_a_change_within_the_tti():
     first = Ue("001", InterferenceChannel(20.0, 2.0))
     shadowed.add_ue(70, first, 5)
     clear = shadowed.cell.known_cqi[70]
-    shadowed.cell.interference_source = Cell(CellConfig(cell_id=20),
-                                             set().add)
+    shadowed.cell.set_interference_source(Cell(CellConfig(cell_id=20),
+                                               set().add))
     shadowed.add_ue(71, Ue("002", FixedCqi(7)), 5)
     assert shadowed.cell.known_cqi[70] < clear
     first.channel = FixedCqi(3)

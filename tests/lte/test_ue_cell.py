@@ -97,9 +97,9 @@ class TestCell:
         ue = Ue("001", FixedCqi(10))
         cell.add_ue(70, ue)
         assert ue.serving_cell_id == 10
-        assert cell.rntis() == [70]
+        assert sorted(cell.ues) == [70]
         assert cell.remove_ue(70) is ue
-        assert cell.rntis() == []
+        assert sorted(cell.ues) == []
 
     def test_duplicate_rnti_rejected(self):
         cell = self.make_cell()
@@ -131,7 +131,7 @@ class TestCell:
     def test_interference_scheduling_cqi(self):
         aggressor = Cell(CellConfig(cell_id=20), set().add)
         victim = self.make_cell()
-        victim.interference_source = aggressor
+        victim.set_interference_source(aggressor)
         ue = Ue("001", InterferenceChannel(
             cqi_to_sinr_floor(12) + 0.1, cqi_to_sinr_floor(2) + 0.1))
         victim.add_ue(70, ue)
@@ -146,7 +146,7 @@ class TestCell:
     def test_actual_cqi_depends_on_real_transmission(self):
         aggressor = Cell(CellConfig(cell_id=20), set().add)
         victim = self.make_cell()
-        victim.interference_source = aggressor
+        victim.set_interference_source(aggressor)
         ue = Ue("001", InterferenceChannel(
             cqi_to_sinr_floor(12) + 0.1, cqi_to_sinr_floor(2) + 0.1))
         victim.add_ue(70, ue)

@@ -13,6 +13,7 @@ from repro.lte.phy.channel import FixedCqi
 from repro.lte.enodeb import EnodeB
 from repro.lte.mac.drx import DrxConfig
 from repro.lte.mac.qos import QosProfile
+from repro.lte.rrc import RrcState
 from repro.lte.ue import Ue
 
 
@@ -25,7 +26,7 @@ def build_enb(n_ues=3, cqi=12):
     for t in range(60):
         enb.tick(t)
     for rnti in rntis:
-        assert enb.rrc.is_connected(rnti)
+        assert enb.rrc.state_of(rnti) is RrcState.CONNECTED
     return enb, rntis
 
 
@@ -51,7 +52,8 @@ class TestDirtyRefresh:
         enb.enqueue_dl(rntis[0], 500, 61)
         # Bypass the RLC entity for the other UE: with no change
         # recorded its view must stay as it was.
-        enb.rlc[rntis[1]].queue(3).push(300, 61)
+        enb.rlc[rntis[1]].queues.queue(3).push(300, 61)
+        enb.rlc[rntis[1]]._backlog = None
         views, backlogged, _, _ = build(enb, 62)
         by_rnti = {v.rnti: v for v in views}
         assert by_rnti[rntis[0]] is before[rntis[0]]  # mutated in place
@@ -83,8 +85,8 @@ class TestBacklogMemos:
         build(enb, 61)
         # Drain through the RLC entity alone: it records the change.
         rlc = enb.rlc[rntis[0]]
-        while rlc.buffer_bytes() > 0:
-            rlc.dequeue(rlc.buffer_bytes() + 64, 61, 3)
+        while rlc.backlog()[1] > 0:
+            rlc.dequeue(rlc.backlog()[1] + 64, 61, 3)
         _, backlogged, _, _ = build(enb, 62)
         assert backlogged == []
 

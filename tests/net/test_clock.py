@@ -31,40 +31,6 @@ class TestSimClock:
         assert seen == [0, 1, 2, 3, 4]
         assert clock.now == 5
 
-    def test_subframe_and_frame(self):
-        clock = SimClock()
-        clock.run(23)
-        assert clock.subframe == 3
-        assert clock.frame == 2
-        assert clock.now_ms == 23.0
-
-    def test_run_ms(self):
-        clock = SimClock()
-        clock.run_ms(10.0)
-        assert clock.now == 10
-
     def test_negative_run_rejected(self):
         with pytest.raises(ValueError):
             SimClock().run(-1)
-
-    def test_unregister(self):
-        clock = SimClock()
-        seen = []
-        fn = seen.append
-        clock.register(Phase.POST, fn)
-        clock.tick()
-        clock.unregister(Phase.POST, fn)
-        clock.unregister(Phase.POST, fn)  # second removal is a no-op
-        clock.tick()
-        assert seen == [0]
-
-    def test_stop_from_callback(self):
-        clock = SimClock()
-
-        def stopper(t):
-            if t == 2:
-                clock.stop()
-
-        clock.register(Phase.POST, stopper)
-        clock.run(100)
-        assert clock.now == 3  # stops after completing tti 2

@@ -102,7 +102,7 @@ class TestPartition:
         chan.partition(10, 20)
         assert chan.uplink.send("up", 10, now=12) == -1
         assert chan.downlink.send("down", 10, now=12) == -1
-        assert chan.dropped_messages() == 2
+        assert sum(link.dropped_messages for link in chan.links) == 2
         assert chan.uplink.send("up2", 10, now=20) == 20
 
     def test_empty_partition_window_rejected(self):
@@ -129,7 +129,7 @@ class TestConnectionFaults:
         conn.partition(5, 10)
         conn.agent_side.send(EchoRequest(header=Header(xid=1)), now=6)
         assert conn.master_side.receive(now=50) == []
-        assert conn.dropped_messages() == 1
+        assert sum(link.dropped_messages for link in conn.channel.links) == 1
         conn.agent_side.send(EchoRequest(header=Header(xid=2)), now=11)
         got = conn.master_side.receive(now=50)
         assert len(got) == 1 and got[0].header.xid == 2
@@ -139,7 +139,7 @@ class TestConnectionFaults:
         conn.set_loss(1.0)
         from repro.core.protocol.messages import EchoRequest, Header
         conn.agent_side.send(EchoRequest(header=Header(xid=1)), now=0)
-        assert conn.dropped_messages() == 1
+        assert sum(link.dropped_messages for link in conn.channel.links) == 1
         conn.set_loss(0.0)
         conn.set_jitter_ms(5.0)  # validates and installs on both links
         conn.agent_side.send(EchoRequest(header=Header(xid=2)), now=10)

@@ -93,9 +93,11 @@ class TestDuplexChannel:
         chan = DuplexChannel(rtt_ms=20)
         assert chan.uplink.one_way_latency_ttis == 10
         assert chan.downlink.one_way_latency_ttis == 10
-        assert chan.rtt_ttis == 20
+        assert (chan.uplink.one_way_latency_ttis
+                + chan.downlink.one_way_latency_ttis) == 20
 
     def test_set_rtt(self):
         chan = DuplexChannel()
         chan.set_rtt_ms(60)
-        assert chan.rtt_ttis == 60
+        assert (chan.uplink.one_way_latency_ttis
+                + chan.downlink.one_way_latency_ttis) == 60

@@ -132,7 +132,7 @@ class TestTcpControlConnection:
         conn.agent_side.send(EchoReply(), now=1)
         conn.flush_uplink(1)
         assert conn.master_side.receive(now=1) == []
-        assert conn.dropped_messages() == 1
+        assert sum(link.dropped_messages for link in conn.channel.links) == 1
 
     def test_partition_drops_in_flight(self, fabric):
         conn = TcpControlConnection(fabric, 1, rtt_ms=10)
@@ -156,7 +156,8 @@ class TestTcpControlConnection:
     def test_set_rtt_runtime(self, fabric):
         conn = TcpControlConnection(fabric, 1)
         conn.set_rtt_ms(40)
-        assert conn.rtt_ttis == 40
+        assert (conn.channel.uplink.one_way_latency_ttis
+                + conn.channel.downlink.one_way_latency_ttis) == 40
 
     def test_many_frames_preserve_order(self, fabric):
         conn = TcpControlConnection(fabric, 1)
@@ -270,7 +271,7 @@ class TestServerHandshake:
         assert agent_id == 300 and endpoint.connected
         # The frame that rode in behind the preamble was not lost.
         wait_parsed(endpoint, 1)
-        assert endpoint.pending_frames() == 1
+        assert len(endpoint._inbox) == 1
         assert server.open_connections() == 1
         raw.close()
 
@@ -327,9 +328,9 @@ class TestStreamingMode:
         conn.agent_side.streaming = True
         conn.agent_side.send(EchoReply(), now=7)
         wait_parsed(conn.master_side, 1)
-        assert conn.master_side.pending_frames() == 1
+        assert len(conn.master_side._inbox) == 1
         conn.master_side.receive(now=7)
-        assert conn.master_side.pending_frames() == 0
+        assert len(conn.master_side._inbox) == 0
 
     def test_downlink_is_handled_on_arrival(self, fabric):
         """Only the uplink waits for its stamp: a respawned worker is

@@ -52,4 +52,5 @@ class TestControlConnection:
     def test_set_rtt_runtime(self):
         conn = ControlConnection(rtt_ms=0)
         conn.set_rtt_ms(40)
-        assert conn.rtt_ttis == 40
+        assert (conn.channel.uplink.one_way_latency_ttis
+                + conn.channel.downlink.one_way_latency_ttis) == 40

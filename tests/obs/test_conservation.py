@@ -91,4 +91,5 @@ class TestSimConservation:
             # The correlator saw the same wire drops the link counted.
             assert ob.correlator.dropped_messages > 0
             assert ob.correlator.dropped_messages <= (
-                connection.channel.dropped_messages())
+                sum(link.dropped_messages
+                    for link in connection.channel.links))

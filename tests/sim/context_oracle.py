@@ -34,7 +34,7 @@ def reference_context(enb: EnodeB, cell_id: int, tti: int
     """The scheduling context of *cell_id* at *tti*, built from scratch."""
     cell = enb.cells[cell_id]
     views = []
-    for rnti in cell.rntis():
+    for rnti in sorted(cell.ues):
         if enb.rrc.context(rnti).state not in (RrcState.CONNECTING,
                                                RrcState.CONNECTED):
             continue

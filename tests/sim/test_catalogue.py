@@ -10,6 +10,8 @@ import typing
 import pytest
 
 from repro.cli import main
+from repro.core.protocol.messages import ReportType
+from repro.lte.enodeb import EnodeB
 from repro.sim import scenarios
 from repro.sim.scenarios import CATALOGUE
 
@@ -70,3 +72,40 @@ def test_every_public_builder_is_reached():
         for sim in sims:
             sim.close()
     assert called == set(builders.values())
+
+
+def test_the_feature_tour_reaches_what_keeps_its_code(monkeypatch):
+    """``feature_tour`` is why DRX, carrier aggregation, uplink data,
+    central uplink grants, the GBR bearer, TCP's loss reaction and
+    triggered reports keep their code (tests/reachability.py): over its
+    default TTIs each one happens.
+    Only the QoS scheduler's GBR phase builds an assignment on the GBR
+    bearer's LCID (its fair phase and retransmissions use the default
+    bearer's)."""
+    build, ttis = CATALOGUE["feature_tour"]
+    applied = []
+    transmit_dl = EnodeB._transmit_dl
+
+    def recording(enb, cell_id, a, tti):
+        applied.append((a.rnti, a.lcid))
+        return transmit_dl(enb, cell_id, a, tti)
+
+    monkeypatch.setattr(EnodeB, "_transmit_dl", recording)
+    sc = build(seed=0)
+    sim, enb = sc.sim, sc.enb
+    try:
+        sim.run(ttis)
+    finally:
+        sim.close()
+
+    assert enb.counters.ul_delivered_bytes > 0
+    assert sc.agent.mac.remote_ul_stub.stats.applied == 1
+    assert any(d.enabled for d in sc.energy.decisions)
+    assert any(s.asleep_ttis > 0 for s in enb.drx.states.values())
+    ca_ue = [d for d in sc.ca.decisions if d.rnti == sc.ca_ue.rnti]
+    assert [d.activated for d in ca_ue] == [True, False]
+    assert sc.agent.mac.active_name("dl_scheduling") == "qos"
+    assert (sc.gbr_ue.rnti, scenarios.TOUR_GBR_LCID) in applied
+    assert sim.tcp_flows[0].loss_events > 0
+    assert any(sub.report_type == ReportType.TRIGGERED and sub.replies
+               for sub in sc.agent.reports._subscriptions.values())

@@ -322,7 +322,9 @@ def _decisions(build, ms_per_reading, monkeypatch):
             "transitions": [{name: master.supervisor.health(name).transitions
                              for name in master.registry.names()}
                             for master in masters],
-            "vsfs": [agent.mac.describe() for agent in agents],
+            "vsfs": [{op: (slot.active_name, sorted(slot.cache), slot.swaps)
+                      for op, slot in agent.mac._slots.items()}
+                     for agent in agents],
             "fired": report and report.fired,
             "violations": report and report.violations,
             "rib": snapshot_rib(sim.master.rib),

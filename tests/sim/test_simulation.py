@@ -34,7 +34,9 @@ class TestTopology:
         enb = sim.add_enb()
         agent = sim.add_agent(enb, rtt_ms=20)
         assert agent.endpoint is not None
-        assert sim.connections[agent.agent_id].rtt_ttis == 20
+        channel = sim.connections[agent.agent_id].channel
+        assert (channel.uplink.one_way_latency_ttis
+                + channel.downlink.one_way_latency_ttis) == 20
 
     def test_traffic_requires_attached_ue(self):
         sim = Simulation()
@@ -74,11 +76,6 @@ class TestEndToEnd:
         sim.add_uplink_traffic(enb, ue, SaturatingSource(start_tti=20))
         sim.run(2000)
         assert enb.counters.ul_delivered_bytes > 0
-
-    def test_run_ms(self):
-        sim = Simulation()
-        sim.run_ms(50.0)
-        assert sim.now == 50
 
     def test_master_learns_topology(self):
         sim = Simulation(with_master=True)

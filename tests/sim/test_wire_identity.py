@@ -14,7 +14,9 @@ admission).  Three more cases run the catalogue builders that replaced
 hand-wired example topologies -- ``quickstart``, ``mobility_handover``
 and ``wifi_sdran`` -- and their digests were recorded from that hand
 wiring (for Wi-Fi, a hand-written slot loop), so moving it changed no
-frame.
+frame.  ``feature_tour`` pins the Table 1 controls beyond scheduling
+(DRX, carrier aggregation, central uplink grants, bearer QoS, the PRB
+cap), and ``centralized_tcp`` must send ``centralized``'s frames.
 
 A RAN without agents sends no frame, so the agent-less case hashes what
 its schedulers decided instead: every downlink assignment the eNodeBs
@@ -39,7 +41,7 @@ from repro.lte.ue import Ue
 from repro.net.clock import Phase
 from repro.sim import scenarios
 from repro.sim.scenarios import (
-    centralized_scheduling, large_scale, sinr_for_cqi)
+    CATALOGUE, centralized_scheduling, large_scale, sinr_for_cqi)
 from repro.sim.simulation import Simulation
 from repro.traffic.generators import CbrSource, PoissonSource
 from tests.behaviour_identity import (
@@ -78,6 +80,10 @@ def wifi_sdran():
     return scenarios.wifi_sdran().sim
 
 
+def feature_tour():
+    return scenarios.feature_tour().sim
+
+
 PINNED = {
     # (frames encoded, sha256 over them)
     "large_scale_4x16": (
@@ -92,6 +98,8 @@ PINNED = {
         78, "be2b66b06be41f39e5586531b80f7ba0100c1c99ae86035a9afff13eafa8c4ab"),
     "wifi_sdran": (
         10, "d77ba9ed32d74d03a3a15c31b46be319401db19fdba035e67f8ce038760a8086"),
+    "feature_tour": (
+        106, "f5ed54388aea76add1fbed51c6c35311c014252d7f8c047c56e4744bb4253a2f"),
 }
 
 
@@ -109,10 +117,21 @@ def frame_digest(build):
 
 @pytest.mark.parametrize("build", [large_scale_4x16, fading_pf,
                                    centralized_rtt4, quickstart,
-                                   mobility_handover, wifi_sdran],
+                                   mobility_handover, wifi_sdran,
+                                   feature_tour],
                          ids=lambda f: f.__name__)
 def test_whole_run_frames_are_pinned(build):
     assert frame_digest(build) == PINNED[build.__name__]
+
+
+def test_the_tcp_catalogue_entry_sends_the_emulated_frames():
+    """Transport conformance on a catalogue entry: ``centralized_tcp``
+    is ``centralized`` over the lockstep TCP fabric, and puts the same
+    frames on the wire."""
+    tcp, emulated = (CATALOGUE[name][0]
+                     for name in ("centralized_tcp", "centralized"))
+    assert frame_digest(lambda: tcp().sim) \
+        == frame_digest(lambda: emulated().sim)
 
 
 def agentless_multicell():

@@ -23,7 +23,7 @@ class TestDownlink:
             epc.tick(t)
         assert stats.offered_bytes > 0
         assert stats.accepted_bytes == stats.offered_bytes
-        assert enb.queue_bytes(rnti) > 0
+        assert enb.rlc[rnti].backlog()[1] > 0
 
     def test_overflow_counted_as_dropped(self):
         enb = EnodeB(1, rlc_buffer_bytes=5000)
@@ -45,31 +45,6 @@ class TestDownlink:
         enb.detach_ue(rnti)
         epc.tick(0)
         assert stats.offered_bytes == 0
-
-    def test_remove_flows(self):
-        enb, ue, rnti = make_cell()
-        epc = EpcStub()
-        epc.add_downlink(CbrSource(8.0), enb, rnti)
-        epc.add_uplink(CbrSource(1.0), enb, rnti)
-        assert epc.remove_flows_for(enb, rnti) == 2
-        assert epc.remove_flows_for(enb, rnti) == 0
-
-    def test_remove_flows_is_scoped_to_one_enb(self):
-        # Every eNodeB numbers its RNTIs from the same base, so the two
-        # cells' UEs share an RNTI; removing one must leave the other.
-        enb_a, _, rnti_a = make_cell()
-        enb_b = EnodeB(2)
-        rnti_b = enb_b.attach_ue(Ue("002", FixedCqi(15)), tti=0)
-        assert rnti_a == rnti_b
-        epc = EpcStub()
-        stats_a = epc.add_downlink(CbrSource(8.0), enb_a, rnti_a)
-        stats_b = epc.add_downlink(CbrSource(8.0), enb_b, rnti_b)
-        assert epc.remove_flows_for(enb_a, rnti_a) == 1
-        for t in range(20):
-            epc.tick(t)
-        assert stats_a.offered_bytes == 0
-        # 1000 B per TTI for 20 TTIs, offered in whole 1400 B packets.
-        assert stats_b.offered_bytes == 20_000 // 1400 * 1400
 
 
 class TestUplink:
@@ -105,6 +80,6 @@ class TestRehome:
         rnti_b = enb_b.attach_ue(ue, tti=1)
         assert epc.rehome(enb_a, rnti_a, enb_b, rnti_b) == 1
         epc.tick(2)
-        assert enb_b.queue_bytes(rnti_b) >= 0
+        assert enb_b.rlc[rnti_b].backlog()[1] >= 0
         epc.tick(3)
-        assert enb_b.queue_bytes(rnti_b) > 0
+        assert enb_b.rlc[rnti_b].backlog()[1] > 0

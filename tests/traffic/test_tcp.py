@@ -62,7 +62,7 @@ class TestCongestionControl:
         flow.offer(50_000)
         drive(enb, flow, 2000)
         assert flow.delivered_bytes == 50_000
-        assert flow.app_backlog == 0
+        assert flow._app_backlog == 0
 
     def test_app_delivery_callback(self):
         enb, ue, rnti, flow = build(cqi=15)
@@ -77,8 +77,8 @@ class TestRtt:
     def test_srtt_tracks_queueing_delay(self):
         enb, ue, rnti, flow = build(cqi=10, unlimited=True)
         drive(enb, flow, 3000)
-        assert flow.srtt_ms is not None
-        assert flow.srtt_ms >= 1.0
+        assert flow._srtt_ms is not None
+        assert flow._srtt_ms >= 1.0
 
     def test_unused_flow_requires_wiring(self):
         flow = TcpFlow()

@@ -117,19 +117,6 @@ class TestEpcTimingWheel:
         # 1 Mbps == 125 B/TTI: at most one packet could be due by now.
         assert stats.offered_packets <= 1
 
-    def test_remove_flows_cancels_wheel_entries(self):
-        enb, ue, rnti = self.make_cell()
-        epc = EpcStub()
-        stats = epc.add_downlink(CbrSource(5.0), enb, rnti)
-        for t in range(50):
-            epc.tick(t)
-        offered = stats.offered_bytes
-        assert offered > 0
-        assert epc.remove_flows_for(enb, rnti) == 1
-        for t in range(50, 200):
-            epc.tick(t)  # stale wheel entries must be skipped
-        assert stats.offered_bytes == offered
-
     def test_poisson_flow_added_before_attach_draws_from_attach(self):
         # Provisioned at TTI 0 with its window open from TTI 20, the
         # flow's UE attaches at TTI 301: its first draw is at attach,
