@@ -14,33 +14,16 @@ eNodeB (+agent, +per-TTI statistics reporting toward a master) and
 
 from __future__ import annotations
 
-import sys
-
 import pytest
 from conftest import print_table, run_once
 
 from repro import obs
 from repro.core.protocol.messages import ReportType
 from repro.lte.phy.tbs import capacity_mbps
+from repro.obs.memory import deep_size
 from repro.sim.scenarios import saturated_cell
 
 RUN_TTIS = 5000
-
-
-def deep_size(obj, seen=None) -> int:
-    seen = seen if seen is not None else set()
-    if id(obj) in seen:
-        return 0
-    seen.add(id(obj))
-    size = sys.getsizeof(obj)
-    if isinstance(obj, dict):
-        size += sum(deep_size(k, seen) + deep_size(v, seen)
-                    for k, v in obj.items())
-    elif isinstance(obj, (list, tuple, set, frozenset)):
-        size += sum(deep_size(i, seen) for i in obj)
-    elif hasattr(obj, "__dict__"):
-        size += deep_size(vars(obj), seen)
-    return size
 
 
 def run_case(*, with_agent: bool, loaded: bool, uplink: bool = False):

@@ -48,13 +48,13 @@ _ENB_EVENT_TYPES = {
 
 _new = object.__new__
 
-_BLANK = UeStatsReport().__dict__  # every field in wire order, all groups
 _NO_NEIGHBORS: Dict[int, int] = {}  # shared: records are never written
 
 _QUEUES, _CQI, _HARQ, _RLC, _PDCP = (int(flag) for flag in (
     StatsFlags.QUEUES, StatsFlags.CQI, StatsFlags.HARQ, StatsFlags.RLC,
     StatsFlags.PDCP))
-_WHOLE = UeStatsReport.ALL_GROUPS | UNGROUPED  # UNGROUPED: rrc_state
+_ALL_GROUPS = UeStatsReport.ALL_GROUPS
+_WHOLE = _ALL_GROUPS | UNGROUPED  # UNGROUPED: rrc_state
 
 KIND_GROUPS = {
     "membership": _WHOLE,     # a new UE on a re-used RNTI; SCells
@@ -228,45 +228,66 @@ class AgentDataPlaneApi:
                       ) -> UeStatsReport:
         """The one place a :class:`UeStatsReport` is assembled: *prev*
         with the groups in *bits* (``UNGROUPED``: ``rrc_state``) re-read
-        and every other container shared, or a whole record.  The CQI
-        group carries *observed*, ``(sinr_x10, neighbor_cqi)``.  Fills
-        ``__dict__`` as the generated ``decode`` does: the dataclass
+        and every other field shared, or, with no *prev*, a whole record
+        (*bits* must then hold every group).  The CQI group carries
+        *observed*, ``(sinr_x10, neighbor_cqi)``.  Each field is one
+        slot store, as in the generated ``decode``: the dataclass
         ``__init__`` costs more than the walks below."""
         enb = self._enb
-        state = ({**_BLANK, "rnti": rnti} if prev is None
-                 else {**prev.__dict__})
+        record = _new(UeStatsReport)
+        record.rnti = rnti
+        record.groups = _ALL_GROUPS
         if bits & UNGROUPED:
-            state["rrc_state"] = _RRC_STATE_INDEX[enb.rrc.context(rnti).state]
+            record.rrc_state = _RRC_STATE_INDEX[enb.rrc.context(rnti).state]
+        else:
+            record.rrc_state = prev.rrc_state
         if bits & _QUEUES:
-            state["queues"] = enb.rlc[rnti].sizes()
-            state["ul_buffer_bytes"] = ue.ul_backlog_bytes
+            record.queues = enb.rlc[rnti].sizes()
+            record.ul_buffer_bytes = ue.ul_backlog_bytes
+        else:
+            record.queues = prev.queues
+            record.ul_buffer_bytes = prev.ul_buffer_bytes
         if bits & _CQI:
             known, clear = cell.known_cqi, cell.known_cqi_clear
             wb = known[rnti] if rnti in known else 0
-            sinr_x10, state["neighbor_cqi"] = observed
-            state["wb_cqi"] = wb
-            state["wb_cqi_clear"] = clear[rnti] if rnti in clear else 0
-            state["subband_cqi"] = [wb] * SUBBANDS
-            state["subband_sinr_db_x10"] = [sinr_x10] * SUBBANDS
-            state["power_headroom_db"] = 20
+            sinr_x10, record.neighbor_cqi = observed
+            record.wb_cqi = wb
+            record.wb_cqi_clear = clear[rnti] if rnti in clear else 0
+            record.subband_cqi = [wb] * SUBBANDS
+            record.subband_sinr_db_x10 = [sinr_x10] * SUBBANDS
+            record.power_headroom_db = 20
+        else:
+            record.neighbor_cqi = prev.neighbor_cqi
+            record.wb_cqi = prev.wb_cqi
+            record.wb_cqi_clear = prev.wb_cqi_clear
+            record.subband_cqi = prev.subband_cqi
+            record.subband_sinr_db_x10 = prev.subband_sinr_db_x10
+            record.power_headroom_db = prev.power_headroom_db
         if bits & _HARQ:
-            state["harq_states"] = [
+            record.harq_states = [
                 (2 if p.needs_retx else 1) if p.busy else 0
                 for p in enb.harq[cell.cell_id].entity(rnti).processes]
+        else:
+            record.harq_states = prev.harq_states
         if bits & _RLC:
             stats = enb.rlc[rnti].stats
-            state["rlc_bytes_in"] = stats.bytes_in
-            state["rlc_bytes_out"] = stats.bytes_out
+            record.rlc_bytes_in = stats.bytes_in
+            record.rlc_bytes_out = stats.bytes_out
+        else:
+            record.rlc_bytes_in = prev.rlc_bytes_in
+            record.rlc_bytes_out = prev.rlc_bytes_out
         if bits & _PDCP:
             pdcp_tx = pdcp_rx = 0
             for bearer in enb.pdcp[rnti].stats.values():
                 pdcp_tx += bearer.tx_bytes
                 pdcp_rx += bearer.rx_bytes
-            state["pdcp_tx_bytes"] = pdcp_tx
-            state["pdcp_rx_bytes"] = pdcp_rx
-            state["rx_bytes_total"] = ue.rx_bytes_total
-        record = _new(UeStatsReport)
-        record.__dict__ = state
+            record.pdcp_tx_bytes = pdcp_tx
+            record.pdcp_rx_bytes = pdcp_rx
+            record.rx_bytes_total = ue.rx_bytes_total
+        else:
+            record.pdcp_tx_bytes = prev.pdcp_tx_bytes
+            record.pdcp_rx_bytes = prev.pdcp_rx_bytes
+            record.rx_bytes_total = prev.rx_bytes_total
         return record
 
     def get_cell_stats(self, tti: int) -> List[CellStatsReport]:

@@ -235,9 +235,26 @@ def _unchanged(sent: Dict[int, UeStatsReport],
 def _carrying(record: UeStatsReport, groups: int) -> UeStatsReport:
     """*record* as it goes into one reply: the same object when it
     already says *groups*, otherwise a copy stamped with them (sharing
-    every container; a published record is never written)."""
+    every container; a published record is never written).  One slot
+    store per field: a copying helper would cost a call per record."""
     if record.groups == groups:
         return record
     stamped = _new(UeStatsReport)
-    stamped.__dict__ = {**record.__dict__, "groups": groups}
+    stamped.rnti = record.rnti
+    stamped.groups = groups
+    stamped.rrc_state = record.rrc_state
+    stamped.queues = record.queues
+    stamped.ul_buffer_bytes = record.ul_buffer_bytes
+    stamped.wb_cqi = record.wb_cqi
+    stamped.wb_cqi_clear = record.wb_cqi_clear
+    stamped.subband_cqi = record.subband_cqi
+    stamped.subband_sinr_db_x10 = record.subband_sinr_db_x10
+    stamped.power_headroom_db = record.power_headroom_db
+    stamped.neighbor_cqi = record.neighbor_cqi
+    stamped.harq_states = record.harq_states
+    stamped.rlc_bytes_in = record.rlc_bytes_in
+    stamped.rlc_bytes_out = record.rlc_bytes_out
+    stamped.pdcp_tx_bytes = record.pdcp_tx_bytes
+    stamped.pdcp_rx_bytes = record.pdcp_rx_bytes
+    stamped.rx_bytes_total = record.rx_bytes_total
     return stamped

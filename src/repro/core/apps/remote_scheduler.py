@@ -82,6 +82,10 @@ class RemoteSchedulerApp(App):
         # rnti -> the sum of their bytes, kept as entries come and go.
         self._inflight: Dict[int, Deque[Tuple[int, int]]] = {}
         self._inflight_total: Dict[int, int] = {}
+        #: agent_id -> the last target TTI a command went out for.  A
+        #: late sync can step the subframe estimate back; a target at or
+        #: below this one was commanded already (or is past).
+        self._commanded: Dict[int, int] = {}
         self.decisions_sent = 0
 
     # -- setup ------------------------------------------------------------
@@ -132,6 +136,10 @@ class RemoteSchedulerApp(App):
             estimate = agent.estimated_subframe(tti)
             sync_lag = max(0, tti - estimate)
             target = estimate + self.schedule_ahead
+            commanded = self._commanded
+            if (agent.agent_id in commanded
+                    and target <= commanded[agent.agent_id]):
+                continue
             for cell_id in sorted(agent.cells):
                 cell = agent.cells[cell_id]
                 if cell.config is None:
@@ -143,10 +151,12 @@ class RemoteSchedulerApp(App):
                     if grants:
                         nb.send_ul_command(agent.agent_id, cell_id,
                                            target, grants)
+                        commanded[agent.agent_id] = target
                 assignments = self.algorithm.schedule(ctx)
                 if not assignments:
                     continue
                 nb.send_dl_command(agent.agent_id, cell_id, target, assignments)
+                commanded[agent.agent_id] = target
                 self.decisions_sent += 1
                 expire = (tti + self.schedule_ahead + 2 * sync_lag
                           + self._inflight_ttl_margin)

@@ -11,7 +11,6 @@ the RIB Updater.
 from __future__ import annotations
 
 import enum
-import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -21,6 +20,7 @@ from repro.core.protocol.messages import (
     UeConfigRep,
     UeStatsReport,
 )
+from repro.obs.memory import deep_size
 
 
 class AgentLiveness(enum.Enum):
@@ -168,19 +168,4 @@ class Rib:
 
     def memory_footprint_bytes(self) -> int:
         """Approximate deep size of the RIB (the Fig. 8 memory series)."""
-        seen = set()
-
-        def deep(obj) -> int:
-            if id(obj) in seen:
-                return 0
-            seen.add(id(obj))
-            size = sys.getsizeof(obj)
-            if isinstance(obj, dict):
-                size += sum(deep(k) + deep(v) for k, v in obj.items())
-            elif isinstance(obj, (list, tuple, set, frozenset)):
-                size += sum(deep(item) for item in obj)
-            elif hasattr(obj, "__dict__"):
-                size += deep(vars(obj))
-            return size
-
-        return deep(self._agents)
+        return deep_size(self._agents)

@@ -75,7 +75,7 @@ class EventType(enum.IntEnum):
 
 
 @compile_codec
-@dataclass
+@dataclass(slots=True)
 class Header:
     """Common message header."""
 
@@ -86,7 +86,7 @@ class Header:
     FIELDS = (("agent_id", "varint"), ("xid", "varint"), ("tti", "varint"))
 
 
-@dataclass
+@dataclass(slots=True)
 class FlexRanMessage:
     """Base class of every protocol message."""
 
@@ -102,7 +102,7 @@ class FlexRanMessage:
 
 
 @compile_codec
-@dataclass
+@dataclass(slots=True)
 class Hello(FlexRanMessage):
     """Agent registration announcing its capabilities."""
 
@@ -115,7 +115,7 @@ class Hello(FlexRanMessage):
 
 
 @compile_codec
-@dataclass
+@dataclass(slots=True)
 class EchoRequest(FlexRanMessage):
     """Keepalive probe from the master."""
 
@@ -123,7 +123,7 @@ class EchoRequest(FlexRanMessage):
 
 
 @compile_codec
-@dataclass
+@dataclass(slots=True)
 class EchoReply(FlexRanMessage):
     """Keepalive answer from the agent."""
 
@@ -131,7 +131,7 @@ class EchoReply(FlexRanMessage):
 
 
 @compile_codec
-@dataclass
+@dataclass(slots=True)
 class ConfigRequest(FlexRanMessage):
     """Synchronous configuration read (Table 1, Configuration)."""
 
@@ -143,7 +143,7 @@ class ConfigRequest(FlexRanMessage):
 
 
 @compile_codec
-@dataclass
+@dataclass(slots=True)
 class CellConfigRep:
     """Cell configuration record inside a ConfigReply."""
 
@@ -160,7 +160,7 @@ class CellConfigRep:
 
 
 @compile_codec
-@dataclass
+@dataclass(slots=True)
 class UeConfigRep:
     """UE configuration record inside a ConfigReply."""
 
@@ -174,7 +174,7 @@ class UeConfigRep:
 
 
 @compile_codec
-@dataclass
+@dataclass(slots=True)
 class ConfigReply(FlexRanMessage):
     """Full eNodeB configuration snapshot."""
 
@@ -189,7 +189,7 @@ class ConfigReply(FlexRanMessage):
 
 
 @compile_codec
-@dataclass
+@dataclass(slots=True)
 class StatsRequest(FlexRanMessage):
     """Asynchronous statistics subscription (one-off/periodic/triggered)."""
 
@@ -207,7 +207,7 @@ class StatsRequest(FlexRanMessage):
 
 
 @compile_codec
-@dataclass
+@dataclass(slots=True)
 class UeStatsReport:
     """Per-UE statistics record (the bulk of agent-to-master traffic).
 
@@ -260,7 +260,7 @@ class UeStatsReport:
 
 
 @compile_codec
-@dataclass
+@dataclass(slots=True)
 class CellStatsReport:
     """Per-cell aggregate statistics record."""
 
@@ -286,7 +286,7 @@ class CellStatsReport:
 
 
 @compile_codec
-@dataclass
+@dataclass(slots=True)
 class StatsReply(FlexRanMessage):
     """Aggregated statistics report from an agent.
 
@@ -318,7 +318,7 @@ class StatsReply(FlexRanMessage):
 
 
 @compile_codec
-@dataclass
+@dataclass(slots=True)
 class SubframeTrigger(FlexRanMessage):
     """Per-TTI subframe indication keeping the master in sync.
 
@@ -340,7 +340,7 @@ class SubframeTrigger(FlexRanMessage):
 
 
 @compile_codec
-@dataclass
+@dataclass(slots=True)
 class EventNotification(FlexRanMessage):
     """Asynchronous data-plane event pushed to the master (Table 1)."""
 
@@ -359,7 +359,7 @@ class EventNotification(FlexRanMessage):
 
 
 @compile_codec
-@dataclass
+@dataclass(slots=True)
 class DciSpec:
     """Wire form of one downlink scheduling decision."""
 
@@ -371,7 +371,7 @@ class DciSpec:
 
 
 @compile_codec
-@dataclass
+@dataclass(slots=True)
 class DlMacCommand(FlexRanMessage):
     """Centralized scheduling decision for one cell and target TTI."""
 
@@ -387,7 +387,7 @@ class DlMacCommand(FlexRanMessage):
 
 
 @compile_codec
-@dataclass
+@dataclass(slots=True)
 class UlMacCommand(FlexRanMessage):
     """Centralized uplink-grant decision for one cell and target TTI."""
 
@@ -403,7 +403,7 @@ class UlMacCommand(FlexRanMessage):
 
 
 @compile_codec
-@dataclass
+@dataclass(slots=True)
 class HandoverCommand(FlexRanMessage):
     """Mobility control decision: move a UE to another cell."""
 
@@ -422,7 +422,7 @@ class HandoverCommand(FlexRanMessage):
 
 
 @compile_codec
-@dataclass
+@dataclass(slots=True)
 class VsfUpdate(FlexRanMessage):
     """Push new VSF code to the agent cache (Section 4.3.1).
 
@@ -444,7 +444,7 @@ class VsfUpdate(FlexRanMessage):
 
 
 @compile_codec
-@dataclass
+@dataclass(slots=True)
 class PolicyReconfiguration(FlexRanMessage):
     """Swap VSFs / retune their parameters, in YAML (Fig. 3)."""
 
@@ -456,7 +456,7 @@ class PolicyReconfiguration(FlexRanMessage):
 
 
 @compile_codec
-@dataclass
+@dataclass(slots=True)
 class DrxCommand(FlexRanMessage):
     """DRX control decision for one UE (Table 1, Commands).
 
@@ -476,7 +476,7 @@ class DrxCommand(FlexRanMessage):
 
 
 @compile_codec
-@dataclass
+@dataclass(slots=True)
 class CaCommand(FlexRanMessage):
     """(De)activate a secondary component carrier for one UE."""
 
@@ -501,7 +501,7 @@ class CaCommand(FlexRanMessage):
 
 
 @compile_codec
-@dataclass
+@dataclass(slots=True)
 class AbsPatternConfig(FlexRanMessage):
     """Install an eICIC Almost-Blank Subframe pattern on one cell."""
 
@@ -515,7 +515,7 @@ class AbsPatternConfig(FlexRanMessage):
 
 
 @compile_codec
-@dataclass
+@dataclass(slots=True)
 class BearerQosConfig(FlexRanMessage):
     """Provision a QoS profile on one radio bearer.
 
@@ -536,7 +536,7 @@ class BearerQosConfig(FlexRanMessage):
 
 
 @compile_codec
-@dataclass
+@dataclass(slots=True)
 class SyncConfig(FlexRanMessage):
     """Turn per-TTI subframe synchronization on or off at an agent."""
 
@@ -549,7 +549,7 @@ class SyncConfig(FlexRanMessage):
 
 
 @compile_codec
-@dataclass
+@dataclass(slots=True)
 class PrbCapConfig(FlexRanMessage):
     """Cap (or restore) a cell's usable downlink carrier width.
 

@@ -70,8 +70,12 @@ What the emitted code looks like, and why:
   filled by index.  Every element takes at least one byte, so ``n`` is
   first held to the bytes left in the frame: a declared count never
   makes a decoder allocate more than the frame's own size allows.
-* Instances are built with ``object.__new__`` and one ``__dict__``
-  assignment, skipping the dataclass ``__init__`` keyword binding.
+* Every compiled class is a ``@dataclass(slots=True)`` (its bases
+  too; :func:`compile_codec` raises ``TypeError`` for a class whose
+  instances would carry a ``__dict__``), and instances are built with
+  ``object.__new__`` and one slot store per field, skipping the
+  dataclass ``__init__`` keyword binding.  ``merge`` stores each field
+  once, from *delta* or from *stored*, the same way.
 * A group is one ``if mask & bit:`` around its fields, on both sides.
 * An ``rle`` count may name more elements than it has bytes
   (``[value] * count``), so ``Reader.rle_count`` bounds it first; the
@@ -83,10 +87,10 @@ registered in :mod:`linecache` under
 ``<repro/core/protocol/schema ClassName>``, so tracebacks show the
 generated line and profilers attribute the time to this package.
 
-Adding a message: write the dataclass with ``MSG_TYPE``, ``CATEGORY``
-and ``FIELDS``, decorate it, list it in ``MESSAGE_TYPES``, document the
-payload in ``docs/PROTOCOL.md`` and pin a frame in
-``tests/core/golden_frames.json``.
+Adding a message: write the ``@dataclass(slots=True)`` with
+``MSG_TYPE``, ``CATEGORY`` and ``FIELDS``, decorate it, list it in
+``MESSAGE_TYPES``, document the payload in ``docs/PROTOCOL.md`` and pin
+a frame in ``tests/core/golden_frames.json``.
 """
 
 from __future__ import annotations
@@ -294,6 +298,10 @@ class _ClassCompiler:
             raise TypeError(
                 f"{cls.__name__}.FIELDS {names} does not cover its "
                 f"dataclass fields {list(declared)}")
+        if cls.__dictoffset__:
+            raise TypeError(
+                f"{cls.__name__}: instances would carry a __dict__; declare "
+                f"it and every base @dataclass(slots=True)")
         self.namespace: Dict[str, object] = {
             "__name__": cls.__module__, "cls": cls, "new": object.__new__,
             "DecodeError": DecodeError, "OCTET": OCTET, "CONT": CONT,
@@ -504,8 +512,8 @@ class _ClassCompiler:
                        + _indent(get) + "else:\n" + _indent(absent))
             encode += put
             decode += get
-        state = ", ".join(f'"{field}": f{i}'
-                          for i, (field, _, _) in enumerate(self.fields))
+        stores = "".join(f"    obj.{field} = f{i}\n"
+                         for i, (field, _, _) in enumerate(self.fields))
         return (
             f"def encode(self, w):\n"
             f'    """Append this {name} to Writer *w* (generated)."""\n'
@@ -518,7 +526,7 @@ class _ClassCompiler:
             f"    except IndexError:\n"
             f'        raise DecodeError("truncated {name}")\n'
             f"    r._pos = pos\n    obj = new(cls)\n"
-            f"    obj.__dict__ = {{{state}}}\n    return obj\n")
+            + stores + "    return obj\n")
 
     def groups_source(self) -> str:
         """``changed_groups`` / ``merge`` of a class with a mask, from
@@ -526,38 +534,37 @@ class _ClassCompiler:
         name = self.cls.__name__
         mask_field = self.fields[self.mask_index][0]
         changed = overlay = ""
-        always = []
         for group, run in self.runs():
             fields = [f for _, f, kind in run if kind != "mask"]
             differs = "\n        or ".join(
-                f'p["{f}"] != d["{f}"]' for f in fields)
+                f"prev.{f} != rec.{f}" for f in fields)
             if group is None:
-                always += fields
+                overlay += "".join(f"obj.{f} = delta.{f}\n" for f in fields)
             else:
-                overlay += f"if mask & {group:#04x}:\n" + "".join(
-                    f'    state["{f}"] = d["{f}"]\n' for f in fields)
+                overlay += (
+                    f"if mask & {group:#04x}:\n"
+                    + "".join(f"    obj.{f} = delta.{f}\n" for f in fields)
+                    + "else:\n"
+                    + "".join(f"    obj.{f} = stored.{f}\n" for f in fields))
             if fields:
                 bit = UNGROUPED if group is None else group
                 changed += f"if ({differs}):\n    mask |= {bit:#04x}\n"
-        carried = "".join(f', "{f}": d["{f}"]' for f in always)
         return (
             f"\n\ndef changed_groups(prev, rec):\n"
             f'    """Bits of the groups where {name} *rec* differs from '
             f'*prev*\n    (generated)."""\n'
-            f"    p = prev.__dict__\n    d = rec.__dict__\n    mask = 0\n"
+            f"    mask = 0\n"
             + _indent(changed) + "    return mask\n"
             f"\n\ndef merge(stored, delta):\n"
             f'    """*stored* overlaid with the groups present in *delta*: '
             f'a new\n    {name}, or *delta* itself when it is complete '
             f'(generated)."""\n'
-            f'    d = delta.__dict__\n    mask = d["{mask_field}"]\n'
+            f"    mask = delta.{mask_field}\n"
             f"    if mask == {self.all_groups:#04x}:\n"
             f"        return delta\n"
-            f"    state = {{**stored.__dict__{carried}}}\n"
-            f'    state["{mask_field}"] |= mask\n'
-            + _indent(overlay) +
-            f"    obj = new(cls)\n    obj.__dict__ = state\n"
-            f"    return obj\n")
+            f"    obj = new(cls)\n"
+            f"    obj.{mask_field} = stored.{mask_field} | mask\n"
+            + _indent(overlay) + "    return obj\n")
 
 
 def compile_codec(cls: type) -> type:

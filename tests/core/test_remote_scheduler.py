@@ -16,6 +16,7 @@ from repro.core.apps.remote_scheduler import RemoteSchedulerApp
 from repro.core.controller.rib import AgentLiveness
 from repro.lte.mac.dci import DlAssignment
 from repro.lte.rrc import RrcState
+from repro.sim.scenarios import FaultSpec, partitioned_centralized
 
 RNTIS = (71, 72, 73, 74)
 CONNECTED = list(RrcState).index(RrcState.CONNECTED)
@@ -96,3 +97,30 @@ def test_running_total_matches_the_scan(steps, schedule_ahead, margin):
             for rnti, pending in new._inflight.items()}
     # Every UE view either app built: queue minus bytes in flight.
     assert scripts[0].seen == scripts[1].seen
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=st.lists(step, min_size=1, max_size=40),
+       schedule_ahead=st.integers(0, 4))
+def test_a_target_tti_is_commanded_once(steps, schedule_ahead):
+    """A late sync steps the subframe estimate back; a target at or
+    below the last one commanded is skipped, so targets only rise."""
+    script = Script(steps)
+    app = RemoteSchedulerApp(script, schedule_ahead=schedule_ahead)
+    nb = scripted_nb(script)
+    targets = []
+    nb.send_dl_command = lambda agent, cell, target, a: targets.append(target)
+    for tti in range(len(steps)):
+        script.tti = tti
+        app.run(tti, nb)
+    assert targets == sorted(set(targets))
+
+
+def test_jitter_draws_no_conflict_denial():
+    """Control-channel jitter reorders the estimate; every command the
+    app sends is admitted."""
+    sc = partitioned_centralized(fault=FaultSpec(jitter_ms=1.0))
+    sc.sim.run(2000)
+    counters = sc.sim.master.northbound.conflicts.counters
+    assert counters.allowed > 1000
+    assert counters.denied == 0

@@ -1,5 +1,7 @@
 """Tests for the RAN Information Base and its updater."""
 
+import sys
+
 import pytest
 
 from repro.core.controller.rib import Rib
@@ -100,6 +102,24 @@ class TestForestStructure:
         updater.apply(1, config_reply(rntis=tuple(range(70, 90))), now=0)
         updater.apply(1, stats_reply(rntis=tuple(range(70, 90))), now=1)
         assert rib.memory_footprint_bytes() > empty
+
+    def test_a_records_lists_count_towards_the_footprint(self):
+        """A stored record is slotted, so the walk must follow its slots
+        into the containers it holds (Fig. 8's memory series)."""
+        def footprint(harq_processes: int) -> int:
+            rib = Rib()
+            updater = RibUpdater(rib)
+            updater.apply(1, config_reply(), now=0)
+            reply = stats_reply()
+            reply.ue_reports[0].harq_states = [1] * harq_processes
+            updater.apply(1, reply, now=1)
+            record = rib.agent(1).cells[10].ues[70].stats
+            assert not hasattr(record, "__dict__")
+            assert len(record.harq_states) == harq_processes
+            return rib.memory_footprint_bytes()
+
+        grown = sys.getsizeof([1] * 1000) - sys.getsizeof([])
+        assert footprint(1000) - footprint(0) >= grown
 
 
 class TestSubframeSync:

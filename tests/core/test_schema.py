@@ -197,7 +197,7 @@ class TestMisuseFailsAtImport:
     def test_field_missing_from_the_table(self):
         with pytest.raises(TypeError, match="does not cover"):
             @compile_codec
-            @dataclass
+            @dataclass(slots=True)
             class Forgetful:
                 kept: int = 0
                 forgotten: int = 0
@@ -206,7 +206,7 @@ class TestMisuseFailsAtImport:
     def test_unknown_kind(self):
         with pytest.raises(TypeError, match="unknown field kind 'float'"):
             @compile_codec
-            @dataclass
+            @dataclass(slots=True)
             class Lossy:
                 ratio: int = 0
                 FIELDS = (("ratio", "float"),)
@@ -214,7 +214,7 @@ class TestMisuseFailsAtImport:
     def test_record_kind_must_be_compiled_first(self):
         with pytest.raises(TypeError, match="unknown field kind"):
             @compile_codec
-            @dataclass
+            @dataclass(slots=True)
             class Early:
                 later: list = None
                 FIELDS = (("later", "list<NotYetDeclared>"),)
@@ -222,7 +222,7 @@ class TestMisuseFailsAtImport:
     def test_rle_is_for_scalars(self):
         with pytest.raises(TypeError, match="rle<Header> is not a vector"):
             @compile_codec
-            @dataclass
+            @dataclass(slots=True)
             class Runs:
                 origins: list = None
                 FIELDS = (("origins", "rle<Header>"),)
@@ -231,7 +231,7 @@ class TestMisuseFailsAtImport:
     def test_unknown_group_bit(self, bit):
         with pytest.raises(TypeError, match="unknown group bit"):
             @compile_codec
-            @dataclass
+            @dataclass(slots=True)
             class Odd:
                 present: int = 0
                 value: int = 0
@@ -240,13 +240,13 @@ class TestMisuseFailsAtImport:
     def test_groups_need_one_mask_ahead_of_them(self):
         with pytest.raises(TypeError, match="exactly one ungrouped 'mask'"):
             @compile_codec
-            @dataclass
+            @dataclass(slots=True)
             class Maskless:
                 value: int = 0
                 FIELDS = (("value", "varint", 0x01),)
         with pytest.raises(TypeError, match="exactly one ungrouped 'mask'"):
             @compile_codec
-            @dataclass
+            @dataclass(slots=True)
             class TwoMasks:
                 a: int = 0
                 b: int = 0
@@ -255,7 +255,7 @@ class TestMisuseFailsAtImport:
                           ("value", "varint", 0x01))
         with pytest.raises(TypeError, match="ahead of the mask"):
             @compile_codec
-            @dataclass
+            @dataclass(slots=True)
             class Late:
                 value: int = 0
                 present: int = 0
@@ -264,7 +264,7 @@ class TestMisuseFailsAtImport:
     def test_a_group_is_contiguous(self):
         with pytest.raises(TypeError, match="must be contiguous"):
             @compile_codec
-            @dataclass
+            @dataclass(slots=True)
             class Split:
                 present: int = 0
                 a: int = 0
@@ -276,8 +276,26 @@ class TestMisuseFailsAtImport:
     def test_an_absent_field_needs_a_literal_default(self):
         with pytest.raises(TypeError, match="literal default"):
             @compile_codec
-            @dataclass
+            @dataclass(slots=True)
             class Nested:
                 present: int = 0
                 origin: Header = field(default_factory=Header)
                 FIELDS = (("present", "mask"), ("origin", "Header", 0x01))
+
+    def test_instances_must_carry_no_dict(self):
+        with pytest.raises(TypeError, match="would carry a __dict__"):
+            @compile_codec
+            @dataclass
+            class Roomy:
+                value: int = 0
+                FIELDS = (("value", "varint"),)
+
+        @dataclass
+        class Base:
+            value: int = 0
+
+        with pytest.raises(TypeError, match="would carry a __dict__"):
+            @compile_codec
+            @dataclass(slots=True)
+            class Inherits(Base):
+                FIELDS = (("value", "varint"),)

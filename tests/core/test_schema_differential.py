@@ -13,7 +13,7 @@ compared the same way with every mask, and its generated
 ``changed_groups`` / ``merge`` against the reference's field loops.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import Dict, List
 
 import pytest
@@ -41,7 +41,7 @@ from tests.core import schema_reference as reference
 
 
 @compile_codec
-@dataclass
+@dataclass(slots=True)
 class Probe:
     """Kinds and nestings no protocol message happens to use."""
 
@@ -60,7 +60,7 @@ class Probe:
 
 
 @compile_codec
-@dataclass
+@dataclass(slots=True)
 class GroupedProbe:
     """Groups and ``rle`` items ``UeStatsReport`` does not have: a high
     mask bit, a one-field group, an ungrouped field after the groups,
@@ -342,11 +342,11 @@ def test_group_functions_match_the_field_loops(cls, data):
     fresh = replace(other, **{
         name: getattr(stored, name)
         for name, _, group in wire_fields(cls) if group and group & keep})
-    before = (dict(stored.__dict__), dict(fresh.__dict__))
+    before = (astuple(stored), astuple(fresh))  # deep copies
     changed = cls.changed_groups(stored, fresh)
     assert changed == reference.changed_groups(stored, fresh)
     assert not changed & keep
-    assert (stored.__dict__, fresh.__dict__) == before
+    assert (astuple(stored), astuple(fresh)) == before
     assert cls.changed_groups(fresh, fresh) == 0
     delta = reference.blank_absent_groups(
         replace(fresh, **{mask: changed & whole}))

@@ -13,7 +13,7 @@ from repro.core.protocol.wire import Reader, Writer
 
 
 @compile_codec
-@dataclass
+@dataclass(slots=True)
 class Collections:
     """One field per collection kind the protocol uses."""
 

@@ -279,7 +279,7 @@ def list_record(item: str) -> type:
         "__annotations__": {"items": list},
         "items": field(default_factory=list),
         "FIELDS": (("items", f"list<{item}>"),)})
-    return compile_codec(dataclass(record))
+    return compile_codec(dataclass(slots=True)(record))
 
 
 # Three well-formed elements of each kind, one byte each.
