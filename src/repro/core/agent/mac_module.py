@@ -33,7 +33,7 @@ from repro.lte.mac.schedulers import (
     FairShareScheduler,
     ProportionalFairScheduler,
     RoundRobinScheduler,
-    schedule_retransmissions,
+    retransmissions_first,
 )
 
 DECISION_RETENTION_TTIS = 64
@@ -97,14 +97,14 @@ class RemoteSchedulingStub(RemoteDecisionStore):
         # HARQ retransmissions are inherently local and time-critical:
         # the agent serves them autonomously before applying the pushed
         # decision, as a real eNodeB MAC does.
-        out = schedule_retransmissions(ctx, ctx.n_prb)
+        out, remaining, retx_rntis = (
+            retransmissions_first(ctx) if ctx.pending_retx
+            else ([], ctx.n_prb, ()))
         if decision is None:
             return out
-        remaining = ctx.n_prb - sum(a.n_prb for a in out)
         # Drop decisions for UEs that have since detached, and clip the
         # pushed allocation to the PRBs left after retransmissions.
         live = {u.rnti for u in ctx.ues}
-        retx_rntis = {a.rnti for a in out}
         for a in decision:
             if a.rnti not in live or a.rnti in retx_rntis:
                 continue

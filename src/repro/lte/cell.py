@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.lte.constants import (
@@ -69,6 +70,9 @@ class Cell:
         # A runtime cap on usable DL PRBs (PrbCapConfig); None means
         # the full carrier is licensed for use right now.
         self.prb_cap: Optional[int] = None
+        #: Usable DL PRBs right now: the carrier width, or less under
+        #: a cap (read-only to callers; set_prb_cap keeps it).
+        self.n_prb: int = config.n_prb_dl
         # The dominant interfering cell, if any (eICIC topologies);
         # assigned through set_interference_source.
         self._interference_source: Optional["Cell"] = None
@@ -102,12 +106,10 @@ class Cell:
     def cell_id(self) -> int:
         return self.config.cell_id
 
-    @property
-    def n_prb(self) -> int:
-        """Usable DL PRBs right now (carrier width minus any LSA cap)."""
-        if self.prb_cap is None:
-            return self.config.n_prb_dl
-        return max(0, min(self.config.n_prb_dl, self.prb_cap))
+    #: The dominant interfering cell, or ``None`` (assign it with
+    #: :meth:`set_interference_source`).  A C-level getter: the view
+    #: cache tests it on every build.
+    interference_source = property(attrgetter("_interference_source"))
 
     def set_interference_source(self, source: Optional["Cell"]) -> None:
         """Make *source* this cell's dominant interferer (``None``: none)."""
@@ -124,6 +126,8 @@ class Cell:
         if cap is not None and cap < 0:
             raise ValueError(f"PRB cap must be >= 0, got {cap}")
         self.prb_cap = cap
+        width = self.config.n_prb_dl
+        self.n_prb = width if cap is None else min(width, cap)
 
     def add_ue(self, rnti: int, ue: Ue, *, primary: bool = True) -> None:
         if rnti in self.ues:
@@ -255,7 +259,8 @@ class Cell:
         If the dominant interferer is known to be muted in this
         subframe (ABS), the interference-free CQI applies.
         """
-        if self.interferer_muted(tti):
+        source = self._interference_source
+        if source is None or source.is_muted(tti):
             return self.known_cqi_clear.get(rnti, 0)
         return self.known_cqi.get(rnti, 0)
 
@@ -267,8 +272,8 @@ class Cell:
         """
         ue = self.ues[rnti]
         src = self._interference_source
-        active = bool(src is not None and src.transmitting
-                      and src.last_tx_tti == tti)
+        active = (src is not None and src.transmitting
+                  and src.last_tx_tti == tti)  # a bool, without a call
         carriers = ue.carrier_channels  # Ue.channel_for, without calls
         cell_id = self.config.cell_id
         channel = carriers[cell_id] if cell_id in carriers else ue.channel

@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import logging
 import time
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
@@ -57,6 +58,10 @@ from repro.lte.view_cache import UeViewCache
 logger = logging.getLogger(__name__)
 
 RNTI_BASE = 0x46
+
+_DRAW_BLOCK = 1024
+"""Uniform draws the eNodeB takes from its generator at a time: one per
+transport block, element for element the scalar stream (8 KiB each)."""
 
 DlSchedulerHook = Callable[[SchedulingContext], List[DlAssignment]]
 UlSchedulerHook = Callable[[SchedulingContext], List[UlGrant]]
@@ -178,19 +183,21 @@ class EnodeB:
         # (due_tti, cell_id, rnti, pid, ok), appended by _transmit_dl in
         # due order: _process_feedback takes the due ones off the front.
         self._pending_feedback: Deque[Tuple[int, int, int, int, bool]] = deque()
-        self._harq_payload: Dict[Tuple[int, int, int], Dict[int, int]] = {}
 
         self._rng = np.random.default_rng(seed)
+        # The block of draws being read, and the index of the next one.
+        self._draws = array("d")
+        self._draw_at = _DRAW_BLOCK
         self._observers: List[Callable[[EnbEvent], None]] = []
         self.counters = MacCounters()
 
         self._view_cache: Dict[int, UeViewCache] = {
             c: UeViewCache(cell, self) for c, cell in self.cells.items()}
-        # Settled UE changes, departures and report-only changes; per
-        # attached RNTI the value of its last one (delta reports), kept
-        # in value order.
+        # Settled UE changes, departures and report-only changes; and,
+        # from the first ue_change_seqs() read on, per attached RNTI the
+        # value of its last one (delta reports), kept in value order.
         self._change_seq = 0
-        self._ue_seq: Dict[int, int] = {}
+        self._ue_seq: Optional[Dict[int, int]] = None
 
     # -- topology -------------------------------------------------------
 
@@ -218,6 +225,7 @@ class EnodeB:
             rnti, self._record_rlc,
             buffer_limit_bytes=self._rlc_buffer_bytes)
         self.pdcp[rnti] = PdcpEntity(rnti, self._record_pdcp)
+        self.harq[cell.cell_id].entity(rnti)
         self.rrc.start_attach(rnti, tti)
         cell.refresh_cqi(tti, force=True)
         self._record_membership(rnti)
@@ -234,7 +242,8 @@ class EnodeB:
         # Membership changed: bump the change sequence so delta stats
         # consumers notice even though the RNTI itself is gone.
         self._change_seq += 1
-        self._ue_seq.pop(rnti, None)
+        if self._ue_seq is not None:
+            self._ue_seq.pop(rnti, None)
         for _, into in self._settle_into:  # so no reader's sets grow
             for dirty, _ in into:
                 dirty -= {rnti}
@@ -244,7 +253,6 @@ class EnodeB:
             del self.bearer_qos[key]
         self.rlc.pop(rnti, None)
         self.pdcp.pop(rnti, None)
-        self.harq[cell.cell_id].remove(rnti)
         self._purge_harq(cell.cell_id, rnti)
         self.rrc.release(rnti)
         ue.rnti = None
@@ -282,6 +290,7 @@ class EnodeB:
         ue = self.ue(rnti)
         self.cells[scell_id].add_ue(rnti, ue, primary=False)
         self._view_cache[scell_id].add(rnti)
+        self.harq[scell_id].entity(rnti)
         self.cells[scell_id].refresh_cqi(tti, force=True)
         scells.add(scell_id)
         self._record_membership(rnti)
@@ -295,7 +304,6 @@ class EnodeB:
         if cell is not None and rnti in cell.ues:
             self._view_cache[scell_id].remove(rnti)
             cell.remove_ue(rnti)
-            self.harq[scell_id].remove(rnti)
             # Blocks in flight on the carrier go back to the head of
             # their bearers, oldest first, as a MAX_HARQ_TX drop would
             # send them; one whose pending feedback is an ACK was
@@ -308,8 +316,8 @@ class EnodeB:
             self._record_membership(rnti)
 
     def _purge_harq(self, cell_id: int, rnti: int) -> List[Dict[int, int]]:
-        """Forget *rnti*'s in-flight HARQ bookkeeping on one carrier, so
-        a later reuse of the RNTI cannot receive feedback for these
+        """Drop *rnti*'s HARQ entity and pending feedback on one carrier,
+        so a later reuse of the RNTI cannot receive feedback for these
         blocks.  Returns the payload splits not delivered yet, oldest
         block first."""
         delivered = set()
@@ -321,13 +329,11 @@ class EnodeB:
             elif ok:
                 delivered.add(pid)
         self._pending_feedback = kept
-        payload = self._harq_payload
-        undelivered = []
-        for key in [k for k in payload if k[0] == cell_id and k[1] == rnti]:
-            split = payload.pop(key)
-            if key[2] not in delivered:
-                undelivered.append(split)
-        return undelivered
+        entity = self.harq[cell_id].remove(rnti)
+        if entity is None:
+            return []
+        return [proc.split for proc in entity.in_flight()
+                if proc.pid not in delivered]
 
     # -- bearer QoS ---------------------------------------------------------
 
@@ -368,11 +374,12 @@ class EnodeB:
         """Turn the recorded RNTIs into change sequences and dirty sets.
 
         Each recorded RNTI still attached gets the next sequence value,
-        once however many kinds recorded it, and joins, per kind that
-        recorded it, the dirty set of every reader registered for that
-        kind (:meth:`settle_into`) that serves it.  One that left before
-        settling is dropped.  No method call per RNTI: this runs for
-        every cell on every TTI.
+        once however many kinds recorded it (kept per RNTI only once a
+        sequence reader called :meth:`ue_change_seqs`), and joins, per
+        kind that recorded it, the dirty set of every reader registered
+        for that kind (:meth:`settle_into`) that serves it.  One that
+        left before settling is dropped.  No method call per RNTI: this
+        runs for every cell on every TTI.
         """
         changed = set()
         for kind_recorded in self._recorded:
@@ -386,9 +393,10 @@ class EnodeB:
         for rnti in changed:
             if rnti in ue_cell:
                 seq += 1
-                if rnti in ue_seq:
-                    del ue_seq[rnti]  # re-inserted last: value order
-                ue_seq[rnti] = seq
+                if ue_seq is not None:  # a sequence reader keeps the map
+                    if rnti in ue_seq:
+                        del ue_seq[rnti]  # re-inserted last: value order
+                    ue_seq[rnti] = seq
         self._change_seq = seq
         for kind_recorded, into in self._settle_into:
             if kind_recorded:
@@ -400,8 +408,18 @@ class EnodeB:
         """``rnti -> change_seq`` value of its last change, for every
         attached UE, in value order: the UEs changed since a given
         value are a tail of it (settled first; read-only to the
-        caller)."""
+        caller).
+
+        The map is kept from the first call on, so an eNodeB nobody
+        asks pays nothing for it.  That call enters every attached UE
+        at the value :attr:`change_seq` has then, which is at or after
+        its last change: asked for the UEs changed since an earlier
+        value, the map names every UE attached at the first call (too
+        many, never too few).
+        """
         self._settle()
+        if self._ue_seq is None:
+            self._ue_seq = dict.fromkeys(self._ue_cell, self._change_seq)
         return self._ue_seq
 
     def mark_ue_report_dirty(self, rnti: int) -> int:
@@ -415,9 +433,10 @@ class EnodeB:
         """
         seq = self._change_seq = self._change_seq + 1
         ue_seq = self._ue_seq
-        if rnti in ue_seq:
-            del ue_seq[rnti]
-        ue_seq[rnti] = seq
+        if ue_seq is not None:
+            if rnti in ue_seq:
+                del ue_seq[rnti]
+            ue_seq[rnti] = seq
         return seq
 
     @property
@@ -493,11 +512,14 @@ class EnodeB:
                           if key[0] in cache.included}
         else:
             bearer_qos = {}
+        harq = self.harq[cell_id]
         return SchedulingContext(
             tti=tti, n_prb=cell.n_prb, ues=views,
-            pending_retx=self.harq[cell_id].all_pending_retx(tti),
+            pending_retx=(harq.all_pending_retx(tti) if harq.retx_rntis
+                          else []),
             cell_id=cell_id, subframe=tti % SUBFRAMES_PER_FRAME,
-            abs_subframe=cell.is_muted(tti),
+            abs_subframe=(cell.is_muted(tti) if cell.muted_subframes
+                          else False),
             bearer_qos=bearer_qos,
             backlogged_ues=backlogged, schedulable_ues=schedulable,
             ul_backlogged_ues=ul_backlogged)
@@ -517,23 +539,29 @@ class EnodeB:
             self._plan(tti)
 
     def _plan(self, tti: int) -> None:
-        self._process_feedback(tti)
-        self._advance_rrc(tti)
-        self.drx.account_all(tti)
-        self._plan_dl.clear()
-        self._plan_ul.clear()
+        # A sub-pass with nothing to do costs a test, not a call.
+        pending = self._pending_feedback
+        if pending and pending[0][0] <= tti:
+            self._process_feedback(tti)
+        if self.rrc.attaching:
+            self._advance_rrc(tti)
+        if self.drx.states:
+            self.drx.account_all(tti)
+        plan_dl = self._plan_dl = {}
+        plan_ul = self._plan_ul = {}
         for cell_id, cell in self.cells.items():
             cell.refresh_cqi(tti)
             ctx = self.build_context(cell_id, tti)
             n_prb = ctx.n_prb  # the cell's, read once, before any hook runs
             assignments = self.dl_scheduler[cell_id](ctx) or []
-            validate_allocation(assignments, n_prb)
+            used = validate_allocation(assignments, n_prb) if assignments else 0
             grants = self.ul_scheduler[cell_id](ctx) or []
-            self._plan_dl[cell_id] = assignments
-            self._plan_ul[cell_id] = grants
-            self.last_prbs_dl[cell_id] = sum(a.n_prb for a in assignments)
-            self.last_prbs_ul[cell_id] = sum(g.n_prb for g in grants)
-            cell.mark_transmission(tti, bool(assignments))
+            plan_dl[cell_id] = assignments
+            plan_ul[cell_id] = grants
+            self.last_prbs_dl[cell_id] = used
+            self.last_prbs_ul[cell_id] = (sum(g.n_prb for g in grants)
+                                          if grants else 0)
+            cell.mark_transmission(tti, used > 0)
         self.last_plan_tti = tti
 
     def planned_cell_ids(self, tti: int) -> List[int]:
@@ -560,10 +588,11 @@ class EnodeB:
             self._transmit_pass(tti)
 
     def _transmit_pass(self, tti: int) -> None:
-        for cell_id in self.cells:
-            for assignment in self._plan_dl.get(cell_id, []):
+        plan_ul = self._plan_ul
+        for cell_id, assignments in self._plan_dl.items():
+            for assignment in assignments:
                 self._transmit_dl(cell_id, assignment, tti)
-            for grant in self._plan_ul.get(cell_id, []):
+            for grant in plan_ul[cell_id]:
                 self._transmit_ul(cell_id, grant, tti)
 
     def tick(self, tti: int) -> None:
@@ -574,6 +603,8 @@ class EnodeB:
     # -- internals --------------------------------------------------------
 
     def _advance_rrc(self, tti: int) -> None:
+        """Supervise the attaches in flight (none: :meth:`_plan` skips
+        this)."""
         self.rrc.check_timeouts(tti)
         for rnti in self.rrc.attaching_rntis():
             if self.rrc.setup_due(rnti, tti):
@@ -585,70 +616,81 @@ class EnodeB:
 
     def _process_feedback(self, tti: int) -> None:
         pending = self._pending_feedback
+        harq = self.harq
         while pending and pending[0][0] <= tti:
             _, cell_id, rnti, pid, ok = pending.popleft()
-            entity = self.harq[cell_id].entity(rnti)
-            drop = entity.feedback(pid, ok)
-            key = (cell_id, rnti, pid)
-            if ok:
-                self._harq_payload.pop(key, None)
-            elif drop is not None:
+            drop = harq[cell_id].entities[rnti].feedback(pid, ok)
+            if drop is not None:
                 self.counters.tb_dropped += 1
-                split = self._harq_payload.pop(key, {drop.lcid: drop.payload_bytes})
                 rlc = self.rlc.get(rnti)
                 if rlc is not None:
-                    for lcid, nbytes in split.items():
+                    for lcid, nbytes in drop.split.items():
                         rlc.requeue_front(nbytes, tti, lcid)
+
+    def _next_draws(self) -> None:
+        """Refill the block of uniform draws the transmit path reads."""
+        self._draws = array("d", self._rng.random(_DRAW_BLOCK).tobytes())
+        self._draw_at = 0
 
     def _transmit_dl(self, cell_id: int, a: DlAssignment, tti: int) -> None:
         cell = self.cells[cell_id]
-        if a.rnti not in cell.ues:
+        rnti = a.rnti
+        if rnti not in cell.ues:
             return  # UE left between plan and transmit
-        entity = self.harq[cell_id].entity(a.rnti)
-        if a.is_retx:
-            if a.harq_pid is None:
-                raise ValueError("retransmission without a HARQ process id")
+        entity = self.harq[cell_id].entities[rnti]
+        if a.is_retx:  # validate_allocation saw to its harq_pid
             proc = entity.retransmit(a.harq_pid, tti)
-            payload_split = self._harq_payload.get(
-                (cell_id, a.rnti, a.harq_pid), {proc.lcid: proc.payload_bytes})
-            attempt = proc.attempt
-            pid = proc.pid
+            split = proc.split
+            payload = proc.payload_bytes
+            top = proc.lcid
         else:
-            free = entity.free_process()
-            if free is None:
+            for free in entity.processes:
+                if not free.busy:
+                    break
+            else:
                 self.counters.harq_blocked += 1
                 return
             budget = transport_block_bits(a.cqi_used, a.n_prb) // 8
-            payload_split = self.rlc[a.rnti].dequeue_priority(
+            split = self.rlc[rnti].dequeue_priority(
                 budget, tti, prefer_lcid=a.lcid)
-            if not payload_split:
+            if not split:
                 return
+            payload = top = 0
+            for lcid, nbytes in split.items():
+                payload += nbytes
+                if lcid > top:
+                    top = lcid
             proc = entity.start(
                 pid=free.pid if a.harq_pid is None else a.harq_pid,
-                tb_bits=budget * 8, payload_bytes=sum(payload_split.values()),
-                cqi_used=a.cqi_used, n_prb=a.n_prb,
-                lcid=max(payload_split), tti=tti)
-            self._harq_payload[(cell_id, a.rnti, proc.pid)] = payload_split
-            attempt = 1
-            pid = proc.pid
+                tb_bits=budget * 8, payload_bytes=payload,
+                cqi_used=a.cqi_used, n_prb=a.n_prb, lcid=top, tti=tti,
+                split=split)
 
         self.counters.dl_assignments += 1
-        self.drx.note_activity(a.rnti, tti)
-        actual = cell.actual_cqi(a.rnti, tti)
-        p_err = self.error_model.error_probability(a.cqi_used, actual, attempt)
-        ok = bool(self._rng.random() >= p_err)
+        if self.drx.states:
+            self.drx.note_activity(rnti, tti)
+        actual = cell.actual_cqi(rnti, tti)
+        p_err = self.error_model.error_probability(
+            a.cqi_used, actual, proc.attempt)
+        if self._draw_at == _DRAW_BLOCK:
+            self._next_draws()
+        ok = self._draws[self._draw_at] >= p_err
+        self._draw_at += 1
         self._pending_feedback.append(
-            (tti + FEEDBACK_DELAY_TTIS, cell_id, a.rnti, pid, ok))
+            (tti + FEEDBACK_DELAY_TTIS, cell_id, rnti, proc.pid, ok))
         if not ok:
             self.counters.tb_err += 1
             return
         self.counters.tb_ok += 1
-        ue = cell.ues[a.rnti]
-        for lcid, nbytes in sorted(payload_split.items()):
+        ue = cell.ues[rnti]
+        # Bearers in LCID order; a payload the top bearer carries whole
+        # (every drained bearer carries a byte or more) is one bearer.
+        for lcid, nbytes in (((top, payload),) if split[top] == payload
+                             else sorted(split.items())):
             if lcid < DEFAULT_LCID:
-                self.rrc.srb_delivered(a.rnti, nbytes, tti)
+                self.rrc.srb_delivered(rnti, nbytes, tti)
             else:
-                self.pdcp[a.rnti].egress(lcid, nbytes)  # stats only
+                self.pdcp[rnti].egress(lcid, nbytes)  # stats only
                 self.counters.dl_delivered_bytes += nbytes
                 ue.deliver(nbytes, tti)
 
@@ -666,7 +708,11 @@ class EnodeB:
             return
         self._record_ul_buffer(grant.rnti)
         self.counters.ul_grants += 1
-        if self._rng.random() >= p_err:
+        if self._draw_at == _DRAW_BLOCK:
+            self._next_draws()
+        ok = self._draws[self._draw_at] >= p_err
+        self._draw_at += 1
+        if ok:
             self.counters.ul_delivered_bytes += sent
         else:
             # Lost UL TB: data returns to the UE's buffer (HARQ abstracted).

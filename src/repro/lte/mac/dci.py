@@ -158,26 +158,32 @@ class SchedulingContext:
         return self.ul_backlogged_ues
 
 
-def total_prbs(assignments: Sequence[DlAssignment]) -> int:
-    """Sum of PRBs over a set of assignments."""
-    return sum(a.n_prb for a in assignments)
-
-
-def validate_allocation(assignments: Sequence[DlAssignment], n_prb: int) -> None:
-    """Raise ``ValueError`` if *assignments* oversubscribe or collide.
+def validate_allocation(assignments: Sequence[DlAssignment], n_prb: int) -> int:
+    """Return the PRBs *assignments* use; raise ``ValueError`` if they
+    oversubscribe the cell, collide, or name a retransmission without
+    its HARQ process.
 
     The eNodeB data plane calls this before applying decisions, so a
     buggy (or malicious) pushed VSF cannot corrupt the MAC state -- the
     closest analogue of the paper's sandboxing discussion that a
-    simulator can enforce.
+    simulator can enforce.  One walk: an oversubscription is reported
+    before a collision or a retransmission without a process.
     """
-    used = total_prbs(assignments)
+    used = 0
+    seen = {}  # as a set: a store is not a call, set.add is
+    fault = None
+    for a in assignments:
+        used += a.n_prb
+        if fault is None:
+            key = (a.rnti, a.lcid, a.is_retx, a.harq_pid)
+            if key in seen:
+                fault = f"duplicate assignment for RNTI {a.rnti}"
+            elif a.is_retx and a.harq_pid is None:
+                fault = "retransmission without a HARQ process id"
+            seen[key] = None
     if used > n_prb:
         raise ValueError(
             f"allocation uses {used} PRBs but the cell has only {n_prb}")
-    seen = set()
-    for a in assignments:
-        key = (a.rnti, a.lcid, a.is_retx, a.harq_pid)
-        if key in seen:
-            raise ValueError(f"duplicate assignment for RNTI {a.rnti}")
-        seen.add(key)
+    if fault is not None:
+        raise ValueError(fault)
+    return used

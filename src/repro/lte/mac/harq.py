@@ -13,6 +13,7 @@ modelling RLC AM re-segmentation).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional
 
 from repro.lte.constants import HARQ_PROCESSES, HARQ_RTT_TTIS, MAX_HARQ_TX
@@ -21,9 +22,14 @@ from repro.lte.mac.dci import PendingRetx
 FEEDBACK_DELAY_TTIS = 4
 
 
-@dataclass
+@dataclass(slots=True)
 class HarqProcess:
-    """State of one stop-and-wait HARQ process."""
+    """State of one stop-and-wait HARQ process.
+
+    A busy process holds its block's payload: ``split`` maps each
+    bearer it carries (lcid) to its bytes, and ``first_tx_tti`` is when
+    the block was first sent.
+    """
 
     pid: int
     busy: bool = False
@@ -36,6 +42,8 @@ class HarqProcess:
     last_tx_tti: int = -1
     awaiting_feedback: bool = False
     needs_retx: bool = False
+    split: Optional[Dict[int, int]] = None
+    first_tx_tti: int = -1
 
     def reset(self) -> None:
         self.busy = False
@@ -47,16 +55,20 @@ class HarqProcess:
         self.last_tx_tti = -1
         self.awaiting_feedback = False
         self.needs_retx = False
+        self.split = None
+        self.first_tx_tti = -1
 
 
 @dataclass
 class HarqDrop:
-    """A transport block abandoned after exhausting retransmissions."""
+    """A transport block abandoned after exhausting retransmissions;
+    *split* is its payload per bearer (lcid -> bytes)."""
 
     rnti: int
     pid: int
     payload_bytes: int
     lcid: int
+    split: Dict[int, int]
 
 
 class HarqEntity:
@@ -88,19 +100,21 @@ class HarqEntity:
         """Whether any process holds a NACKed block (timing aside)."""
         return self._retx_count > 0
 
-    def free_process(self) -> Optional[HarqProcess]:
-        """A process available for new data, or ``None`` if all busy."""
-        for proc in self.processes:
-            if not proc.busy:
-                return proc
-        return None
-
     def start(self, *, pid: Optional[int], tb_bits: int, payload_bytes: int,
-              cqi_used: int, n_prb: int, lcid: int, tti: int) -> HarqProcess:
-        """Record a new-data transmission on a (given or free) process."""
-        proc = self.processes[pid] if pid is not None else self.free_process()
-        if proc is None:
-            raise RuntimeError(f"RNTI {self.rnti}: all HARQ processes busy")
+              cqi_used: int, n_prb: int, lcid: int, tti: int,
+              split: Optional[Dict[int, int]] = None) -> HarqProcess:
+        """Record a new-data transmission on a given process, or on the
+        free one with the lowest pid.  *split* is the payload per bearer
+        (default: all of it on *lcid*)."""
+        if pid is None:
+            for proc in self.processes:
+                if not proc.busy:
+                    break
+            else:
+                raise RuntimeError(
+                    f"RNTI {self.rnti}: all HARQ processes busy")
+        else:
+            proc = self.processes[pid]
         if proc.busy:
             raise RuntimeError(
                 f"RNTI {self.rnti}: HARQ process {proc.pid} already busy")
@@ -114,6 +128,8 @@ class HarqEntity:
         proc.last_tx_tti = tti
         proc.awaiting_feedback = True
         proc.needs_retx = False
+        proc.split = split if split is not None else {lcid: payload_bytes}
+        proc.first_tx_tti = tti
         self._on_change(self.rnti)
         return proc
 
@@ -152,7 +168,8 @@ class HarqEntity:
         self.nacked_blocks += 1
         if proc.attempt >= MAX_HARQ_TX:
             self.dropped_blocks += 1
-            drop = HarqDrop(self.rnti, pid, proc.payload_bytes, proc.lcid)
+            drop = HarqDrop(self.rnti, pid, proc.payload_bytes, proc.lcid,
+                            proc.split)
             proc.reset()
             return drop
         proc.needs_retx = True
@@ -173,6 +190,14 @@ class HarqEntity:
                     attempt=proc.attempt + 1))
         return out
 
+    def in_flight(self) -> List[HarqProcess]:
+        """The busy processes, oldest block first."""
+        return sorted((proc for proc in self.processes if proc.busy),
+                      key=_first_tx_tti)
+
+
+_first_tx_tti = attrgetter("first_tx_tti")
+
 
 class HarqPool:
     """HARQ entities for every UE attached to a cell; each records its
@@ -180,34 +205,36 @@ class HarqPool:
 
     def __init__(self, on_change: Callable[[int], None]) -> None:
         self._on_change = on_change
-        self._entities: Dict[int, HarqEntity] = {}
-        # RNTIs with at least one process awaiting retransmission:
-        # keeps the per-TTI pending-retx sweep proportional to UEs
-        # with NACKed blocks instead of all attached UEs.  A UE stays
-        # in the set while its retransmission is timing-ineligible
-        # (NACKed but inside the HARQ RTT).
-        self._retx_rntis: set = set()
+        #: RNTI -> entity (read-only to callers; :meth:`entity` creates).
+        self.entities: Dict[int, HarqEntity] = {}
+        #: RNTIs with at least one process awaiting retransmission
+        #: (read-only to callers): keeps the per-TTI pending-retx sweep
+        #: proportional to UEs with NACKed blocks instead of all
+        #: attached UEs, and lets a caller skip it when empty.  A UE
+        #: stays in the set while its retransmission is timing-ineligible
+        #: (NACKed but inside the HARQ RTT).
+        self.retx_rntis: set = set()
 
     def entity(self, rnti: int) -> HarqEntity:
-        if rnti not in self._entities:
-            self._entities[rnti] = HarqEntity(
+        """*rnti*'s entity, created on first use."""
+        if rnti not in self.entities:
+            self.entities[rnti] = HarqEntity(
                 rnti, self._on_change, on_retx_change=self._on_retx_change)
-        return self._entities[rnti]
+        return self.entities[rnti]
 
-    def remove(self, rnti: int) -> None:
-        self._entities.pop(rnti, None)
-        self._retx_rntis.discard(rnti)
+    def remove(self, rnti: int) -> Optional[HarqEntity]:
+        """Forget *rnti*'s entity; returns it (``None``: it had none)."""
+        self.retx_rntis.discard(rnti)
+        return self.entities.pop(rnti, None)
 
     def _on_retx_change(self, entity: HarqEntity) -> None:
         if entity.has_pending_retx():
-            self._retx_rntis.add(entity.rnti)
+            self.retx_rntis.add(entity.rnti)
         else:
-            self._retx_rntis.discard(entity.rnti)
+            self.retx_rntis.discard(entity.rnti)
 
     def all_pending_retx(self, tti: int) -> List[PendingRetx]:
-        if not self._retx_rntis:
-            return []
         out: List[PendingRetx] = []
-        for rnti in sorted(self._retx_rntis):
-            out.extend(self._entities[rnti].pending_retx(tti))
+        for rnti in sorted(self.retx_rntis):
+            out.extend(self.entities[rnti].pending_retx(tti))
         return out

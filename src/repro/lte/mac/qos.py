@@ -20,7 +20,7 @@ from repro.lte.mac.schedulers import (
     FairShareScheduler,
     Scheduler,
     prbs_for_queue,
-    schedule_retransmissions,
+    retransmissions_first,
 )
 
 # 23.203 Table 6.1.7: QCI -> (resource type, priority).  Lower priority
@@ -109,9 +109,9 @@ class QosScheduler(Scheduler):
 
     def schedule(self, ctx: SchedulingContext) -> List[DlAssignment]:
         self._accrue(ctx)
-        out = schedule_retransmissions(ctx, ctx.n_prb)
-        remaining = ctx.n_prb - sum(a.n_prb for a in out)
-        retx_rntis = {a.rnti for a in out}
+        out, remaining, retx_rntis = (
+            retransmissions_first(ctx) if ctx.pending_retx
+            else ([], ctx.n_prb, ()))
         served_bytes: Dict[int, int] = {}
 
         # Phase 1: GBR bearers by priority, then (rnti, lcid) for ties.

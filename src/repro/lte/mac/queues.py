@@ -9,9 +9,10 @@ of buffer status reporting toward centralized schedulers.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional
+from typing import Deque, Dict, List, Optional
 
 DEFAULT_LCID = 3
 """Logical channel id of the default data radio bearer (DRB1)."""
@@ -109,12 +110,15 @@ class QueueSet:
         #: lcid -> queue, in creation order (read-only to callers: only
         #: :meth:`queue` creates one).
         self.by_lcid: Dict[int, TransmissionQueue] = {}
+        #: The same lcids in ascending order (read-only to callers).
+        self.lcids: List[int] = []
         self._limit_bytes = limit_bytes
 
     def queue(self, lcid: int = DEFAULT_LCID) -> TransmissionQueue:
         """Get (creating on first use) the queue for *lcid*."""
         if lcid not in self.by_lcid:
             self.by_lcid[lcid] = TransmissionQueue(limit_bytes=self._limit_bytes)
+            insort(self.lcids, lcid)
         return self.by_lcid[lcid]
 
     def sizes(self) -> Dict[int, int]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 from itertools import chain, islice
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Collection, Dict, Iterable, List, Optional, Tuple
 
 from repro import obs as _obs
 from repro.lte.constants import CQI_MAX
@@ -95,6 +95,17 @@ def schedule_retransmissions(ctx: SchedulingContext,
     return out
 
 
+def retransmissions_first(
+        ctx: SchedulingContext
+) -> Tuple[List[DlAssignment], int, Collection[int]]:
+    """``(assignments, PRBs left, their RNTIs)`` after serving *ctx*'s
+    pending retransmissions from the whole carrier.  Every scheduler
+    starts with it, behind one test: with nothing pending the answer is
+    ``([], ctx.n_prb, ())``, so an idle TTI makes no call for it."""
+    out = schedule_retransmissions(ctx, ctx.n_prb)
+    return out, ctx.n_prb - sum(a.n_prb for a in out), {a.rnti for a in out}
+
+
 def _greedy_fill(ues: Iterable[UeView], budget: int) -> List[DlAssignment]:
     """Allocate PRBs to the candidates *ues* in order, each by queue
     need, until the budget runs out (time-multiplexed fairness)."""
@@ -103,7 +114,8 @@ def _greedy_fill(ues: Iterable[UeView], budget: int) -> List[DlAssignment]:
     for ue in ues:
         if remaining <= 0:
             break
-        n_prb = min(prbs_for_queue(ue.cqi, ue.queue_bytes), remaining)
+        need = prbs_for_queue(ue.cqi, ue.queue_bytes)
+        n_prb = need if need < remaining else remaining
         out.append(DlAssignment(rnti=ue.rnti, n_prb=n_prb,
                                 cqi_used=amc.select_mcs(ue.cqi)))
         remaining -= n_prb
@@ -125,9 +137,10 @@ class RoundRobinScheduler(Scheduler):
         self._next_index = 0
 
     def schedule(self, ctx: SchedulingContext) -> List[DlAssignment]:
-        out = schedule_retransmissions(ctx, ctx.n_prb)
-        remaining = ctx.n_prb - sum(a.n_prb for a in out)
-        candidates = ctx.candidates({a.rnti for a in out})
+        out, remaining, retx_rntis = (
+            retransmissions_first(ctx) if ctx.pending_retx
+            else ([], ctx.n_prb, ()))
+        candidates = ctx.candidates(retx_rntis)
         if not candidates or remaining <= 0:
             return out
         # Walk the candidates in place, from the rotation index round to
@@ -158,9 +171,9 @@ class FairShareScheduler(Scheduler):
         self._rotate = 0
 
     def schedule(self, ctx: SchedulingContext) -> List[DlAssignment]:
-        out = schedule_retransmissions(ctx, ctx.n_prb)
-        remaining = ctx.n_prb - sum(a.n_prb for a in out)
-        retx_rntis = {a.rnti for a in out}
+        out, remaining, retx_rntis = (
+            retransmissions_first(ctx) if ctx.pending_retx
+            else ([], ctx.n_prb, ()))
         backlogged = ctx.candidates(retx_rntis)
         if not backlogged or remaining <= 0:
             return out
@@ -228,9 +241,10 @@ class ProportionalFairScheduler(Scheduler):
     def schedule(self, ctx: SchedulingContext) -> List[DlAssignment]:
         alpha = self.parameters["ewma_alpha"]
         decay = 1 - alpha
-        out = schedule_retransmissions(ctx, ctx.n_prb)
-        remaining = ctx.n_prb - sum(a.n_prb for a in out)
-        candidates = ctx.candidates({a.rnti for a in out})
+        out, remaining, retx_rntis = (
+            retransmissions_first(ctx) if ctx.pending_retx
+            else ([], ctx.n_prb, ()))
+        candidates = ctx.candidates(retx_rntis)
         avg_rate = self._avg_rate
         get = avg_rate.get
         metrics = [_ONE_PRB_BITS[u.cqi] / (avg if (avg := get(u.rnti, 1.0)) > 1.0 else 1.0)
@@ -265,9 +279,9 @@ class MaxCqiScheduler(Scheduler):
     name = "max_cqi"
 
     def schedule(self, ctx: SchedulingContext) -> List[DlAssignment]:
-        out = schedule_retransmissions(ctx, ctx.n_prb)
-        remaining = ctx.n_prb - sum(a.n_prb for a in out)
-        retx_rntis = {a.rnti for a in out}
+        out, remaining, retx_rntis = (
+            retransmissions_first(ctx) if ctx.pending_retx
+            else ([], ctx.n_prb, ()))
         ranked = sorted(ctx.candidates(retx_rntis),
                         key=lambda u: (-u.cqi, u.rnti))
         out.extend(_greedy_fill(ranked, remaining))
@@ -328,9 +342,9 @@ class SlicedScheduler(Scheduler):
 
     def schedule(self, ctx: SchedulingContext) -> List[DlAssignment]:
         fractions: Dict[str, float] = self.parameters["fractions"]
-        out = schedule_retransmissions(ctx, ctx.n_prb)
-        remaining = ctx.n_prb - sum(a.n_prb for a in out)
-        retx_rntis = {a.rnti for a in out}
+        out, remaining, retx_rntis = (
+            retransmissions_first(ctx) if ctx.pending_retx
+            else ([], ctx.n_prb, ()))
         for op in sorted(fractions):
             quota = int(round(fractions[op] * ctx.n_prb))
             quota = min(quota, remaining)
@@ -388,9 +402,9 @@ class GroupScheduler(Scheduler):
 
     def schedule(self, ctx: SchedulingContext) -> List[DlAssignment]:
         frac = self.parameters["premium_fraction"]
-        out = schedule_retransmissions(ctx, ctx.n_prb)
-        remaining = ctx.n_prb - sum(a.n_prb for a in out)
-        retx_rntis = {a.rnti for a in out}
+        out, remaining, retx_rntis = (
+            retransmissions_first(ctx) if ctx.pending_retx
+            else ([], ctx.n_prb, ()))
         plans = (
             ("premium", self._premium, int(round(frac * ctx.n_prb))),
             ("secondary", self._secondary, ctx.n_prb - int(round(frac * ctx.n_prb))),

@@ -95,12 +95,13 @@ class RlcEntity:
         empty bearer costs neither a header nor a call.
         """
         queues = self.queues.by_lcid
-        order = sorted(queues)
+        order = self.queues.lcids
         if prefer_lcid in queues and prefer_lcid >= DEFAULT_LCID:
             first = 0
             while order[first] < DEFAULT_LCID:
                 first += 1
             if order[first] != prefer_lcid:  # not already the first DRB
+                order = order.copy()
                 order.remove(prefer_lcid)
                 order.insert(first, prefer_lcid)
         taken: Dict[int, int] = {}

@@ -79,10 +79,11 @@ class RrcEntity:
         self._on_change = on_change
         self._contexts: Dict[int, RrcUeContext] = {}
         self._observers: List[Callable[[RrcEvent, int, int], None]] = []
-        # RNTIs whose attach is still in flight (RANDOM_ACCESS or
-        # CONNECTING): the only contexts the per-TTI supervision loops
-        # need to visit, so they stay O(attaching) not O(attached).
-        self._attaching: Set[int] = set()
+        #: RNTIs whose attach is still in flight (RANDOM_ACCESS or
+        #: CONNECTING; read-only to callers): the only contexts the
+        #: per-TTI supervision loops need to visit, so they stay
+        #: O(attaching) not O(attached), and none while it is empty.
+        self.attaching: Set[int] = set()
 
     def subscribe(self, fn: Callable[[RrcEvent, int, int], None]) -> None:
         """Register ``fn(event, rnti, tti)`` for RRC events."""
@@ -104,7 +105,7 @@ class RrcEntity:
 
     def attaching_rntis(self) -> List[int]:
         """RNTIs with an attach in flight, in RNTI order."""
-        return sorted(self._attaching)
+        return sorted(self.attaching)
 
     def start_attach(self, rnti: int, tti: int) -> RrcUeContext:
         """Begin random access for a new UE."""
@@ -112,7 +113,7 @@ class RrcEntity:
             raise ValueError(f"RNTI {rnti} already has an RRC context")
         ctx = RrcUeContext(rnti=rnti, state=RrcState.RANDOM_ACCESS, ra_tti=tti)
         self._contexts[rnti] = ctx
-        self._attaching.add(rnti)
+        self.attaching.add(rnti)
         self._on_change(rnti)
         self._notify(RrcEvent.RANDOM_ACCESS, rnti, tti)
         return ctx
@@ -136,16 +137,16 @@ class RrcEntity:
                 and ctx.srb_delivered_bytes >= ATTACH_SIGNALLING_BYTES):
             ctx.state = RrcState.CONNECTED
             ctx.connected_tti = tti
-            self._attaching.discard(rnti)
+            self.attaching.discard(rnti)
             self._on_change(rnti)
             self._notify(RrcEvent.UE_ATTACHED, rnti, tti)
 
     def check_timeouts(self, tti: int) -> List[int]:
         """Fail attaches that exceeded the deadline; returns failed RNTIs."""
         failed: List[int] = []
-        if not self._attaching:
+        if not self.attaching:
             return failed
-        for rnti in sorted(self._attaching):
+        for rnti in sorted(self.attaching):
             ctx = self._contexts[rnti]
             if tti - ctx.ra_tti > ATTACH_TIMEOUT_TTIS:
                 ctx.state = RrcState.FAILED
@@ -153,7 +154,7 @@ class RrcEntity:
                 self._on_change(rnti)
                 self._notify(RrcEvent.ATTACH_FAILED, rnti, tti)
         for rnti in failed:
-            self._attaching.discard(rnti)
+            self.attaching.discard(rnti)
         return failed
 
     def complete_handover(self, rnti: int, tti: int) -> None:
@@ -165,4 +166,4 @@ class RrcEntity:
     def release(self, rnti: int) -> None:
         """Drop the context (UE detached or handed over away)."""
         self._contexts.pop(rnti, None)
-        self._attaching.discard(rnti)
+        self.attaching.discard(rnti)

@@ -133,8 +133,9 @@ class Ue:
         self.meter.add(nbytes, tti)
         if self.record_series:
             self.delivery_series.append((tti, nbytes))
-        for fn in list(self._delivery_callbacks):
-            fn(nbytes, tti)
+        if self._delivery_callbacks:  # a copy: a sink may register more
+            for fn in list(self._delivery_callbacks):
+                fn(nbytes, tti)
 
     def throughput_mbps(self, now: int) -> float:
         """Downlink goodput over the meter window ending at *now*."""

@@ -132,7 +132,8 @@ class UeViewCache:
         exactly as :meth:`SchedulingContext.backlogged` already requires.
         """
         full = self.dirty["full"]
-        muted = self._cell.interferer_muted(tti)
+        cell = self._cell
+        muted = cell.interference_source is None or cell.interferer_muted(tti)
         if muted is not self._cqis_assume_muted:
             full.update(self._views)
             self._cqis_assume_muted = muted

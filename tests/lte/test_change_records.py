@@ -137,7 +137,7 @@ READS = {
     "rlc.requeue_front(0)": (_rlc, lambda rlc: rlc.requeue_front(0, 1, 3)),
     "pdcp.egress(0)": (_pdcp, lambda pdcp: pdcp.egress(3, 0)),
     "harq.pending_retx": (_nacked, lambda harq: harq.pending_retx(8)),
-    "harq.free_process": (_nacked, lambda harq: harq.free_process()),
+    "harq.in_flight": (_nacked, lambda harq: harq.in_flight()),
     "drx.is_awake": (_drx, lambda drx: drx.is_awake(RNTI, 5)),
     "drx.account_all": (_drx, lambda drx: drx.account_all(5)),
     "drx.note_activity(unconfigured)": (
@@ -417,6 +417,7 @@ class TestSettling:
 
     def test_one_step_per_ue_however_many_kinds_recorded_it(self):
         enb, (first, second) = connected_enb()
+        enb.ue_change_seqs()  # a sequence reader from here on
         seq = enb.change_seq
         moved = reader(enb)
         enb.enqueue_dl(first, 700, 40)            # pdcp, rlc
@@ -487,6 +488,7 @@ class TestSettling:
     def test_the_sequence_map_is_in_value_order(self):
         """So the UEs changed since a value are a tail of it."""
         enb, rntis = connected_enb(n_ues=4)
+        enb.ue_change_seqs()  # a sequence reader from here on
         for rnti in (rntis[2], rntis[0], rntis[3]):
             enb.rlc[rnti].enqueue(100, 40)
             assert enb.change_seq
@@ -496,3 +498,22 @@ class TestSettling:
         enb.mark_ue_report_dirty(rntis[2])
         assert list(seqs)[-1] == rntis[2]
         assert list(seqs.values()) == sorted(seqs.values())
+
+    def test_the_sequence_map_is_kept_from_its_first_read(self):
+        """An eNodeB nobody asks keeps no map, only the count; the first
+        read enters every attached UE at the value of the moment, so a
+        delta since an earlier value names all of them (too many, never
+        too few), and one since that value names only later changes."""
+        enb, rntis = connected_enb(n_ues=3)
+        before = enb.change_seq
+        enb.rlc[rntis[1]].enqueue(100, 40)
+        enb.pdcp[rntis[2]].ingress(3, 100)
+        assert enb.change_seq == before + 2  # counted all the same
+        assert enb._ue_seq is None
+        first = enb.change_seq
+        seqs = enb.ue_change_seqs()
+        assert dict(seqs) == dict.fromkeys(rntis, first)
+        assert [r for r, seq in seqs.items() if seq > before] == rntis
+        enb.rlc[rntis[0]].enqueue(100, 41)
+        assert enb.change_seq == first + 1
+        assert [r for r, seq in seqs.items() if seq > first] == [rntis[0]]

@@ -31,10 +31,10 @@ def accounted_bytes(enb, rnti):
     delivered_unacked = {
         (c, r, p) for (_, c, r, p, ok) in enb._pending_feedback if ok}
     in_harq_failed = sum(
-        sum(split.values())
-        for key, split in enb._harq_payload.items()
-        if key[0] in carriers and key[1] == rnti
-        and key not in delivered_unacked)
+        sum(proc.split.values())
+        for cell_id in carriers
+        for proc in enb.harq[cell_id].entities[rnti].processes
+        if proc.busy and (cell_id, rnti, proc.pid) not in delivered_unacked)
     rlc = enb.rlc[rnti]
     # SRB signalling is injected by RRC, not by the traffic source, so
     # track only the data bearer (lcid 3).
@@ -108,7 +108,7 @@ def test_conservation_with_harq_exhaustion():
 @pytest.mark.parametrize("base_bler", [0.0, 0.3])
 def test_conservation_across_scell_deactivation(base_bler):
     """Blocks in flight on a carrier that is deactivated go back to
-    their bearer; they used to stay in ``_harq_payload`` forever, dequeued
+    their bearer; they used to stay in HARQ bookkeeping forever, dequeued
     from RLC and never delivered, requeued or counted."""
     enb = EnodeB(1, [CellConfig(cell_id=10), CellConfig(cell_id=11)],
                  seed=1, error_model=ErrorModel(base_bler=base_bler),
@@ -126,7 +126,8 @@ def test_conservation_across_scell_deactivation(base_bler):
             offered += 1400
         enb.tick(t)
         assert accounted_bytes(enb, rnti) == offered
-    assert any(key[0] == 11 for key in enb._harq_payload)  # in flight
+    assert any(proc.busy
+               for proc in enb.harq[11].entities[rnti].processes)  # in flight
     enb.deactivate_scell(rnti, 11)
     assert accounted_bytes(enb, rnti) == offered
     for t in range(200, 600):
@@ -134,7 +135,7 @@ def test_conservation_across_scell_deactivation(base_bler):
         due = [entry[0] for entry in enb._pending_feedback]
         assert due == sorted(due)
     assert accounted_bytes(enb, rnti) == offered
-    assert not [key for key in enb._harq_payload if key[0] == 11]
+    assert rnti not in enb.harq[11].entities
 
 
 def test_counters_consistent():

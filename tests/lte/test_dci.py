@@ -7,7 +7,6 @@ from repro.lte.mac.dci import (
     SchedulingContext,
     UeView,
     UlGrant,
-    total_prbs,
     validate_allocation,
 )
 
@@ -78,5 +77,21 @@ class TestValidateAllocation:
              DlAssignment(rnti=70, n_prb=5, cqi_used=10)], 50)
 
     def test_total_prbs(self):
-        assert total_prbs([DlAssignment(rnti=70, n_prb=7, cqi_used=1),
-                           DlAssignment(rnti=71, n_prb=3, cqi_used=1)]) == 10
+        # The one walk that validates also sums the PRBs used.
+        assert validate_allocation(
+            [DlAssignment(rnti=70, n_prb=7, cqi_used=1),
+             DlAssignment(rnti=71, n_prb=3, cqi_used=1)], 10) == 10
+
+    def test_retransmission_without_a_process_rejected(self):
+        with pytest.raises(ValueError, match="without a HARQ process"):
+            validate_allocation(
+                [DlAssignment(rnti=70, n_prb=5, cqi_used=10, is_retx=True)],
+                50)
+
+    def test_oversubscription_is_reported_first(self):
+        with pytest.raises(ValueError, match="PRBs but the cell"):
+            validate_allocation(
+                [DlAssignment(rnti=70, n_prb=30, cqi_used=10),
+                 DlAssignment(rnti=70, n_prb=30, cqi_used=10),
+                 DlAssignment(rnti=71, n_prb=5, cqi_used=10, is_retx=True)],
+                50)

@@ -1,9 +1,13 @@
 """Tests for the eNodeB data plane."""
 
+from dataclasses import astuple
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.lte.cell import CellConfig
-from repro.lte.enodeb import EnbEventType, EnodeB
+from repro.lte.enodeb import _DRAW_BLOCK, EnbEventType, EnodeB
 from repro.lte.mac.amc import ErrorModel
 from repro.lte.mac.dci import DlAssignment, SchedulingContext
 from repro.lte.phy.channel import FixedCqi, SquareWaveCqi
@@ -158,6 +162,26 @@ class TestSchedulerHookContract:
         with pytest.raises(ValueError):
             enb.plan(0)
 
+    def test_a_retransmission_without_a_process_is_refused_at_plan(self):
+        """Validation refuses the plan before anything is sent: a valid
+        block for UE A ahead of a process-less retransmission for UE B
+        leaves every counter and A's queue as they were."""
+        enb = EnodeB(1)
+        first = enb.attach_ue(Ue("001", FixedCqi(15)), tti=0)
+        second = enb.attach_ue(Ue("002", FixedCqi(15)), tti=0)
+        drive(enb, 40)
+        enb.enqueue_dl(first, 1400, 40)
+        enb.dl_scheduler[enb.cell().cell_id] = lambda ctx: [
+            DlAssignment(rnti=first, n_prb=10, cqi_used=15),
+            DlAssignment(rnti=second, n_prb=10, cqi_used=15, is_retx=True)]
+        counters = astuple(enb.counters)
+        queued = enb.rlc[first].backlog()[1]
+        with pytest.raises(ValueError, match="without a HARQ process"):
+            enb.plan(40)
+        enb.transmit(40)  # the refused plan sends nothing
+        assert astuple(enb.counters) == counters
+        assert enb.rlc[first].backlog()[1] == queued == 1400
+
     def test_context_reflects_queue_and_cqi(self):
         enb = EnodeB(1)
         rnti = enb.attach_ue(Ue("001", FixedCqi(9)), tti=0)
@@ -204,3 +228,36 @@ class TestMultiCell:
         with pytest.raises(ValueError):
             enb.cell()
         assert enb.cell(11).cell_id == 11
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_block_draws_are_the_scalar_stream(seed):
+    """The eNodeB takes its uniform draws a block at a time; across
+    refills, with downlink and uplink draws interleaved, the draws it
+    uses are one scalar ``random()`` each from a generator of its seed."""
+    enb = EnodeB(1, seed=seed)
+    rnti = enb.attach_ue(Ue("001", FixedCqi(15)), tti=0)
+    draws, kinds = [], []
+
+    def spy(kind, transmit, counter):
+        def recording(cell_id, item, tti):
+            before = getattr(enb.counters, counter)
+            transmit(cell_id, item, tti)
+            if getattr(enb.counters, counter) != before:  # it drew
+                draws.append(enb._draws[enb._draw_at - 1])
+                kinds.append(kind)
+        return recording
+
+    enb._transmit_dl = spy("dl", enb._transmit_dl, "dl_assignments")
+    enb._transmit_ul = spy("ul", enb._transmit_ul, "ul_grants")
+    tti = 0
+    while len(draws) <= 2 * _DRAW_BLOCK + 1:
+        enb.enqueue_dl(rnti, 1000, tti)
+        enb.notify_ul(rnti, 300, tti)
+        enb.tick(tti)
+        tti += 1
+    assert ("dl", "ul") in zip(kinds, kinds[1:])
+    assert ("ul", "dl") in zip(kinds, kinds[1:])
+    scalar = np.random.default_rng(seed)
+    assert draws == [scalar.random() for _ in draws]

@@ -19,7 +19,7 @@ class TestHarqEntity:
     def test_all_processes_initially_free(self):
         e = HarqEntity(70, set().add)
         assert sum(p.busy for p in e.processes) == 0
-        assert e.free_process().pid == 0
+        assert start_block(e).pid == 0
 
     def test_start_occupies_process(self):
         e = HarqEntity(70, set().add)
@@ -31,7 +31,7 @@ class TestHarqEntity:
         e = HarqEntity(70, set().add)
         for _ in range(HARQ_PROCESSES):
             start_block(e)
-        assert e.free_process() is None
+        assert all(p.busy for p in e.processes)
         with pytest.raises(RuntimeError):
             start_block(e)
 
@@ -146,7 +146,7 @@ class RetxBookkeeping(RuleBasedStateMachine):
     def start(self, rnti):
         entity = self.entity(rnti)
         self.tti += 1
-        if entity.free_process() is None:
+        if all(p.busy for p in entity.processes):
             with pytest.raises(RuntimeError):
                 start_block(entity, tti=self.tti)
         else:
@@ -188,7 +188,7 @@ class RetxBookkeeping(RuleBasedStateMachine):
             assert entity.has_pending_retx() == (scanned > 0)
             if scanned:
                 waiting.add(rnti)
-        assert self.pool._retx_rntis == waiting
+        assert self.pool.retx_rntis == waiting
         assert ({p.rnti for p in self.pool.all_pending_retx(self.tti + 100)}
                 == waiting)
 
