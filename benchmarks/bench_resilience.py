@@ -17,13 +17,13 @@ within 20% of the fault-free baseline's, and recovers after the heal.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from conftest import print_table, run_once
 
 from repro.core.agent.connection import ConnectionState
 from repro.core.controller.rib import AgentLiveness
-from repro.sim.metrics import Probe, Series
+from repro.net.clock import Phase
 from repro.sim.scenarios import CentralizedScenario, FaultSpec, \
     partitioned_centralized
 
@@ -47,9 +47,13 @@ def build(faulted: bool) -> CentralizedScenario:
 def run(faulted: bool) -> Dict:
     sc = build(faulted)
     ues = sc.ues_per_enb[0]
-    probe = Probe(sc.sim.clock, period_ttis=PROBE_PERIOD)
-    rx = probe.watch("rx_bytes",
-                     lambda tti: sum(u.rx_bytes_total for u in ues))
+    rx: List[Tuple[int, int]] = []
+
+    def sample(tti: int) -> None:
+        if tti % PROBE_PERIOD == 0:
+            rx.append((tti, sum(u.rx_bytes_total for u in ues)))
+
+    sc.sim.clock.register(Phase.POST, sample)
     sc.sim.run(RUN_TTIS)
     agent = sc.agents[0]
     master = sc.sim.master
@@ -64,9 +68,10 @@ def run(faulted: bool) -> Dict:
     }
 
 
-def window_goodput(rx: Series, start: int, end: int) -> float:
+def window_goodput(rx: List[Tuple[int, int]], start: int,
+                   end: int) -> float:
     """Aggregate goodput (Mb/s) between two sampled TTIs."""
-    at = dict(rx.samples)
+    at = dict(rx)
     return (at[end] - at[start]) * 8 / ((end - start) * 1000.0)
 
 

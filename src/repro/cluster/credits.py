@@ -108,9 +108,6 @@ class CreditScheduler:
     def granted(self, shard_id: int) -> int:
         return self._granted[shard_id]
 
-    def all_done(self) -> bool:
-        return all(p >= self.total_ttis for p in self._progress.values())
-
     def shard_ids(self) -> List[int]:
         """Live (non-removed) shard ids."""
         return sorted(self._progress)

@@ -82,6 +82,3 @@ class ShardMap:
             if agent_id in shard.agent_ids:
                 return shard
         raise KeyError(f"agent {agent_id} is not in any shard")
-
-    def all_agent_ids(self) -> List[int]:
-        return sorted(a for s in self.shards for a in s.agent_ids)

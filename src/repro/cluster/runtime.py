@@ -119,11 +119,6 @@ class ClusterReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @property
-    def degraded(self) -> bool:
-        """True when at least one shard was quarantined."""
-        return bool(self.degraded_shards)
-
 
 class _ShardHandle:
     """Master-side bookkeeping for one worker process.

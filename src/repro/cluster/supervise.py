@@ -286,9 +286,6 @@ class ShardSupervisor:
 
     # -- diagnostics -------------------------------------------------------
 
-    def attempts(self, shard_id: int) -> int:
-        return self._attempts.get(shard_id, 0)
-
     def pending_respawns(self) -> List[int]:
         return sorted(self._pending)
 

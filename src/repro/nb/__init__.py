@@ -15,31 +15,6 @@ Layered per docs/NORTHBOUND.md:
   shared bearer token for CI).
 """
 
-from repro.nb.auth import AuthPolicy, TokenAuth, build_auth
-from repro.nb.client import ClientError, NorthboundClient, StreamHandle
-from repro.nb.routes import ApiError, Router, StreamRequest, build_router
-from repro.nb.server import NorthboundServer
 from repro.nb.service import NorthboundService
-from repro.nb.subscriptions import (
-    DEFAULT_QUEUE_CAPACITY,
-    Subscription,
-    SubscriptionTable,
-)
 
-__all__ = [
-    "ApiError",
-    "AuthPolicy",
-    "ClientError",
-    "DEFAULT_QUEUE_CAPACITY",
-    "NorthboundClient",
-    "NorthboundServer",
-    "NorthboundService",
-    "Router",
-    "StreamHandle",
-    "StreamRequest",
-    "Subscription",
-    "SubscriptionTable",
-    "TokenAuth",
-    "build_auth",
-    "build_router",
-]
+__all__ = ["NorthboundService"]

@@ -148,9 +148,6 @@ class NorthboundClient:
     def info(self) -> dict:
         return self.get("/v1/info")
 
-    def agents(self) -> dict:
-        return self.get("/v1/rib/agents")
-
     def subscriptions(self) -> dict:
         return self.get("/v1/subscriptions")
 
@@ -159,11 +156,3 @@ class NorthboundClient:
 
     def send_policy(self, agent_id: int, text: str) -> dict:
         return self.post(f"/v1/agents/{agent_id}/policy", {"text": text})
-
-    def set_prb_cap(self, agent_id: int, cell_id: int,
-                    cap: Optional[int]) -> dict:
-        return self.post(f"/v1/agents/{agent_id}/config/prb_cap",
-                         {"cell_id": cell_id, "cap": cap})
-
-    def unsubscribe(self, sub_id: int) -> dict:
-        return self.delete(f"/v1/subscriptions/{sub_id}")

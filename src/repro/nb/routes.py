@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs as _obs
+from repro.core.policy import PolicyDocument, PolicyParseError
 from repro.core.protocol.errors import EncodeError
 from repro.nb import encoders
 from repro.nb.service import NorthboundService
@@ -177,7 +178,8 @@ def get_agent_ues(service, args, body, query):
 
 
 def get_metrics(service, args, body, query):
-    return {"metrics": _obs.get().registry.snapshot()}
+    ob = _obs.get()
+    return {"metrics": ob.registry.snapshot() if ob.enabled else {}}
 
 
 def get_subscriptions(service, args, body, query):
@@ -190,6 +192,12 @@ def get_subscriptions(service, args, body, query):
 def post_policy(service, args, body, query):
     (agent_id,) = args
     text = _require(body, "text", str)
+    try:
+        # The agent parses with the same code and drops what fails; an
+        # HTTP client hears it here, before the document takes an xid.
+        PolicyDocument.from_text(text)
+    except PolicyParseError as exc:
+        raise ApiError(400, f"malformed policy: {exc}") from None
     xid = service.master.northbound.send_policy(agent_id, text)
     return {"xid": xid}
 

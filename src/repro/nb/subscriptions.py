@@ -170,9 +170,6 @@ class SubscriptionTable:
         self._ue_subs = {k: tuple(v) for k, v in ue.items()}
         self._cell_subs = {k: tuple(v) for k, v in cell.items()}
 
-    def get(self, sub_id: int) -> Optional[Subscription]:
-        return self._subs.get(sub_id)
-
     def describe(self) -> List[Dict[str, object]]:
         return [s.describe() for s in self._subs.values()]
 

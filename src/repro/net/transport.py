@@ -123,21 +123,3 @@ class ControlConnection:
         self.master_side = self.ENDPOINT(
             self.channel.downlink, self.channel.uplink,
             peer=name, tx_direction="dl", rx_direction="ul")
-
-    def set_rtt_ms(self, rtt_ms: float) -> None:
-        """Reconfigure round-trip latency at runtime (the netem knob)."""
-        self.channel.set_rtt_ms(rtt_ms)
-
-    # -- fault injection (the netem impairment knobs) ----------------------
-
-    def set_loss(self, probability: float) -> None:
-        """Random per-message loss in both directions."""
-        self.channel.set_loss(probability)
-
-    def set_jitter_ms(self, jitter_ms: float) -> None:
-        """Bounded random extra delay in both directions (FIFO kept)."""
-        self.channel.set_jitter_ms(jitter_ms)
-
-    def partition(self, start_tti: int, end_tti: int) -> None:
-        """Script a full partition over ``[start_tti, end_tti)``."""
-        self.channel.partition(start_tti, end_tti)

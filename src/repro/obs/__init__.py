@@ -31,18 +31,12 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Optional
 
-from repro.obs.correlate import (  # noqa: F401  (re-exported API)
-    DOWNLINK,
-    NullCorrelator,
-    UPLINK,
-    XidCorrelator,
-)
-from repro.obs.registry import (  # noqa: F401
-    MetricsRegistry,
-    NullRegistry,
-    percentile,
-)
-from repro.obs.trace import NullTraceRecorder, TraceRecorder  # noqa: F401
+from repro.obs.correlate import NullCorrelator, XidCorrelator
+from repro.obs.registry import MetricsRegistry, NullRegistry, percentile
+from repro.obs.trace import NullTraceRecorder, TraceRecorder
+
+__all__ = ["Observability", "disable", "enable", "enabled_scope", "get",
+           "percentile"]
 
 
 class Observability:

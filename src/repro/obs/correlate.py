@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-STAGES = ("enqueue", "wire", "deliver", "handle")
-
 #: Uplink (agent -> master) and downlink (master -> agent) directions.
 UPLINK = "ul"
 DOWNLINK = "dl"
@@ -48,18 +46,11 @@ class XidRecord:
     dropped: bool = False
 
     @property
-    def complete(self) -> bool:
-        return self.handle is not None
-
-    @property
     def latency_ttis(self) -> int:
         """End-to-end control latency: enqueue to handle."""
         if self.enqueue is None or self.handle is None:
             raise ValueError(f"incomplete record {self}")
         return self.handle - self.enqueue
-
-    def stage_ttis(self) -> Dict[str, Optional[int]]:
-        return {s: getattr(self, s) for s in STAGES}
 
 
 _Key = Tuple[str, str, str, int]
@@ -193,22 +184,3 @@ class NullCorrelator:
 
     def on_handle(self, peer, direction, msg_type, xid, tti) -> None:
         pass
-
-    def records(self, direction=None, msg_type=None) -> List[XidRecord]:
-        return []
-
-    def in_flight(self) -> int:
-        return 0
-
-    def latencies(self, direction=None, msg_type=None) -> List[int]:
-        return []
-
-    def cdf(self, direction=None, msg_type=None) -> List[Tuple[float, float]]:
-        return []
-
-    def percentile(self, q, direction=None, msg_type=None) -> float:
-        return 0.0
-
-    def summary(self) -> Dict[str, object]:
-        return {"completed": 0, "in_flight": 0, "dropped_messages": 0,
-                "orphaned": 0}

@@ -2,9 +2,9 @@
 
 Three read-side views over one observability session:
 
-* :func:`metrics_jsonl` / :func:`write_jsonl` -- one JSON object per
-  metric per line, the machine-diffable dump benchmarks archive.
-* :func:`chrome_trace` / :func:`write_chrome_trace` -- the Chrome
+* :func:`metrics_jsonl` -- one JSON object per metric per line, the
+  machine-diffable dump ``repro stats --format jsonl`` writes.
+* :func:`chrome_trace` -- the Chrome
   ``trace_event`` document (spans plus the xid-correlated
   control-latency CDF in ``otherData``), loadable in
   ``chrome://tracing`` and https://ui.perfetto.dev.
@@ -49,11 +49,6 @@ def metrics_jsonl(registry) -> str:
         lines.append(json.dumps({"name": name, **payload},
                                 sort_keys=True))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_jsonl(registry, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(metrics_jsonl(registry))
 
 
 def _prom_name(name: str) -> str:
@@ -101,12 +96,6 @@ def chrome_trace(ob: Observability,
     if extra:
         other.update(extra)
     return ob.tracer.to_chrome(extra=other)
-
-
-def write_chrome_trace(ob: Observability, path: str,
-                       extra: Optional[Dict[str, object]] = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(chrome_trace(ob, extra), fh)
 
 
 _PHASES_WITH_DUR = {"X"}

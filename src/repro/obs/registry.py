@@ -195,10 +195,6 @@ class MetricsRegistry:
     def names(self) -> List[str]:
         return sorted(self._metrics)
 
-    def get(self, name: str):
-        """Look up an existing metric; None if never registered."""
-        return self._metrics.get(name)
-
     def __iter__(self):
         for name in self.names():
             yield self._metrics[name]
@@ -243,77 +239,18 @@ class NullCounter:
         pass
 
 
-class NullGauge:
-    """Shared no-op gauge."""
-
-    __slots__ = ()
-    KIND = "gauge"
-    name = "null"
-    value = 0.0
-    max_value = 0.0
-
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, delta: float) -> None:
-        pass
-
-
-class NullHistogram:
-    """Shared no-op histogram."""
-
-    __slots__ = ()
-    KIND = "histogram"
-    name = "null"
-    count = 0
-    sum = 0.0
-    mean = 0.0
-    p50 = p95 = p99 = 0.0
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def percentile(self, q: float) -> float:
-        return 0.0
-
-    def cumulative_buckets(self) -> List[Tuple[float, int]]:
-        return []
-
-
 _NULL_COUNTER = NullCounter()
-_NULL_GAUGE = NullGauge()
-_NULL_HISTOGRAM = NullHistogram()
 
 
 class NullRegistry:
     """Registry stand-in when observability is disabled.
 
-    Every accessor returns the same shared null instrument, so
-    instrumentation sites pay one method call and no allocation.
+    Instrumentation sites check ``enabled`` first; a counter fetched
+    regardless is the shared null instrument, so the site pays one
+    method call and no allocation.
     """
 
     enabled = False
 
     def counter(self, name: str) -> NullCounter:
         return _NULL_COUNTER
-
-    def gauge(self, name: str) -> NullGauge:
-        return _NULL_GAUGE
-
-    def histogram(self, name: str, buckets=None) -> NullHistogram:
-        return _NULL_HISTOGRAM
-
-    def names(self) -> List[str]:
-        return []
-
-    def get(self, name: str):
-        return None
-
-    def __iter__(self):
-        return iter(())
-
-    def __len__(self) -> int:
-        return 0
-
-    def snapshot(self) -> Dict[str, Dict[str, object]]:
-        return {}

@@ -68,9 +68,6 @@ class TraceRecorder:
             self._tids[component] = tid
         return tid
 
-    def components(self) -> List[str]:
-        return sorted(self._tids)
-
     def _emit(self, event: Dict[str, object]) -> None:
         if len(self.events) >= self.max_events:
             self.dropped_events += 1
@@ -156,10 +153,3 @@ class NullTraceRecorder:
     def instant(self, component: str, name: str, *, tti=None,
                 **args) -> None:
         pass
-
-    def components(self) -> List[str]:
-        return []
-
-    def to_chrome(self, extra=None) -> Dict[str, object]:
-        return {"traceEvents": [], "displayTimeUnit": "ms",
-                "otherData": dict(extra or {})}

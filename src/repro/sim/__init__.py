@@ -1,14 +1,4 @@
-"""Simulation harness: deployment wiring, probes, canonical scenarios."""
-
-from repro.obs.registry import percentile
-from repro.sim.metrics import Probe, Series, cdf_points, goodput_mbps
-from repro.sim.simulation import Simulation
-
-__all__ = [
-    "Probe",
-    "Series",
-    "cdf_points",
-    "goodput_mbps",
-    "percentile",
-    "Simulation",
-]
+"""Simulation harness: deployment wiring (``simulation``), the
+deployment catalogue (``scenarios``), fault schedules (``chaos``) and
+the benchmarks' measurement helpers (``metrics``).  Import the module
+you need; the package re-exports nothing."""

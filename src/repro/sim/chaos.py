@@ -26,8 +26,7 @@ invariants every single TTI:
 :func:`cluster_chaos` rides a
 :class:`~repro.cluster.runtime.ClusterRuntime`'s pump, stepped with the
 fleet low-water TTI.  It scripts process-level faults
-(:class:`ShardFaultAt`: a SIGKILL, a live-but-silent worker, a dropped
-TCP data plane, a deliberate respawn) and checks
+(:class:`ShardFaultAt`: a SIGKILL, a live-but-silent worker) and checks
 :class:`FleetInvariants` once, when the run has ended.
 
 Fault actions compose freely with the link faults of
@@ -86,8 +85,8 @@ class ProbeApp(App):
     """A controllable high-priority application for fault injection.
 
     Healthy by default; :class:`AppCrashWindow` flips ``chaos_crash``
-    and :class:`AppOverrunWindow` raises ``cost_ms`` to script
-    misbehavior.  Runs above the centralized scheduler so a
+    to script misbehavior, and an action that raises its ``cost_ms``
+    scripts a slot hog.  Runs above the centralized scheduler so a
     crash-looping or slot-hogging probe exercises the no-starvation
     property of the supervised app slot.
     """
@@ -145,42 +144,6 @@ class AppCrashWindow(ChaosAction):
         if tti == self.end:
             _find_app(sim, self.app).chaos_crash = False
             return f"app {self.app} stops crashing"
-        return None
-
-    def end_tti(self) -> int:
-        return self.end
-
-
-@dataclass
-class AppOverrunWindow(ChaosAction):
-    """Make *app* declare *cost_ms* per invocation for the cycles
-    ``[start, end)``, then what it declared before.
-
-    The window names cycles exactly, which takes acting one step ahead
-    (hence ``start >= 1``); :class:`AppCrashWindow` acts *at* its
-    bounds, so its first crashing cycle is ``start + 1``.
-    """
-
-    app: str
-    start: int
-    end: int
-    cost_ms: float
-    _declared: float = field(default=0.0, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.start < self.end:
-            raise ValueError(
-                f"need 1 <= start < end, got [{self.start}, {self.end})")
-
-    def fire(self, sim: "Simulation", tti: int) -> Optional[str]:
-        # A step follows its TTI's cycle: act one step ahead of it.
-        if tti == self.start - 1:
-            app = _find_app(sim, self.app)
-            self._declared, app.cost_ms = app.cost_ms, self.cost_ms
-            return f"app {self.app} declares {self.cost_ms} ms per run"
-        if tti == self.end - 1:
-            _find_app(sim, self.app).cost_ms = self._declared
-            return f"app {self.app} declares {self._declared} ms again"
         return None
 
     def end_tti(self) -> int:
@@ -293,38 +256,6 @@ class WorkerStallWindow(ShardFaultAt):
                     f"(pipe already gone)")
         return (f"stalled shard {self.shard_id} worker for "
                 f"{self.stall_s:.1f}s")
-
-
-class TcpDisconnectAt(ShardFaultAt):
-    """Drop one shard's TCP data plane while its process stays alive.
-
-    Closes the master-side sockets of every agent in the shard.  The
-    master's pump finds the endpoints closed (``connection_closed``),
-    the worker sees EOF and reports ``TransportClosed`` as an ``error``
-    on the control pipe; whichever lands first classifies the failure.
-    """
-
-    def inject(self, runtime) -> str:
-        spec = runtime._handles[self.shard_id].spec
-        endpoints = runtime.master.agent_endpoints()
-        closed = []
-        for agent_id in spec.agent_ids:
-            endpoint = endpoints.get(agent_id)
-            if endpoint is not None:
-                endpoint.close()
-                closed.append(agent_id)
-        return (f"dropped TCP sessions of shard {self.shard_id} "
-                f"agents {closed}")
-
-
-class ShardRespawnAt(ShardFaultAt):
-    """Deliberately hand one shard over to a replacement worker
-    (:meth:`ClusterRuntime.respawn_shard`: snapshot, kill, merge,
-    respawn) -- the rebalancing path, without a failure to detect."""
-
-    def inject(self, runtime) -> str:
-        agents = runtime.respawn_shard(self.shard_id)
-        return f"respawned shard {self.shard_id} (agents {agents})"
 
 
 # -- invariants -------------------------------------------------------------

@@ -342,11 +342,11 @@ class FaultSpec:
     def apply(self, connection) -> None:
         """Install the faults on a :class:`ControlConnection`."""
         if self.loss:
-            connection.set_loss(self.loss)
+            connection.channel.set_loss(self.loss)
         if self.jitter_ms:
-            connection.set_jitter_ms(self.jitter_ms)
+            connection.channel.set_jitter_ms(self.jitter_ms)
         for start, end in self.partitions:
-            connection.partition(start, end)
+            connection.channel.partition(start, end)
 
 
 def partitioned_centralized(*, n_enbs: int = 1, ues_per_enb: int = 10,
@@ -804,7 +804,7 @@ def feature_tour(*, seed: int = 0) -> FeatureTourScenario:
     enb = sim.add_enb(1, [CellConfig(cell_id=10), CellConfig(cell_id=11)],
                       seed=seed, rlc_buffer_bytes=DEFAULT_RLC_BUFFER_BYTES)
     agent = sim.add_agent(enb, rtt_ms=2.0)
-    sim.connections[agent.agent_id].set_jitter_ms(1.0)
+    sim.connections[agent.agent_id].channel.set_jitter_ms(1.0)
     idle_ue, ca_ue, ul_ue = (Ue(f"tour{i}", FixedCqi(12)) for i in range(3))
     gbr_ue = Ue("tour3", TraceCqi([(0, 12), (2000, 9)]))
     for ue in (idle_ue, ca_ue, ul_ue, gbr_ue):
@@ -890,7 +890,7 @@ def _impaired_partitioned(seed: int = 0) -> CentralizedScenario:
 
     def raise_rtt(tti: int) -> None:
         if tti == 1500:
-            connection.set_rtt_ms(8.0)
+            connection.channel.set_rtt_ms(8.0)
     sc.sim.clock.register(Phase.POST, raise_rtt)
     return sc
 

@@ -89,12 +89,6 @@ class Simulation:
             self._tcp_fabric.close()
             self._tcp_fabric = None
 
-    def __enter__(self) -> "Simulation":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # -- topology -----------------------------------------------------------
 
     def add_enb(self, enb_id: Optional[int] = None,

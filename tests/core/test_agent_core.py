@@ -236,7 +236,7 @@ class TestHandshakeAndLiveness:
         ``EchoRequest`` handler and unwound its RX tick."""
         binding = wired[0]
         conn = ControlConnection(rtt_ms=4)
-        conn.partition(100, 505)
+        conn.channel.partition(100, 505)
         agent = type(binding)(conn).agent
         master = MasterController()
         master.connect_agent(1, conn.master_side)

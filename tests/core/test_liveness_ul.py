@@ -101,7 +101,7 @@ class TestNorthboundReads:
         master.add_app(app)
         for _ in range(2):
             sim.add_agent(sim.add_enb(), rtt_ms=20)
-        sim.connections[2].partition(100, 250)
+        sim.connections[2].channel.partition(100, 250)
         sim.run(300)
         return app, master
 

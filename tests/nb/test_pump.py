@@ -97,18 +97,19 @@ class TestCommandsRunInTheCycle:
     def test_text_the_wire_cannot_carry_is_400(self, sim, server, caplog):
         # "\ud800" is valid JSON and a Python str, but has no UTF-8
         # form: the codec's EncodeError is the request's fault, not a
-        # 500 with a logged traceback.
+        # 500 with a logged traceback.  The policy parses, so it is the
+        # codec that refuses it.
         agent, _cell = first_cell(sim)
         client = connect(server)
         client.send(http_request("POST", f"/v1/agents/{agent}/policy",
-                                 {"text": "\ud800"}))
+                                 {"text": "mac:\n  - vsf: dl\ud800\n"}))
         sim.run(1)
         status, body = client.json()
         assert status == 400
         assert "cannot be encoded" in body["error"]
         assert not [r for r in caplog.records if r.levelname == "ERROR"]
         client.send(http_request("POST", f"/v1/agents/{agent}/policy",
-                                 {"text": "cell: 1"}))
+                                 {"text": "mac:\n  - vsf: dl_scheduling\n"}))
         sim.run(1)
         assert client.json()[0] == 200
         client.close()
@@ -191,8 +192,8 @@ class TestSlowConsumers:
         sim.run(1)
         stalled_id = int(stalled.response()[1]["x-subscription-id"])
         live_id = int(live.response()[1]["x-subscription-id"])
-        stalled_row = server.service.table.get(stalled_id)
-        live_row = server.service.table.get(live_id)
+        stalled_row = server.service.table._subs[stalled_id]
+        live_row = server.service.table._subs[live_id]
         received = []
         with obs.enabled_scope(trace=False) as ob:
             start = sim.now

@@ -63,10 +63,11 @@ class TestCommands:
         agent = live.agent_id()
         detail = live.client().get(f"/v1/rib/agents/{agent}")
         cell_id = detail["cells"][0]
-        reply = live.client().set_prb_cap(agent, cell_id, 11)
+        path = f"/v1/agents/{agent}/config/prb_cap"
+        reply = live.client().post(path, {"cell_id": cell_id, "cap": 11})
         assert isinstance(reply["xid"], int) and reply["xid"] > 0
         # Distinct commands get distinct xids.
-        again = live.client().set_prb_cap(agent, cell_id, None)
+        again = live.client().post(path, {"cell_id": cell_id, "cap": None})
         assert again["xid"] != reply["xid"]
 
     def test_policy_push_returns_xid(self, live):
@@ -76,6 +77,18 @@ class TestCommands:
         text = build_policy("mac", "dl_scheduling", behavior="local_fair")
         reply = live.client().send_policy(agent, text)
         assert reply["xid"] > 0
+
+    def test_malformed_policy_is_400(self, live):
+        """The agent would drop it: the client hears so, and no xid is
+        spent on it."""
+        agent = live.agent_id()
+        for text in ("mac:\n\tdl_scheduling: x\n", "just a scalar\n",
+                     "mac:\n  - behavior: local_rr\n"):
+            with pytest.raises(ClientError) as err:
+                live.client().post(f"/v1/agents/{agent}/policy",
+                                   {"text": text})
+            assert err.value.status == 400
+            assert "malformed policy" in err.value.message
 
     def test_missing_field_is_400(self, live):
         agent = live.agent_id()
@@ -110,7 +123,7 @@ class TestStreams:
         sub_id = int(stream.subscription_id)
         rows = client.subscriptions()["subscriptions"]
         assert any(r["id"] == sub_id for r in rows)
-        client.unsubscribe(sub_id)
+        client.delete(f"/v1/subscriptions/{sub_id}")
         # The server notices the closed row and ends the stream.
         leftovers = stream.read(1000)
         stream.close()

@@ -126,7 +126,7 @@ class TestConnectionFaults:
     def test_connection_partition_and_counters(self):
         conn = ControlConnection(rtt_ms=2.0)
         from repro.core.protocol.messages import EchoRequest, Header
-        conn.partition(5, 10)
+        conn.channel.partition(5, 10)
         conn.agent_side.send(EchoRequest(header=Header(xid=1)), now=6)
         assert conn.master_side.receive(now=50) == []
         assert sum(link.dropped_messages for link in conn.channel.links) == 1
@@ -136,11 +136,11 @@ class TestConnectionFaults:
 
     def test_connection_loss_and_jitter_passthrough(self):
         conn = ControlConnection()
-        conn.set_loss(1.0)
+        conn.channel.set_loss(1.0)
         from repro.core.protocol.messages import EchoRequest, Header
         conn.agent_side.send(EchoRequest(header=Header(xid=1)), now=0)
         assert sum(link.dropped_messages for link in conn.channel.links) == 1
-        conn.set_loss(0.0)
-        conn.set_jitter_ms(5.0)  # validates and installs on both links
+        conn.channel.set_loss(0.0)
+        conn.channel.set_jitter_ms(5.0)  # validates and installs on both links
         conn.agent_side.send(EchoRequest(header=Header(xid=2)), now=10)
         assert conn.master_side.receive(now=30)

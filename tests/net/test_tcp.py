@@ -128,7 +128,7 @@ class TestTcpControlConnection:
 
     def test_fault_injection_drops_frames(self, fabric):
         conn = TcpControlConnection(fabric, 1)
-        conn.partition(0, 10)
+        conn.channel.partition(0, 10)
         conn.agent_side.send(EchoReply(), now=1)
         conn.flush_uplink(1)
         assert conn.master_side.receive(now=1) == []
@@ -137,7 +137,7 @@ class TestTcpControlConnection:
     def test_partition_drops_in_flight(self, fabric):
         conn = TcpControlConnection(fabric, 1, rtt_ms=10)
         conn.agent_side.send(EchoReply(), now=0)  # due at TTI 5
-        conn.partition(2, 8)
+        conn.channel.partition(2, 8)
         for tti in range(10):
             conn.flush_uplink(tti)
         assert conn.master_side.receive(now=9) == []
@@ -155,7 +155,7 @@ class TestTcpControlConnection:
 
     def test_set_rtt_runtime(self, fabric):
         conn = TcpControlConnection(fabric, 1)
-        conn.set_rtt_ms(40)
+        conn.channel.set_rtt_ms(40)
         assert (conn.channel.uplink.one_way_latency_ttis
                 + conn.channel.downlink.one_way_latency_ttis) == 40
 

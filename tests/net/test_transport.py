@@ -51,6 +51,6 @@ class TestControlConnection:
 
     def test_set_rtt_runtime(self):
         conn = ControlConnection(rtt_ms=0)
-        conn.set_rtt_ms(40)
+        conn.channel.set_rtt_ms(40)
         assert (conn.channel.uplink.one_way_latency_ttis
                 + conn.channel.downlink.one_way_latency_ttis) == 40

@@ -99,7 +99,7 @@ class TestConformance:
             sim = _build(transport)
             try:
                 sim.run(100)
-                sim.connections[1].set_rtt_ms(8.0)
+                sim.connections[1].channel.set_rtt_ms(8.0)
                 sim.run(100)
                 return _fingerprint(sim)
             finally:

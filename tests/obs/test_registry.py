@@ -109,15 +109,6 @@ class TestNullBackend:
         assert c1 is c2  # shared singleton, no allocation per call
         c1.inc(100)
         assert c1.value == 0
-        g = r.gauge("g")
-        g.set(5.0)
-        assert g.value == 0.0
-        h = r.histogram("h")
-        h.observe(1.0)
-        assert h.count == 0
-        assert h.percentile(99) == 0.0
-        assert r.snapshot() == {}
-        assert len(r) == 0
 
     def test_enable_disable_roundtrip(self):
         ob = obs.enable()

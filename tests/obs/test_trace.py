@@ -27,7 +27,6 @@ class TestSpans:
             pass
         tids = [e["tid"] for e in t.events]
         assert tids[0] == tids[2] != tids[1]
-        assert t.components() == ["a", "b"]
 
     def test_instant_event(self):
         t = TraceRecorder()
@@ -82,8 +81,6 @@ class TestNullRecorder:
             pass
         t.instant("a", "c")
         assert t.events == ()
-        assert t.components() == []
-        assert t.to_chrome()["traceEvents"] == []
 
     def test_shared_span_instance(self):
         t = NullTraceRecorder()

@@ -1,13 +1,53 @@
 """Chaos-harness tests: the survivability acceptance scenario."""
 
+from dataclasses import dataclass, field
+from typing import Optional
+
 from repro.core.survive.supervisor import BreakerState
 from repro.sim.chaos import (
-    AppOverrunWindow,
+    ChaosAction,
     ControllerRestartAt,
     Violation,
     simulation_chaos,
 )
 from repro.sim.scenarios import chaos_survivability
+
+
+@dataclass
+class AppOverrunWindow(ChaosAction):
+    """Make *app* declare *cost_ms* per invocation for the cycles
+    ``[start, end)``, then what it declared before.
+
+    The window names cycles exactly, which takes acting one step ahead
+    (hence ``start >= 1``); :class:`AppCrashWindow` acts *at* its
+    bounds, so its first crashing cycle is ``start + 1``.
+    """
+
+    app: str
+    start: int
+    end: int
+    cost_ms: float
+    _declared: float = field(default=0.0, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.start < self.end:
+            raise ValueError(
+                f"need 1 <= start < end, got [{self.start}, {self.end})")
+
+    def fire(self, sim, tti: int) -> Optional[str]:
+        # A step follows its TTI's cycle: act one step ahead of it.
+        if tti == self.start - 1:
+            app = sim.master.registry.registration(self.app).app
+            self._declared, app.cost_ms = app.cost_ms, self.cost_ms
+            return f"app {self.app} declares {self.cost_ms} ms per run"
+        if tti == self.end - 1:
+            app = sim.master.registry.registration(self.app).app
+            app.cost_ms = self._declared
+            return f"app {self.app} declares {self._declared} ms again"
+        return None
+
+    def end_tti(self) -> int:
+        return self.end
 
 
 class TestAcceptanceScenario:
