@@ -493,8 +493,8 @@ class ClusterRuntime:
         self.credits.reset_shard(shard_id)
         self._spawn(spec, self.server.host, self.server.port)
         self.respawns += 1
-        ob = _obs.get()
-        if ob.enabled:
+        ob = _obs.live
+        if ob is not None:
             ob.registry.counter("cluster.respawns").inc()
         logger.warning("cluster: respawned shard %d (agents %s)",
                        shard_id, list(spec.agent_ids))

@@ -189,8 +189,8 @@ class ShardSupervisor:
             attempt=attempt,
             action="respawn" if respawn else "quarantine")
         self.failures.append(failure)
-        ob = _obs.get()
-        if ob.enabled:
+        ob = _obs.live
+        if ob is not None:
             ob.registry.counter("cluster.failures").inc()
             ob.registry.counter("cluster.failures." + cause).inc()
         logger.warning(
@@ -245,8 +245,8 @@ class ShardSupervisor:
             silent_s = now - self._last_activity.get(shard_id, now)
             if silent_s > self.policy.stall_timeout_s:
                 self.stall_seconds += silent_s
-                ob = _obs.get()
-                if ob.enabled:
+                ob = _obs.live
+                if ob is not None:
                     ob.registry.gauge(
                         "cluster.stall.seconds").add(silent_s)
                 headroom = (credits.granted(shard_id)
@@ -269,8 +269,8 @@ class ShardSupervisor:
             self._attempts[shard_id] = self._attempts.get(shard_id, 0) + 1
             self.respawn_latency_s.append(latency_s)
             self.note_activity(shard_id)
-            ob = _obs.get()
-            if ob.enabled:
+            ob = _obs.live
+            if ob is not None:
                 ob.registry.histogram(
                     "cluster.respawn.latency_ms").observe(latency_s * 1e3)
             worked = True
@@ -279,8 +279,8 @@ class ShardSupervisor:
     def _quarantine(self, shard_id: int) -> None:
         self.quarantined.add(shard_id)
         self.runtime.quarantine_shard(shard_id)
-        ob = _obs.get()
-        if ob.enabled:
+        ob = _obs.live
+        if ob is not None:
             ob.registry.gauge("cluster.shards.degraded").set(
                 len(self.quarantined))
 

@@ -23,7 +23,6 @@ technology bindings").
 from __future__ import annotations
 
 import logging
-import time
 from typing import Callable, Dict, List, Optional
 
 from repro import obs as _obs
@@ -179,16 +178,12 @@ class FlexRanAgent:
 
     def tick_tx(self, now: int) -> None:
         """AGENT_TX phase: hello, sync, due reports, queued events."""
-        ob = _obs.get()
-        if ob.enabled:
-            with ob.tracer.span("agent", "tick_tx", tti=now,
-                                agent=self.agent_id):
-                start = time.perf_counter()
-                self._tick_tx(now)
-                elapsed = time.perf_counter() - start
-            ob.registry.histogram("agent.tick_us").observe(elapsed * 1e6)
-        else:
+        ob = _obs.live
+        if ob is None:
             self._tick_tx(now)
+        else:
+            ob.timed("agent.tick_us", "agent", "tick_tx", self._tick_tx,
+                     now, agent=self.agent_id)
 
     def _tick_tx(self, now: int) -> None:
         if self.connection is not None and not self.connection.before_tx(now):
@@ -219,16 +214,12 @@ class FlexRanAgent:
         """AGENT_RX phase: dispatch every received protocol message."""
         if self.endpoint is None:
             return
-        ob = _obs.get()
-        if ob.enabled:
-            with ob.tracer.span("agent", "tick_rx", tti=now,
-                                agent=self.agent_id):
-                start = time.perf_counter()
-                self._tick_rx(now)
-                elapsed = time.perf_counter() - start
-            ob.registry.histogram("agent.tick_us").observe(elapsed * 1e6)
-        else:
+        ob = _obs.live
+        if ob is None:
             self._tick_rx(now)
+        else:
+            ob.timed("agent.tick_us", "agent", "tick_rx", self._tick_rx,
+                     now, agent=self.agent_id)
 
     def _tick_rx(self, now: int) -> None:
         for message in self.endpoint.receive(now=now):
@@ -286,17 +277,17 @@ class FlexRanAgent:
         agent does not run) is counted and dropped instead of killing
         the agent's RX tick -- the control channel stays up.
         """
-        ob = _obs.get()
+        ob = _obs.live
         handler = self._handlers.get(type(message))
         if handler is None:
             self.dispatch_unknown += 1
-            if ob.enabled:
+            if ob is not None:
                 ob.registry.counter("agent.dispatch.unknown").inc()
             logger.warning("agent %d: dropping unhandled message type %s",
                            self.agent_id, type(message).__name__)
             return
         try:
-            if ob.enabled:
+            if ob is not None:
                 msg_type = type(message).__name__
                 with ob.tracer.span("agent_dispatch", msg_type, tti=now,
                                     agent=self.agent_id):
@@ -309,7 +300,7 @@ class FlexRanAgent:
                 handler(message, now)
         except Exception as exc:  # noqa: BLE001 - the dispatch boundary
             self.dispatch_errors += 1
-            if ob.enabled:
+            if ob is not None:
                 ob.registry.counter("agent.dispatch.errors").inc()
             logger.error("agent %d: handler for %s failed, message "
                          "dropped: %r", self.agent_id,

@@ -187,8 +187,8 @@ class ControlModule(abc.ABC):
         slot.quarantined[bad] = slot.quarantined.get(bad, 0) + 1
         logger.error("module %s: quarantining VSF %s for %s (%s)",
                      self.name, bad, slot.operation, reason)
-        ob = _obs.get()
-        if ob.enabled:
+        ob = _obs.live
+        if ob is not None:
             ob.registry.counter("survive.vsf.faults").inc()
             # Name-level counter so the operator "could quickly
             # identify VSFs that present an unexpected behavior".
@@ -211,7 +211,7 @@ class ControlModule(abc.ABC):
         if slot.last_good_name == bad:
             slot.last_good_name = None
         self.activate(slot.operation, fallback)
-        if ob.enabled:
+        if ob is not None:
             ob.registry.counter("survive.vsf.rollbacks").inc()
         for fn in list(self._fault_observers):
             fn(slot.operation, bad, reason)

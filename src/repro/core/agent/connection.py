@@ -134,8 +134,8 @@ class ConnectionSupervisor:
                         "TTI %d", now)
             if self._on_reconnect is not None:
                 self._on_reconnect(now)
-            ob = _obs.get()
-            if ob.enabled:
+            ob = _obs.live
+            if ob is not None:
                 ob.registry.counter("agent.connection.reconnects").inc()
                 ob.tracer.instant("agent", "reconnected", tti=now)
 
@@ -154,16 +154,19 @@ class ConnectionSupervisor:
                     >= self.config.keepalive_period_ttis):
                 self._last_keepalive = now
                 self.stats.keepalives_sent += 1
-                _obs.get().registry.counter(
-                    "agent.connection.keepalives").inc()
+                ob = _obs.live
+                if ob is not None:
+                    ob.registry.counter("agent.connection.keepalives").inc()
                 if self._send_keepalive is not None:
                     self._send_keepalive(now)
             return True
         # DISCONNECTED: probe on the backoff schedule, suppress the rest.
         if now >= self._next_probe:
             self.stats.reconnect_attempts += 1
-            _obs.get().registry.counter(
-                "agent.connection.reconnect_attempts").inc()
+            ob = _obs.live
+            if ob is not None:
+                ob.registry.counter(
+                    "agent.connection.reconnect_attempts").inc()
             self._backoff = capped_doubling(
                 self._backoff, self.config.reconnect_backoff_cap_ttis, 1)
             self._next_probe = now + self._backoff
@@ -180,8 +183,8 @@ class ConnectionSupervisor:
         self._next_probe = now + self._backoff
         logger.warning("agent connection: master silent for %d TTIs, "
                        "falling back to local control", silent)
-        ob = _obs.get()
-        if ob.enabled:
+        ob = _obs.live
+        if ob is not None:
             ob.registry.counter("agent.connection.disconnects").inc()
             ob.tracer.instant("agent", "disconnected", tti=now,
                               silent_ttis=silent)

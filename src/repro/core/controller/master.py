@@ -200,9 +200,9 @@ class MasterController:
 
     def tick(self, now: int) -> None:
         """MASTER phase: run one Task Manager cycle."""
-        ob = _obs.get()
+        ob = _obs.live
         self.now = now
-        if ob.enabled:
+        if ob is not None:
             with ob.tracer.span("master", "tick", tti=now):
                 self.task_manager.cycle(now, self.drain_agents,
                                         self.northbound)
@@ -226,7 +226,7 @@ class MasterController:
         cluster runtime serves a (re)spawned shard's set-up exchange at
         the TTI it is holding, without advancing it or re-running apps.
         """
-        ob = _obs.get()
+        ob = _obs.live
         drained = 0
         gathered: List[EventNotification] = []
         for agent_id in sorted(self._endpoints):
@@ -240,7 +240,7 @@ class MasterController:
                 self.updater.apply_batch(agent_id, messages, self.now))
             for message in messages:
                 self._react(agent_id, message)
-                if ob.enabled:
+                if ob is not None:
                     # Final lifecycle stage of an uplink message: the
                     # RIB updater and protocol reactions are done.
                     ob.correlator.on_handle(
@@ -254,7 +254,7 @@ class MasterController:
             del messages, message
         if gathered:
             self.events.enqueue(gathered)
-        if ob.enabled:
+        if ob is not None:
             ob.registry.gauge("master.rib_updater.drained_messages").set(
                 drained)
         self._check_liveness()
@@ -371,8 +371,8 @@ class MasterController:
             asked += 1
         logger.warning("master: resync after restart -- re-requested "
                        "config from %d agents", asked)
-        ob = _obs.get()
-        if ob.enabled:
+        ob = _obs.live
+        if ob is not None:
             ob.registry.counter("survive.restore.resyncs").inc()
         return asked
 

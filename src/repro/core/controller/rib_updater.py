@@ -70,8 +70,8 @@ class RibUpdater:
         if not messages:
             return []
         self.counters.messages += len(messages)
-        ob = _obs.get()
-        if ob.enabled:
+        ob = _obs.live
+        if ob is not None:
             ob.registry.counter("master.rib.messages").inc(len(messages))
             for message in messages:
                 ob.registry.counter(

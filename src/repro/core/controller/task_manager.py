@@ -150,9 +150,9 @@ class TaskManager:
     def cycle(self, tti: int, drain_fn: Callable[[], None],
               nb: "NorthboundApi") -> CycleRecord:
         """Execute one TTI cycle: updater slot, then application slot."""
-        ob = _obs.get()
+        ob = _obs.live
         start = time.perf_counter()
-        if ob.enabled:
+        if ob is not None:
             # RIB Updater: the only RIB writer, alone in its slot.
             with ob.tracer.span("task_manager", "rib_updater", tti=tti):
                 drain_fn()
@@ -161,7 +161,7 @@ class TaskManager:
         core_end = time.perf_counter()
         core_ms = (core_end - start) * 1000.0
 
-        if ob.enabled:
+        if ob is not None:
             with ob.tracer.span("task_manager", "apps", tti=tti):
                 apps_run, apps_deferred, apps_quarantined, slot_ms = (
                     self._app_slot(tti, nb))
@@ -170,7 +170,7 @@ class TaskManager:
                 self._app_slot(tti, nb))
         app_ms = (time.perf_counter() - core_end) * 1000.0
 
-        if ob.enabled:
+        if ob is not None:
             registry = ob.registry
             registry.histogram("master.cycle.core_ms").observe(core_ms)
             registry.histogram("master.cycle.app_ms").observe(app_ms)

@@ -196,8 +196,8 @@ def restore_master(master: "MasterController", snapshot: dict) -> None:
     master._last_config_request = {
         int(k): int(v) for k, v in snapshot["last_config_request"]}
     master.restored_from_tti = int(snapshot["tti"])
-    ob = _obs.get()
-    if ob.enabled:
+    ob = _obs.live
+    if ob is not None:
         ob.registry.counter("survive.restore.performed").inc()
 
 
@@ -224,8 +224,8 @@ class CheckpointStore:
         self._snapshots.append(snapshot)
         del self._snapshots[:-self.keep]
         self.taken += 1
-        ob = _obs.get()
-        if ob.enabled:
+        ob = _obs.live
+        if ob is not None:
             ob.registry.counter("survive.checkpoint.taken").inc()
             ob.registry.gauge("survive.checkpoint.last_tti").set(now)
         return snapshot

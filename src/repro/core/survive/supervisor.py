@@ -158,8 +158,8 @@ class AppSupervisor:
         h._transition(BreakerState.PROBATION, tti)
         h.probation_left = self.policy.probation_runs
         h.readmissions += 1
-        ob = _obs.get()
-        if ob.enabled:
+        ob = _obs.live
+        if ob is not None:
             ob.registry.counter("survive.app.readmissions").inc()
         logger.info("supervisor: app %s re-admitted on probation at "
                     "tti %d (%d clean runs to close)", name, tti,
@@ -205,16 +205,16 @@ class AppSupervisor:
         except Exception as exc:  # noqa: BLE001 - the app fault boundary
             h.crashes += 1
             self.faults_contained += 1
-            ob = _obs.get()
-            if ob.enabled:
+            ob = _obs.live
+            if ob is not None:
                 ob.registry.counter("survive.app.crashes").inc()
                 ob.registry.counter("survive.app.crashes." + name).inc()
             self._fault(h, tti, kind, f"exception: {exc!r}")
             return False
         if budget is not None and cost_ms > budget:
             h.overruns += 1
-            ob = _obs.get()
-            if ob.enabled:
+            ob = _obs.live
+            if ob is not None:
                 ob.registry.counter("survive.app.overruns").inc()
             self._fault(h, tti, kind,
                         f"deadline: {cost_ms} ms > {budget} ms")
@@ -231,8 +231,8 @@ class AppSupervisor:
             h.probation_left -= 1
             if h.probation_left <= 0:
                 h._transition(BreakerState.CLOSED, tti)
-                ob = _obs.get()
-                if ob.enabled:
+                ob = _obs.live
+                if ob is not None:
                     ob.registry.counter("survive.app.closed").inc()
                 logger.info("supervisor: app %s closed its breaker at "
                             "tti %d (probation passed)", h.name, tti)
@@ -242,8 +242,8 @@ class AppSupervisor:
         h.consecutive_faults += 1
         h.last_fault = reason
         h.faults_by_kind[kind] = h.faults_by_kind.get(kind, 0) + 1
-        ob = _obs.get()
-        if ob.enabled:
+        ob = _obs.live
+        if ob is not None:
             ob.registry.counter("survive.app.faults").inc()
             ob.registry.counter("survive.app.faults." + h.name).inc()
         logger.warning("supervisor: app %s fault (%s pattern) at tti %d: "
@@ -265,8 +265,8 @@ class AppSupervisor:
         h.consecutive_faults = 0
         h.probation_left = 0
         h._transition(BreakerState.QUARANTINED, tti)
-        ob = _obs.get()
-        if ob.enabled:
+        ob = _obs.live
+        if ob is not None:
             ob.registry.counter("survive.app.quarantines").inc()
             ob.registry.counter("survive.app.quarantines." + h.name).inc()
             ob.registry.gauge("survive.app.quarantined_now").set(

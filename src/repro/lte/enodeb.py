@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 import logging
-import time
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
@@ -528,15 +527,12 @@ class EnodeB:
 
     def plan(self, tti: int) -> None:
         """Pass 1: feedback, RRC, CQI refresh, run schedulers."""
-        ob = _obs.get()
-        if ob.enabled:
-            with ob.tracer.span("enb", "plan", tti=tti, enb=self.enb_id):
-                start = time.perf_counter()
-                self._plan(tti)
-                elapsed = time.perf_counter() - start
-            ob.registry.histogram("enb.plan_us").observe(elapsed * 1e6)
-        else:
+        ob = _obs.live
+        if ob is None:
             self._plan(tti)
+        else:
+            ob.timed("enb.plan_us", "enb", "plan", self._plan, tti,
+                     enb=self.enb_id)
 
     def _plan(self, tti: int) -> None:
         # A sub-pass with nothing to do costs a test, not a call.
@@ -576,16 +572,12 @@ class EnodeB:
 
     def transmit(self, tti: int) -> None:
         """Pass 2: apply the plan against the actual channel."""
-        ob = _obs.get()
-        if ob.enabled:
-            with ob.tracer.span("enb", "transmit", tti=tti,
-                                enb=self.enb_id):
-                start = time.perf_counter()
-                self._transmit_pass(tti)
-                elapsed = time.perf_counter() - start
-            ob.registry.histogram("enb.transmit_us").observe(elapsed * 1e6)
-        else:
+        ob = _obs.live
+        if ob is None:
             self._transmit_pass(tti)
+        else:
+            ob.timed("enb.transmit_us", "enb", "transmit",
+                     self._transmit_pass, tti, enb=self.enb_id)
 
     def _transmit_pass(self, tti: int) -> None:
         plan_ul = self._plan_ul

@@ -56,8 +56,8 @@ class Scheduler(abc.ABC):
         """Produce this TTI's downlink allocation."""
 
     def __call__(self, ctx: SchedulingContext) -> List[DlAssignment]:
-        ob = _obs.get()
-        if not ob.enabled:
+        ob = _obs.live
+        if ob is None:
             return self.schedule(ctx)
         with ob.tracer.span("scheduler", self.name, tti=ctx.tti,
                             cell=ctx.cell_id):

@@ -161,6 +161,13 @@ def _agent_node(nb, agent_id: int):
         raise ApiError(404, f"no agent {agent_id}") from None
 
 
+def _known_agent(service, args) -> int:
+    """The route's agent id; 404 unless the RIB holds that agent."""
+    (agent_id,) = args
+    _agent_node(service.master.northbound, agent_id)
+    return agent_id
+
+
 def get_agent(service, args, body, query):
     (agent_id,) = args
     nb = service.master.northbound
@@ -178,8 +185,8 @@ def get_agent_ues(service, args, body, query):
 
 
 def get_metrics(service, args, body, query):
-    ob = _obs.get()
-    return {"metrics": ob.registry.snapshot() if ob.enabled else {}}
+    ob = _obs.live
+    return {"metrics": {} if ob is None else ob.registry.snapshot()}
 
 
 def get_subscriptions(service, args, body, query):
@@ -190,7 +197,7 @@ def get_subscriptions(service, args, body, query):
 
 
 def post_policy(service, args, body, query):
-    (agent_id,) = args
+    agent_id = _known_agent(service, args)
     text = _require(body, "text", str)
     try:
         # The agent parses with the same code and drops what fails; an
@@ -203,7 +210,7 @@ def post_policy(service, args, body, query):
 
 
 def post_vsf(service, args, body, query):
-    (agent_id,) = args
+    agent_id = _known_agent(service, args)
     module = _require(body, "module", str)
     operation = _require(body, "operation", str)
     name = _require(body, "name", str)
@@ -217,7 +224,7 @@ def post_vsf(service, args, body, query):
 
 
 def post_prb_cap(service, args, body, query):
-    (agent_id,) = args
+    agent_id = _known_agent(service, args)
     cell_id = _require(body, "cell_id", int)
     cap = body.get("cap")
     if cap is not None and not isinstance(cap, int):
@@ -227,7 +234,7 @@ def post_prb_cap(service, args, body, query):
 
 
 def post_abs_pattern(service, args, body, query):
-    (agent_id,) = args
+    agent_id = _known_agent(service, args)
     cell_id = _require(body, "cell_id", int)
     subframes = _require(body, "subframes", list)
     if not all(isinstance(s, int) for s in subframes):
@@ -238,7 +245,7 @@ def post_abs_pattern(service, args, body, query):
 
 
 def post_handover(service, args, body, query):
-    (agent_id,) = args
+    agent_id = _known_agent(service, args)
     rnti = _require(body, "rnti", int)
     source_cell = _require(body, "source_cell", int)
     target_cell = _require(body, "target_cell", int)

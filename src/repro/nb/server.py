@@ -311,8 +311,8 @@ class NorthboundServer:
             sub = service.subscribe_tti(period_ttis=request.period_ttis)
         client.sub = sub
         client.frame = encoders.FRAMERS[request.mode]
-        ob = _obs.get()
-        if ob.enabled:
+        ob = _obs.live
+        if ob is not None:
             client.histogram = ob.registry.histogram(
                 f"nb.fanout.latency_ms.{sub.kind}")
         self._streams[sub.sub_id] = client

@@ -138,8 +138,8 @@ class SubscriptionTable:
         self._next_id += 1
         self._subs[sub.sub_id] = sub
         self._reindex()
-        ob = _obs.get()
-        if ob.enabled:
+        ob = _obs.live
+        if ob is not None:
             ob.registry.gauge("nb.subscriptions.active").set(len(self._subs))
         return sub
 
@@ -150,8 +150,8 @@ class SubscriptionTable:
             return False
         sub.closed = True
         self._reindex()
-        ob = _obs.get()
-        if ob.enabled:
+        ob = _obs.live
+        if ob is not None:
             ob.registry.gauge("nb.subscriptions.active").set(len(self._subs))
         return True
 
@@ -217,8 +217,8 @@ class SubscriptionTable:
         if len(queue) == queue.maxlen:
             # deque(maxlen) evicts the oldest on append: slow consumer.
             sub.drops += 1
-            ob = _obs.get()
-            if ob.enabled:
+            ob = _obs.live
+            if ob is not None:
                 ob.registry.counter(f"nb.fanout.dropped.{sub.kind}").inc()
         queue.append((payload, stamp))
         sub.published += 1

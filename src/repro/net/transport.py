@@ -51,28 +51,25 @@ class ProtocolEndpoint:
 
     def send(self, message: FlexRanMessage, *, now: int) -> int:
         """Serialize and transmit; returns the frame size in bytes."""
-        ob = _obs.get()
-        if not ob.enabled:
-            frame = codec.encode(message)
-            self._outbound.send(frame, len(frame), now=now,
-                                category=message.CATEGORY)
-            self.sent_messages += 1
-            return len(frame)
-        msg_type = type(message).__name__
-        with ob.tracer.span("transport", f"send:{msg_type}", tti=now,
-                            peer=self.peer, direction=self.tx_direction):
-            frame = codec.encode(message)
-            deliver_tti = self._outbound.send(frame, len(frame), now=now,
-                                              category=message.CATEGORY)
+        ob = _obs.live
+        if ob is not None:
+            msg_type = type(message).__name__
+            span = ob.tracer.span("transport", f"send:{msg_type}", tti=now,
+                                  peer=self.peer, direction=self.tx_direction)
+        frame = codec.encode(message)
+        deliver_tti = self._outbound.send(frame, len(frame), now=now,
+                                          category=message.CATEGORY)
         self.sent_messages += 1
-        xid = message.header.xid
-        correlator = ob.correlator
-        correlator.on_enqueue(self.peer, self.tx_direction, msg_type,
-                              xid, now)
-        correlator.on_wire(self.peer, self.tx_direction, msg_type, xid,
-                           now, dropped=deliver_tti < 0)
-        ob.registry.counter("net.tx.messages").inc()
-        ob.registry.counter("net.tx.bytes").inc(len(frame))
+        if ob is not None:
+            span.close()
+            xid = message.header.xid
+            correlator = ob.correlator
+            correlator.on_enqueue(self.peer, self.tx_direction, msg_type,
+                                  xid, now)
+            correlator.on_wire(self.peer, self.tx_direction, msg_type, xid,
+                               now, dropped=deliver_tti < 0)
+            ob.registry.counter("net.tx.messages").inc()
+            ob.registry.counter("net.tx.bytes").inc(len(frame))
         return len(frame)
 
     def receive(self, *, now: int) -> List[FlexRanMessage]:
@@ -91,8 +88,8 @@ class ProtocolEndpoint:
             return []
         messages = [codec.decode(frame) for frame in frames]
         self.received_messages += len(messages)
-        ob = _obs.get()
-        if ob.enabled:
+        ob = _obs.live
+        if ob is not None:
             correlator = ob.correlator
             for message in messages:
                 correlator.on_deliver(self.peer, self.rx_direction,

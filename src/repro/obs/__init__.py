@@ -8,12 +8,21 @@ One process-wide backend bundles the three measurement surfaces:
 * :mod:`repro.obs.correlate` -- per-``xid`` control-latency lifecycle
   records.
 
-Instrumentation sites throughout the platform fetch the current
-backend with :func:`get` and check ``.enabled`` before doing any work;
-while disabled (the default) :func:`get` returns a null backend whose
-instruments are shared no-ops, so the tax on the TTI loop is one
-module-global read and an attribute check per site
-(``benchmarks/bench_obs_overhead.py`` bounds it below 5%).
+Whether observability is on is one module attribute, :data:`live`: the
+backend while on, ``None`` while off (the default).  Only
+:func:`enable`, :func:`disable` and :func:`enabled_scope` set it.  Every
+instrumentation site reads it without a call and resolves the registry,
+tracer or correlator only inside the branch::
+
+    from repro import obs as _obs
+
+    ob = _obs.live
+    if ob is not None:
+        ob.registry.counter("layer.component.metric").inc()
+
+so observability off costs one attribute test per site and no call
+into this package (``tests/obs/test_off_costs_no_call.py`` holds the
+TTI loop to that).
 
 Typical use::
 
@@ -29,38 +38,40 @@ Typical use::
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Optional
+from time import perf_counter
+from typing import Callable, Optional
 
-from repro.obs.correlate import NullCorrelator, XidCorrelator
-from repro.obs.registry import MetricsRegistry, NullRegistry, percentile
+from repro.obs.correlate import XidCorrelator
+from repro.obs.registry import MetricsRegistry, percentile
 from repro.obs.trace import NullTraceRecorder, TraceRecorder
 
-__all__ = ["Observability", "disable", "enable", "enabled_scope", "get",
+__all__ = ["Observability", "disable", "enable", "enabled_scope", "live",
            "percentile"]
 
 
 class Observability:
     """The bundle of measurement backends instrumentation talks to."""
 
-    __slots__ = ("enabled", "registry", "tracer", "correlator")
+    __slots__ = ("registry", "tracer", "correlator")
 
-    def __init__(self, *, enabled: bool, registry, tracer,
-                 correlator) -> None:
-        self.enabled = enabled
+    def __init__(self, *, registry, tracer, correlator) -> None:
         self.registry = registry
         self.tracer = tracer
         self.correlator = correlator
 
+    def timed(self, histogram: str, component: str, name: str,
+              fn: Callable[[int], None], tti: int, **args: object) -> None:
+        """Run ``fn(tti)`` inside span *component*/*name* and observe its
+        wall time, in microseconds, on *histogram*."""
+        with self.tracer.span(component, name, tti=tti, **args):
+            start = perf_counter()
+            fn(tti)
+            elapsed = perf_counter() - start
+        self.registry.histogram(histogram).observe(elapsed * 1e6)
 
-_NULL = Observability(enabled=False, registry=NullRegistry(),
-                      tracer=NullTraceRecorder(),
-                      correlator=NullCorrelator())
-_current: Observability = _NULL
 
-
-def get() -> Observability:
-    """The current backend (the null backend while disabled)."""
-    return _current
+#: The live backend, or ``None`` while observability is off.
+live: Optional[Observability] = None
 
 
 def enable(*, trace: bool = True,
@@ -70,31 +81,31 @@ def enable(*, trace: bool = True,
     ``trace=False`` keeps metrics and the xid correlator but skips
     span recording -- the cheap mode for long benchmark runs.
     """
-    global _current
+    global live
     if trace:
         tracer = (TraceRecorder(trace_max_events)
                   if trace_max_events is not None else TraceRecorder())
     else:
         tracer = NullTraceRecorder()
-    _current = Observability(enabled=True, registry=MetricsRegistry(),
-                             tracer=tracer, correlator=XidCorrelator())
-    return _current
+    live = Observability(registry=MetricsRegistry(), tracer=tracer,
+                         correlator=XidCorrelator())
+    return live
 
 
 def disable() -> None:
-    """Return to the zero-cost null backend."""
-    global _current
-    _current = _NULL
+    """Switch observability off."""
+    global live
+    live = None
 
 
 @contextmanager
 def enabled_scope(*, trace: bool = True,
                   trace_max_events: Optional[int] = None):
     """Enable for a ``with`` block, restoring the previous backend."""
-    global _current
-    previous = _current
+    global live
+    previous = live
     ob = enable(trace=trace, trace_max_events=trace_max_events)
     try:
         yield ob
     finally:
-        _current = previous
+        live = previous

@@ -162,25 +162,3 @@ class XidCorrelator:
                 "max": float(max(values)) if values else 0.0,
             }
         return out
-
-
-class NullCorrelator:
-    """Correlator stand-in when observability is disabled."""
-
-    completed: tuple = ()
-    completed_dropped = 0
-    orphaned = 0
-    dropped_messages = 0
-
-    def on_enqueue(self, peer, direction, msg_type, xid, tti) -> None:
-        pass
-
-    def on_wire(self, peer, direction, msg_type, xid, tti, *,
-                dropped: bool = False) -> None:
-        pass
-
-    def on_deliver(self, peer, direction, msg_type, xid, tti) -> None:
-        pass
-
-    def on_handle(self, peer, direction, msg_type, xid, tti) -> None:
-        pass

@@ -3,16 +3,10 @@
 The platform-facing half of the observability subsystem.  Components
 grab metric handles by name (``registry.counter("net.tx.bytes")``) and
 mutate them on the hot path; exporters walk the registry afterwards.
-Two design rules keep the TTI loop honest:
-
-* **Null-object backend.**  When observability is disabled (the
-  default), every lookup returns a shared no-op instance whose methods
-  do nothing, so instrumentation left in the code costs one attribute
-  call -- the disabled-mode tax is bounded by
-  ``benchmarks/bench_obs_overhead.py``.
-* **Fixed-cost instruments.**  A histogram uses fixed buckets plus a
-  bounded sample window for tail percentiles; nothing allocates per
-  observation beyond the ring buffer.
+A registry exists only while observability is on (``repro.obs.live``),
+so nothing here runs while it is off.  Instruments are fixed-cost: a
+histogram uses fixed buckets plus a bounded sample window for tail
+percentiles; nothing allocates per observation beyond the ring buffer.
 
 Metric names are dotted lower-case paths (``layer.component.metric``,
 see docs/OBSERVABILITY.md); the Prometheus exporter rewrites dots to
@@ -162,8 +156,6 @@ class Histogram:
 class MetricsRegistry:
     """Name-keyed store of metric instruments."""
 
-    enabled = True
-
     def __init__(self) -> None:
         self._metrics: Dict[str, object] = {}
 
@@ -222,35 +214,3 @@ class MetricsRegistry:
                                 in metric.cumulative_buckets()],
                 }
         return out
-
-
-# -- null-object backend ---------------------------------------------------
-
-
-class NullCounter:
-    """Shared no-op counter."""
-
-    __slots__ = ()
-    KIND = "counter"
-    name = "null"
-    value = 0
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-
-_NULL_COUNTER = NullCounter()
-
-
-class NullRegistry:
-    """Registry stand-in when observability is disabled.
-
-    Instrumentation sites check ``enabled`` first; a counter fetched
-    regardless is the shared null instrument, so the site pays one
-    method call and no allocation.
-    """
-
-    enabled = False
-
-    def counter(self, name: str) -> NullCounter:
-        return _NULL_COUNTER

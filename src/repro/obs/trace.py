@@ -141,7 +141,8 @@ _NULL_SPAN = _NullSpan()
 
 
 class NullTraceRecorder:
-    """Recorder stand-in when tracing is disabled."""
+    """The recorder of ``obs.enable(trace=False)``: metrics and the xid
+    correlator stay on, spans are shared no-ops."""
 
     events: tuple = ()
     dropped_events = 0

@@ -466,8 +466,8 @@ class ChaosHarness:
             desc = action.fire(self.target, tti)
             if desc:
                 self.fired.append((tti, desc))
-                ob = _obs.get()
-                if ob.enabled:
+                ob = _obs.live
+                if ob is not None:
                     ob.registry.counter("survive.chaos.actions").inc()
 
     def report(self) -> ChaosReport:
@@ -480,8 +480,8 @@ class ChaosHarness:
     def _check(self, invariants: InvariantSet, tti: int) -> List[Violation]:
         found = [Violation(tti, invariant, detail)
                  for invariant, detail in invariants(self.target, tti)]
-        ob = _obs.get()
-        if found and ob.enabled:
+        ob = _obs.live
+        if found and ob is not None:
             for violation in found:
                 ob.registry.counter("survive.chaos.violations").inc()
                 ob.registry.counter(

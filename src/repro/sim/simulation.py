@@ -212,7 +212,12 @@ class Simulation:
 
     def _execute_handover(self, rnti: int, source_cell: int,
                           target_cell: int, tti: int) -> bool:
-        """Move a UE between cells, re-homing its flows and channel."""
+        """Move a UE between cells, re-homing its flows and channel.
+
+        A handover to the serving cell is refused: it would only hand
+        the UE a new RNTI on the cell it is already in."""
+        if source_cell == target_cell:
+            return False
         src_enb = self.enbs.get(self._cell_owner.get(source_cell, -1))
         dst_enb = self.enbs.get(self._cell_owner.get(target_cell, -1))
         if src_enb is None or dst_enb is None:

@@ -76,12 +76,18 @@ class TestCommandsRunInTheCycle:
                 service.detach()
 
     def test_handler_error_is_500_and_the_pump_stays_hooked(
-            self, sim, server):
+            self, sim, server, monkeypatch):
+        agent, cell = first_cell(sim)
+
+        def fault(*args):
+            raise RuntimeError("handler fault")
+
+        # A northbound command that raises something other than an
+        # ApiError is the server's fault, not the request's.
+        monkeypatch.setattr(sim.master.northbound, "set_prb_cap", fault)
         client = connect(server)
-        # A command to an agent that does not exist raises KeyError in
-        # the handler: not an ApiError.
-        client.send(http_request("POST", "/v1/agents/999/config/prb_cap",
-                                 {"cell_id": 0, "cap": 1}))
+        client.send(http_request("POST", f"/v1/agents/{agent}/config/prb_cap",
+                                 {"cell_id": cell, "cap": 1}))
         sim.run(1)
         status, body = client.json()
         assert status == 500
@@ -92,6 +98,21 @@ class TestCommandsRunInTheCycle:
         sim.run(1)
         status, _body = client.json()
         assert status == 200
+        client.close()
+
+    @pytest.mark.parametrize("route, body", [
+        ("policy", {"text": "mac:\n  - vsf: dl_scheduling\n"}),
+        ("vsf", {"module": "mac", "operation": "dl_scheduling",
+                 "name": "x", "factory": "y"}),
+        ("config/prb_cap", {"cell_id": 0, "cap": 1}),
+        ("config/abs_pattern", {"cell_id": 0, "subframes": [1]}),
+        ("handover", {"rnti": 1, "source_cell": 0, "target_cell": 1}),
+    ])
+    def test_command_to_unknown_agent_is_404(self, sim, server, route, body):
+        client = connect(server)
+        client.send(http_request("POST", f"/v1/agents/999/{route}", body))
+        sim.run(1)
+        assert client.json() == (404, {"error": "no agent 999"})
         client.close()
 
     def test_text_the_wire_cannot_carry_is_400(self, sim, server, caplog):

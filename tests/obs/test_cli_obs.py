@@ -26,7 +26,7 @@ class TestTraceCommand:
 
     def test_leaves_obs_disabled(self, tmp_path):
         main(["trace", *RUN, "--out", str(tmp_path / "t.json")])
-        assert not obs.get().enabled
+        assert obs.live is None
 
 
 class TestStatsCommand:
@@ -35,7 +35,7 @@ class TestStatsCommand:
         out = capsys.readouterr().out
         assert "# TYPE net_tx_messages counter" in out
         assert "master_cycle_core_ms_bucket" in out
-        assert not obs.get().enabled
+        assert obs.live is None
 
     def test_jsonl_to_file(self, tmp_path, capsys):
         out = tmp_path / "metrics.jsonl"

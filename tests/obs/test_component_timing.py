@@ -41,6 +41,6 @@ def test_one_observation_per_entry_point_call(trace):
 def test_disabled_path_keeps_no_stopwatch():
     sim = build_sim()
     sim.run(N_TTIS)
-    assert not obs.get().registry.enabled
+    assert obs.live is None
     for component in (sim.master, sim.agents[1], sim.enbs[1]):
         assert not [k for k in vars(component) if k.endswith("time_s")]

@@ -4,7 +4,6 @@ from repro import obs
 from repro.obs.correlate import (
     DOWNLINK,
     UPLINK,
-    NullCorrelator,
     XidCorrelator,
 )
 from repro.obs.export import chrome_trace, trace_components
@@ -105,14 +104,6 @@ class TestQueries:
 
     def test_empty_percentile_zero(self):
         assert XidCorrelator().percentile(50) == 0.0
-
-
-class TestNullCorrelator:
-    def test_all_stages_noop(self):
-        c = NullCorrelator()
-        _complete(c)
-        assert c.completed == ()
-        assert c.dropped_messages == 0
 
 
 class TestEndToEnd:

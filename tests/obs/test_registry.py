@@ -1,4 +1,4 @@
-"""Metrics registry semantics: instruments, buckets, null backend."""
+"""Metrics registry semantics: instruments, buckets, the off state."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.obs.registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
     percentile,
 )
 
@@ -99,30 +98,27 @@ class TestRegistry:
 
 
 class TestNullBackend:
-    def test_disabled_by_default(self):
-        assert obs.get().enabled is False
-        assert isinstance(obs.get().registry, NullRegistry)
+    """While off, the backend is null: ``obs.live is None``."""
 
-    def test_null_instruments_are_shared_noops(self):
-        r = NullRegistry()
-        c1, c2 = r.counter("a"), r.counter("b")
-        assert c1 is c2  # shared singleton, no allocation per call
-        c1.inc(100)
-        assert c1.value == 0
+    def test_disabled_by_default(self):
+        assert obs.live is None
 
     def test_enable_disable_roundtrip(self):
         ob = obs.enable()
-        assert obs.get() is ob
-        assert obs.get().enabled
-        obs.get().registry.counter("x").inc()
-        assert obs.get().registry.counter("x").value == 1
+        assert obs.live is ob
+        obs.live.registry.counter("x").inc()
+        assert obs.live.registry.counter("x").value == 1
         obs.disable()
-        assert not obs.get().enabled
+        assert obs.live is None
 
     def test_enabled_scope_restores_previous(self):
         with obs.enabled_scope() as ob:
-            assert obs.get() is ob
-        assert not obs.get().enabled
+            assert obs.live is ob
+        assert obs.live is None
+        outer = obs.enable(trace=False)
+        with obs.enabled_scope() as inner:
+            assert obs.live is inner is not outer
+        assert obs.live is outer
 
 
 class TestPercentileHelper:

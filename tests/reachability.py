@@ -9,11 +9,13 @@ runs the drivers, all in this process:
 * ``trace`` on one entry, then ``stats`` in both formats (observability
   on, every exporter);
 * ``info`` and ``chaos``;
-* ``serve --smoke``, then ``serve --smoke --token T``; while the second
-  smoke client runs, one request to every route of
-  ``nb.routes.build_router()``'s table, among them a malformed policy
-  and an untrusted VSF factory, then a request without the token, one
-  to no route and one with a bad ``Content-Length``;
+* ``serve --smoke``, then ``serve --smoke --token T`` on
+  ``feature_tour``; while the second smoke client runs, one request to
+  every route of ``nb.routes.build_router()``'s table, among them a
+  malformed policy, an untrusted VSF factory and a handover between the
+  eNodeB's two carriers (whose events the event stream reads), then a
+  request without the token, one to no route and one with a bad
+  ``Content-Length``;
 * a 2-worker ``cluster``, ``cluster --chaos``, ``cluster --chaos
   --respawn-budget 0`` (a killed shard is quarantined) and ``cluster
   --run-deadline 0.001`` (the deadline backstop raises).
@@ -204,7 +206,9 @@ def run_catalogue() -> None:
 # that do not address an agent, by handler name.  A route missing here
 # is still requested, at agent ``{agent}`` with no body.  The policy is
 # malformed (the route refuses it) and the VSF factory untrusted (the
-# agent refuses it).
+# agent refuses it).  The handover moves the UE to another cell of its
+# eNodeB (a handover to the serving cell is refused and raises no
+# event, and the event stream's read needs one).
 ROUTE_BODIES = {
     "post_policy": {"text": "mac:\n\tdl_scheduling: local_fair\n"},
     "post_vsf": {"module": "mac", "operation": "dl_scheduling",
@@ -212,7 +216,7 @@ ROUTE_BODIES = {
     "post_prb_cap": {"cell_id": "{cell}", "cap": 25},
     "post_abs_pattern": {"cell_id": "{cell}", "subframes": [1, 3]},
     "post_handover": {"rnti": "{rnti}", "source_cell": "{cell}",
-                      "target_cell": "{cell}"},
+                      "target_cell": "{target}"},
 }
 ROUTE_ARGS = {
     "stream_ue": ("{agent}", "{rnti}"),
@@ -224,8 +228,10 @@ ROUTE_ARGS = {
 def request_every_route(client, fills: Dict[str, int]
                         ) -> List[Tuple[str, int]]:
     """Send one request to every route of ``build_router()``'s table,
-    with ``{agent}``, ``{rnti}``, ``{cell}`` and ``{sub}`` taken from
-    *fills*; a stream is read for one item and closed.  Returns each
+    with ``{agent}``, ``{rnti}``, ``{cell}``, ``{target}`` and ``{sub}``
+    taken from *fills*.  The streams are opened first and each is read
+    for one item and closed once every other request has been answered,
+    so the events a command raises reach the event stream.  Returns each
     request's ``METHOD path`` and HTTP status."""
     from repro.nb.client import ClientError
     from repro.nb.routes import build_router
@@ -236,7 +242,11 @@ def request_every_route(client, fills: Dict[str, int]
         return value
 
     sent = []
-    for method, pattern, handler in build_router()._routes:
+    streams = []
+    routes = sorted(build_router()._routes,
+                    key=lambda route: not route[2].__name__.startswith(
+                        "stream_"))
+    for method, pattern, handler in routes:
         args = iter(ROUTE_ARGS.get(handler.__name__, ("{agent}",)))
         path = "/" + "/".join(str(fill(next(args))) if part == "{int}"
                               else part for part in pattern)
@@ -246,8 +256,7 @@ def request_every_route(client, fills: Dict[str, int]
         status = 200
         try:
             if handler.__name__.startswith("stream_"):
-                with client.stream(path + "?period=1&mode=sse") as stream:
-                    stream.read(1)
+                streams.append(client.stream(path + "?period=1&mode=sse"))
             elif method == "DELETE":
                 client.delete(path)
             else:
@@ -255,6 +264,9 @@ def request_every_route(client, fills: Dict[str, int]
         except ClientError as exc:
             status = exc.status
         sent.append((f"{method} {path}", status))
+    for stream in streams:
+        with stream:
+            stream.read(1)
     return sent
 
 
@@ -271,10 +283,13 @@ def serve_every_route(smoke: Callable,
         client = NorthboundClient(host, port, token=token)
         agent = report["agents"][0]
         ue = client.get(f"/v1/rib/agents/{agent}/ues")["ues"][0]
+        target = next(cell for cell
+                      in client.get(f"/v1/rib/agents/{agent}")["cells"]
+                      if cell != ue["cell"])
         with client.stream("/v1/stream/tti?period=1") as ticks:
             sent.extend(request_every_route(client, {
                 "agent": agent, "rnti": ue["rnti"], "cell": ue["cell"],
-                "sub": int(ticks.subscription_id)}))
+                "target": target, "sub": int(ticks.subscription_id)}))
         for what, refused in (
                 ("GET /v1/info without the token",
                  NorthboundClient(host, port).info),
@@ -335,6 +350,7 @@ def run_drivers(workdir: str) -> Tuple[List[str], bool]:
     cli._smoke_client = serve_every_route(smoke, sent)
     try:
         drive("serve", "--smoke", "--token", TOKEN,
+              "--scenario", "feature_tour",
               "--report", f"{workdir}/serve.json")
     finally:
         cli._smoke_client = smoke

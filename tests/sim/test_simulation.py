@@ -5,6 +5,7 @@ import pytest
 from repro.lte.phy.channel import FixedCqi
 from repro.lte.phy.tbs import capacity_mbps
 from repro.lte.ue import Ue
+from repro.sim.scenarios import quickstart
 from repro.sim.simulation import Simulation
 from repro.traffic.generators import CbrSource, SaturatingSource
 
@@ -111,6 +112,19 @@ class TestHandoverExecutor:
         before = ue.rx_bytes_total
         sim.run(1000)
         assert ue.rx_bytes_total > before
+
+    def test_handover_to_the_serving_cell_is_refused(self):
+        sc = quickstart()
+        sc.sim.run(100)
+        cell = sc.enb.cell()
+        rnti = sc.ue.rnti
+        assert cell.cell_id == 10 and list(cell.ues) == [rnti]
+        sc.sim.master.northbound.send_handover(
+            sc.agent.agent_id, rnti, 10, 10)
+        sc.sim.run(20)
+        assert sc.ue.rnti == rnti
+        assert list(cell.ues) == [rnti] and cell.ues[rnti] is sc.ue
+        assert not sc.agent.rrc.execute_handover(rnti, 10, 10, sc.sim.now)
 
     def test_handover_to_unknown_cell_fails(self):
         sim = Simulation()
