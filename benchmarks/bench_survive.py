@@ -23,7 +23,7 @@ from conftest import print_table, run_once
 from repro.core.apps.base import App
 from repro.core.controller.master import MasterController
 from repro.core.survive.snapshot import rib_ground_truth_diff
-from repro.core.survive.supervisor import AppSupervisor, SupervisionPolicy
+from repro.core.survive.supervisor import AppSupervisor
 from repro.lte.phy.channel import FixedCqi
 from repro.lte.ue import Ue
 from repro.sim.simulation import Simulation
@@ -54,7 +54,7 @@ def make_apps(n: int = 4):
 
 def wrapper_cost_ns(iterations: int = 100_000) -> float:
     """Nanoseconds of pure supervision overhead per app call."""
-    sup = AppSupervisor(SupervisionPolicy())
+    sup = AppSupervisor()
 
     def work() -> None:
         pass

@@ -240,21 +240,20 @@ def _cmd_serve(args) -> int:
             smoke_thread = threading.Thread(target=smoke, daemon=True)
             smoke_thread.start()
 
+        # One paced loop: 50 TTIs, then a pause that hands the
+        # interpreter to the clients' threads (the smoke client's among
+        # them).  It ends once the TTIs are spent (never for --ttis 0:
+        # Ctrl-C stops it) and the smoke client, if any, has finished.
         ttis = args.ttis or (default_ttis if args.smoke else 0)
+        step = 0
         try:
-            if ttis:
-                step = 0
-                while step < ttis and not (args.smoke and not
-                                           smoke_thread.is_alive()):
-                    sim.run(min(50, ttis - step))
-                    step += 50
-                # Keep ticking until the smoke client wraps up.
-                while smoke_thread is not None and smoke_thread.is_alive():
-                    sim.run(50)
-            else:
-                while True:  # Ctrl-C to stop
-                    sim.run(50)
-                    time.sleep(0.02)
+            while (not ttis or step < ttis
+                   or (smoke_thread is not None
+                       and smoke_thread.is_alive())):
+                batch = min(50, ttis - step) if step < ttis else 50
+                sim.run(batch)
+                step += batch
+                time.sleep(0.02)
         except KeyboardInterrupt:
             print("\nstopping")
         if smoke_thread is not None:

@@ -28,7 +28,6 @@ class ShardSpec:
     shard_id: int
     agent_ids: Tuple[int, ...]
     ues_per_enb: int = 25
-    load_factor: float = 0.8
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -41,7 +40,6 @@ class ShardSpec:
 
 
 def plan_shards(n_enbs: int, workers: int, *, ues_per_enb: int = 25,
-                load_factor: float = 0.8,
                 seed: int = 0) -> List[ShardSpec]:
     """Split agents ``1..n_enbs`` into *workers* contiguous shards.
 
@@ -65,8 +63,7 @@ def plan_shards(n_enbs: int, workers: int, *, ues_per_enb: int = 25,
         shards.append(ShardSpec(
             shard_id=shard_id,
             agent_ids=tuple(agent_ids[cursor:cursor + size]),
-            ues_per_enb=ues_per_enb, load_factor=load_factor,
-            seed=seed))
+            ues_per_enb=ues_per_enb, seed=seed))
         cursor += size
     return shards
 

@@ -49,7 +49,6 @@ from repro.cluster.supervise import (
     ShardSupervisor,
 )
 from repro.cluster.worker import (
-    PROGRESS_CHUNK_TTIS,
     WorkerSpec,
     spawn_worker,
 )
@@ -72,6 +71,11 @@ frame, a connection, a dead worker's pipe EOF -- ends the wait at
 once, so no outcome depends on this value."""
 
 
+STATS_PERIOD_TTIS = 5
+"""Period of the full stats subscription every adopted agent gets (the
+scale workload's, as in :func:`repro.sim.scenarios.large_scale`)."""
+
+
 @dataclass(frozen=True)
 class ClusterConfig:
     """Knobs for one sharded run (defaults sized for smoke tests)."""
@@ -81,9 +85,6 @@ class ClusterConfig:
     ues_per_enb: int = 25
     total_ttis: int = 400
     window: int = 32
-    report_chunk: int = PROGRESS_CHUNK_TTIS
-    stats_period_ttis: int = 5
-    load_factor: float = 0.8
     host: str = "127.0.0.1"
     seed: int = 0
     # Supervision knobs (see repro.cluster.supervise).
@@ -150,8 +151,7 @@ class ClusterRuntime:
         self.master = master or MasterController()
         self.shard_map = ShardMap(plan_shards(
             config.n_enbs, config.workers,
-            ues_per_enb=config.ues_per_enb,
-            load_factor=config.load_factor, seed=config.seed))
+            ues_per_enb=config.ues_per_enb, seed=config.seed))
         self.credits = CreditScheduler(
             config.total_ttis, config.window,
             [s.shard_id for s in self.shard_map.shards])
@@ -205,7 +205,7 @@ class ClusterRuntime:
         # connection; a reconnect re-subscribes the fresh agent).
         self.master.northbound.request_stats(
             agent_id, report_type=ReportType.PERIODIC,
-            period_ttis=self.config.stats_period_ttis)
+            period_ttis=STATS_PERIOD_TTIS)
 
     def _drop_agent(self, agent_id: int) -> None:
         """Detach an agent's connection from the master and close it."""
@@ -230,8 +230,7 @@ class ClusterRuntime:
     def _spawn(self, spec: ShardSpec, host: str, port: int) -> None:
         worker_spec = WorkerSpec(
             shard=spec, host=host, port=port,
-            total_ttis=self.config.total_ttis,
-            report_chunk=self.config.report_chunk)
+            total_ttis=self.config.total_ttis)
         process, pipe = spawn_worker(self._ctx, worker_spec)
         self._handles[spec.shard_id] = _ShardHandle(spec, process, pipe)
         self.supervisor.note_activity(spec.shard_id)

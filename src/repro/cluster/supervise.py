@@ -61,6 +61,10 @@ FAILURE_CAUSES = (FAIL_WORKER_ERROR, FAIL_CONNECTION, FAIL_PIPE_EOF,
                   FAIL_PROCESS_DEATH, FAIL_STALL)
 
 
+BACKOFF_CAP_S = 2.0
+"""Cap of a shard's doubled respawn delay."""
+
+
 class ClusterDeadlineError(RuntimeError):
     """The run-level deadline expired; the message is the diagnostic
     dump (per-shard progress, liveness, failures) at expiry."""
@@ -78,7 +82,6 @@ class ShardSupervisionPolicy:
     stall_timeout_s: float = 10.0
     respawn_budget: int = 3
     backoff_base_s: float = 0.05
-    backoff_cap_s: float = 2.0
     run_deadline_s: float = 120.0
 
     def __post_init__(self) -> None:
@@ -91,10 +94,6 @@ class ShardSupervisionPolicy:
         if self.backoff_base_s < 0:
             raise ValueError(
                 f"backoff_base_s must be >= 0, got {self.backoff_base_s}")
-        if self.backoff_cap_s < self.backoff_base_s:
-            raise ValueError(
-                "backoff_cap_s must be >= backoff_base_s "
-                f"(got {self.backoff_cap_s} < {self.backoff_base_s})")
         if self.run_deadline_s < 0:
             raise ValueError(
                 f"run_deadline_s must be >= 0, got {self.run_deadline_s}")
@@ -119,9 +118,9 @@ class ShardFailure:
 
 
 def backoff_delay(policy: ShardSupervisionPolicy, attempt: int) -> float:
-    """Respawn delay before attempt *attempt* (0-based), capped."""
-    return capped_doubling(policy.backoff_base_s, policy.backoff_cap_s,
-                           attempt)
+    """Respawn delay before attempt *attempt* (0-based), capped at
+    :data:`BACKOFF_CAP_S`."""
+    return capped_doubling(policy.backoff_base_s, BACKOFF_CAP_S, attempt)
 
 
 class ShardSupervisor:

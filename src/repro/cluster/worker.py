@@ -26,6 +26,10 @@ from repro.cluster.partition import ShardSpec
 PROGRESS_CHUNK_TTIS = 8
 """How many TTIs a worker runs between progress reports."""
 
+LOAD_FACTOR = 0.8
+"""Offered downlink load of every cell, as a share of its capacity
+(:func:`repro.sim.scenarios.large_scale`'s default)."""
+
 
 @dataclass(frozen=True)
 class WorkerSpec:
@@ -35,7 +39,6 @@ class WorkerSpec:
     host: str
     port: int
     total_ttis: int
-    report_chunk: int = PROGRESS_CHUNK_TTIS
 
 
 def build_shard_sim(spec: WorkerSpec):
@@ -72,7 +75,7 @@ def build_shard_sim(spec: WorkerSpec):
         populate_scale_cell(
             sim, enb, label=agent_id, ordinal=agent_id - 1,
             ues_per_enb=shard.ues_per_enb,
-            load_factor=shard.load_factor)
+            load_factor=LOAD_FACTOR)
     return sim, endpoints
 
 
@@ -110,7 +113,7 @@ def worker_main(spec: WorkerSpec, pipe) -> None:
         while not stop:
             credit = min(granted, spec.total_ttis) - done
             if credit > 0:
-                step = min(credit, spec.report_chunk)
+                step = min(credit, PROGRESS_CHUNK_TTIS)
                 started = time.perf_counter()
                 sim.run(step)
                 elapsed = time.perf_counter() - started

@@ -28,10 +28,8 @@ from typing import Callable, Dict, List, Optional
 from repro import obs as _obs
 from repro.core.agent.api import AgentDataPlaneApi
 from repro.core.agent.cmi import ControlModule
-from repro.core.agent.connection import (
-    ConnectionConfig,
-    ConnectionSupervisor,
-)
+from repro.core.agent import connection as _connection
+from repro.core.agent.connection import ConnectionSupervisor
 from repro.core.agent.mac_module import MacControlModule
 from repro.core.agent.pdcp_module import PdcpControlModule
 from repro.core.agent.rrc_module import RrcControlModule
@@ -68,14 +66,12 @@ class FlexRanAgent:
 
     def __init__(self, agent_id: int, enb, *,
                  endpoint=None,
-                 sync_enabled: bool = False,
                  vsf_registry: Optional[VsfFactoryRegistry] = None,
-                 capabilities: Optional[List[str]] = None,
-                 connection_config: Optional[ConnectionConfig] = None
-                 ) -> None:
+                 capabilities: Optional[List[str]] = None) -> None:
         self.agent_id = agent_id
         self.endpoint = endpoint
-        self.sync_enabled = sync_enabled
+        #: Subframe sync to the master, off until a SyncConfig turns it on.
+        self.sync_enabled = False
         self.vsf_registry = vsf_registry or VsfFactoryRegistry()
         self._attach(enb)
         #: Announced in ``Hello``: by default the control module names.
@@ -107,7 +103,6 @@ class FlexRanAgent:
         self._suspended_remote: List[tuple] = []
         if endpoint is not None:
             self.connection = ConnectionSupervisor(
-                connection_config,
                 send_keepalive=self._send_keepalive,
                 send_reconnect_probe=self._send_hello,
                 on_disconnect=self._enter_local_control,
@@ -163,7 +158,7 @@ class FlexRanAgent:
         return (self.connection is not None
                 and not self.connection.armed
                 and now - self._last_hello_tti
-                >= self.connection.config.keepalive_period_ttis)
+                >= _connection.KEEPALIVE_PERIOD_TTIS)
 
     def _send_keepalive(self, now: int) -> None:
         self._send(EchoRequest(header=Header(xid=self._next_xid())), now)

@@ -35,41 +35,24 @@ Action = Callable[[int], None]
 """Callback ``(tti) -> None`` the agent wires to a protocol action."""
 
 
+KEEPALIVE_PERIOD_TTIS = 100
+"""Silence after which the agent probes the master with an echo."""
+
+DISCONNECT_TIMEOUT_TTIS = 300
+"""Silence after which the agent falls back to local control."""
+
+RECONNECT_BACKOFF_TTIS = 50
+"""First reconnect probe interval; each probe doubles it."""
+
+RECONNECT_BACKOFF_CAP_TTIS = 800
+"""Cap of the doubled reconnect interval."""
+
+
 class ConnectionState(enum.Enum):
     """Where the agent believes its master connection stands."""
 
     CONNECTED = "connected"
     DISCONNECTED = "disconnected"
-
-
-@dataclass
-class ConnectionConfig:
-    """Tuning of the agent's liveness and reconnect machinery."""
-
-    keepalive_period_ttis: int = 100
-    disconnect_timeout_ttis: int = 300
-    reconnect_backoff_ttis: int = 50
-    reconnect_backoff_cap_ttis: int = 800
-
-    def __post_init__(self) -> None:
-        if self.keepalive_period_ttis <= 0:
-            raise ValueError(
-                f"keepalive period must be positive, got "
-                f"{self.keepalive_period_ttis}")
-        if self.disconnect_timeout_ttis <= self.keepalive_period_ttis:
-            raise ValueError(
-                "disconnect timeout must exceed the keepalive period "
-                f"(got {self.disconnect_timeout_ttis} <= "
-                f"{self.keepalive_period_ttis})")
-        if self.reconnect_backoff_ttis <= 0:
-            raise ValueError(
-                f"reconnect backoff must be positive, got "
-                f"{self.reconnect_backoff_ttis}")
-        if self.reconnect_backoff_cap_ttis < self.reconnect_backoff_ttis:
-            raise ValueError(
-                "backoff cap must be >= the initial backoff "
-                f"(got {self.reconnect_backoff_cap_ttis} < "
-                f"{self.reconnect_backoff_ttis})")
 
 
 @dataclass
@@ -92,12 +75,10 @@ class ConnectionSupervisor:
     harnesses) behaves exactly as before.
     """
 
-    def __init__(self, config: Optional[ConnectionConfig] = None, *,
-                 send_keepalive: Optional[Action] = None,
+    def __init__(self, *, send_keepalive: Optional[Action] = None,
                  send_reconnect_probe: Optional[Action] = None,
                  on_disconnect: Optional[Action] = None,
                  on_reconnect: Optional[Action] = None) -> None:
-        self.config = config or ConnectionConfig()
         self.state = ConnectionState.CONNECTED
         self.stats = ConnectionStats()
         #: (tti, state) log of every transition, oldest first.
@@ -109,7 +90,7 @@ class ConnectionSupervisor:
         self._armed = False
         self._last_heard = 0
         self._last_keepalive = -(10 ** 9)
-        self._backoff = self.config.reconnect_backoff_ttis
+        self._backoff = RECONNECT_BACKOFF_TTIS
         self._next_probe = 0
 
     @property
@@ -129,7 +110,7 @@ class ConnectionSupervisor:
         if self.state is ConnectionState.DISCONNECTED:
             self._transition(ConnectionState.CONNECTED, now)
             self.stats.reconnects += 1
-            self._backoff = self.config.reconnect_backoff_ttis
+            self._backoff = RECONNECT_BACKOFF_TTIS
             logger.info("agent connection: master reachable again at "
                         "TTI %d", now)
             if self._on_reconnect is not None:
@@ -146,12 +127,12 @@ class ConnectionSupervisor:
             return True
         if self.state is ConnectionState.CONNECTED:
             silent = self.silent_for(now)
-            if silent >= self.config.disconnect_timeout_ttis:
+            if silent >= DISCONNECT_TIMEOUT_TTIS:
                 self._disconnect(now, silent)
                 return False
-            if (silent >= self.config.keepalive_period_ttis
+            if (silent >= KEEPALIVE_PERIOD_TTIS
                     and now - self._last_keepalive
-                    >= self.config.keepalive_period_ttis):
+                    >= KEEPALIVE_PERIOD_TTIS):
                 self._last_keepalive = now
                 self.stats.keepalives_sent += 1
                 ob = _obs.live
@@ -168,7 +149,7 @@ class ConnectionSupervisor:
                 ob.registry.counter(
                     "agent.connection.reconnect_attempts").inc()
             self._backoff = capped_doubling(
-                self._backoff, self.config.reconnect_backoff_cap_ttis, 1)
+                self._backoff, RECONNECT_BACKOFF_CAP_TTIS, 1)
             self._next_probe = now + self._backoff
             if self._send_reconnect_probe is not None:
                 self._send_reconnect_probe(now)
@@ -179,7 +160,7 @@ class ConnectionSupervisor:
     def _disconnect(self, now: int, silent: int) -> None:
         self._transition(ConnectionState.DISCONNECTED, now)
         self.stats.disconnects += 1
-        self._backoff = self.config.reconnect_backoff_ttis
+        self._backoff = RECONNECT_BACKOFF_TTIS
         self._next_probe = now + self._backoff
         logger.warning("agent connection: master silent for %d TTIs, "
                        "falling back to local control", silent)

@@ -29,10 +29,11 @@ from typing import Dict, Iterable, List, Sequence, Set
 from repro.core.apps.base import App
 from repro.core.controller.northbound import NorthboundApi, StatsSubscription
 from repro.core.delegation import VsfFactoryRegistry
-from repro.lte.constants import SUBFRAMES_PER_FRAME
-from repro.lte.mac import amc
+from repro.lte.constants import CQI_MAX, CQI_MIN, SUBFRAMES_PER_FRAME
 from repro.lte.mac.dci import DlAssignment, SchedulingContext, UeView
 from repro.lte.mac.schedulers import FairShareScheduler, Scheduler
+from repro.lte.phy.cqi import validate_cqi
+from repro.lte.phy.tbs import TABLE_PRBS
 from repro.lte.rrc import RrcState
 
 _ACTIVE_STATES = {
@@ -206,10 +207,17 @@ class OptimizedEicicApp(App):
             if node.stats is None or node.stats.rrc_state not in _ACTIVE_STATES:
                 continue
             # The small cells are silent in this reclaimed ABS, so the
-            # macro UEs' interference-free CQI applies.
+            # macro UEs' interference-free CQI applies.  It came off
+            # the wire: checked as DlAssignment does.
+            cqi = node.cqi_clear
+            if type(cqi) is not int or not CQI_MIN <= cqi <= CQI_MAX:
+                validate_cqi(cqi)
             views.append(UeView(rnti=rnti, queue_bytes=node.queue_bytes,
-                                cqi=amc.select_mcs(node.cqi_clear)))
-        ctx = SchedulingContext(tti=target, n_prb=cell.n_prb, ues=views,
+                                cqi=cqi))
+        n_prb = cell.n_prb  # off the wire: no carrier is wider than the table
+        if n_prb > TABLE_PRBS:
+            n_prb = TABLE_PRBS
+        ctx = SchedulingContext(tti=target, n_prb=n_prb, ues=views,
                                 cell_id=self.macro_cell,
                                 subframe=target % SUBFRAMES_PER_FRAME)
         assignments = self._inner.schedule(ctx)

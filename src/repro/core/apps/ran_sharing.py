@@ -40,15 +40,13 @@ class RanSharingApp(App):
     def __init__(self, *, agent_id: int,
                  initial_fractions: Dict[str, float],
                  changes: Sequence[ShareChange] = (),
-                 policies: Optional[Dict[str, str]] = None,
-                 pad_to: Optional[int] = None) -> None:
+                 policies: Optional[Dict[str, str]] = None) -> None:
         self.agent_id = agent_id
         self.initial_fractions = dict(initial_fractions)
         self.changes: List[ShareChange] = sorted(changes, key=lambda c: c.at_tti)
         #: Optional per-operator inner scheduling policy names, e.g.
         #: ``{"mvno": "group_based"}`` for the Fig. 12b experiment.
         self.policies = dict(policies or {})
-        self._pad_to = pad_to
         self._installed = False
         self._change_index = 0
         self.applied_changes: List[Tuple[int, Dict[str, float]]] = []
@@ -57,14 +55,11 @@ class RanSharingApp(App):
         if not self._installed:
             if self.agent_id not in nb.agent_ids():
                 return
-            kwargs: Dict[str, Any] = {}
-            if self._pad_to is not None:
-                kwargs["pad_to"] = self._pad_to
             params: Dict[str, Any] = {"fractions": self.initial_fractions}
             if self.policies:
                 params["policies"] = self.policies
             nb.push_vsf(self.agent_id, "mac", "dl_scheduling", "sliced",
-                        "scheduler:sliced", params, **kwargs)
+                        "scheduler:sliced", params)
             nb.reconfigure_vsf(self.agent_id, "mac", "dl_scheduling",
                                behavior="sliced")
             self._installed = True

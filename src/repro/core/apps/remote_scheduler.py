@@ -32,11 +32,11 @@ from repro.core.apps.base import App
 from repro.core.controller.northbound import NorthboundApi, StatsSubscription
 from repro.core.controller.rib import AgentLiveness, AgentNode, CellNode
 from repro.core.protocol.messages import ReportType, StatsFlags
-from repro.lte.enodeb import default_ul_scheduler
 from repro.lte.mac.dci import SchedulingContext, UeView
 from repro.lte.mac.schedulers import FairShareScheduler, Scheduler
-from repro.lte.mac import amc
-from repro.lte.phy.tbs import transport_block_bits
+from repro.lte.constants import CQI_MAX, CQI_MIN
+from repro.lte.phy.cqi import validate_cqi
+from repro.lte.phy.tbs import TABLE_PRBS, transport_block_bits
 from repro.lte.rrc import RrcState
 
 _ACTIVE_STATES = {
@@ -48,6 +48,10 @@ RESUBSCRIBE_AFTER_TTIS = 500
 """If no stats report lands for this long after subscribing, the
 subscription is assumed lost (lossy control channel) and re-sent."""
 
+INFLIGHT_TTL_MARGIN_TTIS = 8
+"""TTIs a decision stays in flight beyond its target and twice the sync
+lag, for the report that reflects it to arrive."""
+
 
 class RemoteSchedulerApp(App):
     """Per-TTI centralized downlink scheduler at the master."""
@@ -56,26 +60,16 @@ class RemoteSchedulerApp(App):
     priority = 100  # time-critical: runs first in the app slot
     period_ttis = 1
 
+    #: Period of the stats subscription the app asks every agent for.
+    stats_period_ttis = 1
+
     def __init__(self, algorithm: Optional[Scheduler] = None, *,
-                 schedule_ahead: int = 0,
-                 cqi_backoff: int = 0,
-                 agents: Optional[List[int]] = None,
-                 stats_period_ttis: int = 1,
-                 schedule_uplink: bool = False,
-                 inflight_ttl_margin: int = 8) -> None:
+                 schedule_ahead: int = 0) -> None:
         self.algorithm = algorithm if algorithm is not None else FairShareScheduler()
         if schedule_ahead < 0:
             raise ValueError(
                 f"schedule_ahead must be >= 0, got {schedule_ahead}")
         self.schedule_ahead = schedule_ahead
-        self.cqi_backoff = cqi_backoff
-        if stats_period_ttis < 1:
-            raise ValueError(
-                f"stats period must be >= 1 TTI, got {stats_period_ttis}")
-        self.stats_period_ttis = stats_period_ttis
-        self.schedule_uplink = schedule_uplink
-        self._only_agents = set(agents) if agents is not None else None
-        self._inflight_ttl_margin = inflight_ttl_margin
         #: agent_id -> (subscription handle, TTI of last (re)assert).
         self._subscribed: Dict[int, Tuple[StatsSubscription, int]] = {}
         # rnti -> deque of (expire_tti, bytes) decisions in flight, and
@@ -115,18 +109,12 @@ class RemoteSchedulerApp(App):
         # data plane applies this app's decisions instead of a local VSF.
         nb.reconfigure_vsf(agent_id, "mac", "dl_scheduling",
                            behavior="remote_stub")
-        if self.schedule_uplink:
-            nb.reconfigure_vsf(agent_id, "mac", "ul_scheduling",
-                               behavior="remote_stub_ul")
         self._subscribed[agent_id] = (subscription, tti)
 
     # -- per-TTI decision ---------------------------------------------------
 
     def run(self, tti: int, nb: NorthboundApi) -> None:
         for agent in nb.rib.agents():
-            if (self._only_agents is not None
-                    and agent.agent_id not in self._only_agents):
-                continue
             if agent.liveness is AgentLiveness.DEAD:
                 # The agent fell back to local control; pushing
                 # decisions at a dead endpoint only wastes the wire.
@@ -145,13 +133,6 @@ class RemoteSchedulerApp(App):
                 if cell.config is None:
                     continue
                 ctx = self._build_context(cell, target, tti, sync_lag)
-                if self.schedule_uplink:
-                    # The agent's own fair split, run on the RIB's view.
-                    grants = default_ul_scheduler(ctx)
-                    if grants:
-                        nb.send_ul_command(agent.agent_id, cell_id,
-                                           target, grants)
-                        commanded[agent.agent_id] = target
                 assignments = self.algorithm.schedule(ctx)
                 if not assignments:
                     continue
@@ -159,7 +140,7 @@ class RemoteSchedulerApp(App):
                 commanded[agent.agent_id] = target
                 self.decisions_sent += 1
                 expire = (tti + self.schedule_ahead + 2 * sync_lag
-                          + self._inflight_ttl_margin)
+                          + INFLIGHT_TTL_MARGIN_TTIS)
                 inflight, totals = self._inflight, self._inflight_total
                 for a in assignments:
                     nbytes = transport_block_bits(a.cqi_used, a.n_prb) // 8
@@ -178,13 +159,18 @@ class RemoteSchedulerApp(App):
             if node.stats is None or node.stats.rrc_state not in _ACTIVE_STATES:
                 continue
             queue = max(0, node.queue_bytes - self._inflight_bytes(rnti, now))
-            cqi = amc.select_mcs(node.cqi, backoff=self.cqi_backoff)
+            cqi = node.cqi  # off the wire: checked as DlAssignment does
+            if type(cqi) is not int or not CQI_MIN <= cqi <= CQI_MAX:
+                validate_cqi(cqi)
             labels = dict(node.config.labels) if node.config else {}
             views.append(UeView(
                 rnti=rnti, queue_bytes=queue, cqi=cqi,
                 ul_buffer_bytes=node.stats.ul_buffer_bytes, labels=labels))
+        n_prb = cell.n_prb  # off the wire: no carrier is wider than the table
+        if n_prb > TABLE_PRBS:
+            n_prb = TABLE_PRBS
         return SchedulingContext(
-            tti=target, n_prb=cell.n_prb, ues=views, pending_retx=[],
+            tti=target, n_prb=n_prb, ues=views, pending_retx=[],
             cell_id=cell.cell_id, subframe=target % 10)
 
     def _inflight_bytes(self, rnti: int, now: int) -> int:

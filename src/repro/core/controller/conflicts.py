@@ -55,6 +55,10 @@ class AdmittedDecision:
         return {a.rnti for a in self.assignments}
 
 
+RETENTION_TTIS = 128
+"""How long past its target TTI an admitted decision is remembered."""
+
+
 @dataclass
 class ConflictCounters:
     allowed: int = 0
@@ -66,10 +70,7 @@ class ConflictCounters:
 class ConflictResolver:
     """Admission control over centralized scheduling commands."""
 
-    def __init__(self, *, retention_ttis: int = 128) -> None:
-        if retention_ttis <= 0:
-            raise ValueError(
-                f"retention must be positive, got {retention_ttis}")
+    def __init__(self) -> None:
         #: target TTI -> (kind, agent, cell) -> the decision admitted.
         self._admitted: Dict[int, Dict[Tuple[str, int, int],
                                        AdmittedDecision]] = {}
@@ -77,7 +78,6 @@ class ConflictResolver:
         # order (agents' subframe estimates differ), and collection pops
         # only the targets that fell below the horizon.
         self._targets: List[int] = []
-        self.retention_ttis = retention_ttis
         self.counters = ConflictCounters()
 
     def admit(self, agent_id: int, cell_id: int, target_tti: int,
@@ -95,7 +95,7 @@ class ConflictResolver:
         use disjoint PRB budgets and never conflict with each other.
         """
         admitted, targets = self._admitted, self._targets
-        horizon = now - self.retention_ttis
+        horizon = now - RETENTION_TTIS
         while targets and targets[0] < horizon:
             del admitted[heapq.heappop(targets)]
         if target_tti in admitted:

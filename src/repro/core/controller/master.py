@@ -25,11 +25,7 @@ from repro.core.controller.northbound import NorthboundApi
 from repro.core.controller.registry import RegistryService, Registration
 from repro.core.controller.rib import AgentLiveness, Rib
 from repro.core.controller.rib_updater import RibUpdater
-from repro.core.controller.task_manager import (
-    DEFAULT_TTI_BUDGET_MS,
-    DEFAULT_UPDATER_SHARE,
-    TaskManager,
-)
+from repro.core.controller.task_manager import TaskManager
 from repro.core.protocol.messages import (
     EchoReply,
     EchoRequest,
@@ -39,7 +35,7 @@ from repro.core.protocol.messages import (
     Header,
     Hello,
 )
-from repro.core.survive.supervisor import AppSupervisor, SupervisionPolicy
+from repro.core.survive.supervisor import AppSupervisor
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.survive.snapshot import CheckpointStore
@@ -54,6 +50,10 @@ ECHO_PERIOD_TTIS = 500
 LIVENESS_TIMEOUT_TTIS = 1500
 """Silence threshold after which an agent is declared dead."""
 
+STALE_AFTER_TTIS = ECHO_PERIOD_TTIS
+"""Silence threshold after which an agent is marked stale, a warning
+state between current and dead: the first echo probe."""
+
 DEAD_GC_TTIS = 10_000
 """Silence threshold after which a dead, detached agent's RIB subtree
 is garbage-collected."""
@@ -63,44 +63,27 @@ class MasterController:
     """The brain of the FlexRAN control plane."""
 
     def __init__(self, *, realtime: bool = True,
-                 tti_budget_ms: float = DEFAULT_TTI_BUDGET_MS,
-                 updater_share: float = DEFAULT_UPDATER_SHARE,
-                 echo_period_ttis: int = ECHO_PERIOD_TTIS,
-                 liveness_timeout_ttis: int = LIVENESS_TIMEOUT_TTIS,
-                 stale_after_ttis: Optional[int] = None,
-                 dead_gc_ttis: int = DEAD_GC_TTIS,
-                 supervision_policy: Optional[SupervisionPolicy] = None,
-                 checkpoint_period_ttis: Optional[int] = None,
-                 checkpoint_keep: int = 4) -> None:
+                 checkpoint_period_ttis: Optional[int] = None) -> None:
         # Constructor kwargs, kept verbatim so respawn() can build an
         # identically-configured replacement after a controller crash.
-        self._config = dict(
-            realtime=realtime, tti_budget_ms=tti_budget_ms,
-            updater_share=updater_share,
-            echo_period_ttis=echo_period_ttis,
-            liveness_timeout_ttis=liveness_timeout_ttis,
-            stale_after_ttis=stale_after_ttis,
-            dead_gc_ttis=dead_gc_ttis,
-            supervision_policy=supervision_policy,
-            checkpoint_period_ttis=checkpoint_period_ttis,
-            checkpoint_keep=checkpoint_keep)
+        self._config = dict(realtime=realtime,
+                            checkpoint_period_ttis=checkpoint_period_ttis)
         self.rib = Rib()
         self.updater = RibUpdater(self.rib)
         self.registry = RegistryService()
         # One supervisor shared by both app entry points (periodic slot
         # and event fan-out) so a single breaker governs each app.
-        self.supervisor = AppSupervisor(supervision_policy)
+        self.supervisor = AppSupervisor()
         self.events = EventNotificationService(self.registry,
                                                self.supervisor)
-        self.task_manager = TaskManager(
-            self.registry, self.events, realtime=realtime,
-            tti_budget_ms=tti_budget_ms, updater_share=updater_share)
+        self.task_manager = TaskManager(self.registry, self.events,
+                                        realtime=realtime)
         self.northbound = NorthboundApi(self)
         # Imported at use site: snapshot.py needs the RIB node classes,
         # which would close an import cycle at module scope.
         from repro.core.survive.snapshot import CheckpointStore
         self.checkpoints: Optional[CheckpointStore] = (
-            CheckpointStore(checkpoint_period_ttis, keep=checkpoint_keep)
+            CheckpointStore(checkpoint_period_ttis)
             if checkpoint_period_ttis else None)
         #: TTI of the snapshot this master was restored from (-1: cold).
         self.restored_from_tti = -1
@@ -108,25 +91,6 @@ class MasterController:
         self._endpoints: Dict[int, ProtocolEndpoint] = {}
         self._xid = 0
         self.now = 0
-        if echo_period_ttis <= 0 or liveness_timeout_ttis <= echo_period_ttis:
-            raise ValueError(
-                "liveness timeout must exceed the echo period "
-                f"(got {liveness_timeout_ttis} <= {echo_period_ttis})")
-        self.echo_period_ttis = echo_period_ttis
-        self.liveness_timeout_ttis = liveness_timeout_ttis
-        # STALE is an intermediate warning state between "current" and
-        # "dead"; by default it coincides with the first echo probe.
-        self.stale_after_ttis = (stale_after_ttis if stale_after_ttis
-                                 is not None else echo_period_ttis)
-        if not (0 < self.stale_after_ttis < liveness_timeout_ttis):
-            raise ValueError(
-                "stale threshold must fall between 0 and the liveness "
-                f"timeout (got {self.stale_after_ttis})")
-        if dead_gc_ttis < liveness_timeout_ttis:
-            raise ValueError(
-                "GC threshold must be >= the liveness timeout "
-                f"(got {dead_gc_ttis} < {liveness_timeout_ttis})")
-        self.dead_gc_ttis = dead_gc_ttis
         self._last_echo_sent: Dict[int, int] = {}
         self._last_config_request: Dict[int, int] = {}
         self._last_ue_config_request: Dict[int, int] = {}
@@ -287,7 +251,7 @@ class MasterController:
                 continue
             silent_for = self.now - node.last_heard_tti
             if (node.liveness is AgentLiveness.DEAD
-                    and silent_for >= self.dead_gc_ttis
+                    and silent_for >= DEAD_GC_TTIS
                     and agent_id not in self._endpoints):
                 self.rib.remove_agent(agent_id)
                 self._last_echo_sent.pop(agent_id, None)
@@ -299,8 +263,8 @@ class MasterController:
             if agent_id not in self._endpoints:
                 continue
             last_echo = self._last_echo_sent.get(agent_id, -10 ** 9)
-            if (silent_for >= self.echo_period_ttis
-                    and self.now - last_echo >= self.echo_period_ttis):
+            if (silent_for >= ECHO_PERIOD_TTIS
+                    and self.now - last_echo >= ECHO_PERIOD_TTIS):
                 self.northbound.ping(agent_id)
                 self._last_echo_sent[agent_id] = self.now
             # Config self-heal: a reachable agent whose configuration
@@ -312,15 +276,15 @@ class MasterController:
                                 for c in node.cells.values()))):
                 last_req = self._last_config_request.get(
                     agent_id, -10 ** 9)
-                if self.now - last_req >= self.echo_period_ttis:
+                if self.now - last_req >= ECHO_PERIOD_TTIS:
                     self._request_config(agent_id)
             if (node.liveness is AgentLiveness.ACTIVE
-                    and silent_for >= self.stale_after_ttis):
+                    and silent_for >= STALE_AFTER_TTIS):
                 node.set_liveness(AgentLiveness.STALE, self.now)
                 logger.info("master: agent %d marked stale after %d "
                             "TTIs of silence", agent_id, silent_for)
             if (node.liveness is not AgentLiveness.DEAD
-                    and silent_for >= self.liveness_timeout_ttis):
+                    and silent_for >= LIVENESS_TIMEOUT_TTIS):
                 node.set_liveness(AgentLiveness.DEAD, self.now)
                 self.agents_declared_dead += 1
                 logger.warning(

@@ -235,14 +235,12 @@ class NorthboundApi:
 
     def push_vsf(self, agent_id: int, module: str, operation: str,
                  name: str, factory: str,
-                 params: Optional[Dict[str, Any]] = None, *,
-                 pad_to: Optional[int] = None) -> int:
+                 params: Optional[Dict[str, Any]] = None) -> int:
         """VSF updation: push new code into an agent's VSF cache."""
-        kwargs = {} if pad_to is None else {"pad_to": pad_to}
         header = self._header()
         self._master.send(agent_id, VsfUpdate(
             header=header, module=module, operation=operation,
-            name=name, blob=pack_vsf(factory, params, **kwargs)))
+            name=name, blob=pack_vsf(factory, params)))
         self.counters.vsf_updates += 1
         return header.xid
 

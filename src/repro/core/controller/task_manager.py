@@ -42,8 +42,11 @@ from repro.obs.registry import percentile
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.controller.northbound import NorthboundApi
 
-DEFAULT_TTI_BUDGET_MS = 1.0
-DEFAULT_UPDATER_SHARE = 0.2
+TTI_BUDGET_MS = 1.0
+"""Length of one cycle (Section 4.3.3: a TTI)."""
+
+UPDATER_SHARE = 0.2
+"""The RIB updater's share of the cycle; the applications get the rest."""
 
 CYCLE_SAMPLE_WINDOW = 100_000
 """Core-slot timing samples retained for percentile queries."""
@@ -125,27 +128,13 @@ class TaskManager:
 
     def __init__(self, registry: RegistryService,
                  events: EventNotificationService, *,
-                 realtime: bool = True,
-                 tti_budget_ms: float = DEFAULT_TTI_BUDGET_MS,
-                 updater_share: float = DEFAULT_UPDATER_SHARE) -> None:
-        if not 0.0 < updater_share < 1.0:
-            raise ValueError(
-                f"updater_share must be in (0, 1), got {updater_share}")
-        if tti_budget_ms <= 0:
-            raise ValueError(
-                f"tti_budget_ms must be positive, got {tti_budget_ms}")
+                 realtime: bool = True) -> None:
         self._registry = registry
         self._events = events
         self.realtime = realtime
-        self.tti_budget_ms = tti_budget_ms
-        self.updater_share = updater_share
         self.supervisor = events.supervisor
         self.stats = CycleStats()
         self.last_record: Optional[CycleRecord] = None
-
-    @property
-    def app_budget_ms(self) -> float:
-        return self.tti_budget_ms * (1.0 - self.updater_share)
 
     def cycle(self, tti: int, drain_fn: Callable[[], None],
               nb: "NorthboundApi") -> CycleRecord:
@@ -184,9 +173,9 @@ class TaskManager:
         used_ms = core_ms + app_ms
         record = CycleRecord(
             tti=tti, core_ms=core_ms, app_ms=app_ms,
-            idle_ms=max(0.0, self.tti_budget_ms - used_ms),
+            idle_ms=max(0.0, TTI_BUDGET_MS - used_ms),
             apps_run=apps_run, apps_deferred=apps_deferred,
-            overran=used_ms > self.tti_budget_ms,
+            overran=used_ms > TTI_BUDGET_MS,
             apps_quarantined=apps_quarantined, slot_ms=slot_ms)
         self.stats.add(record)
         self.last_record = record
@@ -200,7 +189,8 @@ class TaskManager:
         sup = self.supervisor
         # Enforced in real-time mode only: the slot's budget, which is
         # also the deadline of an application that sets none.
-        budget = self.app_budget_ms if self.realtime else None
+        budget = (TTI_BUDGET_MS * (1.0 - UPDATER_SHARE) if self.realtime
+                  else None)
         slot_ms = self._events.dispatch(tti, nb)
         for reg in self._registry.runnable():
             app = reg.app

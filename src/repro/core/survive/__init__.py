@@ -32,5 +32,4 @@ from repro.core.survive.supervisor import (  # noqa: F401
     AppHealth,
     AppSupervisor,
     BreakerState,
-    SupervisionPolicy,
 )

@@ -201,17 +201,18 @@ def restore_master(master: "MasterController", snapshot: dict) -> None:
         ob.registry.counter("survive.restore.performed").inc()
 
 
+CHECKPOINTS_KEPT = 4
+"""Length of the checkpoint ring: older snapshots are dropped."""
+
+
 class CheckpointStore:
     """Bounded ring of periodic master checkpoints."""
 
-    def __init__(self, period_ttis: int, *, keep: int = 4) -> None:
+    def __init__(self, period_ttis: int) -> None:
         if period_ttis <= 0:
             raise ValueError(
                 f"checkpoint period must be positive, got {period_ttis}")
-        if keep <= 0:
-            raise ValueError(f"keep must be positive, got {keep}")
         self.period_ttis = period_ttis
-        self.keep = keep
         self._snapshots: List[dict] = []
         self.taken = 0
 
@@ -222,7 +223,7 @@ class CheckpointStore:
     def take(self, master: "MasterController", now: int) -> dict:
         snapshot = snapshot_master(master, now)
         self._snapshots.append(snapshot)
-        del self._snapshots[:-self.keep]
+        del self._snapshots[:-CHECKPOINTS_KEPT]
         self.taken += 1
         ob = _obs.live
         if ob is not None:

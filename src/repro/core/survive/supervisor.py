@@ -52,43 +52,25 @@ def capped_doubling(base, cap, times: int):
     return value
 
 
+MAX_CONSECUTIVE_FAULTS = 3
+"""Faults in a row that open an app's breaker."""
+
+COOLDOWN_TTIS = 500
+"""Quarantine of a first offence; each re-quarantine doubles it."""
+
+MAX_COOLDOWN_TTIS = 8000
+"""Cap of the doubled cooldown."""
+
+PROBATION_RUNS = 5
+"""Clean runs that close the breaker of a re-admitted app."""
+
+
 class BreakerState(enum.Enum):
     """Circuit-breaker state of one supervised application."""
 
     CLOSED = "closed"
     QUARANTINED = "quarantined"
     PROBATION = "probation"
-
-
-@dataclass
-class SupervisionPolicy:
-    """Limits of the application fault boundary.
-
-    ``deadline_ms`` is the default per-invocation budget for the
-    declared ``cost_ms``; the Task Manager overrides it per call with
-    the app's own ``deadline_ms`` attribute or the app-slot budget.
-    ``None`` disables overrun detection (crash containment still
-    applies).  An invocation over its deadline is a fault like a crash.
-    """
-
-    max_consecutive_faults: int = 3
-    cooldown_ttis: int = 500
-    probation_runs: int = 5
-    deadline_ms: Optional[float] = None
-    max_cooldown_ttis: int = 8000
-
-    def __post_init__(self) -> None:
-        if self.max_consecutive_faults <= 0:
-            raise ValueError("max_consecutive_faults must be positive")
-        if self.cooldown_ttis <= 0:
-            raise ValueError("cooldown_ttis must be positive")
-        if self.probation_runs <= 0:
-            raise ValueError("probation_runs must be positive")
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
-            raise ValueError(
-                f"deadline_ms must be positive, got {self.deadline_ms}")
-        if self.max_cooldown_ttis < self.cooldown_ttis:
-            raise ValueError("max_cooldown_ttis must be >= cooldown_ttis")
 
 
 @dataclass
@@ -124,8 +106,7 @@ class AppHealth:
 class AppSupervisor:
     """Fault boundary and circuit breaker over master applications."""
 
-    def __init__(self, policy: Optional[SupervisionPolicy] = None) -> None:
-        self.policy = policy or SupervisionPolicy()
+    def __init__(self) -> None:
         self._health: Dict[str, AppHealth] = {}
         #: Exceptions absorbed at the boundary.
         self.faults_contained = 0
@@ -156,7 +137,7 @@ class AppSupervisor:
         if tti - h.quarantined_at_tti < h.cooldown_ttis:
             return False
         h._transition(BreakerState.PROBATION, tti)
-        h.probation_left = self.policy.probation_runs
+        h.probation_left = PROBATION_RUNS
         h.readmissions += 1
         ob = _obs.live
         if ob is not None:
@@ -190,7 +171,8 @@ class AppSupervisor:
              tti: int, kind: str = "periodic", cost_ms: float = 0.0,
              deadline_ms: Optional[float] = None) -> bool:
         """Run ``fn(*args)``, declared to cost *cost_ms*, inside the
-        boundary.
+        boundary.  A cost over *deadline_ms* is a fault like a crash;
+        with no deadline only a crash is.
 
         Returns True if the invocation completed (even if it overran
         its deadline), False if it raised.  Faults feed the breaker
@@ -198,8 +180,6 @@ class AppSupervisor:
         propagates to the caller.
         """
         h = self.health(name)
-        budget = (deadline_ms if deadline_ms is not None
-                  else self.policy.deadline_ms)
         try:
             fn(*args)
         except Exception as exc:  # noqa: BLE001 - the app fault boundary
@@ -211,13 +191,13 @@ class AppSupervisor:
                 ob.registry.counter("survive.app.crashes." + name).inc()
             self._fault(h, tti, kind, f"exception: {exc!r}")
             return False
-        if budget is not None and cost_ms > budget:
+        if deadline_ms is not None and cost_ms > deadline_ms:
             h.overruns += 1
             ob = _obs.live
             if ob is not None:
                 ob.registry.counter("survive.app.overruns").inc()
             self._fault(h, tti, kind,
-                        f"deadline: {cost_ms} ms > {budget} ms")
+                        f"deadline: {cost_ms} ms > {deadline_ms} ms")
         else:
             self._clean(h, tti)
         return True
@@ -252,15 +232,14 @@ class AppSupervisor:
             # One strike during probation: straight back to quarantine,
             # with the cooldown escalated so a crash-looper backs off.
             self._quarantine(h, tti)
-        elif h.consecutive_faults >= self.policy.max_consecutive_faults:
+        elif h.consecutive_faults >= MAX_CONSECUTIVE_FAULTS:
             self._quarantine(h, tti)
 
     def _quarantine(self, h: AppHealth, tti: int) -> None:
         h.quarantines += 1
         # Every re-quarantine doubles the cooldown, up to the cap.
         h.cooldown_ttis = capped_doubling(
-            self.policy.cooldown_ttis, self.policy.max_cooldown_ttis,
-            h.quarantines - 1)
+            COOLDOWN_TTIS, MAX_COOLDOWN_TTIS, h.quarantines - 1)
         h.quarantined_at_tti = tti
         h.consecutive_faults = 0
         h.probation_left = 0

@@ -1,7 +1,7 @@
-"""Adaptive modulation and coding: MCS selection and error model.
+"""Adaptive modulation and coding: the MCS error model.
 
-Link adaptation selects an MCS from the CQI the eNodeB *believes* the
-UE has.  When control is centralized and the control channel is slow,
+Link adaptation uses the CQI the eNodeB *believes* the UE has as the
+MCS.  When control is centralized and the control channel is slow,
 that belief lags reality -- the mechanism behind the throughput decay
 in the paper's Fig. 9 ("higher RTT delays make the information stored
 in the RIB more outdated, leading to wrong scheduling decisions, e.g.
@@ -23,25 +23,6 @@ from repro.lte.phy.cqi import validate_cqi
 HARQ_COMBINING_GAIN = 0.35
 """Multiplicative error-probability reduction per HARQ retransmission
 (chase combining)."""
-
-
-def select_mcs(reported_cqi: int, *, backoff: int = 0) -> int:
-    """Choose the MCS (CQI-indexed) for a UE reporting *reported_cqi*.
-
-    ``backoff`` implements conservative outer-loop link adaptation: a
-    scheduler unsure of its channel knowledge (e.g. scheduling many
-    subframes ahead) can back off some CQI steps to trade peak rate for
-    reliability.
-    """
-    # A valid plain int is settled inline; anything else takes the
-    # full check (which raises, or admits an int subclass).
-    if type(reported_cqi) is not int or not (
-            CQI_MIN <= reported_cqi <= CQI_MAX):
-        validate_cqi(reported_cqi)
-    if backoff < 0:
-        raise ValueError(f"backoff must be >= 0, got {backoff}")
-    mcs = reported_cqi - backoff
-    return mcs if mcs > 0 else 0
 
 
 @dataclass(frozen=True)
@@ -74,7 +55,7 @@ class ErrorModel:
         *attempt* counts HARQ transmissions (1 = initial).
         """
         if type(cqi_used) is not int or not CQI_MIN <= cqi_used <= CQI_MAX:
-            validate_cqi(cqi_used)  # as in select_mcs
+            validate_cqi(cqi_used)  # as in DlAssignment
         if type(cqi_actual) is not int or not (
                 CQI_MIN <= cqi_actual <= CQI_MAX):
             validate_cqi(cqi_actual)

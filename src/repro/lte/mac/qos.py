@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.lte.mac import amc
 from repro.lte.mac.dci import DlAssignment, SchedulingContext, UeView
 from repro.lte.mac.schedulers import (
     FairShareScheduler,
@@ -137,7 +136,7 @@ class QosScheduler(Scheduler):
             if n_prb <= 0:
                 continue
             out.append(DlAssignment(rnti=rnti, n_prb=n_prb,
-                                    cqi_used=amc.select_mcs(ue.cqi),
+                                    cqi_used=ue.cqi,
                                     lcid=lcid))
             self._credits[(rnti, lcid)] = max(
                 0.0, self._credits[(rnti, lcid)] - grant_bytes)

@@ -22,13 +22,16 @@ from typing import Any, Collection, Dict, Iterable, List, Optional, Tuple
 
 from repro import obs as _obs
 from repro.lte.constants import CQI_MAX
-from repro.lte.mac import amc
 from repro.lte.mac.dci import DlAssignment, SchedulingContext, UeView
-from repro.lte.phy.tbs import prbs_needed, transport_block_bits
+from repro.lte.phy.tbs import TABLE_PRBS, prbs_needed, transport_block_bits
 from repro.lte.rlc import RLC_HEADER_BYTES
 
 #: Bits one PRB carries at each CQI: proportional fair's instantaneous rate.
 _ONE_PRB_BITS = tuple(transport_block_bits(cqi, 1) for cqi in range(CQI_MAX + 1))
+
+#: Bits of the widest block at each CQI: a queue past it takes the table.
+_WIDEST_BITS = tuple(transport_block_bits(cqi, TABLE_PRBS)
+                     for cqi in range(CQI_MAX + 1))
 
 
 def prbs_for_queue(cqi: int, queue_bytes: int) -> int:
@@ -36,10 +39,15 @@ def prbs_for_queue(cqi: int, queue_bytes: int) -> int:
 
     Sizing the transport block to the bare queue would leave no room
     for the per-PDU header and strand sub-header-sized tails forever.
+    The answer is at most :data:`~repro.lte.phy.tbs.TABLE_PRBS`: no
+    carrier is wider, and every caller caps it at a carrier's budget.
     """
     if queue_bytes <= 0:
         return 0
-    return prbs_needed(cqi, (queue_bytes + RLC_HEADER_BYTES + 1) * 8)
+    bits = (queue_bytes + RLC_HEADER_BYTES + 1) * 8
+    if 0 < cqi <= CQI_MAX and bits > _WIDEST_BITS[cqi]:
+        return TABLE_PRBS
+    return prbs_needed(cqi, bits)
 
 
 class Scheduler(abc.ABC):
@@ -117,7 +125,7 @@ def _greedy_fill(ues: Iterable[UeView], budget: int) -> List[DlAssignment]:
         need = prbs_for_queue(ue.cqi, ue.queue_bytes)
         n_prb = need if need < remaining else remaining
         out.append(DlAssignment(rnti=ue.rnti, n_prb=n_prb,
-                                cqi_used=amc.select_mcs(ue.cqi)))
+                                cqi_used=ue.cqi))
         remaining -= n_prb
     return out
 
@@ -192,7 +200,7 @@ class FairShareScheduler(Scheduler):
             if n_prb <= 0:
                 continue
             out.append(DlAssignment(rnti=ue.rnti, n_prb=n_prb,
-                                    cqi_used=amc.select_mcs(ue.cqi)))
+                                    cqi_used=ue.cqi))
             remaining -= n_prb
         return out
 
@@ -258,7 +266,7 @@ class ProportionalFairScheduler(Scheduler):
             if n_prb <= 0:
                 continue
             out.append(DlAssignment(rnti=ue.rnti, n_prb=n_prb,
-                                    cqi_used=amc.select_mcs(ue.cqi)))
+                                    cqi_used=ue.cqi))
             served[ue.rnti] = (decay * get(ue.rnti, 1.0)
                                + alpha * transport_block_bits(ue.cqi, n_prb))
             remaining -= n_prb

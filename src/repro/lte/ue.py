@@ -17,6 +17,9 @@ from repro.lte.phy.channel import ChannelModel, FixedCqi
 
 DeliveryCallback = Callable[[int, int], None]  # (nbytes, tti)
 
+METER_WINDOW_TTIS = 1000
+"""Trailing window of a device's throughput meters (one second)."""
+
 
 class RateMeter:
     """Windowed throughput meter over (tti, bytes) samples."""
@@ -91,9 +94,7 @@ class Ue:
     """One mobile device attached (or attaching) to a cell."""
 
     def __init__(self, imsi: str, channel: Optional[ChannelModel] = None, *,
-                 labels: Optional[Dict[str, str]] = None,
-                 record_series: bool = False,
-                 meter_window_ttis: int = 1000) -> None:
+                 labels: Optional[Dict[str, str]] = None) -> None:
         self.imsi = imsi
         self._channel: ChannelModel = (
             channel if channel is not None else FixedCqi(15))
@@ -110,10 +111,8 @@ class Ue:
         self.carrier_channels = CarrierChannels(self._channels_swapped)
         self._neighbor_channels: Dict[int, ChannelModel] = {}
 
-        self.meter = RateMeter(meter_window_ttis)
-        self.ul_meter = RateMeter(meter_window_ttis)
-        self.record_series = record_series
-        self.delivery_series: List[Tuple[int, int]] = []
+        self.meter = RateMeter(METER_WINDOW_TTIS)
+        self.ul_meter = RateMeter(METER_WINDOW_TTIS)
 
         self.ul_backlog_bytes = 0
         self.ul_sent_bytes = 0
@@ -131,8 +130,6 @@ class Ue:
         if nbytes <= 0:
             return
         self.meter.add(nbytes, tti)
-        if self.record_series:
-            self.delivery_series.append((tti, nbytes))
         if self._delivery_callbacks:  # a copy: a sink may register more
             for fn in list(self._delivery_callbacks):
                 fn(nbytes, tti)

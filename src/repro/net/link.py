@@ -61,7 +61,6 @@ class EmulatedLink:
     """
 
     def __init__(self, *, one_way_latency_ms: float = 0.0,
-                 loss_probability: float = 0.0, jitter_ms: float = 0.0,
                  name: str = "link", seed: int = 0) -> None:
         self.name = name
         #: Read-only to callers: :meth:`set_latency_ms` changes it.
@@ -78,8 +77,6 @@ class EmulatedLink:
         self._rng = random.Random(seed)
         self._loss_probability = 0.0
         self._jitter_ttis = 0.0
-        self.set_loss(loss_probability)
-        self.set_jitter_ms(jitter_ms)
         self._events: List[Tuple[int, bool]] = []  # (tti, up) scripted
         self._last_scheduled_deliver = 0
         self.dropped_messages = 0

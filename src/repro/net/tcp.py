@@ -123,9 +123,8 @@ class FrameDecoder:
     complete envelope bodies in order.
     """
 
-    def __init__(self, *, max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
+    def __init__(self) -> None:
         self._buffer = bytearray()
-        self._max = max_frame_bytes
 
     def feed(self, data: bytes) -> List[bytes]:
         self._buffer.extend(data)
@@ -150,10 +149,10 @@ class FrameDecoder:
                 raise ValueError("oversized length varint in TCP stream")
         else:
             return None  # length varint incomplete (or empty buffer)
-        if length > self._max:
+        if length > MAX_FRAME_BYTES:
             raise ValueError(
                 f"envelope of {length} bytes exceeds the "
-                f"{self._max}-byte frame limit")
+                f"{MAX_FRAME_BYTES}-byte frame limit")
         start = offset + 1
         if len(buf) - start < length:
             return None  # body not fully arrived yet

@@ -74,19 +74,14 @@ class Observability:
 live: Optional[Observability] = None
 
 
-def enable(*, trace: bool = True,
-           trace_max_events: Optional[int] = None) -> Observability:
+def enable(*, trace: bool = True) -> Observability:
     """Switch on observability with fresh backends; returns them.
 
     ``trace=False`` keeps metrics and the xid correlator but skips
     span recording -- the cheap mode for long benchmark runs.
     """
     global live
-    if trace:
-        tracer = (TraceRecorder(trace_max_events)
-                  if trace_max_events is not None else TraceRecorder())
-    else:
-        tracer = NullTraceRecorder()
+    tracer = TraceRecorder() if trace else NullTraceRecorder()
     live = Observability(registry=MetricsRegistry(), tracer=tracer,
                          correlator=XidCorrelator())
     return live
@@ -99,12 +94,11 @@ def disable() -> None:
 
 
 @contextmanager
-def enabled_scope(*, trace: bool = True,
-                  trace_max_events: Optional[int] = None):
+def enabled_scope(*, trace: bool = True):
     """Enable for a ``with`` block, restoring the previous backend."""
     global live
     previous = live
-    ob = enable(trace=trace, trace_max_events=trace_max_events)
+    ob = enable(trace=trace)
     try:
         yield ob
     finally:

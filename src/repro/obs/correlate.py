@@ -59,8 +59,7 @@ _Key = Tuple[str, str, str, int]
 class XidCorrelator:
     """Accumulates per-xid lifecycle records."""
 
-    def __init__(self, max_completed: int = MAX_COMPLETED) -> None:
-        self.max_completed = max_completed
+    def __init__(self) -> None:
         self._open: Dict[_Key, XidRecord] = {}
         self.completed: List[XidRecord] = []
         self.completed_dropped = 0  # completions beyond the cap
@@ -107,7 +106,7 @@ class XidCorrelator:
             return
         record.handle = max(tti, record.deliver)
         del self._open[key]
-        if len(self.completed) < self.max_completed:
+        if len(self.completed) < MAX_COMPLETED:
             self.completed.append(record)
         else:
             self.completed_dropped += 1

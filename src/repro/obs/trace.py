@@ -50,8 +50,7 @@ class Span:
 class TraceRecorder:
     """Collects trace events for one observability session."""
 
-    def __init__(self, max_events: int = MAX_EVENTS) -> None:
-        self.max_events = max_events
+    def __init__(self) -> None:
         self.events: List[Dict[str, object]] = []
         self.dropped_events = 0
         self._tids: Dict[str, int] = {}
@@ -69,7 +68,7 @@ class TraceRecorder:
         return tid
 
     def _emit(self, event: Dict[str, object]) -> None:
-        if len(self.events) >= self.max_events:
+        if len(self.events) >= MAX_EVENTS:
             self.dropped_events += 1
             return
         self.events.append(event)

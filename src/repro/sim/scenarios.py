@@ -27,7 +27,6 @@ from repro.core.apps.monitoring import MonitoringApp
 from repro.core.apps.ran_sharing import RanSharingApp, ShareChange
 from repro.core.apps.remote_scheduler import RemoteSchedulerApp
 from repro.core.agent import FlexRanAgent
-from repro.core.agent.connection import ConnectionConfig
 from repro.core.controller import MasterController
 from repro.core.delegation import VsfFactoryRegistry
 from repro.core.protocol.messages import DciSpec, ReportType, StatsFlags
@@ -354,12 +353,6 @@ def partitioned_centralized(*, n_enbs: int = 1, ues_per_enb: int = 10,
                             schedule_ahead: int = 8,
                             load_factor: float = 1.2,
                             fault: Optional[FaultSpec] = None,
-                            faulted_agent_index: int = 0,
-                            connection_config: Optional[ConnectionConfig]
-                            = None,
-                            echo_period_ttis: int = 500,
-                            liveness_timeout_ttis: int = 1500,
-                            stale_after_ttis: Optional[int] = None,
                             transport: str = "emulated",
                             seed: int = 0) -> CentralizedScenario:
     """Centralized scheduling under control-channel faults.
@@ -367,23 +360,18 @@ def partitioned_centralized(*, n_enbs: int = 1, ues_per_enb: int = 10,
     The Section 5 worst case (per-TTI central scheduling) plus the
     resilience machinery: agents run a connection supervisor that
     falls back to local scheduling when the master becomes
-    unreachable, and *fault* is injected on one agent's control
+    unreachable, and *fault* is injected on the first agent's control
     connection.  With ``fault=None`` this is the fault-free baseline
     of the same deployment (supervisor armed, nothing injected).
     """
-    master = MasterController(echo_period_ttis=echo_period_ttis,
-                              liveness_timeout_ttis=liveness_timeout_ttis,
-                              stale_after_ttis=stale_after_ttis)
-    sim = Simulation(master=master, transport=transport)
+    sim = Simulation(with_master=True, transport=transport)
     app = RemoteSchedulerApp(schedule_ahead=schedule_ahead)
-    master.add_app(app)
+    sim.master.add_app(app)
     scenario = populate_centralized_cells(
         sim, app, n_enbs=n_enbs, ues_per_enb=ues_per_enb, cqi=cqi,
-        load_factor=load_factor, seed=seed, rtt_ms=rtt_ms,
-        connection_config=connection_config or ConnectionConfig())
+        load_factor=load_factor, seed=seed, rtt_ms=rtt_ms)
     if fault is not None:
-        agent_id = scenario.agents[faulted_agent_index].agent_id
-        fault.apply(sim.connections[agent_id])
+        fault.apply(sim.connections[scenario.agents[0].agent_id])
     return scenario
 
 
@@ -445,8 +433,7 @@ def chaos_survivability(*, n_enbs: int = 1, ues_per_enb: int = 5,
     register_chaos_factories(registry)
     cells = populate_centralized_cells(
         sim, app, n_enbs=n_enbs, ues_per_enb=ues_per_enb, cqi=cqi,
-        load_factor=1.2, seed=seed, rtt_ms=rtt_ms, vsf_registry=registry,
-        connection_config=ConnectionConfig())
+        load_factor=1.2, seed=seed, rtt_ms=rtt_ms, vsf_registry=registry)
     agents = cells.agents
 
     actions: List = []

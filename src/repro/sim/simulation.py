@@ -111,10 +111,9 @@ class Simulation:
         return enb
 
     def add_agent(self, enb: EnodeB, *, agent_id: Optional[int] = None,
-                  rtt_ms: float = 0.0, sync_enabled: bool = False,
+                  rtt_ms: float = 0.0,
                   vsf_registry: Optional[VsfFactoryRegistry] = None,
-                  connection_config=None, endpoint=None
-                  ) -> FlexRanAgent:
+                  endpoint=None) -> FlexRanAgent:
         """Attach a FlexRAN agent to *enb*, connected to the master
         (if any) over a control channel with *rtt_ms* on the
         simulation's transport.  Passing *endpoint* attaches the agent
@@ -126,9 +125,7 @@ class Simulation:
         agent = FlexRanAgent(agent_id, enb,
                              endpoint=self._connect(agent_id, rtt_ms,
                                                     endpoint),
-                             sync_enabled=sync_enabled,
-                             vsf_registry=vsf_registry,
-                             connection_config=connection_config)
+                             vsf_registry=vsf_registry)
         agent.api.set_handover_executor(self._execute_handover)
         self.agents[agent_id] = agent
         return agent

@@ -24,7 +24,7 @@ from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.lte.enodeb import EnodeB
 from repro.lte.mac.queues import DEFAULT_LCID
-from repro.lte.ue import RateMeter, Ue
+from repro.lte.ue import METER_WINDOW_TTIS, RateMeter, Ue
 
 MSS_BYTES = 1400
 INITIAL_WINDOW_SEGMENTS = 10
@@ -34,18 +34,14 @@ MIN_RTO_MS = 200.0
 class TcpFlow:
     """One downlink TCP connection toward a UE."""
 
-    def __init__(self, *, mss: int = MSS_BYTES, base_rtt_ms: float = 20.0,
-                 unlimited: bool = False,
-                 meter_window_ttis: int = 1000) -> None:
-        if mss <= 0:
-            raise ValueError(f"mss must be positive, got {mss}")
+    def __init__(self, *, base_rtt_ms: float = 20.0,
+                 unlimited: bool = False) -> None:
         if base_rtt_ms < 0:
             raise ValueError(f"base RTT must be >= 0, got {base_rtt_ms}")
-        self.mss = mss
         self.base_rtt_ms = base_rtt_ms
         self.unlimited = unlimited
 
-        self.cwnd = float(mss * INITIAL_WINDOW_SEGMENTS)
+        self.cwnd = float(MSS_BYTES * INITIAL_WINDOW_SEGMENTS)
         self.ssthresh = float(10 ** 9)
         self.inflight_bytes = 0
         self._app_backlog = 0
@@ -54,7 +50,7 @@ class TcpFlow:
         self._srtt_ms: Optional[float] = None
         self._last_ack_tti = 0
 
-        self.meter = RateMeter(meter_window_ttis)
+        self.meter = RateMeter(METER_WINDOW_TTIS)
         self.delivered_bytes = 0
         self.lost_bytes = 0
         self.loss_events = 0
@@ -97,8 +93,8 @@ class TcpFlow:
         window_room = int(self.cwnd) - self.inflight_bytes
         available = self._app_backlog if not self.unlimited else window_room
         budget = min(window_room, available)
-        while budget >= self.mss or (0 < budget == available):
-            size = min(self.mss, budget)
+        while budget >= MSS_BYTES or (0 < budget == available):
+            size = min(MSS_BYTES, budget)
             accepted = self._transmit(size, tti)
             if not self.unlimited:
                 self._app_backlog -= size
@@ -132,7 +128,7 @@ class TcpFlow:
             if self.cwnd < self.ssthresh:
                 self.cwnd += acked  # slow start
             else:
-                self.cwnd += self.mss * acked / max(self.cwnd, 1.0)
+                self.cwnd += MSS_BYTES * acked / max(self.cwnd, 1.0)
 
     def _update_rtt(self, tti: int, acked: int) -> None:
         remaining = acked
@@ -152,7 +148,7 @@ class TcpFlow:
 
     def _on_loss(self) -> None:
         self.loss_events += 1
-        self.ssthresh = max(self.inflight_bytes / 2.0, 2.0 * self.mss)
+        self.ssthresh = max(self.inflight_bytes / 2.0, 2.0 * MSS_BYTES)
         self.cwnd = self.ssthresh
 
     def _check_timeout(self, tti: int) -> None:
@@ -161,8 +157,8 @@ class TcpFlow:
         rto = max(MIN_RTO_MS, 3.0 * (self._srtt_ms or self.base_rtt_ms))
         if tti - self._last_ack_tti > rto:
             self.timeouts += 1
-            self.ssthresh = max(self.inflight_bytes / 2.0, 2.0 * self.mss)
-            self.cwnd = float(self.mss)
+            self.ssthresh = max(self.inflight_bytes / 2.0, 2.0 * MSS_BYTES)
+            self.cwnd = float(MSS_BYTES)
             self._last_ack_tti = tti  # back off before firing again
 
     # -- read-out -----------------------------------------------------------

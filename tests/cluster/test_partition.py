@@ -31,11 +31,9 @@ class TestPlanShards:
             plan_shards(2, 3)
 
     def test_workload_knobs_propagate(self):
-        shards = plan_shards(4, 2, ues_per_enb=33, load_factor=0.5,
-                             seed=7)
+        shards = plan_shards(4, 2, ues_per_enb=33, seed=7)
         for shard in shards:
             assert shard.ues_per_enb == 33
-            assert shard.load_factor == 0.5
             assert shard.seed == 7
 
     def test_empty_shard_spec_rejected(self):

@@ -11,8 +11,10 @@ import time
 
 import pytest
 
+from repro.cluster import supervise
 from repro.cluster.credits import CreditScheduler
 from repro.cluster.supervise import (
+    BACKOFF_CAP_S,
     FAIL_CONNECTION,
     FAIL_PIPE_EOF,
     FAIL_PROCESS_DEATH,
@@ -83,8 +85,9 @@ def make(shard_ids=(0, 1), **policy_kwargs):
 
 
 class TestBackoffDelay:
-    def test_doubles_until_the_cap(self):
-        policy = ShardSupervisionPolicy(backoff_base_s=0.1, backoff_cap_s=0.5)
+    def test_doubles_until_the_cap(self, monkeypatch):
+        monkeypatch.setattr(supervise, "BACKOFF_CAP_S", 0.5)
+        policy = ShardSupervisionPolicy(backoff_base_s=0.1)
         delays = [backoff_delay(policy, a) for a in range(5)]
         assert delays == pytest.approx([0.1, 0.2, 0.4, 0.5, 0.5])
 
@@ -95,13 +98,13 @@ class TestBackoffDelay:
     def test_the_schedule_is_base_times_two_to_the_attempt_capped(self):
         policy = ShardSupervisionPolicy()
         assert [backoff_delay(policy, a) for a in range(12)] == [
-            min(policy.backoff_cap_s, policy.backoff_base_s * 2 ** a)
+            min(BACKOFF_CAP_S, policy.backoff_base_s * 2 ** a)
             for a in range(12)]
 
     def test_a_late_attempt_is_capped_not_overflowed(self):
         # base * 2 ** attempt as a float overflows from attempt 1024 on.
         policy = ShardSupervisionPolicy()
-        assert backoff_delay(policy, 5000) == policy.backoff_cap_s
+        assert backoff_delay(policy, 5000) == BACKOFF_CAP_S
 
     def test_causes_vocabulary_is_closed(self):
         assert set(FAILURE_CAUSES) == {
@@ -113,15 +116,14 @@ class TestPolicyValidation:
     @pytest.mark.parametrize("field, value", [
         ("stall_timeout_s", 0.0), ("stall_timeout_s", -1.0),
         ("respawn_budget", -1), ("backoff_base_s", -1.0),
-        ("backoff_cap_s", 0.01), ("run_deadline_s", -1.0)])
+        ("run_deadline_s", -1.0)])
     def test_a_bad_field_is_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             ShardSupervisionPolicy(**{field: value})
 
     def test_the_boundary_values_tests_use_are_accepted(self):
         ShardSupervisionPolicy(stall_timeout_s=0.01, respawn_budget=0,
-                               backoff_base_s=0.0, backoff_cap_s=0.0,
-                               run_deadline_s=0.0)
+                               backoff_base_s=0.0, run_deadline_s=0.0)
 
 
 class TestFailureIntake:
@@ -162,8 +164,9 @@ class TestFailureIntake:
         assert supervisor.pending_respawns() == []
         assert len(supervisor.respawn_latency_s) == 1
 
-    def test_backoff_delays_the_respawn(self):
-        runtime, supervisor = make(backoff_base_s=30.0, backoff_cap_s=30.0)
+    def test_backoff_delays_the_respawn(self, monkeypatch):
+        monkeypatch.setattr(supervise, "BACKOFF_CAP_S", 30.0)
+        runtime, supervisor = make(backoff_base_s=30.0)
         supervisor.note_failure(0, FAIL_PIPE_EOF, "gone")
         supervisor.poll()
         assert runtime.respawned == []  # still backing off

@@ -12,7 +12,7 @@ import inspect
 
 import pytest
 
-from repro.core.agent import FlexRanAgent, reports
+from repro.core.agent import FlexRanAgent, connection, reports
 from repro.core.agent.connection import ConnectionState
 from repro.core.agent.reports import FULL_REFRESH_REPLIES
 from repro.core.controller import MasterController
@@ -167,7 +167,7 @@ class TestOneLoop:
 class TestHandshakeAndLiveness:
     def test_hello_reoffered_until_the_master_speaks(self, wired):
         _, agent, conn = wired
-        period = agent.connection.config.keepalive_period_ttis
+        period = connection.KEEPALIVE_PERIOD_TTIS
         for t in range(2 * period + 1):
             agent.tick_tx(t)
         hellos = sent(conn, Hello, 2 * period)
@@ -183,7 +183,7 @@ class TestHandshakeAndLiveness:
         _, agent, conn = wired
         speak(conn, EchoRequest(header=Header(xid=1)), 0)
         agent.tick_rx(0)
-        period = agent.connection.config.keepalive_period_ttis
+        period = connection.KEEPALIVE_PERIOD_TTIS
         for t in range(period + 1):
             agent.tick_tx(t)
         probes = sent(conn, EchoRequest, period)
@@ -204,7 +204,7 @@ class TestHandshakeAndLiveness:
         binding.take_remote_control()
         before = active_vsfs(agent)
         subscribe(conn, agent, ReportType.PERIODIC, period=10)
-        timeout = agent.connection.config.disconnect_timeout_ttis
+        timeout = connection.DISCONNECT_TIMEOUT_TTIS
         for t in range(timeout + 50):
             binding.touch(0, t)
             agent.tick_tx(t)

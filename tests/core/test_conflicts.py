@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.apps.base import App
+from repro.core.controller import conflicts
 from repro.core.controller.conflicts import (
     AdmittedDecision,
     ConflictCounters,
@@ -81,7 +82,7 @@ class TestResolverUnit:
         assert outcome is ConflictOutcome.ALLOWED
 
     def test_gc_forgets_old_targets(self):
-        r = ConflictResolver(retention_ttis=16)
+        r = ConflictResolver()
         r.admit(1, 10, 100, [dci(70)], n_prb_limit=50, priority=5, now=100)
         assert held(r) == 1
         r.admit(1, 10, 500, [dci(70)], n_prb_limit=50, priority=5, now=500)
@@ -95,16 +96,13 @@ class TestResolverUnit:
                              priority=5, now=90)
         assert outcome is ConflictOutcome.MERGED
 
-    def test_invalid_retention(self):
-        with pytest.raises(ValueError):
-            ConflictResolver(retention_ttis=0)
-
     def test_target_at_the_horizon_is_kept(self):
-        r = ConflictResolver(retention_ttis=16)
+        r = ConflictResolver()
         r.admit(1, 10, 84, [dci(70)], n_prb_limit=50, priority=5, now=80)
         r.admit(1, 10, 83, [dci(70)], n_prb_limit=50, priority=5, now=80)
-        r.admit(1, 11, 90, [dci(70)], n_prb_limit=50, priority=5, now=100)
-        assert held(r) == 2  # 83 < 100 - 16 went, 84 stays
+        now = 84 + conflicts.RETENTION_TTIS
+        r.admit(1, 11, now, [dci(70)], n_prb_limit=50, priority=5, now=now)
+        assert held(r) == 2  # 83 below the horizon went, 84 on it stays
 
 
 def held(resolver):
@@ -166,16 +164,19 @@ command = st.tuples(
 @settings(max_examples=300, deadline=None)
 @given(commands=st.lists(command, max_size=80))
 def test_indexed_collection_matches_the_scan(commands):
-    new = ConflictResolver(retention_ttis=RETENTION)
+    new = ConflictResolver()
     ref = ScanResolver(retention_ttis=RETENTION)
     now = 0
-    for advance, ahead, kind, agent, cell, specs, limit, priority in commands:
-        now += advance
-        args = (agent, cell, now + ahead, [dci(r, n) for r, n in specs])
-        kwargs = dict(n_prb_limit=limit, priority=priority, now=now,
-                      kind=kind)
-        assert new.admit(*args, **kwargs) == ref.admit(*args, **kwargs)
-        assert held(new) == ref.pending_targets()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(conflicts, "RETENTION_TTIS", RETENTION)
+        for (advance, ahead, kind, agent, cell, specs, limit,
+             priority) in commands:
+            now += advance
+            args = (agent, cell, now + ahead, [dci(r, n) for r, n in specs])
+            kwargs = dict(n_prb_limit=limit, priority=priority, now=now,
+                          kind=kind)
+            assert new.admit(*args, **kwargs) == ref.admit(*args, **kwargs)
+            assert held(new) == ref.pending_targets()
     assert new.counters == ref.counters
 
 

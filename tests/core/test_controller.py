@@ -8,8 +8,10 @@ from repro.core.apps.base import App
 from repro.core.controller import MasterController
 from repro.core.controller.events import EventNotificationService
 from repro.core.controller.registry import RegistryService
+from repro.core.controller import task_manager
 from repro.core.controller.task_manager import TaskManager
-from repro.core.survive.supervisor import AppSupervisor, SupervisionPolicy
+from repro.core.survive import supervisor
+from repro.core.survive.supervisor import AppSupervisor
 from repro.core.protocol.messages import (
     EventNotification,
     EventType,
@@ -108,13 +110,12 @@ class TestTaskManager:
         record = tm.cycle(0, lambda: None, nb=None)
         assert record.core_ms >= 0
         assert record.app_ms >= 0
-        assert record.idle_ms <= tm.tti_budget_ms
+        assert record.idle_ms <= task_manager.TTI_BUDGET_MS
         assert tm.stats.cycles == 1
 
     def test_realtime_defers_over_budget(self):
-        # App slot: 80% of 0.5 ms = 0.4 ms; the first app declares 1 ms.
-        registry, events, tm = self.make(realtime=True, tti_budget_ms=0.5,
-                                         updater_share=0.2)
+        # App slot: 80% of 1 ms = 0.8 ms; the first app declares 1 ms.
+        registry, events, tm = self.make(realtime=True)
         first = Recorder("first", priority=10, cost_ms=1.0)
         second = Recorder("second", priority=1, cost_ms=1.0)
         registry.register(first)
@@ -143,9 +144,10 @@ class TestTaskManager:
             assert record.slot_ms == pytest.approx(0.9)
         assert [len(app.runs) for app in apps] == [3, 3, 3, 0]
 
-    def test_non_realtime_never_defers(self):
+    def test_non_realtime_never_defers(self, monkeypatch):
         # A 1 us cycle budget: any real cycle overruns it, measurably.
-        registry, events, tm = self.make(realtime=False, tti_budget_ms=0.001)
+        monkeypatch.setattr(task_manager, "TTI_BUDGET_MS", 0.001)
+        registry, events, tm = self.make(realtime=False)
         a = Recorder("a", priority=2, cost_ms=0.5)
         b = Recorder("b", priority=1, cost_ms=0.5)
         registry.register(a)
@@ -197,11 +199,9 @@ class TestTaskManager:
         assert master.supervisor.health("heavy").overruns == 0
 
     def test_invalid_params_rejected(self):
-        registry, events, _ = self.make()
-        with pytest.raises(ValueError):
-            TaskManager(registry, events, updater_share=0.0)
-        with pytest.raises(ValueError):
-            TaskManager(registry, events, tti_budget_ms=0)
+        # The cycle splits a positive budget between two non-empty slots.
+        assert task_manager.TTI_BUDGET_MS > 0
+        assert 0.0 < task_manager.UPDATER_SHARE < 1.0
 
 
 class TestEventService:
@@ -227,9 +227,10 @@ class TestEventService:
         assert events.dropped_no_subscriber == 1
         assert events.dropped_quarantined == 0
 
-    def test_crashed_delivery_is_not_a_missing_subscriber(self):
+    def test_crashed_delivery_is_not_a_missing_subscriber(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "MAX_CONSECUTIVE_FAULTS", 1)
         registry = RegistryService()
-        sup = AppSupervisor(SupervisionPolicy(max_consecutive_faults=1))
+        sup = AppSupervisor()
         events = EventNotificationService(registry, sup)
 
         class Crashing(Recorder):

@@ -5,24 +5,33 @@ import pytest
 from repro.core.agent import FlexRanAgent
 from repro.core.apps.base import App
 from repro.core.controller import MasterController
+from repro.core.controller import master as master_module
 from repro.core.controller.rib import AgentLiveness
 from repro.core.protocol.messages import DciSpec, UlMacCommand
 from repro.lte.enodeb import EnodeB
 from repro.lte.phy.channel import FixedCqi
-from repro.lte.phy.tbs import capacity_mbps
 from repro.lte.ue import Ue
 from repro.net.transport import ControlConnection
-from repro.sim.scenarios import centralized_scheduling
-from repro.traffic.generators import SaturatingSource
+
+
+def master_timing(monkeypatch, echo, liveness):
+    """Run the master's liveness at an *echo* period (stale from the
+    first probe on) and a *liveness* timeout other than the shipped."""
+    monkeypatch.setattr(master_module, "ECHO_PERIOD_TTIS", echo)
+    monkeypatch.setattr(master_module, "STALE_AFTER_TTIS", echo)
+    monkeypatch.setattr(master_module, "LIVENESS_TIMEOUT_TTIS", liveness)
 
 
 class TestLiveness:
+    @pytest.fixture(autouse=True)
+    def timing(self, monkeypatch):
+        master_timing(monkeypatch, echo=100, liveness=300)
+
     def build(self):
         enb = EnodeB(1)
         conn = ControlConnection()
         agent = FlexRanAgent(1, enb, endpoint=conn.agent_side)
-        master = MasterController(echo_period_ttis=100,
-                                  liveness_timeout_ttis=300)
+        master = MasterController()
         master.connect_agent(1, conn.master_side)
         return enb, agent, master, conn
 
@@ -64,11 +73,6 @@ class TestLiveness:
         self.drive(enb, agent, master, 500, 560)
         assert master.rib.agent(1).alive
 
-    def test_invalid_liveness_config(self):
-        with pytest.raises(ValueError):
-            MasterController(echo_period_ttis=100,
-                             liveness_timeout_ttis=100)
-
 
 class NorthboundReader(App):
     """Reads what docs/WRITING_APPS.md tells applications to read."""
@@ -92,10 +96,13 @@ class TestNorthboundReads:
     """An agent's liveness and estimated subframe, read from the RIB by an
     application, on a two-agent deployment 10 TTIs (one way) away."""
 
+    @pytest.fixture(autouse=True)
+    def timing(self, monkeypatch):
+        master_timing(monkeypatch, echo=20, liveness=60)
+
     def run(self):
         from repro.sim.simulation import Simulation
-        master = MasterController(echo_period_ttis=20,
-                                  liveness_timeout_ttis=60)
+        master = MasterController()
         sim = Simulation(master=master)
         app = NorthboundReader()
         master.add_app(app)
@@ -151,19 +158,6 @@ class TestUplinkRemoteScheduling:
         ctx = enb.build_context(enb.cell().cell_id, 20)
         grants = agent.mac.remote_ul_stub(ctx)
         assert len(grants) == 1 and grants[0].n_prb == 50
-
-    def test_centralized_uplink_throughput(self):
-        sc = centralized_scheduling(ues_per_enb=1, cqi=15)
-        sc.app.schedule_uplink = True
-        ue = sc.ues_per_enb[0][0]
-        sc.sim.add_uplink_traffic(sc.enbs[0], ue,
-                                  SaturatingSource(start_tti=50))
-        sc.sim.run(3000)
-        assert (sc.agents[0].mac.active_name("ul_scheduling")
-                == "remote_stub_ul")
-        ul_mbps = sc.enbs[0].counters.ul_delivered_bytes * 8 / (3000 * 1000)
-        assert ul_mbps == pytest.approx(
-            capacity_mbps(15, 50, uplink=True), rel=0.1)
 
     def test_ul_stub_without_decision_grants_nothing(self):
         enb = EnodeB(1)

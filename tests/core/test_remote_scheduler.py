@@ -10,8 +10,10 @@ every decision, TTL and expiry is the app's own.
 
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.apps import remote_scheduler
 from repro.core.apps.remote_scheduler import RemoteSchedulerApp
 from repro.core.controller.rib import AgentLiveness
 from repro.lte.mac.dci import DlAssignment
@@ -82,19 +84,20 @@ step = st.tuples(st.integers(0, 6), st.lists(assignment, max_size=4))
        schedule_ahead=st.integers(0, 4), margin=st.integers(0, 8))
 def test_running_total_matches_the_scan(steps, schedule_ahead, margin):
     scripts = [Script(steps), Script(steps)]
-    new, ref = (cls(script, schedule_ahead=schedule_ahead,
-                    inflight_ttl_margin=margin)
+    new, ref = (cls(script, schedule_ahead=schedule_ahead)
                 for cls, script in zip((RemoteSchedulerApp, ScanInflight),
                                        scripts))
     runs = [(new, scripts[0], scripted_nb(scripts[0])),
             (ref, scripts[1], scripted_nb(scripts[1]))]
-    for tti in range(len(steps)):
-        for app, script, nb in runs:
-            script.tti = tti
-            app.run(tti, nb)
-        assert new._inflight_total == {
-            rnti: sum(b for _, b in pending)
-            for rnti, pending in new._inflight.items()}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(remote_scheduler, "INFLIGHT_TTL_MARGIN_TTIS", margin)
+        for tti in range(len(steps)):
+            for app, script, nb in runs:
+                script.tti = tti
+                app.run(tti, nb)
+            assert new._inflight_total == {
+                rnti: sum(b for _, b in pending)
+                for rnti, pending in new._inflight.items()}
     # Every UE view either app built: queue minus bytes in flight.
     assert scripts[0].seen == scripts[1].seen
 

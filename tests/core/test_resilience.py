@@ -3,37 +3,53 @@ supervisor, local fallback, reconnect backoff and RIB liveness."""
 
 import pytest
 
-from repro.core.agent import FlexRanAgent
-from repro.core.agent.connection import (
-    ConnectionConfig,
-    ConnectionState,
-    ConnectionSupervisor,
-)
+from repro.core.agent import FlexRanAgent, connection
+from repro.core.agent.connection import ConnectionState, ConnectionSupervisor
 from repro.core.controller import MasterController
+from repro.core.controller import master as master_module
 from repro.core.controller.rib import AgentLiveness
 from repro.lte.enodeb import EnodeB
 from repro.net.transport import ControlConnection
 from repro.sim.scenarios import FaultSpec, partitioned_centralized
 
-CFG = dict(keepalive_period_ttis=20, disconnect_timeout_ttis=60,
-           reconnect_backoff_ttis=10, reconnect_backoff_cap_ttis=40)
+
+def tune(monkeypatch, module, **constants):
+    """Run a test at other values of *module*'s timing constants."""
+    for name, value in constants.items():
+        monkeypatch.setattr(module, name, value)
+
+
+@pytest.fixture
+def fast_agent(monkeypatch):
+    """An agent supervisor on a 20-TTI keepalive, 60-TTI disconnect
+    timeout and 10-TTI first backoff, capped at 40."""
+    tune(monkeypatch, connection, KEEPALIVE_PERIOD_TTIS=20,
+         DISCONNECT_TIMEOUT_TTIS=60, RECONNECT_BACKOFF_TTIS=10,
+         RECONNECT_BACKOFF_CAP_TTIS=40)
+
+
+def partition_timing(monkeypatch, **master_constants):
+    """The partition runs' agents: 50-TTI keepalive, 150-TTI timeout,
+    backoff from 25 capped at 100; and the master's *master_constants*."""
+    tune(monkeypatch, connection, KEEPALIVE_PERIOD_TTIS=50,
+         DISCONNECT_TIMEOUT_TTIS=150, RECONNECT_BACKOFF_TTIS=25,
+         RECONNECT_BACKOFF_CAP_TTIS=100)
+    tune(monkeypatch, master_module, **master_constants)
 
 
 class TestSupervisor:
-    def test_dormant_until_first_message(self):
+    def test_dormant_until_first_message(self, fast_agent):
         events = []
         sup = ConnectionSupervisor(
-            ConnectionConfig(**CFG),
             on_disconnect=lambda t: events.append(("down", t)))
         # Nothing heard ever: the supervisor never declares a loss.
         for t in range(500):
             assert sup.before_tx(t)
         assert events == []
 
-    def test_timeout_disconnects_and_suppresses_tx(self):
+    def test_timeout_disconnects_and_suppresses_tx(self, fast_agent):
         events = []
         sup = ConnectionSupervisor(
-            ConnectionConfig(**CFG),
             on_disconnect=lambda t: events.append(("down", t)))
         sup.heard(10)
         assert sup.before_tx(50)
@@ -43,10 +59,10 @@ class TestSupervisor:
         assert sup.stats.disconnects == 1
         assert not sup.before_tx(71)
 
-    def test_keepalive_probes_on_silence(self):
+    def test_keepalive_probes_on_silence(self, fast_agent):
         probes = []
         sup = ConnectionSupervisor(
-            ConnectionConfig(**CFG), send_keepalive=probes.append)
+            send_keepalive=probes.append)
         sup.heard(0)
         for t in range(1, 60):
             sup.before_tx(t)
@@ -59,10 +75,10 @@ class TestSupervisor:
         # Silence from 100: probes at 120 and 140 (period 20).
         assert probes == [120, 140]
 
-    def test_reconnect_backoff_doubles_and_caps(self):
+    def test_reconnect_backoff_doubles_and_caps(self, fast_agent):
         probes = []
         sup = ConnectionSupervisor(
-            ConnectionConfig(**CFG), send_reconnect_probe=probes.append)
+            send_reconnect_probe=probes.append)
         sup.heard(0)
         for t in range(1, 300):
             sup.before_tx(t)
@@ -72,9 +88,9 @@ class TestSupervisor:
         assert probes == [70, 90, 130, 170, 210, 250, 290]
 
     def test_reconnect_intervals_double_to_the_cap(self):
+        """The shipped backoff: 50 TTIs, doubled up to 800."""
         probes = []
-        sup = ConnectionSupervisor(
-            ConnectionConfig(), send_reconnect_probe=probes.append)
+        sup = ConnectionSupervisor(send_reconnect_probe=probes.append)
         sup.heard(0)
         t = 0
         while len(probes) < 13:
@@ -85,10 +101,9 @@ class TestSupervisor:
         assert [b - a for a, b in zip(probes, probes[1:])] == [
             min(50 * 2 ** k, 800) for k in range(1, 13)]
 
-    def test_reconnect_restores_and_resets_backoff(self):
+    def test_reconnect_restores_and_resets_backoff(self, fast_agent):
         ups, downs = [], []
         sup = ConnectionSupervisor(
-            ConnectionConfig(**CFG),
             on_disconnect=downs.append, on_reconnect=ups.append)
         sup.heard(0)
         for t in range(1, 100):
@@ -104,24 +119,19 @@ class TestSupervisor:
         assert downs == [60, 160]
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ConnectionConfig(keepalive_period_ttis=0)
-        with pytest.raises(ValueError):
-            ConnectionConfig(keepalive_period_ttis=100,
-                             disconnect_timeout_ttis=100)
-        with pytest.raises(ValueError):
-            ConnectionConfig(reconnect_backoff_ttis=0)
-        with pytest.raises(ValueError):
-            ConnectionConfig(reconnect_backoff_ttis=50,
-                             reconnect_backoff_cap_ttis=20)
+        # The orderings the state machine relies on.
+        assert 0 < connection.KEEPALIVE_PERIOD_TTIS < (
+            connection.DISCONNECT_TIMEOUT_TTIS)
+        assert 0 < connection.RECONNECT_BACKOFF_TTIS <= (
+            connection.RECONNECT_BACKOFF_CAP_TTIS)
 
 
+@pytest.mark.usefixtures("fast_agent")
 class TestAgentFallback:
     def build(self):
         enb = EnodeB(1)
         conn = ControlConnection()
-        agent = FlexRanAgent(1, enb, endpoint=conn.agent_side,
-                             connection_config=ConnectionConfig(**CFG))
+        agent = FlexRanAgent(1, enb, endpoint=conn.agent_side)
         return enb, agent, conn
 
     def test_remote_stub_swapped_for_fallback_on_loss(self):
@@ -170,17 +180,12 @@ class TestAgentFallback:
 
 
 class TestPartitionIntegration:
-    def test_partition_fallback_reconnect_and_rib_states(self):
-        cfg = ConnectionConfig(keepalive_period_ttis=50,
-                               disconnect_timeout_ttis=150,
-                               reconnect_backoff_ttis=25,
-                               reconnect_backoff_cap_ttis=100)
+    def test_partition_fallback_reconnect_and_rib_states(self, monkeypatch):
+        partition_timing(monkeypatch, ECHO_PERIOD_TTIS=100,
+                         LIVENESS_TIMEOUT_TTIS=2000, STALE_AFTER_TTIS=200)
         sc = partitioned_centralized(
             ues_per_enb=2, rtt_ms=2.0, schedule_ahead=4,
-            fault=FaultSpec(partitions=[(1000, 1600)]),
-            connection_config=cfg,
-            echo_period_ttis=100, liveness_timeout_ttis=2000,
-            stale_after_ttis=200)
+            fault=FaultSpec(partitions=[(1000, 1600)]))
         sc.sim.run(3000)
         agent = sc.agents[0]
         sup = agent.connection
@@ -191,7 +196,7 @@ class TestPartitionIntegration:
         assert states == [ConnectionState.DISCONNECTED,
                           ConnectionState.CONNECTED]
         down_tti, up_tti = (t for t, _ in sup.transitions)
-        assert 1000 < down_tti <= 1000 + cfg.disconnect_timeout_ttis + 1
+        assert 1000 < down_tti <= 1000 + connection.DISCONNECT_TIMEOUT_TTIS + 1
         assert up_tti >= 1600
         assert sup.stats.reconnect_attempts >= 1
         assert agent.mac.active_name("dl_scheduling") == "remote_stub"
@@ -204,17 +209,12 @@ class TestPartitionIntegration:
         assert seen == [AgentLiveness.STALE, AgentLiveness.ACTIVE]
         assert sc.sim.master.agents_declared_dead == 0
 
-    def test_partition_to_dead_and_reattach(self):
-        cfg = ConnectionConfig(keepalive_period_ttis=50,
-                               disconnect_timeout_ttis=150,
-                               reconnect_backoff_ttis=25,
-                               reconnect_backoff_cap_ttis=100)
+    def test_partition_to_dead_and_reattach(self, monkeypatch):
+        partition_timing(monkeypatch, ECHO_PERIOD_TTIS=100,
+                         LIVENESS_TIMEOUT_TTIS=400, STALE_AFTER_TTIS=100)
         sc = partitioned_centralized(
             ues_per_enb=2, rtt_ms=2.0, schedule_ahead=4,
-            fault=FaultSpec(partitions=[(1000, 2000)]),
-            connection_config=cfg,
-            echo_period_ttis=100, liveness_timeout_ttis=400,
-            stale_after_ttis=100)
+            fault=FaultSpec(partitions=[(1000, 2000)]))
         sc.sim.run(3000)
         node = sc.sim.master.rib.agent(sc.agents[0].agent_id)
         seen = [s for _, s in node.liveness_history]
@@ -223,13 +223,14 @@ class TestPartitionIntegration:
         assert sc.sim.master.agents_declared_dead == 1
         assert sc.sim.master.agent_reattaches == 1
 
-    def test_lossy_link_survives_without_disconnect(self):
+    def test_lossy_link_survives_without_disconnect(self, monkeypatch):
         """Moderate random loss never silences the channel long enough
         to disconnect -- keepalives and retried traffic get through."""
+        tune(monkeypatch, master_module, ECHO_PERIOD_TTIS=100,
+             STALE_AFTER_TTIS=100)
         sc = partitioned_centralized(
             ues_per_enb=2, rtt_ms=2.0, schedule_ahead=4,
-            fault=FaultSpec(loss=0.2),
-            echo_period_ttis=100, liveness_timeout_ttis=1500)
+            fault=FaultSpec(loss=0.2))
         sc.sim.run(2000)
         agent = sc.agents[0]
         assert agent.connection.state is ConnectionState.CONNECTED
@@ -239,10 +240,11 @@ class TestPartitionIntegration:
 
 
 class TestRibGarbageCollection:
-    def test_dead_detached_agent_removed(self):
-        master = MasterController(echo_period_ttis=100,
-                                  liveness_timeout_ttis=300,
-                                  dead_gc_ttis=600)
+    def test_dead_detached_agent_removed(self, monkeypatch):
+        tune(monkeypatch, master_module, ECHO_PERIOD_TTIS=100,
+             STALE_AFTER_TTIS=100, LIVENESS_TIMEOUT_TTIS=300,
+             DEAD_GC_TTIS=600)
+        master = MasterController()
         enb = EnodeB(1)
         conn = ControlConnection()
         agent = FlexRanAgent(1, enb, endpoint=conn.agent_side)
@@ -262,10 +264,11 @@ class TestRibGarbageCollection:
         assert master.rib.agent_ids() == []
         assert master.agents_garbage_collected == 1
 
-    def test_connected_dead_agent_kept_for_resync(self):
-        master = MasterController(echo_period_ttis=100,
-                                  liveness_timeout_ttis=300,
-                                  dead_gc_ttis=600)
+    def test_connected_dead_agent_kept_for_resync(self, monkeypatch):
+        tune(monkeypatch, master_module, ECHO_PERIOD_TTIS=100,
+             STALE_AFTER_TTIS=100, LIVENESS_TIMEOUT_TTIS=300,
+             DEAD_GC_TTIS=600)
+        master = MasterController()
         enb = EnodeB(1)
         conn = ControlConnection()
         agent = FlexRanAgent(1, enb, endpoint=conn.agent_side)
@@ -280,11 +283,9 @@ class TestRibGarbageCollection:
         assert master.rib.agent_ids() == [1]
 
     def test_invalid_thresholds(self):
-        with pytest.raises(ValueError):
-            MasterController(echo_period_ttis=100,
-                             liveness_timeout_ttis=300,
-                             stale_after_ttis=300)
-        with pytest.raises(ValueError):
-            MasterController(echo_period_ttis=100,
-                             liveness_timeout_ttis=300,
-                             dead_gc_ttis=200)
+        # An agent is probed before it goes stale, stale before dead,
+        # and collected only once dead.
+        m = master_module
+        assert 0 < m.ECHO_PERIOD_TTIS < m.LIVENESS_TIMEOUT_TTIS
+        assert 0 < m.STALE_AFTER_TTIS < m.LIVENESS_TIMEOUT_TTIS
+        assert m.LIVENESS_TIMEOUT_TTIS <= m.DEAD_GC_TTIS

@@ -7,6 +7,7 @@ import pytest
 from repro.core.controller.master import MasterController
 from repro.core.protocol.messages import UeStatsReport
 from repro.core.survive.snapshot import (
+    CHECKPOINTS_KEPT,
     SNAPSHOT_VERSION,
     CheckpointStore,
     restore_master,
@@ -95,7 +96,7 @@ class TestSnapshotRoundTrip:
         sim.run(400)
         store = sim.master.checkpoints
         assert store.taken >= 7
-        assert len(store._snapshots) <= store.keep
+        assert len(store._snapshots) == CHECKPOINTS_KEPT
         latest = store.latest()
         assert latest["tti"] % 50 == 0
         assert latest["xid"] == sim.master._xid
@@ -145,5 +146,3 @@ class TestRestartDeterminism:
         import pytest
         with pytest.raises(ValueError):
             CheckpointStore(0)
-        with pytest.raises(ValueError):
-            CheckpointStore(10, keep=0)

@@ -7,10 +7,10 @@ from repro.core.agent.mac_module import MacControlModule
 from repro.core.apps.base import App
 from repro.core.controller.master import MasterController
 from repro.core.protocol.messages import EventNotification, EventType
+from repro.core.survive import supervisor
 from repro.core.survive.supervisor import (
     AppSupervisor,
     BreakerState,
-    SupervisionPolicy,
     capped_doubling,
 )
 from repro.lte.enodeb import EnodeB
@@ -19,11 +19,12 @@ from repro.wifi.agent import WifiAgent
 from repro.wifi.ap import Station, WifiAp
 
 
-def policy(**kwargs):
-    defaults = dict(max_consecutive_faults=3, cooldown_ttis=100,
-                    probation_runs=3)
-    defaults.update(kwargs)
-    return SupervisionPolicy(**defaults)
+@pytest.fixture(autouse=True)
+def short_breaker(monkeypatch):
+    """These tests run the breaker at a 100-TTI first cooldown and three
+    probation runs (three faults open it, as always)."""
+    monkeypatch.setattr(supervisor, "COOLDOWN_TTIS", 100)
+    monkeypatch.setattr(supervisor, "PROBATION_RUNS", 3)
 
 
 class TestCappedDoubling:
@@ -52,7 +53,7 @@ def ok():
 
 class TestBreakerStateMachine:
     def test_quarantines_after_consecutive_faults(self):
-        sup = AppSupervisor(policy())
+        sup = AppSupervisor()
         for tti in range(3):
             assert sup.call("a", crash, tti=tti) is False
         h = sup.health("a")
@@ -61,7 +62,7 @@ class TestBreakerStateMachine:
         assert sup.faults_contained == 3
 
     def test_clean_run_resets_fault_streak(self):
-        sup = AppSupervisor(policy())
+        sup = AppSupervisor()
         sup.call("a", crash, tti=0)
         sup.call("a", crash, tti=1)
         sup.call("a", ok, tti=2)
@@ -70,7 +71,7 @@ class TestBreakerStateMachine:
         assert sup.health("a").state is BreakerState.CLOSED
 
     def test_readmission_after_cooldown_then_close(self):
-        sup = AppSupervisor(policy())
+        sup = AppSupervisor()
         for tti in range(3):
             sup.call("a", crash, tti=tti)
         # During cooldown: not admitted.
@@ -85,7 +86,7 @@ class TestBreakerStateMachine:
         assert h.state is BreakerState.CLOSED
 
     def test_fault_during_probation_requarantines_escalated(self):
-        sup = AppSupervisor(policy())
+        sup = AppSupervisor()
         for tti in range(3):
             sup.call("a", crash, tti=tti)
         first_cooldown = sup.health("a").cooldown_ttis
@@ -97,8 +98,9 @@ class TestBreakerStateMachine:
         assert h.quarantines == 2
         assert h.cooldown_ttis == 2 * first_cooldown
 
-    def test_cooldown_escalation_is_capped(self):
-        sup = AppSupervisor(policy(max_cooldown_ttis=300))
+    def test_cooldown_escalation_is_capped(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "MAX_COOLDOWN_TTIS", 300)
+        sup = AppSupervisor()
         tti = 0
         for _ in range(6):
             while sup.health("a").state is not BreakerState.QUARANTINED:
@@ -109,9 +111,10 @@ class TestBreakerStateMachine:
             sup.admitted("a", tti)
         assert sup.health("a").cooldown_ttis <= 300
 
-    def test_cooldowns_double_from_the_base_to_the_cap(self):
-        sup = AppSupervisor(policy(max_consecutive_faults=1,
-                                   probation_runs=1))
+    def test_cooldowns_double_from_the_base_to_the_cap(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "MAX_CONSECUTIVE_FAULTS", 1)
+        monkeypatch.setattr(supervisor, "PROBATION_RUNS", 1)
+        sup = AppSupervisor()
         cooldowns = []
         tti = 0
         for _ in range(12):
@@ -124,7 +127,7 @@ class TestBreakerStateMachine:
         assert cooldowns == [min(100 * 2 ** q, 8000) for q in range(12)]
 
     def test_event_and_periodic_faults_counted_separately(self):
-        sup = AppSupervisor(policy())
+        sup = AppSupervisor()
         sup.call("a", crash, tti=0, kind="periodic")
         sup.call("a", crash, tti=1, kind="event")
         sup.call("a", crash, tti=2, kind="event")
@@ -134,7 +137,7 @@ class TestBreakerStateMachine:
         assert h.state is BreakerState.QUARANTINED
 
     def test_overrun_faults_the_breaker(self):
-        sup = AppSupervisor(policy())
+        sup = AppSupervisor()
         for tti in range(2):
             # Over its deadline, but it completed.
             assert sup.call("a", ok, tti=tti, cost_ms=2.0,
@@ -147,16 +150,15 @@ class TestBreakerStateMachine:
         assert h.state is BreakerState.CLOSED
 
     def test_cost_at_or_under_the_deadline_is_clean(self):
-        sup = AppSupervisor(policy(deadline_ms=0.5))
-        sup.call("a", ok, tti=0, cost_ms=0.5)          # policy default
+        sup = AppSupervisor()
+        sup.call("a", ok, tti=0, cost_ms=0.5, deadline_ms=0.5)
         sup.call("a", ok, tti=1, cost_ms=0.9, deadline_ms=1.0)
-        sup.call("a", ok, tti=2, cost_ms=9.0, deadline_ms=None)
+        sup.call("a", ok, tti=2, cost_ms=9.0)          # no deadline
         h = sup.health("a")
-        assert (h.overruns, h.clean_runs) == (1, 2)    # tti 2: 9.0 > 0.5
-        assert AppSupervisor(policy()).call("b", ok, tti=0, cost_ms=9.0)
+        assert (h.overruns, h.clean_runs) == (0, 3)
 
     def test_three_overruns_in_a_row_quarantine(self):
-        sup = AppSupervisor(policy())
+        sup = AppSupervisor()
 
         def run(tti, cost_ms):
             sup.call("a", ok, tti=tti, cost_ms=cost_ms, deadline_ms=0.8)
@@ -177,7 +179,7 @@ class TestBreakerStateMachine:
         assert sup.health("b").transitions == [(2, BreakerState.QUARANTINED)]
 
     def test_overrun_on_probation_requarantines_escalated(self):
-        sup = AppSupervisor(policy())
+        sup = AppSupervisor()
         for tti in range(3):
             sup.call("a", ok, tti=tti, cost_ms=2.0, deadline_ms=0.8)
         h = sup.health("a")
@@ -197,7 +199,7 @@ class TestBreakerStateMachine:
             (305, BreakerState.CLOSED)]
 
     def test_describe_reports_state(self):
-        sup = AppSupervisor(policy())
+        sup = AppSupervisor()
         sup.call("a", crash, tti=0)
         desc = sup.describe()
         assert desc["a"]["crashes"] == 1
@@ -231,7 +233,7 @@ class HealthyApp(App):
 
 class TestTaskManagerBoundary:
     def test_crashing_app_never_stalls_cycle_or_starves_others(self):
-        master = MasterController(supervision_policy=policy())
+        master = MasterController()
         crasher = CrashingApp()
         healthy = HealthyApp()
         master.add_app(crasher)
@@ -247,11 +249,12 @@ class TestTaskManagerBoundary:
         assert crasher.attempts == 3
         assert master.task_manager.stats.quarantined_total > 0
 
-    def test_priority_preserved_across_quarantine(self):
+    def test_priority_preserved_across_quarantine(self, monkeypatch):
         # After re-admission the app runs at its original priority
         # (before lower-priority apps in the slot).
-        master = MasterController(
-            supervision_policy=policy(cooldown_ttis=5, probation_runs=2))
+        monkeypatch.setattr(supervisor, "COOLDOWN_TTIS", 5)
+        monkeypatch.setattr(supervisor, "PROBATION_RUNS", 2)
+        master = MasterController()
         crasher = CrashingApp()
         healthy = HealthyApp()
         master.add_app(crasher)
@@ -295,7 +298,7 @@ class EventCrashApp(App):
 class TestEventBoundary:
     def test_event_handler_fault_contained(self):
         from repro.core.protocol.messages import EventNotification, EventType
-        master = MasterController(supervision_policy=policy())
+        master = MasterController()
         master.add_app(EventCrashApp())
         for tti in range(5):
             master.events.enqueue([EventNotification(

@@ -12,7 +12,6 @@ and leave bit-identical averages.
 
 from typing import Dict, List
 
-from repro.lte.mac import amc
 from repro.lte.mac.dci import DlAssignment, SchedulingContext, UeView
 from repro.lte.mac.schedulers import prbs_for_queue, schedule_retransmissions
 from repro.lte.phy.tbs import transport_block_bits
@@ -39,7 +38,7 @@ def max_per_pick(ctx: SchedulingContext, avg_rate: Dict[int, float],
             candidates.remove(best)
             continue
         out.append(DlAssignment(rnti=best.rnti, n_prb=n_prb,
-                                cqi_used=amc.select_mcs(best.cqi)))
+                                cqi_used=best.cqi))
         served_bits[best.rnti] = transport_block_bits(best.cqi, n_prb)
         remaining -= n_prb
         candidates.remove(best)

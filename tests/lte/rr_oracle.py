@@ -12,7 +12,6 @@ same assignments and leave the same next index.
 
 from typing import List, Tuple
 
-from repro.lte.mac import amc
 from repro.lte.mac.dci import DlAssignment, SchedulingContext
 from repro.lte.mac.schedulers import prbs_for_queue, schedule_retransmissions
 
@@ -36,7 +35,7 @@ def rotate_copy_refilter(ctx: SchedulingContext, next_index: int
         if n_prb <= 0:
             continue
         new_data.append(DlAssignment(rnti=ue.rnti, n_prb=n_prb,
-                                     cqi_used=amc.select_mcs(ue.cqi)))
+                                     cqi_used=ue.cqi))
         remaining -= n_prb
     if new_data:
         served_first = new_data[0].rnti

@@ -1,24 +1,9 @@
-"""Tests for link adaptation and the error model."""
+"""Tests for the MCS error model."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.lte.mac.amc import DEFAULT_ERROR_MODEL, ErrorModel, select_mcs
-
-
-class TestSelectMcs:
-    def test_identity_mapping(self):
-        assert select_mcs(12) == 12
-
-    def test_backoff(self):
-        assert select_mcs(12, backoff=2) == 10
-
-    def test_backoff_clamps_at_zero(self):
-        assert select_mcs(1, backoff=5) == 0
-
-    def test_negative_backoff_rejected(self):
-        with pytest.raises(ValueError):
-            select_mcs(10, backoff=-1)
+from repro.lte.mac.amc import DEFAULT_ERROR_MODEL, ErrorModel
 
 
 class TestErrorModel:

@@ -12,7 +12,7 @@ import pytest
 
 from repro.lte.cell import CellConfig
 from repro.lte.enodeb import EnodeB
-from repro.lte.mac.amc import ErrorModel, select_mcs
+from repro.lte.mac.amc import ErrorModel
 from repro.lte.mac.dci import DlAssignment, UlGrant
 from repro.lte.phy.channel import FixedCqi
 from repro.lte.phy.tbs import prbs_needed, transport_block_bits
@@ -23,7 +23,6 @@ BAD = (True, 3.0, -1, 16)
 CHECKS = {
     "DlAssignment": lambda cqi: DlAssignment(rnti=70, n_prb=1, cqi_used=cqi),
     "UlGrant": lambda cqi: UlGrant(rnti=70, n_prb=1, cqi_used=cqi),
-    "select_mcs": lambda cqi: select_mcs(cqi),
     "error_probability(used)":
         lambda cqi: ErrorModel().error_probability(cqi, 5),
     "error_probability(actual)":

@@ -2,7 +2,9 @@
 
 ``transport_block_bits`` indexes a table built at import, and
 ``prbs_needed`` / ``prbs_for_queue`` bisect into it; beyond the widest
-carrier (100 PRBs) all three fall back to exact arithmetic.  These tests
+carrier (100 PRBs) the first two fall back to exact arithmetic, while
+``prbs_for_queue`` answers the table's width (no carrier is wider, and
+every scheduler caps a need at its carrier's budget).  These tests
 restate the arithmetic definition independently and check every CQI,
 every PRB count on both sides of the table's edge, downlink and uplink,
 and bit / queue sizes on both sides of every PRB threshold.
@@ -18,6 +20,7 @@ from repro.lte.constants import (
     UPLINK_EFFICIENCY,
 )
 from repro.lte.mac.schedulers import prbs_for_queue
+from repro.lte.phy import tbs
 from repro.lte.phy.tbs import TABLE_PRBS, prbs_needed, transport_block_bits
 from repro.lte.rlc import RLC_HEADER_BYTES
 
@@ -71,17 +74,31 @@ def test_queue_sizing_on_both_sides_of_every_threshold():
             for queue_bytes in (fits, fits + 1):
                 if queue_bytes <= 0:
                     continue
-                want = arithmetic_prbs(cqi, (queue_bytes + HEADER_ROOM) * 8)
-                assert prbs_for_queue(cqi, queue_bytes) == want
-                assert want in (n_prb, n_prb + 1)
+                exact = arithmetic_prbs(cqi, (queue_bytes + HEADER_ROOM) * 8)
+                assert exact in (n_prb, n_prb + 1)
+                assert prbs_for_queue(cqi, queue_bytes) == min(exact,
+                                                               TABLE_PRBS)
 
 
 @given(st.integers(min_value=1, max_value=15),
        st.integers(min_value=10 ** 5, max_value=10 ** 9))
 def test_far_beyond_the_table_stays_exact(cqi, queue_bytes):
-    n = prbs_for_queue(cqi, queue_bytes)
     need = (queue_bytes + HEADER_ROOM) * 8
+    n = prbs_needed(cqi, need)
     assert arithmetic_bits(cqi, n) >= need > arithmetic_bits(cqi, n - 1)
+    assert prbs_for_queue(cqi, queue_bytes) == TABLE_PRBS
+
+
+def test_a_queue_past_the_widest_block_is_sized_without_arithmetic(
+        monkeypatch):
+    def arithmetic(*args):
+        raise AssertionError(f"sized by arithmetic: {args}")
+
+    monkeypatch.setattr(tbs, "_exact_bits", arithmetic)
+    for cqi in CQIS:
+        widest = transport_block_bits(cqi, TABLE_PRBS) // 8
+        for queue_bytes in (widest, widest + 1, 10 ** 9):
+            assert prbs_for_queue(cqi, queue_bytes) == TABLE_PRBS
 
 
 class TestErrorBehaviour:

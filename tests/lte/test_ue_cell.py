@@ -45,14 +45,6 @@ class TestUe:
         assert ue.rx_bytes_total == 500
         assert got == [(500, 10)]
 
-    def test_series_recording_opt_in(self):
-        quiet = Ue("001", FixedCqi(10))
-        quiet.deliver(100, 0)
-        assert quiet.delivery_series == []
-        loud = Ue("002", FixedCqi(10), record_series=True)
-        loud.deliver(100, 5)
-        assert loud.delivery_series == [(5, 100)]
-
     def test_uplink_buffering(self):
         ue = Ue("001", FixedCqi(10))
         ue.generate_ul(1000)

@@ -12,7 +12,8 @@ def drain(link, now):
 
 class TestLoss:
     def test_full_loss_drops_everything(self):
-        link = EmulatedLink(loss_probability=1.0)
+        link = EmulatedLink()
+        link.set_loss(1.0)
         for t in range(10):
             assert link.send(f"m{t}", 100, now=t) == -1
         assert link.dropped_messages == 10
@@ -20,13 +21,15 @@ class TestLoss:
         assert drain(link, 100) == []
 
     def test_dropped_messages_not_in_byte_accounting(self):
-        link = EmulatedLink(loss_probability=1.0)
+        link = EmulatedLink()
+        link.set_loss(1.0)
         link.send("x", 100, now=0)
         assert link.total_bytes == 0
         assert link.total_messages == 0
 
     def test_partial_loss_is_roughly_proportional(self):
-        link = EmulatedLink(loss_probability=0.3, seed=7)
+        link = EmulatedLink(seed=7)
+        link.set_loss(0.3)
         n = 2000
         delivered = sum(1 for t in range(n)
                         if link.send("m", 10, now=t) >= 0)
@@ -42,7 +45,8 @@ class TestLoss:
 
 class TestJitter:
     def test_jitter_delays_but_preserves_fifo(self):
-        link = EmulatedLink(one_way_latency_ms=5.0, jitter_ms=20.0, seed=3)
+        link = EmulatedLink(one_way_latency_ms=5.0, seed=3)
+        link.set_jitter_ms(20.0)
         deliveries = [link.send(i, 10, now=0) for i in range(50)]
         # Every delivery at or after the base latency, FIFO throughout.
         assert all(d >= 5 for d in deliveries)
@@ -53,7 +57,8 @@ class TestJitter:
         assert received == list(range(50))
 
     def test_jitter_actually_spreads_deliveries(self):
-        link = EmulatedLink(jitter_ms=30.0, seed=5)
+        link = EmulatedLink(seed=5)
+        link.set_jitter_ms(30.0)
         deliveries = {link.send(i, 10, now=0) for i in range(50)}
         assert len(deliveries) > 1
 

@@ -75,8 +75,9 @@ class TestFraming:
         bodies = decoder.feed(envelope[1:])
         assert decode_envelope(bodies[0]) == (5, b"z" * 500)
 
-    def test_decoder_rejects_oversized_frame(self):
-        decoder = FrameDecoder(max_frame_bytes=16)
+    def test_decoder_rejects_oversized_frame(self, monkeypatch):
+        monkeypatch.setattr(tcp, "MAX_FRAME_BYTES", 16)
+        decoder = FrameDecoder()
         with pytest.raises(ValueError, match="frame limit"):
             decoder.feed(encode_envelope(0, b"q" * 64))
 

@@ -27,8 +27,8 @@ class TestLinkAccounting:
         assert link.in_flight() == 3  # latency keeps 3 TTIs of data airborne
 
     def test_random_loss_conserves(self):
-        link = EmulatedLink(one_way_latency_ms=2.0, loss_probability=0.3,
-                            seed=7)
+        link = EmulatedLink(one_way_latency_ms=2.0, seed=7)
+        link.set_loss(0.3)
         for tti in range(400):
             link.send(f"m{tti}", 50 + tti % 17, now=tti)
             link.deliver_due(tti)
@@ -49,8 +49,8 @@ class TestLinkAccounting:
         assert_conserved(link)
 
     def test_conservation_after_drain(self):
-        link = EmulatedLink(one_way_latency_ms=10.0, loss_probability=0.1,
-                            seed=3)
+        link = EmulatedLink(one_way_latency_ms=10.0, seed=3)
+        link.set_loss(0.1)
         for tti in range(100):
             link.send(f"m{tti}", 64, now=tti)
         link.deliver_due(500)  # drain everything still airborne

@@ -1,6 +1,7 @@
 """xid correlator: lifecycle stage semantics and an end-to-end run."""
 
 from repro import obs
+from repro.obs import correlate
 from repro.obs.correlate import (
     DOWNLINK,
     UPLINK,
@@ -76,8 +77,9 @@ class TestStages:
         [record] = c.completed
         assert record.enqueue == 5
 
-    def test_completed_cap(self):
-        c = XidCorrelator(max_completed=2)
+    def test_completed_cap(self, monkeypatch):
+        monkeypatch.setattr(correlate, "MAX_COMPLETED", 2)
+        c = XidCorrelator()
         for xid in range(4):
             _complete(c, key=("p", UPLINK, "m", xid))
         assert len(c.completed) == 2

@@ -1,6 +1,7 @@
 """Trace recorder: span mechanics and Chrome trace-event schema."""
 
 from repro.obs.export import validate_chrome_trace
+from repro.obs import trace
 from repro.obs.trace import NullTraceRecorder, TraceRecorder
 
 
@@ -36,8 +37,9 @@ class TestSpans:
         assert event["s"] == "t"
         assert event["args"]["tti"] == 5
 
-    def test_cap_drops_beyond_max_events(self):
-        t = TraceRecorder(max_events=2)
+    def test_cap_drops_beyond_max_events(self, monkeypatch):
+        monkeypatch.setattr(trace, "MAX_EVENTS", 2)
+        t = TraceRecorder()
         for i in range(5):
             t.instant("c", f"e{i}")
         assert len(t.events) == 2

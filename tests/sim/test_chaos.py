@@ -3,6 +3,7 @@
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core.survive import supervisor
 from repro.core.survive.supervisor import BreakerState
 from repro.sim.chaos import (
     ChaosAction,
@@ -105,7 +106,7 @@ class TestAcceptanceScenario:
 class TestOverrunInjection:
     def test_slot_hog_is_quarantined_on_exact_ttis(self):
         """A high-priority app that declares 2 ms per run (slot: 0.8 ms)
-        starves the scheduler below it for ``max_consecutive_faults``
+        starves the scheduler below it for ``MAX_CONSECUTIVE_FAULTS``
         cycles, is quarantined, and comes back on probation once the
         cooldown has passed -- every TTI exact, on any host."""
         from repro.net.clock import Phase
@@ -113,9 +114,8 @@ class TestOverrunInjection:
         sc = chaos_survivability(crash_window=None, poison_at=None,
                                  restart_at=None, clearance_ttis=500)
         master = sc.sim.master
-        policy = master.supervisor.policy
-        assert (policy.max_consecutive_faults, policy.cooldown_ttis,
-                policy.probation_runs) == (3, 500, 5)
+        assert (supervisor.MAX_CONSECUTIVE_FAULTS, supervisor.COOLDOWN_TTIS,
+                supervisor.PROBATION_RUNS) == (3, 500, 5)
         sc.harness.actions.append(
             AppOverrunWindow(sc.probe.name, 400, 420, cost_ms=2.0))
         deferred_at = []

@@ -21,6 +21,7 @@ import time
 
 import pytest
 
+from repro.core.controller import master as master_module
 from repro.core.survive.snapshot import snapshot_rib
 from repro.lte.cell import CellConfig
 from repro.lte.constants import SRS_PERIOD_TTIS
@@ -59,10 +60,11 @@ def hetnet_eicic_abs_flips():
 
 
 def centralized_with_link_fault():
+    """The partition spans the master's stale and dead thresholds (and
+    the agent's reattach) under :func:`link_fault_liveness`."""
     sc = partitioned_centralized(
         ues_per_enb=4, rtt_ms=2.0, schedule_ahead=8,
-        fault=FaultSpec(partitions=((120, 180),)),
-        echo_period_ttis=20, liveness_timeout_ttis=60)
+        fault=FaultSpec(partitions=((120, 180),)))
     return sc.sim, sc.enbs, 300
 
 
@@ -140,6 +142,19 @@ def mutation_sites():
     sim.clock.register(
         Phase.TRAFFIC, lambda tti: script.get(tti, lambda _: None)(tti))
     return sim, [enb, other], 400
+
+
+@pytest.fixture(autouse=True)
+def link_fault_liveness(request, monkeypatch):
+    """``centralized_with_link_fault`` runs the master's liveness at a
+    20-TTI echo period (stale from the first probe) and a 60-TTI
+    timeout, so its 60-TTI partition takes the agent stale and dead."""
+    callspec = getattr(request.node, "callspec", None)
+    if (callspec is not None and callspec.params.get("build")
+            is centralized_with_link_fault):
+        monkeypatch.setattr(master_module, "ECHO_PERIOD_TTIS", 20)
+        monkeypatch.setattr(master_module, "STALE_AFTER_TTIS", 20)
+        monkeypatch.setattr(master_module, "LIVENESS_TIMEOUT_TTIS", 60)
 
 
 SCENARIOS = [

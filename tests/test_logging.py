@@ -43,9 +43,10 @@ class TestLogging:
             master.connect_agent(1, conn.master_side)
         assert any("agent 1 connected" in r.message for r in caplog.records)
 
-    def test_dead_agent_logged_as_warning(self, caplog):
-        master = MasterController(echo_period_ttis=50,
-                                  liveness_timeout_ttis=150)
+    def test_dead_agent_logged_as_warning(self, caplog, monkeypatch):
+        from repro.core.controller import master as master_module
+        monkeypatch.setattr(master_module, "LIVENESS_TIMEOUT_TTIS", 150)
+        master = MasterController()
         conn = ControlConnection()
         master.connect_agent(1, conn.master_side)
         enb = EnodeB(1)

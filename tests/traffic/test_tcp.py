@@ -87,8 +87,6 @@ class TestRtt:
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            TcpFlow(mss=0)
-        with pytest.raises(ValueError):
             TcpFlow(base_rtt_ms=-1)
         with pytest.raises(ValueError):
             TcpFlow().offer(-5)
