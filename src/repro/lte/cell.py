@@ -13,7 +13,7 @@ import heapq
 from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from repro.lte.constants import (
     DEFAULT_BAND,
@@ -80,16 +80,22 @@ class Cell:
         # consulted by victims of this cell when resolving interference.
         self.transmitting: bool = False
         self.last_tx_tti: int = -1
-        # SRS schedule: a due-heap of (due_tti, rnti); refresh_cqi pops
-        # only the entries due this TTI.  A forced refresh observes the
-        # whole cell at once, so UEs attached together share a phase (a
-        # deployment built at one TTI reports on one TTI in
-        # SRS_PERIOD_TTIS).  Entries are invalidated lazily: a popped
-        # entry for a detached or parked RNTI is dropped, and one
-        # refreshed more recently than its due time implies (forced
-        # refresh, RNTI reuse) is re-queued at the true due time.
-        self._srs_heap: List[Tuple[int, int]] = []
-        # Parked RNTIs have no live heap entry: they were observed on a
+        # SRS schedule: due buckets (due TTI -> RNTIs) and a heap of
+        # the distinct due TTIs; refresh_cqi pops the TTIs due by now
+        # and serves their RNTIs in (due, rnti) order, so a TTI with
+        # nothing due costs a test and a shared phase one heap pop.  A
+        # forced refresh observes the whole cell at once, so UEs
+        # attached together share a phase (a deployment built at one
+        # TTI reports on one TTI in SRS_PERIOD_TTIS).  Entries are
+        # invalidated lazily: a served entry for a detached or parked
+        # RNTI is dropped, and one refreshed more recently than its due
+        # TTI implies (forced refresh, RNTI reuse) is re-queued at the
+        # true due TTI.  A newcomer waits in _srs_new, due before any
+        # bucket.
+        self._srs_due: Dict[int, Set[int]] = {}
+        self._srs_due_ttis: List[int] = []
+        self._srs_new: Set[int] = set()
+        # Parked RNTIs have no live entry: they were observed on a
         # channel object that declares time_invariant, with no
         # interferer, so their next report cannot differ.  For them
         # cqi_updated_tti is the last observation, however old; a
@@ -133,9 +139,9 @@ class Cell:
         if rnti in self.ues:
             raise ValueError(f"RNTI {rnti} already served by cell {self.cell_id}")
         self.ues[rnti] = ue
-        # The newcomer has no CQI knowledge yet: queue it as due
-        # immediately so the next refresh_cqi call observes it.
-        heapq.heappush(self._srs_heap, (-(10 ** 9), rnti))
+        # The newcomer has no CQI knowledge yet: due immediately, so
+        # the next refresh_cqi call observes it.
+        self._srs_new.add(rnti)
         ue.watch_channels(self.cell_id, partial(self._channel_swapped, rnti))
         if primary:
             ue.serving_cell_id = self.cell_id
@@ -180,56 +186,91 @@ class Cell:
         """
         has_aggressor = self._interference_source is not None
         updated = self.cqi_updated_tti
-        parked = self._srs_parked
         if force:
             # Forced full refresh (attach, SCell activation): observe
             # every UE now, except those an earlier forced pass already
-            # observed at this TTI; existing heap entries lazily
-            # re-queue themselves to the new due times as they pop.
-            again = tti == self._fresh_tti
-            for rnti, ue in self.ues.items():
-                if again and updated.get(rnti) == tti:
-                    continue
-                if not self._refresh_one(rnti, ue, tti, has_aggressor):
-                    parked.add(rnti)
+            # observed at this TTI; existing entries lazily re-queue
+            # themselves at the new due TTIs as they are served.
+            if tti == self._fresh_tti:
+                rntis = [rnti for rnti in self.ues
+                         if updated.get(rnti) != tti]
+            else:
+                rntis = list(self.ues)
+            self._observe(rntis, tti, has_aggressor)
             self._fresh_tti = tti
             return
         self._srs_served_tti = tti
-        heap = self._srs_heap
-        ues_get = self.ues.get
-        while heap and heap[0][0] <= tti:
-            _, rnti = heapq.heappop(heap)
-            ue = ues_get(rnti)
-            if ue is None or rnti in parked:
-                continue  # detached or parked since this entry was queued
-            last = updated.get(rnti)
-            if last is not None and tti - last < SRS_PERIOD_TTIS:
-                # Refreshed more recently than this entry knew (forced
-                # refresh, or RNTI reuse): re-queue at the true due.
-                heapq.heappush(heap, (last + SRS_PERIOD_TTIS, rnti))
-            elif self._refresh_one(rnti, ue, tti, has_aggressor):
-                heapq.heappush(heap, (tti + SRS_PERIOD_TTIS, rnti))
-            else:
-                parked.add(rnti)
+        new = self._srs_new
+        due_ttis = self._srs_due_ttis
+        if not new and not (due_ttis and due_ttis[0] <= tti):
+            return
+        batch = sorted(new)
+        new.clear()
+        due = self._srs_due
+        while due_ttis and due_ttis[0] <= tti:
+            batch += sorted(due.pop(heapq.heappop(due_ttis)))
+        # Entries of RNTIs detached or parked since they were queued
+        # are dropped.  An RNTI in two buckets is observed twice at one
+        # TTI, which reads the same values again.
+        ues = self.ues
+        parked = self._srs_parked
+        live = [rnti for rnti in batch if rnti in ues and rnti not in parked]
+        rntis = [rnti for rnti in live if rnti not in updated
+                 or tti - updated[rnti] >= SRS_PERIOD_TTIS]
+        if len(rntis) < len(live):
+            # Refreshed more recently than their entries knew (forced
+            # refresh, or RNTI reuse): re-queue at the true due TTIs.
+            for rnti in set(live).difference(rntis):
+                self._queue(updated[rnti] + SRS_PERIOD_TTIS, (rnti,))
+        moving = self._observe(rntis, tti, has_aggressor)
+        if moving:
+            self._queue(tti + SRS_PERIOD_TTIS, moving)
 
-    def _refresh_one(self, rnti: int, ue: Ue, tti: int,
-                     has_aggressor: bool) -> bool:
-        """Refresh the eNodeB's CQI knowledge for one UE at *tti*.
+    def _queue(self, due_tti: int, rntis: Iterable[int]) -> None:
+        """Make *rntis* due at *due_tti*."""
+        bucket = self._srs_due.get(due_tti)
+        if bucket is None:
+            bucket = self._srs_due[due_tti] = set()
+            heapq.heappush(self._srs_due_ttis, due_tti)
+        bucket.update(rntis)
 
-        Returns whether the UE's next report can differ from this one,
-        i.e. whether it stays on the SRS schedule.
+    def _observe(self, rntis: List[int], tti: int,
+                 has_aggressor: bool) -> List[int]:
+        """Refresh the eNodeB's CQI knowledge of *rntis* at *tti*, in
+        that order.
+
+        Parks the UEs whose next report cannot differ from this one and
+        returns the others, which stay on the SRS schedule.  One call
+        per pass: an observation costs the channel's reads and nothing
+        else.
         """
-        channel = ue.channel_for(self.config.cell_id)
-        cqi_clear = channel.cqi(tti, interference_active=False)
-        cqi = (channel.cqi(tti, interference_active=True)
-               if has_aggressor else cqi_clear)
-        if (self.known_cqi.get(rnti) != cqi
-                or self.known_cqi_clear.get(rnti) != cqi_clear):
-            self._on_change(rnti)
-        self.known_cqi[rnti] = cqi
-        self.known_cqi_clear[rnti] = cqi_clear
-        self.cqi_updated_tti[rnti] = tti
-        return has_aggressor or not channel.time_invariant
+        ues = self.ues
+        known = self.known_cqi
+        known_clear = self.known_cqi_clear
+        updated = self.cqi_updated_tti
+        record = self._on_change
+        cell_id = self.config.cell_id
+        settled = []
+        for rnti in rntis:
+            ue = ues[rnti]
+            # The UE's channel on this carrier, else its primary one.
+            carriers = ue.carrier_channels
+            channel = carriers[cell_id] if cell_id in carriers else ue.channel
+            cqi_clear = channel.cqi(tti, interference_active=False)
+            cqi = (channel.cqi(tti, interference_active=True)
+                   if has_aggressor else cqi_clear)
+            if known.get(rnti) != cqi or known_clear.get(rnti) != cqi_clear:
+                record(rnti)
+            known[rnti] = cqi
+            known_clear[rnti] = cqi_clear
+            updated[rnti] = tti
+            if not has_aggressor and channel.time_invariant:
+                settled.append(rnti)
+        if not settled:
+            return rntis
+        parked = self._srs_parked
+        parked.update(settled)
+        return [rnti for rnti in rntis if rnti not in parked]
 
     def _channel_swapped(self, rnti: int) -> None:
         """A channel object of served UE *rnti* was replaced: a change
@@ -250,19 +291,23 @@ class Cell:
         the new value exactly when it otherwise would."""
         last = self.cqi_updated_tti[rnti]
         periods = max(self._srs_served_tti - last, 0) // SRS_PERIOD_TTIS + 1
-        heapq.heappush(self._srs_heap,
-                       (last + periods * SRS_PERIOD_TTIS, rnti))
+        self._queue(last + periods * SRS_PERIOD_TTIS, (rnti,))
 
-    def scheduling_cqi(self, rnti: int, tti: int) -> int:
-        """CQI the scheduler should assume for *rnti* at *tti*.
+    def scheduling_cqis(self, tti: int) -> Dict[int, int]:
+        """The CQIs (RNTI -> CQI) the scheduler should assume at *tti*.
 
         If the dominant interferer is known to be muted in this
-        subframe (ABS), the interference-free CQI applies.
+        subframe (ABS), or there is none, the interference-free CQIs
+        apply.  A UE not yet observed is absent (read it as 0).
         """
         source = self._interference_source
         if source is None or source.is_muted(tti):
-            return self.known_cqi_clear.get(rnti, 0)
-        return self.known_cqi.get(rnti, 0)
+            return self.known_cqi_clear
+        return self.known_cqi
+
+    def scheduling_cqi(self, rnti: int, tti: int) -> int:
+        """CQI the scheduler should assume for *rnti* at *tti*."""
+        return self.scheduling_cqis(tti).get(rnti, 0)
 
     def actual_cqi(self, rnti: int, tti: int) -> int:
         """Ground-truth CQI at transmission time.
@@ -274,7 +319,7 @@ class Cell:
         src = self._interference_source
         active = (src is not None and src.transmitting
                   and src.last_tx_tti == tti)  # a bool, without a call
-        carriers = ue.carrier_channels  # Ue.channel_for, without calls
+        carriers = ue.carrier_channels  # as in _observe
         cell_id = self.config.cell_id
         channel = carriers[cell_id] if cell_id in carriers else ue.channel
         return channel.cqi(tti, interference_active=active)

@@ -92,8 +92,8 @@ class SquareWaveCqi(ChannelModel):
     3 to 2 and vice versa)" and the drastic 10 <-> 4 case.
     """
 
-    def __init__(self, high_cqi: int, low_cqi: int, period_ttis: int,
-                 *, start_high: bool = True, offset_ttis: int = 0) -> None:
+    def __init__(self, high_cqi: int, low_cqi: int,
+                 period_ttis: int) -> None:
         validate_cqi(high_cqi)
         validate_cqi(low_cqi)
         if period_ttis <= 0:
@@ -101,14 +101,10 @@ class SquareWaveCqi(ChannelModel):
         self.high_cqi = high_cqi
         self.low_cqi = low_cqi
         self.period_ttis = period_ttis
-        self.start_high = start_high
-        self.offset_ttis = offset_ttis
 
     def _current(self, tti: int) -> int:
-        half = (tti + self.offset_ttis) // self.period_ttis
-        first, second = ((self.high_cqi, self.low_cqi) if self.start_high
-                         else (self.low_cqi, self.high_cqi))
-        return first if half % 2 == 0 else second
+        half = tti // self.period_ttis
+        return self.high_cqi if half % 2 == 0 else self.low_cqi
 
     def sinr_db(self, tti: int, *, interference_active: bool = True) -> float:
         return cqi_to_sinr_floor(self._current(tti)) + 0.1
@@ -184,8 +180,10 @@ class GaussMarkovSinr(ChannelModel):
             i = self._noise_next
             for _ in range(steps):
                 if i == _NOISE_BLOCK:
-                    noise = self._noise = array(
-                        "d", self._rng.standard_normal(_NOISE_BLOCK))
+                    # Through bytes, as EnodeB's draws: an array built
+                    # from the ndarray itself boxes every element.
+                    noise = self._noise = array("d", self._rng.standard_normal(
+                        _NOISE_BLOCK).tobytes())
                     i = 0
                 value += reversion * (mean - value) + noise[i] * scale
                 i += 1
@@ -193,6 +191,10 @@ class GaussMarkovSinr(ChannelModel):
             self._noise_next = i
             self._last_tti = tti
         return self._value
+
+    def cqi(self, tti: int, *, interference_active: bool = True) -> int:
+        # The SRS pass's one call per observation: no keyword passing.
+        return sinr_to_cqi(self.sinr_db(tti))
 
 
 class InterferenceChannel(ChannelModel):

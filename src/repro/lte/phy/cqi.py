@@ -10,6 +10,8 @@ between link SINR and the 4-bit CQI report.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from repro.lte.constants import (
     CQI_MAX,
     CQI_MIN,
@@ -17,21 +19,23 @@ from repro.lte.constants import (
 )
 
 
+_FLOORS = tuple(CQI_SINR_THRESHOLDS_DB[cqi]
+                for cqi in range(CQI_MIN + 1, CQI_MAX + 1))
+"""The reporting floors of CQI 1..15, in ascending order."""
+
+
 def sinr_to_cqi(sinr_db: float) -> int:
     """Map a wideband SINR (dB) to the highest reportable CQI.
 
     A UE reports the largest CQI whose BLER at the corresponding MCS
     would not exceed 10%; with the AWGN thresholds in
-    :data:`~repro.lte.constants.CQI_SINR_THRESHOLDS_DB` that reduces to
-    a simple threshold scan.
+    :data:`~repro.lte.constants.CQI_SINR_THRESHOLDS_DB` (ascending) that
+    is the number of floors at or below the SINR.  A NaN SINR, below
+    nothing and above nothing, reports :data:`CQI_MIN`.
     """
-    cqi = CQI_MIN
-    for candidate in range(1, CQI_MAX + 1):
-        if sinr_db >= CQI_SINR_THRESHOLDS_DB[candidate]:
-            cqi = candidate
-        else:
-            break
-    return cqi
+    if sinr_db != sinr_db:  # NaN
+        return CQI_MIN
+    return bisect_right(_FLOORS, sinr_db)
 
 
 def cqi_to_sinr_floor(cqi: int) -> float:

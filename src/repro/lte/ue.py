@@ -196,12 +196,6 @@ class Ue:
 
     # -- measurements ---------------------------------------------------
 
-    def channel_for(self, cell_id: Optional[int]) -> ChannelModel:
-        """The channel on a given carrier (primary channel by default)."""
-        if cell_id is not None and cell_id in self.carrier_channels:
-            return self.carrier_channels[cell_id]
-        return self._channel
-
     def measured_cqi(self, tti: int, *, interference_active: bool = True) -> int:
         """The CQI this UE would report right now."""
         return self.channel.cqi(tti, interference_active=interference_active)

@@ -181,6 +181,7 @@ class UeViewCache:
         is_awake = enb.drx.is_awake
         state_of = enb.rrc.state_of
         included = self.included
+        cqis = cell.scheduling_cqis(tti)
         for rnti in rntis:
             view = self._views[rnti]
             was_included = rnti in included
@@ -188,7 +189,7 @@ class UeViewCache:
             was_usable = view.cqi > 0
             ue = cell.ues[rnti]
             view.queues, view.queue_bytes = rlc_map[rnti].backlog()
-            view.cqi = cell.scheduling_cqi(rnti, tti)
+            view.cqi = cqis.get(rnti, 0)
             view.ul_buffer_bytes = ue.ul_backlog_bytes
             view.labels = ue.labels
             now_included = (is_awake(rnti, tti)
@@ -224,12 +225,12 @@ class UeViewCache:
                 self._move(view, total > 0)
 
     def _refresh_cqi(self, rntis: Set[int], tti: int) -> None:
-        scheduling_cqi = self._cell.scheduling_cqi
+        cqis = self._cell.scheduling_cqis(tti)
         views = self._views
         for rnti in rntis:
             view = views[rnti]
             was_usable = view.cqi > 0
-            view.cqi = scheduling_cqi(rnti, tti)
+            view.cqi = cqis.get(rnti, 0)
             if (view.cqi > 0) != was_usable and rnti in self.included:
                 if view.queue_bytes > 0:
                     self._unusable += 1 if was_usable else -1

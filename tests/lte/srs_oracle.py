@@ -74,7 +74,7 @@ class EveryPeriodSrs:
 
     def _refresh_one(self, rnti: int, ue: Ue, tti: int,
                      has_aggressor: bool) -> None:
-        channel = ue.channel_for(self.cell.cell_id)
+        channel = ue.carrier_channels.get(self.cell.cell_id, ue.channel)
         cqi = channel.cqi(tti, interference_active=has_aggressor)
         cqi_clear = channel.cqi(tti, interference_active=False)
         if self.cqi_listener is not None and (

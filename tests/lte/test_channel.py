@@ -42,7 +42,7 @@ class TestSquareWave:
         assert ch.cqi(200) == 10
 
     def test_start_low(self):
-        ch = SquareWaveCqi(10, 4, period_ttis=50, start_high=False)
+        ch = SquareWaveCqi(4, 10, period_ttis=50)
         assert ch.cqi(0) == 4
         assert ch.cqi(50) == 10
 

@@ -1,9 +1,16 @@
 """Tests for SINR<->CQI mapping."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.lte.constants import CQI_SINR_THRESHOLDS_DB, CQI_TABLE
+from repro.lte.constants import (
+    CQI_MAX,
+    CQI_MIN,
+    CQI_SINR_THRESHOLDS_DB,
+    CQI_TABLE,
+)
 from repro.lte.phy.cqi import (
     cqi_to_sinr_floor,
     sinr_to_cqi,
@@ -35,6 +42,37 @@ class TestSinrToCqi:
     @given(st.integers(min_value=0, max_value=15))
     def test_roundtrip_through_floor(self, cqi):
         assert sinr_to_cqi(cqi_to_sinr_floor(cqi) + 0.05) == cqi
+
+
+def threshold_scan(sinr_db: float) -> int:
+    """The definition ``sinr_to_cqi`` is checked against: the highest
+    CQI whose floor, and every lower CQI's, is at or below the SINR."""
+    cqi = CQI_MIN
+    for candidate in range(1, CQI_MAX + 1):
+        if sinr_db >= CQI_SINR_THRESHOLDS_DB[candidate]:
+            cqi = candidate
+        else:
+            break
+    return cqi
+
+
+class TestAgreesWithTheThresholdScan:
+    def test_at_and_beside_every_floor(self):
+        for floor in CQI_SINR_THRESHOLDS_DB.values():
+            for sinr in (math.nextafter(floor, -math.inf), floor,
+                         math.nextafter(floor, math.inf)):
+                assert sinr_to_cqi(sinr) == threshold_scan(sinr), sinr
+
+    def test_infinities(self):
+        assert sinr_to_cqi(-math.inf) == threshold_scan(-math.inf) == 0
+        assert sinr_to_cqi(math.inf) == threshold_scan(math.inf) == 15
+
+    def test_nan_is_out_of_range(self):
+        assert sinr_to_cqi(math.nan) == threshold_scan(math.nan) == 0
+
+    @given(st.floats())
+    def test_any_float(self, sinr):
+        assert sinr_to_cqi(sinr) == threshold_scan(sinr)
 
 
 class TestValidation:

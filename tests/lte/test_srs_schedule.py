@@ -2,7 +2,7 @@
 
 A UE on a channel object that declares ``time_invariant``, in a cell
 with no interferer, is observed once and then *parked*: it has no
-due-heap entry and costs nothing per period.  For such a UE
+due entry and costs nothing per period.  For such a UE
 ``Cell.cqi_updated_tti`` is the TTI of its last observation, which may
 be arbitrarily long ago (for everyone else it is still at most one SRS
 period old); nothing outside ``lte/cell.py`` reads it, which the last
@@ -12,6 +12,7 @@ a new value at the TTI the every-period schedule
 (``tests/lte/srs_oracle.py``) would have delivered it.
 """
 
+import cProfile
 import re
 from pathlib import Path
 
@@ -49,13 +50,14 @@ class CountingFixedCqi(FixedCqi):
 
 # -- equivalence with the every-period oracle -------------------------------
 
-channels = st.one_of(
-    st.tuples(st.just("fixed"), st.integers(1, 15)),
+moving_channels = st.one_of(
     st.tuples(st.just("square"), st.integers(8, 15), st.integers(1, 7),
               st.integers(3, 40)),
     st.tuples(st.just("fading"), st.integers(0, 20), st.integers(0, 50)),
     st.tuples(st.just("interfered"), st.integers(10, 22), st.integers(0, 9)),
 )
+channels = st.one_of(st.tuples(st.just("fixed"), st.integers(1, 15)),
+                     moving_channels)
 
 
 def make_channel(spec) -> ChannelModel:
@@ -71,22 +73,39 @@ def make_channel(spec) -> ChannelModel:
 
 index = st.integers(0, 1000)
 cell_ids = st.sampled_from([PCELL, SCELL])
-ops = st.one_of(
-    st.tuples(st.just("attach"), channels),
-    st.tuples(st.just("detach"), index),
-    st.tuples(st.just("scell_on"), index),
-    st.tuples(st.just("scell_off"), index),
-    st.tuples(st.just("swap_channel"), index, channels),
-    st.tuples(st.just("swap_carrier"), index, st.none() | channels),
-    st.tuples(st.just("aggressor"), cell_ids, st.booleans()),
-    st.tuples(st.just("force"), cell_ids),
-)
-# One step: what happens before this TTI's periodic refresh, what happens
-# after it, and how many uneventful TTIs follow.
-steps = st.lists(
-    st.tuples(st.lists(ops, max_size=3), st.lists(ops, max_size=2),
-              st.integers(0, 2 * SRS_PERIOD_TTIS + 3)),
-    min_size=1, max_size=12)
+
+
+def ops_over(channels):
+    return st.one_of(
+        st.tuples(st.just("attach"), channels),
+        st.tuples(st.just("detach"), index),
+        st.tuples(st.just("scell_on"), index),
+        st.tuples(st.just("scell_off"), index),
+        st.tuples(st.just("swap_channel"), index, channels),
+        st.tuples(st.just("swap_carrier"), index, st.none() | channels),
+        st.tuples(st.just("aggressor"), cell_ids, st.booleans()),
+        st.tuples(st.just("force"), cell_ids),
+    )
+
+
+def programs(ops):
+    # One step: what happens before this TTI's periodic refresh, what
+    # happens after it, and how many uneventful TTIs follow.
+    return st.lists(
+        st.tuples(st.lists(ops, max_size=3), st.lists(ops, max_size=2),
+                  st.integers(0, 2 * SRS_PERIOD_TTIS + 3)),
+        min_size=1, max_size=12)
+
+
+ops = ops_over(channels)
+steps = programs(ops)
+# The next k TTIs run no periodic pass, so the pass after them serves
+# entries of several due TTIs at once.  Only moving channels: a parked
+# UE re-arms on the grid of the passes that ran, which the every-period
+# oracle does not model.
+skipping_steps = programs(st.one_of(
+    ops_over(moving_channels),
+    st.tuples(st.just("skip"), st.integers(1, 2 * SRS_PERIOD_TTIS + 3))))
 
 
 class Deployment:
@@ -100,6 +119,7 @@ class Deployment:
         self.ues = {}        # rnti -> Ue, attached to the PCell
         self.on_scell = set()
         self.next_rnti = 70
+        self.skipped = 0  # periodic passes still to skip
 
     def pick(self, idx):
         rntis = sorted(self.ues)
@@ -118,6 +138,9 @@ class Deployment:
             return
         if kind == "force":
             self.cells[args[0]].refresh(tti, force=True)
+            return
+        if kind == "skip":
+            self.skipped += args[0]
             return
         rnti = self.pick(args[0])
         if rnti is None:
@@ -144,6 +167,9 @@ class Deployment:
                 del ue.carrier_channels[SCELL]
 
     def tick(self, tti: int) -> None:
+        if self.skipped:
+            self.skipped -= 1
+            return
         for shadowed in self.cells.values():
             shadowed.refresh(tti)
 
@@ -166,6 +192,31 @@ def test_schedule_matches_every_period_oracle(program):
         tti += 1
     for tti in range(tti, tti + 2 * SRS_PERIOD_TTIS + 1):
         dep.tick(tti)
+
+
+@settings(max_examples=200, deadline=None)
+@given(program=skipping_steps)
+def test_a_late_pass_serves_in_heap_order(program):
+    """A pass that serves several due TTIs at once records their UEs in
+    the oracle heap's (due, rnti) order."""
+    # The same program runner, fed programs with skips.
+    test_schedule_matches_every_period_oracle.hypothesis.inner_test(program)
+
+
+def test_a_late_pass_orders_by_due_tti_then_rnti():
+    calls = []
+    cell = Cell(CellConfig(cell_id=PCELL), calls.append)
+    # No forced refresh: a newcomer's first report, at the next pass,
+    # sets its phase -- RNTI 71 reports on phase 2, RNTIs 72 and 70 on
+    # phase 5.
+    for rnti, tti in ((71, 2), (72, 5), (70, 5)):
+        cell.add_ue(rnti, Ue(f"{rnti:03d}",
+                             SquareWaveCqi(12, 4, period_ttis=10)))
+        cell.refresh_cqi(tti)
+    calls.clear()
+    cell.refresh_cqi(19)  # the first pass since TTI 5: due TTIs 12 and 15
+    assert calls == [71, 70, 72]
+    assert {cell.cqi_updated_tti[r] for r in (70, 71, 72)} == {19}
 
 
 # -- parked UEs ---------------------------------------------------------------
@@ -306,6 +357,46 @@ def test_forced_refresh_rereads_after_a_change_within_the_tti():
     first.channel = FixedCqi(3)
     shadowed.add_ue(72, Ue("003", FixedCqi(7)), 5)
     assert shadowed.cell.known_cqi[70] == 3
+
+
+# -- what a pass costs --------------------------------------------------------
+
+def pass_calls(tti: int, ues: int = 50) -> float:
+    """Calls one periodic pass makes, at *tti*, over a cell of *ues*
+    fading UEs all attached at TTI 0 (one SRS phase), counted as the
+    ttibudget benchmark does: every Python function call, and every
+    built-in call charged to its caller."""
+    enb = EnodeB(1)
+    for i in range(ues):
+        enb.attach_ue(Ue(f"{i:03d}", GaussMarkovSinr(12.0, sigma_db=3.0,
+                                                     seed=i)), tti=0)
+    cell = enb.cell()
+    for t in range(tti):
+        cell.refresh_cqi(t)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    cell.refresh_cqi(tti)
+    profiler.disable()
+    calls = 0
+    for entry in profiler.getstats():
+        if not isinstance(entry.code, str):
+            calls += entry.callcount
+            calls += sum(callee.callcount for callee in entry.calls or ()
+                         if isinstance(callee.code, str))
+    return calls
+
+
+def test_a_due_pass_costs_one_channel_read_per_ue():
+    # 12.0 calls per observed UE while every UE was a heap entry and an
+    # observation went through _refresh_one, Ue.channel_for and the
+    # generic ChannelModel.cqi; 8.3 since a pass serves due buckets
+    # through one Cell._observe call and makes one channel call per UE
+    # (CPython 3.11; at this TTI every channel draws a new noise block).
+    assert pass_calls(4 * SRS_PERIOD_TTIS) / 50 < 9
+
+
+def test_a_pass_with_nothing_due_makes_no_call():
+    assert pass_calls(4 * SRS_PERIOD_TTIS + 3) == 1  # refresh_cqi itself
 
 
 # -- who reads the stamp -------------------------------------------------------
