@@ -138,7 +138,6 @@ class ShardSupervisor:
         self.runtime = runtime
         self.policy = policy
         self.failures: List[ShardFailure] = []
-        self.quarantined: Set[int] = set()
         self.respawn_latency_s: List[float] = []
         self.stall_seconds: float = 0.0
         self._pending: Dict[int, float] = {}  # shard -> respawn due time
@@ -146,6 +145,12 @@ class ShardSupervisor:
         self._last_activity: Dict[int, float] = {}
         self._epoch: Optional[float] = None
         self._deadline: Optional[float] = None
+
+    @property
+    def quarantined(self) -> Set[int]:
+        """The shards whose handle ``quarantine_shard`` flagged."""
+        return {shard_id for shard_id, handle in self.runtime._handles.items()
+                if handle.quarantined}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -175,8 +180,7 @@ class ShardSupervisor:
         a shard already healing or quarantined are dropped).
         """
         handle = self.runtime._handles.get(shard_id)
-        if (handle is None or handle.done
-                or shard_id in self.quarantined
+        if (handle is None or handle.done or handle.quarantined
                 or shard_id in self._pending):
             return False
         now = time.monotonic()
@@ -225,7 +229,7 @@ class ShardSupervisor:
         worked = False
         credits = self.runtime.credits
         for shard_id, handle in list(self.runtime._handles.items()):
-            if (handle.done or shard_id in self.quarantined
+            if (handle.done or handle.quarantined
                     or shard_id in self._pending):
                 continue
             if not handle.process.is_alive():
@@ -276,7 +280,6 @@ class ShardSupervisor:
         return worked
 
     def _quarantine(self, shard_id: int) -> None:
-        self.quarantined.add(shard_id)
         self.runtime.quarantine_shard(shard_id)
         ob = _obs.live
         if ob is not None:
@@ -295,7 +298,7 @@ class ShardSupervisor:
                  "respawns  state"]
         for shard_id in sorted(self.runtime._handles):
             handle = self.runtime._handles[shard_id]
-            if shard_id in self.quarantined:
+            if handle.quarantined:
                 progress = granted = "-"
                 state = "quarantined"
             else:

@@ -20,6 +20,11 @@ from repro.core.controller.northbound import NorthboundApi, StatsSubscription
 from repro.core.protocol.messages import ReportType, StatsFlags
 
 
+ACTIVATE_BACKLOG_BYTES = 100_000  # downlink backlog that earns an SCell
+RELEASE_BACKLOG_BYTES = 1_000  # at or below it an aggregated UE is idle
+HOLD_TTIS = 100  # idle this long, the SCell is released
+
+
 @dataclass
 class CaDecision:
     tti: int
@@ -37,19 +42,10 @@ class CarrierAggregationApp(App):
     period_ttis = 10
 
     def __init__(self, *, scell_map: Dict[int, int],
-                 activate_backlog_bytes: int = 100_000,
-                 release_backlog_bytes: int = 1_000,
-                 hold_ttis: int = 100,
                  stats_period_ttis: int = 10) -> None:
         """``scell_map``: primary cell id -> secondary cell id on the
         same eNodeB (the aggregation pairs the deployment licenses)."""
-        if activate_backlog_bytes <= release_backlog_bytes:
-            raise ValueError(
-                "activation threshold must exceed the release threshold")
         self.scell_map = dict(scell_map)
-        self.activate_backlog_bytes = activate_backlog_bytes
-        self.release_backlog_bytes = release_backlog_bytes
-        self.hold_ttis = hold_ttis
         self._stats_period = stats_period_ttis
         self.subscriptions: Dict[int, StatsSubscription] = {}
         self._active: Dict[Tuple[int, int], int] = {}  # key -> scell
@@ -73,7 +69,7 @@ class CarrierAggregationApp(App):
                 key = (agent.agent_id, node.rnti)
                 backlog = node.queue_bytes
                 if key not in self._active:
-                    if backlog >= self.activate_backlog_bytes:
+                    if backlog >= ACTIVATE_BACKLOG_BYTES:
                         nb.send_scell(agent.agent_id, node.rnti, scell,
                                       True)
                         self._active[key] = scell
@@ -81,9 +77,9 @@ class CarrierAggregationApp(App):
                         self.decisions.append(CaDecision(
                             tti, agent.agent_id, node.rnti, scell, True))
                 else:
-                    if backlog <= self.release_backlog_bytes:
+                    if backlog <= RELEASE_BACKLOG_BYTES:
                         since = self._low_since.setdefault(key, tti)
-                        if tti - since >= self.hold_ttis:
+                        if tti - since >= HOLD_TTIS:
                             nb.send_scell(agent.agent_id, node.rnti,
                                           scell, False)
                             self.decisions.append(CaDecision(

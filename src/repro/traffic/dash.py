@@ -147,6 +147,10 @@ class _WindowMeter:
         return self._meter.rate_mbps(tti)
 
 
+WINDOW_S = 20.0  # WindowedThroughputAbr's trailing measurement window
+WINDOWED_SAFETY = 0.9  # ... and the share of its rate a bitrate may use
+
+
 class WindowedThroughputAbr(AbrAlgorithm):
     """Default player, app-limited variant: windowed rate measurement.
 
@@ -159,16 +163,10 @@ class WindowedThroughputAbr(AbrAlgorithm):
     channel quality did not become apparent to the transport layer").
     """
 
-    def __init__(self, flow: TcpFlow, *, safety: float = 0.9,
-                 window_s: float = 20.0,
+    def __init__(self, flow: TcpFlow, *,
                  panic_buffer_s: float = 2.0) -> None:
-        if not 0 < safety <= 2:
-            raise ValueError(f"safety must be in (0, 2], got {safety}")
-        if window_s <= 0:
-            raise ValueError(f"window must be positive, got {window_s}")
-        self.safety = safety
         self.panic_buffer_s = panic_buffer_s
-        self._meter = _WindowMeter(int(window_s * 1000))
+        self._meter = _WindowMeter(int(WINDOW_S * 1000))
         flow.on_app_delivered(self._meter.add)
 
     def choose(self, client: "DashClient", tti: int) -> float:
@@ -177,7 +175,7 @@ class WindowedThroughputAbr(AbrAlgorithm):
         estimate = self._meter.rate_mbps(tti)
         if estimate <= 0:
             return client.video.lowest
-        return client.video.best_at_most(estimate * self.safety)
+        return client.video.best_at_most(estimate * WINDOWED_SAFETY)
 
 
 class AssistedAbr(AbrAlgorithm):

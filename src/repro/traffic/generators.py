@@ -108,24 +108,24 @@ class CbrSource(TrafficSource):
         return max(now + ttis, self.start_tti)
 
 
+SATURATING_BURST_BYTES = 8000  # what a SaturatingSource offers per TTI
+
+
 class SaturatingSource(TrafficSource):
-    """Backlogged source: always offers *burst_bytes* per TTI.
+    """Backlogged source: always offers :data:`SATURATING_BURST_BYTES`
+    per TTI.
 
     Used for speedtest-style saturation (Fig. 6b): the queue never
     runs dry, so measured goodput equals link capacity.
     """
 
-    def __init__(self, burst_bytes: int = 8000,
-                 packet_bytes: int = DEFAULT_PACKET_BYTES,
-                 *, start_tti: int = 0) -> None:
-        if burst_bytes <= 0:
-            raise ValueError(f"burst must be positive, got {burst_bytes}")
+    def __init__(self, *, packet_bytes: int = DEFAULT_PACKET_BYTES,
+                 start_tti: int = 0) -> None:
         if packet_bytes <= 0:
             raise ValueError(f"packet size must be positive, got {packet_bytes}")
-        self.burst_bytes = burst_bytes
         self.packet_bytes = packet_bytes
         self.start_tti = start_tti
-        whole, rest = divmod(burst_bytes, packet_bytes)
+        whole, rest = divmod(SATURATING_BURST_BYTES, packet_bytes)
         self._burst = [packet_bytes] * whole + [rest] * (rest > 0)
 
     def packets(self, tti: int) -> List[int]:

@@ -68,10 +68,7 @@ class TestCarrierAggregationApp:
         ue.carrier_channels[11] = FixedCqi(12)
         sim.add_ue(enb, ue, cell_id=10)
         sim.add_downlink_traffic(enb, ue, CbrSource(rate_mbps, start_tti=100))
-        app = CarrierAggregationApp(scell_map={10: 11},
-                                    activate_backlog_bytes=100_000,
-                                    release_backlog_bytes=1_000,
-                                    hold_ttis=100)
+        app = CarrierAggregationApp(scell_map={10: 11})
         sim.master.add_app(app)
         return sim, enb, agent, ue, app
 
@@ -103,8 +100,3 @@ class TestCarrierAggregationApp:
         activations = [d for d in app.decisions if d.activated]
         releases = [d for d in app.decisions if not d.activated]
         assert len(activations) == 1 and len(releases) == 1
-
-    def test_invalid_thresholds(self):
-        with pytest.raises(ValueError):
-            CarrierAggregationApp(scell_map={}, activate_backlog_bytes=10,
-                                  release_backlog_bytes=10)

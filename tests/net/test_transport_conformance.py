@@ -4,20 +4,21 @@ The acceptance bar for the TCP transport is that a scenario run over
 it produces the *same Tier-1-observable results* as over the emulated
 links -- message counts, byte accounting, fault outcomes, RIB contents
 and obs instrumentation, TTI for TTI.  These tests run the same
-deployment on both transports and compare fingerprints, on the default
-(real-time) master: no decision in it reads the wall clock.
+deployment on both transports and compare what each run did
+(``run_state``, the behaviour identity table's definition), on the
+default (real-time) master: no decision in it reads the wall clock.
 """
 
 import pytest
 
 from repro import obs
 from repro.core.apps.remote_scheduler import RemoteSchedulerApp
-from repro.core.survive.snapshot import snapshot_rib
 from repro.lte.phy.channel import FixedCqi
 from repro.lte.ue import Ue
 from repro.sim.scenarios import FaultSpec
 from repro.sim.simulation import Simulation
 from repro.traffic.generators import CbrSource
+from tests.behaviour_identity import run_state
 
 
 def _build(transport, *, n_enbs=2, ues_per_enb=3, rtt_ms=2.0,
@@ -35,44 +36,13 @@ def _build(transport, *, n_enbs=2, ues_per_enb=3, rtt_ms=2.0,
     return sim
 
 
-def _fingerprint(sim):
-    """Every Tier-1 observable of a run, as one comparable structure."""
-    links = {}
-    for agent_id in sorted(sim.connections):
-        conn = sim.connections[agent_id]
-        for name, link in (("ul", conn.channel.uplink),
-                           ("dl", conn.channel.downlink)):
-            links[f"{agent_id}.{name}"] = {
-                "total_messages": link.total_messages,
-                "total_bytes": link.total_bytes,
-                "delivered": link.delivered_messages,
-                "dropped": link.dropped_messages,
-                "categories": {c: k.bytes
-                               for c, k in sorted(link.counters.items())},
-            }
-    return {
-        "links": links,
-        "endpoint_counts": {
-            agent_id: (conn.agent_side.sent_messages,
-                       conn.agent_side.received_messages,
-                       conn.master_side.sent_messages,
-                       conn.master_side.received_messages)
-            for agent_id, conn in sorted(sim.connections.items())},
-        "rib": snapshot_rib(sim.master.rib),
-        "xid": sim.master._xid,
-        "flows": [(f.rnti, f.stats.offered_bytes, f.stats.accepted_bytes,
-                   f.stats.dropped_bytes)
-                  for f in sim.epc._downlink],
-    }
-
-
 def _run(transport, *, fault=None, ttis=300, **kwargs):
     sim = _build(transport, **kwargs)
     try:
         if fault is not None:
             fault.apply(sim.connections[1])
         sim.run(ttis)
-        return _fingerprint(sim)
+        return run_state(sim)
     finally:
         sim.close()
 
@@ -101,7 +71,7 @@ class TestConformance:
                 sim.run(100)
                 sim.connections[1].channel.set_rtt_ms(8.0)
                 sim.run(100)
-                return _fingerprint(sim)
+                return run_state(sim)
             finally:
                 sim.close()
         assert run("emulated") == run("tcp")
@@ -115,12 +85,10 @@ class TestConformance:
                 sim.run(120)
                 sim.restart_master(restore=False)
                 sim.run(180)
-                return _fingerprint(sim)
+                return run_state(sim)
             finally:
                 sim.close()
-        emulated, tcp = run("emulated"), run("tcp")
-        assert emulated["links"] == tcp["links"]
-        assert emulated["rib"] == tcp["rib"]
+        assert run("emulated") == run("tcp")
 
 
 class TestObsConformance:

@@ -141,11 +141,6 @@ class TestWindowedAbr:
         drive(enb, flow, client, 40_000)
         assert all(b == 1.0 for _, b in client.bitrate_series[2:])
 
-    def test_invalid_safety(self):
-        enb, flow, video, client = build_client()
-        with pytest.raises(ValueError):
-            WindowedThroughputAbr(flow, safety=0.0)
-
 
 class TestAssistedAbr:
     def test_follows_target(self):

@@ -4,6 +4,7 @@ from repro.lte.enodeb import EnodeB
 from repro.lte.phy.channel import FixedCqi
 from repro.lte.ue import Ue
 from repro.traffic.epc import EpcStub
+from repro.traffic import generators
 from repro.traffic.generators import CbrSource, SaturatingSource
 
 
@@ -25,13 +26,13 @@ class TestDownlink:
         assert stats.accepted_bytes == stats.offered_bytes
         assert enb.rlc[rnti].backlog()[1] > 0
 
-    def test_overflow_counted_as_dropped(self):
+    def test_overflow_counted_as_dropped(self, monkeypatch):
+        monkeypatch.setattr(generators, "SATURATING_BURST_BYTES", 10_000)
         enb = EnodeB(1, rlc_buffer_bytes=5000)
         ue = Ue("001", FixedCqi(15))
         rnti = enb.attach_ue(ue, tti=0)
         epc = EpcStub()
-        stats = epc.add_downlink(SaturatingSource(burst_bytes=10_000),
-                                 enb, rnti)
+        stats = epc.add_downlink(SaturatingSource(), enb, rnti)
         for t in range(10):
             epc.tick(t)
         assert stats.dropped_bytes > 0
@@ -57,10 +58,11 @@ class TestUplink:
         assert ue.ul_backlog_bytes > 0
         assert stats.offered_bytes == ue.ul_backlog_bytes
 
-    def test_uplink_counts_packets(self):
+    def test_uplink_counts_packets(self, monkeypatch):
+        monkeypatch.setattr(generators, "SATURATING_BURST_BYTES", 3000)
         enb, ue, rnti = make_cell()
         epc = EpcStub()
-        stats = epc.add_uplink(SaturatingSource(burst_bytes=3000), enb, rnti)
+        stats = epc.add_uplink(SaturatingSource(), enb, rnti)
         for t in range(10):
             epc.tick(t)
         # 3000 B per TTI is two 1400 B packets and one of 200 B.

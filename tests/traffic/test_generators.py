@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.traffic import generators
 from repro.traffic.generators import (
     _NEVER_TTI,
     DEFAULT_PACKET_BYTES,
@@ -51,8 +52,9 @@ class TestCbr:
 
 
 class TestSaturating:
-    def test_constant_burst(self):
-        src = SaturatingSource(burst_bytes=5000, packet_bytes=1400)
+    def test_constant_burst(self, monkeypatch):
+        monkeypatch.setattr(generators, "SATURATING_BURST_BYTES", 5000)
+        src = SaturatingSource(packet_bytes=1400)
         pkts = src.packets(0)
         assert sum(pkts) == 5000
         assert pkts == [1400, 1400, 1400, 800]
@@ -62,18 +64,14 @@ class TestSaturating:
         assert src.packets(9) == []
         assert src.packets(10)
 
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            SaturatingSource(burst_bytes=0)
-
     @pytest.mark.parametrize("packet_bytes", [0, -1400])
     def test_invalid_packet_size(self, packet_bytes):
         with pytest.raises(ValueError, match="packet size"):
             SaturatingSource(packet_bytes=packet_bytes)
 
     def test_hint_sparse_equals_dense(self):
-        dense = SaturatingSource(burst_bytes=3000, start_tti=17)
-        sparse = SaturatingSource(burst_bytes=3000, start_tti=17)
+        dense = SaturatingSource(start_tti=17)
+        sparse = SaturatingSource(start_tti=17)
         assert hinted_run(sparse, 3, 200) == dense_run(dense, 3, 200)
 
 

@@ -153,7 +153,7 @@ SOURCES = {
     "poisson": lambda: PoissonSource(3.0, seed=11, start_tti=5),
     "poisson_ptrs": lambda: PoissonSource(150.0, seed=2),
     "on_off": lambda: OnOffSource(2.0, on_ttis=7, off_ttis=13, start_tti=3),
-    "saturating": lambda: SaturatingSource(burst_bytes=3000, start_tti=9),
+    "saturating": lambda: SaturatingSource(start_tti=9),
 }
 
 
