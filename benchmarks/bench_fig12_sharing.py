@@ -41,7 +41,7 @@ def test_fig12a_dynamic_allocation(benchmark):
                 ShareChange(at_tti=2 * PHASE_TTIS,
                             fractions={"mno": 0.8, "mvno": 0.2}),
             ])
-        app = MonitoringApp(period_ttis=200, stats_period_ttis=10)
+        app = MonitoringApp(period_ttis=200)
         sc.sim.master.add_app(app)
         sc.sim.run(3 * PHASE_TTIS)
 

@@ -23,6 +23,7 @@ from repro.core.protocol.messages import ReportType, StatsFlags
 ACTIVATE_BACKLOG_BYTES = 100_000  # downlink backlog that earns an SCell
 RELEASE_BACKLOG_BYTES = 1_000  # at or below it an aggregated UE is idle
 HOLD_TTIS = 100  # idle this long, the SCell is released
+STATS_PERIOD_TTIS = 10  # the app's periodic report subscription
 
 
 @dataclass
@@ -41,12 +42,10 @@ class CarrierAggregationApp(App):
     priority = 40
     period_ttis = 10
 
-    def __init__(self, *, scell_map: Dict[int, int],
-                 stats_period_ttis: int = 10) -> None:
+    def __init__(self, *, scell_map: Dict[int, int]) -> None:
         """``scell_map``: primary cell id -> secondary cell id on the
         same eNodeB (the aggregation pairs the deployment licenses)."""
         self.scell_map = dict(scell_map)
-        self._stats_period = stats_period_ttis
         self.subscriptions: Dict[int, StatsSubscription] = {}
         self._active: Dict[Tuple[int, int], int] = {}  # key -> scell
         self._low_since: Dict[Tuple[int, int], int] = {}
@@ -58,7 +57,7 @@ class CarrierAggregationApp(App):
                 self.subscriptions[agent.agent_id] = nb.subscribe_stats(
                     agent.agent_id,
                     report_type=ReportType.PERIODIC,
-                    period_ttis=self._stats_period,
+                    period_ttis=STATS_PERIOD_TTIS,
                     flags=int(StatsFlags.QUEUES | StatsFlags.CQI))
             for node in agent.all_ues():
                 if node.stats is None:

@@ -8,10 +8,11 @@ the RIB and pushes DRX commands so that idle UEs sleep through most of
 the radio frame while active UEs stay always-on.
 
 Policy: a UE whose downlink queue has stayed empty and whose delivered
-byte counter has not moved for ``idle_window_ttis`` gets DRX enabled
-with the configured cycle; any sign of traffic disables DRX again (the
-paper's transparency argument holds -- the UE itself needs no change,
-the eNodeB simply stops scheduling it outside its on-durations).
+byte counter has not moved for :data:`IDLE_WINDOW_TTIS` gets DRX
+enabled with the :data:`DRX_CYCLE_TTIS` cycle; any sign of traffic
+disables DRX again (the paper's transparency argument holds -- the UE
+itself needs no change, the eNodeB simply stops scheduling it outside
+its on-durations).
 """
 
 from __future__ import annotations
@@ -34,6 +35,13 @@ class DrxDecision:
     enabled: bool
 
 
+IDLE_WINDOW_TTIS = 200  # no traffic this long, a UE gets DRX
+DRX_CYCLE_TTIS = 80  # ... with this cycle,
+DRX_ON_DURATION_TTIS = 8  # ... on-duration
+DRX_INACTIVITY_TTIS = 10  # ... and inactivity timer
+STATS_PERIOD_TTIS = 10  # the app's periodic report subscription
+
+
 class DrxEnergyApp(App):
     """Enables DRX for idle UEs, disables it on activity."""
 
@@ -41,18 +49,7 @@ class DrxEnergyApp(App):
     priority = 20
     period_ttis = 10
 
-    def __init__(self, *, idle_window_ttis: int = 200,
-                 cycle_ttis: int = 80, on_duration_ttis: int = 8,
-                 inactivity_ttis: int = 10,
-                 stats_period_ttis: int = 10) -> None:
-        if idle_window_ttis <= 0:
-            raise ValueError(
-                f"idle window must be positive, got {idle_window_ttis}")
-        self.idle_window_ttis = idle_window_ttis
-        self.cycle_ttis = cycle_ttis
-        self.on_duration_ttis = on_duration_ttis
-        self.inactivity_ttis = inactivity_ttis
-        self._stats_period = stats_period_ttis
+    def __init__(self) -> None:
         self.subscriptions: Dict[int, StatsSubscription] = {}
         #: (agent, rnti) -> (last rx_bytes_total, tti it last changed)
         self._last_progress: Dict[Tuple[int, int], Tuple[int, int]] = {}
@@ -65,7 +62,7 @@ class DrxEnergyApp(App):
                 self.subscriptions[agent.agent_id] = nb.subscribe_stats(
                     agent.agent_id,
                     report_type=ReportType.PERIODIC,
-                    period_ttis=self._stats_period,
+                    period_ttis=STATS_PERIOD_TTIS,
                     flags=int(StatsFlags.QUEUES | StatsFlags.PDCP))
             for node in agent.all_ues():
                 if node.stats is None:
@@ -81,7 +78,7 @@ class DrxEnergyApp(App):
                     continue
                 self._last_progress[key] = (last_total, last_change)
                 idle_for = tti - last_change
-                if (idle_for >= self.idle_window_ttis
+                if (idle_for >= IDLE_WINDOW_TTIS
                         and key not in self._drx_enabled):
                     self._set_drx(nb, key, tti, enabled=True)
 
@@ -89,9 +86,9 @@ class DrxEnergyApp(App):
                  tti: int, *, enabled: bool) -> None:
         agent_id, rnti = key
         if enabled:
-            nb.send_drx(agent_id, rnti, cycle_ttis=self.cycle_ttis,
-                        on_duration_ttis=self.on_duration_ttis,
-                        inactivity_ttis=self.inactivity_ttis)
+            nb.send_drx(agent_id, rnti, cycle_ttis=DRX_CYCLE_TTIS,
+                        on_duration_ttis=DRX_ON_DURATION_TTIS,
+                        inactivity_ttis=DRX_INACTIVITY_TTIS)
             self._drx_enabled.add(key)
         else:
             nb.send_drx(agent_id, rnti, cycle_ttis=0)

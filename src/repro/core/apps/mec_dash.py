@@ -32,6 +32,10 @@ def bitrate_for_cqi(table: Dict[int, float], cqi: float) -> float:
     return table[max(eligible)]
 
 
+STATS_PERIOD_TTIS = 10  # the app's periodic report subscription
+CQI_EWMA_ALPHA = 0.3  # weight of each new RIB CQI in the per-UE average
+
+
 @dataclass
 class AssistedClientBinding:
     """Wires one RIB UE to one assisted DASH client."""
@@ -46,19 +50,12 @@ class MecDashApp(App):
 
     name = "mec_dash"
     priority = 10
+    period_ttis = 100
 
     def __init__(self, bindings: List[AssistedClientBinding], *,
-                 bitrate_table: Optional[Dict[int, float]] = None,
-                 period_ttis: int = 100,
-                 stats_period_ttis: int = 10,
-                 ewma_alpha: float = 0.3) -> None:
-        if not 0 < ewma_alpha <= 1:
-            raise ValueError(f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
+                 bitrate_table: Optional[Dict[int, float]] = None) -> None:
         self.bindings = list(bindings)
         self.bitrate_table = dict(bitrate_table or PAPER_TABLE2_BITRATES)
-        self.period_ttis = period_ttis
-        self._stats_period = stats_period_ttis
-        self.ewma_alpha = ewma_alpha
         self._cqi_ewma: Dict[Tuple[int, int], float] = {}
         self.subscriptions: Dict[int, StatsSubscription] = {}
         self.targets_sent: List[Tuple[int, int, float]] = []
@@ -71,7 +68,7 @@ class MecDashApp(App):
                 self.subscriptions[binding.agent_id] = nb.subscribe_stats(
                     binding.agent_id,
                     report_type=ReportType.PERIODIC,
-                    period_ttis=self._stats_period,
+                    period_ttis=STATS_PERIOD_TTIS,
                     flags=int(StatsFlags.CQI | StatsFlags.QUEUES))
             agent = nb.rib.agent(binding.agent_id)
             node = None
@@ -84,8 +81,8 @@ class MecDashApp(App):
             key = (binding.agent_id, binding.rnti)
             prev = self._cqi_ewma.get(key)
             ewma = (node.cqi if prev is None
-                    else (1 - self.ewma_alpha) * prev
-                    + self.ewma_alpha * node.cqi)
+                    else (1 - CQI_EWMA_ALPHA) * prev
+                    + CQI_EWMA_ALPHA * node.cqi)
             self._cqi_ewma[key] = ewma
             target = bitrate_for_cqi(self.bitrate_table, ewma)
             binding.abr.set_target(target)

@@ -16,6 +16,9 @@ from repro.core.controller.northbound import NorthboundApi, StatsSubscription
 from repro.core.protocol.messages import ReportType, StatsFlags
 
 
+STATS_PERIOD_TTIS = 10  # the app's periodic report subscription
+
+
 @dataclass
 class UeSample:
     """One monitoring observation of a UE."""
@@ -33,12 +36,10 @@ class MonitoringApp(App):
     priority = 1  # background task
     subscribed_events = frozenset()
 
-    def __init__(self, *, period_ttis: int = 100,
-                 stats_period_ttis: int = 10) -> None:
+    def __init__(self, *, period_ttis: int = 100) -> None:
         if period_ttis <= 0:
             raise ValueError(f"period must be positive, got {period_ttis}")
         self.period_ttis = period_ttis
-        self._stats_period = stats_period_ttis
         #: agent_id -> live stats subscription handle.
         self.subscriptions: Dict[int, StatsSubscription] = {}
         #: (agent_id, rnti) -> samples
@@ -50,7 +51,7 @@ class MonitoringApp(App):
                 self.subscriptions[agent.agent_id] = nb.subscribe_stats(
                     agent.agent_id,
                     report_type=ReportType.PERIODIC,
-                    period_ttis=self._stats_period,
+                    period_ttis=STATS_PERIOD_TTIS,
                     flags=int(StatsFlags.FULL))
             for node in agent.all_ues():
                 if node.stats is None:

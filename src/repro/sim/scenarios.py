@@ -119,7 +119,7 @@ def quickstart(*, seed: int = 0) -> QuickstartScenario:
     ue = Ue("208930000000001", FixedCqi(15))
     sim.add_ue(enb, ue)
     sim.add_downlink_traffic(enb, ue, SaturatingSource(start_tti=20))
-    monitor = MonitoringApp(period_ttis=100, stats_period_ttis=10)
+    monitor = MonitoringApp(period_ttis=100)
     sim.master.add_app(monitor)
     return QuickstartScenario(sim=sim, enb=enb, agent=agent, ue=ue,
                               monitor=monitor)
@@ -689,7 +689,7 @@ def dash_streaming(case: str = LOW_VARIABILITY, *, assisted: bool = False,
     elif case == LOW_VARIABILITY:
         abr = WindowedThroughputAbr(flow)
     else:
-        abr = ThroughputAbr(aggressiveness=1.4)
+        abr = ThroughputAbr()
 
     client = DashClient(video, flow, abr, buffer_cap_s=buffer_cap_s,
                         startup_buffer_s=2.0, start_tti=2000)

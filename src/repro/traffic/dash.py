@@ -93,24 +93,22 @@ class AbrAlgorithm(abc.ABC):
         """Feedback after each completed segment download."""
 
 
+PANIC_BUFFER_S = 2.0  # below this buffer a throughput player takes the lowest rung
+THROUGHPUT_EWMA_ALPHA = 0.4  # ThroughputAbr's per-segment estimate weight
+AGGRESSIVENESS = 1.4  # ... and the multiple of its estimate it may pick
+
+
 class ThroughputAbr(AbrAlgorithm):
     """Default player: transport-layer throughput estimation.
 
     The estimate is an EWMA over per-segment download rates.  The
-    up-switch allows bitrates up to ``aggressiveness`` x estimate
+    up-switch allows bitrates up to :data:`AGGRESSIVENESS` x estimate
     (matching the reference player's behaviour in the paper's Fig. 11b,
     where it jumps to 19.6 Mb/s on a 15 Mb/s link); a low-buffer guard
     falls back to the lowest level to recover from freezes.
     """
 
-    def __init__(self, *, ewma_alpha: float = 0.4,
-                 aggressiveness: float = 1.4,
-                 panic_buffer_s: float = 2.0) -> None:
-        if not 0 < ewma_alpha <= 1:
-            raise ValueError(f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
-        self.ewma_alpha = ewma_alpha
-        self.aggressiveness = aggressiveness
-        self.panic_buffer_s = panic_buffer_s
+    def __init__(self) -> None:
         self.estimate_mbps: Optional[float] = None
 
     def observe_segment(self, bitrate_mbps: float, size_bytes: int,
@@ -121,16 +119,15 @@ class ThroughputAbr(AbrAlgorithm):
         if self.estimate_mbps is None:
             self.estimate_mbps = sample
         else:
-            self.estimate_mbps = ((1 - self.ewma_alpha) * self.estimate_mbps
-                                  + self.ewma_alpha * sample)
+            self.estimate_mbps = ((1 - THROUGHPUT_EWMA_ALPHA) * self.estimate_mbps
+                                  + THROUGHPUT_EWMA_ALPHA * sample)
 
     def choose(self, client: "DashClient", tti: int) -> float:
-        if client.buffer_s < self.panic_buffer_s:
+        if client.buffer_s < PANIC_BUFFER_S:
             return client.video.lowest
         if self.estimate_mbps is None:
             return client.video.lowest
-        return client.video.best_at_most(
-            self.estimate_mbps * self.aggressiveness)
+        return client.video.best_at_most(self.estimate_mbps * AGGRESSIVENESS)
 
 
 class _WindowMeter:
@@ -163,14 +160,12 @@ class WindowedThroughputAbr(AbrAlgorithm):
     channel quality did not become apparent to the transport layer").
     """
 
-    def __init__(self, flow: TcpFlow, *,
-                 panic_buffer_s: float = 2.0) -> None:
-        self.panic_buffer_s = panic_buffer_s
+    def __init__(self, flow: TcpFlow) -> None:
         self._meter = _WindowMeter(int(WINDOW_S * 1000))
         flow.on_app_delivered(self._meter.add)
 
     def choose(self, client: "DashClient", tti: int) -> float:
-        if client.buffer_s < self.panic_buffer_s:
+        if client.buffer_s < PANIC_BUFFER_S:
             return client.video.lowest
         estimate = self._meter.rate_mbps(tti)
         if estimate <= 0:

@@ -8,6 +8,7 @@ from repro.core.apps.mec_dash import (
     bitrate_for_cqi,
 )
 from repro.core.apps.mobility import MobilityManagerApp
+from repro.core.apps import monitoring
 from repro.core.apps.monitoring import MonitoringApp
 from repro.core.apps.ran_sharing import ShareChange
 from repro.lte.mac.dci import SchedulingContext, UeView
@@ -72,9 +73,10 @@ class TestMonitoring:
         assert samples[-1].cqi == 9
         assert samples[-1].rx_bytes_total > 0
 
-    def test_throughput_readout(self):
+    def test_throughput_readout(self, monkeypatch):
+        monkeypatch.setattr(monitoring, "STATS_PERIOD_TTIS", 1)
         sc = saturated_cell(cqi=12, with_master=True)
-        app = MonitoringApp(period_ttis=50, stats_period_ttis=1)
+        app = MonitoringApp(period_ttis=50)
         sc.sim.master.add_app(app)
         sc.sim.run(3000)
         mbps = app.throughput_mbps(sc.agent.agent_id, sc.ues[0].rnti,

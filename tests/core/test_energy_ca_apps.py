@@ -1,8 +1,6 @@
 """Tests for the DRX energy saver and carrier aggregation apps,
 exercised end-to-end over the FlexRAN protocol."""
 
-import pytest
-
 from repro.core.apps.carrier_aggregation import CarrierAggregationApp
 from repro.core.apps.energy import DrxEnergyApp
 from repro.lte.cell import CellConfig
@@ -22,8 +20,7 @@ class TestDrxEnergyApp:
         sim.add_ue(enb, ue)
         if traffic is not None:
             sim.add_downlink_traffic(enb, ue, traffic)
-        app = DrxEnergyApp(idle_window_ttis=200, cycle_ttis=80,
-                           on_duration_ttis=8)
+        app = DrxEnergyApp()
         sim.master.add_app(app)
         return sim, enb, agent, ue, app
 
@@ -52,10 +49,6 @@ class TestDrxEnergyApp:
         assert len(app._drx_enabled) == 0
         # Traffic flows at (near) full rate once DRX is lifted.
         assert ue.throughput_mbps(sim.now) > 4.0
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            DrxEnergyApp(idle_window_ttis=0)
 
 
 class TestCarrierAggregationApp:

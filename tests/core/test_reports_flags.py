@@ -159,11 +159,14 @@ class TestSubscriptionsAddUp:
 
 
 class TestMultiEnbSoak:
-    def test_five_enbs_heterogeneous_apps(self):
+    def test_five_enbs_heterogeneous_apps(self, monkeypatch):
         """A larger deployment: 5 eNodeBs, 40 UEs, monitoring +
         mobility + energy apps coexisting; everything stays consistent."""
+        from repro.core.apps import energy as energy_app
         from repro.core.apps.energy import DrxEnergyApp
         from repro.core.apps.monitoring import MonitoringApp
+
+        monkeypatch.setattr(energy_app, "IDLE_WINDOW_TTIS", 300)
 
         sim = Simulation(with_master=True)
         ues = []
@@ -179,7 +182,7 @@ class TestMultiEnbSoak:
                         enb, ue, CbrSource(1.0, start_tti=100))
                 ues.append(ue)
         monitor = MonitoringApp(period_ttis=100)
-        energy = DrxEnergyApp(idle_window_ttis=300)
+        energy = DrxEnergyApp()
         sim.master.add_app(monitor)
         sim.master.add_app(energy)
         sim.run(3000)

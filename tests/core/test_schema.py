@@ -20,6 +20,7 @@ from repro.core.protocol.messages import (
 )
 from repro.core.protocol.schema import CONT, OCTET, VARINT, compile_codec
 from repro.core.protocol.wire import Writer
+from tests.calls import Calls, count
 
 
 class TestStrictBool:
@@ -100,21 +101,13 @@ class TestGeneratedCodeIsLegible:
         assert "IndexError" in text      # ... kept as the error's context
 
 
-def builtin_calls(record) -> list:
-    """The built-ins (``c_call`` events) that encoding *record* calls."""
-    w = Writer()
-    calls = []
+def encode_calls(record) -> Calls:
+    """The calls encoding *record* makes (``tests/calls.py``); the width
+    tests compare its built-ins, the calls that move the bytes."""
+    return count(record.encode, Writer())
 
-    def hook(frame, event, arg):
-        if event == "c_call":
-            calls.append(getattr(arg, "__qualname__", repr(arg)))
 
-    sys.setprofile(hook)
-    try:
-        record.encode(w)
-    finally:
-        sys.setprofile(None)
-    return calls
+BYTE_APPEND = "<method 'append' of 'bytearray' objects>"
 
 
 def ue_record(scale: int, vector=list) -> UeStatsReport:
@@ -151,23 +144,23 @@ class TestEncodeCallBudget:
     def test_a_ue_record_calls_the_same_at_any_varint_width(self, scale):
         narrow, wide = ue_record(1), ue_record(scale)
         assert len(self.encoded(wide)) > 2 * len(self.encoded(narrow))
-        calls = builtin_calls(narrow)
-        assert calls == builtin_calls(wide)
-        assert "bytearray.append" not in calls
+        calls = encode_calls(narrow).builtins()
+        assert calls == encode_calls(wide).builtins()
+        assert BYTE_APPEND not in calls
 
     def test_a_vector_below_the_bulk_range_skips_one_bound(self):
         # The bulk check of a list<svarint> tests min() first; a vector
         # that fails it never calls max(): one call fewer, never more.
         record = ue_record(2 ** 14)
-        calls = builtin_calls(record)
+        calls = encode_calls(record).total
         record.subband_sinr_db_x10 = [-x for x in
                                       record.subband_sinr_db_x10]
-        assert len(builtin_calls(record)) == len(calls) - 1
+        assert encode_calls(record).total == calls - 1
 
     def test_a_cell_record_calls_the_same_at_6_and_100_prbs(self):
-        calls = builtin_calls(cell_record(6))
-        assert calls == builtin_calls(cell_record(100))
-        assert "bytearray.append" not in calls
+        calls = encode_calls(cell_record(6)).builtins()
+        assert calls == encode_calls(cell_record(100)).builtins()
+        assert BYTE_APPEND not in calls
 
     def test_tuple_vectors_encode_as_lists_do(self):
         assert (self.encoded(ue_record(1, tuple))

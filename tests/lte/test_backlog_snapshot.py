@@ -8,9 +8,11 @@ them; a snapshot handed out is never mutated (DESIGN.md sections 6 and
 8).
 """
 
-import cProfile
 from collections import Counter
 from dataclasses import astuple
+from typing import Dict, Tuple
+
+import pytest
 
 from repro.core.agent.api import AgentDataPlaneApi
 from repro.lte.cell import CellConfig
@@ -18,6 +20,7 @@ from repro.lte.enodeb import EnodeB
 from repro.lte.phy.channel import FixedCqi
 from repro.lte.rlc import RlcEntity
 from repro.lte.ue import Ue
+from tests.calls import Calls, expose_draws
 from tests.lte.test_change_records import connected_enb
 
 
@@ -80,54 +83,90 @@ def test_both_readers_share_one_build_per_rlc_change(monkeypatch):
     assert builds == changes
 
 
-def calls_per_block(ttis: int = 200, *, whole_trip: bool = False) -> float:
-    """Calls a one-cell, one-UE saturated eNodeB makes per transmitted
-    block, counted as the ttibudget benchmark does: every Python
-    function call, and every built-in call charged to its caller.  The
-    transmit pass alone, or with *whole_trip* the plan pass too
-    (feedback, RRC, CQI refresh, context, scheduler, validation):
-    saturated, every TTI sends one block and takes one block's HARQ
+def calls_per_block(ttis: int = 200, *,
+                    whole_trip: bool = False) -> Tuple[float, Calls]:
+    """The calls a one-cell, one-UE saturated eNodeB makes per
+    transmitted block, its generator's draws included (``tests/calls.py``):
+    the transmit pass alone, or with *whole_trip* the plan pass too
+    (feedback, RRC, CQI refresh, context, scheduler, validation).
+    Saturated, every TTI sends one block and takes one block's HARQ
     feedback, so a TTI is one block's whole trip."""
     enb = EnodeB(1, [CellConfig(cell_id=10)])
+    expose_draws(enb)
     rnti = enb.attach_ue(Ue("001", FixedCqi(12)), 10, tti=0)
     for tti in range(40):
         enb.enqueue_dl(rnti, 1500, tti)
         enb.tick(tti)
-    profiler = cProfile.Profile()
+    calls = Calls()
     blocks = enb.counters.dl_assignments
     for tti in range(40, 40 + ttis):
         for _ in range(4):
             enb.enqueue_dl(rnti, 1500, tti)
         if whole_trip:
-            profiler.enable()
-        enb.plan(tti)
-        profiler.enable()
-        enb.transmit(tti)
-        profiler.disable()
+            calls.run(enb.plan, tti)
+        else:
+            enb.plan(tti)
+        calls.run(enb.transmit, tti)
     blocks = enb.counters.dl_assignments - blocks
     assert blocks == ttis  # saturated: one block per TTI
-    calls = 0
-    for entry in profiler.getstats():
-        if not isinstance(entry.code, str):
-            calls += entry.callcount
-            calls += sum(callee.callcount for callee in entry.calls or ()
-                         if isinstance(callee.code, str))
-    return calls / blocks
+    return calls.total / blocks, calls
 
 
 def test_a_transmitted_block_stays_under_its_call_ceiling():
     # 49.5 calls per block before the transmit path was first trimmed,
-    # 31.5 after it, 22.5 since a block's trip makes no needless call
-    # (CPython 3.11); the ceiling (~20 % over) leaves room for other
-    # interpreters' profilers.
-    assert calls_per_block() < 27
+    # 31.5 after it, 21.455 since a block's trip makes no needless call
+    # (CPython 3.11, exact).
+    per_block, calls = calls_per_block()
+    assert per_block <= 21.455, calls
 
 
 def test_a_blocks_whole_trip_stays_under_its_call_ceiling(monkeypatch):
     # Schedule, validate, transmit, HARQ feedback, delivery: 100.5
     # calls per block while idle sub-passes and the trip's helpers
-    # were calls, 59.5 since (CPython 3.11; ceiling ~20 % over).
-    # Counted on the eNodeB's own build_context: the autouse context
-    # oracle is undone first.
+    # were calls, 52.455 since (CPython 3.11, exact).  Counted on the
+    # eNodeB's own build_context: the autouse context oracle is undone
+    # first.
     monkeypatch.undo()
-    assert calls_per_block(whole_trip=True) < 72
+    per_block, calls = calls_per_block(whole_trip=True)
+    assert per_block <= 52.455, calls
+
+
+def calls_per_settled_change(ttis: int = 100) -> Tuple[int, Dict[str, Calls]]:
+    """Settled RLC changes, and the calls of each stretch they pass
+    through: the write (EPC ingress), the view cache's refresh
+    (``build_context``) and the agent's record pass.  Four connected
+    UEs, two of them written to on every TTI; nothing else changes."""
+    enb, rntis = connected_enb(n_ues=4)
+    api = AgentDataPlaneApi(enb)
+    for rnti in rntis:  # every bearer exists, every view is backlogged
+        enb.enqueue_dl(rnti, 900, 39)
+    enb.build_context(10, 39)
+    api.collect_ue_stats(39, -1)
+    since = enb.change_seq
+    windows = {"write": Calls(), "view": Calls(), "record": Calls()}
+    changes = 0
+    for tti in range(40, 40 + ttis):
+        for rnti in rntis[tti % 2::2]:
+            windows["write"].run(enb.enqueue_dl, rnti, 900, tti)
+            changes += 1
+        windows["view"].run(enb.build_context, 10, tti)
+        windows["record"].run(api.collect_ue_stats, tti, since)
+        since = enb.change_seq
+    return changes, windows
+
+
+# Per settled change, CPython 3.11, exact: the writer records it through
+# its entity's hook and no caller marks it on the entity's behalf; the
+# eNodeB's settle hands it to every reader's dirty sets and no per-kind
+# sequence stands beside them; each reader takes the RLC's one backlog
+# snapshot and counts no queue itself.
+SETTLED_CHANGE_CEILINGS = {"write": 9.0, "view": 5.0, "record": 11.0}
+
+
+@pytest.mark.parametrize("window", sorted(SETTLED_CHANGE_CEILINGS))
+def test_a_settled_change_stays_under_its_call_ceiling(window, monkeypatch):
+    monkeypatch.undo()  # the eNodeB's own build_context, not the oracle
+    changes, windows = calls_per_settled_change()
+    assert changes == 200
+    calls = windows[window]
+    assert calls.total / changes <= SETTLED_CHANGE_CEILINGS[window], calls

@@ -20,6 +20,7 @@ from repro.lte.mac.schedulers import (
 )
 from repro.lte.phy.channel import FixedCqi
 from repro.lte.ue import Ue
+from tests.calls import Calls
 from tests.lte.pf_oracle import max_per_pick
 from tests.lte.rr_oracle import rotate_copy_refilter
 
@@ -216,6 +217,22 @@ class TestProportionalFair:
         out = sched(ctx_with(ues, tti=10 + k))
         assert out == max_per_pick(ctx_with(ues, tti=10 + k), oracle, 0.25)
         assert hexed(sched._avg_rate) == hexed(oracle)
+
+    def test_a_pass_stays_under_its_call_ceiling(self):
+        # 20 backlogged candidates whose queues take a few PRBs each, so
+        # a pass picks several: 32 picks over 10 passes.  54.8 calls per
+        # pass since the metrics are ranked once (CPython 3.11, exact);
+        # a max per pick, as tests/lte/pf_oracle.py takes, costs more.
+        sched = ProportionalFairScheduler()
+        ues = [UeView(rnti=70 + i, queue_bytes=300, cqi=6 + i % 10)
+               for i in range(20)]
+        calls, picks = Calls(), 0
+        for tti in range(10):
+            ctx = SchedulingContext(tti=tti, n_prb=25, ues=ues,
+                                    backlogged_ues=ues, schedulable_ues=ues)
+            picks += len(calls.run(sched.schedule, ctx))
+        assert picks == 32
+        assert calls.total / 10 <= 54.8, calls
 
 
 class TestMaxCqi:

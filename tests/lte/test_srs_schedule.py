@@ -12,7 +12,6 @@ a new value at the TTI the every-period schedule
 (``tests/lte/srs_oracle.py``) would have delivered it.
 """
 
-import cProfile
 import re
 from pathlib import Path
 
@@ -31,6 +30,7 @@ from repro.lte.phy.channel import (
     SquareWaveCqi,
 )
 from repro.lte.ue import Ue
+from tests.calls import Calls, count
 from tests.lte.srs_oracle import ShadowedCell
 
 PCELL, SCELL = 10, 11
@@ -361,11 +361,10 @@ def test_forced_refresh_rereads_after_a_change_within_the_tti():
 
 # -- what a pass costs --------------------------------------------------------
 
-def pass_calls(tti: int, ues: int = 50) -> float:
-    """Calls one periodic pass makes, at *tti*, over a cell of *ues*
-    fading UEs all attached at TTI 0 (one SRS phase), counted as the
-    ttibudget benchmark does: every Python function call, and every
-    built-in call charged to its caller."""
+def pass_calls(tti: int, ues: int = 50) -> Calls:
+    """The calls one periodic pass makes (``tests/calls.py``), at *tti*,
+    over a cell of *ues* fading UEs all attached at TTI 0 (one SRS
+    phase)."""
     enb = EnodeB(1)
     for i in range(ues):
         enb.attach_ue(Ue(f"{i:03d}", GaussMarkovSinr(12.0, sigma_db=3.0,
@@ -373,17 +372,7 @@ def pass_calls(tti: int, ues: int = 50) -> float:
     cell = enb.cell()
     for t in range(tti):
         cell.refresh_cqi(t)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    cell.refresh_cqi(tti)
-    profiler.disable()
-    calls = 0
-    for entry in profiler.getstats():
-        if not isinstance(entry.code, str):
-            calls += entry.callcount
-            calls += sum(callee.callcount for callee in entry.calls or ()
-                         if isinstance(callee.code, str))
-    return calls
+    return count(cell.refresh_cqi, tti)
 
 
 def test_a_due_pass_costs_one_channel_read_per_ue():
@@ -391,12 +380,15 @@ def test_a_due_pass_costs_one_channel_read_per_ue():
     # observation went through _refresh_one, Ue.channel_for and the
     # generic ChannelModel.cqi; 8.3 since a pass serves due buckets
     # through one Cell._observe call and makes one channel call per UE
-    # (CPython 3.11; at this TTI every channel draws a new noise block).
-    assert pass_calls(4 * SRS_PERIOD_TTIS) / 50 < 9
+    # (CPython 3.11, exact; at this TTI every channel draws a new noise
+    # block).
+    calls = pass_calls(4 * SRS_PERIOD_TTIS)
+    assert calls.total / 50 <= 8.3, calls
 
 
 def test_a_pass_with_nothing_due_makes_no_call():
-    assert pass_calls(4 * SRS_PERIOD_TTIS + 3) == 1  # refresh_cqi itself
+    calls = pass_calls(4 * SRS_PERIOD_TTIS + 3)
+    assert calls.total == 1, calls  # refresh_cqi itself
 
 
 # -- who reads the stamp -------------------------------------------------------

@@ -2,37 +2,17 @@
 
 Every instrumentation site tests ``obs.live`` and resolves the registry,
 tracer or correlator only inside the branch, so while observability is
-off no Python frame of the package is entered.  A profile hook sees
-every frame the run enters; the same hook with observability on is the
-control that shows it is not blind.
+off no function of the package is called, and nothing charges a call to
+its layer.  The counter (``tests/calls.py``) sees every call the run
+makes; the same run with observability on is the control that shows it
+is not blind.
 """
 
-import os
-import sys
-
-import repro.obs
 from repro import obs
 from repro.sim.scenarios import large_scale
+from tests.calls import count
 
-OBS_DIR = os.path.dirname(os.path.abspath(repro.obs.__file__)) + os.sep
 N_TTIS = 50
-
-
-def obs_frames_entered(sim):
-    """Names of the ``repro.obs`` functions entered during the run."""
-    entered = []
-
-    def hook(frame, event, arg):
-        if (event == "call"
-                and frame.f_code.co_filename.startswith(OBS_DIR)):
-            entered.append(frame.f_code.co_name)
-
-    sys.setprofile(hook)
-    try:
-        sim.run(N_TTIS)
-    finally:
-        sys.setprofile(None)
-    return entered
 
 
 def build_sim():
@@ -43,11 +23,14 @@ def build_sim():
 
 def test_off_enters_no_obs_frame():
     obs.disable()
-    assert obs_frames_entered(build_sim()) == []
+    calls = count(build_sim().run, N_TTIS)
+    assert calls.layers()["obs"] == 0, calls
 
 
 def test_on_enters_obs_frames():
     sim = build_sim()
     with obs.enabled_scope(trace=False):
-        entered = obs_frames_entered(sim)
-    assert "counter" in entered and "span" in entered
+        calls = count(sim.run, N_TTIS)
+    functions = calls.functions()
+    assert functions["obs/registry.py:MetricsRegistry.counter"] > 0
+    assert functions["obs/trace.py:NullTraceRecorder.span"] > 0

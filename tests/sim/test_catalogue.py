@@ -14,6 +14,7 @@ from repro.core.protocol.messages import ReportType
 from repro.lte.enodeb import EnodeB
 from repro.sim import scenarios
 from repro.sim.scenarios import CATALOGUE
+from tests.calls import Calls
 
 TTIS = 50
 
@@ -52,26 +53,20 @@ def test_stats_runs_every_entry(name, capsys):
 
 
 def test_every_public_builder_is_reached():
-    builders = {getattr(scenarios, name).__code__: name
-                for name in public_builders()}
+    builders = set(public_builders())
     assert {"quickstart", "mobility_handover", "wifi_sdran",
-            "large_scale"} <= set(builders.values())
-    called = set()
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code in builders:
-            called.add(builders[frame.f_code])
-
+            "large_scale"} <= builders
+    calls = Calls()
     sims = []
-    sys.setprofile(profile)
     try:
         for build, _ in CATALOGUE.values():
-            sims.append(build(seed=0).sim)
+            sims.append(calls.run(build, seed=0).sim)
     finally:
-        sys.setprofile(None)
         for sim in sims:
             sim.close()
-    assert called == set(builders.values())
+    functions = calls.functions()
+    assert {name for name in builders
+            if functions[f"sim/scenarios.py:{name}"]} == builders
 
 
 def test_the_feature_tour_reaches_what_keeps_its_code(monkeypatch):

@@ -135,7 +135,7 @@ class TestFig12Shape:
             initial_fractions={"mno": 0.7, "mvno": 0.3},
             changes=[ShareChange(at_tti=3000,
                                  fractions={"mno": 0.4, "mvno": 0.6})])
-        app = MonitoringApp(period_ttis=100, stats_period_ttis=10)
+        app = MonitoringApp(period_ttis=100)
         sc.sim.master.add_app(app)
         sc.sim.run(6000)
         agent_id = sc.agent.agent_id

@@ -111,7 +111,7 @@ class TestThroughputAbr:
         assert abr.choose(client, 0) == 1.0
 
     def test_climbs_with_fast_downloads(self):
-        abr = ThroughputAbr(aggressiveness=1.4)
+        abr = ThroughputAbr()
         enb, flow, video, client = build_client(cqi=15, abr=abr,
                                                 buffer_cap_s=60.0)
         drive(enb, flow, client, 20_000)
@@ -120,15 +120,11 @@ class TestThroughputAbr:
         assert client.bitrate_series[-1][1] == 4.0
 
     def test_panic_on_empty_buffer(self):
-        abr = ThroughputAbr(panic_buffer_s=2.0)
+        abr = ThroughputAbr()
         abr.estimate_mbps = 50.0
         enb, flow, video, client = build_client(abr=abr)
         client.buffer_ms = 0.0
         assert abr.choose(client, 0) == 1.0
-
-    def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            ThroughputAbr(ewma_alpha=0.0)
 
 
 class TestWindowedAbr:

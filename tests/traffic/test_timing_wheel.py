@@ -22,6 +22,7 @@ from repro.traffic.generators import (
     PoissonSource,
     SaturatingSource,
 )
+from tests.calls import Calls
 
 
 class TestCbrDeltaCrediting:
@@ -180,3 +181,27 @@ def test_wheel_equals_dense_loop(name, uplink, attach_at):
     expected = dense_loop(SOURCES[name](), attach_at, ttis)
     assert sum(n for n, _ in expected) > 0
     assert offered == expected
+
+
+def test_a_packet_stays_under_its_call_ceiling_beside_idle_flows():
+    # A downlink and an uplink flow of one 1 400 B packet every other
+    # TTI beside 30 flows that never emit: 200 packets over 200 TTIs.
+    # 22.5 calls per packet, idle flows costing none, since every flow
+    # waits on the wheel (CPython 3.11, exact).
+    enb = EnodeB(1)
+    rntis = [enb.attach_ue(Ue(f"{i:03d}", FixedCqi(15)), tti=0)
+             for i in range(4)]
+    epc = EpcStub()
+    flows = [epc.add_downlink(CbrSource(5.6), enb, rntis[0]),
+             epc.add_uplink(CbrSource(5.6), enb, rntis[1])]
+    for i in range(30):
+        epc.add_downlink(CbrSource(0.0), enb, rntis[i % 4])
+    for t in range(10):
+        epc.tick(t)
+    before = sum(stats.offered_packets for stats in flows)
+    calls = Calls()
+    for t in range(10, 210):
+        calls.run(epc.tick, t)
+    packets = sum(stats.offered_packets for stats in flows) - before
+    assert packets == 200
+    assert calls.total / packets <= 22.5, calls
