@@ -48,8 +48,6 @@ _ENB_EVENT_TYPES = {
 
 _new = object.__new__
 
-_NO_NEIGHBORS: Dict[int, int] = {}  # shared: records are never written
-
 _QUEUES, _CQI, _HARQ, _RLC, _PDCP = (int(flag) for flag in (
     StatsFlags.QUEUES, StatsFlags.CQI, StatsFlags.HARQ, StatsFlags.RLC,
     StatsFlags.PDCP))
@@ -62,7 +60,8 @@ KIND_GROUPS = {
     "pdcp": _PDCP,            # pdcp_*_bytes, rx_bytes_total (delivery)
     "harq": _HARQ,
     "rrc": UNGROUPED,
-    "cqi": _CQI,              # known CQIs; a replaced channel object
+    "cqi": _CQI,              # known CQIs
+    "measurement": _CQI,      # the reported SINR and neighbor-cell CQIs
     "ul_buffer": _QUEUES,     # ul_buffer_bytes
     "view": 0,                # bearer QoS and DRX: scheduler views only
 }
@@ -75,25 +74,15 @@ HandoverExecutor = Callable[[int, int, int, int], bool]
 deployment wires to actually move a UE between eNodeBs."""
 
 
-def _observe_channel(ue: Ue, tti: int) -> Tuple[int, Dict[int, int]]:
-    """The channel-driven report fields of *ue* at *tti*: serving SINR
-    (dB x10, fixed point) and the CQI toward each neighbor cell."""
-    neighbors = ue.neighbor_channels
-    return (int(round(ue.measured_sinr_db(tti) * 10)),
-            {cid: ch.cqi(tti) for cid, ch in neighbors.items()}
-            if neighbors else _NO_NEIGHBORS)
-
-
 class AgentDataPlaneApi:
     """Function-call facade over one eNodeB's data plane."""
 
     def __init__(self, enb: EnodeB) -> None:
         self._enb = enb
         self._handover_executor: Optional[HandoverExecutor] = None
-        # collect_ue_stats's memory: per RNTI the last record; the RNTIs
-        # whose channel can move; per kind, its dirty set and group bits.
+        # collect_ue_stats's memory: per RNTI the last record; per kind,
+        # its dirty set and group bits.
         self._records: Dict[int, UeStatsReport] = {}
-        self._moving: Set[int] = set()
         self._moved: Optional[List[Tuple[Set[int], int]]] = None
 
     @property
@@ -144,15 +133,12 @@ class AgentDataPlaneApi:
             self, tti: int,
             since_seq: int) -> List[Tuple[int, UeStatsReport]]:
         """``(seq, record)``, in RNTI order, of every UE whose sequence
-        is above *since_seq* (``-1``: all) after one pass over those UEs
-        and the ones whose channel can move (not ``time_invariant``, or
-        neighbor channels).  Such a channel, or one whose ``cqi`` kind
-        moved, is observed, and a move of what was seen folds into the
-        eNodeB's sequence.  One record per UE is kept; a visit re-reads
-        only the groups moved since the UE's last visit (the kinds whose
-        dirty set, filled by the eNodeB's settle, holds it, through
-        :data:`KIND_GROUPS`; the observation) and shares the rest.  A
-        record handed out is never mutated afterwards, only replaced.
+        is above *since_seq* (``-1``: all), after one pass over those
+        UEs.  One record per UE is kept; a visit re-reads only the
+        groups moved since the UE's last visit (the kinds whose dirty
+        set, filled by the eNodeB's settle, holds it, through
+        :data:`KIND_GROUPS`) and shares the rest.  A record handed out
+        is never mutated afterwards, only replaced.
         """
         enb = self._enb
         moved = self._moved
@@ -161,50 +147,35 @@ class AgentDataPlaneApi:
             enb.settle_into(sets)
             moved = self._moved = [(sets[k], KIND_GROUPS[k]) for k in sets]
         seqs = enb.ue_change_seqs()
-        records, moving = self._records, self._moving
+        records = self._records
         changed = {}
         for rnti, seq in reversed(seqs.items()):  # value order
             if seq <= since_seq:
                 break
             changed[rnti] = seq
-        visit = changed.keys() | moving
         out: List[Tuple[int, UeStatsReport]] = []
-        for rnti in sorted(visit):
-            if rnti not in seqs:
-                continue  # a moving UE that left; forgotten below
-            seq = seqs[rnti]
+        for rnti in sorted(changed):
             prev = records[rnti] if rnti in records else None
             bits = _WHOLE if prev is None else 0
             for dirty, kind_bits in moved:
                 if rnti in dirty:
                     bits |= kind_bits
-            cell = enb.primary_cell(rnti)
-            ue = cell.ues[rnti]
-            observed = None
-            if bits & _CQI or rnti in moving:
-                observed = _observe_channel(ue, tti)
-                if prev is None or observed != (
-                        prev.subband_sinr_db_x10[0], prev.neighbor_cqi):
-                    seq = enb.mark_ue_report_dirty(rnti)
-                    bits |= _CQI
-                if ue.channel.time_invariant and not ue.neighbor_channels:
-                    if rnti in moving:
-                        moving.discard(rnti)
-                elif rnti not in moving:
-                    moving.add(rnti)
             record = prev
             if bits:
+                cell = enb.primary_cell(rnti)
                 record = records[rnti] = self._build_record(
-                    rnti, ue, cell, bits, observed, prev)
-            if seq > since_seq:
-                out.append((seq, record))
-        for dirty, _ in moved:  # not clear(): since_seq skipped some
-            dirty -= visit
+                    rnti, cell.ues[rnti], cell, bits, prev)
+            out.append((changed[rnti], record))
+        if changed:
+            # A set, not the keys view: ``dirty -= changed.keys()``
+            # would rebind the name and drain nothing.
+            visited = set(changed)
+            for dirty, _ in moved:  # not clear(): since_seq skipped some
+                dirty -= visited
         if len(records) > len(seqs):
             # Every attached UE has a record by now: the rest departed.
             for rnti in [r for r in records if r not in seqs]:
                 del records[rnti]
-                moving.discard(rnti)
         return out
 
     def get_ue_stats(self, tti: int) -> List[UeStatsReport]:
@@ -215,22 +186,18 @@ class AgentDataPlaneApi:
         and changes no reporting state.
         """
         enb = self._enb
-        out = []
-        for rnti in enb.rntis():
-            ue = enb.ue(rnti)
-            out.append(self._build_record(rnti, ue, enb.primary_cell(rnti),
-                                          _WHOLE, _observe_channel(ue, tti)))
-        return out
+        return [self._build_record(rnti, enb.ue(rnti), enb.primary_cell(rnti),
+                                   _WHOLE)
+                for rnti in enb.rntis()]
 
     def _build_record(self, rnti: int, ue: Ue, cell: Cell, bits: int,
-                      observed: Optional[Tuple[int, Dict[int, int]]],
                       prev: Optional[UeStatsReport] = None
                       ) -> UeStatsReport:
         """The one place a :class:`UeStatsReport` is assembled: *prev*
         with the groups in *bits* (``UNGROUPED``: ``rrc_state``) re-read
         and every other field shared, or, with no *prev*, a whole record
-        (*bits* must then hold every group).  The CQI group carries
-        *observed*, ``(sinr_x10, neighbor_cqi)``.  Each field is one
+        (*bits* must then hold every group).  The CQI group is what the
+        cell observed at the UE's last SRS instant.  Each field is one
         slot store, as in the generated ``decode``: the dataclass
         ``__init__`` costs more than the walks below."""
         enb = self._enb
@@ -248,13 +215,12 @@ class AgentDataPlaneApi:
             record.queues = prev.queues
             record.ul_buffer_bytes = prev.ul_buffer_bytes
         if bits & _CQI:
-            known, clear = cell.known_cqi, cell.known_cqi_clear
-            wb = known[rnti] if rnti in known else 0
-            sinr_x10, record.neighbor_cqi = observed
+            wb = cell.known_cqi[rnti]
             record.wb_cqi = wb
-            record.wb_cqi_clear = clear[rnti] if rnti in clear else 0
+            record.wb_cqi_clear = cell.known_cqi_clear[rnti]
+            record.neighbor_cqi = cell.known_neighbor_cqi[rnti]
             record.subband_cqi = [wb] * SUBBANDS
-            record.subband_sinr_db_x10 = [sinr_x10] * SUBBANDS
+            record.subband_sinr_db_x10 = [cell.known_sinr_x10[rnti]] * SUBBANDS
             record.power_headroom_db = 20
         else:
             record.neighbor_cqi = prev.neighbor_cqi

@@ -3,8 +3,10 @@
 Holds the radio configuration FlexRAN exposes through configuration
 calls (bandwidth, PRB count, band, antenna ports -- Table 1), the set
 of served UEs, the eNodeB's *knowledge* of each UE's CQI (refreshed on
-the SRS/CQI reporting period, hence possibly stale), the ABS muting
-pattern used by eICIC, and the interference wiring between cells.
+the SRS/CQI reporting period, hence possibly stale) and of what each
+UE reported beside it, the ABS muting pattern used by eICIC, and the
+interference wiring between cells.  The SRS observation is the only
+place the eNodeB reads a UE's channel for knowledge.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from repro.lte.constants import (
     prbs_for_bandwidth,
 )
 from repro.lte.ue import Ue
+
+_NO_NEIGHBORS: Dict[int, int] = {}  # shared: a neighbor map is never edited
 
 
 @dataclass
@@ -50,21 +54,30 @@ class CellConfig:
 class Cell:
     """Runtime state of one carrier.
 
-    *on_change* is called with the RNTI whenever a CQI refresh changes
-    the eNodeB's knowledge of that UE, and whenever a channel object of
-    a served UE is replaced.
+    *on_change* is called with the RNTI whenever an observation changes
+    the eNodeB's CQI knowledge of that UE; *on_report* whenever it
+    changes what only a statistics report reads of it (the SINR and
+    the neighbor-cell CQIs the UE reported).
     """
 
     def __init__(self, config: CellConfig,
-                 on_change: Callable[[int], None]) -> None:
+                 on_change: Callable[[int], None],
+                 on_report: Callable[[int], None]) -> None:
         self.config = config
         self._on_change = on_change
+        self._on_report = on_report
         self.ues: Dict[int, Ue] = {}
         # eNodeB's knowledge of UE channel quality: refreshed only every
         # SRS period, under the cell's *assumed* interference state.
+        # Every served UE has an entry: add_ue observes the newcomer.
         self.known_cqi: Dict[int, int] = {}
         self.known_cqi_clear: Dict[int, int] = {}
         self.cqi_updated_tti: Dict[int, int] = {}
+        # What a UE served as its PCell reported at the same observation:
+        # wideband SINR (dB x 10, fixed point) and the CQI toward each
+        # neighbor cell.  A neighbor map is replaced, never edited.
+        self.known_sinr_x10: Dict[int, int] = {}
+        self.known_neighbor_cqi: Dict[int, Dict[int, int]] = {}
         # eICIC: subframes (0-9) where this cell must stay silent.
         self.muted_subframes: Set[int] = set()
         # A runtime cap on usable DL PRBs (PrbCapConfig); None means
@@ -84,29 +97,24 @@ class Cell:
         # the distinct due TTIs; refresh_cqi pops the TTIs due by now
         # and serves their RNTIs in (due, rnti) order, so a TTI with
         # nothing due costs a test and a shared phase one heap pop.  A
-        # forced refresh observes the whole cell at once, so UEs
-        # attached together share a phase (a deployment built at one
-        # TTI reports on one TTI in SRS_PERIOD_TTIS).  Entries are
-        # invalidated lazily: a served entry for a detached or parked
-        # RNTI is dropped, and one refreshed more recently than its due
-        # TTI implies (forced refresh, RNTI reuse) is re-queued at the
-        # true due TTI.  A newcomer waits in _srs_new, due before any
-        # bucket.
+        # newcomer is observed at the TTI it is added and then reports
+        # on that phase, so UEs attached together share one (a
+        # deployment built at one TTI reports on one TTI in
+        # SRS_PERIOD_TTIS).  Entries are invalidated lazily: a served
+        # entry for a detached or parked RNTI is dropped, and one
+        # observed more recently than its due TTI implies (RNTI reuse)
+        # is re-queued at the true due TTI.
         self._srs_due: Dict[int, Set[int]] = {}
         self._srs_due_ttis: List[int] = []
-        self._srs_new: Set[int] = set()
         # Parked RNTIs have no live entry: they were observed on a
         # channel object that declares time_invariant, with no
-        # interferer, so their next report cannot differ.  For them
-        # cqi_updated_tti is the last observation, however old; a
-        # replaced channel object or a new interferer re-arms them.
+        # interferer and no neighbor channels, so their next report
+        # cannot differ.  For them cqi_updated_tti is the last
+        # observation, however old; a replaced channel object or a new
+        # interferer re-arms them.
         self._srs_parked: Set[int] = set()
         # Last TTI the periodic pass served (_rearm's "now").
         self._srs_served_tti = -1
-        # TTI of the last forced pass, while cqi_updated_tti == that TTI
-        # still vouches for an observation (reads repeat within a TTI);
-        # a replaced channel object or interferer change voids it.
-        self._fresh_tti: Optional[int] = None
 
     @property
     def cell_id(self) -> int:
@@ -122,7 +130,6 @@ class Cell:
         self._interference_source = source
         # Under an interferer every report has two states to tell
         # apart, so nobody stays parked.
-        self._fresh_tti = None
         for rnti in self._srs_parked:
             self._rearm(rnti)
         self._srs_parked.clear()
@@ -135,22 +142,26 @@ class Cell:
         width = self.config.n_prb_dl
         self.n_prb = width if cap is None else min(width, cap)
 
-    def add_ue(self, rnti: int, ue: Ue, *, primary: bool = True) -> None:
+    def add_ue(self, rnti: int, ue: Ue, tti: int, *,
+               primary: bool = True) -> None:
+        """Serve *rnti* from *tti* on, observing it there: the newcomer,
+        and nobody else, is then on the SRS grid of *tti* or parked."""
         if rnti in self.ues:
             raise ValueError(f"RNTI {rnti} already served by cell {self.cell_id}")
         self.ues[rnti] = ue
-        # The newcomer has no CQI knowledge yet: due immediately, so
-        # the next refresh_cqi call observes it.
-        self._srs_new.add(rnti)
         ue.watch_channels(self.cell_id, partial(self._channel_swapped, rnti))
         if primary:
             ue.serving_cell_id = self.cell_id
+        if self._observe([rnti], tti):
+            self._queue(tti + SRS_PERIOD_TTIS, (rnti,))
 
     def remove_ue(self, rnti: int) -> Ue:
         ue = self.ues.pop(rnti)
         ue.unwatch_channels(self.cell_id)
         self._srs_parked.discard(rnti)
-        for mapping in (self.known_cqi, self.known_cqi_clear, self.cqi_updated_tti):
+        for mapping in (self.known_cqi, self.known_cqi_clear,
+                        self.cqi_updated_tti, self.known_sinr_x10,
+                        self.known_neighbor_cqi):
             mapping.pop(rnti, None)
         return ue
 
@@ -176,7 +187,7 @@ class Cell:
         source = self._interference_source
         return source is None or source.is_muted(tti)
 
-    def refresh_cqi(self, tti: int, *, force: bool = False) -> None:
+    def refresh_cqi(self, tti: int) -> None:
         """Update the eNodeB's CQI knowledge on the SRS period.
 
         Two values are tracked per UE: the CQI under interference (the
@@ -184,28 +195,11 @@ class Cell:
         restricted-measurement report eICIC introduces).  For cells
         without an interferer the two coincide.
         """
-        has_aggressor = self._interference_source is not None
-        updated = self.cqi_updated_tti
-        if force:
-            # Forced full refresh (attach, SCell activation): observe
-            # every UE now, except those an earlier forced pass already
-            # observed at this TTI; existing entries lazily re-queue
-            # themselves at the new due TTIs as they are served.
-            if tti == self._fresh_tti:
-                rntis = [rnti for rnti in self.ues
-                         if updated.get(rnti) != tti]
-            else:
-                rntis = list(self.ues)
-            self._observe(rntis, tti, has_aggressor)
-            self._fresh_tti = tti
-            return
         self._srs_served_tti = tti
-        new = self._srs_new
         due_ttis = self._srs_due_ttis
-        if not new and not (due_ttis and due_ttis[0] <= tti):
+        if not (due_ttis and due_ttis[0] <= tti):
             return
-        batch = sorted(new)
-        new.clear()
+        batch = []
         due = self._srs_due
         while due_ttis and due_ttis[0] <= tti:
             batch += sorted(due.pop(heapq.heappop(due_ttis)))
@@ -214,15 +208,16 @@ class Cell:
         # TTI, which reads the same values again.
         ues = self.ues
         parked = self._srs_parked
+        updated = self.cqi_updated_tti
         live = [rnti for rnti in batch if rnti in ues and rnti not in parked]
-        rntis = [rnti for rnti in live if rnti not in updated
-                 or tti - updated[rnti] >= SRS_PERIOD_TTIS]
+        rntis = [rnti for rnti in live
+                 if tti - updated[rnti] >= SRS_PERIOD_TTIS]
         if len(rntis) < len(live):
-            # Refreshed more recently than their entries knew (forced
-            # refresh, or RNTI reuse): re-queue at the true due TTIs.
+            # Observed more recently than their entries knew (a re-used
+            # RNTI): re-queue at the true due TTIs.
             for rnti in set(live).difference(rntis):
                 self._queue(updated[rnti] + SRS_PERIOD_TTIS, (rnti,))
-        moving = self._observe(rntis, tti, has_aggressor)
+        moving = self._observe(rntis, tti)
         if moving:
             self._queue(tti + SRS_PERIOD_TTIS, moving)
 
@@ -234,21 +229,25 @@ class Cell:
             heapq.heappush(self._srs_due_ttis, due_tti)
         bucket.update(rntis)
 
-    def _observe(self, rntis: List[int], tti: int,
-                 has_aggressor: bool) -> List[int]:
-        """Refresh the eNodeB's CQI knowledge of *rntis* at *tti*, in
-        that order.
+    def _observe(self, rntis: List[int], tti: int) -> List[int]:
+        """Refresh the eNodeB's knowledge of *rntis* at *tti*, in that
+        order: the CQIs and, for the UEs this is the PCell of, the SINR
+        and neighbor-cell CQIs they report.
 
         Parks the UEs whose next report cannot differ from this one and
         returns the others, which stay on the SRS schedule.  One call
         per pass: an observation costs the channel's reads and nothing
         else.
         """
+        has_aggressor = self._interference_source is not None
         ues = self.ues
         known = self.known_cqi
         known_clear = self.known_cqi_clear
+        sinrs = self.known_sinr_x10
+        neighbor_cqis = self.known_neighbor_cqi
         updated = self.cqi_updated_tti
         record = self._on_change
+        record_report = self._on_report
         cell_id = self.config.cell_id
         settled = []
         for rnti in rntis:
@@ -264,7 +263,17 @@ class Cell:
             known[rnti] = cqi
             known_clear[rnti] = cqi_clear
             updated[rnti] = tti
-            if not has_aggressor and channel.time_invariant:
+            neighbors = ue.neighbor_channels
+            if ue.serving_cell_id == cell_id:
+                sinr_x10 = round(channel.sinr_db(tti) * 10)
+                seen = ({cid: ch.cqi(tti) for cid, ch in neighbors.items()}
+                        if neighbors else _NO_NEIGHBORS)
+                if sinrs.get(rnti) != sinr_x10 or \
+                        neighbor_cqis.get(rnti) != seen:
+                    record_report(rnti)
+                    sinrs[rnti] = sinr_x10
+                    neighbor_cqis[rnti] = seen
+            if not has_aggressor and channel.time_invariant and not neighbors:
                 settled.append(rnti)
         if not settled:
             return rntis
@@ -273,12 +282,9 @@ class Cell:
         return [rnti for rnti in rntis if rnti not in parked]
 
     def _channel_swapped(self, rnti: int) -> None:
-        """A channel object of served UE *rnti* was replaced: a change
-        of the UE's channel, recorded even before the next observation
-        (which records again only if the CQI moved), because what the
-        UE reports of it may have moved without its CQI."""
-        self._on_change(rnti)
-        self._fresh_tti = None
+        """A channel object of served UE *rnti* was replaced: a parked UE
+        re-arms.  Nothing the eNodeB knows has moved until the next
+        observation, which records what it finds."""
         if rnti in self._srs_parked:
             self._srs_parked.discard(rnti)
             self._rearm(rnti)
@@ -298,7 +304,7 @@ class Cell:
 
         If the dominant interferer is known to be muted in this
         subframe (ABS), or there is none, the interference-free CQIs
-        apply.  A UE not yet observed is absent (read it as 0).
+        apply.
         """
         source = self._interference_source
         if source is None or source.is_muted(tti):
@@ -307,7 +313,7 @@ class Cell:
 
     def scheduling_cqi(self, rnti: int, tti: int) -> int:
         """CQI the scheduler should assume for *rnti* at *tti*."""
-        return self.scheduling_cqis(tti).get(rnti, 0)
+        return self.scheduling_cqis(tti)[rnti]
 
     def actual_cqi(self, rnti: int, tti: int) -> int:
         """Ground-truth CQI at transmission time.

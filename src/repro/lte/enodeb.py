@@ -66,10 +66,11 @@ DlSchedulerHook = Callable[[SchedulingContext], List[DlAssignment]]
 UlSchedulerHook = Callable[[SchedulingContext], List[UlGrant]]
 
 CHANGE_KINDS = ("membership", "rlc", "pdcp", "harq", "rrc", "cqi",
-                "ul_buffer", "view")
+                "measurement", "ul_buffer", "view")
 """What a recorded UE change was a change of, one record set each: the
 entity that made it (RLC, PDCP, HARQ, RRC; ``cqi`` is a cell's CQI
-knowledge of the UE or a replaced channel object of it), or state the
+knowledge of the UE, ``measurement`` the SINR and neighbor-cell CQIs
+its PCell observed beside it, which only reports read), or state the
 eNodeB owns -- ``membership`` (attach, SCell (de)activation), the UE
 ``ul_buffer``, and the ``view``-only bearer QoS and DRX."""
 
@@ -133,8 +134,7 @@ class EnodeB:
     def __init__(self, enb_id: int,
                  cell_configs: Optional[Sequence[CellConfig]] = None, *,
                  seed: int = 0,
-                 error_model: ErrorModel = DEFAULT_ERROR_MODEL,
-                 rlc_buffer_bytes: Optional[int] = None) -> None:
+                 error_model: ErrorModel = DEFAULT_ERROR_MODEL) -> None:
         self.enb_id = enb_id
         if cell_configs is None:
             cell_configs = [CellConfig(cell_id=enb_id * 10)]
@@ -149,14 +149,15 @@ class EnodeB:
         # readers registered through settle_into.
         self._settle_into = [(recorded, []) for recorded in self._recorded]
         (self._record_membership, self._record_rlc, self._record_pdcp,
-         record_harq, record_rrc, record_cqi, self._record_ul_buffer,
-         self._record_view) = (recorded.add for recorded in self._recorded)
+         record_harq, record_rrc, record_cqi, record_measurement,
+         self._record_ul_buffer, self._record_view) = (
+            recorded.add for recorded in self._recorded)
         self.cells: Dict[int, Cell] = {
-            cfg.cell_id: Cell(cfg, record_cqi) for cfg in cell_configs}
+            cfg.cell_id: Cell(cfg, record_cqi, record_measurement)
+            for cfg in cell_configs}
         self.rrc = RrcEntity(record_rrc)
         self.rrc.subscribe(self._on_rrc_event)
         self.error_model = error_model
-        self._rlc_buffer_bytes = rlc_buffer_bytes
 
         self.rlc: Dict[int, RlcEntity] = {}
         self.pdcp: Dict[int, PdcpEntity] = {}
@@ -192,9 +193,9 @@ class EnodeB:
 
         self._view_cache: Dict[int, UeViewCache] = {
             c: UeViewCache(cell, self) for c, cell in self.cells.items()}
-        # Settled UE changes, departures and report-only changes; and,
-        # from the first ue_change_seqs() read on, per attached RNTI the
-        # value of its last one (delta reports), kept in value order.
+        # Settled UE changes and departures; and, from the first
+        # ue_change_seqs() read on, per attached RNTI the value of its
+        # last one (delta reports), kept in value order.
         self._change_seq = 0
         self._ue_seq: Optional[Dict[int, int]] = None
 
@@ -217,16 +218,13 @@ class EnodeB:
         rnti = self._next_rnti
         self._next_rnti += 1
         ue.rnti = rnti
-        cell.add_ue(rnti, ue)
+        cell.add_ue(rnti, ue, tti)
         self._view_cache[cell.cell_id].add(rnti)
         self._ue_cell[rnti] = cell.cell_id
-        self.rlc[rnti] = RlcEntity(
-            rnti, self._record_rlc,
-            buffer_limit_bytes=self._rlc_buffer_bytes)
+        self.rlc[rnti] = RlcEntity(rnti, self._record_rlc)
         self.pdcp[rnti] = PdcpEntity(rnti, self._record_pdcp)
         self.harq[cell.cell_id].entity(rnti)
         self.rrc.start_attach(rnti, tti)
-        cell.refresh_cqi(tti, force=True)
         self._record_membership(rnti)
         logger.info("enb %d: UE %s attached as RNTI %d on cell %d",
                     self.enb_id, ue.imsi, rnti, cell.cell_id)
@@ -287,10 +285,9 @@ class EnodeB:
         if scell_id in scells:
             return
         ue = self.ue(rnti)
-        self.cells[scell_id].add_ue(rnti, ue, primary=False)
+        self.cells[scell_id].add_ue(rnti, ue, tti, primary=False)
         self._view_cache[scell_id].add(rnti)
         self.harq[scell_id].entity(rnti)
-        self.cells[scell_id].refresh_cqi(tti, force=True)
         scells.add(scell_id)
         self._record_membership(rnti)
 
@@ -420,23 +417,6 @@ class EnodeB:
         if self._ue_seq is None:
             self._ue_seq = dict.fromkeys(self._ue_cell, self._change_seq)
         return self._ue_seq
-
-    def mark_ue_report_dirty(self, rnti: int) -> int:
-        """Record a change only stats reports can see; return its sequence.
-
-        The reported SINR and neighbor-cell CQIs are what the agent
-        observes of the channel when it reports; no entity here holds
-        them, so none can record their moving, and no :class:`UeView`
-        field reads them.  This bumps *rnti*'s sequence, of no kind,
-        without dirtying any view cache.
-        """
-        seq = self._change_seq = self._change_seq + 1
-        ue_seq = self._ue_seq
-        if ue_seq is not None:
-            if rnti in ue_seq:
-                del ue_seq[rnti]
-            ue_seq[rnti] = seq
-        return seq
 
     @property
     def change_seq(self) -> int:

@@ -146,9 +146,15 @@ class TraceCqi(ChannelModel):
 class GaussMarkovSinr(ChannelModel):
     """Mean-reverting (Ornstein-Uhlenbeck style) SINR random walk.
 
-    Produces realistic slow fading around a mean SINR.  Values are
-    generated lazily per TTI and cached so repeated queries at the same
-    TTI are consistent; queries must be (weakly) monotone in time.
+    Produces realistic slow fading around a mean SINR.  One TTI of the
+    walk is ``v += reversion * (mean - v) + sigma * sqrt(reversion) * z``;
+    a query *k* TTIs after the last one takes the *k*-step transition
+    of that walk, which is Gaussian too, in one draw:
+    ``v = mean + a * (v - mean) + z * s`` with ``a = (1 - reversion)^k``
+    and ``s^2`` the walk's stationary variance times ``1 - a^2``.  So the
+    law of the values at the TTIs read does not depend on which TTIs
+    are read.  Repeated queries at the same TTI return the same value;
+    queries must be (weakly) monotone in time.
     """
 
     def __init__(self, mean_sinr_db: float, *, sigma_db: float = 2.0,
@@ -163,32 +169,38 @@ class GaussMarkovSinr(ChannelModel):
         self._rng = np.random.default_rng(seed)
         self._last_tti = -1
         self._value = float(mean_sinr_db)
+        # The transition of the last step length k read: a, and s per
+        # dB of sigma_db (which is read at use).
+        self._steps = 0
+        self._keep = 1.0
+        self._spread = 0.0
         # Standard-normal draws, taken from the generator a block at a
-        # time (the stream is the scalar draws', element for element)
-        # and scaled at use; ``_noise_next`` indexes the first unused.
+        # time and scaled at use; ``_noise_next`` indexes the first
+        # unused.
         self._noise = array("d")
         self._noise_next = _NOISE_BLOCK
 
     def sinr_db(self, tti: int, *, interference_active: bool = True) -> float:
         steps = tti - self._last_tti
         if steps > 0:
-            scale = self.sigma_db * math.sqrt(self.reversion)
-            reversion = self.reversion
-            mean = self.mean_sinr_db
-            value = self._value
-            noise = self._noise
+            if steps != self._steps:
+                stay = 1.0 - self.reversion
+                keep = stay ** steps
+                self._steps = steps
+                self._keep = keep
+                self._spread = math.sqrt(self.reversion * (1.0 - keep * keep)
+                                         / (1.0 - stay * stay))
             i = self._noise_next
-            for _ in range(steps):
-                if i == _NOISE_BLOCK:
-                    # Through bytes, as EnodeB's draws: an array built
-                    # from the ndarray itself boxes every element.
-                    noise = self._noise = array("d", self._rng.standard_normal(
-                        _NOISE_BLOCK).tobytes())
-                    i = 0
-                value += reversion * (mean - value) + noise[i] * scale
-                i += 1
-            self._value = value
-            self._noise_next = i
+            if i == _NOISE_BLOCK:
+                # Through bytes, as EnodeB's draws: an array built
+                # from the ndarray itself boxes every element.
+                self._noise = array("d", self._rng.standard_normal(
+                    _NOISE_BLOCK).tobytes())
+                i = 0
+            mean = self.mean_sinr_db
+            self._value = (mean + self._keep * (self._value - mean)
+                           + self._noise[i] * self._spread * self.sigma_db)
+            self._noise_next = i + 1
             self._last_tti = tti
         return self._value
 

@@ -17,9 +17,11 @@ from repro.lte.mac.queues import DEFAULT_LCID, QueueSet
 
 RLC_HEADER_BYTES = 2
 DEFAULT_RLC_BUFFER_BYTES = 750_000
-"""Default per-UE RLC buffer: about 250 ms of a 25 Mb/s flow.  Finite so
-that persistent overload produces tail drop, which is the loss signal
-the TCP model needs."""
+"""Per-bearer RLC buffer of every UE, read when its entity is built:
+about 250 ms of a 25 Mb/s flow.  Finite so that persistent overload
+produces tail drop, which is the loss signal the TCP model needs (a
+test that wants another bound, or ``None`` for none, monkeypatches
+it)."""
 
 
 @dataclass
@@ -45,10 +47,9 @@ class RlcEntity:
     is never mutated, only replaced.
     """
 
-    def __init__(self, rnti: int, on_change: Callable[[int], None], *,
-                 buffer_limit_bytes: Optional[int] = DEFAULT_RLC_BUFFER_BYTES) -> None:
+    def __init__(self, rnti: int, on_change: Callable[[int], None]) -> None:
         self.rnti = rnti
-        self.queues = QueueSet(limit_bytes=buffer_limit_bytes)
+        self.queues = QueueSet(limit_bytes=DEFAULT_RLC_BUFFER_BYTES)
         self.stats = RlcStats()
         self._on_change = on_change
         self._backlog: Optional[Tuple[Dict[int, int], int]] = None

@@ -199,6 +199,3 @@ class Ue:
     def measured_cqi(self, tti: int, *, interference_active: bool = True) -> int:
         """The CQI this UE would report right now."""
         return self.channel.cqi(tti, interference_active=interference_active)
-
-    def measured_sinr_db(self, tti: int, *, interference_active: bool = True) -> float:
-        return self.channel.sinr_db(tti, interference_active=interference_active)

@@ -20,9 +20,9 @@ UEs its cell serves, PCell or SCell.  Invalidation rules (see DESIGN.md
 section 6):
 
 * a change re-reads the fields its kind feeds (:data:`REFRESHER_OF_KIND`):
-  ``harq`` and ``pdcp`` none; ``rlc`` the queues and backlog position;
-  ``cqi`` the CQI and the CQI > 0 filters; ``ul_buffer`` the uplink
-  buffer and list; ``membership``, ``rrc`` and ``view`` (DRX, bearer
+  ``harq``, ``pdcp`` and ``measurement`` none; ``rlc`` the queues and
+  backlog position; ``cqi`` the CQI and the CQI > 0 filters;
+  ``ul_buffer`` the uplink buffer and list; ``membership``, ``rrc`` and ``view`` (DRX, bearer
   QoS) everything, membership included;
 * an eICIC interference flip (``interferer_muted`` changed since the
   last build) refreshes every UE fully, because the cached CQIs were
@@ -53,7 +53,8 @@ _rnti_of = attrgetter("rnti")
 
 REFRESHER_OF_KIND: Dict[str, Optional[str]] = {
     "membership": "full", "rrc": "full", "view": "full", "rlc": "queues",
-    "cqi": "cqi", "ul_buffer": "ul_buffer", "harq": None, "pdcp": None}
+    "cqi": "cqi", "ul_buffer": "ul_buffer", "harq": None, "pdcp": None,
+    "measurement": None}
 """Per ``enodeb.CHANGE_KINDS`` entry, the ``UeViewCache._refresh_<name>``
 re-reading the view fields it feeds (None: none); all are idempotent."""
 
@@ -189,7 +190,7 @@ class UeViewCache:
             was_usable = view.cqi > 0
             ue = cell.ues[rnti]
             view.queues, view.queue_bytes = rlc_map[rnti].backlog()
-            view.cqi = cqis.get(rnti, 0)
+            view.cqi = cqis[rnti]
             view.ul_buffer_bytes = ue.ul_backlog_bytes
             view.labels = ue.labels
             now_included = (is_awake(rnti, tti)
@@ -230,7 +231,7 @@ class UeViewCache:
         for rnti in rntis:
             view = views[rnti]
             was_usable = view.cqi > 0
-            view.cqi = cqis.get(rnti, 0)
+            view.cqi = cqis[rnti]
             if (view.cqi > 0) != was_usable and rnti in self.included:
                 if view.queue_bytes > 0:
                     self._unusable += 1 if was_usable else -1

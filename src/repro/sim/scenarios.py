@@ -43,7 +43,6 @@ from repro.lte.phy.channel import (
 )
 from repro.lte.phy.cqi import cqi_to_sinr_floor
 from repro.lte.phy.tbs import capacity_mbps
-from repro.lte.rlc import DEFAULT_RLC_BUFFER_BYTES
 from repro.lte.ue import Ue
 from repro.net.clock import Phase
 from repro.sim.simulation import Simulation
@@ -764,10 +763,10 @@ class FeatureTourScenario:
 
 
 def feature_tour(*, seed: int = 0) -> FeatureTourScenario:
-    """Carriers 10 and 11 on one eNodeB with bounded RLC buffers, four
-    UEs on carrier 10, and the master exercising DRX, carrier
-    aggregation, uplink grants, bearer QoS and the PRB cap over a
-    control channel with 2 ms RTT and 1 ms jitter:
+    """Carriers 10 and 11 on one eNodeB, four UEs on carrier 10, and
+    the master exercising DRX, carrier aggregation, uplink grants,
+    bearer QoS and the PRB cap over a control channel with 2 ms RTT
+    and 1 ms jitter:
 
     * the DRX energy saver puts UEs that go quiet to sleep; the idle UE
       sleeps until its on/off flow starts at TTI 1200, and DRX is lifted
@@ -789,7 +788,7 @@ def feature_tour(*, seed: int = 0) -> FeatureTourScenario:
     """
     sim = Simulation(with_master=True)
     enb = sim.add_enb(1, [CellConfig(cell_id=10), CellConfig(cell_id=11)],
-                      seed=seed, rlc_buffer_bytes=DEFAULT_RLC_BUFFER_BYTES)
+                      seed=seed)
     agent = sim.add_agent(enb, rtt_ms=2.0)
     sim.connections[agent.agent_id].channel.set_jitter_ms(1.0)
     idle_ue, ca_ue, ul_ue = (Ue(f"tour{i}", FixedCqi(12)) for i in range(3))

@@ -94,8 +94,7 @@ class Simulation:
     def add_enb(self, enb_id: Optional[int] = None,
                 cell_configs: Optional[Sequence[CellConfig]] = None, *,
                 seed: int = 0,
-                error_model: ErrorModel = DEFAULT_ERROR_MODEL,
-                rlc_buffer_bytes: Optional[int] = None) -> EnodeB:
+                error_model: ErrorModel = DEFAULT_ERROR_MODEL) -> EnodeB:
         """Create and register an eNodeB."""
         if enb_id is None:
             enb_id = self._next_enb_id
@@ -103,8 +102,7 @@ class Simulation:
             raise ValueError(f"eNodeB {enb_id} already exists")
         self._next_enb_id = max(self._next_enb_id, enb_id + 1)
         enb = EnodeB(enb_id, cell_configs, seed=seed,
-                     error_model=error_model,
-                     rlc_buffer_bytes=rlc_buffer_bytes)
+                     error_model=error_model)
         self.enbs[enb_id] = enb
         for cell_id in enb.cells:
             self._cell_owner[cell_id] = enb_id

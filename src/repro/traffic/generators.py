@@ -103,6 +103,10 @@ class CbrSource(TrafficSource):
         bpt = self.bytes_per_tti
         if bpt <= 0.0:
             return _NEVER_TTI
+        if self._credited_through is None:
+            # The rate clock has not started: the first in-window call
+            # credits one TTI, whenever it comes, so poll as from then.
+            return max(now + 1, self.start_tti)
         deficit = self.packet_bytes - self._credit_bytes
         ttis = max(1, -int(-deficit // bpt))  # ceil for positive bpt
         return max(now + ttis, self.start_tti)

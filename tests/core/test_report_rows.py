@@ -1,9 +1,10 @@
 """The record-level stats path: one pass per report TTI.
 
 ``ReportsManager.due_replies`` makes one ``collect_ue_stats`` pass per
-report TTI over the UEs that changed or whose channel can move; the API
-retains one record per UE and re-reads only the groups that a recorded
-kind of change (``KIND_GROUPS``) or the channel observation moved.
+report TTI over the UEs that changed; the API retains one record per UE
+and re-reads only the groups that a recorded kind of change
+(``KIND_GROUPS``) moved.  What a record says of the channel is what the
+cell observed at the UE's last SRS instant: a report reads no channel.
 These tests pin what must hold whatever the pass does inside:
 
 * the *exactness oracle* -- every reply, merged into a shadow map the
@@ -15,7 +16,9 @@ These tests pin what must hold whatever the pass does inside:
   the groups it carried until the next staggered full refresh, and no
   longer;
 * a published record never changes afterwards;
-* a channel-only change is visible to reports and not to the scheduler;
+* a change of what only a report reads (the SINR, neighbor-cell CQIs)
+  is recorded at the observation that saw it, and stays out of the
+  scheduler's views;
 * subscriptions due on the same TTI share one pass and each gets
   exactly the UEs changed since its own watermark;
 * retained state follows the UE: gone after a detach or a handover,
@@ -47,6 +50,7 @@ from repro.lte.enodeb import CHANGE_KINDS, EnodeB
 from repro.lte.mac.drx import DrxConfig
 from repro.lte.mac.qos import QosProfile
 from repro.lte.phy.channel import FixedCqi, FixedSinr, GaussMarkovSinr, TraceCqi
+from repro.lte.phy.cqi import cqi_to_sinr_floor
 from repro.lte.rrc import RA_DELAY_TTIS
 from repro.lte.ue import Ue
 from repro.sim.simulation import Simulation
@@ -331,34 +335,47 @@ class TestChannelOnlyChanges:
         log = context_oracle.install(monkeypatch)
         enb, agent, rnti = lone_agent(GaussMarkovSinr(10.0, sigma_db=3.0,
                                                       seed=3))
-        (cell_id,) = enb.cells
+        cell = enb.primary_cell(rnti)
+        moved = {kind: set() for kind in CHANGE_KINDS}
+        enb.settle_into(moved)
         subscribe(agent.reports)
-        advanced = 0
+        advanced = reports_only = 0
+        seen_at = None  # the observation the last report carried
         for t in range(30, 230):
             enb.tick(t)
-            before = enb.change_seq
+            if rnti in moved["measurement"] and rnti not in moved["cqi"]:
+                reports_only += 1  # the SINR moved, the CQI did not
+            for dirty in moved.values():
+                dirty.clear()
             replies = agent.reports.due_replies(t)
             if (t - 30) % PERIOD:
-                assert not replies and enb.change_seq == before
+                assert not replies
                 continue
-            # Nothing is queued for this UE, so whatever moved the
-            # sequence here was the channel -- and no view went stale.
-            assert not any(enb._view_cache[cell_id].dirty.values())
-            if enb.change_seq > before:
+            if replies[0].full == 0 and replies[0].ue_reports:
+                # The record moves only when the cell observed anew,
+                # and carries that observation.
+                assert cell.cqi_updated_tti[rnti] != seen_at
                 advanced += 1
-                assert [r.rnti for r in replies[0].ue_reports] == [rnti]
-                assert replies[0].ue_reports[0].subband_sinr_db_x10[0] == \
-                    int(round(enb.ue(rnti).measured_sinr_db(t) * 10))
-        assert advanced > 30
+                (record,) = replies[0].ue_reports
+                assert record.subband_sinr_db_x10[0] == \
+                    cell.known_sinr_x10[rnti]
+                assert record.wb_cqi == cell.known_cqi[rnti]
+            seen_at = cell.cqi_updated_tti[rnti]
+        assert advanced > 15 and reports_only > 5
         assert log.calls == 230 and not log.mismatches
 
     def test_channel_only_change_copies_the_record(self):
         trace = TraceCqi([(0, 9), (40, 11)])
         enb, agent, rnti = lone_agent(trace)
         subscribe(agent.reports)
+        enb.tick(30)
         first = agent.reports.due_replies(30)[0].ue_reports[0]
+        for t in range(31, 36):
+            enb.tick(t)
         quiet = agent.reports.due_replies(35)[0]
         assert quiet.ue_reports == []
+        for t in range(36, 41):
+            enb.tick(t)  # the SRS instant at 40 observes the new CQI
         moved = agent.reports.due_replies(40)[0].ue_reports[0]
         assert moved is not first
         assert moved.subband_sinr_db_x10 != first.subband_sinr_db_x10
@@ -387,10 +404,13 @@ class TestTriggeredDigest:
         for t in range(30):
             enb.tick(t)
         subscribe(agent.reports, report_type=ReportType.TRIGGERED)
+        enb.tick(30)
         assert len(agent.reports.due_replies(30)) == 1
         for t in range(31, 40):
+            enb.tick(t)
             assert agent.reports.due_replies(t) == []
         seq = enb.change_seq
+        enb.tick(40)  # an SRS instant: the neighbor CQI is observed
         (reply,) = agent.reports.due_replies(40)
         assert enb.change_seq == seq + 1
         assert reply.full == 1
@@ -409,7 +429,7 @@ class TestTriggeredDigest:
         assert agent.reports.due_replies(31) == []
         assert enb.change_seq > seq
         enb.ue(rnti).channel = FixedCqi(4)  # CQI
-        enb.cell().refresh_cqi(32, force=True)
+        enb.cell().refresh_cqi(32)  # the next SRS pass observes it
         (reply,) = agent.reports.due_replies(32)
         assert reply.full == 1 and reply.ue_reports[0].wb_cqi == 4
         assert reply.ue_reports[0].groups == StatsFlags.CQI
@@ -467,7 +487,6 @@ class TestRetainedStateFollowsTheUe:
             sim.close()
         for agent in agents:
             assert sorted(agent.api._records) == agent.enb.rntis()
-            assert not agent.api._moving
         (sub,) = agents[1].reports._subscriptions.values()
         assert sub.sent == agents[1].api._records
         assert all(sub.sent[rnti] is record
@@ -482,7 +501,6 @@ class TestRetainedStateFollowsTheUe:
         for agent in agents:
             records = agent.api._records
             assert sorted(records) == agent.enb.rntis()
-            assert agent.api._moving == set(records)
             assert all(isinstance(record, UeStatsReport)
                        for record in records.values())
 
@@ -531,7 +549,6 @@ class TestRetainedStateFollowsTheUe:
         # The source forgot the departed RNTI; the target observed the
         # swapped-in channel and the swapped-out neighbor.
         assert sorted(agent_a.api._records) == [stayer.rnti]
-        assert agent_a.api._moving == {stayer.rnti}
         record = agent_b.api._records[mover.rnti]
         assert record.neighbor_cqi == {cell_a: 6}
         assert record.subband_sinr_db_x10 != old_record.subband_sinr_db_x10
@@ -557,9 +574,13 @@ def start_harq(enb, rnti, tti):
         lcid=3, tti=tti)
 
 
-def swap_channel(enb, rnti, tti):
-    enb.ue(rnti).channel = FixedCqi(4)
-    enb.primary_cell(rnti).refresh_cqi(tti, force=True)
+def swap_channel(channel):
+    """A mutation replacing the UE's channel (parked since its attach
+    at TTI 0), then the SRS pass of its next grid instant, TTI 10."""
+    def swap(enb, rnti, tti):
+        enb.ue(rnti).channel = channel
+        enb.primary_cell(rnti).refresh_cqi(tti)
+    return swap
 
 
 # One mutation through each kind's entity (the eNodeB's own, for the
@@ -569,7 +590,9 @@ KIND_MUTATIONS = {
     "pdcp": lambda enb, rnti, t: enb.pdcp[rnti].ingress(3, 700),
     "harq": start_harq,
     "rrc": lambda enb, rnti, t: enb.rrc.setup_due(rnti, t),
-    "cqi": swap_channel,
+    "cqi": swap_channel(FixedCqi(4)),
+    # The same CQI, another reported SINR.
+    "measurement": swap_channel(FixedSinr(cqi_to_sinr_floor(9) + 0.5)),
     "ul_buffer": lambda enb, rnti, t: enb.notify_ul(rnti, 500, t),
     "view": lambda enb, rnti, t: (
         enb.configure_bearer(rnti, 3, QosProfile(qci=9)),
@@ -663,24 +686,36 @@ class TestOnlyWhatMovedIsRebuilt:
 
     def test_a_static_ue_is_reobserved_when_its_channel_changes(self):
         enb, agent, rnti = lone_agent(FixedCqi(9))
+        parked = enb.primary_cell(rnti)._srs_parked
         subscribe(agent.reports)
         (first,) = agent.reports.due_replies(30)[0].ue_reports
-        assert rnti not in agent.api._moving
-        # A same-CQI object with another SINR: nothing the cell knows
-        # moves, what the UE reports does.
+        assert rnti in parked
+        # A same-CQI object with another SINR: the next SRS instant
+        # records nothing the scheduler reads, what the UE reports.
         enb.ue(rnti).channel = FixedSinr(first.subband_sinr_db_x10[0] / 10
                                          + 0.05)
+        for t in range(30, 36):
+            enb.tick(t)
         (record,) = agent.reports.due_replies(35)[0].ue_reports
         assert record.groups == StatsFlags.CQI
         assert record.subband_sinr_db_x10 != first.subband_sinr_db_x10
-        assert rnti not in agent.api._moving
-        # Neighbor channels, assigned, make it a UE that can move.
+        assert rnti in parked
+        # Neighbor channels, assigned, keep it observed every period,
+        # and its record carries the last observation.
         enb.ue(rnti).neighbor_channels = {99: TraceCqi([(0, 5), (45, 12)])}
+        for t in range(36, 41):
+            enb.tick(t)
         (record,) = agent.reports.due_replies(40)[0].ue_reports
         assert record.neighbor_cqi == {99: 5}
-        assert rnti in agent.api._moving
-        (record,) = agent.reports.due_replies(45)[0].ue_reports
+        assert rnti not in parked
+        for t in range(41, 46):
+            enb.tick(t)
+        assert agent.reports.due_replies(45)[0].ue_reports == []
+        for t in range(46, 51):
+            enb.tick(t)
+        (record,) = agent.reports.due_replies(50)[0].ue_reports
         assert record.neighbor_cqi == {99: 12}
+        assert rnti not in parked
 
 
 # One step of a random program against one eNodeB and its record pass:
@@ -701,7 +736,7 @@ PROGRAM_CHANGES = {
     "pdcp": lambda enb, rnti, t: enb.pdcp[rnti].ingress(3, 300),
     "cqi": lambda enb, rnti, t: (
         setattr(enb.ue(rnti), "channel", FixedCqi(1 + (t + rnti) % 15)),
-        enb.primary_cell(rnti).refresh_cqi(t, force=True)),
+        enb.primary_cell(rnti).refresh_cqi(t)),
     "ul_buffer": lambda enb, rnti, t: enb.notify_ul(rnti, 200, t),
     "view": lambda enb, rnti, t: enb.set_drx(
         rnti, None if enb.drx.is_configured(rnti) else DrxConfig()),

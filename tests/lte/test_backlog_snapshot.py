@@ -159,8 +159,10 @@ def calls_per_settled_change(ttis: int = 100) -> Tuple[int, Dict[str, Calls]]:
 # its entity's hook and no caller marks it on the entity's behalf; the
 # eNodeB's settle hands it to every reader's dirty sets and no per-kind
 # sequence stands beside them; each reader takes the RLC's one backlog
-# snapshot and counts no queue itself.
-SETTLED_CHANGE_CEILINGS = {"write": 9.0, "view": 5.0, "record": 11.0}
+# snapshot and counts no queue itself.  The record pass fell from 11.0
+# to 10.5 when it stopped visiting UEs for their channel: it visits the
+# changed UEs only, and looks a UE's cell up only to rebuild a group.
+SETTLED_CHANGE_CEILINGS = {"write": 9.0, "view": 5.0, "record": 10.5}
 
 
 @pytest.mark.parametrize("window", sorted(SETTLED_CHANGE_CEILINGS))

@@ -25,7 +25,10 @@ from repro.lte.mac.drx import DrxConfig, DrxManager
 from repro.lte.mac.harq import HarqEntity, HarqPool
 from repro.lte.mac.qos import QosProfile
 from repro.lte.pdcp import PdcpEntity
-from repro.lte.phy.channel import FixedCqi
+from repro.lte.constants import SRS_PERIOD_TTIS
+from repro.lte.phy.channel import (
+    FixedCqi, FixedSinr, InterferenceChannel, SquareWaveCqi)
+from repro.lte.phy.cqi import cqi_to_sinr_floor
 from repro.lte.rlc import RlcEntity
 from repro.lte.rrc import (
     ATTACH_SIGNALLING_BYTES, RA_DELAY_TTIS, RrcEntity, RrcState)
@@ -89,15 +92,16 @@ def _connecting(hook):
 
 
 def _cell(hook):
-    cell = Cell(CellConfig(cell_id=10), hook)
-    cell.add_ue(RNTI, Ue("001", FixedCqi(9)))
-    cell.refresh_cqi(0, force=True)
+    # One hook for both of the cell's kinds; the eNodeB rows below
+    # tell them apart.  A moving channel: the UE is on the SRS grid.
+    cell = Cell(CellConfig(cell_id=10), hook, hook)
+    cell.add_ue(RNTI, Ue("001", SquareWaveCqi(9, 4, period_ttis=1000)), 0)
     return cell
 
 
 def _swap_channel(cell):
     cell.ues[RNTI].channel = FixedCqi(4)
-    cell.refresh_cqi(1, force=True)
+    cell.refresh_cqi(SRS_PERIOD_TTIS)  # its next SRS instant
 
 
 # (factory, call that changes the entity's state)
@@ -148,7 +152,7 @@ READS = {
     "rrc.srb_delivered(partial)": (
         _connecting, lambda rrc: rrc.srb_delivered(RNTI, 1, 20)),
     "cell.refresh_cqi(unchanged)": (
-        _cell, lambda cell: cell.refresh_cqi(1, force=True)),
+        _cell, lambda cell: cell.refresh_cqi(SRS_PERIOD_TTIS)),
     "cell.scheduling_cqi": (_cell, lambda cell: cell.scheduling_cqi(RNTI, 1)),
 }
 
@@ -248,7 +252,11 @@ ENB_CHANGES = {
     "rrc.check_timeouts": (
         "rrc", _attach, lambda enb, r: enb.rrc.check_timeouts(10 ** 6)),
     "cell.refresh_cqi": (
-        "cqi", None, lambda enb, r: _swap_channel_of(enb.cells[10], r)),
+        "cqi", None, lambda enb, r: _swap_channel_of(
+            enb.cells[10], r, _CQI_ONLY_CHANNEL)),
+    "cell.refresh_cqi(sinr)": (
+        "measurement", None, lambda enb, r: _swap_channel_of(
+            enb.cells[10], r, _SINR_ONLY_CHANNEL)),
     # What the eNodeB owns itself.
     "enb.notify_ul": ("ul_buffer", None, lambda enb, r: enb.notify_ul(r, 9, 41)),
     "enb.configure_bearer": (
@@ -257,9 +265,20 @@ ENB_CHANGES = {
 }
 
 
-def _swap_channel_of(cell, rnti):
-    cell.ues[rnti].channel = FixedCqi(4)
-    cell.refresh_cqi(41, force=True)
+# Replacements for connected_enb's FixedCqi(11) that the UE's next
+# observation tells apart from it by CQI alone (the reported SINR is the
+# interfered one, the CQI without an interferer the clear one) and by
+# reported SINR alone.
+_CQI_ONLY_CHANNEL = InterferenceChannel(cqi_to_sinr_floor(14) + 0.1,
+                                        cqi_to_sinr_floor(11) + 0.1)
+_SINR_ONLY_CHANNEL = FixedSinr(cqi_to_sinr_floor(11) + 0.5)
+
+
+def _swap_channel_of(cell, rnti, channel):
+    """Replace *rnti*'s channel (parked since its attach at TTI 0) and
+    run its cell's pass at TTI 41, which observes it (due at 40)."""
+    cell.ues[rnti].channel = channel
+    cell.refresh_cqi(41)
 
 
 def test_every_entity_call_has_an_enodeb_row():
@@ -281,10 +300,12 @@ def test_a_change_lands_in_its_kinds_record_and_no_other(name):
     assert enb._recorded[CHANGE_KINDS.index(kind)] == {rnti}
 
 
-def _channel_swap_observed(enb, rnti):
-    enb.ue(rnti).channel = FixedCqi(4)
+def _channel_swap_observed(enb, rnti, channel=FixedCqi(4)):
+    """Replace the UE's channel and run both carriers' passes at TTI 50,
+    the first SRS instant of both grids since (PCell 40, SCell 50)."""
+    enb.ue(rnti).channel = channel
     for cell in enb.cells.values():
-        cell.refresh_cqi(41, force=True)
+        cell.refresh_cqi(50)
 
 
 # kind -> (one change of that kind, the view fields it re-reads)
@@ -294,6 +315,8 @@ KIND_REREADS = {
     "rlc": (lambda enb, r: enb.rlc[r].enqueue(700, 41),
             {"queues", "queue_bytes"}),
     "cqi": (_channel_swap_observed, {"cqi"}),
+    "measurement": (lambda enb, r: _channel_swap_observed(
+        enb, r, _SINR_ONLY_CHANNEL), set()),
     "ul_buffer": (lambda enb, r: enb.notify_ul(r, 9, 41),
                   {"ul_buffer_bytes"}),
     "view": (lambda enb, r: enb.configure_bearer(r, 3, QosProfile(qci=9)),
@@ -495,7 +518,8 @@ class TestSettling:
         seqs = enb.ue_change_seqs()
         assert list(seqs.values()) == sorted(seqs.values())
         assert list(seqs)[-3:] == [rntis[2], rntis[0], rntis[3]]
-        enb.mark_ue_report_dirty(rntis[2])
+        enb.pdcp[rntis[2]].ingress(3, 100)
+        assert enb.change_seq
         assert list(seqs)[-1] == rntis[2]
         assert list(seqs.values()) == sorted(seqs.values())
 

@@ -92,13 +92,38 @@ class TestGaussMarkov:
         assert ch.sinr_db(200) == pytest.approx(10.0, abs=1e-6)
 
     @pytest.mark.parametrize("seed", [0, 7, 12345])
+    def test_k_step_reads_follow_the_walks_law(self, seed):
+        # Read every k TTIs, the channel is the per-TTI walk
+        # v += r (mean - v) + sigma sqrt(r) z sampled every k TTIs: an
+        # AR(1) chain with the walk's stationary mean and variance and
+        # lag-1 autocorrelation (1 - r)^k.  Each statistic of 20 000
+        # reads must lie within four standard errors of theory.
+        mean, sigma, r, n = 12.0, 3.0, 0.05, 20_000
+        var = sigma ** 2 * r / (1 - (1 - r) ** 2)
+        for k in (1, 4, 10, 25):
+            ch = GaussMarkovSinr(mean, sigma_db=sigma, reversion=r,
+                                 seed=seed)
+            # The first read, 201 TTIs in, starts the chain stationary.
+            v = np.array([ch.sinr_db(200 + k * i) for i in range(n)])
+            rho = (1 - r) ** k
+            se_mean = math.sqrt(var / n * (1 + rho) / (1 - rho))
+            se_var = var * math.sqrt(2 * (1 + rho ** 2)
+                                     / (n * (1 - rho ** 2)))
+            se_rho = math.sqrt((1 - rho ** 2) / n)
+            assert abs(v.mean() - mean) < 4 * se_mean, k
+            assert abs(v.var() - var) < 4 * se_var, k
+            lag1 = np.corrcoef(v[:-1], v[1:])[0, 1]
+            assert abs(lag1 - rho) < 4 * se_rho, k
+
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
     def test_block_drawn_noise_is_the_scalar_stream(self, seed):
-        # The channel draws its noise in blocks; the walk must be, value
-        # for value, the one a scalar draw per TTI produces -- across
-        # skipped TTIs, repeated queries and a change of sigma_db.
+        # The channel draws its noise in blocks; the values must be, one
+        # for one, the k-step transitions a scalar draw per read of a
+        # TTI not read before produces -- across gaps of every length,
+        # repeated queries and a change of sigma_db.
         ch = GaussMarkovSinr(12.0, sigma_db=3.0, reversion=0.05, seed=seed)
         rng = np.random.default_rng(seed)
-        mean, sigma, reversion = 12.0, 3.0, 0.05
+        mean, sigma, stay = 12.0, 3.0, 0.95
         value, last = mean, -1
         gaps = np.random.default_rng(99).integers(0, 7, size=1000)
         tti = 0
@@ -106,12 +131,15 @@ class TestGaussMarkov:
             tti += int(gap)
             if k == 500:
                 ch.sigma_db = sigma = 1.25
-            while last < tti:
-                value += reversion * (mean - value) + rng.normal(
-                    0.0, sigma * math.sqrt(reversion))
-                last += 1
+            if tti > last:
+                keep = stay ** (tti - last)
+                value = mean + keep * (value - mean) + rng.standard_normal(
+                ) * sigma * math.sqrt(0.05 * (1 - keep ** 2)
+                                      / (1 - stay ** 2))
+                last = tti
             got = ch.sinr_db(tti)
-            assert got == value and type(got) is float, (k, tti)
+            assert got == pytest.approx(value, rel=1e-12, abs=1e-12), (k, tti)
+            assert type(got) is float
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):

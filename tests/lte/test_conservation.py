@@ -9,6 +9,7 @@ awaiting feedback, or explicitly counted as dropped.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.lte import rlc
 from repro.lte.cell import CellConfig
 from repro.lte.enodeb import EnodeB
 from repro.lte.mac.amc import ErrorModel
@@ -57,8 +58,9 @@ def test_byte_conservation_under_errors(cqi_hi, cqi_drop, flip_period,
                                         scheduler, packets_per_tti, seed):
     """Bytes are conserved even with HARQ losses and stale-MCS errors."""
     cqi_lo = max(1, cqi_hi - cqi_drop)
-    enb = EnodeB(1, seed=seed, error_model=ErrorModel(base_bler=0.05),
-                 rlc_buffer_bytes=200_000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rlc, "DEFAULT_RLC_BUFFER_BYTES", 200_000)
+        enb = EnodeB(1, seed=seed, error_model=ErrorModel(base_bler=0.05))
     enb.dl_scheduler[enb.cell().cell_id] = make_scheduler(scheduler)
     ue = Ue("001", SquareWaveCqi(cqi_hi, cqi_lo, period_ttis=flip_period))
     rnti = enb.attach_ue(ue, tti=0)
@@ -106,13 +108,13 @@ def test_conservation_with_harq_exhaustion():
 
 
 @pytest.mark.parametrize("base_bler", [0.0, 0.3])
-def test_conservation_across_scell_deactivation(base_bler):
+def test_conservation_across_scell_deactivation(base_bler, monkeypatch):
     """Blocks in flight on a carrier that is deactivated go back to
     their bearer; they used to stay in HARQ bookkeeping forever, dequeued
     from RLC and never delivered, requeued or counted."""
+    monkeypatch.setattr(rlc, "DEFAULT_RLC_BUFFER_BYTES", 10_000_000)
     enb = EnodeB(1, [CellConfig(cell_id=10), CellConfig(cell_id=11)],
-                 seed=1, error_model=ErrorModel(base_bler=base_bler),
-                 rlc_buffer_bytes=10_000_000)
+                 seed=1, error_model=ErrorModel(base_bler=base_bler))
     ue = Ue("001", FixedCqi(12))
     ue.carrier_channels[11] = FixedCqi(12)
     rnti = enb.attach_ue(ue, cell_id=10, tti=0)

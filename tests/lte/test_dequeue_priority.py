@@ -11,8 +11,10 @@ recorded; and the entity's shared backlog must equal a fresh count.
 
 from typing import List
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.lte import rlc as rlc_module
 from repro.lte.rlc import RLC_HEADER_BYTES, RlcEntity
 from tests.lte.rlc_oracle import dequeue_per_bearer
 
@@ -48,9 +50,10 @@ def queue_state(rlc: RlcEntity):
 def test_dequeue_priority_matches_the_per_bearer_oracle(bearers, program,
                                                         limited):
     records: List[List[int]] = [[], []]
-    limit = LIMIT if limited else None
-    mine, oracle = (RlcEntity(RNTI, record.append, buffer_limit_bytes=limit)
-                    for record in records)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rlc_module, "DEFAULT_RLC_BUFFER_BYTES",
+                   LIMIT if limited else None)
+        mine, oracle = (RlcEntity(RNTI, record.append) for record in records)
     for rlc in (mine, oracle):
         for lcid in bearers:
             rlc.queues.queue(lcid)  # instantiated, empty

@@ -210,8 +210,6 @@ class TestCarrierAggregation:
         ue.carrier_channels[11] = FixedCqi(5)
         rnti = enb.attach_ue(ue, cell_id=10, tti=0)
         enb.activate_scell(rnti, 11, tti=0)
-        enb.cells[10].refresh_cqi(0, force=True)
-        enb.cells[11].refresh_cqi(0, force=True)
         assert enb.cells[10].known_cqi[rnti] == 12
         assert enb.cells[11].known_cqi[rnti] == 5
 

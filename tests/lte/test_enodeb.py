@@ -12,6 +12,7 @@ from repro.lte.mac.amc import ErrorModel
 from repro.lte.mac.dci import DlAssignment, SchedulingContext
 from repro.lte.phy.channel import FixedCqi, SquareWaveCqi
 from repro.lte.phy.tbs import capacity_mbps
+from repro.lte.rlc import DEFAULT_RLC_BUFFER_BYTES
 from repro.lte.rrc import RrcState
 from repro.lte.ue import Ue
 
@@ -88,6 +89,18 @@ class TestThroughput:
             enb.enqueue_dl(rnti, 1400, t) for _ in range(3)])
         assert ue.throughput_mbps(1999) == pytest.approx(
             capacity_mbps(15, 50), rel=0.05)
+
+    def test_a_default_enodeb_tail_drops_at_the_rlc_bound(self):
+        # Overload is lost at the bearer's RLC buffer, not queued without
+        # end: the bound is the loss signal the TCP model needs.
+        enb = EnodeB(1)
+        rnti = enb.attach_ue(Ue("001", FixedCqi(15)), tti=0)
+        accepted = [enb.enqueue_dl(rnti, 1400, 0) for _ in range(600)]
+        fits = DEFAULT_RLC_BUFFER_BYTES // 1400
+        assert accepted == [True] * fits + [False] * (600 - fits)
+        stats = enb.rlc[rnti].stats
+        assert stats.bytes_in == fits * 1400
+        assert stats.dropped_bytes == (600 - fits) * 1400
 
     def test_lower_cqi_lower_throughput(self):
         results = {}

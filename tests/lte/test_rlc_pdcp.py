@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.lte.mac.queues import DEFAULT_LCID, SRB_LCID
 from repro.lte.pdcp import PDCP_HEADER_BYTES, PDCP_SN_MODULUS, PdcpEntity
+from repro.lte import rlc as rlc_module
 from repro.lte.rlc import RLC_HEADER_BYTES, RlcEntity
 
 
@@ -76,15 +77,17 @@ class TestRlc:
         assert taken[SRB_LCID] == 50
         assert taken[DEFAULT_LCID] == 500
 
-    def test_buffer_limit_drops(self):
-        rlc = RlcEntity(70, set().add, buffer_limit_bytes=1000)
+    def test_buffer_limit_drops(self, monkeypatch):
+        monkeypatch.setattr(rlc_module, "DEFAULT_RLC_BUFFER_BYTES", 1000)
+        rlc = RlcEntity(70, set().add)
         assert rlc.enqueue(900, 0)
         assert not rlc.enqueue(200, 0)
         assert rlc.stats.dropped_sdus == 1
         assert rlc.stats.dropped_bytes == 200
 
-    def test_unbounded_buffer(self):
-        rlc = RlcEntity(70, set().add, buffer_limit_bytes=None)
+    def test_unbounded_buffer(self, monkeypatch):
+        monkeypatch.setattr(rlc_module, "DEFAULT_RLC_BUFFER_BYTES", None)
+        rlc = RlcEntity(70, set().add)
         for _ in range(100):
             assert rlc.enqueue(10 ** 6, 0)
 
@@ -98,7 +101,9 @@ class TestRlc:
     @given(st.lists(st.integers(min_value=1, max_value=3000), max_size=30),
            st.lists(st.integers(min_value=3, max_value=5000), max_size=30))
     def test_conservation(self, ins, outs):
-        rlc = RlcEntity(70, set().add, buffer_limit_bytes=None)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rlc_module, "DEFAULT_RLC_BUFFER_BYTES", None)
+            rlc = RlcEntity(70, set().add)
         for size in ins:
             rlc.enqueue(size, 0)
         for budget in outs:

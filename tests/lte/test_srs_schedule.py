@@ -1,7 +1,8 @@
 """The cell's SRS schedule: parked UEs, re-arming, the attach storm.
 
-A UE on a channel object that declares ``time_invariant``, in a cell
-with no interferer, is observed once and then *parked*: it has no
+A newcomer is observed where it is added, and only the newcomer.  A UE
+on a channel object that declares ``time_invariant``, in a cell with no
+interferer and with no neighbor channels, is then *parked*: it has no
 due entry and costs nothing per period.  For such a UE
 ``Cell.cqi_updated_tti`` is the TTI of its last observation, which may
 be arbitrarily long ago (for everyone else it is still at most one SRS
@@ -16,7 +17,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro
 from repro.lte.cell import Cell, CellConfig
@@ -83,8 +84,10 @@ def ops_over(channels):
         st.tuples(st.just("scell_off"), index),
         st.tuples(st.just("swap_channel"), index, channels),
         st.tuples(st.just("swap_carrier"), index, st.none() | channels),
+        # Neighbor channels that can move: a parked UE would miss them.
+        st.tuples(st.just("swap_neighbors"), index,
+                  st.none() | moving_channels),
         st.tuples(st.just("aggressor"), cell_ids, st.booleans()),
-        st.tuples(st.just("force"), cell_ids),
     )
 
 
@@ -115,7 +118,7 @@ class Deployment:
     def __init__(self) -> None:
         self.cells = {c: ShadowedCell(CellConfig(cell_id=c))
                       for c in (PCELL, SCELL)}
-        self.aggressor = Cell(CellConfig(cell_id=20), set().add)
+        self.aggressor = Cell(CellConfig(cell_id=20), set().add, set().add)
         self.ues = {}        # rnti -> Ue, attached to the PCell
         self.on_scell = set()
         self.next_rnti = 70
@@ -135,9 +138,6 @@ class Deployment:
         if kind == "aggressor":
             self.cells[args[0]].cell.set_interference_source(
                 self.aggressor if args[1] else None)
-            return
-        if kind == "force":
-            self.cells[args[0]].refresh(tti, force=True)
             return
         if kind == "skip":
             self.skipped += args[0]
@@ -165,6 +165,9 @@ class Deployment:
                 ue.carrier_channels[SCELL] = make_channel(args[1])
             elif SCELL in ue.carrier_channels:
                 del ue.carrier_channels[SCELL]
+        elif kind == "swap_neighbors":
+            ue.neighbor_channels = ({} if args[1] is None
+                                    else {99: make_channel(args[1])})
 
     def tick(self, tti: int) -> None:
         if self.skipped:
@@ -176,9 +179,14 @@ class Deployment:
 
 @settings(max_examples=200, deadline=None)
 @given(program=steps)
+# A static UE given moving neighbor channels: the random programs seldom
+# build it, and parking it would miss every neighbor change.
+@example(program=[([("attach", ("fixed", 9))],
+                   [("swap_neighbors", 0, ("square", 12, 3, 7))], 25)])
 def test_schedule_matches_every_period_oracle(program):
     """Same knowledge, same change records, TTI by TTI, whatever mix of
-    static, switching, fading and interfered UEs comes and goes."""
+    static, switching, fading and interfered UEs, with and without
+    neighbor channels, comes and goes."""
     dep = Deployment()
     tti = 0
     for before, after, quiet in program:
@@ -205,13 +213,12 @@ def test_a_late_pass_serves_in_heap_order(program):
 
 def test_a_late_pass_orders_by_due_tti_then_rnti():
     calls = []
-    cell = Cell(CellConfig(cell_id=PCELL), calls.append)
-    # No forced refresh: a newcomer's first report, at the next pass,
-    # sets its phase -- RNTI 71 reports on phase 2, RNTIs 72 and 70 on
-    # phase 5.
+    cell = Cell(CellConfig(cell_id=PCELL), calls.append, set().add)
+    # A newcomer's observation at its add sets its phase -- RNTI 71
+    # reports on phase 2, RNTIs 72 and 70 on phase 5.
     for rnti, tti in ((71, 2), (72, 5), (70, 5)):
         cell.add_ue(rnti, Ue(f"{rnti:03d}",
-                             SquareWaveCqi(12, 4, period_ttis=10)))
+                             SquareWaveCqi(12, 4, period_ttis=10)), tti)
         cell.refresh_cqi(tti)
     calls.clear()
     cell.refresh_cqi(19)  # the first pass since TTI 5: due TTIs 12 and 15
@@ -222,10 +229,9 @@ def test_a_late_pass_orders_by_due_tti_then_rnti():
 # -- parked UEs ---------------------------------------------------------------
 
 def test_parked_ue_costs_no_channel_reads():
-    cell = Cell(CellConfig(cell_id=PCELL), set().add)
+    cell = Cell(CellConfig(cell_id=PCELL), set().add, set().add)
     channel = CountingFixedCqi(9)
-    cell.add_ue(70, Ue("001", channel))
-    cell.refresh_cqi(0, force=True)
+    cell.add_ue(70, Ue("001", channel), 0)
     cell.refresh_cqi(0)
     observed = channel.reads
     assert observed == 1  # no interferer: one read serves both CQIs
@@ -240,10 +246,9 @@ def test_parked_ue_costs_no_channel_reads():
 def swapped_in_at(swap) -> int:
     """Attach a static UE at TTI 0, run to TTI 104, apply *swap*, and
     return the TTI at which the cell learns of CQI 6."""
-    cell = Cell(CellConfig(cell_id=PCELL), set().add)
+    cell = Cell(CellConfig(cell_id=PCELL), set().add, set().add)
     ue = Ue("001", FixedCqi(12))
-    cell.add_ue(70, ue)
-    cell.refresh_cqi(0, force=True)
+    cell.add_ue(70, ue, 0)
     for tti in range(105):
         cell.refresh_cqi(tti)
     swap(cell, ue)
@@ -267,14 +272,14 @@ def test_replaced_carrier_channel_is_learned_at_the_next_srs_instant():
 
 
 def test_interferer_rearms_parked_ues_on_their_grid():
-    cell = Cell(CellConfig(cell_id=PCELL), set().add)
+    cell = Cell(CellConfig(cell_id=PCELL), set().add, set().add)
     channel = CountingFixedCqi(9)
-    cell.add_ue(70, Ue("001", channel))
-    cell.refresh_cqi(3, force=True)
+    cell.add_ue(70, Ue("001", channel), 3)
     for tti in range(3, 48):
         cell.refresh_cqi(tti)
     assert channel.reads == 1
-    cell.set_interference_source(Cell(CellConfig(cell_id=20), set().add))
+    cell.set_interference_source(Cell(CellConfig(cell_id=20), set().add,
+                                      set().add))
     for tti in range(48, 54):
         cell.refresh_cqi(tti)
         # 3 + 5 * 10: the first grid instant after the change.
@@ -303,8 +308,9 @@ def test_bulk_carrier_channel_edits_are_refused():
 # -- the attach storm -----------------------------------------------------------
 
 def test_attach_storm_observes_each_channel_once():
-    """100 UEs attached at one TTI: each forced refresh used to re-read
-    the whole cell (5 050 observations, two reads each)."""
+    """100 UEs attached at one TTI: an attach observes its newcomer and
+    nobody else (a forced pass over the whole cell at each attach once
+    made 5 050 observations, two reads each)."""
     enb = EnodeB(1)
     channels = [CountingFixedCqi(1 + i % 15) for i in range(100)]
     rntis = [enb.attach_ue(Ue(f"{i:03d}", ch), tti=7)
@@ -329,34 +335,46 @@ def test_attach_storm_keeps_moving_channels_in_phase():
         assert {cell.cqi_updated_tti[r] for r in rntis} == {want}
 
 
-def test_a_later_attach_still_rephases_the_cell():
-    """The phase-lock on moving channels is kept: a forced refresh at a
-    new TTI observes everyone, parked UEs included."""
+def test_a_later_attach_observes_only_the_newcomer():
+    """Each UE keeps the SRS phase of its own attach: a later attach
+    neither re-reads nor re-phases the UEs already served."""
     enb = EnodeB(1)
-    first = enb.attach_ue(Ue("001", FixedCqi(9)), tti=0)
+    static = CountingFixedCqi(9)
+    first = enb.attach_ue(Ue("001", static), tti=0)
     second = enb.attach_ue(Ue("002", SquareWaveCqi(12, 4, 25)), tti=0)
     for tti in range(14):
         enb.tick(tti)
+    reads = static.reads
     third = enb.attach_ue(Ue("003", FixedCqi(5)), tti=14)
     cell = enb.cell()
     assert [cell.cqi_updated_tti[r] for r in (first, second, third)] == [
-        14, 14, 14]
+        0, 10, 14]
+    assert static.reads == reads
+    for tti in range(14, 31):
+        enb.tick(tti)
+    assert [cell.cqi_updated_tti[r] for r in (first, second, third)] == [
+        0, 30, 14]
 
 
-def test_forced_refresh_rereads_after_a_change_within_the_tti():
-    """The skip rests on reads repeating within a TTI; a new interferer
-    or channel object between two forced passes of one TTI breaks that."""
-    shadowed = ShadowedCell(CellConfig(cell_id=PCELL))
-    first = Ue("001", InterferenceChannel(20.0, 2.0))
-    shadowed.add_ue(70, first, 5)
-    clear = shadowed.cell.known_cqi[70]
-    shadowed.cell.set_interference_source(Cell(CellConfig(cell_id=20),
-                                               set().add))
-    shadowed.add_ue(71, Ue("002", FixedCqi(7)), 5)
-    assert shadowed.cell.known_cqi[70] < clear
-    first.channel = FixedCqi(3)
-    shadowed.add_ue(72, Ue("003", FixedCqi(7)), 5)
-    assert shadowed.cell.known_cqi[70] == 3
+def test_a_ue_with_neighbor_channels_is_never_parked():
+    """A static serving channel does not park a UE whose neighbor
+    channels it reports: they are read at every SRS instant."""
+    cell = Cell(CellConfig(cell_id=PCELL), set().add, set().add)
+    ue = Ue("001", FixedCqi(9))
+    ue.neighbor_channels = {99: SquareWaveCqi(12, 4, period_ttis=15)}
+    cell.add_ue(70, ue, 0)
+    seen = []
+    for tti in range(61):
+        cell.refresh_cqi(tti)
+        seen.append(cell.known_neighbor_cqi[70][99])
+    assert cell.cqi_updated_tti[70] == 60
+    assert seen == [12] * 20 + [4] * 10 + [12] * 20 + [4] * 10 + [12]
+    # Without them it parks at its next observation.
+    ue.neighbor_channels = {}
+    for tti in range(61, 100):
+        cell.refresh_cqi(tti)
+    assert cell.cqi_updated_tti[70] == 70
+    assert cell.known_neighbor_cqi[70] == {}
 
 
 # -- what a pass costs --------------------------------------------------------
@@ -378,12 +396,13 @@ def pass_calls(tti: int, ues: int = 50) -> Calls:
 def test_a_due_pass_costs_one_channel_read_per_ue():
     # 12.0 calls per observed UE while every UE was a heap entry and an
     # observation went through _refresh_one, Ue.channel_for and the
-    # generic ChannelModel.cqi; 8.3 since a pass serves due buckets
-    # through one Cell._observe call and makes one channel call per UE
-    # (CPython 3.11, exact; at this TTI every channel draws a new noise
-    # block).
+    # generic ChannelModel.cqi; 8.3 once a pass served due buckets
+    # through one Cell._observe call; 10.26 since the observation also
+    # keeps the SINR the UE reports (a second channel call, a round and
+    # a dict read per UE), which no report reads again (CPython 3.11,
+    # exact; one draw per observation, none of them a block refill).
     calls = pass_calls(4 * SRS_PERIOD_TTIS)
-    assert calls.total / 50 <= 8.3, calls
+    assert calls.total / 50 <= 10.26, calls
 
 
 def test_a_pass_with_nothing_due_makes_no_call():

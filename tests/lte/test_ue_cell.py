@@ -82,12 +82,12 @@ class TestCellConfig:
 
 class TestCell:
     def make_cell(self):
-        return Cell(CellConfig(cell_id=10), set().add)
+        return Cell(CellConfig(cell_id=10), set().add, set().add)
 
     def test_add_remove_ue(self):
         cell = self.make_cell()
         ue = Ue("001", FixedCqi(10))
-        cell.add_ue(70, ue)
+        cell.add_ue(70, ue, 0)
         assert ue.serving_cell_id == 10
         assert sorted(cell.ues) == [70]
         assert cell.remove_ue(70) is ue
@@ -95,15 +95,14 @@ class TestCell:
 
     def test_duplicate_rnti_rejected(self):
         cell = self.make_cell()
-        cell.add_ue(70, Ue("001"))
+        cell.add_ue(70, Ue("001"), 0)
         with pytest.raises(ValueError):
-            cell.add_ue(70, Ue("002"))
+            cell.add_ue(70, Ue("002"), 0)
 
     def test_cqi_refresh_period(self):
         cell = self.make_cell()
         cell.add_ue(70, Ue("001", SquareWaveCqi(
-            10, 4, period_ttis=SRS_PERIOD_TTIS)))
-        cell.refresh_cqi(0, force=True)
+            10, 4, period_ttis=SRS_PERIOD_TTIS)), 0)
         assert cell.known_cqi[70] == 10
         # Channel already flipped at tti 10+? No: refresh within the SRS
         # period keeps the stale value even though the channel moved.
@@ -121,13 +120,12 @@ class TestCell:
             cell.set_abs_pattern([12])
 
     def test_interference_scheduling_cqi(self):
-        aggressor = Cell(CellConfig(cell_id=20), set().add)
+        aggressor = Cell(CellConfig(cell_id=20), set().add, set().add)
         victim = self.make_cell()
         victim.set_interference_source(aggressor)
         ue = Ue("001", InterferenceChannel(
             cqi_to_sinr_floor(12) + 0.1, cqi_to_sinr_floor(2) + 0.1))
-        victim.add_ue(70, ue)
-        victim.refresh_cqi(0, force=True)
+        victim.add_ue(70, ue, 0)
         assert victim.known_cqi[70] == 2
         assert victim.known_cqi_clear[70] == 12
         # Aggressor silent in subframe 1 -> clear CQI applies.
@@ -136,12 +134,12 @@ class TestCell:
         assert victim.scheduling_cqi(70, 2) == 2
 
     def test_actual_cqi_depends_on_real_transmission(self):
-        aggressor = Cell(CellConfig(cell_id=20), set().add)
+        aggressor = Cell(CellConfig(cell_id=20), set().add, set().add)
         victim = self.make_cell()
         victim.set_interference_source(aggressor)
         ue = Ue("001", InterferenceChannel(
             cqi_to_sinr_floor(12) + 0.1, cqi_to_sinr_floor(2) + 0.1))
-        victim.add_ue(70, ue)
+        victim.add_ue(70, ue, 0)
         aggressor.mark_transmission(100, True)
         assert victim.actual_cqi(70, 100) == 2
         aggressor.mark_transmission(101, False)
@@ -149,7 +147,6 @@ class TestCell:
 
     def test_no_interferer_means_clear(self):
         cell = self.make_cell()
-        cell.add_ue(70, Ue("001", FixedCqi(9)))
-        cell.refresh_cqi(0, force=True)
+        cell.add_ue(70, Ue("001", FixedCqi(9)), 0)
         assert cell.scheduling_cqi(70, 0) == 9
         assert cell.actual_cqi(70, 0) == 9

@@ -188,9 +188,8 @@ def test_schedulable_is_the_backlog_while_no_backlogged_cqi_is_zero(program):
             enb.enqueue_dl(rnti, 300, tti)
         elif op == "drain":
             enb.rlc[rnti].dequeue_priority(10 ** 6, tti)
-        elif op == "channel":
+        elif op == "channel":  # learned at the UE's next SRS instant
             enb.ue(rnti).channel = FixedCqi(cqi)
-            enb.cells[10].refresh_cqi(tti, force=True)
         elif op == "drx":
             enb.set_drx(rnti, None if enb.drx.is_configured(rnti) else
                         DrxConfig(cycle_ttis=4, on_duration_ttis=2,
@@ -199,6 +198,7 @@ def test_schedulable_is_the_backlog_while_no_backlogged_cqi_is_zero(program):
             enb.configure_bearer(rnti, 3, QosProfile(qci=9))
         else:
             enb.detach_ue(rnti)
+        enb.cells[10].refresh_cqi(tti)  # as EnodeB.plan does
         ctx = enb.build_context(10, tti)
         backlogged, schedulable = ctx.backlogged_ues, ctx.schedulable_ues
         unusable = [v for v in backlogged if v.cqi <= 0]

@@ -142,13 +142,16 @@ class LiveServer:
         return NorthboundClient(self.host, self.port, **kwargs)
 
     def agent_id(self) -> int:
+        """The first agent's id, once the RIB holds it and its cells
+        (the cell config reply lands after the agent joins)."""
+        rib = self.sim.master.rib
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
-            ids = self.sim.master.rib.agent_ids()
-            if ids:
+            ids = rib.agent_ids()
+            if ids and rib.agent(ids[0]).cells:
                 return ids[0]
             time.sleep(0.01)
-        raise AssertionError("agent never joined the RIB")
+        raise AssertionError("agent and its cells never joined the RIB")
 
     def shutdown(self) -> None:
         self._stop.set()

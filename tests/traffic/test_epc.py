@@ -1,5 +1,6 @@
 """Tests for the EPC stub."""
 
+from repro.lte import rlc
 from repro.lte.enodeb import EnodeB
 from repro.lte.phy.channel import FixedCqi
 from repro.lte.ue import Ue
@@ -28,7 +29,8 @@ class TestDownlink:
 
     def test_overflow_counted_as_dropped(self, monkeypatch):
         monkeypatch.setattr(generators, "SATURATING_BURST_BYTES", 10_000)
-        enb = EnodeB(1, rlc_buffer_bytes=5000)
+        monkeypatch.setattr(rlc, "DEFAULT_RLC_BUFFER_BYTES", 5000)
+        enb = EnodeB(1)
         ue = Ue("001", FixedCqi(15))
         rnti = enb.attach_ue(ue, tti=0)
         epc = EpcStub()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.lte import rlc
 from repro.lte.enodeb import EnodeB
 from repro.lte.phy.channel import FixedCqi, SquareWaveCqi
 from repro.lte.phy.tbs import capacity_mbps
@@ -9,8 +10,8 @@ from repro.lte.ue import Ue
 from repro.traffic.tcp import TcpFlow
 
 
-def build(cqi=10, rlc_buffer=None, **flow_kw):
-    enb = EnodeB(1, rlc_buffer_bytes=rlc_buffer)
+def build(cqi=10, **flow_kw):
+    enb = EnodeB(1)
     ue = Ue("001", FixedCqi(cqi))
     rnti = enb.attach_ue(ue, tti=0)
     flow = TcpFlow(**flow_kw)
@@ -49,9 +50,9 @@ class TestCongestionControl:
         drive(enb, flow, 200)
         assert flow.cwnd > cwnd0
 
-    def test_buffer_overflow_triggers_loss_and_backoff(self):
-        enb, ue, rnti, flow = build(cqi=2, rlc_buffer=30_000,
-                                    unlimited=True)
+    def test_buffer_overflow_triggers_loss_and_backoff(self, monkeypatch):
+        monkeypatch.setattr(rlc, "DEFAULT_RLC_BUFFER_BYTES", 30_000)
+        enb, ue, rnti, flow = build(cqi=2, unlimited=True)
         drive(enb, flow, 5000)
         assert flow.loss_events > 0
         # The flow still delivers close to the link rate (buffer >> BDP).

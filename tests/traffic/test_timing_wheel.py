@@ -151,6 +151,9 @@ def dense_loop(source, attach_at, ttis):
 SOURCES = {
     "cbr": lambda: CbrSource(0.8, phase=0.25),
     "cbr_stop": lambda: CbrSource(2.0, stop_tti=900),
+    # Hinted before its window opens, a packet interval (14 TTIs) that
+    # outlasts the wait: the first call credits one TTI, whenever.
+    "cbr_late": lambda: CbrSource(0.8, start_tti=5),
     "poisson": lambda: PoissonSource(3.0, seed=11, start_tti=5),
     "poisson_ptrs": lambda: PoissonSource(150.0, seed=2),
     "on_off": lambda: OnOffSource(2.0, on_ttis=7, off_ttis=13, start_tti=3),
