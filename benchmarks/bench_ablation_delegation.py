@@ -24,6 +24,7 @@ from conftest import print_table, run_once
 from repro.core.protocol.messages import Category
 from repro.lte.phy.channel import GaussMarkovSinr
 from repro.net.clock import Phase
+from repro.sim.metrics import goodput_mbps
 from repro.sim.scenarios import centralized_scheduling
 from repro.sim.simulation import Simulation
 from repro.lte.ue import Ue
@@ -37,15 +38,21 @@ def channel(seed=5):
     return GaussMarkovSinr(22.0, sigma_db=2.0, reversion=0.02, seed=seed)
 
 
+def command_mbps(sim, agent_id: int) -> float:
+    """The master's command signaling to *agent_id* over the run."""
+    counter = sim.connections[agent_id].channel.downlink.counters.get(
+        Category.COMMANDS)
+    return goodput_mbps(counter.bytes if counter else 0, RUN_TTIS)
+
+
 def run_remote(rtt: int):
     sc = centralized_scheduling(
         ues_per_enb=1, rtt_ms=rtt, schedule_ahead=rtt + 4,
         load_factor=1.5, channel_factory=lambda e, i: channel())
     sc.sim.run(RUN_TTIS)
-    conn = sc.sim.connections[sc.agents[0].agent_id]
-    commands = conn.channel.downlink.category_mbps(Category.COMMANDS,
-                                                   RUN_TTIS)
-    return sc.ues_per_enb[0][0].meter.mean_mbps(RUN_TTIS), commands
+    ue = sc.ues_per_enb[0][0]
+    return (goodput_mbps(ue.meter.total_bytes, RUN_TTIS),
+            command_mbps(sc.sim, sc.agents[0].agent_id))
 
 
 def run_delegated(rtt: int):
@@ -66,10 +73,8 @@ def run_delegated(rtt: int):
                 behavior="delegated_pf")
     sim.clock.register(Phase.POST, push_once)
     sim.run(RUN_TTIS)
-    conn = sim.connections[agent.agent_id]
-    commands = conn.channel.downlink.category_mbps(Category.COMMANDS,
-                                                   RUN_TTIS)
-    return ue.meter.mean_mbps(RUN_TTIS), commands
+    return (goodput_mbps(ue.meter.total_bytes, RUN_TTIS),
+            command_mbps(sim, agent.agent_id))
 
 
 def run_local():
@@ -80,7 +85,7 @@ def run_local():
     sim.add_ue(enb, ue)
     sim.add_downlink_traffic(enb, ue, CbrSource(30.0, start_tti=50))
     sim.run(RUN_TTIS)
-    return ue.meter.mean_mbps(RUN_TTIS), 0.0
+    return goodput_mbps(ue.meter.total_bytes, RUN_TTIS), 0.0
 
 
 def test_delegation_vs_latency(benchmark):

@@ -18,6 +18,7 @@ from conftest import print_table, run_once
 
 from repro.core.protocol import codec
 from repro.core.protocol.messages import Category, StatsReply, UeStatsReport
+from repro.sim.metrics import goodput_mbps
 from repro.sim.scenarios import centralized_scheduling
 
 PERIODS = [1, 2, 5, 10]
@@ -32,8 +33,10 @@ def run_period(period: int):
     sc.app.stats_period_ttis = period
     sc.sim.run(RUN_TTIS)
     conn = sc.sim.connections[sc.agents[0].agent_id]
-    stats_mbps = conn.channel.uplink.category_mbps(Category.STATS, RUN_TTIS)
-    tput = sum(u.meter.mean_mbps(RUN_TTIS) for u in sc.ues_per_enb[0])
+    stats_mbps = goodput_mbps(
+        conn.channel.uplink.counters[Category.STATS].bytes, RUN_TTIS)
+    tput = sum(goodput_mbps(u.meter.total_bytes, RUN_TTIS)
+               for u in sc.ues_per_enb[0])
     return stats_mbps, tput
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from conftest import print_table, run_once
 
 from repro.core.apps.base import App
+from repro.sim.metrics import goodput_mbps
 from repro.sim.scenarios import centralized_scheduling
 
 RUN_TTIS = 1500
@@ -67,7 +68,8 @@ def run_mode(realtime: bool):
     sc.sim.run(RUN_TTIS)
     stats = sc.sim.master.task_manager.stats
     health = sc.sim.master.supervisor.describe()
-    tput = sum(u.meter.mean_mbps(RUN_TTIS) for u in sc.ues_per_enb[0])
+    tput = sum(goodput_mbps(u.meter.total_bytes, RUN_TTIS)
+               for u in sc.ues_per_enb[0])
     scheduler_runs = sc.sim.master.registry.registration(
         "remote_scheduler").runs
     return {
@@ -79,7 +81,8 @@ def run_mode(realtime: bool):
         "heavy_runs": heavy.runs,
         "background_runs": background.runs,
         "scheduler_runs": scheduler_runs,
-        "mean_cycle_ms": stats.mean_core_ms + stats.mean_app_ms,
+        "mean_cycle_ms": (stats.core_ms_total / stats.cycles
+                          + stats.app_ms_total / stats.cycles),
         "tput": tput,
     }
 

@@ -20,19 +20,18 @@ from __future__ import annotations
 
 from conftest import print_table, run_once
 
-from repro.sim.scenarios import EICIC_MODES, hetnet_eicic
+from repro.sim.metrics import goodput_mbps
+from repro.sim.scenarios import CATALOGUE, EICIC_MODES
 
 RUN_TTIS = 20_000
-WARMUP_TTIS = 1000
 
 
 def run_mode(mode: str):
-    sc = hetnet_eicic(mode)
+    sc = CATALOGUE[f"hetnet_{mode}"][0]()
     sc.sim.run(RUN_TTIS)
-    window = RUN_TTIS - WARMUP_TTIS
-    macro = sum((u.rx_bytes_total * 8 / 1000 / RUN_TTIS)
+    macro = sum(goodput_mbps(u.rx_bytes_total, RUN_TTIS)
                 for u in sc.macro_ues)
-    small = sc.small_ue.rx_bytes_total * 8 / 1000 / RUN_TTIS
+    small = goodput_mbps(sc.small_ue.rx_bytes_total, RUN_TTIS)
     return macro, small
 
 

@@ -21,19 +21,25 @@ from __future__ import annotations
 
 from conftest import print_table, run_once
 
-from repro.sim.scenarios import dash_streaming
+from repro.sim.scenarios import CATALOGUE
 
 RUN_TTIS = 120_000  # 120 s of streaming, as in the paper's plots
 
+ROWS = {("low", False): "dash_low_default",
+        ("low", True): "dash_low_assisted",
+        ("high", False): "dash_high_default",
+        ("high", True): "dash_streaming"}
+"""(case, assisted) -> the catalogue row that deploys it."""
+
 
 def run_case(case: str, assisted: bool):
-    sc = dash_streaming(case, assisted=assisted)
+    sc = CATALOGUE[ROWS[case, assisted]][0]()
     sc.sim.run(RUN_TTIS)
     client = sc.client
     rates = [b for _, b in client.bitrate_series]
     return {
         "rates_used": sorted(set(rates)),
-        "mean_bitrate": client.mean_bitrate_mbps(),
+        "mean_bitrate": sum(rates) / len(rates),
         "max_bitrate": max(rates),
         "min_bitrate": min(rates),
         "freezes": client.freeze_count(),

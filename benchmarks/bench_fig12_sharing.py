@@ -22,25 +22,15 @@ from __future__ import annotations
 from conftest import print_table, run_once
 
 from repro.core.apps.monitoring import MonitoringApp
-from repro.core.apps.ran_sharing import ShareChange
-from repro.sim.metrics import cdf_points
-from repro.sim.scenarios import ran_sharing
+from repro.sim.metrics import goodput_mbps
+from repro.sim.scenarios import CATALOGUE, PHASE_TTIS
 
-PHASE_TTIS = 10_000  # one phase of Fig 12a
 FIG12B_TTIS = 15_000
 
 
 def test_fig12a_dynamic_allocation(benchmark):
     def experiment():
-        sc = ran_sharing(
-            ues_per_operator=5,
-            initial_fractions={"mno": 0.7, "mvno": 0.3},
-            changes=[
-                ShareChange(at_tti=PHASE_TTIS,
-                            fractions={"mno": 0.4, "mvno": 0.6}),
-                ShareChange(at_tti=2 * PHASE_TTIS,
-                            fractions={"mno": 0.8, "mvno": 0.2}),
-            ])
+        sc = CATALOGUE["ran_sharing_dynamic"][0]()
         app = MonitoringApp(period_ttis=200)
         sc.sim.master.add_app(app)
         sc.sim.run(3 * PHASE_TTIS)
@@ -80,18 +70,17 @@ def test_fig12a_dynamic_allocation(benchmark):
 
 def test_fig12b_group_policy_cdf(benchmark):
     def experiment():
-        sc = ran_sharing(
-            ues_per_operator=15,
-            initial_fractions={"mno": 0.5, "mvno": 0.5},
-            group_split=(9, 6),
-            per_ue_load_mbps=1.0)
+        sc = CATALOGUE["ran_sharing_groups"][0]()
         sc.sim.run(FIG12B_TTIS)
-        mno = [u.meter.mean_mbps(FIG12B_TTIS) * 1000
-               for u in sc.ues_by_operator["mno"]]  # kb/s
+
+        def kbps(ue):
+            return goodput_mbps(ue.meter.total_bytes, FIG12B_TTIS) * 1000
+
+        mno = [kbps(u) for u in sc.ues_by_operator["mno"]]
         mvno = sc.ues_by_operator["mvno"]
-        premium = [u.meter.mean_mbps(FIG12B_TTIS) * 1000 for u in mvno
+        premium = [kbps(u) for u in mvno
                    if u.labels.get("group") == "premium"]
-        secondary = [u.meter.mean_mbps(FIG12B_TTIS) * 1000 for u in mvno
+        secondary = [kbps(u) for u in mvno
                      if u.labels.get("group") == "secondary"]
         return mno, premium, secondary
 
@@ -106,8 +95,9 @@ def test_fig12b_group_policy_cdf(benchmark):
         "Fig 12b -- per-UE throughput by scheduling policy, kb/s "
         "(paper: fair MNO ~380 each; premium ~450; secondary <200)",
         ["group", "UEs", "min", "mean", "max"], rows)
+    cdf = [(v, (i + 1) / len(mno)) for i, v in enumerate(sorted(mno))]
     print("CDF points (MNO fair):",
-          [(round(v), round(p, 2)) for v, p in cdf_points(mno)][::5])
+          [(round(v), round(p, 2)) for v, p in cdf][::5])
 
     mean = lambda xs: sum(xs) / len(xs)
     # Fair policy: MNO UEs tightly clustered.

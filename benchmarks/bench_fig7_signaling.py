@@ -14,6 +14,7 @@ from __future__ import annotations
 from conftest import print_table, run_once
 
 from repro.core.protocol.messages import Category
+from repro.sim.metrics import goodput_mbps
 from repro.sim.scenarios import centralized_scheduling
 
 UE_COUNTS = [10, 20, 30, 40, 50]
@@ -21,15 +22,21 @@ RUN_TTIS = 2000
 WARMUP_TTIS = 200
 
 
+def breakdown_mbps(link, warm: dict) -> dict:
+    """Per-category Mb/s over the measured run: bytes past *warm*, the
+    counts at the end of the warm-up."""
+    return {cat: goodput_mbps(c.bytes - warm.get(cat, 0), RUN_TTIS)
+            for cat, c in sorted(link.counters.items())}
+
+
 def run_case(n_ues: int):
     sc = centralized_scheduling(ues_per_enb=n_ues, cqi=12)
     sc.sim.run(WARMUP_TTIS)
-    conn = sc.sim.connections[sc.agents[0].agent_id]
-    conn.channel.uplink.reset_counters()
-    conn.channel.downlink.reset_counters()
+    links = sc.sim.connections[sc.agents[0].agent_id].channel.links
+    warm = [{cat: c.bytes for cat, c in link.counters.items()}
+            for link in links]
     sc.sim.run(RUN_TTIS)
-    up = conn.channel.uplink.breakdown_mbps(RUN_TTIS)
-    down = conn.channel.downlink.breakdown_mbps(RUN_TTIS)
+    up, down = (breakdown_mbps(link, w) for link, w in zip(links, warm))
     return up, down
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from conftest import print_table, run_once
 
+from repro.obs import percentile
 from repro.sim.scenarios import centralized_scheduling
 from repro.sim.simulation import Simulation
 
@@ -38,10 +39,12 @@ def run_case(n_agents: int):
         sc.sim.run(RUN_TTIS)
         master = sc.sim.master
     stats = master.task_manager.stats
+    samples = list(stats.core_ms_samples)
     mem_kb = master.rib.memory_footprint_bytes() / 1024
-    return (stats.mean_core_ms, stats.mean_app_ms, stats.mean_idle_ms,
-            stats.percentile_core_ms(95), stats.percentile_core_ms(99),
-            mem_kb)
+    return (stats.core_ms_total / stats.cycles,
+            stats.app_ms_total / stats.cycles,
+            stats.idle_ms_total / stats.cycles,
+            percentile(samples, 95), percentile(samples, 99), mem_kb)
 
 
 def test_fig8_master_resources(benchmark):

@@ -20,6 +20,7 @@ from conftest import print_table, run_once
 
 from repro import obs
 from repro.lte.phy.channel import GaussMarkovSinr
+from repro.sim.metrics import goodput_mbps
 from repro.sim.scenarios import centralized_scheduling
 
 RTTS_MS = [0, 10, 20, 30, 40, 60]
@@ -34,7 +35,7 @@ def run_cell(rtt_ms: int, ahead: int) -> float:
         channel_factory=lambda e, i: GaussMarkovSinr(
             22.0, sigma_db=2.0, reversion=0.02, seed=11))
     sc.sim.run(RUN_TTIS)
-    return sc.ues_per_enb[0][0].meter.mean_mbps(RUN_TTIS)
+    return goodput_mbps(sc.ues_per_enb[0][0].meter.total_bytes, RUN_TTIS)
 
 
 def test_fig9_latency_vs_schedule_ahead(benchmark):

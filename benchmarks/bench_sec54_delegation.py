@@ -16,6 +16,7 @@ from conftest import print_table, run_once
 
 from repro.core.policy import build_policy
 from repro.net.clock import Phase
+from repro.sim.metrics import goodput_mbps
 from repro.sim.scenarios import centralized_scheduling
 
 RUN_TTIS = 4000
@@ -48,7 +49,7 @@ def run_with_swaps(period_ttis: int):
     ue = sc.ues_per_enb[0][0]
     swap_slot = agent.mac._slot("dl_scheduling")
     vsf_blob_pushes = master.northbound.counters.vsf_updates
-    return (ue.meter.mean_mbps(RUN_TTIS), swap_slot.swaps,
+    return (goodput_mbps(ue.meter.total_bytes, RUN_TTIS), swap_slot.swaps,
             vsf_blob_pushes)
 
 

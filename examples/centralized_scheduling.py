@@ -11,6 +11,7 @@ Run:  python examples/centralized_scheduling.py
 """
 
 from repro.lte.phy.channel import GaussMarkovSinr
+from repro.sim.metrics import goodput_mbps
 from repro.sim.scenarios import centralized_scheduling
 
 
@@ -22,7 +23,8 @@ def run_case(rtt_ms: float, schedule_ahead: int) -> None:
             22.0, sigma_db=1.5, reversion=0.03, seed=i))
     scenario.sim.run(4000)
 
-    total = sum(u.meter.mean_mbps(4000) for u in scenario.ues_per_enb[0])
+    total = sum(goodput_mbps(u.meter.total_bytes, 4000)
+                for u in scenario.ues_per_enb[0])
     stub = scenario.agents[0].mac.remote_stub.stats
     verdict = "OK" if total > 1.0 else "starved (deadline misses)"
     print(f"  RTT {rtt_ms:>4.0f} ms, ahead {schedule_ahead:>3} sf -> "

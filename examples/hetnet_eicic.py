@@ -14,6 +14,7 @@ throughput is compared across the three modes:
 Run:  python examples/hetnet_eicic.py
 """
 
+from repro.sim.metrics import goodput_mbps
 from repro.sim.scenarios import EICIC_MODES, hetnet_eicic
 
 RUN_TTIS = 6000
@@ -24,8 +25,8 @@ def main() -> None:
     for mode in EICIC_MODES:
         scenario = hetnet_eicic(mode)
         scenario.sim.run(RUN_TTIS)
-        total = (sum(u.meter.mean_mbps(RUN_TTIS) for u in scenario.macro_ues)
-                 + scenario.small_ue.meter.mean_mbps(RUN_TTIS))
+        ues = [*scenario.macro_ues, scenario.small_ue]
+        total = sum(goodput_mbps(u.meter.total_bytes, RUN_TTIS) for u in ues)
         print(f"  {mode:<14} network throughput: {total:5.2f} Mb/s")
 
 

@@ -14,6 +14,7 @@ Run:  python examples/quickstart.py
 import json
 
 from repro.nb import NorthboundService
+from repro.sim.metrics import goodput_mbps
 from repro.sim.scenarios import quickstart
 
 
@@ -66,7 +67,8 @@ def main() -> None:
           f"{agent.mac.active_name('dl_scheduling')}")
     conn = sim.connections[agent.agent_id]
     print(f"signaling (uplink):    "
-          f"{conn.channel.uplink.total_mbps(sim.now):.3f} Mb/s")
+          f"{goodput_mbps(conn.channel.uplink.total_bytes, sim.now):.3f} "
+          "Mb/s")
 
 
 if __name__ == "__main__":

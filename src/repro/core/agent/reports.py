@@ -62,12 +62,14 @@ class ReportsManager:
 
     Periodic subscriptions are served *incrementally*: after the first
     full snapshot, each reply carries only what changed since the
-    previous one.  The eNodeB's change sequence (with channel-driven
-    changes folded in by :meth:`AgentDataPlaneApi.collect_ue_stats`,
-    the one pass over the UEs a report TTI makes) says which UEs to
-    look at; the generated ``UeStatsReport.changed_groups`` says which
-    statistic groups of each differ from what *this subscription* was
-    last sent, and only those travel.  A subscription's flags are a
+    previous one.  The eNodeB's change sequence says which UEs to look
+    at: a cell's SRS observation records a channel-driven move as a
+    ``cqi`` or ``measurement`` change, like any other, and
+    :meth:`AgentDataPlaneApi.collect_ue_stats` (the one pass over the
+    changed UEs a report TTI makes) reads it.  The generated
+    ``UeStatsReport.changed_groups`` says which statistic groups of
+    each differ from what *this subscription* was last sent, and only
+    those travel.  A subscription's flags are a
     mask ANDed onto that, in full snapshots too: a group it did not ask
     for is never on the wire.
     Cell reports are always complete, every reply self-identifies via
@@ -120,10 +122,10 @@ class ReportsManager:
                or sub.report_type == ReportType.ONE_OFF and not sub.served]
         if not due:
             return replies
-        # One pass over the UEs per report TTI: it folds channel-driven
-        # field changes into the change sequence and returns the record
-        # of every UE changed since the oldest watermark among the due
-        # subscriptions; each of them then takes its own share.
+        # One pass over the changed UEs per report TTI: it returns the
+        # record of every UE changed since the oldest watermark among
+        # the due subscriptions (channel moves included, recorded by the
+        # SRS observation); each of them then takes its own share.
         full_ues: Optional[List[UeStatsReport]] = None
         marks = [self._watermark(sub) for sub in due]
         since = min(marks)

@@ -12,7 +12,6 @@ from repro.core.apps.eicic import (
 from repro.core.apps.mec_dash import (
     AssistedClientBinding,
     MecDashApp,
-    PAPER_TABLE2_BITRATES,
     bitrate_for_cqi,
 )
 from repro.core.apps.mobility import HandoverDecision, MobilityManagerApp
@@ -32,7 +31,6 @@ __all__ = [
     "register_eicic_factories",
     "AssistedClientBinding",
     "MecDashApp",
-    "PAPER_TABLE2_BITRATES",
     "bitrate_for_cqi",
     "HandoverDecision",
     "MobilityManagerApp",

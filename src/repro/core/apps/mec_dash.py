@@ -11,18 +11,12 @@ channel to the modified DASH client (:class:`AssistedAbr`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.apps.base import App
 from repro.core.controller.northbound import NorthboundApi, StatsSubscription
 from repro.core.protocol.messages import ReportType, StatsFlags
 from repro.traffic.dash import AssistedAbr
-
-# The paper's Table 2: CQI -> maximum sustainable video bitrate (Mb/s).
-# Benchmarks regenerate this table from simulation (bench_table2_cqi);
-# the values here seed the app when no measured table is supplied.
-PAPER_TABLE2_BITRATES: Dict[int, float] = {2: 1.4, 3: 2.0, 4: 2.9, 10: 7.3}
-
 
 def bitrate_for_cqi(table: Dict[int, float], cqi: float) -> float:
     """Largest table entry at or below *cqi* (conservative mapping)."""
@@ -52,10 +46,11 @@ class MecDashApp(App):
     priority = 10
     period_ttis = 100
 
-    def __init__(self, bindings: List[AssistedClientBinding], *,
-                 bitrate_table: Optional[Dict[int, float]] = None) -> None:
+    def __init__(self, bindings: List[AssistedClientBinding],
+                 bitrate_table: Dict[int, float]) -> None:
         self.bindings = list(bindings)
-        self.bitrate_table = dict(bitrate_table or PAPER_TABLE2_BITRATES)
+        #: CQI -> maximum sustainable bitrate, Mb/s (the paper's Table 2).
+        self.bitrate_table = dict(bitrate_table)
         self._cqi_ewma: Dict[Tuple[int, int], float] = {}
         self.subscriptions: Dict[int, StatsSubscription] = {}
         self.targets_sent: List[Tuple[int, int, float]] = []

@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, Callable, Deque, Optional
 from repro import obs as _obs
 from repro.core.controller.events import EventNotificationService
 from repro.core.controller.registry import RegistryService
-from repro.obs.registry import percentile
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.controller.northbound import NorthboundApi
@@ -77,10 +76,10 @@ def _cycle_window() -> Deque[float]:
 class CycleStats:
     """Aggregated cycle timings over a run.
 
-    Besides the running means (the Fig. 8 series), core-slot samples
-    are retained in a bounded window so tail cycle times
-    (p50/p95/p99) can be reported -- a long master run keeps the most
-    recent :data:`CYCLE_SAMPLE_WINDOW` cycles.
+    Besides the running totals (over ``cycles``, the Fig. 8 means),
+    core-slot samples are retained in a bounded window so tail cycle
+    times (p50/p95/p99) can be reported -- a long master run keeps the
+    most recent :data:`CYCLE_SAMPLE_WINDOW` cycles.
     """
 
     cycles: int = 0
@@ -102,23 +101,6 @@ class CycleStats:
         self.deferred_total += record.apps_deferred
         self.quarantined_total += record.apps_quarantined
         self.core_ms_samples.append(record.core_ms)
-
-    @property
-    def mean_core_ms(self) -> float:
-        return self.core_ms_total / self.cycles if self.cycles else 0.0
-
-    @property
-    def mean_app_ms(self) -> float:
-        return self.app_ms_total / self.cycles if self.cycles else 0.0
-
-    @property
-    def mean_idle_ms(self) -> float:
-        return self.idle_ms_total / self.cycles if self.cycles else 0.0
-
-    def percentile_core_ms(self, q: float) -> float:
-        """Tail core-slot time over the retained window (0 if empty)."""
-        samples = self.core_ms_samples
-        return percentile(list(samples), q) if samples else 0.0
 
 
 class TaskManager:

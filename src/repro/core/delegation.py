@@ -21,7 +21,6 @@ from typing import Any, Callable, Dict, Optional
 from repro.lte.mac.qos import QosScheduler
 from repro.lte.mac.schedulers import (
     SCHEDULER_REGISTRY,
-    GroupScheduler,
     SlicedScheduler,
 )
 
@@ -46,7 +45,6 @@ class VsfFactoryRegistry:
         for name, cls in SCHEDULER_REGISTRY.items():
             self.register(f"scheduler:{name}", cls)
         self.register("scheduler:sliced", SlicedScheduler)
-        self.register("scheduler:group_based", GroupScheduler)
         self.register("scheduler:qos_aware", QosScheduler)
 
     def register(self, name: str, factory: Callable[..., Callable]) -> None:

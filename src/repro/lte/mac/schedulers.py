@@ -303,31 +303,24 @@ class SlicedScheduler(Scheduler):
     each operator owns a fraction of the carrier, and an inner scheduler
     runs within the slice.  The ``fractions`` parameter is live-mutable
     via policy reconfiguration (the Fig. 12a experiment rewrites it at
-    t=10 s and t=140 s).
+    t=10 s and t=140 s).  *policies* names a slice's scheduler in
+    :data:`SCHEDULER_REGISTRY`; a slice without one, or added later by
+    a new fraction, is scheduled fair-share.
     """
 
     name = "sliced"
     label_key = "operator"
 
     def __init__(self, fractions: Dict[str, float],
-                 inner_factory=FairShareScheduler,
                  policies: Optional[Dict[str, str]] = None) -> None:
         super().__init__()
         self._validate_fractions(fractions)
         self.parameters = {"fractions": dict(fractions)}
-        self._inner_factory = inner_factory
         policies = policies or {}
         self._inner: Dict[str, Scheduler] = {
-            op: (self._make_inner(policies[op]) if op in policies
-                 else inner_factory())
+            op: (make_scheduler(policies[op]) if op in policies
+                 else FairShareScheduler())
             for op in fractions}
-
-    @staticmethod
-    def _make_inner(policy: str) -> Scheduler:
-        """Build a per-slice inner scheduler by policy name."""
-        if policy == "group_based":
-            return GroupScheduler()
-        return make_scheduler(policy)
 
     @staticmethod
     def _validate_fractions(fractions: Dict[str, float]) -> None:
@@ -345,7 +338,7 @@ class SlicedScheduler(Scheduler):
             self._validate_fractions(value)
             for op in value:
                 if op not in self._inner:
-                    self._inner[op] = self._inner_factory()
+                    self._inner[op] = FairShareScheduler()
         super().set_parameter(name, value)
 
     def schedule(self, ctx: SchedulingContext) -> List[DlAssignment]:
@@ -448,7 +441,7 @@ class NullScheduler(Scheduler):
 SCHEDULER_REGISTRY = {
     cls.name: cls for cls in (
         RoundRobinScheduler, FairShareScheduler, ProportionalFairScheduler,
-        MaxCqiScheduler, NullScheduler)
+        MaxCqiScheduler, GroupScheduler, NullScheduler)
 }
 """Name -> class map for schedulers constructible without arguments."""
 

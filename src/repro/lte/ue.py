@@ -55,12 +55,6 @@ class RateMeter:
         self._evict(now)
         return self._window_bytes * 8 / (self.window_ttis * 1000.0)
 
-    def mean_mbps(self, elapsed_ttis: int) -> float:
-        """Lifetime average throughput assuming *elapsed_ttis* of run."""
-        if elapsed_ttis <= 0:
-            return 0.0
-        return self.total_bytes * 8 / (elapsed_ttis * 1000.0)
-
 
 class CarrierChannels(Dict[int, ChannelModel]):
     """``cell id -> channel``; tells its UE when an entry is replaced.

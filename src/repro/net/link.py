@@ -216,34 +216,6 @@ class EmulatedLink:
         """Bytes currently traversing the link."""
         return sum(t.size_bytes for t in self._queue)
 
-    # -- accounting -------------------------------------------------------
-
-    def category_bytes(self, category: str) -> int:
-        counter = self.counters.get(category)
-        return counter.bytes if counter else 0
-
-    def category_mbps(self, category: str, elapsed_ttis: int) -> float:
-        """Average signaling rate of one category over a run, Mb/s."""
-        if elapsed_ttis <= 0:
-            return 0.0
-        return self.category_bytes(category) * 8 / (elapsed_ttis * 1000.0)
-
-    def total_mbps(self, elapsed_ttis: int) -> float:
-        if elapsed_ttis <= 0:
-            return 0.0
-        return self.total_bytes * 8 / (elapsed_ttis * 1000.0)
-
-    def breakdown_mbps(self, elapsed_ttis: int) -> Dict[str, float]:
-        """Per-category signaling rates (the Fig. 7 series)."""
-        return {cat: self.category_mbps(cat, elapsed_ttis)
-                for cat in sorted(self.counters)}
-
-    def reset_counters(self) -> None:
-        """Zero the accounting (e.g. after a warm-up period)."""
-        self.counters.clear()
-        self.total_bytes = 0
-        self.total_messages = 0
-
 
 class DuplexChannel:
     """The agent<->master control channel: an uplink/downlink link pair.

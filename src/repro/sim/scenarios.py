@@ -556,6 +556,9 @@ SHARING_CQI = 7
 """Operating point for the sharing experiments; capacity ~6.6 Mb/s, the
 regime of the paper's PHY-abstracted emulation runs."""
 
+PHASE_TTIS = 10_000
+"""One phase of Fig. 12a: the MNO/MVNO split changes every phase."""
+
 
 @dataclass
 class SharingScenario:
@@ -571,7 +574,6 @@ def ran_sharing(*, ues_per_operator: int = 5,
                 changes: Sequence[ShareChange] = (),
                 per_ue_load_mbps: float = 2.0,
                 group_split: Optional[Tuple[int, int]] = None,
-                cqi: int = SHARING_CQI,
                 seed: int = 0) -> SharingScenario:
     """Section 6.3: MNO + MVNO sharing one cell via a sliced scheduler.
 
@@ -593,7 +595,8 @@ def ran_sharing(*, ues_per_operator: int = 5,
                 labels["group"] = "premium" if i < premium else "secondary"
             elif group_split is not None:
                 labels["group"] = "premium"
-            ue = Ue(f"{operator}{i:03d}", FixedCqi(cqi), labels=labels)
+            ue = Ue(f"{operator}{i:03d}", FixedCqi(SHARING_CQI),
+                    labels=labels)
             sim.add_ue(enb, ue)
             sim.add_downlink_traffic(
                 enb, ue, CbrSource(per_ue_load_mbps, start_tti=100))
@@ -628,6 +631,9 @@ HIGH_BITRATES = [2.9, 4.9, 7.3, 9.6, 14.6, 19.6]
 LOW_CASE_CQIS = (4, 3)
 HIGH_CASE_CQIS = (10, 6)
 
+CQI_PERIOD_TTIS = 25_000
+"""Period of the Fig. 11 channel's square wave between its two CQIs."""
+
 SUSTAINABLE_FRACTION = 0.8
 """Fraction of the saturated link capacity a VBR stream can sustain
 without freezes (TCP efficiency x VBR peak headroom); regenerated
@@ -652,8 +658,7 @@ class DashScenario:
 
 
 def dash_streaming(case: str = LOW_VARIABILITY, *, assisted: bool = False,
-                   bitrate_table: Optional[Dict[int, float]] = None,
-                   period_s: float = 25.0, seed: int = 0) -> DashScenario:
+                   seed: int = 0) -> DashScenario:
     """Section 6.2: one UE streaming DASH under CQI fluctuation."""
     if case == LOW_VARIABILITY:
         high_cqi, low_cqi = LOW_CASE_CQIS
@@ -669,8 +674,7 @@ def dash_streaming(case: str = LOW_VARIABILITY, *, assisted: bool = False,
     sim = Simulation(with_master=True)
     enb = sim.add_enb(seed=seed)
     sim.add_agent(enb)
-    channel = SquareWaveCqi(high_cqi, low_cqi,
-                            period_ttis=int(period_s * 1000))
+    channel = SquareWaveCqi(high_cqi, low_cqi, period_ttis=CQI_PERIOD_TTIS)
     ue = Ue("dash0", channel)
     sim.add_ue(enb, ue)
     flow = sim.add_tcp_flow(enb, ue, base_rtt_ms=20.0)
@@ -679,11 +683,10 @@ def dash_streaming(case: str = LOW_VARIABILITY, *, assisted: bool = False,
 
     if assisted:
         abr = AssistedAbr()
-        table = bitrate_table or default_bitrate_table()
         app = MecDashApp(
             [AssistedClientBinding(agent_id=enb.enb_id, rnti=ue.rnti,
                                    abr=abr)],
-            bitrate_table=table)
+            default_bitrate_table())
         sim.master.add_app(app)
     elif case == LOW_VARIABILITY:
         abr = WindowedThroughputAbr(flow)
@@ -866,6 +869,29 @@ def _hetnet(mode: str):
     return lambda seed=0: hetnet_eicic(mode, seed=seed)
 
 
+def _dash(case: str, assisted: bool):
+    return lambda seed=0: dash_streaming(case, assisted=assisted, seed=seed)
+
+
+def _ran_sharing_dynamic(seed: int = 0) -> SharingScenario:
+    """Fig. 12a: 5+5 UEs at 70/30, then 40/60 at :data:`PHASE_TTIS` and
+    80/20 at twice that."""
+    return ran_sharing(
+        initial_fractions={"mno": 0.7, "mvno": 0.3},
+        changes=[ShareChange(at_tti=PHASE_TTIS,
+                             fractions={"mno": 0.4, "mvno": 0.6}),
+                 ShareChange(at_tti=2 * PHASE_TTIS,
+                             fractions={"mno": 0.8, "mvno": 0.2})],
+        seed=seed)
+
+
+def _ran_sharing_groups(seed: int = 0) -> SharingScenario:
+    """Fig. 12b: 15+15 UEs at 50/50 and 1 Mb/s each; the MVNO's slice
+    splits its UEs 9 premium / 6 secondary."""
+    return ran_sharing(ues_per_operator=15, group_split=(9, 6),
+                       per_ue_load_mbps=1.0, seed=seed)
+
+
 def _impaired_partitioned(seed: int = 0) -> CentralizedScenario:
     """:func:`partitioned_centralized` over an impaired channel: 1 %
     loss, a partition over TTIs 600--1200, and the RTT raised from 4 to
@@ -896,9 +922,13 @@ CATALOGUE: Dict[str, Tuple[Callable[..., object], int]] = {
     "chaos_survivability": (chaos_survivability, 4000),
     **{f"hetnet_{mode}": (_hetnet(mode), 2000) for mode in EICIC_MODES},
     "ran_sharing": (ran_sharing, 2000),
-    "dash_streaming": (
-        lambda seed=0: dash_streaming(HIGH_VARIABILITY, assisted=True,
-                                      seed=seed), 10_000),
+    "ran_sharing_dynamic": (_ran_sharing_dynamic, PHASE_TTIS + 500),
+    "ran_sharing_groups": (_ran_sharing_groups, 2000),
+    # Fig. 11: the two cases, default and assisted players.
+    "dash_streaming": (_dash(HIGH_VARIABILITY, True), 10_000),
+    "dash_high_default": (_dash(HIGH_VARIABILITY, False), 10_000),
+    "dash_low_default": (_dash(LOW_VARIABILITY, False), 10_000),
+    "dash_low_assisted": (_dash(LOW_VARIABILITY, True), 10_000),
     "mobility_handover": (mobility_handover, 3000),
     "wifi_sdran": (wifi_sdran, 2000),
     "feature_tour": (feature_tour, 3000),

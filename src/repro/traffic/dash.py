@@ -299,8 +299,3 @@ class DashClient:
 
     def freeze_count(self) -> int:
         return len(self.freezes) + (1 if self._current_freeze else 0)
-
-    def mean_bitrate_mbps(self) -> float:
-        if not self.bitrate_series:
-            return 0.0
-        return sum(b for _, b in self.bitrate_series) / len(self.bitrate_series)

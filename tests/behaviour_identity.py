@@ -12,8 +12,9 @@ about behaviour.  The rows (:data:`ROWS`):
 
 * every ``scenarios.CATALOGUE`` entry at its own TTI count, seed 0;
 * seed 7 of the entries where it moves the row (``hetnet_optimized``,
-  ``dash_streaming``, ``feature_tour``).  On every other entry seed 7
-  prints the seed-0 line, so a row for it would pin nothing more;
+  the four ``dash_*`` rows, ``feature_tour``).  On every other entry
+  seed 7 prints the seed-0 line, so a row for it would pin nothing
+  more;
 * the four ttibudget workloads (``benchmarks/ttibudget/workloads.py``,
   imported read-only) at their smoke size, warm-up plus 300 TTIs, seed
   0, and ``scale_churn`` (fading, Poisson), the one that seed 7 moves,
@@ -70,7 +71,8 @@ from repro.sim.simulation import Simulation  # noqa: E402
 from repro.traffic.generators import CbrSource, PoissonSource  # noqa: E402
 from workloads import SEED_STRIDE, WORKLOADS  # noqa: E402
 
-SEED_7_ENTRIES = ("hetnet_optimized", "dash_streaming", "feature_tour")
+SEED_7_ENTRIES = ("hetnet_optimized", "dash_streaming", "dash_high_default",
+                  "dash_low_default", "dash_low_assisted", "feature_tour")
 """Catalogue entries whose seed-7 run differs from their seed-0 run."""
 
 WORKLOAD_TTIS = 300

@@ -3,10 +3,7 @@
 import pytest
 
 from repro.core.apps.eicic import AbsOnlyScheduler, EicicMacroScheduler
-from repro.core.apps.mec_dash import (
-    PAPER_TABLE2_BITRATES,
-    bitrate_for_cqi,
-)
+from repro.core.apps.mec_dash import bitrate_for_cqi
 from repro.core.apps.mobility import MobilityManagerApp
 from repro.core.apps import monitoring
 from repro.core.apps.monitoring import MonitoringApp
@@ -15,6 +12,7 @@ from repro.lte.mac.dci import SchedulingContext, UeView
 from repro.lte.phy.channel import FixedCqi
 from repro.lte.phy.tbs import capacity_mbps
 from repro.lte.ue import Ue
+from repro.sim.metrics import goodput_mbps
 from repro.sim.scenarios import (
     centralized_scheduling,
     dash_streaming,
@@ -129,8 +127,9 @@ class TestEicicScenario:
     def test_modes_run_and_order(self, mode):
         sc = hetnet_eicic(mode)
         sc.sim.run(4000)
-        macro = sum(u.meter.mean_mbps(4000) for u in sc.macro_ues)
-        small = sc.small_ue.meter.mean_mbps(4000)
+        macro = sum(goodput_mbps(u.meter.total_bytes, 4000)
+                    for u in sc.macro_ues)
+        small = goodput_mbps(sc.small_ue.meter.total_bytes, 4000)
         assert macro > 0
         assert small > 0
 
@@ -139,9 +138,8 @@ class TestEicicScenario:
         for mode in ("uncoordinated", "eicic", "optimized"):
             sc = hetnet_eicic(mode)
             sc.sim.run(6000)
-            totals[mode] = (sum(u.meter.mean_mbps(6000)
-                                for u in sc.macro_ues)
-                            + sc.small_ue.meter.mean_mbps(6000))
+            totals[mode] = sum(goodput_mbps(u.meter.total_bytes, 6000)
+                               for u in [*sc.macro_ues, sc.small_ue])
         assert totals["optimized"] > totals["eicic"] > totals["uncoordinated"]
 
     def test_optimized_reclaims_abs(self):
@@ -154,8 +152,9 @@ class TestRanSharing:
     def test_fractions_drive_throughput(self):
         sc = ran_sharing(initial_fractions={"mno": 0.7, "mvno": 0.3})
         sc.sim.run(5000)
-        mno = sum(u.meter.mean_mbps(5000) for u in sc.ues_by_operator["mno"])
-        mvno = sum(u.meter.mean_mbps(5000)
+        mno = sum(goodput_mbps(u.meter.total_bytes, 5000)
+                  for u in sc.ues_by_operator["mno"])
+        mvno = sum(goodput_mbps(u.meter.total_bytes, 5000)
                    for u in sc.ues_by_operator["mvno"])
         assert mno / mvno == pytest.approx(70 / 30, rel=0.2)
 
@@ -182,14 +181,16 @@ class TestRanSharing:
         mvno = sc.ues_by_operator["mvno"]
         premium = [u for u in mvno if u.labels.get("group") == "premium"]
         secondary = [u for u in mvno if u.labels.get("group") == "secondary"]
-        prem_each = sum(u.meter.mean_mbps(6000) for u in premium) / len(premium)
-        sec_each = sum(u.meter.mean_mbps(6000) for u in secondary) / len(secondary)
+        prem_each = goodput_mbps(sum(u.meter.total_bytes for u in premium),
+                                 6000) / len(premium)
+        sec_each = goodput_mbps(sum(u.meter.total_bytes for u in secondary),
+                                6000) / len(secondary)
         assert prem_each > sec_each
 
 
 class TestMecDash:
     def test_bitrate_for_cqi_floor_lookup(self):
-        table = PAPER_TABLE2_BITRATES
+        table = {2: 1.4, 3: 2.0, 4: 2.9, 10: 7.3}
         assert bitrate_for_cqi(table, 10) == 7.3
         assert bitrate_for_cqi(table, 7.5) == 2.9
         assert bitrate_for_cqi(table, 1) == 1.4  # below smallest key

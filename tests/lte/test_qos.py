@@ -8,6 +8,7 @@ from repro.lte.mac.qos import QosProfile, QosScheduler
 from repro.lte.phy.channel import FixedCqi
 from repro.lte.phy.tbs import capacity_mbps
 from repro.lte.ue import Ue
+from repro.sim.metrics import goodput_mbps
 
 
 class TestQosProfile:
@@ -123,8 +124,8 @@ class TestQosEndToEnd:
                     if t % 2 == 0:
                         enb.enqueue_dl(r, 1500, t)
             enb.tick(t)
-        gbr_mbps = agent_ue.meter.mean_mbps(6000)
-        be_each = [u.meter.mean_mbps(6000) for u in others]
+        gbr_mbps = goodput_mbps(agent_ue.meter.total_bytes, 6000)
+        be_each = [goodput_mbps(u.meter.total_bytes, 6000) for u in others]
         assert gbr_mbps == pytest.approx(3.0, rel=0.1)
         # Best effort split the remainder roughly equally.
         for be in be_each:

@@ -165,7 +165,8 @@ class TestProportionalFair:
 
     def test_sliced_inner_pf_tracks_only_its_members(self):
         sched = SlicedScheduler({"mno": 0.6, "mvno": 0.4},
-                                inner_factory=ProportionalFairScheduler)
+                                policies={"mno": "proportional_fair",
+                                          "mvno": "proportional_fair"})
         mno = [UeView(rnti=70 + i, queue_bytes=10 ** 6, cqi=5 + 3 * i,
                       labels={"operator": "mno"}) for i in range(3)]
         mvno = [UeView(rnti=80 + i, queue_bytes=10 ** 6, cqi=4 + 5 * i,
@@ -325,6 +326,15 @@ class TestRegistry:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             make_scheduler("bogus")
+
+    def test_a_slice_policy_is_a_registered_name(self):
+        """A slice's policy name comes over the wire: it is built by
+        :func:`make_scheduler`, and an unknown one raises."""
+        assert isinstance(make_scheduler("group_based"), GroupScheduler)
+        with pytest.raises(ValueError):
+            make_scheduler("nope")
+        with pytest.raises(ValueError):
+            SlicedScheduler({"mno": 1.0}, policies={"mno": "nope"})
 
 
 class TestRetransmissionHelper:

@@ -7,6 +7,7 @@ from repro.lte.constants import SRS_PERIOD_TTIS
 from repro.lte.phy.channel import FixedCqi, InterferenceChannel, SquareWaveCqi
 from repro.lte.phy.cqi import cqi_to_sinr_floor
 from repro.lte.ue import RateMeter, Ue
+from repro.sim.metrics import goodput_mbps
 
 
 class TestRateMeter:
@@ -25,8 +26,8 @@ class TestRateMeter:
     def test_mean_mbps(self):
         m = RateMeter()
         m.add(125_000, 0)  # 1 Mb
-        assert m.mean_mbps(1000) == pytest.approx(1.0)
-        assert m.mean_mbps(0) == 0.0
+        assert m.total_bytes == 125_000
+        assert goodput_mbps(m.total_bytes, 1000) == pytest.approx(1.0)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

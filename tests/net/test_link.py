@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net.link import DuplexChannel, EmulatedLink
+from repro.sim.metrics import goodput_mbps
 
 
 class TestEmulatedLink:
@@ -58,9 +59,9 @@ class TestAccounting:
         link.send("a", 100, now=0, category="stats")
         link.send("b", 50, now=0, category="stats")
         link.send("c", 10, now=0, category="sync")
-        assert link.category_bytes("stats") == 150
-        assert link.category_bytes("sync") == 10
-        assert link.category_bytes("other") == 0
+        assert link.counters["stats"].bytes == 150
+        assert link.counters["sync"].bytes == 10
+        assert "other" not in link.counters
         assert link.total_bytes == 160
         assert link.total_messages == 3
 
@@ -69,23 +70,10 @@ class TestAccounting:
         # 125 bytes per TTI for 1000 TTIs = 1 Mb/s.
         for t in range(1000):
             link.send("x", 125, now=t, category="stats")
-        assert link.category_mbps("stats", 1000) == pytest.approx(1.0)
-        assert link.total_mbps(1000) == pytest.approx(1.0)
-        assert link.total_mbps(0) == 0.0
-
-    def test_breakdown(self):
-        link = EmulatedLink()
-        link.send("a", 1000, now=0, category="b_cat")
-        link.send("a", 500, now=0, category="a_cat")
-        breakdown = link.breakdown_mbps(1000)
-        assert list(breakdown) == ["a_cat", "b_cat"]  # sorted
-
-    def test_reset(self):
-        link = EmulatedLink()
-        link.send("a", 100, now=0)
-        link.reset_counters()
-        assert link.total_bytes == 0
-        assert link.counters == {}
+        stats = link.counters["stats"]
+        assert stats.messages == 1000
+        assert goodput_mbps(stats.bytes, 1000) == pytest.approx(1.0)
+        assert goodput_mbps(link.total_bytes, 1000) == pytest.approx(1.0)
 
 
 class TestDuplexChannel:

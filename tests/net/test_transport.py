@@ -38,9 +38,9 @@ class TestControlConnection:
         conn = ControlConnection()
         conn.agent_side.send(StatsReply(), now=0)
         conn.agent_side.send(EchoReply(), now=0)
-        assert conn.channel.uplink.category_bytes(Category.STATS) > 0
-        assert conn.channel.uplink.category_bytes(
-            Category.AGENT_MANAGEMENT) > 0
+        counters = conn.channel.uplink.counters
+        assert counters[Category.STATS].bytes > 0
+        assert counters[Category.AGENT_MANAGEMENT].bytes > 0
 
     def test_message_counters(self):
         conn = ControlConnection()

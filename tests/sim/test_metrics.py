@@ -3,18 +3,13 @@
 import pytest
 
 from repro.obs.registry import percentile
-from repro.sim.metrics import cdf_points, goodput_mbps
+from repro.sim.metrics import goodput_mbps
 
 
 class TestHelpers:
     def test_goodput(self):
         assert goodput_mbps(125_000, 1000) == pytest.approx(1.0)
         assert goodput_mbps(100, 0) == 0.0
-
-    def test_cdf(self):
-        points = cdf_points([3.0, 1.0, 2.0])
-        assert points == [(1.0, 1 / 3), (2.0, 2 / 3), (3.0, 1.0)]
-        assert cdf_points([]) == []
 
     def test_percentile(self):
         values = list(range(101))
