@@ -313,16 +313,15 @@ class FlexRanAgent:
         pass
 
     def _handle_config_request(self, message: ConfigRequest, now: int) -> None:
-        reply = ConfigReply(
+        # Only the requested list is built: "cells" or "ues" alone, and
+        # both for "enb" or any other scope.
+        scope = message.scope
+        api = self.api
+        self._send(ConfigReply(
             header=Header(xid=message.header.xid),
-            enb_id=self.api.enb_id,
-            cells=self.api.get_cell_configs(),
-            ues=self.api.get_ue_configs())
-        if message.scope == "cells":
-            reply.ues = []
-        elif message.scope == "ues":
-            reply.cells = []
-        self._send(reply, now)
+            enb_id=api.enb_id,
+            cells=api.get_cell_configs() if scope != "ues" else [],
+            ues=api.get_ue_configs() if scope != "cells" else []), now)
 
     def _handle_sync_config(self, message: SyncConfig, now: int) -> None:
         self.sync_enabled = message.enabled

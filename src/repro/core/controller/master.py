@@ -8,9 +8,10 @@ radio resources do not fit the flow abstraction and RAN control needs
 per-TTI reaction times (Section 4.3.3).
 
 The master learns the network through the protocol alone: an agent's
-``Hello`` triggers a configuration request, UE attach/detach events
-trigger UE-configuration refreshes, and everything else arrives as
-statistics and event messages applied by the RIB updater.
+``Hello`` triggers a configuration request, a failed attach or an
+event naming a UE the RIB does not hold triggers a UE-configuration
+refresh, and everything else arrives as statistics and event messages
+applied by the RIB updater.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ state between current and dead: the first echo probe."""
 DEAD_GC_TTIS = 10_000
 """Silence threshold after which a dead, detached agent's RIB subtree
 is garbage-collected."""
+
+_ATTACH_FAILED = int(EventType.ATTACH_FAILED)
+_UE_ARRIVALS = (int(EventType.UE_ATTACH), int(EventType.HANDOVER_COMPLETE))
 
 
 class MasterController:
@@ -350,13 +354,27 @@ class MasterController:
         elif isinstance(message, Hello):
             self._request_config(agent_id)
         elif isinstance(message, EventNotification):
-            if message.event_type in (int(EventType.UE_ATTACH),
-                                      int(EventType.ATTACH_FAILED),
-                                      int(EventType.HANDOVER_COMPLETE)):
-                # A "ues"-scoped reply snapshots *every* UE, so one
-                # request per (agent, TTI) covers any number of
-                # same-TTI attach/handover events -- a mass-attach wave
-                # must not fan out into a config-request flood.
+            event_type = message.event_type
+            if event_type == _ATTACH_FAILED or (
+                    event_type in _UE_ARRIVALS
+                    and not self._holds_configured_ue(agent_id, message)):
+                # A "ues"-scoped reply is authoritative for *every* UE
+                # of the agent: it adds the ones the RIB lacks and drops
+                # the departed, the failed attach included.  An arrival
+                # the RIB already holds with its configuration asks for
+                # nothing (an RNTI names one UE for the agent's life and
+                # a UE's configuration does not change while it stays),
+                # so departures are learned at the next reply.  One
+                # request per (agent, TTI) covers any number of same-TTI
+                # events -- a mass handover-in must not fan out into a
+                # config-request flood.
                 if self._last_ue_config_request.get(agent_id) != self.now:
                     self._last_ue_config_request[agent_id] = self.now
                     self.northbound.request_config(agent_id, scope="ues")
+
+    def _holds_configured_ue(self, agent_id: int,
+                             message: EventNotification) -> bool:
+        """Whether the RIB holds the event's UE with its configuration."""
+        cell = self.rib.agent(agent_id).cells.get(message.cell_id)
+        node = cell.ues.get(message.rnti) if cell is not None else None
+        return node is not None and node.config is not None

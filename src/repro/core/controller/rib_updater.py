@@ -121,15 +121,22 @@ class RibUpdater:
         self.counters.config_updates += 1
         if message.enb_id:
             agent.enb_id = message.enb_id
+        cells = agent.cells
         for cell_cfg in message.cells:
-            cell = agent.cells.setdefault(
-                cell_cfg.cell_id, CellNode(cell_id=cell_cfg.cell_id))
+            cell = cells.get(cell_cfg.cell_id)
+            if cell is None:
+                cell = cells[cell_cfg.cell_id] = CellNode(
+                    cell_id=cell_cfg.cell_id)
             cell.config = cell_cfg
         for ue_cfg in message.ues:
-            cell = agent.cells.setdefault(
-                ue_cfg.cell_id, CellNode(cell_id=ue_cfg.cell_id))
-            node = cell.ues.setdefault(
-                ue_cfg.rnti, UeNode(rnti=ue_cfg.rnti, cell_id=ue_cfg.cell_id))
+            cell = cells.get(ue_cfg.cell_id)
+            if cell is None:
+                cell = cells[ue_cfg.cell_id] = CellNode(
+                    cell_id=ue_cfg.cell_id)
+            node = cell.ues.get(ue_cfg.rnti)
+            if node is None:
+                node = cell.ues[ue_cfg.rnti] = UeNode(
+                    rnti=ue_cfg.rnti, cell_id=ue_cfg.cell_id)
             node.config = ue_cfg
         # A "ues" scoped reply is authoritative: drop departed UEs.
         if message.ues or not message.cells:

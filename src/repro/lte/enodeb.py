@@ -576,15 +576,15 @@ class EnodeB:
 
     def _advance_rrc(self, tti: int) -> None:
         """Supervise the attaches in flight (none: :meth:`_plan` skips
-        this)."""
-        self.rrc.check_timeouts(tti)
-        for rnti in self.rrc.attaching_rntis():
-            if self.rrc.setup_due(rnti, tti):
-                # Attach handshake rides SRB1 through the normal
-                # scheduler path; three signalling messages.
-                per_msg = ATTACH_SIGNALLING_BYTES // 3
-                for _ in range(3):
-                    self.rlc[rnti].enqueue(per_msg, tti, SRB_LCID)
+        this): fail those past their deadline, start the setups due."""
+        rrc = self.rrc
+        rrc.check_timeouts(tti)
+        for rnti in rrc.due_setups(tti):
+            # Attach handshake rides SRB1 through the normal
+            # scheduler path; three signalling messages.
+            per_msg = ATTACH_SIGNALLING_BYTES // 3
+            for _ in range(3):
+                self.rlc[rnti].enqueue(per_msg, tti, SRB_LCID)
 
     def _process_feedback(self, tti: int) -> None:
         pending = self._pending_feedback

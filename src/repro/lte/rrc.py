@@ -17,8 +17,9 @@ attachment".
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 ATTACH_SIGNALLING_BYTES = 384
 """Bytes of SRB1 signalling (RRC setup + reconfiguration + security)
@@ -80,10 +81,15 @@ class RrcEntity:
         self._contexts: Dict[int, RrcUeContext] = {}
         self._observers: List[Callable[[RrcEvent, int, int], None]] = []
         #: RNTIs whose attach is still in flight (RANDOM_ACCESS or
-        #: CONNECTING; read-only to callers): the only contexts the
-        #: per-TTI supervision loops need to visit, so they stay
-        #: O(attaching) not O(attached), and none while it is empty.
+        #: CONNECTING; read-only to callers).  While it is empty the
+        #: eNodeB supervises nothing.
         self.attaching: Set[int] = set()
+        # Supervision by due TTI: (due, rnti) heaps of the SRB1 setups
+        # and the attach deadlines.  An entry whose UE connected,
+        # failed or was released is skipped when popped; both heaps
+        # are emptied when the last attach in flight settles.
+        self._setups: List[Tuple[int, int]] = []
+        self._deadlines: List[Tuple[int, int]] = []
 
     def subscribe(self, fn: Callable[[RrcEvent, int, int], None]) -> None:
         """Register ``fn(event, rnti, tti)`` for RRC events."""
@@ -103,10 +109,6 @@ class RrcEntity:
         ctx = self._contexts.get(rnti)
         return ctx.state if ctx is not None else None
 
-    def attaching_rntis(self) -> List[int]:
-        """RNTIs with an attach in flight, in RNTI order."""
-        return sorted(self.attaching)
-
     def start_attach(self, rnti: int, tti: int) -> RrcUeContext:
         """Begin random access for a new UE."""
         if rnti in self._contexts:
@@ -114,6 +116,9 @@ class RrcEntity:
         ctx = RrcUeContext(rnti=rnti, state=RrcState.RANDOM_ACCESS, ra_tti=tti)
         self._contexts[rnti] = ctx
         self.attaching.add(rnti)
+        heapq.heappush(self._setups, (tti + RA_DELAY_TTIS, rnti))
+        heapq.heappush(self._deadlines,
+                       (tti + ATTACH_TIMEOUT_TTIS + 1, rnti))
         self._on_change(rnti)
         self._notify(RrcEvent.RANDOM_ACCESS, rnti, tti)
         return ctx
@@ -129,6 +134,17 @@ class RrcEntity:
             return True
         return False
 
+    def due_setups(self, tti: int) -> List[int]:
+        """RNTIs whose SRB1 setup starts at *tti*, in (due, rnti) order:
+        :meth:`setup_due` for every setup due at or before *tti*."""
+        heap = self._setups
+        started: List[int] = []
+        while heap and heap[0][0] <= tti:
+            rnti = heapq.heappop(heap)[1]
+            if rnti in self.attaching and self.setup_due(rnti, tti):
+                started.append(rnti)
+        return started
+
     def srb_delivered(self, rnti: int, nbytes: int, tti: int) -> None:
         """Credit delivered SRB1 bytes toward the attach handshake."""
         ctx = self.context(rnti)
@@ -137,25 +153,33 @@ class RrcEntity:
                 and ctx.srb_delivered_bytes >= ATTACH_SIGNALLING_BYTES):
             ctx.state = RrcState.CONNECTED
             ctx.connected_tti = tti
-            self.attaching.discard(rnti)
+            self._settled(rnti)
             self._on_change(rnti)
             self._notify(RrcEvent.UE_ATTACHED, rnti, tti)
 
     def check_timeouts(self, tti: int) -> List[int]:
         """Fail attaches that exceeded the deadline; returns failed RNTIs."""
         failed: List[int] = []
-        if not self.attaching:
-            return failed
-        for rnti in sorted(self.attaching):
+        heap = self._deadlines
+        while heap and heap[0][0] <= tti:
+            rnti = heapq.heappop(heap)[1]
+            if rnti not in self.attaching:
+                continue
             ctx = self._contexts[rnti]
             if tti - ctx.ra_tti > ATTACH_TIMEOUT_TTIS:
                 ctx.state = RrcState.FAILED
                 failed.append(rnti)
+                self._settled(rnti)
                 self._on_change(rnti)
                 self._notify(RrcEvent.ATTACH_FAILED, rnti, tti)
-        for rnti in failed:
-            self.attaching.discard(rnti)
         return failed
+
+    def _settled(self, rnti: int) -> None:
+        """*rnti*'s attach is no longer in flight."""
+        self.attaching.discard(rnti)
+        if not self.attaching:
+            self._setups.clear()
+            self._deadlines.clear()
 
     def complete_handover(self, rnti: int, tti: int) -> None:
         """Record the handover action's completion for *rnti*."""
@@ -166,4 +190,4 @@ class RrcEntity:
     def release(self, rnti: int) -> None:
         """Drop the context (UE detached or handed over away)."""
         self._contexts.pop(rnti, None)
-        self.attaching.discard(rnti)
+        self._settled(rnti)

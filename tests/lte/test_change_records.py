@@ -122,6 +122,8 @@ CHANGES = {
     "rrc.start_attach": (RrcEntity, lambda rrc: rrc.start_attach(RNTI, 0)),
     "rrc.setup_due": (
         _attaching, lambda rrc: rrc.setup_due(RNTI, RA_DELAY_TTIS)),
+    "rrc.due_setups": (
+        _attaching, lambda rrc: rrc.due_setups(RA_DELAY_TTIS)),
     "rrc.srb_delivered": (
         _connecting,
         lambda rrc: rrc.srb_delivered(RNTI, ATTACH_SIGNALLING_BYTES, 20)),
@@ -149,6 +151,8 @@ READS = {
     "rrc.state_of": (_attaching, lambda rrc: rrc.state_of(RNTI)),
     "rrc.setup_due(early)": (
         _attaching, lambda rrc: rrc.setup_due(RNTI, RA_DELAY_TTIS - 1)),
+    "rrc.due_setups(early)": (
+        _attaching, lambda rrc: rrc.due_setups(RA_DELAY_TTIS - 1)),
     "rrc.srb_delivered(partial)": (
         _connecting, lambda rrc: rrc.srb_delivered(RNTI, 1, 20)),
     "cell.refresh_cqi(unchanged)": (
@@ -246,6 +250,8 @@ ENB_CHANGES = {
     "rrc.setup_due": (
         "rrc", _attach,
         lambda enb, r: enb.rrc.setup_due(r, 40 + RA_DELAY_TTIS)),
+    "rrc.due_setups": (
+        "rrc", _attach, lambda enb, r: enb.rrc.due_setups(40 + RA_DELAY_TTIS)),
     "rrc.srb_delivered": (
         "rrc", _connecting,
         lambda enb, r: enb.rrc.srb_delivered(r, ATTACH_SIGNALLING_BYTES, 55)),
